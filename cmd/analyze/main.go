@@ -10,8 +10,9 @@
 // -ingest-workers != 1, the order-preserving parallel chunk parser) into
 // the cleaner and vectorizer in batches, so no record slice is ever
 // materialised. Memory is towers × slots for the vectorizer plus the
-// cleaner's dedup state (~40 bytes per distinct connection, or a hard
-// bound when -dedup-window is set). Results are identical for any
+// cleaner's dedup state (small hash tables per tower and start-time hour,
+// ~70–90 bytes per distinct connection, or a hard bound when
+// -dedup-window is set). Results are identical for any
 // -ingest-workers value: the parallel parser reassembles chunks in input
 // order.
 //

@@ -95,7 +95,7 @@ type Options struct {
 	// pipeline is entered through AnalyzeSource: state is kept for at
 	// least the most recent CleanWindow records (see
 	// trace.NewCleanerWindow). Zero keeps exact, unbounded dedup state
-	// (~40 bytes per distinct connection). Ignored by Analyze, which
+	// (~70–90 bytes per distinct connection). Ignored by Analyze, which
 	// takes an already-vectorised dataset.
 	CleanWindow int
 	// Workers bounds the goroutines of the modeling stage — the

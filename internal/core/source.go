@@ -15,8 +15,8 @@ import (
 // into per-tower traffic vectors by the streaming vectorizer, and the
 // resulting dataset is analysed exactly as Analyze would. At no point is
 // the record slice materialised: the vectorizer holds O(towers × slots)
-// accumulators, and the cleaner holds ~40 bytes per distinct connection
-// key — or, with opts.CleanWindow set, a bounded O(window) of dedup
+// accumulators, and the cleaner holds ~70–90 bytes per distinct
+// connection — or, with opts.CleanWindow set, a bounded O(window) of dedup
 // state, which is what makes arbitrarily long traces ingestible (the
 // shape the paper's Hadoop deployment relies on to process billions of
 // logs).

@@ -11,16 +11,16 @@
 // BatchSource interface. The write path (WriteCSV, CSVWriter,
 // WriteTowersCSV) is symmetric, serialising rows into reused buffers.
 //
-// Fault tolerance: every ingestion constructor has a context-aware form
-// (NewIngestSourceContext, NewParallelCSVSourceContext,
-// CleanSourceContext, WithContext) taking an ErrorPolicy that selects
-// skip / fail-fast / budget handling of malformed rows, per-category
-// skip accounting (SkipStats) and bounded retry of transient read errors
-// (RetryPolicy). The legacy names — NewIngestSource, NewParallelCSVSource,
-// CleanSource — remain as context.Background() wrappers with the
-// historical skip-everything policy, so existing callers keep their exact
-// behaviour. Terminal errors from the readers carry the failing row's
-// line number and byte offset via *PosError.
+// Fault tolerance: the CSV constructors have context-aware forms
+// (NewIngestSourceContext, NewParallelCSVSourceContext) taking an
+// ErrorPolicy that selects skip / fail-fast / budget handling of
+// malformed rows, with per-category skip accounting (SkipStats) and
+// bounded retry of transient read errors (RetryPolicy); NewIngestSource
+// and NewParallelCSVSource are the same with context.Background() and the
+// skip-everything policy. WithContext makes any source observe
+// cancellation between batches, and CleanSourceContext is CleanSource
+// over it. Terminal errors from the readers carry the failing row's line
+// number and byte offset via *PosError.
 package trace
 
 import (
@@ -58,9 +58,19 @@ type Record struct {
 	Tech    Technology
 }
 
+// valid reports whether the record passes Validate, without building the
+// error: the cleaner asks once per record and only counts the answer.
+func (r *Record) valid() bool {
+	return r.UserID >= 0 && r.TowerID >= 0 && r.Bytes >= 0 &&
+		!r.Start.IsZero() && !r.End.IsZero() && !r.End.Before(r.Start) &&
+		(r.Tech == Tech3G || r.Tech == TechLTE)
+}
+
 // Validate checks the record for structurally impossible values.
 func (r Record) Validate() error {
 	switch {
+	case r.valid():
+		return nil
 	case r.UserID < 0:
 		return fmt.Errorf("trace: negative user id %d", r.UserID)
 	case r.TowerID < 0:
@@ -71,24 +81,9 @@ func (r Record) Validate() error {
 		return errors.New("trace: zero timestamp")
 	case r.End.Before(r.Start):
 		return fmt.Errorf("trace: end %v before start %v", r.End, r.Start)
-	case r.Tech != Tech3G && r.Tech != TechLTE:
+	default:
 		return fmt.Errorf("trace: unknown technology %q", r.Tech)
 	}
-	return nil
-}
-
-// key identifies the logical connection a record describes. Two records
-// with the same key are either duplicates (same bytes) or conflicting
-// copies (different bytes).
-type key struct {
-	userID  int
-	towerID int
-	start   int64
-	end     int64
-}
-
-func (r Record) key() key {
-	return key{userID: r.UserID, towerID: r.TowerID, start: r.Start.UnixNano(), end: r.End.UnixNano()}
 }
 
 const timeLayout = time.RFC3339

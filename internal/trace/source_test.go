@@ -240,8 +240,8 @@ func TestCleanerWindowBoundsState(t *testing.T) {
 				t.Fatalf("adjacent duplicate of record %d not deduplicated", i)
 			}
 		}
-		if len(c.max) > 2*window+1 {
-			t.Fatalf("dedup state grew to %d entries, want ≤ %d", len(c.max), 2*window+1)
+		if c.Len() > 2*window+1 {
+			t.Fatalf("dedup state grew to %d entries, want ≤ %d", c.Len(), 2*window+1)
 		}
 	}
 	if c.Stats().Duplicates == 0 {

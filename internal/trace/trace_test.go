@@ -25,8 +25,8 @@ func validRecord() Record {
 }
 
 func TestRecordValidate(t *testing.T) {
-	if err := validRecord().Validate(); err != nil {
-		t.Fatalf("valid record rejected: %v", err)
+	if r := validRecord(); r.Validate() != nil || !r.valid() {
+		t.Fatalf("valid record rejected: %v (valid() = %v)", r.Validate(), r.valid())
 	}
 	mutations := []struct {
 		name   string
@@ -43,9 +43,32 @@ func TestRecordValidate(t *testing.T) {
 	for _, m := range mutations {
 		r := validRecord()
 		m.mutate(&r)
-		if err := r.Validate(); err == nil {
-			t.Errorf("%s: expected validation error", m.name)
+		if err := r.Validate(); err == nil || r.valid() {
+			t.Errorf("%s: Validate() = %v, valid() = %v; want an error and false", m.name, err, r.valid())
 		}
+	}
+}
+
+// The cleaner asks valid() once per record, so neither answer may
+// allocate: Validate builds an error per bad row, which a poisoned feed
+// would make it pay for every record.
+func TestRecordValidDoesNotAllocate(t *testing.T) {
+	good, bad := validRecord(), validRecord()
+	bad.Bytes = -1
+	c := NewCleaner()
+	c.Observe(good) // from here on, good is a duplicate: dropped like bad
+	for _, r := range []Record{good, bad} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, forwarded := c.Observe(r); forwarded {
+				t.Fatalf("record %+v forwarded", r)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("valid() = %v: %v allocations per observed record, want 0", r.valid(), allocs)
+		}
+	}
+	if want := (CleanStats{Input: 203, Invalid: 101, Duplicates: 101, Output: 1}); c.Stats() != want {
+		t.Errorf("stats %+v, want %+v", c.Stats(), want)
 	}
 }
 
