@@ -16,6 +16,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math"
@@ -454,7 +455,7 @@ func BenchmarkAblation_Linkage(b *testing.B) {
 			b.ReportAllocs()
 			var lastDBI float64
 			for i := 0; i < b.N; i++ {
-				dendro, err := cluster.Hierarchical(env.Dataset.Normalized, linkage)
+				dendro, err := cluster.HierarchicalWorkersCtx(context.Background(), env.Dataset.Normalized, linkage, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -462,7 +463,7 @@ func BenchmarkAblation_Linkage(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				dbi, err := cluster.DaviesBouldin(env.Dataset.Normalized, assign)
+				dbi, err := cluster.DaviesBouldinWorkers(env.Dataset.Normalized, assign, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -480,11 +481,11 @@ func BenchmarkAblation_KMeansBaseline(b *testing.B) {
 	b.ReportAllocs()
 	var lastDBI float64
 	for i := 0; i < b.N; i++ {
-		res, err := cluster.KMeans(env.Dataset.Normalized, cluster.KMeansOptions{K: 5, Seed: int64(i + 1), Restarts: 2})
+		res, err := kmeansRows(env.Dataset.Normalized, cluster.KMeansOptions{K: 5, Seed: int64(i + 1), Restarts: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		dbi, err := cluster.DaviesBouldin(env.Dataset.Normalized, res.Assignment)
+		dbi, err := cluster.DaviesBouldinWorkers(env.Dataset.Normalized, res.Assignment, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -555,7 +556,7 @@ func BenchmarkAblation_NoiseRobustness(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				dendro, err := cluster.Hierarchical(ds.Normalized, cluster.AverageLinkage)
+				dendro, err := cluster.HierarchicalWorkersCtx(context.Background(), ds.Normalized, cluster.AverageLinkage, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -591,7 +592,7 @@ func BenchmarkAblation_NMFDecomposition(b *testing.B) {
 	b.ReportAllocs()
 	var ari float64
 	for i := 0; i < b.N; i++ {
-		res, err := nmf.Factorize(env.Dataset.Raw, nmf.Options{Rank: 5, Seed: int64(i + 1), MaxIterations: 80})
+		res, err := nmf.FactorizeContext(context.Background(), env.Dataset.Raw, nmf.Options{Rank: 5, Seed: int64(i + 1), MaxIterations: 80})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -728,6 +729,16 @@ func modelingPoints(b *testing.B) (raw, norm []linalg.Vector) {
 	return modelRawRows, modelNormRows
 }
 
+// kmeansRows runs the k-means baseline on row vectors; like the slice
+// adapters of the other stages it packs loose rows on every call.
+func kmeansRows(rows []linalg.Vector, opts cluster.KMeansOptions) (*cluster.KMeansResult, error) {
+	x, err := linalg.RowsMatrix(rows)
+	if err != nil {
+		return nil, err
+	}
+	return cluster.KMeansMatCtx(context.Background(), x, opts)
+}
+
 // benchWorkers runs fn once per parallelism level (serial vs all cores).
 func benchWorkers(b *testing.B, fn func(b *testing.B, workers int)) {
 	for _, c := range []struct {
@@ -859,7 +870,7 @@ func BenchmarkCluster_Hierarchical(b *testing.B) {
 	_, norm := modelingPoints(b)
 	benchWorkers(b, func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cluster.HierarchicalWorkers(norm, cluster.AverageLinkage, workers); err != nil {
+			if _, err := cluster.HierarchicalWorkersCtx(context.Background(), norm, cluster.AverageLinkage, workers); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -873,7 +884,7 @@ func BenchmarkCluster_KMeans(b *testing.B) {
 	benchWorkers(b, func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {
 			opts := cluster.KMeansOptions{K: 5, Seed: 3, Restarts: 2, MaxIterations: 25, Workers: workers}
-			if _, err := cluster.KMeans(norm, opts); err != nil {
+			if _, err := kmeansRows(norm, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -887,7 +898,7 @@ func BenchmarkNMF_Factorize(b *testing.B) {
 	benchWorkers(b, func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {
 			opts := nmf.Options{Rank: 5, Seed: 3, MaxIterations: 30, Workers: workers}
-			if _, err := nmf.Factorize(raw, opts); err != nil {
+			if _, err := nmf.FactorizeContext(context.Background(), raw, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -30,11 +30,16 @@
 // cmd/experiments and by the benchmarks in bench_test.go at the repository
 // root.
 //
-// The modeling stage runs at one of two numeric tiers, selected by
-// core.Options.Precision: Float64 (the default) is the bit-reproducible
-// reference, while Float32 runs the linalg distance/matrix kernels —
-// generic over float32 | float64 via linalg.Float, with dedicated 8-wide
-// AVX2+FMA float32 assembly on amd64 — at half the memory traffic.
+// Every modeling stage has one implementation, generic over the element
+// type of a flat linalg.Mat[F] (cluster.HierarchicalMatCtx,
+// OptimalKMatCtx, KMeansMatCtx, the *Mat validity indices,
+// nmf.FactorizeMatContext); see README.md "Parallel modeling engine" for
+// the stage → entry point table. It runs at one of two numeric tiers,
+// selected once by core.Options.Precision: Float64 (the default) is the
+// bit-reproducible reference, while Float32 runs the linalg
+// distance/matrix kernels — generic over float32 | float64 via
+// linalg.Float, with dedicated 8-wide AVX2+FMA float32 assembly on amd64 —
+// at half the memory traffic.
 // Decisions (merges, labels, cluster counts, NMF bases) are identical
 // across tiers on seeded datasets because agglomeration orderings,
 // convergence checks and cross-point statistics always reduce in

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/linalg"
 	"repro/internal/testutil"
 )
 
@@ -17,30 +18,43 @@ func TestPreCancelledContext(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	rng := rand.New(rand.NewSource(7))
 	points := randomPoints(rng, 64, 8)
+	x := matOf(t, points)
+	dendro, err := hierarchical(points, AverageLinkage)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	if _, err := HierarchicalWorkersCtx(ctx, points, AverageLinkage, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("HierarchicalWorkersCtx: err = %v, want context.Canceled", err)
 	}
-	if _, err := KMeansCtx(ctx, points, KMeansOptions{K: 4, Workers: 4, Restarts: 4}); !errors.Is(err, context.Canceled) {
-		t.Errorf("KMeansCtx: err = %v, want context.Canceled", err)
-	}
-	dendro, err := Hierarchical(points, AverageLinkage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DBICurveCtx(ctx, points, dendro, 2, 8, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("DBICurveCtx: err = %v, want context.Canceled", err)
-	}
 	if _, _, err := OptimalKCtx(ctx, points, dendro, 2, 8, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("OptimalKCtx: err = %v, want context.Canceled", err)
+	}
+	preCancelledMat(t, ctx, x, dendro)
+	preCancelledMat(t, ctx, narrow(x), dendro)
+}
+
+func preCancelledMat[F linalg.Float](t *testing.T, ctx context.Context, x *linalg.Mat[F], dendro *Dendrogram) {
+	t.Helper()
+	if _, err := HierarchicalMatCtx(ctx, x, AverageLinkage, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("HierarchicalMatCtx[%T]: err = %v, want context.Canceled", x.Data, err)
+	}
+	if _, err := KMeansMatCtx(ctx, x, KMeansOptions{K: 4, Workers: 4, Restarts: 4}); !errors.Is(err, context.Canceled) {
+		t.Errorf("KMeansMatCtx[%T]: err = %v, want context.Canceled", x.Data, err)
+	}
+	if _, err := DBICurveMatCtx(ctx, x, dendro, 2, 8, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("DBICurveMatCtx[%T]: err = %v, want context.Canceled", x.Data, err)
+	}
+	if _, _, err := OptimalKMatCtx(ctx, x, dendro, 2, 8, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("OptimalKMatCtx[%T]: err = %v, want context.Canceled", x.Data, err)
 	}
 }
 
 // TestHierarchicalCancellationProperty cancels mid-flight at randomized
-// points — most trials land inside condensedDistances, the dominant
-// O(N²·D) phase — and asserts the two-sided contract: the call either
+// points — most trials land inside the condensed distance kernel, the
+// dominant O(N²·D) phase — and asserts the two-sided contract: the call either
 // completes with a dendrogram bit-identical to the uncancelled baseline,
 // or returns context.Canceled with no partial result, and in both cases
 // the worker pool unwinds promptly without leaking goroutines.
@@ -48,7 +62,7 @@ func TestHierarchicalCancellationProperty(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	rng := rand.New(rand.NewSource(1409))
 	points := randomPoints(rng, 400, 32)
-	baseline, err := Hierarchical(points, AverageLinkage)
+	baseline, err := hierarchical(points, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +105,9 @@ func TestKMeansCancellationProperty(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	rng := rand.New(rand.NewSource(2718))
 	points := randomPoints(rng, 300, 16)
+	x := matOf(t, points)
 	opts := KMeansOptions{K: 5, Restarts: 8, Seed: 11, Workers: 4}
-	baseline, err := KMeans(points, opts)
+	baseline, err := kmeans(points, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +119,7 @@ func TestKMeansCancellationProperty(t *testing.T) {
 			time.Sleep(delay)
 			cancel()
 		}()
-		res, err := KMeansCtx(ctx, points, opts)
+		res, err := KMeansMatCtx(ctx, x, opts)
 		cancel()
 		switch {
 		case err == nil:

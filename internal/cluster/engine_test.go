@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -9,10 +10,21 @@ import (
 	"repro/internal/synth"
 )
 
-// cityPoints builds the normalised traffic vectors of a seeded synthetic
+// Relative tolerances on the values the one implementation reports (merge
+// distances, DBI, silhouette, inertia, centroids) against the float64
+// per-pair oracles: Gram-trick reassociation at float64, plus the input
+// narrowing and float32 kernel arithmetic at float32. Decisions — merge
+// order, cut labels, the tuned cluster count — are compared exactly at
+// both precisions.
+const (
+	float64Tol = 1e-9
+	float32Tol = 1e-4
+)
+
+// cityMatrix builds the normalised traffic matrix of a seeded synthetic
 // city — the realistic workload the decisions-unchanged guarantees are
 // pinned on before the golden e2e fixture is trusted.
-func cityPoints(t *testing.T, towers int, seed int64) []linalg.Vector {
+func cityMatrix(t *testing.T, towers int, seed int64) *linalg.Matrix {
 	t.Helper()
 	cfg := synth.SmallConfig()
 	cfg.Towers = towers
@@ -26,17 +38,50 @@ func cityPoints(t *testing.T, towers int, seed int64) []linalg.Vector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds.Normalized
+	return matOf(t, ds.Normalized)
+}
+
+func within(got, want, relTol float64) bool {
+	return math.Abs(got-want) <= relTol*(1+math.Abs(want))
+}
+
+// The blocked Gram-trick kernel must reproduce the per-pair condensed
+// distances at either precision.
+func TestCondensedDistancesMatchPerPairOracle(t *testing.T) {
+	x := cityMatrix(t, 90, 31)
+	want, err := condensedDistancesOracle(x.RowViews())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("float64", func(t *testing.T) { condensedMatchesOracle(t, x, want, float64Tol) })
+	t.Run("float32", func(t *testing.T) { condensedMatchesOracle(t, narrow(x), want, float32Tol) })
+}
+
+func condensedMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], want condensed, relTol float64) {
+	got := newCondensed(x.Rows)
+	if err := condensedInto(context.Background(), got.d, x, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range got.d {
+		if !within(d, want.d[i], relTol) {
+			t.Fatalf("condensed entry %d = %g, oracle %g", i, d, want.d[i])
+		}
+	}
 }
 
 // The blocked Gram-trick engine must make the identical agglomeration
-// decisions as the per-pair distance oracle on seeded city traffic: same
-// merge pairs, same sizes, same cut partitions, distances within the
-// 1e-9 relative tolerance the Gram trick is allowed.
+// decisions as the per-pair distance oracle on seeded city traffic, at
+// either precision: same merge pairs in the same order, same sizes, same
+// cut partitions for k = 1..10, distances within tolerance.
 func TestHierarchicalDecisionsUnchangedOnSeededCity(t *testing.T) {
-	points := cityPoints(t, 90, 31)
+	x := cityMatrix(t, 90, 31)
+	t.Run("float64", func(t *testing.T) { hierarchicalMatchesOracle(t, x, x.RowViews(), float64Tol) })
+	t.Run("float32", func(t *testing.T) { hierarchicalMatchesOracle(t, narrow(x), x.RowViews(), float32Tol) })
+}
+
+func hierarchicalMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], points []linalg.Vector, relTol float64) {
 	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
-		got, err := Hierarchical(points, linkage)
+		got, err := HierarchicalMatCtx(context.Background(), x, linkage, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,44 +89,24 @@ func TestHierarchicalDecisionsUnchangedOnSeededCity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Merges) != len(want.Merges) {
-			t.Fatalf("%v: %d merges, oracle %d", linkage, len(got.Merges), len(want.Merges))
-		}
-		for i := range got.Merges {
-			g, w := got.Merges[i], want.Merges[i]
-			ga, gb := min(g.A, g.B), max(g.A, g.B)
-			wa, wb := min(w.A, w.B), max(w.A, w.B)
-			if ga != wa || gb != wb || g.Size != w.Size {
-				t.Fatalf("%v merge %d: got %+v, oracle %+v", linkage, i, g, w)
-			}
-			if diff := math.Abs(g.Distance - w.Distance); diff > 1e-9*(1+w.Distance) {
-				t.Fatalf("%v merge %d: distance %g, oracle %g", linkage, i, g.Distance, w.Distance)
-			}
-		}
-		for _, k := range []int{2, 3, 5, 8} {
-			ga, err := got.CutK(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wa, err := want.CutK(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ga.Labels, wa.Labels) {
-				t.Fatalf("%v k=%d: labels diverge from per-pair oracle", linkage, k)
-			}
-		}
+		sameDendrogram(t, got, want, relTol, 10)
 	}
 }
 
 // The blocked k-means assignment step must make the identical decisions as
-// the per-pair serial oracle on seeded city traffic: same labels, sizes
-// and iteration counts, inertia within Gram-trick precision.
+// the per-pair serial oracle on seeded city traffic, at either precision:
+// same labels, sizes and iteration counts, inertia and centroids within
+// tolerance.
 func TestKMeansDecisionsUnchangedOnSeededCity(t *testing.T) {
-	points := cityPoints(t, 90, 37)
+	x := cityMatrix(t, 90, 37)
+	t.Run("float64", func(t *testing.T) { kmeansMatchesOracle(t, x, x.RowViews(), float64Tol) })
+	t.Run("float32", func(t *testing.T) { kmeansMatchesOracle(t, narrow(x), x.RowViews(), float32Tol) })
+}
+
+func kmeansMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], points []linalg.Vector, relTol float64) {
 	for _, seed := range []int64{1, 7, 23} {
 		opts := KMeansOptions{K: 5, Seed: seed, Restarts: 3, Workers: 1}
-		got, err := KMeans(points, opts)
+		got, err := KMeansMatCtx(context.Background(), x, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,12 +120,12 @@ func TestKMeansDecisionsUnchangedOnSeededCity(t *testing.T) {
 		if got.Iterations != want.Iterations {
 			t.Fatalf("seed %d: %d iterations, oracle %d", seed, got.Iterations, want.Iterations)
 		}
-		if diff := math.Abs(got.Inertia - want.Inertia); diff > 1e-9*(1+want.Inertia) {
+		if !within(got.Inertia, want.Inertia, relTol) {
 			t.Fatalf("seed %d: inertia %g, oracle %g", seed, got.Inertia, want.Inertia)
 		}
 		for c := range got.Centroids {
 			for j := range got.Centroids[c] {
-				if diff := math.Abs(got.Centroids[c][j] - want.Centroids[c][j]); diff > 1e-9 {
+				if !within(got.Centroids[c][j], want.Centroids[c][j], relTol) {
 					t.Fatalf("seed %d: centroid %d[%d] = %g, oracle %g", seed, c, j, got.Centroids[c][j], want.Centroids[c][j])
 				}
 			}
@@ -108,31 +133,53 @@ func TestKMeansDecisionsUnchangedOnSeededCity(t *testing.T) {
 	}
 }
 
-// The blocked validity indices must agree with their per-pair oracles to
-// Gram-trick precision on city traffic.
+// The blocked validity indices must agree with their per-pair oracles on
+// city traffic at either precision, and the metric tuner must pick the
+// cluster count the float64 per-pair Davies–Bouldin sweep picks.
 func TestValidityIndicesMatchPerPairOracles(t *testing.T) {
-	points := cityPoints(t, 80, 41)
-	dendro, err := Hierarchical(points, AverageLinkage)
+	x := cityMatrix(t, 80, 41)
+	t.Run("float64", func(t *testing.T) { validityMatchesOracles(t, x, x.RowViews(), float64Tol) })
+	t.Run("float32", func(t *testing.T) { validityMatchesOracles(t, narrow(x), x.RowViews(), float32Tol) })
+}
+
+func validityMatchesOracles[F linalg.Float](t *testing.T, x *linalg.Mat[F], points []linalg.Vector, relTol float64) {
+	ctx := context.Background()
+	dendro, err := HierarchicalMatCtx(ctx, x, AverageLinkage, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{2, 4, 6} {
-		assign, err := dendro.CutK(k)
+	bestK, curve, err := OptimalKMatCtx(ctx, x, dendro, 2, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleK, oracleDBI := 0, math.Inf(1)
+	for _, p := range curve {
+		assign, err := dendro.CutK(p.K)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dbi, err := DaviesBouldin(points, assign)
+		centroids, err := CentroidsMat(x, assign)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for c, want := range centroidsOracle(points, assign) {
+			for j, w := range want {
+				if !within(float64(centroids.At(c, j)), w, relTol) {
+					t.Fatalf("k=%d: centroid %d[%d] = %g, oracle %g", p.K, c, j, centroids.At(c, j), w)
+				}
+			}
 		}
 		dbiOracle, err := daviesBouldinOracle(points, assign)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := math.Abs(dbi - dbiOracle); diff > 1e-9*(1+math.Abs(dbiOracle)) {
-			t.Errorf("k=%d: DBI %g, oracle %g", k, dbi, dbiOracle)
+		if !within(p.DBI, dbiOracle, relTol) {
+			t.Errorf("k=%d: DBI %g, oracle %g", p.K, p.DBI, dbiOracle)
 		}
-		sil, err := Silhouette(points, assign)
+		if dbiOracle < oracleDBI {
+			oracleK, oracleDBI = p.K, dbiOracle
+		}
+		sil, err := SilhouetteMat(x, assign, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,16 +187,25 @@ func TestValidityIndicesMatchPerPairOracles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := math.Abs(sil - silOracle); diff > 1e-9*(1+math.Abs(silOracle)) {
-			t.Errorf("k=%d: silhouette %g, oracle %g", k, sil, silOracle)
+		if !within(sil, silOracle, relTol) {
+			t.Errorf("k=%d: silhouette %g, oracle %g", p.K, sil, silOracle)
 		}
+	}
+	if bestK != oracleK {
+		t.Errorf("metric tuner picked K=%d, per-pair oracle sweep picks K=%d", bestK, oracleK)
 	}
 }
 
 // The validity indices must be bit-identical for any worker count.
 func TestValidityIndicesBitIdenticalAcrossWorkers(t *testing.T) {
-	points := cityPoints(t, 70, 43)
-	dendro, err := Hierarchical(points, AverageLinkage)
+	x := cityMatrix(t, 70, 43)
+	t.Run("float64", func(t *testing.T) { validityBitIdenticalAcrossWorkers(t, x) })
+	t.Run("float32", func(t *testing.T) { validityBitIdenticalAcrossWorkers(t, narrow(x)) })
+}
+
+func validityBitIdenticalAcrossWorkers[F linalg.Float](t *testing.T, x *linalg.Mat[F]) {
+	ctx := context.Background()
+	dendro, err := HierarchicalMatCtx(ctx, x, AverageLinkage, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,34 +213,34 @@ func TestValidityIndicesBitIdenticalAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbiBase, err := DaviesBouldinWorkers(points, assign, 1)
+	dbiBase, err := DaviesBouldinMat(x, assign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	silBase, err := SilhouetteWorkers(points, assign, 1)
+	silBase, err := SilhouetteMat(x, assign, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	curveBase, err := DBICurveWorkers(points, dendro, 2, 6, 1)
+	curveBase, err := DBICurveMatCtx(ctx, x, dendro, 2, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range testWorkerCounts() {
-		dbi, err := DaviesBouldinWorkers(points, assign, workers)
+		dbi, err := DaviesBouldinMat(x, assign, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if dbi != dbiBase {
 			t.Errorf("workers %d: DBI %g differs from serial %g", workers, dbi, dbiBase)
 		}
-		sil, err := SilhouetteWorkers(points, assign, workers)
+		sil, err := SilhouetteMat(x, assign, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sil != silBase {
 			t.Errorf("workers %d: silhouette %g differs from serial %g", workers, sil, silBase)
 		}
-		curve, err := DBICurveWorkers(points, dendro, 2, 6, workers)
+		curve, err := DBICurveMatCtx(ctx, x, dendro, 2, 6, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,11 +254,11 @@ func TestValidityIndicesBitIdenticalAcrossWorkers(t *testing.T) {
 // not allocate. Comparing a long run against a short one isolates the
 // per-iteration cost from the fixed per-restart setup.
 func TestKMeansZeroAllocsPerIteration(t *testing.T) {
-	points := cityPoints(t, 60, 47)
+	x := cityMatrix(t, 60, 47)
 	run := func(iters int) float64 {
 		return testing.AllocsPerRun(5, func() {
 			opts := KMeansOptions{K: 4, Seed: 11, Restarts: 1, MaxIterations: iters, Workers: 1}
-			if _, err := KMeans(points, opts); err != nil {
+			if _, err := KMeansMatCtx(context.Background(), x, opts); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,0 +1,43 @@
+package cluster
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/linalg"
+)
+
+// matOf packs test points into the flat float64 matrix the stages run on.
+func matOf(t testing.TB, points []linalg.Vector) *linalg.Matrix {
+	t.Helper()
+	x, err := pointsMatrix(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// narrow returns the float32 narrowing of x — the same single rounding
+// pipeline.Dataset.EnsureFloat32 applies before the float32 tier runs.
+func narrow(x *linalg.Matrix) *linalg.Matrix32 {
+	out := linalg.NewMatrix32(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		out.Data[i] = float32(v)
+	}
+	return out
+}
+
+// hierarchical builds the dendrogram of loose points with all cores and no
+// cancellation, through the slice adapter.
+func hierarchical(points []linalg.Vector, linkage Linkage) (*Dendrogram, error) {
+	return HierarchicalWorkersCtx(context.Background(), points, linkage, 0)
+}
+
+// kmeans runs the k-means baseline on loose points with no cancellation.
+func kmeans(points []linalg.Vector, opts KMeansOptions) (*KMeansResult, error) {
+	x, err := pointsMatrix(points)
+	if err != nil {
+		return nil, err
+	}
+	return KMeansMatCtx(context.Background(), x, opts)
+}

@@ -3,8 +3,13 @@
 // clustering of the per-tower traffic vectors with average linkage and a
 // Euclidean metric, cut either by a distance threshold or by cluster count,
 // with the Davies–Bouldin index as the model-selection criterion. A k-means
-// baseline and additional validity indices (silhouette) are provided for
-// the ablation studies in the benchmark harness.
+// baseline and a second validity index (silhouette) serve the ablation
+// studies and the serving plane's admission gate.
+//
+// Every stage has one implementation, generic over the element type of a
+// flat row-major linalg.Mat (float64 or float32) and taking ctx first where
+// it is cancellable. The four functions that accept []linalg.Vector instead
+// only check the shape, view the rows as a matrix and delegate.
 package cluster
 
 import (
@@ -76,69 +81,22 @@ type Dendrogram struct {
 	Merges []Merge
 }
 
-// Hierarchical builds the dendrogram of the points under the given linkage
-// using the nearest-neighbour-chain algorithm over a condensed
-// upper-triangular distance matrix: O(N²) time, N(N-1)/2 matrix entries
-// (half the memory of the previous full-matrix path) and O(N) extra
-// scratch for the chain. Distances are Euclidean, matching the paper.
-// The distance matrix is computed with GOMAXPROCS workers; see
-// HierarchicalWorkers to bound the parallelism.
-func Hierarchical(points []linalg.Vector, linkage Linkage) (*Dendrogram, error) {
-	return HierarchicalWorkers(points, linkage, 0)
-}
-
-// HierarchicalWorkers is Hierarchical with an explicit bound on the
-// goroutines used for the distance matrix (≤ 0 means GOMAXPROCS). The
-// result is bit-identical for any worker count: every matrix entry is
-// computed independently and the agglomeration itself is sequential.
-func HierarchicalWorkers(points []linalg.Vector, linkage Linkage, workers int) (*Dendrogram, error) {
-	return HierarchicalWorkersCtx(context.Background(), points, linkage, workers)
-}
-
-// HierarchicalWorkersCtx is HierarchicalWorkers with cancellation:
-// observed between row strips of the distance kernel and between merges
-// of the agglomeration, and a distance-kernel worker panic is returned
-// as an error instead of crashing the process.
-func HierarchicalWorkersCtx(ctx context.Context, points []linalg.Vector, linkage Linkage, workers int) (*Dendrogram, error) {
-	n := len(points)
-	if n == 0 {
-		return nil, ErrNoPoints
-	}
-	switch linkage {
-	case AverageLinkage, SingleLinkage, CompleteLinkage:
-	default:
-		return nil, fmt.Errorf("cluster: unknown linkage %v", linkage)
-	}
-	if n == 1 {
-		return &Dendrogram{N: 1, Linkage: linkage, Merges: nil}, nil
-	}
-
-	dist, err := condensedDistances(ctx, points, workers)
-	if err != nil {
-		return nil, err
-	}
-	slotMerges, err := nnChain(ctx, dist, linkage)
-	if err != nil {
-		return nil, err
-	}
-	return relabelMerges(n, linkage, slotMerges), nil
-}
-
-// HierarchicalMat builds the dendrogram straight from a flat row-major
-// matrix at either modeling precision. The distance matrix is computed by
-// the element-type's blocked kernel; the agglomeration itself always runs
-// in float64 — for float32 inputs the condensed squared distances are
-// widened (exactly) before the square root, so the NN-chain and
-// Lance–Williams updates see full-precision arithmetic on once-rounded
-// inputs and the merge DECISIONS track the float64 path. With a float64
-// matrix the result is bit-identical to HierarchicalWorkers on the
-// matrix's row views.
-func HierarchicalMat[F linalg.Float](x *linalg.Mat[F], linkage Linkage, workers int) (*Dendrogram, error) {
-	return HierarchicalMatCtx[F](context.Background(), x, linkage, workers)
-}
-
-// HierarchicalMatCtx is HierarchicalMat with cancellation and distance-
-// kernel fault isolation; see HierarchicalWorkersCtx for the contract.
+// HierarchicalMatCtx builds the dendrogram of x's rows under the given
+// linkage using the nearest-neighbour-chain algorithm over a condensed
+// upper-triangular distance matrix: O(N²) time, N(N-1)/2 matrix entries and
+// O(N) extra scratch for the chain. Distances are Euclidean, matching the
+// paper, and are computed by the element type's blocked kernel on up to
+// `workers` goroutines (≤ 0 means GOMAXPROCS); the agglomeration itself
+// always runs in float64 — for float32 inputs the condensed squared
+// distances are widened (exactly) before the square root, so the NN-chain
+// and Lance–Williams updates see full-precision arithmetic on once-rounded
+// inputs and the merge DECISIONS track the float64 instantiation.
+//
+// The result is bit-identical for any worker count: every matrix entry is
+// computed independently and the agglomeration is sequential. ctx is
+// observed between row strips of the distance kernel and between merges of
+// the agglomeration, and a distance-kernel worker panic is returned as an
+// error instead of crashing the process.
 func HierarchicalMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], linkage Linkage, workers int) (*Dendrogram, error) {
 	n := x.Rows
 	if n == 0 {
@@ -163,9 +121,41 @@ func HierarchicalMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], l
 	return relabelMerges(n, linkage, slotMerges), nil
 }
 
+// HierarchicalWorkersCtx is HierarchicalMatCtx for points held as a slice of
+// float64 row vectors.
+func HierarchicalWorkersCtx(ctx context.Context, points []linalg.Vector, linkage Linkage, workers int) (*Dendrogram, error) {
+	x, err := pointsMatrix(points)
+	if err != nil {
+		return nil, err
+	}
+	return HierarchicalMatCtx(ctx, x, linkage, workers)
+}
+
+// pointsMatrix is the bridge from the slice-of-vectors form to the flat
+// matrix every stage runs on. Dimensions are validated up front, so a
+// ragged input can never reach a kernel's work distribution. When the
+// points alias one contiguous matrix — the row views of a
+// pipeline.Dataset's flat backing — the result aliases that storage;
+// loose rows are packed once.
+func pointsMatrix(points []linalg.Vector) (*linalg.Matrix, error) {
+	if len(points) == 0 {
+		return nil, ErrNoPoints
+	}
+	dim := len(points[0])
+	for i, p := range points {
+		if len(p) != dim {
+			return nil, fmt.Errorf("%w: point %d has %d dims, want %d", ErrShapeRagged, i, len(p), dim)
+		}
+	}
+	return linalg.RowsMatrix(points)
+}
+
 // condensedInto fills the float64 condensed buffer with the Euclidean
-// distances between x's rows, running the blocked kernel at x's own
-// element type.
+// distances between x's rows, running the blocked Gram-trick kernel at x's
+// own element type. The per-pair form this replaced lives on as
+// condensedDistancesOracle in oracle_test.go; the float64 kernel agrees
+// with it to ≤1e-9 relative error (Gram-trick reassociation) and is
+// bit-identical across worker counts.
 func condensedInto[F linalg.Float](ctx context.Context, dst []float64, x *linalg.Mat[F], workers int) error {
 	switch xx := any(x).(type) {
 	case *linalg.Matrix:
@@ -208,48 +198,6 @@ func (c condensed) index(i, j int) int {
 
 func (c condensed) at(i, j int) float64     { return c.d[c.index(i, j)] }
 func (c condensed) set(i, j int, v float64) { c.d[c.index(i, j)] = v }
-
-// row returns the contiguous slice of distances from i to j ∈ (i, N).
-func (c condensed) row(i int) []float64 {
-	lo := c.index(i, i+1)
-	return c.d[lo : lo+c.n-1-i]
-}
-
-// condensedDistances computes the condensed Euclidean distance matrix on
-// the blocked Gram-trick kernel with up to `workers` goroutines (≤ 0 means
-// GOMAXPROCS). Dimensions are validated up front, before any worker
-// starts, so a ragged input can never strand the work distribution. When
-// the points alias one contiguous matrix — the row views of a
-// pipeline.Dataset's flat backing — the kernel runs on that storage
-// directly; loose rows are packed once. The per-pair form this replaces
-// lives on as condensedDistancesOracle in oracle.go; the kernel agrees
-// with it to ≤1e-9 relative error (Gram-trick reassociation) and is
-// bit-identical across worker counts.
-func condensedDistances(ctx context.Context, points []linalg.Vector, workers int) (condensed, error) {
-	n := len(points)
-	dim := len(points[0])
-	for i, p := range points {
-		if len(p) != dim {
-			return condensed{}, fmt.Errorf("%w: point %d has %d dims, want %d", ErrShapeRagged, i, len(p), dim)
-		}
-	}
-	c := newCondensed(n)
-	if n < 2 {
-		return c, nil
-	}
-	x, err := linalg.RowsMatrix(points)
-	if err != nil {
-		return condensed{}, err
-	}
-	norms := make(linalg.Vector, n)
-	if err := linalg.PairwiseSquaredCondensedCtx(ctx, c.d, x, norms, workers); err != nil {
-		return condensed{}, err
-	}
-	if err := linalg.SquaredDistancesSqrtInPlaceCtx(ctx, c.d, workers); err != nil {
-		return condensed{}, err
-	}
-	return c, nil
-}
 
 // slotMerge records one agglomeration against matrix slots: slot i always
 // holds the current cluster occupying the slot of original leaf i.
@@ -357,17 +305,9 @@ func relabelMerges(n int, linkage Linkage, slotMerges []slotMerge) *Dendrogram {
 			nodeSize[i] = 1
 		}
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
 	merges := make([]Merge, 0, n-1)
 	for i, sm := range slotMerges {
-		ra, rb := find(sm.slotA), find(sm.slotB)
+		ra, rb := findRoot(parent, sm.slotA), findRoot(parent, sm.slotB)
 		newNode := n + i
 		parent[ra] = newNode
 		parent[rb] = newNode
@@ -375,6 +315,16 @@ func relabelMerges(n int, linkage Linkage, slotMerges []slotMerge) *Dendrogram {
 		merges = append(merges, Merge{A: ra, B: rb, Distance: sm.distance, Size: nodeSize[newNode]})
 	}
 	return &Dendrogram{N: n, Linkage: linkage, Merges: merges}
+}
+
+// findRoot returns the root of x in the union-find forest, halving the
+// path it walks.
+func findRoot(parent []int, x int) int {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
 }
 
 // Assignment maps each input point to a cluster label in [0, K).
@@ -436,24 +386,16 @@ func (d *Dendrogram) cut(applied int) (*Assignment, error) {
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
 	for i := 0; i < applied; i++ {
 		m := d.Merges[i]
 		newNode := d.N + i
-		parent[find(m.A)] = newNode
-		parent[find(m.B)] = newNode
+		parent[findRoot(parent, m.A)] = newNode
+		parent[findRoot(parent, m.B)] = newNode
 	}
 	labels := make([]int, d.N)
 	remap := make(map[int]int)
 	for i := 0; i < d.N; i++ {
-		root := find(i)
+		root := findRoot(parent, i)
 		l, ok := remap[root]
 		if !ok {
 			l = len(remap)

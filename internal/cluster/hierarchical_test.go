@@ -43,21 +43,21 @@ func TestLinkageString(t *testing.T) {
 }
 
 func TestHierarchicalErrors(t *testing.T) {
-	if _, err := Hierarchical(nil, AverageLinkage); !errors.Is(err, ErrNoPoints) {
+	if _, err := hierarchical(nil, AverageLinkage); !errors.Is(err, ErrNoPoints) {
 		t.Errorf("no points: got %v", err)
 	}
 	ragged := []linalg.Vector{{1, 2}, {1}}
-	if _, err := Hierarchical(ragged, AverageLinkage); !errors.Is(err, ErrShapeRagged) {
+	if _, err := hierarchical(ragged, AverageLinkage); !errors.Is(err, ErrShapeRagged) {
 		t.Errorf("ragged points: got %v", err)
 	}
 	bad := []linalg.Vector{{1}, {2}, {3}}
-	if _, err := Hierarchical(bad, Linkage(42)); err == nil {
+	if _, err := hierarchical(bad, Linkage(42)); err == nil {
 		t.Error("unknown linkage should fail")
 	}
 }
 
 func TestHierarchicalSinglePoint(t *testing.T) {
-	d, err := Hierarchical([]linalg.Vector{{1, 2}}, AverageLinkage)
+	d, err := hierarchical([]linalg.Vector{{1, 2}}, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestHierarchicalKnownSmallCase(t *testing.T) {
 	// Points on a line: {0, 1} form one pair, {10, 11} another; the two
 	// pairs merge last.
 	points := []linalg.Vector{{0}, {1}, {10}, {11}}
-	d, err := Hierarchical(points, AverageLinkage)
+	d, err := hierarchical(points, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestSingleVsCompleteLinkage(t *testing.T) {
 	// A chain of points: single linkage merges the whole chain at distance
 	// 1; complete linkage's final merge distance is the chain length.
 	points := []linalg.Vector{{0}, {1}, {2}, {3}, {4}}
-	single, err := Hierarchical(points, SingleLinkage)
+	single, err := hierarchical(points, SingleLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	complete, err := Hierarchical(points, CompleteLinkage)
+	complete, err := hierarchical(points, CompleteLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestHierarchicalRecoversBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, linkage := range []Linkage{AverageLinkage, CompleteLinkage} {
 		points, truth := blobs(rng, 4, 20, 6, 0.5)
-		d, err := Hierarchical(points, linkage)
+		d, err := hierarchical(points, linkage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestMergeDistancesMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	points, _ := blobs(rng, 3, 15, 4, 1.0)
 	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
-		d, err := Hierarchical(points, linkage)
+		d, err := hierarchical(points, linkage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestMergeDistancesMonotone(t *testing.T) {
 
 func TestCutKBounds(t *testing.T) {
 	points := []linalg.Vector{{0}, {1}, {2}}
-	d, err := Hierarchical(points, AverageLinkage)
+	d, err := hierarchical(points, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestThresholdForK(t *testing.T) {
 	// (with tied merge distances a distance threshold cannot separate the
 	// tied merges, which is inherent to threshold-based cutting).
 	points := []linalg.Vector{{0}, {1.2}, {10}, {11}}
-	d, err := Hierarchical(points, AverageLinkage)
+	d, err := hierarchical(points, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCutPartitionProperty(t *testing.T) {
 		for i := range points {
 			points[i] = linalg.Vector{rng.NormFloat64(), rng.NormFloat64()}
 		}
-		d, err := Hierarchical(points, AverageLinkage)
+		d, err := hierarchical(points, AverageLinkage)
 		if err != nil {
 			return false
 		}
@@ -285,7 +285,7 @@ func BenchmarkHierarchical200x144(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Hierarchical(points, AverageLinkage); err != nil {
+		if _, err := hierarchical(points, AverageLinkage); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,7 +55,7 @@ type KMeansResult struct {
 	Iterations int
 }
 
-// KMeans clusters the points with Lloyd's algorithm and k-means++
+// KMeansMatCtx clusters the rows of x with Lloyd's algorithm and k-means++
 // initialisation. It is the baseline the benchmark harness compares the
 // paper's hierarchical clustering against. The assignment step runs on the
 // blocked Gram-trick kernel (points × centroids squared distances in one
@@ -67,48 +67,17 @@ type KMeansResult struct {
 // scheduling: the best result is selected by scanning the restarts in
 // index order with a strict inertia comparison, exactly as a serial loop
 // would.
-func KMeans(points []linalg.Vector, opts KMeansOptions) (*KMeansResult, error) {
-	return KMeansCtx(context.Background(), points, opts)
-}
-
-// KMeansCtx is KMeans with cancellation: ctx is observed once per Lloyd
-// iteration of every restart and between row strips of the blocked
-// assignment kernel, and a panic in a restart or assignment worker is
-// returned as an error instead of crashing the process.
-func KMeansCtx(ctx context.Context, points []linalg.Vector, opts KMeansOptions) (*KMeansResult, error) {
-	n := len(points)
-	if n == 0 {
-		return nil, ErrNoPoints
-	}
-	dim := len(points[0])
-	for i, p := range points {
-		if len(p) != dim {
-			return nil, fmt.Errorf("%w: point %d has %d dims, want %d", ErrShapeRagged, i, len(p), dim)
-		}
-	}
-	// The points matrix is shared read-only by every restart: aliased for
-	// free when the points are views of a dataset's flat backing, packed
-	// once otherwise.
-	x, err := linalg.RowsMatrix(points)
-	if err != nil {
-		return nil, err
-	}
-	return KMeansMatCtx(ctx, x, opts)
-}
-
-// KMeansMat is KMeans on a flat row-major matrix at either modeling
-// precision. A float32 matrix runs the whole Lloyd loop — distances,
-// argmin, centroid updates — in float32 (halving the memory traffic of
-// the assignment step), with the k-means++ sampling totals, the inertia
-// reduction and the reported centroids kept in float64. With a float64
-// matrix the result is bit-identical to KMeans on the matrix's row views.
-func KMeansMat[F linalg.Float](x *linalg.Mat[F], opts KMeansOptions) (*KMeansResult, error) {
-	return KMeansMatCtx[F](context.Background(), x, opts)
-}
-
-// KMeansMatCtx is KMeansMat with the cancellation and fault isolation of
-// KMeansCtx. On cancellation every in-flight restart exits at its next
-// iteration boundary and the pool drains before the call returns.
+//
+// A float32 matrix runs the whole Lloyd loop — distances, argmin, centroid
+// updates — in float32 (halving the memory traffic of the assignment
+// step), with the k-means++ sampling totals, the inertia reduction and the
+// reported centroids kept in float64.
+//
+// ctx is observed once per Lloyd iteration of every restart and between
+// row strips of the blocked assignment kernel; on cancellation every
+// in-flight restart exits at its next iteration boundary and the pool
+// drains before the call returns. A panic in a restart or assignment
+// worker is returned as an error instead of crashing the process.
 func KMeansMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], opts KMeansOptions) (*KMeansResult, error) {
 	opts = opts.withDefaults()
 	n := x.Rows
@@ -293,8 +262,7 @@ func kmeansOnce[F linalg.Float](ctx context.Context, x *linalg.Mat[F], xnorms li
 }
 
 // widenRows returns the rows of m as float64 vectors: aliasing views for a
-// float64 matrix (the historical KMeans contract — callers may keep
-// mutating through them), widened copies for a float32 one.
+// float64 matrix, widened copies for a float32 one.
 func widenRows[F linalg.Float](m *linalg.Mat[F]) []linalg.Vector {
 	if m64, ok := any(m).(*linalg.Matrix); ok {
 		return m64.RowViews()

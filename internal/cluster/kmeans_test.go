@@ -11,7 +11,7 @@ import (
 func TestKMeansRecoversBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	points, truth := blobs(rng, 4, 25, 5, 0.5)
-	res, err := KMeans(points, KMeansOptions{K: 4, Seed: 1, Restarts: 3})
+	res, err := kmeans(points, KMeansOptions{K: 4, Seed: 1, Restarts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 func TestKMeansDeterministicWithSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	points, _ := blobs(rng, 3, 20, 4, 1.0)
-	a, err := KMeans(points, KMeansOptions{K: 3, Seed: 7})
+	a, err := kmeans(points, KMeansOptions{K: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(points, KMeansOptions{K: 3, Seed: 7})
+	b, err := kmeans(points, KMeansOptions{K: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,18 +52,18 @@ func TestKMeansDeterministicWithSeed(t *testing.T) {
 }
 
 func TestKMeansErrors(t *testing.T) {
-	if _, err := KMeans(nil, KMeansOptions{K: 2}); !errors.Is(err, ErrNoPoints) {
+	if _, err := kmeans(nil, KMeansOptions{K: 2}); !errors.Is(err, ErrNoPoints) {
 		t.Errorf("no points: %v", err)
 	}
 	points := []linalg.Vector{{1}, {2}, {3}}
-	if _, err := KMeans(points, KMeansOptions{K: 0}); !errors.Is(err, ErrBadK) {
+	if _, err := kmeans(points, KMeansOptions{K: 0}); !errors.Is(err, ErrBadK) {
 		t.Errorf("k=0: %v", err)
 	}
-	if _, err := KMeans(points, KMeansOptions{K: 5}); !errors.Is(err, ErrBadK) {
+	if _, err := kmeans(points, KMeansOptions{K: 5}); !errors.Is(err, ErrBadK) {
 		t.Errorf("k>n: %v", err)
 	}
 	ragged := []linalg.Vector{{1, 2}, {1}}
-	if _, err := KMeans(ragged, KMeansOptions{K: 2}); !errors.Is(err, ErrShapeRagged) {
+	if _, err := kmeans(ragged, KMeansOptions{K: 2}); !errors.Is(err, ErrShapeRagged) {
 		t.Errorf("ragged: %v", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestKMeansErrors(t *testing.T) {
 func TestKMeansIdenticalPoints(t *testing.T) {
 	// All points identical: k-means must terminate and produce zero inertia.
 	points := []linalg.Vector{{3, 3}, {3, 3}, {3, 3}, {3, 3}}
-	res, err := KMeans(points, KMeansOptions{K: 2, Seed: 1})
+	res, err := kmeans(points, KMeansOptions{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 func TestKMeansRestartsImproveOrMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	points, _ := blobs(rng, 5, 15, 3, 1.5)
-	single, err := KMeans(points, KMeansOptions{K: 5, Seed: 3, Restarts: 1})
+	single, err := kmeans(points, KMeansOptions{K: 5, Seed: 3, Restarts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := KMeans(points, KMeansOptions{K: 5, Seed: 3, Restarts: 8})
+	multi, err := kmeans(points, KMeansOptions{K: 5, Seed: 3, Restarts: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestKMeansVsHierarchicalOnBlobs(t *testing.T) {
 	// baseline comparison of the benchmark harness in miniature.
 	rng := rand.New(rand.NewSource(54))
 	points, truth := blobs(rng, 3, 20, 6, 0.4)
-	km, err := KMeans(points, KMeansOptions{K: 3, Seed: 1, Restarts: 3})
+	km, err := kmeans(points, KMeansOptions{K: 3, Seed: 1, Restarts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dendro, err := Hierarchical(points, AverageLinkage)
+	dendro, err := hierarchical(points, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func BenchmarkKMeans200x144(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KMeans(points, KMeansOptions{K: 5, Seed: int64(i)}); err != nil {
+		if _, err := kmeans(points, KMeansOptions{K: 5, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,64 +10,74 @@ import (
 	"repro/internal/linalg"
 )
 
-// Centroids returns the centroid of each cluster of the assignment.
-// Empty clusters get a zero vector.
-func Centroids(points []linalg.Vector, a *Assignment) ([]linalg.Vector, error) {
-	if len(points) == 0 {
-		return nil, ErrNoPoints
+// Cluster validity indices over a flat row-major matrix, generic over the
+// modeling precision: the distance kernels run at the matrix's own element
+// type (the float32 instantiation halves the memory traffic that dominates
+// the metric-tuner sweep), while every statistic derived from the
+// distances — scatter sums, index ratios, curve minima — is reduced in
+// float64 regardless.
+
+// checkAssignment validates an assignment against n points: one label per
+// point, every label in [0, K). The index loops below rely on it.
+func checkAssignment(n int, a *Assignment) error {
+	if n == 0 {
+		return ErrNoPoints
 	}
-	if len(a.Labels) != len(points) {
-		return nil, fmt.Errorf("cluster: %d labels for %d points", len(a.Labels), len(points))
+	if len(a.Labels) != n {
+		return fmt.Errorf("cluster: %d labels for %d points", len(a.Labels), n)
 	}
-	dim := len(points[0])
-	out := make([]linalg.Vector, a.K)
-	counts := make([]int, a.K)
-	for i := range out {
-		out[i] = make(linalg.Vector, dim)
-	}
-	for i, p := range points {
-		l := a.Labels[i]
+	for _, l := range a.Labels {
 		if l < 0 || l >= a.K {
-			return nil, fmt.Errorf("cluster: label %d out of range [0,%d)", l, a.K)
+			return fmt.Errorf("cluster: label %d out of range [0,%d)", l, a.K)
 		}
-		if err := out[l].AddInPlace(p); err != nil {
+	}
+	return nil
+}
+
+// CentroidsMat returns the K×dim matrix of cluster centroids of the
+// assignment. Empty clusters get a zero row. The per-cluster sums
+// accumulate serially in point order at the matrix's own precision.
+func CentroidsMat[F linalg.Float](x *linalg.Mat[F], a *Assignment) (*linalg.Mat[F], error) {
+	if err := checkAssignment(x.Rows, a); err != nil {
+		return nil, err
+	}
+	out := linalg.NewMat[F](a.K, x.Cols)
+	counts := make([]int, a.K)
+	for i, l := range a.Labels {
+		if err := out.Row(l).AddInPlace(x.Row(i)); err != nil {
 			return nil, err
 		}
 		counts[l]++
 	}
-	for i := range out {
-		if counts[i] > 0 {
-			out[i].ScaleInPlace(1 / float64(counts[i]))
+	for l, c := range counts {
+		if c > 0 {
+			out.Row(l).ScaleInPlace(F(1 / float64(c)))
 		}
 	}
 	return out, nil
 }
 
-// DaviesBouldin computes the Davies–Bouldin index of the clustering, the
+// DaviesBouldinMat computes the Davies–Bouldin index of the clustering, the
 // metric-tuner criterion of Section 3.2:
 //
 //	DBI = (1/R) Σ_i max_{j≠i} (S_i + S_j) / M_ij
 //
 // where S_i is the average distance of cluster i's members to their
 // centroid and M_ij the distance between the centroids of clusters i and
-// j. Lower is better. Clusters with fewer than one member are skipped.
-// The index is undefined for fewer than two non-empty clusters.
-func DaviesBouldin(points []linalg.Vector, a *Assignment) (float64, error) {
-	return DaviesBouldinWorkers(points, a, 0)
-}
-
-// DaviesBouldinWorkers is DaviesBouldin with an explicit bound on the
-// goroutines of the blocked distance kernels (≤ 0 means GOMAXPROCS). The
-// member-to-centroid and centroid-to-centroid distances both come from the
-// Gram-trick kernels, so the index is bit-identical for any worker count;
+// j. Lower is better. Clusters with no members are skipped; the index is
+// undefined for fewer than two non-empty clusters.
+//
+// The member-to-centroid and centroid-to-centroid distances both come from
+// the Gram-trick kernels on up to `workers` goroutines (≤ 0 means
+// GOMAXPROCS), so the index is bit-identical for any worker count;
 // clusters whose centroids coincide bit-for-bit still divide by an exact
 // zero and score +Inf, exactly as the per-pair form did.
-func DaviesBouldinWorkers(points []linalg.Vector, a *Assignment, workers int) (float64, error) {
-	centroids, err := Centroids(points, a)
+func DaviesBouldinMat[F linalg.Float](x *linalg.Mat[F], a *Assignment, workers int) (float64, error) {
+	cm, err := CentroidsMat(x, a) // also checks the assignment
 	if err != nil {
 		return 0, err
 	}
-	scatter, counts, err := clusterScatter(points, a, centroids)
+	scatter, counts, err := clusterScatter(x, a, cm)
 	if err != nil {
 		return 0, err
 	}
@@ -82,11 +92,7 @@ func DaviesBouldinWorkers(points []linalg.Vector, a *Assignment, workers int) (f
 		return 0, errors.New("cluster: Davies-Bouldin needs at least two non-empty clusters")
 	}
 	// Centroid separations M_ij via the blocked symmetric kernel.
-	cm, err := linalg.RowsMatrix(centroids)
-	if err != nil {
-		return 0, err
-	}
-	sep := linalg.NewMatrix(a.K, a.K)
+	sep := linalg.NewMat[F](a.K, a.K)
 	if err := linalg.PairwiseSquaredInto(sep, cm, nil, workers); err != nil {
 		return 0, err
 	}
@@ -97,7 +103,7 @@ func DaviesBouldinWorkers(points []linalg.Vector, a *Assignment, workers int) (f
 			if i == j {
 				continue
 			}
-			m := math.Sqrt(sep.At(i, j))
+			m := math.Sqrt(float64(sep.At(i, j)))
 			if m == 0 {
 				// Coincident centroids: the ratio is unbounded; treat as a
 				// very bad separation rather than dividing by zero.
@@ -113,23 +119,26 @@ func DaviesBouldinWorkers(points []linalg.Vector, a *Assignment, workers int) (f
 	return sum / float64(len(idx)), nil
 }
 
+// DaviesBouldinWorkers is DaviesBouldinMat for points held as a slice of
+// float64 row vectors.
+func DaviesBouldinWorkers(points []linalg.Vector, a *Assignment, workers int) (float64, error) {
+	x, err := pointsMatrix(points)
+	if err != nil {
+		return 0, err
+	}
+	return DaviesBouldinMat(x, a, workers)
+}
+
 // clusterScatter returns S_i (mean member-to-centroid distance) and member
-// counts per cluster. Each point needs only the distance to its ASSIGNED
-// centroid, so this runs one Gram-trick dot per point — same operation
-// sequence as the cross kernel (making coincident point/centroid pairs
-// exactly zero) without computing the unused n×K remainder. The sums
-// accumulate serially in point order.
-func clusterScatter(points []linalg.Vector, a *Assignment, centroids []linalg.Vector) ([]float64, []int, error) {
-	x, err := linalg.RowsMatrix(points)
-	if err != nil {
-		return nil, nil, err
-	}
-	cm, err := linalg.RowsMatrix(centroids)
-	if err != nil {
-		return nil, nil, err
-	}
-	xnorms := make(linalg.Vector, x.Rows)
-	cnorms := make(linalg.Vector, cm.Rows)
+// counts per cluster of an already-checked assignment. Each point needs
+// only the distance to its ASSIGNED centroid, so this runs one Gram-trick
+// dot per point — same operation sequence as the cross kernel (making
+// coincident point/centroid pairs exactly zero) without computing the
+// unused n×K remainder. The sums accumulate serially in point order in
+// float64.
+func clusterScatter[F linalg.Float](x *linalg.Mat[F], a *Assignment, cm *linalg.Mat[F]) ([]float64, []int, error) {
+	xnorms := make(linalg.Vec[F], x.Rows)
+	cnorms := make(linalg.Vec[F], cm.Rows)
 	if err := linalg.RowNormsSquaredInto(xnorms, x); err != nil {
 		return nil, nil, err
 	}
@@ -138,8 +147,7 @@ func clusterScatter(points []linalg.Vector, a *Assignment, centroids []linalg.Ve
 	}
 	scatter := make([]float64, a.K)
 	counts := make([]int, a.K)
-	for i := range points {
-		l := a.Labels[i]
+	for i, l := range a.Labels {
 		sq, err := linalg.AssignedSquaredDistance(x, cm, xnorms, cnorms, i, l)
 		if err != nil {
 			return nil, nil, err
@@ -158,15 +166,14 @@ func clusterScatter(points []linalg.Vector, a *Assignment, centroids []linalg.Ve
 // DistancesToCentroid returns, for each cluster, the sorted distances of
 // its members to the cluster centroid — the data behind the per-cluster
 // distance CDF of Figure 6(b).
-func DistancesToCentroid(points []linalg.Vector, a *Assignment) ([][]float64, error) {
-	centroids, err := Centroids(points, a)
+func DistancesToCentroid[F linalg.Float](x *linalg.Mat[F], a *Assignment) ([][]float64, error) {
+	cm, err := CentroidsMat(x, a)
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]float64, a.K)
-	for i, p := range points {
-		l := a.Labels[i]
-		d, err := linalg.Distance(p, centroids[l])
+	for i, l := range a.Labels {
+		d, err := linalg.Distance(x.Row(i), cm.Row(l))
 		if err != nil {
 			return nil, err
 		}
@@ -178,37 +185,27 @@ func DistancesToCentroid(points []linalg.Vector, a *Assignment) ([][]float64, er
 	return out, nil
 }
 
-// Silhouette computes the mean silhouette coefficient of the clustering, an
-// additional validity index used in the ablation benches. It is O(N²·d).
-// Points in singleton clusters contribute a silhouette of zero.
-func Silhouette(points []linalg.Vector, a *Assignment) (float64, error) {
-	return SilhouetteWorkers(points, a, 0)
-}
-
-// SilhouetteWorkers is Silhouette with an explicit bound on the goroutines
-// of the blocked distance kernel (≤ 0 means GOMAXPROCS). The full pairwise
-// matrix is computed once by the Gram-trick kernel — N²/2 fused tiles
-// instead of N²/2 per-pair loops — and the per-point reductions keep their
-// serial order, so the coefficient is bit-identical for any worker count.
-// The matrix costs O(N²) floats of transient memory (~740 MB at the
-// paper's 9,600 towers); the index is an ablation-bench statistic, not
-// part of the Analyze path, so the trade for kernel speed is deliberate.
-func SilhouetteWorkers(points []linalg.Vector, a *Assignment, workers int) (float64, error) {
-	n := len(points)
-	if n == 0 {
-		return 0, ErrNoPoints
-	}
-	if len(a.Labels) != n {
-		return 0, fmt.Errorf("cluster: %d labels for %d points", len(a.Labels), n)
+// SilhouetteMat computes the mean silhouette coefficient of the
+// clustering, the second validity index of the serving plane's admission
+// gate and of the ablation benches. Points in singleton clusters
+// contribute a silhouette of zero.
+//
+// The full pairwise matrix is computed once by the Gram-trick kernel on up
+// to `workers` goroutines (≤ 0 means GOMAXPROCS) — N²/2 fused tiles instead
+// of N²/2 per-pair loops — and the per-point reductions keep their serial
+// order, so the coefficient is bit-identical for any worker count. The
+// matrix costs O(N²) elements of transient memory: internal/serve runs this
+// on every remodel candidate, ~46 MB at 2,400 float64 towers and ~740 MB
+// at the paper's 9,600 (half that at float32).
+func SilhouetteMat[F linalg.Float](x *linalg.Mat[F], a *Assignment, workers int) (float64, error) {
+	n := x.Rows
+	if err := checkAssignment(n, a); err != nil {
+		return 0, err
 	}
 	if a.K < 2 {
 		return 0, errors.New("cluster: silhouette needs at least two clusters")
 	}
-	x, err := linalg.RowsMatrix(points)
-	if err != nil {
-		return 0, err
-	}
-	pair := linalg.NewMatrix(n, n)
+	pair := linalg.NewMat[F](n, n)
 	if err := linalg.PairwiseSquaredInto(pair, x, nil, workers); err != nil {
 		return 0, err
 	}
@@ -231,7 +228,7 @@ func SilhouetteWorkers(points []linalg.Vector, a *Assignment, workers int) (floa
 			if i == j {
 				continue
 			}
-			sumByCluster[a.Labels[j]] += row[j]
+			sumByCluster[a.Labels[j]] += float64(row[j])
 		}
 		own := sumByCluster[li] / float64(sizes[li]-1)
 		other := math.Inf(1)
@@ -254,6 +251,16 @@ func SilhouetteWorkers(points []linalg.Vector, a *Assignment, workers int) (floa
 	return total / float64(n), nil
 }
 
+// SilhouetteWorkers is SilhouetteMat for points held as a slice of float64
+// row vectors.
+func SilhouetteWorkers(points []linalg.Vector, a *Assignment, workers int) (float64, error) {
+	x, err := pointsMatrix(points)
+	if err != nil {
+		return 0, err
+	}
+	return SilhouetteMat(x, a, workers)
+}
+
 // DBICurvePoint is one evaluation of the Davies–Bouldin index at a given
 // cluster count, together with the cut threshold that produces it.
 type DBICurvePoint struct {
@@ -262,40 +269,27 @@ type DBICurvePoint struct {
 	DBI       float64
 }
 
-// DBICurve evaluates the Davies–Bouldin index for every cluster count in
-// [minK, maxK], reproducing the metric-tuner sweep behind Figure 6(a).
-func DBICurve(points []linalg.Vector, dendro *Dendrogram, minK, maxK int) ([]DBICurvePoint, error) {
-	return DBICurveWorkers(points, dendro, minK, maxK, 0)
-}
-
-// DBICurveWorkers is DBICurve with an explicit bound on the goroutines of
-// the per-K Davies–Bouldin evaluations (≤ 0 means GOMAXPROCS).
-func DBICurveWorkers(points []linalg.Vector, dendro *Dendrogram, minK, maxK, workers int) ([]DBICurvePoint, error) {
-	return DBICurveCtx(context.Background(), points, dendro, minK, maxK, workers)
-}
-
-// DBICurveCtx is DBICurveWorkers with cancellation, observed once per
-// evaluated cluster count.
-func DBICurveCtx(ctx context.Context, points []linalg.Vector, dendro *Dendrogram, minK, maxK, workers int) ([]DBICurvePoint, error) {
+// DBICurveMatCtx evaluates the Davies–Bouldin index for every cluster count
+// in [minK, maxK], reproducing the metric-tuner sweep behind Figure 6(a).
+// `workers` bounds the goroutines of the per-K Davies–Bouldin evaluations
+// (≤ 0 means GOMAXPROCS); ctx is observed once per evaluated cluster count.
+func DBICurveMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], dendro *Dendrogram, minK, maxK, workers int) ([]DBICurvePoint, error) {
 	if minK < 2 {
 		return nil, fmt.Errorf("%w: minK=%d (need at least 2)", ErrBadK, minK)
 	}
 	if maxK < minK || maxK > dendro.N {
 		return nil, fmt.Errorf("%w: maxK=%d with minK=%d and %d points", ErrBadK, maxK, minK, dendro.N)
 	}
-	done := ctx.Done()
 	out := make([]DBICurvePoint, 0, maxK-minK+1)
 	for k := minK; k <= maxK; k++ {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		assign, err := dendro.CutK(k)
 		if err != nil {
 			return nil, err
 		}
-		dbi, err := DaviesBouldinWorkers(points, assign, workers)
+		dbi, err := DaviesBouldinMat(x, assign, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -308,21 +302,11 @@ func DBICurveCtx(ctx context.Context, points []linalg.Vector, dendro *Dendrogram
 	return out, nil
 }
 
-// OptimalK returns the cluster count minimising the Davies–Bouldin index
-// over [minK, maxK], together with the full curve.
-func OptimalK(points []linalg.Vector, dendro *Dendrogram, minK, maxK int) (int, []DBICurvePoint, error) {
-	return OptimalKWorkers(points, dendro, minK, maxK, 0)
-}
-
-// OptimalKWorkers is OptimalK with an explicit bound on the goroutines of
-// the underlying Davies–Bouldin evaluations (≤ 0 means GOMAXPROCS).
-func OptimalKWorkers(points []linalg.Vector, dendro *Dendrogram, minK, maxK, workers int) (int, []DBICurvePoint, error) {
-	return OptimalKCtx(context.Background(), points, dendro, minK, maxK, workers)
-}
-
-// OptimalKCtx is OptimalKWorkers with the cancellation of DBICurveCtx.
-func OptimalKCtx(ctx context.Context, points []linalg.Vector, dendro *Dendrogram, minK, maxK, workers int) (int, []DBICurvePoint, error) {
-	curve, err := DBICurveCtx(ctx, points, dendro, minK, maxK, workers)
+// OptimalKMatCtx returns the cluster count minimising the Davies–Bouldin
+// index over [minK, maxK], together with the full curve, with the worker
+// bound and cancellation of DBICurveMatCtx.
+func OptimalKMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], dendro *Dendrogram, minK, maxK, workers int) (int, []DBICurvePoint, error) {
+	curve, err := DBICurveMatCtx(ctx, x, dendro, minK, maxK, workers)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -333,6 +317,16 @@ func OptimalKCtx(ctx context.Context, points []linalg.Vector, dendro *Dendrogram
 		}
 	}
 	return best.K, curve, nil
+}
+
+// OptimalKCtx is OptimalKMatCtx for points held as a slice of float64 row
+// vectors.
+func OptimalKCtx(ctx context.Context, points []linalg.Vector, dendro *Dendrogram, minK, maxK, workers int) (int, []DBICurvePoint, error) {
+	x, err := pointsMatrix(points)
+	if err != nil {
+		return 0, nil, err
+	}
+	return OptimalKMatCtx(ctx, x, dendro, minK, maxK, workers)
 }
 
 // AdjustedRandIndex measures the agreement between two labelings of the

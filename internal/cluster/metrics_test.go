@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -16,40 +17,94 @@ func twoBlobAssignment() ([]linalg.Vector, *Assignment) {
 
 func TestCentroids(t *testing.T) {
 	points, a := twoBlobAssignment()
-	c, err := Centroids(points, a)
+	c, err := CentroidsMat(matOf(t, points), a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want0 := linalg.Vector{1.0 / 3, 1.0 / 3}
 	want1 := linalg.Vector{31.0 / 3, 31.0 / 3}
 	for i := range want0 {
-		if math.Abs(c[0][i]-want0[i]) > 1e-9 || math.Abs(c[1][i]-want1[i]) > 1e-9 {
-			t.Errorf("centroids = %v", c)
+		if math.Abs(c.At(0, i)-want0[i]) > 1e-9 || math.Abs(c.At(1, i)-want1[i]) > 1e-9 {
+			t.Errorf("centroids = %v", c.Data)
 		}
 	}
-	if _, err := Centroids(nil, a); !errors.Is(err, ErrNoPoints) {
+	if _, err := CentroidsMat(linalg.NewMatrix(0, 2), a); !errors.Is(err, ErrNoPoints) {
 		t.Errorf("no points: %v", err)
 	}
-	badAssign := &Assignment{Labels: []int{0}, K: 1}
-	if _, err := Centroids(points, badAssign); err == nil {
-		t.Error("label/point count mismatch should fail")
+}
+
+// Every validity index must reject an assignment that does not fit the
+// points with the same error, at both precisions and through the slice
+// adapters — the silhouette used to index out of range on a label ≥ K.
+func TestValidityIndicesRejectBadAssignment(t *testing.T) {
+	points := []linalg.Vector{{0, 0}, {1, 0}, {10, 10}, {11, 10}}
+	x := matOf(t, points)
+	cases := []struct {
+		name string
+		a    Assignment
+	}{
+		{"label count mismatch", Assignment{K: 2, Labels: []int{0, 1}}},
+		{"label above K", Assignment{K: 2, Labels: []int{0, 1, 5, 0}}},
+		{"negative label", Assignment{K: 2, Labels: []int{0, 1, -1, 0}}},
 	}
-	outOfRange := &Assignment{Labels: []int{0, 0, 0, 1, 1, 5}, K: 2}
-	if _, err := Centroids(points, outOfRange); err == nil {
-		t.Error("out-of-range label should fail")
+	for _, c := range cases {
+		_, want := CentroidsMat(x, &c.a)
+		if want == nil {
+			t.Errorf("%s: CentroidsMat accepted it", c.name)
+			continue
+		}
+		got := map[string]error{}
+		_, got["CentroidsMat/float32"] = CentroidsMat(narrow(x), &c.a)
+		_, got["DaviesBouldinMat"] = DaviesBouldinMat(x, &c.a, 1)
+		_, got["DaviesBouldinMat/float32"] = DaviesBouldinMat(narrow(x), &c.a, 1)
+		_, got["DaviesBouldinWorkers"] = DaviesBouldinWorkers(points, &c.a, 1)
+		_, got["SilhouetteMat"] = SilhouetteMat(x, &c.a, 1)
+		_, got["SilhouetteMat/float32"] = SilhouetteMat(narrow(x), &c.a, 1)
+		_, got["SilhouetteWorkers"] = SilhouetteWorkers(points, &c.a, 1)
+		for fn, err := range got {
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: %s error = %v, want %v", c.name, fn, err, want)
+			}
+		}
+	}
+}
+
+// The slice adapters keep the cluster package's own error identities for
+// the shapes a matrix cannot express.
+func TestSliceAdaptersRejectBadShapes(t *testing.T) {
+	_, a := twoBlobAssignment()
+	ragged := []linalg.Vector{{0, 0}, {1}, {0, 1}, {10, 10}, {11, 10}, {10, 11}}
+	dendro := &Dendrogram{N: 6}
+	for _, c := range []struct {
+		name   string
+		points []linalg.Vector
+		want   error
+	}{
+		{"no points", nil, ErrNoPoints},
+		{"ragged", ragged, ErrShapeRagged},
+	} {
+		if _, err := DaviesBouldinWorkers(c.points, a, 1); !errors.Is(err, c.want) {
+			t.Errorf("%s: DaviesBouldinWorkers error = %v", c.name, err)
+		}
+		if _, err := SilhouetteWorkers(c.points, a, 1); !errors.Is(err, c.want) {
+			t.Errorf("%s: SilhouetteWorkers error = %v", c.name, err)
+		}
+		if _, _, err := OptimalKCtx(context.Background(), c.points, dendro, 2, 3, 1); !errors.Is(err, c.want) {
+			t.Errorf("%s: OptimalKCtx error = %v", c.name, err)
+		}
 	}
 }
 
 func TestDaviesBouldinSeparatedVsMixed(t *testing.T) {
 	points, good := twoBlobAssignment()
-	dbiGood, err := DaviesBouldin(points, good)
+	dbiGood, err := DaviesBouldinMat(matOf(t, points), good, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A deliberately shuffled assignment mixes the blobs and must score
 	// far worse (higher DBI).
 	bad := &Assignment{Labels: []int{0, 1, 0, 1, 0, 1}, K: 2}
-	dbiBad, err := DaviesBouldin(points, bad)
+	dbiBad, err := DaviesBouldinMat(matOf(t, points), bad, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +119,13 @@ func TestDaviesBouldinSeparatedVsMixed(t *testing.T) {
 func TestDaviesBouldinErrors(t *testing.T) {
 	points, _ := twoBlobAssignment()
 	single := &Assignment{Labels: []int{0, 0, 0, 0, 0, 0}, K: 1}
-	if _, err := DaviesBouldin(points, single); err == nil {
+	if _, err := DaviesBouldinMat(matOf(t, points), single, 0); err == nil {
 		t.Error("single cluster should fail")
 	}
 	// Coincident centroids: identical points split across two clusters.
 	same := []linalg.Vector{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	a := &Assignment{Labels: []int{0, 0, 1, 1}, K: 2}
-	dbi, err := DaviesBouldin(same, a)
+	dbi, err := DaviesBouldinMat(matOf(t, same), a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +136,7 @@ func TestDaviesBouldinErrors(t *testing.T) {
 
 func TestDistancesToCentroid(t *testing.T) {
 	points, a := twoBlobAssignment()
-	dists, err := DistancesToCentroid(points, a)
+	dists, err := DistancesToCentroid(matOf(t, points), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +159,8 @@ func TestDistancesToCentroid(t *testing.T) {
 
 func TestSilhouette(t *testing.T) {
 	points, good := twoBlobAssignment()
-	s, err := Silhouette(points, good)
+	x := matOf(t, points)
+	s, err := SilhouetteMat(x, good, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,32 +168,30 @@ func TestSilhouette(t *testing.T) {
 		t.Errorf("silhouette of well-separated blobs = %g, want > 0.8", s)
 	}
 	bad := &Assignment{Labels: []int{0, 1, 0, 1, 0, 1}, K: 2}
-	sBad, err := Silhouette(points, bad)
+	sBad, err := SilhouetteMat(x, bad, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sBad >= s {
 		t.Errorf("mixed silhouette (%g) should be below separated (%g)", sBad, s)
 	}
-	if _, err := Silhouette(nil, good); !errors.Is(err, ErrNoPoints) {
+	if _, err := SilhouetteMat(linalg.NewMatrix(0, 2), good, 0); !errors.Is(err, ErrNoPoints) {
 		t.Errorf("no points: %v", err)
 	}
-	if _, err := Silhouette(points, &Assignment{Labels: []int{0, 0, 0, 0, 0, 0}, K: 1}); err == nil {
+	if _, err := SilhouetteMat(x, &Assignment{Labels: []int{0, 0, 0, 0, 0, 0}, K: 1}, 0); err == nil {
 		t.Error("single cluster silhouette should fail")
-	}
-	if _, err := Silhouette(points, &Assignment{Labels: []int{0}, K: 1}); err == nil {
-		t.Error("mismatched labels should fail")
 	}
 }
 
 func TestDBICurveAndOptimalK(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	points, _ := blobs(rng, 3, 15, 4, 0.4)
-	dendro, err := Hierarchical(points, AverageLinkage)
+	ctx, x := context.Background(), matOf(t, points)
+	dendro, err := HierarchicalMatCtx(ctx, x, AverageLinkage, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bestK, curve, err := OptimalK(points, dendro, 2, 8)
+	bestK, curve, err := OptimalKMatCtx(ctx, x, dendro, 2, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +214,10 @@ func TestDBICurveAndOptimalK(t *testing.T) {
 			t.Errorf("threshold %g yields %d clusters, want %d", p.Threshold, a.K, p.K)
 		}
 	}
-	if _, err := DBICurve(points, dendro, 1, 5); !errors.Is(err, ErrBadK) {
+	if _, err := DBICurveMatCtx(ctx, x, dendro, 1, 5, 0); !errors.Is(err, ErrBadK) {
 		t.Errorf("minK=1: %v", err)
 	}
-	if _, err := DBICurve(points, dendro, 4, 2); !errors.Is(err, ErrBadK) {
+	if _, err := DBICurveMatCtx(ctx, x, dendro, 4, 2, 0); !errors.Is(err, ErrBadK) {
 		t.Errorf("maxK<minK: %v", err)
 	}
 }

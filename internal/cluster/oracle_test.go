@@ -17,10 +17,8 @@ import (
 // agglomeration paths (for the NN-chain engine in hierarchical.go) and the
 // per-pair distance loops the Gram-trick kernels replaced (for the
 // condensed matrix, the k-means assignment step and the validity indices).
-// They are compiled into the package (not the tests) so the benchmark
-// harness can also pit the production paths against them, but nothing
-// outside the oracle property tests and benchmarks should call them: all
-// are strictly slower and the naive agglomeration is O(N³).
+// All are strictly slower than the engine they check, and the naive
+// agglomeration is O(N³).
 
 // hierarchicalNaive is the textbook agglomeration: scan every active pair
 // for the global minimum linkage distance, merge, apply the Lance–Williams
@@ -157,8 +155,14 @@ produce:
 	return dist, nil
 }
 
-// condensedDistancesOracle is the per-pair form condensedDistances had
-// before the blocked Gram-trick kernel: one subtract-square loop per pair,
+// row returns the contiguous slice of distances from i to j ∈ (i, N).
+func (c condensed) row(i int) []float64 {
+	lo := c.index(i, i+1)
+	return c.d[lo : lo+c.n-1-i]
+}
+
+// condensedDistancesOracle is the per-pair form the condensed distance
+// matrix had before the blocked Gram-trick kernel: one subtract-square loop per pair,
 // serial. The production kernel must agree with it within 1e-9 relative
 // error and make the identical agglomeration decisions.
 func condensedDistancesOracle(points []linalg.Vector) (condensed, error) {
@@ -349,10 +353,7 @@ func silhouetteOracle(points []linalg.Vector, a *Assignment) (float64, error) {
 // daviesBouldinOracle is the per-pair Davies–Bouldin the blocked kernels
 // replaced.
 func daviesBouldinOracle(points []linalg.Vector, a *Assignment) (float64, error) {
-	centroids, err := Centroids(points, a)
-	if err != nil {
-		return 0, err
-	}
+	centroids := centroidsOracle(points, a)
 	scatter := make([]float64, a.K)
 	counts := make([]int, a.K)
 	for i, p := range points {
@@ -400,4 +401,29 @@ func daviesBouldinOracle(points []linalg.Vector, a *Assignment) (float64, error)
 		sum += worst
 	}
 	return sum / float64(len(idx)), nil
+}
+
+// centroidsOracle is the textbook per-cluster mean: sum the members
+// element by element, divide by the member count. Empty clusters stay zero.
+func centroidsOracle(points []linalg.Vector, a *Assignment) []linalg.Vector {
+	out := make([]linalg.Vector, a.K)
+	for c := range out {
+		out[c] = make(linalg.Vector, len(points[0]))
+	}
+	counts := make([]int, a.K)
+	for i, p := range points {
+		for j, v := range p {
+			out[a.Labels[i]][j] += v
+		}
+		counts[a.Labels[i]]++
+	}
+	for c, n := range counts {
+		if n == 0 {
+			continue
+		}
+		for j := range out[c] {
+			out[c][j] /= float64(n)
+		}
+	}
+	return out
 }

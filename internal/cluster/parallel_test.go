@@ -44,43 +44,58 @@ func TestHierarchicalMatchesNaiveOracle(t *testing.T) {
 	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
 		for _, n := range []int{2, 3, 5, 13, 31, 60} {
 			points := randomPoints(rng, n, 4)
-			got, err := Hierarchical(points, linkage)
-			if err != nil {
-				t.Fatalf("%v n=%d: %v", linkage, n, err)
-			}
 			want, err := hierarchicalNaive(points, linkage)
 			if err != nil {
 				t.Fatalf("%v n=%d oracle: %v", linkage, n, err)
 			}
-			if len(got.Merges) != len(want.Merges) {
-				t.Fatalf("%v n=%d: %d merges, oracle %d", linkage, n, len(got.Merges), len(want.Merges))
+			x := matOf(t, points)
+			got, err := HierarchicalMatCtx(context.Background(), x, linkage, 0)
+			if err != nil {
+				t.Fatalf("%v n=%d: %v", linkage, n, err)
 			}
-			for i := range got.Merges {
-				g, w := got.Merges[i], want.Merges[i]
-				// The pair within one merge is unordered: the chain can
-				// reach it from either side.
-				ga, gb := min(g.A, g.B), max(g.A, g.B)
-				wa, wb := min(w.A, w.B), max(w.A, w.B)
-				if ga != wa || gb != wb || g.Size != w.Size {
-					t.Fatalf("%v n=%d merge %d: got %+v, oracle %+v", linkage, n, i, g, w)
-				}
-				if diff := math.Abs(g.Distance - w.Distance); diff > 1e-9*(1+w.Distance) {
-					t.Fatalf("%v n=%d merge %d: distance %g, oracle %g", linkage, n, i, g.Distance, w.Distance)
-				}
+			sameDendrogram(t, got, want, float64Tol, min(n, 8))
+			got32, err := HierarchicalMatCtx(context.Background(), narrow(x), linkage, 0)
+			if err != nil {
+				t.Fatalf("%v n=%d float32: %v", linkage, n, err)
 			}
-			for k := 1; k <= n && k <= 8; k++ {
-				ga, err := got.CutK(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wa, err := want.CutK(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(ga.Labels, wa.Labels) {
-					t.Fatalf("%v n=%d k=%d: labels %v, oracle %v", linkage, n, k, ga.Labels, wa.Labels)
-				}
-			}
+			sameDendrogram(t, got32, want, float32Tol, min(n, 8))
+		}
+	}
+}
+
+// sameDendrogram asserts got makes the agglomeration decisions of want:
+// the same merge pairs and sizes in the same order, merge distances within
+// relTol, and identical partitions at every cut k ≤ maxK.
+func sameDendrogram(t *testing.T, got, want *Dendrogram, relTol float64, maxK int) {
+	t.Helper()
+	if got.N != want.N || got.Linkage != want.Linkage || len(got.Merges) != len(want.Merges) {
+		t.Fatalf("dendrogram of %d points (%v, %d merges), want %d (%v, %d merges)",
+			got.N, got.Linkage, len(got.Merges), want.N, want.Linkage, len(want.Merges))
+	}
+	for i := range got.Merges {
+		g, w := got.Merges[i], want.Merges[i]
+		// The pair within one merge is unordered: the chain can reach it
+		// from either side.
+		ga, gb := min(g.A, g.B), max(g.A, g.B)
+		wa, wb := min(w.A, w.B), max(w.A, w.B)
+		if ga != wa || gb != wb || g.Size != w.Size {
+			t.Fatalf("%v merge %d: got %+v, want %+v", want.Linkage, i, g, w)
+		}
+		if diff := math.Abs(g.Distance - w.Distance); diff > relTol*(1+w.Distance) {
+			t.Fatalf("%v merge %d: distance %g, want %g", want.Linkage, i, g.Distance, w.Distance)
+		}
+	}
+	for k := 1; k <= maxK; k++ {
+		ga, err := got.CutK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wa, err := want.CutK(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ga.Labels, wa.Labels) {
+			t.Fatalf("%v k=%d: labels %v, want %v", want.Linkage, k, ga.Labels, wa.Labels)
 		}
 	}
 }
@@ -91,13 +106,18 @@ func TestHierarchicalMatchesNaiveOracle(t *testing.T) {
 func TestHierarchicalWorkersBitIdentical(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	rng := rand.New(rand.NewSource(43))
-	points := randomPoints(rng, 120, 6)
-	base, err := HierarchicalWorkers(points, AverageLinkage, 1)
+	x := matOf(t, randomPoints(rng, 120, 6))
+	t.Run("float64", func(t *testing.T) { hierarchicalWorkersBitIdentical(t, x) })
+	t.Run("float32", func(t *testing.T) { hierarchicalWorkersBitIdentical(t, narrow(x)) })
+}
+
+func hierarchicalWorkersBitIdentical[F linalg.Float](t *testing.T, x *linalg.Mat[F]) {
+	base, err := HierarchicalMatCtx(context.Background(), x, AverageLinkage, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range testWorkerCounts() {
-		d, err := HierarchicalWorkers(points, AverageLinkage, workers)
+		d, err := HierarchicalMatCtx(context.Background(), x, AverageLinkage, workers)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -109,9 +129,10 @@ func TestHierarchicalWorkersBitIdentical(t *testing.T) {
 
 // Regression for the latent deadlock in distanceMatrix: with ragged input
 // every worker used to exit early on the SquaredDistance error, stranding
-// the producer on the unbuffered rows channel forever. Both distance paths
-// now validate dimensions before any worker starts, so they must return
-// the dimension error promptly (the timeout is the deadlock detector).
+// the producer on the unbuffered rows channel forever. The oracle and the
+// slice adapter in front of the production kernel both validate dimensions
+// before any worker starts, so they must return the dimension error
+// promptly (the timeout is the deadlock detector).
 func TestDistanceMatrixRaggedNoDeadlock(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	// Enough rows that the old producer outlived the workers' early exit.
@@ -131,8 +152,8 @@ func TestDistanceMatrixRaggedNoDeadlock(t *testing.T) {
 		done <- result{"distanceMatrix", err}
 	}()
 	go func() {
-		_, err := condensedDistances(context.Background(), points, 0)
-		done <- result{"condensedDistances", err}
+		_, err := HierarchicalWorkersCtx(context.Background(), points, AverageLinkage, 0)
+		done <- result{"HierarchicalWorkersCtx", err}
 	}()
 	for i := 0; i < 2; i++ {
 		select {
@@ -183,23 +204,29 @@ func TestCondensedIndexing(t *testing.T) {
 	}
 }
 
-// Property: KMeans is bit-identical for any Workers value — the serial path
+// Property: k-means is bit-identical for any Workers value — the serial path
 // (Workers=1) is the oracle for the chunked assignment step and the
 // concurrent restarts.
 func TestKMeansWorkersBitIdentical(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	rng := rand.New(rand.NewSource(47))
 	points, _ := blobs(rng, 4, 60, 8, 2.5)
+	x := matOf(t, points)
+	t.Run("float64", func(t *testing.T) { kmeansWorkersBitIdentical(t, x) })
+	t.Run("float32", func(t *testing.T) { kmeansWorkersBitIdentical(t, narrow(x)) })
+}
+
+func kmeansWorkersBitIdentical[F linalg.Float](t *testing.T, x *linalg.Mat[F]) {
 	for _, maxIter := range []int{3, 100} { // exhaustion and convergence exits
 		opts := KMeansOptions{K: 4, Seed: 17, Restarts: 3, MaxIterations: maxIter}
 		opts.Workers = 1
-		serial, err := KMeans(points, opts)
+		serial, err := KMeansMatCtx(context.Background(), x, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range testWorkerCounts() {
 			opts.Workers = workers
-			par, err := KMeans(points, opts)
+			par, err := KMeansMatCtx(context.Background(), x, opts)
 			if err != nil {
 				t.Fatalf("workers %d: %v", workers, err)
 			}
@@ -217,7 +244,7 @@ func BenchmarkHierarchicalVsNaive400(b *testing.B) {
 	b.Run("nnchain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Hierarchical(points, AverageLinkage); err != nil {
+			if _, err := hierarchical(points, AverageLinkage); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -16,6 +16,11 @@
 // before the call returns, and a panic in any pool worker comes back as
 // a *panicsafe.Error rather than crashing the process. Analyze and
 // AnalyzeSource remain as context.Background() wrappers.
+//
+// The modeling stage (clustering, metric tuner, NMF, k-means) is one
+// generic function over the element type of a flat linalg.Mat;
+// AnalyzeContext picks float64 or float32 once from Options.Precision and
+// everything after it is float64.
 package core
 
 import (
@@ -225,143 +230,42 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 	if ds.Days%7 != 0 {
 		return nil, fmt.Errorf("core: dataset covers %d days; whole weeks are required for frequency analysis", ds.Days)
 	}
+	// The float64 traffic matrix: the dataset's flat backing when its rows
+	// are views of one (aliased, not copied), a packed copy otherwise.
+	norm, err := linalg.RowsMatrix(ds.Normalized)
+	if err != nil {
+		return nil, fmt.Errorf("core: invalid dataset: %w", err)
+	}
+	// The modeling stage runs one generic implementation at the selected
+	// element type.
+	var res *Result
 	switch opts.Precision {
 	case Float64:
+		var raw *linalg.Matrix
+		if raw, err = linalg.RowsMatrix(ds.Raw); err != nil {
+			return nil, fmt.Errorf("core: invalid dataset: %w", err)
+		}
+		res, err = model(ctx, norm, raw, opts)
 	case Float32:
-		// Narrow the traffic matrices once; every float32 kernel below
-		// reads these backings.
+		// Narrow the traffic matrices once; every float32 kernel reads
+		// these backings.
 		if err := ds.EnsureFloat32(); err != nil {
 			return nil, fmt.Errorf("core: float32 backings: %w", err)
 		}
+		res, err = model(ctx, ds.NormalizedMatrix32, ds.RawMatrix32, opts)
 	default:
 		return nil, fmt.Errorf("core: unknown precision %v", opts.Precision)
 	}
-	f32 := opts.Precision == Float32
-	done := ctx.Done()
-	// Serial stages between the cancellable kernels check ctx here, so a
-	// cancelled analysis cannot start a new stage.
-	stageCheck := func() error {
-		if done != nil {
-			return ctx.Err()
-		}
-		return nil
+	if err != nil {
+		return nil, err
 	}
-
+	assign := res.Assignment
 	clock := timedomain.Clock{Start: ds.Start, SlotMinutes: ds.SlotMinutes}
 
-	// Pattern identifier: hierarchical clustering of normalised vectors
-	// (condensed NN-chain engine, distance matrix parallelised across
-	// opts.Workers goroutines). The float32 tier computes the condensed
-	// distances on the narrowed backing; the agglomeration is float64
-	// either way.
-	var (
-		dendro *cluster.Dendrogram
-		err    error
-	)
-	if f32 {
-		dendro, err = cluster.HierarchicalMatCtx(ctx, ds.NormalizedMatrix32, opts.Linkage, opts.Workers)
-	} else {
-		dendro, err = cluster.HierarchicalWorkersCtx(ctx, ds.Normalized, opts.Linkage, opts.Workers)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: clustering: %w", err)
-	}
-
-	// Metric tuner: Davies–Bouldin sweep (unless K is forced).
-	maxK := opts.MaxClusters
-	if maxK > ds.NumTowers() {
-		maxK = ds.NumTowers()
-	}
-	minK := opts.MinClusters
-	if minK > maxK {
-		minK = maxK
-	}
-	var (
-		curve []cluster.DBICurvePoint
-		k     int
-	)
-	if opts.ForceK > 0 {
-		k = opts.ForceK
-		if k > ds.NumTowers() {
-			return nil, fmt.Errorf("core: ForceK=%d exceeds %d towers", opts.ForceK, ds.NumTowers())
-		}
-		if minK >= 2 && maxK >= minK && ds.NumTowers() > maxK {
-			// Still compute the curve for reporting when feasible.
-			if f32 {
-				curve, err = cluster.DBICurveMatCtx(ctx, ds.NormalizedMatrix32, dendro, minK, maxK, opts.Workers)
-			} else {
-				curve, err = cluster.DBICurveCtx(ctx, ds.Normalized, dendro, minK, maxK, opts.Workers)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: DBI curve: %w", err)
-			}
-		}
-	} else {
-		if f32 {
-			k, curve, err = cluster.OptimalKMatCtx(ctx, ds.NormalizedMatrix32, dendro, minK, maxK, opts.Workers)
-		} else {
-			k, curve, err = cluster.OptimalKCtx(ctx, ds.Normalized, dendro, minK, maxK, opts.Workers)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: metric tuner: %w", err)
-		}
-	}
-	assign, err := dendro.CutK(k)
-	if err != nil {
-		return nil, fmt.Errorf("core: cutting dendrogram: %w", err)
-	}
-
-	// Optional decomposition models, both deterministic under opts.Seed
-	// for any opts.Workers value: NMF basis extraction on the raw traffic
-	// matrix (the related-work baseline the paper's convex combination is
-	// compared against) and the k-means baseline at the selected K.
-	var (
-		nmfRes        *nmf.Result
-		dominantBasis []int
-		kmRes         *cluster.KMeansResult
-	)
-	if opts.NMFRank != 0 {
-		rank := opts.NMFRank
-		if rank == NMFRankAuto {
-			rank = k
-			if rank > ds.NumSlots() {
-				rank = ds.NumSlots()
-			}
-		}
-		nmfOpts := nmf.Options{
-			Rank:    rank,
-			Seed:    opts.Seed,
-			Workers: opts.Workers,
-		}
-		if f32 {
-			nmfRes, err = nmf.FactorizeMatContext(ctx, ds.RawMatrix32, nmfOpts)
-		} else {
-			nmfRes, err = nmf.FactorizeContext(ctx, ds.Raw, nmfOpts)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: NMF decomposition: %w", err)
-		}
-		dominantBasis = nmfRes.DominantBasis()
-	}
-	if opts.KMeansRestarts > 0 {
-		kmOpts := cluster.KMeansOptions{
-			K:        k,
-			Seed:     opts.Seed,
-			Restarts: opts.KMeansRestarts,
-			Workers:  opts.Workers,
-		}
-		if f32 {
-			kmRes, err = cluster.KMeansMatCtx(ctx, ds.NormalizedMatrix32, kmOpts)
-		} else {
-			kmRes, err = cluster.KMeansCtx(ctx, ds.Normalized, kmOpts)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: k-means baseline: %w", err)
-		}
-	}
-
-	// Geographical context: POI counting and cluster labelling.
-	if err := stageCheck(); err != nil {
+	// Geographical context: POI counting and cluster labelling. The serial
+	// stages between the cancellable kernels check ctx first, so a
+	// cancelled analysis cannot start a new stage.
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	counter, err := poi.NewCounter(pois, opts.POIRadiusMeters)
@@ -382,7 +286,7 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 	// Frequency-domain features and representative towers. One FFT plan is
 	// built (or drawn from the pool) for the dataset's slot count and
 	// threaded through every spectral stage.
-	if err := stageCheck(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	plan, err := dsp.AcquirePlan(ds.NumSlots())
@@ -400,10 +304,11 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 	}
 
 	// Per-cluster views.
-	centroids, err := cluster.Centroids(ds.Normalized, assign)
+	centroidMat, err := cluster.CentroidsMat(norm, assign)
 	if err != nil {
 		return nil, fmt.Errorf("core: centroids: %w", err)
 	}
+	centroids := centroidMat.RowViews()
 	clusters := make([]ClusterView, assign.K)
 	for c := 0; c < assign.K; c++ {
 		view := ClusterView{
@@ -430,23 +335,93 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 		clusters[c] = view
 	}
 
-	return &Result{
-		Dataset:       ds,
-		Dendrogram:    dendro,
-		Assignment:    assign,
-		DBICurve:      curve,
-		OptimalK:      k,
-		Clusters:      clusters,
-		ClusterLabels: labeling.Labels,
-		TowerRegions:  towerRegions,
-		TowerPOI:      towerPOI,
-		Features:      features,
-		Clock:         clock,
-		Labeling:      labeling,
-		NMF:           nmfRes,
-		DominantBasis: dominantBasis,
-		KMeans:        kmRes,
-	}, nil
+	res.Dataset = ds
+	res.Clusters = clusters
+	res.ClusterLabels = labeling.Labels
+	res.TowerRegions = towerRegions
+	res.TowerPOI = towerPOI
+	res.Features = features
+	res.Clock = clock
+	res.Labeling = labeling
+	return res, nil
+}
+
+// model runs the modeling stage at one element type: the pattern identifier
+// (hierarchical clustering of the normalised vectors), the metric tuner
+// (Davies–Bouldin sweep, unless K is forced) and the optional NMF and
+// k-means decompositions. It fills the Dendrogram, DBICurve, OptimalK,
+// Assignment, NMF, DominantBasis and KMeans fields of the result. At
+// float32 the kernels run on the narrowed matrices; the agglomeration,
+// index statistics and all reported values are float64 either way.
+func model[F linalg.Float](ctx context.Context, norm, raw *linalg.Mat[F], opts Options) (*Result, error) {
+	towers, slots := norm.Rows, norm.Cols
+
+	// Pattern identifier: condensed NN-chain engine, distance matrix
+	// parallelised across opts.Workers goroutines.
+	dendro, err := cluster.HierarchicalMatCtx(ctx, norm, opts.Linkage, opts.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: clustering: %w", err)
+	}
+	res := &Result{Dendrogram: dendro}
+
+	// Metric tuner: Davies–Bouldin sweep (unless K is forced).
+	maxK := min(opts.MaxClusters, towers)
+	minK := min(opts.MinClusters, maxK)
+	if opts.ForceK > 0 {
+		res.OptimalK = opts.ForceK
+		if opts.ForceK > towers {
+			return nil, fmt.Errorf("core: ForceK=%d exceeds %d towers", opts.ForceK, towers)
+		}
+		if minK >= 2 && maxK >= minK && towers > maxK {
+			// Still compute the curve for reporting when feasible.
+			res.DBICurve, err = cluster.DBICurveMatCtx(ctx, norm, dendro, minK, maxK, opts.Workers)
+			if err != nil {
+				return nil, fmt.Errorf("core: DBI curve: %w", err)
+			}
+		}
+	} else {
+		res.OptimalK, res.DBICurve, err = cluster.OptimalKMatCtx(ctx, norm, dendro, minK, maxK, opts.Workers)
+		if err != nil {
+			return nil, fmt.Errorf("core: metric tuner: %w", err)
+		}
+	}
+	k := res.OptimalK
+	res.Assignment, err = dendro.CutK(k)
+	if err != nil {
+		return nil, fmt.Errorf("core: cutting dendrogram: %w", err)
+	}
+
+	// Optional decomposition models, both deterministic under opts.Seed
+	// for any opts.Workers value: NMF basis extraction on the raw traffic
+	// matrix (the related-work baseline the paper's convex combination is
+	// compared against) and the k-means baseline at the selected K.
+	if opts.NMFRank != 0 {
+		rank := opts.NMFRank
+		if rank == NMFRankAuto {
+			rank = min(k, slots)
+		}
+		res.NMF, err = nmf.FactorizeMatContext(ctx, raw, nmf.Options{
+			Rank:    rank,
+			Seed:    opts.Seed,
+			Workers: opts.Workers,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: NMF decomposition: %w", err)
+		}
+		res.DominantBasis = res.NMF.DominantBasis()
+	}
+	if opts.KMeansRestarts > 0 {
+		res.KMeans, err = cluster.KMeansMatCtx(ctx, norm, cluster.KMeansOptions{
+			K:        k,
+			Seed:     opts.Seed,
+			Restarts: opts.KMeansRestarts,
+			Workers:  opts.Workers,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: k-means baseline: %w", err)
+		}
+	}
+	return res, nil
 }
 
 // ClusterByRegion returns the cluster view labelled with the given region,

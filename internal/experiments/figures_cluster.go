@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -25,7 +26,11 @@ func Figure6(env *Env) (*Output, error) {
 	if maxK > ds.NumTowers() {
 		maxK = ds.NumTowers()
 	}
-	bestK, curve, err := cluster.OptimalK(ds.Normalized, res.Dendrogram, 2, maxK)
+	norm, err := linalg.RowsMatrix(ds.Normalized)
+	if err != nil {
+		return nil, err
+	}
+	bestK, curve, err := cluster.OptimalKMatCtx(context.Background(), norm, res.Dendrogram, 2, maxK, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +51,7 @@ func Figure6(env *Env) (*Output, error) {
 	}
 
 	// (b) CDF of distances to centroid per cluster.
-	dists, err := cluster.DistancesToCentroid(ds.Normalized, res.Assignment)
+	dists, err := cluster.DistancesToCentroid(norm, res.Assignment)
 	if err != nil {
 		return nil, err
 	}

@@ -63,7 +63,7 @@ type Result struct {
 	Iterations int
 }
 
-// Errors returned by Factorize.
+// Errors returned by the factorisation.
 var (
 	ErrEmpty    = errors.New("nmf: empty matrix")
 	ErrNegative = errors.New("nmf: negative input value")
@@ -72,60 +72,35 @@ var (
 
 const epsilon = 1e-12
 
-// Factorize computes V ≈ W·H for the non-negative matrix whose rows are the
-// given vectors.
-func Factorize(rows []linalg.Vector, opts Options) (*Result, error) {
-	return FactorizeContext(context.Background(), rows, opts)
-}
-
-// FactorizeContext is Factorize with cancellation: ctx is observed once
-// per multiplicative-update iteration and between row blocks of the
-// parallel matrix products, so a cancelled factorisation returns within
-// one update step and its worker pool drains before the call returns.
+// FactorizeContext is FactorizeMatContext for a matrix held as a slice of
+// float64 row vectors. When the rows alias one contiguous buffer — a
+// dataset's flat raw matrix — the factorisation reads it in place; loose
+// rows are packed once. V is never written, so aliasing is safe.
 func FactorizeContext(ctx context.Context, rows []linalg.Vector, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	n := len(rows)
-	if n == 0 {
+	if len(rows) == 0 || len(rows[0]) == 0 {
 		return nil, ErrEmpty
 	}
-	m := len(rows[0])
-	if m == 0 {
-		return nil, ErrEmpty
-	}
-	if opts.Rank < 1 || opts.Rank > n || opts.Rank > m {
-		return nil, fmt.Errorf("%w: rank %d for a %dx%d matrix", ErrBadRank, opts.Rank, n, m)
-	}
-	for i, row := range rows {
-		if len(row) != m {
-			return nil, fmt.Errorf("nmf: row %d has %d columns, want %d", i, len(row), m)
-		}
-	}
-	// When the rows alias one contiguous buffer — a dataset's flat raw
-	// matrix — the factorisation reads it in place; loose rows are packed
-	// once. V is never written, so aliasing is safe.
 	v, err := linalg.RowsMatrix(rows)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("nmf: %w", err)
 	}
 	return FactorizeMatContext(ctx, v, opts)
 }
 
-// FactorizeMat computes V ≈ W·H for a non-negative flat matrix at either
-// modeling precision. The multiplicative updates — every matrix product
-// and the element-wise ratio steps — run at the matrix's own element
-// type; the float32 instantiation halves the memory traffic of the
-// W·H-shaped products that dominate a factorisation at the paper's
-// scale. The reconstruction-error reduction accumulates in float64 at
-// both precisions, so the convergence decision sequence tracks the
-// float64 path, and the reported W/H are widened to float64 once at the
-// end. With a float64 matrix the result is bit-identical to Factorize on
-// the matrix's row views.
-func FactorizeMat[F linalg.Float](v *linalg.Mat[F], opts Options) (*Result, error) {
-	return FactorizeMatContext[F](context.Background(), v, opts)
-}
-
-// FactorizeMatContext is FactorizeMat with the cancellation of
-// FactorizeContext.
+// FactorizeMatContext computes V ≈ W·H for a non-negative flat matrix at
+// either modeling precision. The multiplicative updates — every matrix
+// product and the element-wise ratio steps — run at the matrix's own
+// element type; the float32 instantiation halves the memory traffic of the
+// W·H-shaped products that dominate a factorisation at the paper's scale.
+// The reconstruction-error reduction accumulates in float64 at both
+// precisions, so the convergence decision sequence tracks the float64
+// instantiation, and the reported W/H are widened to float64 once at the
+// end.
+//
+// ctx is observed once per multiplicative-update iteration and between row
+// blocks of the parallel matrix products, so a cancelled factorisation
+// returns within one update step and its worker pool drains before the
+// call returns.
 func FactorizeMatContext[F linalg.Float](ctx context.Context, v *linalg.Mat[F], opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	n, m := v.Rows, v.Cols
@@ -242,8 +217,8 @@ func FactorizeMatContext[F linalg.Float](ctx context.Context, v *linalg.Mat[F], 
 	return &Result{W: widen(w), H: widen(h), FrobeniusError: finalErr, RelativeError: rel, Iterations: iterations}, nil
 }
 
-// widen returns m as a float64 matrix: m itself when it already is one
-// (keeping Factorize's zero-copy contract), a widened copy otherwise.
+// widen returns m as a float64 matrix: m itself when it already is one, a
+// widened copy otherwise.
 func widen[F linalg.Float](m *linalg.Mat[F]) *linalg.Matrix {
 	if m64, ok := any(m).(*linalg.Matrix); ok {
 		return m64

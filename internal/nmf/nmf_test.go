@@ -1,6 +1,7 @@
 package nmf
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -11,6 +12,12 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/testutil"
 )
+
+// factorize runs the factorisation on loose rows with no cancellation,
+// through the slice adapter.
+func factorize(rows []linalg.Vector, opts Options) (*Result, error) {
+	return FactorizeContext(context.Background(), rows, opts)
+}
 
 // syntheticMix builds rows that are non-negative mixtures of `rank` known
 // non-negative basis patterns.
@@ -39,26 +46,26 @@ func syntheticMix(rng *rand.Rand, nRows, nCols, rank int) ([]linalg.Vector, []li
 }
 
 func TestFactorizeErrors(t *testing.T) {
-	if _, err := Factorize(nil, Options{Rank: 2}); !errors.Is(err, ErrEmpty) {
+	if _, err := factorize(nil, Options{Rank: 2}); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty rows: %v", err)
 	}
-	if _, err := Factorize([]linalg.Vector{{}}, Options{Rank: 1}); !errors.Is(err, ErrEmpty) {
+	if _, err := factorize([]linalg.Vector{{}}, Options{Rank: 1}); !errors.Is(err, ErrEmpty) {
 		t.Errorf("empty columns: %v", err)
 	}
 	rows := []linalg.Vector{{1, 2}, {3, 4}}
-	if _, err := Factorize(rows, Options{Rank: 0}); !errors.Is(err, ErrBadRank) {
+	if _, err := factorize(rows, Options{Rank: 0}); !errors.Is(err, ErrBadRank) {
 		t.Errorf("rank 0: %v", err)
 	}
-	if _, err := Factorize(rows, Options{Rank: 5}); !errors.Is(err, ErrBadRank) {
+	if _, err := factorize(rows, Options{Rank: 5}); !errors.Is(err, ErrBadRank) {
 		t.Errorf("rank too large: %v", err)
 	}
-	if _, err := Factorize([]linalg.Vector{{1, -2}, {3, 4}}, Options{Rank: 1}); !errors.Is(err, ErrNegative) {
+	if _, err := factorize([]linalg.Vector{{1, -2}, {3, 4}}, Options{Rank: 1}); !errors.Is(err, ErrNegative) {
 		t.Errorf("negative value: %v", err)
 	}
-	if _, err := Factorize([]linalg.Vector{{1, math.NaN()}, {3, 4}}, Options{Rank: 1}); !errors.Is(err, ErrNegative) {
+	if _, err := factorize([]linalg.Vector{{1, math.NaN()}, {3, 4}}, Options{Rank: 1}); !errors.Is(err, ErrNegative) {
 		t.Errorf("NaN value: %v", err)
 	}
-	if _, err := Factorize([]linalg.Vector{{1, 2}, {3}}, Options{Rank: 1}); err == nil {
+	if _, err := factorize([]linalg.Vector{{1, 2}, {3}}, Options{Rank: 1}); err == nil {
 		t.Error("ragged rows should fail")
 	}
 }
@@ -75,7 +82,7 @@ func TestFactorizeRankOneExact(t *testing.T) {
 		}
 		rows[i] = row
 	}
-	res, err := Factorize(rows, Options{Rank: 1, Seed: 3, MaxIterations: 500})
+	res, err := factorize(rows, Options{Rank: 1, Seed: 3, MaxIterations: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +103,7 @@ func TestFactorizeRankOneExact(t *testing.T) {
 func TestFactorizeRecoversLowRankStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	rows, _ := syntheticMix(rng, 40, 60, 3)
-	res, err := Factorize(rows, Options{Rank: 3, Seed: 1, MaxIterations: 400})
+	res, err := factorize(rows, Options{Rank: 3, Seed: 1, MaxIterations: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +111,7 @@ func TestFactorizeRecoversLowRankStructure(t *testing.T) {
 		t.Errorf("rank-3 relative error = %g, want < 0.05", res.RelativeError)
 	}
 	// Higher rank never fits worse (up to optimisation noise).
-	res5, err := Factorize(rows, Options{Rank: 5, Seed: 1, MaxIterations: 400})
+	res5, err := factorize(rows, Options{Rank: 5, Seed: 1, MaxIterations: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +134,7 @@ func TestFactorizeRecoversLowRankStructure(t *testing.T) {
 func TestResultAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	rows, _ := syntheticMix(rng, 10, 20, 2)
-	res, err := Factorize(rows, Options{Rank: 2, Seed: 1})
+	res, err := factorize(rows, Options{Rank: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +172,11 @@ func TestResultAccessors(t *testing.T) {
 func TestFactorizeDeterministicWithSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	rows, _ := syntheticMix(rng, 12, 18, 2)
-	a, err := Factorize(rows, Options{Rank: 2, Seed: 5})
+	a, err := factorize(rows, Options{Rank: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Factorize(rows, Options{Rank: 2, Seed: 5})
+	b, err := factorize(rows, Options{Rank: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +204,7 @@ func TestFactorizeProperty(t *testing.T) {
 			}
 			rows[i] = row
 		}
-		res, err := Factorize(rows, Options{Rank: 2, Seed: int64(seed), MaxIterations: 50})
+		res, err := factorize(rows, Options{Rank: 2, Seed: int64(seed), MaxIterations: 50})
 		if err != nil {
 			return false
 		}
@@ -221,7 +228,7 @@ func TestFactorizeProperty(t *testing.T) {
 	}
 }
 
-// Property: Factorize is bit-identical for any Workers value — the serial
+// Property: the factorisation is bit-identical for any Workers value — the serial
 // path (Workers=1) is the oracle for the parallel multiplicative updates.
 // The matrix is sized so the parallel kernels actually engage (the blocked
 // kernels fall back to serial below a work threshold).
@@ -229,12 +236,12 @@ func TestFactorizeParallelMatchesSerial(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	rng := rand.New(rand.NewSource(76))
 	rows, _ := syntheticMix(rng, 120, 90, 4)
-	serial, err := Factorize(rows, Options{Rank: 5, Seed: 9, MaxIterations: 40, Workers: 1})
+	serial, err := factorize(rows, Options{Rank: 5, Seed: 9, MaxIterations: 40, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0), 0} {
-		par, err := Factorize(rows, Options{Rank: 5, Seed: 9, MaxIterations: 40, Workers: workers})
+		par, err := factorize(rows, Options{Rank: 5, Seed: 9, MaxIterations: 40, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -266,7 +273,7 @@ func BenchmarkFactorize100x144Rank5(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Factorize(rows, Options{Rank: 5, Seed: int64(i), MaxIterations: 60}); err != nil {
+		if _, err := factorize(rows, Options{Rank: 5, Seed: int64(i), MaxIterations: 60}); err != nil {
 			b.Fatal(err)
 		}
 	}

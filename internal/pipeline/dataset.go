@@ -28,10 +28,12 @@ import (
 //
 // The traffic itself lives in two contiguous row-major matrices —
 // RawMatrix and NormalizedMatrix — and Raw/Normalized are per-row views
-// aliasing their storage, kept for API compatibility. Contiguity is what
-// feeds the blocked distance kernels of internal/linalg without packing:
-// linalg.RowsMatrix recognises the row views and aliases the flat buffer.
-// Mutating a row through either form mutates the matrix.
+// aliasing their storage, the form the per-tower stages (FFT, anomaly,
+// forecast) read. The modeling stage takes its matrix from the row views
+// with linalg.RowsMatrix, which recognises views of one flat buffer and
+// aliases it without packing, and packs rows assembled one by one — so it
+// works on every dataset. Mutating a row through either form mutates the
+// matrix.
 type Dataset struct {
 	// TowerIDs[i] is the base-station ID of row i.
 	TowerIDs []int
@@ -48,8 +50,7 @@ type Dataset struct {
 	Normalized []linalg.Vector
 	// RawMatrix and NormalizedMatrix are the contiguous flat backings of
 	// Raw and Normalized. They are nil for datasets assembled row by row
-	// (Subset, hand-built literals); consumers must fall back to the
-	// []Vector forms then.
+	// (Subset, hand-built literals).
 	RawMatrix        *linalg.Matrix
 	NormalizedMatrix *linalg.Matrix
 	// RawMatrix32 and NormalizedMatrix32 are float32 narrowings of the two

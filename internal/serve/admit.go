@@ -34,6 +34,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/linalg"
 	"repro/internal/pipeline"
 )
 
@@ -135,15 +136,14 @@ func admissionStats(ds *pipeline.Dataset, a *cluster.Assignment, forecasts []tow
 	}
 	st.Completeness = medianOf(fracs)
 
-	if dbi, err := cluster.DaviesBouldinWorkers(ds.Normalized, a, workers); err == nil {
-		st.DBI = dbi
-	} else {
-		st.DBI = math.Inf(1)
-	}
-	if sil, err := cluster.SilhouetteWorkers(ds.Normalized, a, workers); err == nil {
-		st.Silhouette = sil
-	} else {
-		st.Silhouette = -1
+	st.DBI, st.Silhouette = math.Inf(1), -1
+	if norm, err := linalg.RowsMatrix(ds.Normalized); err == nil {
+		if dbi, err := cluster.DaviesBouldinMat(norm, a, workers); err == nil {
+			st.DBI = dbi
+		}
+		if sil, err := cluster.SilhouetteMat(norm, a, workers); err == nil {
+			st.Silhouette = sil
+		}
 	}
 
 	nrmses := make([]float64, 0, len(forecasts))
