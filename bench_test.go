@@ -892,7 +892,8 @@ func BenchmarkCluster_KMeans(b *testing.B) {
 }
 
 // BenchmarkNMF_Factorize measures the rank-5 factorisation of the raw
-// traffic matrix with the blocked parallel matrix kernels.
+// traffic matrix: Gram-form updates on the dot kernels plus the fused
+// residual.
 func BenchmarkNMF_Factorize(b *testing.B) {
 	raw, _ := modelingPoints(b)
 	benchWorkers(b, func(b *testing.B, workers int) {

@@ -542,6 +542,137 @@ func crossStrip[F Float](dst *Mat[F], x, y *Mat[F], xnorms, ynorms Vec[F], s int
 	}
 }
 
+// CrossDotIntoCtx writes x·yᵀ — the dot product of every row of x with
+// every row of y — into dst (x.Rows × y.Rows) using up to `workers`
+// goroutines (≤ 0 means GOMAXPROCS). It is CrossSquaredIntoCtx without the
+// norms: the same strips, tiles and dot micro-kernels, so a product whose
+// right factor is only available row-major as its transpose (V·Hᵀ from V
+// and H) needs no explicit transpose and runs on the assembly kernels where
+// the build has them. Cancellation is observed between strips and worker
+// panics come back as the returned error; on early exit dst holds partial
+// results. Bit-identical for any worker count, and the serial path
+// performs no allocations.
+func CrossDotIntoCtx[F Float](ctx context.Context, dst *Mat[F], x, y *Mat[F], workers int) error {
+	if x.Cols != y.Cols {
+		return fmt.Errorf("%w: cross dots between %d-col and %d-col rows", ErrDimensionMismatch, x.Cols, y.Cols)
+	}
+	if dst.Rows != x.Rows || dst.Cols != y.Rows {
+		return fmt.Errorf("%w: cross dots %dx%d into %dx%d", ErrDimensionMismatch, x.Rows, y.Rows, dst.Rows, dst.Cols)
+	}
+	strips := (x.Rows + pairTile - 1) / pairTile
+	if w := stripWorkers(strips, workers); w > 1 {
+		return forEachStrip(ctx, strips, w, func(s int) { crossStrip(dst, x, y, nil, nil, s) })
+	}
+	return stripLoop(ctx, strips, func(s int) { crossStrip(dst, x, y, nil, nil, s) })
+}
+
+// residualChunk is the number of columns of w·h a residual row holds at a
+// time: a stack buffer, so the kernel needs no per-worker scratch. It must
+// stay a multiple of 4 — the four partial sums of a row are keyed by
+// column mod 4 across chunks.
+const residualChunk = 256
+
+// RowResidualsSquaredIntoCtx fills dst[i] with ‖v_i − (w·h)_i‖², the
+// squared reconstruction residual of row i, without materialising the
+// product: each row of w·h is formed a residualChunk of columns at a time
+// (ascending-k accumulation at the matrices' element type, as MulInto
+// would) and consumed at once. The subtraction runs at the element type and
+// the squares accumulate in float64 at either precision, in four partial
+// sums per row keyed by column mod 4 and folded (s0+s1)+(s2+s3). dst must
+// have length v.Rows and w at least one column. Up to `workers` goroutines (≤ 0 means GOMAXPROCS)
+// each own whole row strips and every dst entry is written by exactly one
+// of them, so the result is bit-identical for any worker count; a caller
+// that wants ‖v − w·h‖² folds dst in row order. Cancellation is observed
+// between strips and worker panics come back as the returned error; the
+// serial path performs no allocations.
+func RowResidualsSquaredIntoCtx[F Float](ctx context.Context, dst []float64, v, w, h *Mat[F], workers int) error {
+	if w.Cols != h.Rows || w.Cols == 0 {
+		return fmt.Errorf("%w: %dx%d times %dx%d", ErrDimensionMismatch, w.Rows, w.Cols, h.Rows, h.Cols)
+	}
+	if v.Rows != w.Rows || v.Cols != h.Cols {
+		return fmt.Errorf("%w: residual of %dx%d against a %dx%d product", ErrDimensionMismatch, v.Rows, v.Cols, w.Rows, h.Cols)
+	}
+	if len(dst) != v.Rows {
+		return fmt.Errorf("%w: %d residuals for %d rows", ErrDimensionMismatch, len(dst), v.Rows)
+	}
+	strips := (v.Rows + pairTile - 1) / pairTile
+	if nw := stripWorkers(strips, workers); nw > 1 {
+		return forEachStrip(ctx, strips, nw, func(s int) { residualStrip(dst, v, w, h, s) })
+	}
+	return stripLoop(ctx, strips, func(s int) { residualStrip(dst, v, w, h, s) })
+}
+
+// residualStrip fills the row residuals of one pairTile strip. The first
+// r−1 terms of an entry of w·h accumulate in the chunk buffer, four k per
+// pass (one load and store of the buffer per four products); the last term
+// is added in the pass that subtracts from v and squares, so the finished
+// product row is never stored. Every entry accumulates in ascending k.
+func residualStrip[F Float](dst []float64, v, w, h *Mat[F], s int) {
+	m, r := v.Cols, w.Cols
+	i0 := s * pairTile
+	i1 := min(v.Rows, i0+pairTile)
+	last := r - 1
+	var buf [residualChunk]F
+	for i := i0; i < i1; i++ {
+		vrow := v.Data[i*m : (i+1)*m]
+		wrow := w.Data[i*r : (i+1)*r]
+		var s0, s1, s2, s3 float64
+		for j0 := 0; j0 < m; j0 += residualChunk {
+			j1 := min(m, j0+residualChunk)
+			x := vrow[j0:j1]
+			p := buf[:len(x)]
+			for j := range p {
+				p[j] = 0
+			}
+			k := 0
+			for ; k+4 <= last; k += 4 {
+				a0, a1, a2, a3 := wrow[k], wrow[k+1], wrow[k+2], wrow[k+3]
+				h0 := h.Data[(k+0)*m+j0 : (k+0)*m+j1][:len(p)]
+				h1 := h.Data[(k+1)*m+j0 : (k+1)*m+j1][:len(p)]
+				h2 := h.Data[(k+2)*m+j0 : (k+2)*m+j1][:len(p)]
+				h3 := h.Data[(k+3)*m+j0 : (k+3)*m+j1][:len(p)]
+				for j := range p {
+					p[j] = (((p[j] + a0*h0[j]) + a1*h1[j]) + a2*h2[j]) + a3*h3[j]
+				}
+			}
+			for ; k < last; k++ {
+				a := wrow[k]
+				hk := h.Data[k*m+j0 : k*m+j1][:len(p)]
+				for j := range p {
+					p[j] += a * hk[j]
+				}
+			}
+			a := wrow[last]
+			hl := h.Data[last*m+j0 : last*m+j1][:len(p)]
+			j := 0
+			for ; j+4 <= len(p); j += 4 {
+				d0 := float64(x[j+0] - (p[j+0] + a*hl[j+0]))
+				d1 := float64(x[j+1] - (p[j+1] + a*hl[j+1]))
+				d2 := float64(x[j+2] - (p[j+2] + a*hl[j+2]))
+				d3 := float64(x[j+3] - (p[j+3] + a*hl[j+3]))
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+			// Only the last chunk can have a tail; its columns keep their
+			// mod-4 lanes because every chunk starts on a multiple of 4.
+			for ; j < len(p); j++ {
+				d := float64(x[j] - (p[j] + a*hl[j]))
+				switch j % 4 {
+				case 0:
+					s0 += d * d
+				case 1:
+					s1 += d * d
+				default:
+					s2 += d * d
+				}
+			}
+		}
+		dst[i] = (s0 + s1) + (s2 + s3)
+	}
+}
+
 // AssignedSquaredDistance returns the squared Euclidean distance between
 // row i of x and row j of y via the Gram trick, using precomputed row
 // norms (RowNormsSquaredInto). The dot product runs the kernels' shared

@@ -7,6 +7,11 @@
 // the tower-by-time traffic matrix V ≈ W·H. The benchmark harness compares
 // this data-driven decomposition against the paper's frequency-domain
 // convex combination.
+//
+// The updates run in Gram form: the denominators are (WᵀW)·H and W·(H·Hᵀ),
+// so an iteration makes three passes of n·m·r work — the numerators Wᵀ·V
+// and V·Hᵀ on the linalg dot micro-kernels, and one fused ‖V − W·H‖
+// residual — and everything else is r-sized.
 package nmf
 
 import (
@@ -30,11 +35,15 @@ type Options struct {
 	Tolerance float64
 	// Seed drives the random initialisation.
 	Seed int64
-	// Workers bounds the goroutines used for the matrix products of the
-	// multiplicative updates (≤ 0 means GOMAXPROCS). The factorisation is
-	// deterministic: for a fixed Seed the result is bit-identical for any
-	// Workers value, because the parallel kernels partition output rows and
-	// keep the serial accumulation order within each row.
+	// Workers bounds the goroutines used for the three n·m·r-sized steps of
+	// an iteration — the numerators Wᵀ·V (parallel over time slots) and
+	// V·Hᵀ (over towers) and the reconstruction residual (over towers) —
+	// and for the one-time transpose of V (≤ 0 means GOMAXPROCS). The
+	// r-sized products in between run on the calling goroutine. The
+	// factorisation is deterministic: for a fixed Seed the result is
+	// bit-identical for any Workers value, because every output entry is
+	// computed by one worker in one fixed accumulation order and the
+	// residual is folded serially in row order.
 	Workers int
 }
 
@@ -91,16 +100,24 @@ func FactorizeContext(ctx context.Context, rows []linalg.Vector, opts Options) (
 // either modeling precision. The multiplicative updates — every matrix
 // product and the element-wise ratio steps — run at the matrix's own
 // element type; the float32 instantiation halves the memory traffic of the
-// W·H-shaped products that dominate a factorisation at the paper's scale.
-// The reconstruction-error reduction accumulates in float64 at both
+// passes over V that dominate a factorisation at the paper's scale. The
+// reconstruction-error reduction accumulates in float64 at both
 // precisions, so the convergence decision sequence tracks the float64
 // instantiation, and the reported W/H are widened to float64 once at the
 // end.
 //
+// Per iteration: Wᵀ·V as linalg.CrossDotIntoCtx of a transposed copy of V
+// against Wᵀ, V·Hᵀ as the same kernel on V and H, the denominators
+// (WᵀW)·H and W·(H·Hᵀ) through r×r Gram matrices, and the error from
+// linalg.RowResidualsSquaredIntoCtx, which never stores W·H. The scratch is
+// that transposed copy (the one n×m buffer, made once) plus r-sized
+// factors; V itself is only read.
+//
 // ctx is observed once per multiplicative-update iteration and between row
-// blocks of the parallel matrix products, so a cancelled factorisation
+// strips of the three parallel kernels, so a cancelled factorisation
 // returns within one update step and its worker pool drains before the
-// call returns.
+// call returns. A kernel error — cancellation or a recovered worker panic —
+// is returned as such, never read as convergence.
 func FactorizeMatContext[F linalg.Float](ctx context.Context, v *linalg.Mat[F], opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	n, m := v.Rows, v.Cols
@@ -139,82 +156,95 @@ func FactorizeMatContext[F linalg.Float](ctx context.Context, v *linalg.Mat[F], 
 		h.Data[i] = F(rng.Float64()*scale + epsilon)
 	}
 
-	// Scratch matrices for the multiplicative updates, allocated once and
-	// reused across iterations (the updates would otherwise reallocate
-	// every W·H-shaped product each round).
+	// Scratch for the multiplicative updates, allocated once and reused
+	// across iterations: the transposed copy of V is the only n×m buffer (no
+	// W·H product is ever materialised), everything else is r-sized.
+	workers := linalg.ResolveWorkers(opts.Workers)
+	vt := linalg.NewMat[F](m, n)
+	if err := v.ParallelTransposeIntoCtx(ctx, vt, workers); err != nil {
+		return nil, err
+	}
 	var (
-		wt   = linalg.NewMat[F](r, n)
-		wtv  = linalg.NewMat[F](r, m)
-		wtw  = linalg.NewMat[F](r, r)
-		wtwh = linalg.NewMat[F](r, m)
-		ht   = linalg.NewMat[F](m, r)
-		vht  = linalg.NewMat[F](n, r)
-		wh   = linalg.NewMat[F](n, m)
-		whht = linalg.NewMat[F](n, r)
+		wt     = linalg.NewMat[F](r, n)
+		vtw    = linalg.NewMat[F](m, r) // (Wᵀ·V)ᵀ
+		gram   = linalg.NewMat[F](r, r) // WᵀW, then H·Hᵀ
+		wtwh   = linalg.NewMat[F](r, m)
+		vht    = linalg.NewMat[F](n, r)
+		whht   = linalg.NewMat[F](n, r)
+		rowErr = make([]float64, n)
 	)
 	// The update-rule damping term. 1e-12 is an ordinary normal float32
 	// (min normal ≈ 1.2e-38), so the narrowing keeps its value.
 	eps := F(epsilon)
-	workers := linalg.ResolveWorkers(opts.Workers)
 	done := ctx.Done()
 	prevErr := math.Inf(1)
 	iterations := 0
 	for ; iterations < opts.MaxIterations; iterations++ {
 		// One cancellation check per update iteration; the parallel
-		// products below add per-block checks for large factors.
+		// kernels below add per-strip checks.
 		if done != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		// H ← H ∘ (Wᵀ V) / (Wᵀ W H)
-		if err := w.ParallelTransposeIntoCtx(ctx, wt, workers); err != nil {
+		// H ← H ∘ (Wᵀ V) / ((Wᵀ W) H). The numerator comes out transposed,
+		// as Vᵀ·W: rows of Vᵀ against rows of Wᵀ on the dot kernels.
+		if err := w.TransposeInto(wt); err != nil {
 			return nil, err
 		}
-		if err := wt.ParallelMulIntoCtx(ctx, wtv, v, workers); err != nil {
+		if err := linalg.CrossDotIntoCtx(ctx, vtw, vt, wt, workers); err != nil {
 			return nil, err
 		}
-		if err := wt.ParallelMulIntoCtx(ctx, wtw, w, workers); err != nil {
+		if err := wt.GramInto(gram, 1); err != nil {
 			return nil, err
 		}
-		if err := wtw.ParallelMulIntoCtx(ctx, wtwh, h, workers); err != nil {
+		if err := gram.MulInto(wtwh, h); err != nil {
 			return nil, err
 		}
-		for i := range h.Data {
-			h.Data[i] *= wtv.Data[i] / (wtwh.Data[i] + eps)
+		for k := 0; k < r; k++ {
+			hrow, den := h.Data[k*m:(k+1)*m], wtwh.Data[k*m:(k+1)*m]
+			for j := range hrow {
+				hrow[j] *= vtw.Data[j*r+k] / (den[j] + eps)
+			}
 		}
-		// W ← W ∘ (V Hᵀ) / (W H Hᵀ)
-		if err := h.ParallelTransposeIntoCtx(ctx, ht, workers); err != nil {
+		// W ← W ∘ (V Hᵀ) / (W (H Hᵀ)): rows of V against rows of H.
+		if err := linalg.CrossDotIntoCtx(ctx, vht, v, h, workers); err != nil {
 			return nil, err
 		}
-		if err := v.ParallelMulIntoCtx(ctx, vht, ht, workers); err != nil {
+		if err := h.GramInto(gram, 1); err != nil {
 			return nil, err
 		}
-		if err := w.ParallelMulIntoCtx(ctx, wh, h, workers); err != nil {
-			return nil, err
-		}
-		if err := wh.ParallelMulIntoCtx(ctx, whht, ht, workers); err != nil {
+		if err := w.MulInto(whht, gram); err != nil {
 			return nil, err
 		}
 		for i := range w.Data {
 			w.Data[i] *= vht.Data[i] / (whht.Data[i] + eps)
 		}
-		// Convergence check on the reconstruction error.
-		cur := frobeniusError(v, w, h, wh, workers)
-		if prevErr-cur < opts.Tolerance*(prevErr+epsilon) {
-			prevErr = cur
+		// Convergence check on the reconstruction error ‖V − W·H‖: the
+		// direct residual (the trace identity cancels catastrophically on
+		// near-exact fits), float64 row sums folded in row order, so the
+		// decision is the same for any worker count.
+		if err := linalg.RowResidualsSquaredIntoCtx(ctx, rowErr, v, w, h, workers); err != nil {
+			return nil, err
+		}
+		var sq float64
+		for _, e := range rowErr {
+			sq += e
+		}
+		cur := math.Sqrt(sq)
+		converged := prevErr-cur < opts.Tolerance*(prevErr+epsilon)
+		prevErr = cur
+		if converged {
 			iterations++
 			break
 		}
-		prevErr = cur
 	}
 
-	finalErr := frobeniusError(v, w, h, wh, workers)
 	rel := 0.0
 	if norm > 0 {
-		rel = finalErr / norm
+		rel = prevErr / norm
 	}
-	return &Result{W: widen(w), H: widen(h), FrobeniusError: finalErr, RelativeError: rel, Iterations: iterations}, nil
+	return &Result{W: widen(w), H: widen(h), FrobeniusError: prevErr, RelativeError: rel, Iterations: iterations}, nil
 }
 
 // widen returns m as a float64 matrix: m itself when it already is one, a
@@ -228,22 +258,6 @@ func widen[F linalg.Float](m *linalg.Mat[F]) *linalg.Matrix {
 		out.Data[i] = float64(x)
 	}
 	return out
-}
-
-// frobeniusError computes ‖V − W·H‖_F, using wh as the product scratch. The
-// residual reduction stays serial (fixed summation order) and accumulates
-// in float64 at either precision, so the error — and therefore the
-// convergence decision — is identical for any worker count.
-func frobeniusError[F linalg.Float](v, w, h, wh *linalg.Mat[F], workers int) float64 {
-	if err := w.ParallelMulInto(wh, h, workers); err != nil {
-		return math.Inf(1)
-	}
-	var s float64
-	for i := range v.Data {
-		d := float64(v.Data[i] - wh.Data[i])
-		s += d * d
-	}
-	return math.Sqrt(s)
 }
 
 // Reconstruct returns row i of the approximation W·H.

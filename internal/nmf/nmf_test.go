@@ -228,20 +228,27 @@ func TestFactorizeProperty(t *testing.T) {
 	}
 }
 
-// Property: the factorisation is bit-identical for any Workers value — the serial
-// path (Workers=1) is the oracle for the parallel multiplicative updates.
-// The matrix is sized so the parallel kernels actually engage (the blocked
-// kernels fall back to serial below a work threshold).
+// Property: the factorisation is bit-identical for any Workers value, at
+// both precisions — the serial path (Workers=1) is the oracle for the
+// parallel multiplicative updates. The matrix spans several row strips on
+// both of its axes so the strip pools actually engage.
 func TestFactorizeParallelMatchesSerial(t *testing.T) {
+	t.Run("float64", testFactorizeParallelMatchesSerial[float64])
+	t.Run("float32", testFactorizeParallelMatchesSerial[float32])
+}
+
+func testFactorizeParallelMatchesSerial[F linalg.Float](t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(76))
 	rows, _ := syntheticMix(rng, 120, 90, 4)
-	serial, err := factorize(rows, Options{Rank: 5, Seed: 9, MaxIterations: 40, Workers: 1})
+	v := matOf[F](rows)
+	serial, err := FactorizeMatContext(ctx, v, Options{Rank: 5, Seed: 9, MaxIterations: 40, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0), 0} {
-		par, err := factorize(rows, Options{Rank: 5, Seed: 9, MaxIterations: 40, Workers: workers})
+		par, err := FactorizeMatContext(ctx, v, Options{Rank: 5, Seed: 9, MaxIterations: 40, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/linalg"
 )
@@ -107,8 +106,22 @@ func SolveSimplexLS(target linalg.Vector, components []linalg.Vector, opts Optio
 		x[i] = 1.0 / float64(m)
 	}
 
+	// gx holds G·x and sorted the projection's sorted copy: the only
+	// scratch the iterations need, allocated once per solve. mulG is
+	// MulVec's loop into gx (linalg.DotInto would reorder the sums).
+	gx := make(linalg.Vector, m)
+	sorted := make(linalg.Vector, m)
+	mulG := func(x linalg.Vector) {
+		for i := range gx {
+			var s float64
+			for j, gij := range g.Data[i*m : (i+1)*m] {
+				s += gij * x[j]
+			}
+			gx[i] = s
+		}
+	}
 	obj := func(x linalg.Vector) float64 {
-		gx, _ := g.MulVec(x)
+		mulG(x)
 		xgx, _ := x.Dot(gx)
 		bx, _ := b.Dot(x)
 		return xgx - 2*bx
@@ -118,11 +131,11 @@ func SolveSimplexLS(target linalg.Vector, components []linalg.Vector, opts Optio
 	iters := 0
 	for ; iters < opts.MaxIterations; iters++ {
 		// Gradient: 2(Gx - b).
-		gx, _ := g.MulVec(x)
+		mulG(x)
 		for i := range x {
 			x[i] -= step * 2 * (gx[i] - b[i])
 		}
-		x = ProjectSimplex(x)
+		projectSimplexInPlace(x, sorted)
 		cur := obj(x)
 		if math.Abs(prev-cur) < opts.Tolerance*(math.Abs(prev)+1) {
 			prev = cur
@@ -224,28 +237,36 @@ func polishActiveSet(g *linalg.Matrix, b, x linalg.Vector) (linalg.Vector, bool)
 // simplex {x : Σx = 1, x ≥ 0} using the sort-based algorithm of Held,
 // Wolfe & Crowder. The input is not modified.
 func ProjectSimplex(v linalg.Vector) linalg.Vector {
-	n := len(v)
-	if n == 0 {
-		return linalg.Vector{}
+	out := v.Clone()
+	projectSimplexInPlace(out, make(linalg.Vector, len(v)))
+	return out
+}
+
+// projectSimplexInPlace overwrites v with its projection onto the
+// simplex. sorted is scratch of the same length; it is sorted descending
+// by insertion, which for the handful of components a decomposition has
+// beats a general sort and allocates nothing. NaNs order last, as
+// sort.Float64Slice would put them.
+func projectSimplexInPlace(v, sorted linalg.Vector) {
+	for i, x := range v {
+		j := i
+		for ; j > 0 && (sorted[j-1] < x || (math.IsNaN(sorted[j-1]) && !math.IsNaN(x))); j-- {
+			sorted[j] = sorted[j-1]
+		}
+		sorted[j] = x
 	}
-	sorted := v.Clone()
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
 	var cumsum, theta float64
-	k := 0
-	for i := 0; i < n; i++ {
-		cumsum += sorted[i]
-		t := (cumsum - 1) / float64(i+1)
-		if sorted[i]-t > 0 {
+	for i, x := range sorted {
+		cumsum += x
+		if t := (cumsum - 1) / float64(i+1); x-t > 0 {
 			theta = t
-			k = i + 1
 		}
 	}
-	_ = k
-	out := make(linalg.Vector, n)
 	for i, x := range v {
 		if d := x - theta; d > 0 {
-			out[i] = d
+			v[i] = d
+		} else {
+			v[i] = 0
 		}
 	}
-	return out
 }

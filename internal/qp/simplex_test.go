@@ -2,8 +2,10 @@ package qp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -249,6 +251,225 @@ func TestSolveSimplexLSProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// solveSimplexLSOracle and projectSimplexOracle are SolveSimplexLS and
+// ProjectSimplex as they stood before the solve loop became
+// allocation-free (a fresh MulVec result for the gradient and for every
+// objective, a sorted clone and an output vector per projection), kept
+// verbatim as the reference the in-place loop must match bit for bit.
+func solveSimplexLSOracle(target linalg.Vector, components []linalg.Vector, opts Options) (*Result, error) {
+	opts = opts.withDefaults()
+	m := len(components)
+	if m == 0 {
+		return nil, ErrNoComponents
+	}
+	d := len(target)
+	for i, c := range components {
+		if len(c) != d {
+			return nil, fmt.Errorf("%w: component %d has dim %d, target has %d", ErrDimensionMismatch, i, len(c), d)
+		}
+	}
+
+	// Precompute the Gram matrix G = AᵀA and the linear term b = AᵀF where
+	// A has the components as columns. Objective: x' G x - 2 b' x + const.
+	g := linalg.NewMatrix(m, m)
+	b := make(linalg.Vector, m)
+	for i := 0; i < m; i++ {
+		for j := i; j < m; j++ {
+			dot, _ := components[i].Dot(components[j])
+			g.Set(i, j, dot)
+			g.Set(j, i, dot)
+		}
+		dot, _ := components[i].Dot(target)
+		b[i] = dot
+	}
+
+	// Lipschitz constant of the gradient: 2·λ_max(G) ≤ 2·trace(G).
+	var trace float64
+	for i := 0; i < m; i++ {
+		trace += g.At(i, i)
+	}
+	step := 1.0
+	if trace > 0 {
+		step = 1.0 / (2 * trace)
+	}
+
+	// Start from the uniform combination.
+	x := make(linalg.Vector, m)
+	for i := range x {
+		x[i] = 1.0 / float64(m)
+	}
+
+	obj := func(x linalg.Vector) float64 {
+		gx, _ := g.MulVec(x)
+		xgx, _ := x.Dot(gx)
+		bx, _ := b.Dot(x)
+		return xgx - 2*bx
+	}
+
+	prev := obj(x)
+	iters := 0
+	for ; iters < opts.MaxIterations; iters++ {
+		// Gradient: 2(Gx - b).
+		gx, _ := g.MulVec(x)
+		for i := range x {
+			x[i] -= step * 2 * (gx[i] - b[i])
+		}
+		x = projectSimplexOracle(x)
+		cur := obj(x)
+		if math.Abs(prev-cur) < opts.Tolerance*(math.Abs(prev)+1) {
+			prev = cur
+			iters++
+			break
+		}
+		prev = cur
+	}
+
+	// Active-set polish: solve the equality-constrained least squares on
+	// the support detected by the projected gradient, which removes the
+	// first-order method's residual bias for small problems.
+	if polished, ok := polishActiveSet(g, b, x); ok {
+		if obj(polished) <= prev+1e-15 {
+			x = polished
+		}
+	}
+
+	// Residual ‖F − A·x‖.
+	approx := make(linalg.Vector, d)
+	for i, c := range components {
+		for j := range approx {
+			approx[j] += x[i] * c[j]
+		}
+	}
+	diff, _ := target.Sub(approx)
+	return &Result{Coefficients: x, Residual: diff.Norm(), Iterations: iters}, nil
+}
+
+func projectSimplexOracle(v linalg.Vector) linalg.Vector {
+	n := len(v)
+	if n == 0 {
+		return linalg.Vector{}
+	}
+	sorted := v.Clone()
+	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	var cumsum, theta float64
+	k := 0
+	for i := 0; i < n; i++ {
+		cumsum += sorted[i]
+		t := (cumsum - 1) / float64(i+1)
+		if sorted[i]-t > 0 {
+			theta = t
+			k = i + 1
+		}
+	}
+	_ = k
+	out := make(linalg.Vector, n)
+	for i, x := range v {
+		if d := x - theta; d > 0 {
+			out[i] = d
+		}
+	}
+	return out
+}
+
+// randomProblem draws a decomposition-shaped problem: m components and a
+// target in dim dimensions.
+func randomProblem(rng *rand.Rand, m, dim int) (linalg.Vector, []linalg.Vector) {
+	comps := make([]linalg.Vector, m)
+	for i := range comps {
+		c := make(linalg.Vector, dim)
+		for j := range c {
+			c[j] = rng.NormFloat64()
+		}
+		comps[i] = c
+	}
+	target := make(linalg.Vector, dim)
+	for j := range target {
+		target[j] = rng.NormFloat64()
+	}
+	return target, comps
+}
+
+// The in-place solve loop keeps the arithmetic order of the allocating one,
+// so coefficients, residual and iteration count are exactly equal — also
+// when the iteration budget, not convergence, ends the loop.
+func TestSolveSimplexLSMatchesAllocatingOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 300; trial++ {
+		target, comps := randomProblem(rng, trial%6+1, trial%4+1)
+		opts := Options{}
+		if trial%5 == 0 {
+			opts.MaxIterations = 7
+		}
+		got, err := SolveSimplexLS(target, comps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solveSimplexLSOracle(target, comps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Iterations != want.Iterations || got.Residual != want.Residual {
+			t.Fatalf("trial %d: %d iterations, residual %g; oracle %d, %g",
+				trial, got.Iterations, got.Residual, want.Iterations, want.Residual)
+		}
+		for i := range want.Coefficients {
+			if got.Coefficients[i] != want.Coefficients[i] {
+				t.Fatalf("trial %d: coefficient %d = %g, oracle %g (must be bit-identical)",
+					trial, i, got.Coefficients[i], want.Coefficients[i])
+			}
+		}
+	}
+}
+
+func TestProjectSimplexMatchesSortingOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 300; trial++ {
+		v := make(linalg.Vector, trial%9)
+		for i := range v {
+			v[i] = rng.NormFloat64() * 3
+			if rng.Intn(8) == 0 && i > 0 {
+				v[i] = v[i-1] // ties
+			}
+		}
+		in := v.Clone()
+		got, want := ProjectSimplex(v), projectSimplexOracle(v)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: projection[%d] = %g, oracle %g", trial, i, got[i], want[i])
+			}
+			if v[i] != in[i] {
+				t.Fatalf("trial %d: ProjectSimplex modified its input", trial)
+			}
+		}
+	}
+}
+
+// One solve allocates its Gram matrix, scratch and result up front and the
+// polish step's small systems at the end; the projected-gradient iterations
+// in between — up to 2000 of them — allocate nothing. The slow-converging
+// problem below ran 4 allocations per iteration before.
+func TestSolveSimplexLSAllocationCeiling(t *testing.T) {
+	comps := []linalg.Vector{
+		{0.9, 1.3, 0.2}, {0.4, 2.8, 0.7}, {0.7, 2.2, 0.1}, {0.5, 1.9, 0.4},
+	}
+	target := linalg.Vector{0.6, 2.0, 0.3}
+	res, err := SolveSimplexLS(target, comps, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations < 10 {
+		t.Fatalf("problem converged in %d iterations: too easy to show per-iteration allocations", res.Iterations)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := SolveSimplexLS(target, comps, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("SolveSimplexLS allocates %v times per solve (%d iterations), want ≤ 32", allocs, res.Iterations)
 	}
 }
 
