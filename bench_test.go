@@ -189,6 +189,16 @@ func ingestCity(b *testing.B) (*synth.City, []synth.TowerSeries, pipeline.Vector
 	}
 }
 
+// vectorizeSource and vectorizeRecords are the ctx-less and slice wrappers
+// pipeline shed (only tests and benchmarks called them).
+func vectorizeSource(src trace.Source, towers []trace.TowerInfo, vopts pipeline.VectorizerOptions) (*pipeline.Dataset, error) {
+	return pipeline.VectorizeSourceContext(context.Background(), src, towers, vopts)
+}
+
+func vectorizeRecords(records []trace.Record, towers []trace.TowerInfo, vopts pipeline.VectorizerOptions) (*pipeline.Dataset, error) {
+	return vectorizeSource(trace.SliceSource(records), towers, vopts)
+}
+
 // BenchmarkIngest_CityLogsSlice measures the materialised ingestion path:
 // emit the full CDR log as a slice, batch-clean it, vectorise the
 // records. Allocations grow with the number of records.
@@ -202,7 +212,7 @@ func BenchmarkIngest_CityLogsSlice(b *testing.B) {
 			b.Fatal(err)
 		}
 		cleaned, _ := trace.Clean(records)
-		if _, err := pipeline.VectorizeRecords(cleaned, city.TowerInfos(), vopts); err != nil {
+		if _, err := vectorizeRecords(cleaned, city.TowerInfos(), vopts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,7 +220,7 @@ func BenchmarkIngest_CityLogsSlice(b *testing.B) {
 
 // BenchmarkIngest_CityLogsStream measures the same workload through the
 // streaming ingestion layer: the log source feeds the single-pass cleaner
-// and the sharded vectorizer record by record, so allocations stay at
+// and the sharded vectorizer batch by batch, so allocations stay at
 // O(towers × slots) regardless of trace length.
 func BenchmarkIngest_CityLogsStream(b *testing.B) {
 	city, series, vopts := ingestCity(b)
@@ -218,23 +228,23 @@ func BenchmarkIngest_CityLogsStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := city.LogSource(series, synth.LogOptions{})
-		cleaned := trace.CleanSource(src)
-		if _, err := pipeline.VectorizeSource(cleaned, city.TowerInfos(), vopts); err != nil {
+		cleaned := trace.CleanSourceWindow(src, 0)
+		if _, err := vectorizeSource(cleaned, city.TowerInfos(), vopts); err != nil {
 			b.Fatal(err)
 		}
 		src.Close()
 	}
 }
 
-// --- Ingestion engine: serial vs batched vs parallel CSV parse -----------
+// --- Ingestion engine: batched vs parallel CSV parse ---------------------
 
-// The three BenchmarkIngest_{Serial,Batched,Parallel} benchmarks measure
-// the raw CSV→Record parse throughput over the identical in-memory trace
-// (so disk speed is out of the picture): the PR 1 encoding/csv reader
-// pulling one record per interface call, the zero-allocation byte-level
-// Scanner pulling batches, and the order-preserving ParallelCSVSource
-// fanning chunk parsing across all cores. Output is benchstat-friendly:
-// compare the records/s metric (and MB/s) across the three, and
+// BenchmarkIngest_{Batched,Parallel} measure the raw CSV→Record parse
+// throughput over the identical in-memory trace (so disk speed is out of
+// the picture): the zero-allocation byte-level Scanner pulling batches,
+// and the order-preserving ParallelCSVSource fanning chunk parsing across
+// all cores. (The encoding/csv reader they replaced is a test oracle in
+// internal/trace and is not perf-gated.) Output is benchstat-friendly:
+// compare the records/s metric (and MB/s) across the two, and
 // allocs/record for the steady-state allocation story.
 
 var (
@@ -312,27 +322,6 @@ func benchIngest(b *testing.B, parse func(data []byte) (int, error)) {
 	runtime.ReadMemStats(&ms1)
 	b.ReportMetric(float64(recs)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N)/float64(recs), "allocs/record")
-}
-
-// BenchmarkIngest_Serial is the PR 1 streaming path: encoding/csv,
-// strconv and time.Parse, one record per Next call.
-func BenchmarkIngest_Serial(b *testing.B) {
-	benchIngest(b, func(data []byte) (int, error) {
-		cr, err := trace.NewCSVReader(bytes.NewReader(data))
-		if err != nil {
-			return 0, err
-		}
-		n := 0
-		for {
-			if _, err := cr.Next(); err != nil {
-				if errors.Is(err, io.EOF) {
-					return n, nil
-				}
-				return n, err
-			}
-			n++
-		}
-	})
 }
 
 // BenchmarkIngest_Batched is the zero-allocation byte-level Scanner
@@ -425,7 +414,7 @@ func BenchmarkClean(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				src := trace.CleanSource(trace.SliceSource(records))
+				src := trace.CleanSourceWindow(trace.SliceSource(records), 0)
 				for {
 					if _, err := src.NextBatch(batch); err != nil {
 						if !errors.Is(err, io.EOF) {

@@ -330,7 +330,7 @@ func runTrace(ctx context.Context, dir string, opts core.Options, ingestWorkers 
 // audit counter, not a filter; it feeds the UnknownTowers line of the
 // skip-stats footer.
 type towerAudit struct {
-	src     trace.BatchSource
+	src     trace.Source
 	known   map[int]bool
 	unknown int64
 }
@@ -340,20 +340,7 @@ func newTowerAudit(src trace.Source, towers []trace.TowerInfo) *towerAudit {
 	for _, t := range towers {
 		known[t.TowerID] = true
 	}
-	return &towerAudit{src: trace.Batched(src), known: known}
-}
-
-func (a *towerAudit) Next() (trace.Record, error) {
-	var buf [1]trace.Record
-	for {
-		n, err := a.NextBatch(buf[:])
-		if n == 1 {
-			return buf[0], err
-		}
-		if err != nil {
-			return trace.Record{}, err
-		}
-	}
+	return &towerAudit{src: src, known: known}
 }
 
 func (a *towerAudit) NextBatch(dst []trace.Record) (int, error) {

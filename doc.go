@@ -6,8 +6,9 @@
 // generator (internal/synth), the batched zero-allocation ingestion and
 // vectorisation pipeline (internal/trace, internal/pipeline — a custom
 // byte-level CSV scanner with an order-preserving parallel chunk parser
-// behind trace.NewIngestSource, moving records downstream through the
-// BatchSource interface; see README.md "Ingestion engine"), the
+// behind trace.NewIngestSourceContext, moving records downstream a batch
+// at a time through the one trace.Source interface; see README.md
+// "Ingestion engine" for the stage → entry point table), the
 // deterministic parallel
 // modeling engine — the pattern identifier and metric tuner
 // (internal/cluster, condensed NN-chain hierarchical clustering and a
@@ -24,11 +25,11 @@
 // factors per signal length and batches per-tower spectra across a worker
 // pool; see README.md for when to hold a plan vs. use the package-level
 // DFT/IDFT/Reconstruct wrappers) and the orchestration model
-// (internal/core, with Analyze for in-memory datasets and AnalyzeSource
-// for record streams). The benchmark harness that regenerates every table
-// and figure of the paper is internal/experiments, driven by
-// cmd/experiments and by the benchmarks in bench_test.go at the repository
-// root.
+// (internal/core, with AnalyzeContext for in-memory datasets and
+// AnalyzeSourceContext for record streams). The benchmark harness that
+// regenerates every table and figure of the paper is internal/experiments,
+// driven by cmd/experiments and by the benchmarks in bench_test.go at the
+// repository root.
 //
 // Every modeling stage has one implementation, generic over the element
 // type of a flat linalg.Mat[F] (cluster.HierarchicalMatCtx,
@@ -46,6 +47,6 @@
 // float64; scores differ in the last digits. See README.md
 // "Numeric tiers".
 //
-// See README.md for a quickstart, the package map and guidance on the
-// streaming vs. slice ingestion APIs.
+// See README.md for a quickstart, the package map and the entry point of
+// every ingestion and modeling stage.
 package repro

@@ -42,7 +42,7 @@ func TestEndToEndFromRawLogs(t *testing.T) {
 	if err := trace.WriteCSV(&buf, records); err != nil {
 		t.Fatal(err)
 	}
-	parsed, skipped, err := trace.ReadCSV(&buf)
+	parsed, skipped, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestEndToEndFromRawLogs(t *testing.T) {
 			t.Errorf("tower %d address %q failed to geocode", info.TowerID, info.Address)
 		}
 	}
-	ds, err := pipeline.VectorizeRecords(cleaned, towers, pipeline.VectorizerOptions{
+	ds, err := vectorizeRecords(cleaned, towers, pipeline.VectorizerOptions{
 		Start:       cfg.Start,
 		Days:        cfg.Days,
 		SlotMinutes: cfg.SlotMinutes,

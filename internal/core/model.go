@@ -14,8 +14,8 @@
 // ctx is observed between pipeline stages and inside every parallel
 // kernel (clustering, k-means, NMF, batch FFT), worker pools drain
 // before the call returns, and a panic in any pool worker comes back as
-// a *panicsafe.Error rather than crashing the process. Analyze and
-// AnalyzeSource remain as context.Background() wrappers.
+// a *panicsafe.Error rather than crashing the process. Analyze remains
+// as the context.Background() form of AnalyzeContext.
 //
 // The modeling stage (clustering, metric tuner, NMF, k-means) is one
 // generic function over the element type of a flat linalg.Mat;
@@ -97,8 +97,8 @@ type Options struct {
 	// frequency-domain stage.
 	RepOptions freqdomain.RepOptions
 	// CleanWindow bounds the streaming cleaner's dedup state when the
-	// pipeline is entered through AnalyzeSource: state is kept for at
-	// least the most recent CleanWindow records (see
+	// pipeline is entered through AnalyzeSourceContext: state is kept for
+	// at least the most recent CleanWindow records (see
 	// trace.NewCleanerWindow). Zero keeps exact, unbounded dedup state
 	// (~70–90 bytes per distinct connection). Ignored by Analyze, which
 	// takes an already-vectorised dataset.

@@ -10,38 +10,31 @@ import (
 	"repro/internal/trace"
 )
 
-// AnalyzeSource runs the full pipeline straight from a record stream: the
-// records are cleaned in a single pass by the streaming Cleaner, sharded
-// into per-tower traffic vectors by the streaming vectorizer, and the
-// resulting dataset is analysed exactly as Analyze would. At no point is
-// the record slice materialised: the vectorizer holds O(towers × slots)
-// accumulators, and the cleaner holds ~70–90 bytes per distinct
-// connection — or, with opts.CleanWindow set, a bounded O(window) of dedup
-// state, which is what makes arbitrarily long traces ingestible (the
-// shape the paper's Hadoop deployment relies on to process billions of
-// logs).
-//
-// The whole chain is batch-wise: when src is batch-capable (the trace
-// ingestion Scanner, a ParallelCSVSource, a synthetic LogStream), records
-// move from the parser through the cleaner into the vectorizer's shard
-// queues thousands at a time, and the per-record interface calls of the
-// PR 1 design disappear. Scalar sources are adapted transparently.
+// AnalyzeSourceContext runs the full pipeline straight from a record
+// stream: the records are cleaned in a single pass by the streaming
+// Cleaner, sharded into per-tower traffic vectors by the streaming
+// vectorizer, and the resulting dataset is analysed exactly as
+// AnalyzeContext would. At no point is the record slice materialised: the
+// vectorizer holds O(towers × slots) accumulators, and the cleaner holds
+// ~70–90 bytes per distinct connection — or, with opts.CleanWindow set, a
+// bounded O(window) of dedup state, which is what makes arbitrarily long
+// traces ingestible (the shape the paper's Hadoop deployment relies on to
+// process billions of logs). The whole chain is batch-wise: records move
+// from the parser through the cleaner into the vectorizer's shard queues
+// thousands at a time.
 //
 // towers supplies the resolved tower locations (typically from
 // trace.ReadTowersCSV); towers appearing in the stream but absent from it
-// simply get a zero location, as with VectorizeRecords. The returned
-// CleanStats describe what the streaming cleaner removed or amended.
-func AnalyzeSource(src trace.Source, towers []trace.TowerInfo, pois []poi.POI, vopts pipeline.VectorizerOptions, opts Options) (*Result, trace.CleanStats, error) {
-	return AnalyzeSourceContext(context.Background(), src, towers, pois, vopts, opts)
-}
-
-// AnalyzeSourceContext is AnalyzeSource with cancellation threaded
-// through the whole chain: the streaming vectorizer observes ctx between
-// source batches (and the cleaned source itself checks it between
-// batches via trace.WithContext inside the vectorizer's read loop), and
-// the modeling stages observe it as described on AnalyzeContext. On
-// cancellation the returned CleanStats still describe the records
-// cleaned up to that point.
+// simply get a zero location. The returned CleanStats describe what the
+// streaming cleaner removed or amended.
+//
+// Cancellation: the vectorizer's read loop checks ctx before every batch
+// it pulls through the cleaner, and the modeling stages observe it as
+// described on AnalyzeContext. src itself is not wrapped — a source that
+// can block inside a pull (a paced replay, a retrying reader) must carry
+// its own ctx or be passed through trace.WithContext by the caller. On
+// cancellation the returned CleanStats still describe the records cleaned
+// up to that point.
 func AnalyzeSourceContext(ctx context.Context, src trace.Source, towers []trace.TowerInfo, pois []poi.POI, vopts pipeline.VectorizerOptions, opts Options) (*Result, trace.CleanStats, error) {
 	if src == nil {
 		return nil, trace.CleanStats{}, errors.New("core: nil source")

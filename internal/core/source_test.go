@@ -1,13 +1,36 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"io"
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/poi"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
+
+// The ctx-less and slice-based ingestion wrappers had no caller outside
+// the tests and were deleted; these are their one-line bodies.
+
+func analyzeSource(src trace.Source, towers []trace.TowerInfo, pois []poi.POI, vopts pipeline.VectorizerOptions, opts Options) (*Result, trace.CleanStats, error) {
+	return AnalyzeSourceContext(context.Background(), src, towers, pois, vopts, opts)
+}
+
+func vectorizeRecords(records []trace.Record, towers []trace.TowerInfo, vopts pipeline.VectorizerOptions) (*pipeline.Dataset, error) {
+	return pipeline.VectorizeSourceContext(context.Background(), trace.SliceSource(records), towers, vopts)
+}
+
+func readCSV(r io.Reader) ([]trace.Record, int, error) {
+	sc, err := trace.NewScanner(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	records, err := trace.Collect(sc)
+	return records, int(sc.Stats().SkippedRows()), err
+}
 
 // TestAnalyzeSourceMatchesBatchPath checks that the fully streaming entry
 // point (log source → streaming cleaner → sharded vectorizer → Analyze)
@@ -43,7 +66,7 @@ func TestAnalyzeSourceMatchesBatchPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleaned, batchStats := trace.Clean(records)
-	wantDS, err := pipeline.VectorizeRecords(cleaned, city.TowerInfos(), vopts)
+	wantDS, err := vectorizeRecords(cleaned, city.TowerInfos(), vopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +78,7 @@ func TestAnalyzeSourceMatchesBatchPath(t *testing.T) {
 	// Streaming path.
 	src := city.LogSource(series, synth.LogOptions{MaxRecordsPerSlot: 2})
 	defer src.Close()
-	got, stats, err := AnalyzeSource(src, city.TowerInfos(), city.POIs, vopts, opts)
+	got, stats, err := analyzeSource(src, city.TowerInfos(), city.POIs, vopts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +117,12 @@ func TestAnalyzeSourceMatchesBatchPath(t *testing.T) {
 }
 
 func TestAnalyzeSourceErrors(t *testing.T) {
-	if _, _, err := AnalyzeSource(nil, nil, nil, pipeline.VectorizerOptions{}, Options{}); err == nil {
+	if _, _, err := analyzeSource(nil, nil, nil, pipeline.VectorizerOptions{}, Options{}); err == nil {
 		t.Error("nil source should fail")
 	}
 	boom := errors.New("boom")
 	src := trace.SourceFunc(func() (trace.Record, error) { return trace.Record{}, boom })
-	if _, _, err := AnalyzeSource(src, nil, nil, pipeline.VectorizerOptions{}, Options{}); err == nil {
+	if _, _, err := analyzeSource(src, nil, nil, pipeline.VectorizerOptions{}, Options{}); err == nil {
 		t.Error("source error should fail the analysis")
 	}
 }

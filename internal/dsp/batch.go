@@ -111,29 +111,6 @@ func (p *Plan) BatchTransformContext(ctx context.Context, signals [][]float64, f
 	return nil
 }
 
-// BatchSpectra computes and returns the spectrum of every signal, fanning
-// the transforms across the worker pool of BatchTransform. Row i of the
-// result is the DFT of signals[i].
-func (p *Plan) BatchSpectra(signals [][]float64) ([][]complex128, error) {
-	return p.BatchSpectraContext(context.Background(), signals)
-}
-
-// BatchSpectraContext is BatchSpectra with the cancellation and fault
-// isolation of BatchTransformContext.
-func (p *Plan) BatchSpectraContext(ctx context.Context, signals [][]float64) ([][]complex128, error) {
-	out := make([][]complex128, len(signals))
-	err := p.BatchTransformContext(ctx, signals, func(row int, spectrum []complex128) error {
-		s := make([]complex128, len(spectrum))
-		copy(s, spectrum)
-		out[row] = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // --- Package-level plan pool ---------------------------------------------
 
 // planPools holds one sync.Pool of *Plan per length, backing AcquirePlan and

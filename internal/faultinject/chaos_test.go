@@ -32,7 +32,7 @@ func TestChaosIngestion(t *testing.T) {
 	data, wantBad := genTrace(t, 2000, 100)
 
 	// Baseline: serial, no faults.
-	base, err := trace.NewIngestSource(bytes.NewReader(data), 1)
+	base, err := trace.NewIngestSourceContext(context.Background(), bytes.NewReader(data), 1, trace.ErrorPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestChaosIngestionWorkerSweepBitIdentical(t *testing.T) {
 	var wantRecs []trace.Record
 	var wantStats trace.SkipStats
 	for i, workers := range []int{1, 2, 3, 4, 8} {
-		src, err := trace.NewIngestSource(bytes.NewReader(data), workers)
+		src, err := trace.NewIngestSourceContext(context.Background(), bytes.NewReader(data), workers, trace.ErrorPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestChaosBudgetPolicy(t *testing.T) {
 
 // drainKeep drains src batch-wise, keeping the records delivered before
 // any terminal error (which trace.Collect would discard).
-func drainKeep(src trace.BatchSource) ([]trace.Record, error) {
+func drainKeep(src trace.Source) ([]trace.Record, error) {
 	var out []trace.Record
 	buf := make([]trace.Record, 1024)
 	for {
@@ -300,13 +300,13 @@ func TestChaosVectorizeSource(t *testing.T) {
 
 	// Baseline dataset, no faults.
 	mk := func() trace.Source {
-		src, err := trace.NewIngestSource(bytes.NewReader(data), 1)
+		src, err := trace.NewIngestSourceContext(context.Background(), bytes.NewReader(data), 1, trace.ErrorPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return src
 	}
-	baseDS, err := pipeline.VectorizeSource(mk(), nil, vectorizeOpts(2))
+	baseDS, err := pipeline.VectorizeSourceContext(context.Background(), mk(), nil, vectorizeOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,22 +413,22 @@ func TestChaosCancellation(t *testing.T) {
 				// Cancel after a random number of records have flowed.
 				cancelAt := rng.Intn(4000)
 				n := 0
-				gate := trace.SourceFunc(func() (trace.Record, error) { return trace.Record{}, io.EOF })
-				_ = gate
 				src, err := trace.NewIngestSourceContext(ctx, bytes.NewReader(data), workers, trace.ErrorPolicy{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer src.Close()
+				var one [1]trace.Record
 				counting := trace.SourceFunc(func() (trace.Record, error) {
-					r, err := src.Next()
-					if err == nil {
+					k, err := src.NextBatch(one[:])
+					if k == 1 {
+						err = nil // a final record's error is sticky: it comes back on the next pull
 						n++
 						if n == cancelAt {
 							cancel()
 						}
 					}
-					return r, err
+					return one[0], err
 				})
 				start := time.Now()
 				_, err = pipeline.VectorizeSourceContext(ctx, counting, nil, vectorizeOpts(workers))

@@ -69,8 +69,8 @@ func FuzzFaultySource(f *testing.F) {
 				break // any other error is a clean abort
 			}
 		}
-		if sk := src.Stats().SkippedRows(); sk < 0 || int64(src.Skipped()) != sk {
-			t.Fatalf("inconsistent skip accounting: Skipped=%d Stats=%d", src.Skipped(), sk)
+		if st := src.Stats(); st.MalformedRows < 0 || st.BadTimestamps < 0 || st.BadFields < 0 {
+			t.Fatalf("inconsistent skip accounting: %v", st)
 		}
 	})
 }

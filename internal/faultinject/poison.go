@@ -9,8 +9,9 @@ package faultinject
 // Like the fault Source, a PoisonedSource is fully deterministic: which
 // towers are poisoned is a pure hash of (Seed, TowerID), and whether the
 // poison is active is a pure function of each record's own timestamp, so
-// the same wrapped stream produces the same poisoned stream regardless of
-// read batching.
+// the same wrapped stream produces the same poisoned records regardless of
+// read batching (flood duplicates trail the batch that queued them, so
+// only their position in the stream depends on the pull size).
 
 import (
 	"math/rand"
@@ -55,11 +56,9 @@ type PoisonProfile struct {
 }
 
 // PoisonedSource wraps a trace.Source, mutating records per the profile.
-// It implements trace.Source and trace.BatchSource. Not safe for
-// concurrent use, matching the sources it wraps.
+// Not safe for concurrent use, matching the sources it wraps.
 type PoisonedSource struct {
 	src trace.Source
-	bs  trace.BatchSource
 	p   PoisonProfile
 	rng *rand.Rand
 
@@ -76,7 +75,6 @@ type PoisonedSource struct {
 func NewPoisonedSource(src trace.Source, p PoisonProfile) *PoisonedSource {
 	return &PoisonedSource{
 		src: src,
-		bs:  trace.Batched(src),
 		p:   p,
 		rng: rand.New(rand.NewSource(p.Seed)),
 	}
@@ -164,21 +162,7 @@ func (s *PoisonedSource) poison(rec trace.Record) trace.Record {
 	return rec
 }
 
-// Next implements trace.Source.
-func (s *PoisonedSource) Next() (trace.Record, error) {
-	if len(s.pending) > 0 {
-		rec := s.pending[0]
-		s.pending = s.pending[1:]
-		return rec, nil
-	}
-	rec, err := s.src.Next()
-	if err != nil {
-		return rec, err
-	}
-	return s.poison(rec), nil
-}
-
-// NextBatch implements trace.BatchSource. Flood duplicates queued by a
+// NextBatch implements trace.Source. Flood duplicates queued by a
 // previous batch are drained first.
 func (s *PoisonedSource) NextBatch(dst []trace.Record) (int, error) {
 	if len(s.pending) > 0 {
@@ -186,19 +170,11 @@ func (s *PoisonedSource) NextBatch(dst []trace.Record) (int, error) {
 		s.pending = s.pending[n:]
 		return n, nil
 	}
-	n, err := s.bs.NextBatch(dst)
+	n, err := s.src.NextBatch(dst)
 	for i := 0; i < n; i++ {
 		dst[i] = s.poison(dst[i])
 	}
 	return n, err
-}
-
-// Skipped forwards to the wrapped source.
-func (s *PoisonedSource) Skipped() int {
-	if sk, ok := s.src.(interface{ Skipped() int }); ok {
-		return sk.Skipped()
-	}
-	return 0
 }
 
 // Stats forwards to the wrapped source.

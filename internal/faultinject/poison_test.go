@@ -34,15 +34,16 @@ func poisonRecords(towers, slots int) []trace.Record {
 func drain(t *testing.T, src trace.Source) []trace.Record {
 	t.Helper()
 	var out []trace.Record
+	var one [1]trace.Record
 	for {
-		rec, err := src.Next()
+		n, err := src.NextBatch(one[:])
+		out = append(out, one[:n]...)
 		if err == io.EOF {
 			return out
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, rec)
 	}
 }
 

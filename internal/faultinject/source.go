@@ -13,24 +13,23 @@ var ErrInjected = errors.New("faultinject: injected source failure")
 // SourceProfile configures a faulty Source. The zero value injects
 // nothing. Record positions are 1-based counts of records delivered.
 type SourceProfile struct {
-	// ErrAfter makes Next/NextBatch return Err (default ErrInjected)
+	// ErrAfter makes NextBatch return Err (default ErrInjected)
 	// after this many records have been delivered. Zero disables.
 	ErrAfter int
 	// Err overrides the injected error.
 	Err error
-	// PanicAfter makes Next/NextBatch panic after this many records have
+	// PanicAfter makes NextBatch panic after this many records have
 	// been delivered — the model of a bug in a source implementation,
 	// which the pipeline's worker pools must convert into an error
 	// rather than crash on. Zero disables.
 	PanicAfter int
 }
 
-// Source wraps a trace.Source (preserving batch capability) with
-// record-level fault injection. After the configured fault fires the
-// source is dead: subsequent calls return the same error.
+// Source wraps a trace.Source with record-level fault injection. After
+// the configured fault fires the source is dead: subsequent calls return
+// the same error.
 type Source struct {
 	src       trace.Source
-	bs        trace.BatchSource
 	p         SourceProfile
 	delivered int
 	err       error
@@ -41,7 +40,7 @@ func NewSource(src trace.Source, p SourceProfile) *Source {
 	if p.Err == nil {
 		p.Err = ErrInjected
 	}
-	return &Source{src: src, bs: trace.Batched(src), p: p}
+	return &Source{src: src, p: p}
 }
 
 // Delivered returns the number of records handed out before any fault.
@@ -72,19 +71,7 @@ func (s *Source) trip() (int, error) {
 	return budget, nil
 }
 
-// Next implements trace.Source.
-func (s *Source) Next() (trace.Record, error) {
-	if _, err := s.trip(); err != nil {
-		return trace.Record{}, err
-	}
-	r, err := s.src.Next()
-	if err == nil {
-		s.delivered++
-	}
-	return r, err
-}
-
-// NextBatch implements trace.BatchSource. A batch never crosses a fault
+// NextBatch implements trace.Source. A batch never crosses a fault
 // boundary: the records before the boundary are delivered first, and the
 // fault fires on the following call — mirroring how a real source hands
 // out what it has before failing.
@@ -96,17 +83,9 @@ func (s *Source) NextBatch(dst []trace.Record) (int, error) {
 	if budget > 0 && budget < len(dst) {
 		dst = dst[:budget]
 	}
-	n, err := s.bs.NextBatch(dst)
+	n, err := s.src.NextBatch(dst)
 	s.delivered += n
 	return n, err
-}
-
-// Skipped forwards to the wrapped source.
-func (s *Source) Skipped() int {
-	if sk, ok := s.src.(interface{ Skipped() int }); ok {
-		return sk.Skipped()
-	}
-	return 0
 }
 
 // Stats forwards to the wrapped source.

@@ -54,32 +54,12 @@ func (f Features) Vector6() linalg.Vector {
 	return linalg.Vector{f.AmpWeek, f.PhaseWeek, f.AmpDay, f.PhaseDay, f.AmpHalfDay, f.PhaseHalfDay}
 }
 
-// Extract computes the spectral features of every traffic vector. The
-// vectors must all have the same length and cover nDays whole days (a
-// multiple of 7 so the weekly bin exists). It draws an FFT plan for the
-// vector length from the package-level pool; callers that already hold a
-// plan (core.Analyze) should use ExtractPlan.
-func Extract(vectors []linalg.Vector, nDays int) ([]Features, error) {
-	if len(vectors) == 0 {
-		return nil, ErrNoVectors
-	}
-	plan, err := dsp.AcquirePlan(len(vectors[0]))
-	if err != nil {
-		return nil, err
-	}
-	defer plan.Release()
-	return ExtractPlan(plan, vectors, nDays)
-}
-
-// ExtractPlan is Extract using the caller's FFT plan (whose length must
-// match the vectors). The per-tower transforms are fanned across the plan's
-// batch worker pool.
-func ExtractPlan(plan *dsp.Plan, vectors []linalg.Vector, nDays int) ([]Features, error) {
-	return ExtractPlanContext(context.Background(), plan, vectors, nDays)
-}
-
-// ExtractPlanContext is ExtractPlan with the cancellation and worker
-// fault isolation of dsp.BatchTransformContext.
+// ExtractPlanContext computes the spectral features of every traffic
+// vector using the caller's FFT plan, whose length must match the vectors.
+// The vectors must cover nDays whole days (a multiple of 7 so the weekly
+// bin exists). The per-tower transforms are fanned across the plan's batch
+// worker pool, with the cancellation and worker fault isolation of
+// dsp.BatchTransformContext.
 func ExtractPlanContext(ctx context.Context, plan *dsp.Plan, vectors []linalg.Vector, nDays int) ([]Features, error) {
 	if len(vectors) == 0 {
 		return nil, ErrNoVectors
@@ -117,25 +97,12 @@ func ExtractPlanContext(ctx context.Context, plan *dsp.Plan, vectors []linalg.Ve
 	return out, nil
 }
 
-// AmplitudeVariance returns, for each frequency bin up to maxBin
+// AmplitudeVariancePlan returns, for each frequency bin up to maxBin
 // (exclusive), the variance across towers of the normalised DFT amplitude —
 // the statistic plotted in Figure 13. The paper's observation is that the
 // variance spikes at the three principal bins, which is what makes them the
-// most discriminating features.
-func AmplitudeVariance(vectors []linalg.Vector, maxBin int) ([]float64, error) {
-	if len(vectors) == 0 {
-		return nil, ErrNoVectors
-	}
-	plan, err := dsp.AcquirePlan(len(vectors[0]))
-	if err != nil {
-		return nil, err
-	}
-	defer plan.Release()
-	return AmplitudeVariancePlan(plan, vectors, maxBin)
-}
-
-// AmplitudeVariancePlan is AmplitudeVariance using the caller's FFT plan,
-// fanning the per-tower transforms across the batch worker pool.
+// most discriminating features. It uses the caller's FFT plan, fanning the
+// per-tower transforms across the batch worker pool.
 func AmplitudeVariancePlan(plan *dsp.Plan, vectors []linalg.Vector, maxBin int) ([]float64, error) {
 	if len(vectors) == 0 {
 		return nil, ErrNoVectors

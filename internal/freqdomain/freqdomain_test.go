@@ -1,14 +1,44 @@
 package freqdomain
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/dsp"
 	"repro/internal/linalg"
 )
+
+// withPooledPlan runs fn with a pooled FFT plan of the vectors' length:
+// the shared body of the deleted plan-less wrappers Extract and
+// AmplitudeVariance, which only tests called.
+func withPooledPlan[T any](vectors []linalg.Vector, fn func(*dsp.Plan) (T, error)) (T, error) {
+	var zero T
+	if len(vectors) == 0 {
+		return zero, ErrNoVectors
+	}
+	plan, err := dsp.AcquirePlan(len(vectors[0]))
+	if err != nil {
+		return zero, err
+	}
+	defer plan.Release()
+	return fn(plan)
+}
+
+func extract(vectors []linalg.Vector, nDays int) ([]Features, error) {
+	return withPooledPlan(vectors, func(plan *dsp.Plan) ([]Features, error) {
+		return ExtractPlanContext(context.Background(), plan, vectors, nDays)
+	})
+}
+
+func amplitudeVariance(vectors []linalg.Vector, maxBin int) ([]float64, error) {
+	return withPooledPlan(vectors, func(plan *dsp.Plan) ([]float64, error) {
+		return AmplitudeVariancePlan(plan, vectors, maxBin)
+	})
+}
 
 // tone builds an nDays-day signal at slotsPerDay resolution containing a
 // daily component with the given amplitude and phase plus a half-day
@@ -31,7 +61,7 @@ func TestExtractKnownTone(t *testing.T) {
 	// cos(2π·k·n/N + φ) has DFT value (N/2)·e^{iφ} at bin k, so the
 	// normalised amplitude is dayAmp/2 and the phase is φ.
 	v := tone(nDays, perDay, 2.0, 0.7, 0.5)
-	feats, err := Extract([]linalg.Vector{v}, nDays)
+	feats, err := extract([]linalg.Vector{v}, nDays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +91,15 @@ func TestExtractKnownTone(t *testing.T) {
 }
 
 func TestExtractErrors(t *testing.T) {
-	if _, err := Extract(nil, 7); !errors.Is(err, ErrNoVectors) {
+	if _, err := extract(nil, 7); !errors.Is(err, ErrNoVectors) {
 		t.Errorf("no vectors: %v", err)
 	}
 	ok := tone(7, 144, 1, 0, 0)
 	ragged := []linalg.Vector{ok, ok[:100]}
-	if _, err := Extract(ragged, 7); !errors.Is(err, ErrBadShape) {
+	if _, err := extract(ragged, 7); !errors.Is(err, ErrBadShape) {
 		t.Errorf("ragged: %v", err)
 	}
-	if _, err := Extract([]linalg.Vector{ok}, 6); err == nil {
+	if _, err := extract([]linalg.Vector{ok}, 6); err == nil {
 		t.Error("non-whole-week coverage should fail")
 	}
 }
@@ -84,7 +114,7 @@ func TestAmplitudeVariancePeaksAtPrincipalBins(t *testing.T) {
 		v := tone(nDays, perDay, rng.Float64()*3, 0, rng.Float64())
 		vectors = append(vectors, v)
 	}
-	variance, err := AmplitudeVariance(vectors, 30)
+	variance, err := amplitudeVariance(vectors, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +130,16 @@ func TestAmplitudeVariancePeaksAtPrincipalBins(t *testing.T) {
 	if variance[halfBin] <= 0 {
 		t.Error("half-day variance should be positive")
 	}
-	if _, err := AmplitudeVariance(nil, 10); !errors.Is(err, ErrNoVectors) {
+	if _, err := amplitudeVariance(nil, 10); !errors.Is(err, ErrNoVectors) {
 		t.Errorf("no vectors: %v", err)
 	}
-	if _, err := AmplitudeVariance(vectors, 0); err == nil {
+	if _, err := amplitudeVariance(vectors, 0); err == nil {
 		t.Error("maxBin 0 should fail")
 	}
-	if _, err := AmplitudeVariance(vectors, 1e6); err == nil {
+	if _, err := amplitudeVariance(vectors, 1e6); err == nil {
 		t.Error("huge maxBin should fail")
 	}
-	if _, err := AmplitudeVariance([]linalg.Vector{vectors[0], vectors[1][:10]}, 10); err == nil {
+	if _, err := amplitudeVariance([]linalg.Vector{vectors[0], vectors[1][:10]}, 10); err == nil {
 		t.Error("ragged vectors should fail")
 	}
 }
@@ -125,7 +155,7 @@ func TestGroupStats(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		vectors = append(vectors, tone(nDays, perDay, 0.6, math.Pi/2+0.02*float64(i), 0.2))
 	}
-	feats, err := Extract(vectors, nDays)
+	feats, err := extract(vectors, nDays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +377,7 @@ func BenchmarkExtract100Towers7Days(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Extract(vectors, 7); err != nil {
+		if _, err := extract(vectors, 7); err != nil {
 			b.Fatal(err)
 		}
 	}

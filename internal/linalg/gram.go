@@ -485,23 +485,18 @@ func condensedStrip[F Float](dst []F, x *Mat[F], norms Vec[F], s int) {
 	}
 }
 
-// CrossSquaredInto writes the squared Euclidean distances between every row
-// of x and every row of y into dst (x.Rows × y.Rows) using up to `workers`
-// goroutines (≤ 0 means GOMAXPROCS). xnorms and ynorms must hold the
-// squared row norms of x and y as produced by RowNormsSquaredInto; pass
+// CrossSquaredIntoCtx writes the squared Euclidean distances between every
+// row of x and every row of y into dst (x.Rows × y.Rows) using up to
+// `workers` goroutines (≤ 0 means GOMAXPROCS). xnorms and ynorms must hold
+// the squared row norms of x and y as produced by RowNormsSquaredInto; pass
 // nil to have either computed here (allocating). Taking the norms as
 // inputs lets iterative callers — the k-means assignment step, where x
 // never changes but the centroids do — reuse point norms across
 // iterations and restarts without the kernel rewriting shared buffers.
 // Bit-identical for any worker count; with caller-provided norms the
-// serial path performs no allocations.
-func CrossSquaredInto[F Float](dst *Mat[F], x, y *Mat[F], xnorms, ynorms Vec[F], workers int) error {
-	return CrossSquaredIntoCtx(context.Background(), dst, x, y, xnorms, ynorms, workers)
-}
-
-// CrossSquaredIntoCtx is CrossSquaredInto with cancellation observed at
-// strip granularity and worker panics recovered into the returned error.
-// On early exit dst holds partial results and must not be used.
+// serial path performs no allocations. Cancellation is observed at strip
+// granularity and worker panics are recovered into the returned error; on
+// early exit dst holds partial results and must not be used.
 func CrossSquaredIntoCtx[F Float](ctx context.Context, dst *Mat[F], x, y *Mat[F], xnorms, ynorms Vec[F], workers int) error {
 	if x.Cols != y.Cols {
 		return fmt.Errorf("%w: cross distances between %d-col and %d-col rows", ErrDimensionMismatch, x.Cols, y.Cols)
@@ -677,7 +672,7 @@ func residualStrip[F Float](dst []float64, v, w, h *Mat[F], s int) {
 // row i of x and row j of y via the Gram trick, using precomputed row
 // norms (RowNormsSquaredInto). The dot product runs the kernels' shared
 // accumulation scheme, so the value is bit-identical to the corresponding
-// CrossSquaredInto entry — including the exact zero for bit-identical
+// CrossSquaredIntoCtx entry — including the exact zero for bit-identical
 // rows — without computing any of the other pairs. This is the
 // one-pair-per-point form the cluster-scatter statistic wants.
 func AssignedSquaredDistance[F Float](x, y *Mat[F], xnorms, ynorms Vec[F], i, j int) (float64, error) {

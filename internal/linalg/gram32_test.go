@@ -113,10 +113,10 @@ func testFloat32CrossMatchesFloat64Oracle(t *testing.T) {
 
 		dst32 := NewMatrix32(n, m)
 		dst64 := NewMatrix(n, m)
-		if err := CrossSquaredInto(dst32, x32, y32, nil, nil, 1); err != nil {
+		if err := crossSquaredInto(dst32, x32, y32, nil, nil, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
-		if err := CrossSquaredInto(dst64, x64, y64, nil, nil, 1); err != nil {
+		if err := crossSquaredInto(dst64, x64, y64, nil, nil, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		nscale := 0.0
@@ -212,7 +212,7 @@ func TestFloat32MulMatchesFloat64Oracle(t *testing.T) {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		par := NewMatrix32(n, m)
-		if err := a32.ParallelMulInto(par, b32, 4); err != nil {
+		if err := parallelMulInto(a32, par, b32, 4); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		for i := range want.Data {
@@ -225,7 +225,7 @@ func TestFloat32MulMatchesFloat64Oracle(t *testing.T) {
 		}
 
 		tr := NewMatrix32(k, n)
-		if err := a32.ParallelTransposeInto(tr, 4); err != nil {
+		if err := parallelTransposeInto(a32, tr, 4); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		for i := 0; i < n; i++ {
@@ -286,7 +286,7 @@ func testFloat32CoincidentRowsExactZero(t *testing.T) {
 		copy(y32.Row(0), x32.Row(0))
 		copy(y32.Row(1), x32.Row(1))
 		cross := NewMatrix32(n, 2)
-		if err := CrossSquaredInto(cross, x32, y32, nil, nil, 1); err != nil {
+		if err := crossSquaredInto(cross, x32, y32, nil, nil, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		for i := 0; i < n; i++ {
@@ -327,11 +327,11 @@ func testFloat32KernelsBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.cross = NewMatrix32(n, m)
-		if err := CrossSquaredInto(s.cross, x32, y32, nil, nil, workers); err != nil {
+		if err := crossSquaredInto(s.cross, x32, y32, nil, nil, workers); err != nil {
 			t.Fatal(err)
 		}
 		s.mul = NewMatrix32(n, m)
-		if err := a32.ParallelMulInto(s.mul, b32, workers); err != nil {
+		if err := parallelMulInto(a32, s.mul, b32, workers); err != nil {
 			t.Fatal(err)
 		}
 		return s

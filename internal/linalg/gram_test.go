@@ -163,7 +163,7 @@ func testCrossSquaredIntoMatchesOracle(t *testing.T) {
 		if err := RowNormsSquaredInto(yn, y); err != nil {
 			t.Fatal(err)
 		}
-		if err := CrossSquaredInto(dst, x, y, xn, yn, 1); err != nil {
+		if err := crossSquaredInto(dst, x, y, xn, yn, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		scale := 0.0
@@ -234,7 +234,7 @@ func testBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	if err := PairwiseSquaredCondensed(condBase, x, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := CrossSquaredInto(crossBase, x, y, nil, nil, 1); err != nil {
+	if err := crossSquaredInto(crossBase, x, y, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range workerCounts() {
@@ -251,7 +251,7 @@ func testBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		if err := PairwiseSquaredCondensed(cond, x, nil, workers); err != nil {
 			t.Fatal(err)
 		}
-		if err := CrossSquaredInto(cross, x, y, nil, nil, workers); err != nil {
+		if err := crossSquaredInto(cross, x, y, nil, nil, workers); err != nil {
 			t.Fatal(err)
 		}
 		for i := range gramBase.Data {
@@ -316,10 +316,10 @@ func TestBlockedKernelDimensionErrors(t *testing.T) {
 	if err := PairwiseSquaredCondensed(make([]float64, 44), x, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("condensed wrong buffer: %v", err)
 	}
-	if err := CrossSquaredInto(NewMatrix(10, 3), x, NewMatrix(3, 5), nil, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
+	if err := crossSquaredInto(NewMatrix(10, 3), x, NewMatrix(3, 5), nil, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("cross mismatched cols: %v", err)
 	}
-	if err := CrossSquaredInto(NewMatrix(9, 3), x, NewMatrix(3, 4), nil, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
+	if err := crossSquaredInto(NewMatrix(9, 3), x, NewMatrix(3, 4), nil, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("cross wrong dst: %v", err)
 	}
 	if err := RowNormsSquaredInto(make(Vector, 9), x); !errors.Is(err, ErrDimensionMismatch) {
@@ -355,7 +355,7 @@ func TestBlockedKernelsZeroAllocWarmed(t *testing.T) {
 		t.Errorf("condensed kernel: %v allocs/op warmed, want 0", n)
 	}
 	if n := testing.AllocsPerRun(10, func() {
-		if err := CrossSquaredInto(cross, x, y, norms, ynorms, 1); err != nil {
+		if err := crossSquaredInto(cross, x, y, norms, ynorms, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

@@ -214,7 +214,7 @@ func (m *Mat[F]) MulInto(dst, other *Mat[F]) error {
 	return nil
 }
 
-// mulRows is the shared micro-kernel of MulInto and ParallelMulInto: it
+// mulRows is the shared micro-kernel of MulInto and ParallelMulIntoCtx: it
 // computes output rows [lo, hi) of dst = m · other. The interior runs four
 // output rows at a time with a fused inner loop, so each row of `other` is
 // loaded once per four accumulator rows instead of once per row — the

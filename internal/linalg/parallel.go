@@ -103,18 +103,18 @@ func parallelRowBlocks(ctx context.Context, rows, workers int, fn func(lo, hi in
 	return nil
 }
 
-// ParallelMulInto writes m · other into dst using up to `workers`
+// ParallelMulIntoCtx writes m · other into dst using up to `workers`
 // goroutines (≤ 0 means GOMAXPROCS). dst must be Rows×other.Cols and must
 // not share storage with m or other. The result is bit-identical to
 // MulInto for any worker count: output rows are partitioned into blocks and
 // each row is accumulated in the same k-then-j order as the serial kernel.
-func (m *Mat[F]) ParallelMulInto(dst, other *Mat[F], workers int) error {
-	return m.ParallelMulIntoCtx(context.Background(), dst, other, workers)
-}
-
-// ParallelMulIntoCtx is ParallelMulInto with cancellation: ctx is observed
-// between row blocks (and once up front on the serial path), and a worker
-// panic comes back as an error instead of killing the process.
+// ctx is observed between row blocks (and once up front on the serial
+// path), and a worker panic comes back as an error instead of killing the
+// process.
+//
+// No main package reaches it since the NMF updates moved to Gram form; it
+// stays because internal/nmf's factorizeOracle — the reference the Gram
+// form is tested against — is built on it.
 func (m *Mat[F]) ParallelMulIntoCtx(ctx context.Context, dst, other *Mat[F], workers int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -134,16 +134,11 @@ func (m *Mat[F]) ParallelMulIntoCtx(ctx context.Context, dst, other *Mat[F], wor
 	})
 }
 
-// ParallelTransposeInto writes mᵀ into dst using up to `workers` goroutines
-// (≤ 0 means GOMAXPROCS). dst must be Cols×Rows and must not share storage
-// with m. Each destination element is written exactly once, so the result
-// is bit-identical to TransposeInto for any worker count.
-func (m *Mat[F]) ParallelTransposeInto(dst *Mat[F], workers int) error {
-	return m.ParallelTransposeIntoCtx(context.Background(), dst, workers)
-}
-
-// ParallelTransposeIntoCtx is ParallelTransposeInto with cancellation and
-// worker panic recovery; see ParallelMulIntoCtx for the contract.
+// ParallelTransposeIntoCtx writes mᵀ into dst using up to `workers`
+// goroutines (≤ 0 means GOMAXPROCS). dst must be Cols×Rows and must not
+// share storage with m. Each destination element is written exactly once,
+// so the result is bit-identical to TransposeInto for any worker count.
+// Cancellation and worker panic recovery are as for ParallelMulIntoCtx.
 func (m *Mat[F]) ParallelTransposeIntoCtx(ctx context.Context, dst *Mat[F], workers int) error {
 	if err := ctx.Err(); err != nil {
 		return err

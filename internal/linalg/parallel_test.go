@@ -1,11 +1,27 @@
 package linalg
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
 )
+
+// The ctx-less forms of the parallel kernels, deleted from the package
+// because only tests called them.
+
+func parallelMulInto[F Float](m, dst, other *Mat[F], workers int) error {
+	return m.ParallelMulIntoCtx(context.Background(), dst, other, workers)
+}
+
+func parallelTransposeInto[F Float](m, dst *Mat[F], workers int) error {
+	return m.ParallelTransposeIntoCtx(context.Background(), dst, workers)
+}
+
+func crossSquaredInto[F Float](dst, x, y *Mat[F], xnorms, ynorms Vec[F], workers int) error {
+	return CrossSquaredIntoCtx(context.Background(), dst, x, y, xnorms, ynorms, workers)
+}
 
 // randomMatrix fills a rows×cols matrix with standard normal values, with a
 // sprinkling of exact zeros to exercise the a==0 skip of the kernels.
@@ -39,7 +55,7 @@ func TestResolveWorkers(t *testing.T) {
 	}
 }
 
-// Property: ParallelMulInto is bit-identical to the serial MulInto for any
+// Property: ParallelMulIntoCtx is bit-identical to the serial MulInto for any
 // worker count, including shapes that do not divide evenly into blocks and
 // matrices small enough to take the serial fallback.
 func TestParallelMulIntoMatchesSerial(t *testing.T) {
@@ -61,7 +77,7 @@ func TestParallelMulIntoMatchesSerial(t *testing.T) {
 		}
 		for _, workers := range workerCounts() {
 			got := randomMatrix(rng, s[0], s[2]) // pre-soiled: the kernel must overwrite
-			if err := a.ParallelMulInto(got, bm, workers); err != nil {
+			if err := parallelMulInto(a, got, bm, workers); err != nil {
 				t.Fatalf("shape %v workers %d: %v", s, workers, err)
 			}
 			for i := range want.Data {
@@ -85,7 +101,7 @@ func TestParallelTransposeIntoMatchesSerial(t *testing.T) {
 		}
 		for _, workers := range workerCounts() {
 			got := randomMatrix(rng, s[1], s[0])
-			if err := m.ParallelTransposeInto(got, workers); err != nil {
+			if err := parallelTransposeInto(m, got, workers); err != nil {
 				t.Fatalf("shape %v workers %d: %v", s, workers, err)
 			}
 			for i := range want.Data {
@@ -102,18 +118,18 @@ func TestParallelKernelDimensionErrors(t *testing.T) {
 	b := NewMatrix(50, 70) // inner dimension mismatch
 	dst := NewMatrix(100, 70)
 	for _, workers := range []int{1, 4} {
-		if err := a.ParallelMulInto(dst, b, workers); !errors.Is(err, ErrDimensionMismatch) {
+		if err := parallelMulInto(a, dst, b, workers); !errors.Is(err, ErrDimensionMismatch) {
 			t.Errorf("workers %d: mismatched product: %v", workers, err)
 		}
 		bad := NewMatrix(10, 10)
 		ok := NewMatrix(60, 100)
-		if err := a.ParallelMulInto(bad, NewMatrix(60, 70), workers); !errors.Is(err, ErrDimensionMismatch) {
+		if err := parallelMulInto(a, bad, NewMatrix(60, 70), workers); !errors.Is(err, ErrDimensionMismatch) {
 			t.Errorf("workers %d: wrong dst shape: %v", workers, err)
 		}
-		if err := a.ParallelTransposeInto(bad, workers); !errors.Is(err, ErrDimensionMismatch) {
+		if err := parallelTransposeInto(a, bad, workers); !errors.Is(err, ErrDimensionMismatch) {
 			t.Errorf("workers %d: wrong transpose dst: %v", workers, err)
 		}
-		if err := a.ParallelTransposeInto(ok, workers); err != nil {
+		if err := parallelTransposeInto(a, ok, workers); err != nil {
 			t.Errorf("workers %d: valid transpose: %v", workers, err)
 		}
 	}
@@ -131,7 +147,7 @@ func BenchmarkLinalg_ParallelMulInto(b *testing.B) {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := a.ParallelMulInto(dst, m, bench.workers); err != nil {
+				if err := parallelMulInto(a, dst, m, bench.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -143,7 +143,7 @@ func factorizeOracle[F linalg.Float](ctx context.Context, v *linalg.Mat[F], opts
 // in float64 at either precision, so the error — and therefore the
 // convergence decision — is identical for any worker count.
 func frobeniusErrorOracle[F linalg.Float](v, w, h, wh *linalg.Mat[F], workers int) float64 {
-	if err := w.ParallelMulInto(wh, h, workers); err != nil {
+	if err := w.ParallelMulIntoCtx(context.Background(), wh, h, workers); err != nil {
 		return math.Inf(1)
 	}
 	var s float64

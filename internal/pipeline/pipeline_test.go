@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -29,6 +30,16 @@ func rec(towerID, userID int, at time.Time, bytes int64) trace.Record {
 	}
 }
 
+// vectorizeSource and vectorizeRecords are the ctx-less and slice wrappers
+// the package shed (only tests called them), kept as their one-line bodies.
+func vectorizeSource(src trace.Source, towers []trace.TowerInfo, opts VectorizerOptions) (*Dataset, error) {
+	return VectorizeSourceContext(context.Background(), src, towers, opts)
+}
+
+func vectorizeRecords(records []trace.Record, towers []trace.TowerInfo, opts VectorizerOptions) (*Dataset, error) {
+	return vectorizeSource(trace.SliceSource(records), towers, opts)
+}
+
 func TestVectorizeRecordsBasic(t *testing.T) {
 	records := []trace.Record{
 		rec(1, 10, start.Add(5*time.Minute), 100),                // slot 0
@@ -39,7 +50,7 @@ func TestVectorizeRecordsBasic(t *testing.T) {
 	towers := []trace.TowerInfo{
 		{TowerID: 1, Location: geo.Point{Lat: 31.2, Lon: 121.5}, Resolved: true},
 	}
-	ds, err := VectorizeRecords(records, towers, defaultOpts())
+	ds, err := vectorizeRecords(records, towers, defaultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +94,7 @@ func TestVectorizeRecordsDropsOutOfWindow(t *testing.T) {
 		rec(1, 1, start.Add(8*24*time.Hour), 100), // after trimmed window
 		rec(1, 1, start.Add(time.Hour), 7),        // inside
 	}
-	ds, err := VectorizeRecords(records, nil, defaultOpts())
+	ds, err := vectorizeRecords(records, nil, defaultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +109,7 @@ func TestVectorizeRecordsTrimsToWholeWeeks(t *testing.T) {
 	opts := defaultOpts()
 	opts.Days = 31
 	records := []trace.Record{rec(1, 1, start.Add(time.Hour), 5)}
-	ds, err := VectorizeRecords(records, nil, opts)
+	ds, err := vectorizeRecords(records, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +121,7 @@ func TestVectorizeRecordsTrimsToWholeWeeks(t *testing.T) {
 	}
 	// KeepPartialWeeks retains all 31 days.
 	opts.KeepPartialWeeks = true
-	ds, err = VectorizeRecords(records, nil, opts)
+	ds, err = vectorizeRecords(records, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +131,7 @@ func TestVectorizeRecordsTrimsToWholeWeeks(t *testing.T) {
 	// Fewer than 7 days cannot be trimmed.
 	opts = defaultOpts()
 	opts.Days = 3
-	ds, err = VectorizeRecords(records, nil, opts)
+	ds, err = vectorizeRecords(records, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +149,7 @@ func TestVectorizeRecordsMinActiveSlots(t *testing.T) {
 	}
 	opts := defaultOpts()
 	opts.MinActiveSlots = 2
-	ds, err := VectorizeRecords(records, nil, opts)
+	ds, err := vectorizeRecords(records, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,27 +159,27 @@ func TestVectorizeRecordsMinActiveSlots(t *testing.T) {
 }
 
 func TestVectorizeRecordsErrors(t *testing.T) {
-	if _, err := VectorizeRecords(nil, nil, defaultOpts()); !errors.Is(err, ErrEmptyDataset) {
+	if _, err := vectorizeRecords(nil, nil, defaultOpts()); !errors.Is(err, ErrEmptyDataset) {
 		t.Errorf("empty records: got %v, want ErrEmptyDataset", err)
 	}
 	bad := defaultOpts()
 	bad.Start = time.Time{}
-	if _, err := VectorizeRecords([]trace.Record{rec(1, 1, start, 1)}, nil, bad); err == nil {
+	if _, err := vectorizeRecords([]trace.Record{rec(1, 1, start, 1)}, nil, bad); err == nil {
 		t.Error("zero start should fail")
 	}
 	bad = defaultOpts()
 	bad.Days = 0
-	if _, err := VectorizeRecords([]trace.Record{rec(1, 1, start, 1)}, nil, bad); err == nil {
+	if _, err := vectorizeRecords([]trace.Record{rec(1, 1, start, 1)}, nil, bad); err == nil {
 		t.Error("zero days should fail")
 	}
 	bad = defaultOpts()
 	bad.SlotMinutes = 13
-	if _, err := VectorizeRecords([]trace.Record{rec(1, 1, start, 1)}, nil, bad); err == nil {
+	if _, err := vectorizeRecords([]trace.Record{rec(1, 1, start, 1)}, nil, bad); err == nil {
 		t.Error("bad slot minutes should fail")
 	}
 	bad = defaultOpts()
 	bad.MinActiveSlots = -1
-	if _, err := VectorizeRecords([]trace.Record{rec(1, 1, start, 1)}, nil, bad); err == nil {
+	if _, err := vectorizeRecords([]trace.Record{rec(1, 1, start, 1)}, nil, bad); err == nil {
 		t.Error("negative MinActiveSlots should fail")
 	}
 }

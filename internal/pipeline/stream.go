@@ -21,33 +21,31 @@ import (
 // while keeping the in-flight working set small and bounded.
 const sourceBatchSize = 512
 
-// VectorizeSource is the streaming form of VectorizeRecords: it pulls
-// record batches from src (through trace.Batched, so batch-capable
-// sources like the ingestion Scanner, ParallelCSVSource and
-// trace.CleanedSource hand over thousands of records per interface
-// call) and shards them by tower ID across a worker pool of per-tower
-// slot accumulators. Peak memory is O(towers × slots) for the
-// accumulators plus a bounded number of in-flight record batches —
-// never O(records) — so a trace of any length can be vectorised in
-// constant space per tower.
+// VectorizeSourceContext is the traffic vectorizer: it aggregates
+// cleaned connection records into per-tower traffic vectors and z-score
+// normalises them. It pulls record batches from src — thousands of
+// records per interface call — and shards them by tower ID across a
+// worker pool of per-tower slot accumulators. Peak memory is
+// O(towers × slots) for the accumulators plus a bounded number of
+// in-flight record batches — never O(records) — so a trace of any length
+// can be vectorised in constant space per tower.
 //
-// The record stream is typically a trace ingestion source (possibly
-// wrapped in trace.CleanSource) or a synthetic city's log source. As with
-// VectorizeRecords, a record's bytes are attributed to the slot containing
-// its start time, records outside the aggregation window are dropped, and
-// every tower appearing in the stream gets a row even if all its records
-// fall outside the window.
-func VectorizeSource(src trace.Source, towers []trace.TowerInfo, opts VectorizerOptions) (*Dataset, error) {
-	return VectorizeSourceContext(context.Background(), src, towers, opts)
-}
-
-// VectorizeSourceContext is VectorizeSource with cancellation and worker
-// fault isolation: ctx is observed between source batches (a Background
-// context costs nothing), a panic inside a shard worker — or inside the
-// source itself — is returned as a *panicsafe.Error instead of crashing
-// the process, and on any early exit — cancellation, source failure or
-// worker panic — every shard worker drains and terminates before the
-// call returns.
+// The record stream is typically a trace ingestion source wrapped in
+// trace.CleanSourceWindow, or a synthetic city's log source. Following
+// the paper's chunking of logs into 10-minute segments, a record's bytes
+// are attributed to the slot containing its start time; records outside
+// the aggregation window are dropped, and every tower appearing in the
+// stream gets a row even if all its records fall outside the window.
+// Tower locations are taken from the supplied tower infos (resolved
+// during preprocessing); towers absent from the infos still get a vector
+// with a zero location.
+//
+// Cancellation and worker fault isolation: ctx is observed between source
+// batches (a Background context costs nothing), a panic inside a shard
+// worker — or inside the source itself — is returned as a
+// *panicsafe.Error instead of crashing the process, and on any early
+// exit — cancellation, source failure or worker panic — every shard
+// worker drains and terminates before the call returns.
 func VectorizeSourceContext(ctx context.Context, src trace.Source, towers []trace.TowerInfo, opts VectorizerOptions) (*Dataset, error) {
 	if src == nil {
 		return nil, fmt.Errorf("pipeline: nil source")
@@ -132,7 +130,6 @@ func VectorizeSourceContext(ctx context.Context, src trace.Source, towers []trac
 	}
 
 	done := ctx.Done()
-	batched := trace.Batched(src)
 	inp := trace.GetBatch()
 	// The read loop runs under panic recovery: a panicking source would
 	// otherwise unwind this goroutine before the shard channels close,
@@ -142,7 +139,7 @@ func VectorizeSourceContext(ctx context.Context, src trace.Source, towers []trac
 			if stop.Load() || (done != nil && ctx.Err() != nil) {
 				return nil
 			}
-			n, err := batched.NextBatch(*inp)
+			n, err := src.NextBatch(*inp)
 			for _, r := range (*inp)[:n] {
 				w := r.TowerID % workers
 				if w < 0 {

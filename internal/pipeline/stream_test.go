@@ -40,8 +40,9 @@ func datasetsEqual(a, b *Dataset) error {
 	return nil
 }
 
-// Property: VectorizeSource over a stream of records produces a dataset
-// identical to the (wrapped) slice path, for random record batches
+// Property: vectorizing a stream that arrives one record at a time
+// (through the SourceFunc adapter) produces a dataset identical to
+// vectorizing the slice in full batches, for random record batches
 // including out-of-window records and towers without locations.
 func TestVectorizeSourceMatchesRecordsProperty(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
@@ -58,12 +59,20 @@ func TestVectorizeSourceMatchesRecordsProperty(t *testing.T) {
 			at := start.Add(time.Duration(rng.Intn(9*24*60)-60) * time.Minute)
 			records[i] = rec(rng.Intn(5), rng.Intn(10), at, int64(1+rng.Intn(1e6)))
 		}
-		want, err := VectorizeRecords(records, towers, defaultOpts())
+		want, err := vectorizeRecords(records, towers, defaultOpts())
 		if err != nil {
 			t.Logf("slice path: %v", err)
 			return false
 		}
-		got, err := VectorizeSource(trace.SliceSource(records), towers, defaultOpts())
+		pos := 0
+		scalar := trace.SourceFunc(func() (trace.Record, error) {
+			if pos == len(records) {
+				return trace.Record{}, io.EOF
+			}
+			pos++
+			return records[pos-1], nil
+		})
+		got, err := vectorizeSource(scalar, towers, defaultOpts())
 		if err != nil {
 			t.Logf("stream path: %v", err)
 			return false
@@ -81,15 +90,15 @@ func TestVectorizeSourceMatchesRecordsProperty(t *testing.T) {
 
 func TestVectorizeSourceErrors(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
-	if _, err := VectorizeSource(nil, nil, defaultOpts()); err == nil {
+	if _, err := vectorizeSource(nil, nil, defaultOpts()); err == nil {
 		t.Error("nil source should fail")
 	}
-	if _, err := VectorizeSource(trace.SliceSource(nil), nil, defaultOpts()); !errors.Is(err, ErrEmptyDataset) {
+	if _, err := vectorizeSource(trace.SliceSource(nil), nil, defaultOpts()); !errors.Is(err, ErrEmptyDataset) {
 		t.Errorf("empty source: got %v, want ErrEmptyDataset", err)
 	}
 	bad := defaultOpts()
 	bad.SlotMinutes = 13
-	if _, err := VectorizeSource(trace.SliceSource([]trace.Record{rec(1, 1, start, 1)}), nil, bad); err == nil {
+	if _, err := vectorizeSource(trace.SliceSource([]trace.Record{rec(1, 1, start, 1)}), nil, bad); err == nil {
 		t.Error("bad slot minutes should fail")
 	}
 
@@ -103,7 +112,7 @@ func TestVectorizeSourceErrors(t *testing.T) {
 		}
 		return rec(n%3, n, start.Add(time.Duration(n)*time.Second), 10), nil
 	})
-	if _, err := VectorizeSource(src, nil, defaultOpts()); !errors.Is(err, boom) {
+	if _, err := vectorizeSource(src, nil, defaultOpts()); !errors.Is(err, boom) {
 		t.Errorf("source error should propagate, got %v", err)
 	}
 }
@@ -116,7 +125,7 @@ func TestVectorizeSourceKeepsOutOfWindowTowers(t *testing.T) {
 		rec(1, 1, start.Add(time.Hour), 7),
 		rec(9, 1, start.Add(-time.Hour), 100),
 	}
-	ds, err := VectorizeSource(trace.SliceSource(records), nil, defaultOpts())
+	ds, err := vectorizeSource(trace.SliceSource(records), nil, defaultOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +197,7 @@ func BenchmarkIngestSlice(b *testing.B) {
 				for j := range records {
 					records[j] = genRecord(j, sc.towers, sc.days)
 				}
-				if _, err := VectorizeRecords(records, nil, opts); err != nil {
+				if _, err := vectorizeRecords(records, nil, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -207,7 +216,7 @@ func BenchmarkIngestStream(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				src := &benchSource{n: n, towers: sc.towers, days: sc.days}
-				if _, err := VectorizeSource(src, nil, opts); err != nil {
+				if _, err := vectorizeSource(trace.SourceFunc(src.Next), nil, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

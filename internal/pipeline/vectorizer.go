@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/linalg"
-	"repro/internal/trace"
 )
 
 // VectorizerOptions configure the traffic vectorizer.
@@ -71,22 +70,6 @@ func (o VectorizerOptions) effectiveDays() int {
 	return weeks * 7
 }
 
-// VectorizeRecords aggregates cleaned connection records into per-tower
-// traffic vectors and z-score normalises them. Tower locations are taken
-// from the supplied tower infos (resolved during preprocessing); towers
-// absent from the infos still get a vector with a zero location.
-//
-// A record's bytes are attributed to the slot containing its start time,
-// following the paper's chunking of logs into 10-minute segments.
-//
-// VectorizeRecords is a thin wrapper over the streaming core: the slice is
-// replayed through VectorizeSource, which shards it across the worker
-// pool. Callers that do not already hold the records in memory should use
-// VectorizeSource directly and keep memory at O(towers × slots).
-func VectorizeRecords(records []trace.Record, towers []trace.TowerInfo, opts VectorizerOptions) (*Dataset, error) {
-	return VectorizeSource(trace.SliceSource(records), towers, opts)
-}
-
 // SeriesInput is a pre-aggregated per-tower traffic series, the fast path
 // used when the ground-truth series is already available (synthetic data)
 // or when aggregation happened upstream.
@@ -99,8 +82,9 @@ type SeriesInput struct {
 // VectorizeSeries builds a dataset directly from pre-aggregated series.
 // Each series must cover opts.Days days at opts.SlotMinutes granularity;
 // the vectorizer trims them to whole weeks and z-score normalises, sharing
-// the normalisation code path with VectorizeRecords. The series bytes are
-// copied exactly once — straight into the dataset's flat matrix backing.
+// the normalisation code path with VectorizeSourceContext. The series
+// bytes are copied exactly once — straight into the dataset's flat matrix
+// backing.
 func VectorizeSeries(series []SeriesInput, opts VectorizerOptions) (*Dataset, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {

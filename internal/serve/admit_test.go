@@ -149,8 +149,8 @@ func cityRecords(city *synth.City, series []synth.TowerSeries, fromDay, toDay in
 	return recs
 }
 
-// drainInto pumps a batched source dry into the window.
-func drainInto(tb testing.TB, w *window.Window, src trace.BatchSource) {
+// drainInto pumps a source dry into the window.
+func drainInto(tb testing.TB, w *window.Window, src trace.Source) {
 	tb.Helper()
 	buf := make([]trace.Record, 512)
 	for {

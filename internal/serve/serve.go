@@ -258,10 +258,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Store returns the server's generational snapshot store, nil when no
-// SnapshotPath is configured.
-func (s *Server) Store() *SnapshotStore { return s.store }
-
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
@@ -357,8 +353,8 @@ func (s *Server) saveSnapshot() error {
 // backoff: a restart re-reads from wherever the source is, with a fresh
 // dedup window.
 func (s *Server) runIngest(ctx context.Context) error {
-	cleaned := trace.CleanSourceWindowContext(ctx, s.cfg.Source, s.cfg.CleanWindow)
-	err := trace.ForEachBatchContext(ctx, cleaned, func(batch []trace.Record) error {
+	cleaned := trace.CleanSourceWindow(trace.WithContext(ctx, s.cfg.Source), s.cfg.CleanWindow)
+	err := trace.ForEachBatch(cleaned, func(batch []trace.Record) error {
 		s.cfg.Window.AddBatch(batch)
 		s.met.ingestRecords.Add(uint64(len(batch)))
 		s.met.ingestBatches.Add(1)

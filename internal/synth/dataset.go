@@ -13,7 +13,8 @@ import (
 // whole weeks and z-score normalised). It is the fast path used by the
 // experiments and examples; the slow path — emitting CDR logs, cleaning
 // them and vectorising the records — exercises the same aggregation code
-// via pipeline.VectorizeRecords and is covered by the integration tests.
+// via pipeline.VectorizeSourceContext and is covered by the integration
+// tests.
 func (c *City) BuildDataset() (*pipeline.Dataset, error) {
 	series, err := c.GenerateSeries()
 	if err != nil {

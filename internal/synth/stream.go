@@ -27,11 +27,11 @@ type logItem struct {
 }
 
 // LogStream adapts the push-based GenerateLogsFunc into a pull-based
-// trace.Source and trace.BatchSource, so a synthetic city's CDR log can
-// flow straight into the streaming cleaner and vectorizer without ever
-// materialising the record slice. It is backed by a coroutine
-// (iter.Pull) that yields records in batches; call Close to release it
-// if the stream is abandoned before io.EOF.
+// trace.Source, so a synthetic city's CDR log can flow straight into the
+// streaming cleaner and vectorizer without ever materialising the record
+// slice. It is backed by a coroutine (iter.Pull) that yields records in
+// batches; call Close to release it if the stream is abandoned before
+// io.EOF.
 type LogStream struct {
 	next func() (logItem, bool)
 	stop func()
@@ -120,21 +120,9 @@ func (s *LogStream) pull() bool {
 	return true
 }
 
-// Next returns the next generated record, io.EOF at the end of the log,
-// or the generator's error. Errors are sticky.
-func (s *LogStream) Next() (trace.Record, error) {
-	for s.pos >= len(s.cur) {
-		if !s.pull() {
-			return trace.Record{}, s.terminalErr()
-		}
-	}
-	r := s.cur[s.pos]
-	s.pos++
-	return r, nil
-}
-
 // NextBatch copies up to len(dst) generated records into dst; see
-// trace.BatchSource for the contract. Errors are sticky.
+// trace.Source for the contract. The terminal error — io.EOF at the end
+// of the log, or the generator's error — is sticky.
 func (s *LogStream) NextBatch(dst []trace.Record) (int, error) {
 	n := 0
 	for n < len(dst) {
@@ -152,9 +140,9 @@ func (s *LogStream) NextBatch(dst []trace.Record) (int, error) {
 }
 
 // Close stops the generator coroutine early and drops any undelivered
-// records. Subsequent Next calls return io.EOF (or the generator error,
-// if one occurred). Close is idempotent and unnecessary once Next has
-// returned a non-nil error.
+// records. Subsequent NextBatch calls return io.EOF (or the generator
+// error, if one occurred). Close is idempotent and unnecessary once
+// NextBatch has returned a non-nil error.
 func (s *LogStream) Close() {
 	if !s.done {
 		s.done = true

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -8,6 +9,27 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
+
+// next pulls one record from src: the scalar pull of the deleted
+// LogStream.Next.
+func next(src trace.Source) (trace.Record, error) {
+	var one [1]trace.Record
+	for {
+		n, err := src.NextBatch(one[:])
+		if n == 1 {
+			return one[0], nil
+		}
+		if err != nil {
+			return trace.Record{}, err
+		}
+	}
+}
+
+// vectorizeSource is the body of the deleted ctx-less
+// pipeline.VectorizeSource.
+func vectorizeSource(src trace.Source, towers []trace.TowerInfo, opts pipeline.VectorizerOptions) (*pipeline.Dataset, error) {
+	return pipeline.VectorizeSourceContext(context.Background(), src, towers, opts)
+}
 
 func TestLogSourceMatchesGenerateLogs(t *testing.T) {
 	city, series := logTestCity(t)
@@ -30,7 +52,7 @@ func TestLogSourceMatchesGenerateLogs(t *testing.T) {
 		}
 	}
 	// The stream stays exhausted after EOF.
-	if _, err := src.Next(); !errors.Is(err, io.EOF) {
+	if _, err := next(src); !errors.Is(err, io.EOF) {
 		t.Errorf("exhausted stream: %v", err)
 	}
 }
@@ -38,11 +60,11 @@ func TestLogSourceMatchesGenerateLogs(t *testing.T) {
 func TestLogSourceCloseEarly(t *testing.T) {
 	city, series := logTestCity(t)
 	src := city.LogSource(series, LogOptions{})
-	if _, err := src.Next(); err != nil {
+	if _, err := next(src); err != nil {
 		t.Fatal(err)
 	}
 	src.Close()
-	if _, err := src.Next(); !errors.Is(err, io.EOF) {
+	if _, err := next(src); !errors.Is(err, io.EOF) {
 		t.Errorf("closed stream should return io.EOF, got %v", err)
 	}
 	src.Close() // idempotent
@@ -53,20 +75,20 @@ func TestLogSourcePropagatesGeneratorError(t *testing.T) {
 	bad := []TowerSeries{{TowerID: 99999, Bytes: make([]float64, city.Config.TotalSlots())}}
 	src := city.LogSource(bad, LogOptions{})
 	defer src.Close()
-	_, err := src.Next()
+	_, err := next(src)
 	if err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("generator error should surface, got %v", err)
 	}
 	// Sticky.
-	if _, err2 := src.Next(); !errors.Is(err2, err) {
+	if _, err2 := next(src); !errors.Is(err2, err) {
 		t.Errorf("error should be sticky, got %v", err2)
 	}
 }
 
-// The ISSUE's headline equivalence property: streaming a synthetic city's
-// CDR log through CleanSource + VectorizeSource yields a Dataset
-// identical to the batch path (GenerateLogs → Clean → VectorizeRecords)
-// over the same logs.
+// The headline equivalence property of streaming ingestion: streaming a
+// synthetic city's CDR log through CleanSourceWindow +
+// VectorizeSourceContext yields a Dataset identical to the batch path
+// (GenerateLogs → Clean → vectorize the slice) over the same logs.
 func TestStreamingIngestionMatchesBatchOverCityLogs(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		cfg := tinyConfig()
@@ -95,14 +117,14 @@ func TestStreamingIngestionMatchesBatchOverCityLogs(t *testing.T) {
 			t.Fatal(err)
 		}
 		cleaned, batchStats := trace.Clean(records)
-		want, err := pipeline.VectorizeRecords(cleaned, towers, opts)
+		want, err := vectorizeSource(trace.SliceSource(cleaned), towers, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		src := city.LogSource(series, LogOptions{})
-		cleanedSrc := trace.CleanSource(src)
-		got, err := pipeline.VectorizeSource(cleanedSrc, towers, opts)
+		cleanedSrc := trace.CleanSourceWindow(src, 0)
+		got, err := vectorizeSource(cleanedSrc, towers, opts)
 		src.Close()
 		if err != nil {
 			t.Fatal(err)

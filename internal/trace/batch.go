@@ -1,12 +1,8 @@
 package trace
 
-// batch.go is the batched face of the ingestion layer. PR 1 moved the
-// pipeline from slices to one-record-at-a-time Sources; at millions of
-// records per second the per-record interface call itself becomes the
-// bottleneck, so the engine now moves records in batches: producers that
-// can fill a slice in one call implement BatchSource, everything else is
-// adapted with Batched, and consumers drain through pooled batch buffers
-// so the steady state recycles a fixed set of slices.
+// batch.go holds the batch plumbing every Source consumer shares: the
+// pooled batch buffers, so the steady state recycles a fixed set of
+// slices, and ForEachBatch, the one drain loop.
 
 import (
 	"errors"
@@ -19,17 +15,6 @@ import (
 // small enough (~250 KiB of records) to stay cache- and pool-friendly.
 const DefaultBatchSize = 2048
 
-// BatchSource is a pull-based stream of record batches. NextBatch fills
-// dst with up to len(dst) records and returns how many were produced;
-// dst[:n] is always valid. A non-nil error is terminal and may accompany
-// the stream's final records: io.EOF for the normal end of stream,
-// anything else a producer failure. After a non-nil error the source
-// must not be used again. Calling NextBatch with an empty dst returns
-// (0, nil) and makes no progress.
-type BatchSource interface {
-	NextBatch(dst []Record) (int, error)
-}
-
 // SizeHinter is implemented by sources that can estimate how many
 // records remain. The hint is approximate — collectors use it to
 // preallocate, never to bound the stream.
@@ -37,32 +22,10 @@ type SizeHinter interface {
 	SizeHint() int
 }
 
-// Batched adapts src to the batch interface. Sources that already
-// implement BatchSource (the Scanner, ParallelCSVSource, CleanedSource,
-// synthetic log streams) are returned as-is; anything else is wrapped in
-// an adapter that fills batches one Next call at a time, which still
-// amortises the downstream handoffs even when the producer is scalar.
-func Batched(src Source) BatchSource {
-	if bs, ok := src.(BatchSource); ok {
-		return bs
-	}
-	return &batchAdapter{src: src}
-}
-
-type batchAdapter struct {
-	src Source
-}
-
-func (a *batchAdapter) NextBatch(dst []Record) (int, error) {
-	for i := range dst {
-		r, err := a.src.Next()
-		if err != nil {
-			return i, err
-		}
-		dst[i] = r
-	}
-	return len(dst), nil
-}
+// Batched returns src: every Source is batched. It is a shim pinned by
+// bench/layers.go, to retire with the cluster adapters in the
+// [benchmark] PR that re-points that file.
+func Batched(src Source) Source { return src }
 
 // batchPool recycles batch buffers across sources and consumers.
 // Pointers to slices avoid the allocation a plain []Record interface
@@ -92,7 +55,7 @@ func PutBatch(b *[]Record) {
 // every non-empty batch. The batch slice is reused between calls: fn
 // must not retain it. It stops at the first error from either side
 // (io.EOF from the source is the normal end of stream and yields nil).
-func ForEachBatch(src BatchSource, fn func([]Record) error) error {
+func ForEachBatch(src Source, fn func([]Record) error) error {
 	bp := GetBatch()
 	defer PutBatch(bp)
 	buf := *bp

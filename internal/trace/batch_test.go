@@ -14,10 +14,9 @@ func TestBatchedAdapterFillsAndTerminates(t *testing.T) {
 		records[i] = validRecord()
 		records[i].UserID = i
 	}
-	// Wrap in a SourceFunc so Batched cannot take the sliceSource fast
-	// path and must exercise the scalar adapter.
+	// SourceFunc is the one scalar-to-batch adapter.
 	pos := 0
-	scalar := SourceFunc(func() (Record, error) {
+	bs := SourceFunc(func() (Record, error) {
 		if pos >= len(records) {
 			return Record{}, io.EOF
 		}
@@ -25,7 +24,6 @@ func TestBatchedAdapterFillsAndTerminates(t *testing.T) {
 		pos++
 		return r, nil
 	})
-	bs := Batched(scalar)
 	dst := make([]Record, 3)
 	n, err := bs.NextBatch(dst)
 	if n != 3 || err != nil {
@@ -44,8 +42,8 @@ func TestBatchedAdapterFillsAndTerminates(t *testing.T) {
 
 func TestBatchedReturnsBatchCapableSourceAsIs(t *testing.T) {
 	src := SliceSource(nil)
-	if bs := Batched(src); bs != src.(BatchSource) {
-		t.Error("Batched should pass a BatchSource through unchanged")
+	if bs := Batched(src); bs != src {
+		t.Error("Batched should pass a Source through unchanged")
 	}
 }
 
@@ -59,7 +57,7 @@ func TestBatchedPropagatesSourceError(t *testing.T) {
 		}
 		return validRecord(), nil
 	})
-	n, err := Batched(src).NextBatch(make([]Record, 8))
+	n, err := src.NextBatch(make([]Record, 8))
 	if n != 2 || !errors.Is(err, boom) {
 		t.Fatalf("n=%d err=%v, want 2 records then boom", n, err)
 	}
@@ -73,17 +71,16 @@ func TestSliceSourceSizeHintAndBatch(t *testing.T) {
 	}
 	src := SliceSource(records).(interface {
 		Source
-		BatchSource
 		SizeHinter
 	})
 	if h := src.SizeHint(); h != 10 {
 		t.Errorf("SizeHint = %d, want 10", h)
 	}
-	if _, err := src.Next(); err != nil {
+	if _, err := next(src); err != nil {
 		t.Fatal(err)
 	}
 	if h := src.SizeHint(); h != 9 {
-		t.Errorf("SizeHint after one Next = %d, want 9", h)
+		t.Errorf("SizeHint after one record = %d, want 9", h)
 	}
 	dst := make([]Record, 4)
 	n, err := src.NextBatch(dst)
@@ -133,7 +130,7 @@ func TestForEachBatchDrainsAndStops(t *testing.T) {
 		records[i].UserID = i
 	}
 	seen := 0
-	err := ForEachBatch(Batched(SliceSource(records)), func(batch []Record) error {
+	err := ForEachBatch(SliceSource(records), func(batch []Record) error {
 		for _, r := range batch {
 			if r.UserID != seen {
 				t.Fatalf("record %d out of order: user %d", seen, r.UserID)
@@ -148,7 +145,7 @@ func TestForEachBatchDrainsAndStops(t *testing.T) {
 
 	boom := errors.New("boom")
 	calls := 0
-	err = ForEachBatch(Batched(SliceSource(records)), func([]Record) error {
+	err = ForEachBatch(SliceSource(records), func([]Record) error {
 		calls++
 		return boom
 	})
@@ -168,23 +165,23 @@ func TestBatchPoolRoundTrip(t *testing.T) {
 }
 
 // TestCleanedSourceBatchMatchesScalar verifies that draining a cleaned
-// stream batch-wise forwards exactly the records and stats of the
-// scalar path.
+// stream in batches forwards exactly the records and stats of draining
+// it one record at a time.
 func TestCleanedSourceBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		records := randomRecords(rng, 60)
 
-		wantSrc := CleanSource(SliceSource(records))
+		wantSrc := cleanSource(SliceSource(records))
 		var want []Record
-		if err := ForEach(wantSrc, func(r Record) error {
+		if err := forEach(wantSrc, func(r Record) error {
 			want = append(want, r)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 
-		gotSrc := CleanSource(SliceSource(records))
+		gotSrc := cleanSource(SliceSource(records))
 		var got []Record
 		// Vary the batch size to hit partial-batch boundaries.
 		dst := make([]Record, 1+rng.Intn(17))
@@ -214,7 +211,8 @@ func TestCleanedSourceBatchMatchesScalar(t *testing.T) {
 }
 
 // TestCleanedSourceOverScanner runs the full batched chain — scanner
-// into cleaner — against the PR 1 scalar chain over the same CSV bytes.
+// into cleaner — against the scalar encoding/csv oracle chain over the
+// same CSV bytes.
 func TestCleanedSourceOverScanner(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	records := randomRecords(rng, 200)
@@ -228,7 +226,7 @@ func TestCleanedSourceOverScanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Collect(CleanSource(cr))
+	want, err := Collect(cleanSource(SourceFunc(cr.Next)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +235,7 @@ func TestCleanedSourceOverScanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(CleanSource(sc))
+	got, err := Collect(cleanSource(sc))
 	if err != nil {
 		t.Fatal(err)
 	}

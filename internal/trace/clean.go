@@ -121,16 +121,6 @@ type conn struct {
 	seq        uint64
 }
 
-// NewCleaner returns a streaming cleaner with unbounded dedup state:
-// exact for arbitrarily reordered input, at 40 bytes per table slot —
-// ~90 bytes per distinct connection at the bench's ~16 connections per
-// tower-hour, ~70 on denser feeds, up to ~400 for a feed so sparse that
-// every connection is alone in its tower-hour. For traces whose
-// distinct-connection count exceeds memory, use NewCleanerWindow.
-func NewCleaner() *Cleaner {
-	return NewCleanerWindow(0)
-}
-
 // NewCleanerWindow returns a streaming cleaner whose dedup state is
 // bounded: state for a connection is guaranteed to be retained while the
 // last copy of that connection is within the most recent `window`
@@ -142,7 +132,11 @@ func NewCleaner() *Cleaner {
 // redundant copies adjacently, so a modest window (say 2^20) keeps
 // cleaning exact while capping memory regardless of trace length. Cells
 // emptied by eviction leave the index and their tables are reused.
-// window 0 means unbounded.
+//
+// window 0 means unbounded: exact for arbitrarily reordered input, at 40
+// bytes per table slot — ~90 bytes per distinct connection at the bench's
+// ~16 connections per tower-hour, ~70 on denser feeds, up to ~400 for a
+// feed so sparse that every connection is alone in its tower-hour.
 func NewCleanerWindow(window int) *Cleaner {
 	if window < 0 {
 		window = 0
@@ -371,53 +365,27 @@ func (c *Cleaner) Len() int { return c.conns }
 // records, including amendments.
 func (c *Cleaner) Stats() CleanStats { return c.stats }
 
-// CleanedSource filters a Source through a streaming Cleaner. It speaks
-// both the scalar and the batch interface: when the wrapped source is
-// batch-capable (a Scanner, ParallelCSVSource or synthetic log stream),
-// records flow through the cleaner a batch at a time and are compacted
-// in place, so the per-record interface call of the PR 1 design
-// disappears from the ingestion hot path.
+// CleanedSource filters a Source through a streaming Cleaner: records
+// flow through the cleaner a batch at a time and are compacted in place.
 type CleanedSource struct {
-	src     BatchSource
+	src     Source
 	cleaner *Cleaner
 }
 
-// CleanSource wraps src so that every record pulled from the returned
-// source has passed the streaming cleaner (unbounded, exact dedup
-// state). Stats are available at any time (typically after the stream is
+// CleanSourceWindow wraps src so that every record pulled from the
+// returned source has passed the streaming cleaner with a bounded dedup
+// window (see NewCleanerWindow): memory stays O(window) regardless of
+// trace length, provided copies of one connection arrive within `window`
+// records of each other. window 0 means unbounded, exact dedup state.
+// Stats are available at any time (typically after the stream is
 // drained).
-func CleanSource(src Source) *CleanedSource {
-	return CleanSourceWindow(src, 0)
-}
-
-// CleanSourceWindow is CleanSource with a bounded dedup window (see
-// NewCleanerWindow): memory stays O(window) regardless of trace length,
-// provided copies of one connection arrive within `window` records of
-// each other. window 0 means unbounded.
 func CleanSourceWindow(src Source, window int) *CleanedSource {
-	return &CleanedSource{src: Batched(src), cleaner: NewCleanerWindow(window)}
-}
-
-// Next pulls records from the underlying source until one survives
-// cleaning, and returns it. Do not interleave Next and NextBatch calls
-// with records still buffered downstream; both draw from the same
-// underlying stream.
-func (s *CleanedSource) Next() (Record, error) {
-	var one [1]Record
-	for {
-		n, err := s.NextBatch(one[:])
-		if n == 1 {
-			return one[0], nil
-		}
-		if err != nil {
-			return Record{}, err
-		}
-	}
+	return &CleanedSource{src: src, cleaner: NewCleanerWindow(window)}
 }
 
 // NextBatch fills dst with up to len(dst) records that survived
-// cleaning, compacting each underlying batch in place. See BatchSource
-// for the error contract.
+// cleaning, compacting each underlying batch in place. See Source for
+// the error contract.
 func (s *CleanedSource) NextBatch(dst []Record) (int, error) {
 	out := 0
 	for out == 0 && len(dst) > 0 {
@@ -450,7 +418,7 @@ func (s *CleanedSource) Stats() CleanStats { return s.cleaner.Stats() }
 // then tower, then user, then end time, giving the pipeline a
 // deterministic order.
 func Clean(records []Record) ([]Record, CleanStats) {
-	c := NewCleaner()
+	c := NewCleanerWindow(0)
 	fwd := make([]Record, 0, len(records))
 	for i := range records {
 		if r, ok := c.Observe(records[i]); ok {

@@ -244,7 +244,7 @@ func TestCleanerHotCellStaysLinear(t *testing.T) {
 	perRecord := func(records []Record) time.Duration {
 		best := time.Duration(1 << 62)
 		for try := 0; try < 5; try++ {
-			c := NewCleaner()
+			c := NewCleanerWindow(0)
 			begin := time.Now()
 			for i := range records {
 				c.Observe(records[i])

@@ -1,13 +1,13 @@
 package trace
 
-// context.go threads context.Context through the pull-based ingestion
-// interfaces. Sources are synchronous pulls, so cancellation is observed
-// at batch granularity: every Next/NextBatch checks ctx before touching
+// context.go is where a source pipeline observes context.Context.
+// Sources are synchronous pulls, so cancellation is observed at batch
+// granularity: every NextBatch of a CtxSource checks ctx before touching
 // the underlying source, which keeps the zero-allocation batch loops
 // intact (one channel-free comparison per batch of up to 2048 records)
 // while still bounding how much work a cancelled pipeline performs.
 // Background contexts short-circuit: ctx.Done() == nil skips the checks
-// entirely, so legacy callers pay nothing.
+// entirely.
 
 import (
 	"context"
@@ -16,25 +16,23 @@ import (
 )
 
 // CtxSource wraps a Source so that every pull observes a context. After
-// cancellation all methods return ctx.Err() (sticky). It forwards the
-// batched, size-hinting, skip-accounting and Close surfaces of the
-// wrapped source where present, so wrapping an IngestSource yields an
-// IngestSource.
+// cancellation NextBatch returns ctx.Err() (sticky). It forwards the
+// skip-accounting and Close surfaces of the wrapped source where
+// present, so wrapping an IngestSource yields an IngestSource.
 type CtxSource struct {
 	ctx  context.Context
 	done <-chan struct{}
-	bs   BatchSource
 	src  Source
 	err  error
 }
 
-// WithContext wraps src so Next/NextBatch observe ctx before every pull.
-// A nil ctx or context.Background() adds no per-batch cost.
+// WithContext wraps src so NextBatch observes ctx before every pull. A
+// nil ctx or context.Background() adds no per-batch cost.
 func WithContext(ctx context.Context, src Source) *CtxSource {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &CtxSource{ctx: ctx, done: ctx.Done(), bs: Batched(src), src: src}
+	return &CtxSource{ctx: ctx, done: ctx.Done(), src: src}
 }
 
 // check latches and returns the terminal cancellation error, if any.
@@ -51,45 +49,17 @@ func (c *CtxSource) check() error {
 	return nil
 }
 
-// Next returns the next record, or ctx.Err() once the context ends.
-func (c *CtxSource) Next() (Record, error) {
-	if err := c.check(); err != nil {
-		return Record{}, err
-	}
-	r, err := c.src.Next()
-	if err != nil && !errors.Is(err, io.EOF) {
-		c.err = err
-	}
-	return r, err
-}
-
 // NextBatch fills dst from the wrapped source, checking ctx first; see
-// BatchSource for the contract.
+// Source for the contract.
 func (c *CtxSource) NextBatch(dst []Record) (int, error) {
 	if err := c.check(); err != nil {
 		return 0, err
 	}
-	n, err := c.bs.NextBatch(dst)
+	n, err := c.src.NextBatch(dst)
 	if err != nil && !errors.Is(err, io.EOF) {
 		c.err = err
 	}
 	return n, err
-}
-
-// SizeHint forwards the wrapped source's estimate, or 0.
-func (c *CtxSource) SizeHint() int {
-	if h, ok := c.src.(SizeHinter); ok {
-		return h.SizeHint()
-	}
-	return 0
-}
-
-// Skipped forwards the wrapped source's malformed-row count, or 0.
-func (c *CtxSource) Skipped() int {
-	if s, ok := c.src.(interface{ Skipped() int }); ok {
-		return s.Skipped()
-	}
-	return 0
 }
 
 // Stats forwards the wrapped source's per-category skip stats, or zero.
@@ -107,54 +77,9 @@ func (c *CtxSource) Close() {
 	}
 }
 
-// ForEachContext is ForEach with cancellation checked before every
-// record pull.
-func ForEachContext(ctx context.Context, src Source, fn func(Record) error) error {
-	return ForEach(WithContext(ctx, src), fn)
-}
-
-// ForEachBatchContext is ForEachBatch with cancellation checked before
-// every batch pull.
-func ForEachBatchContext(ctx context.Context, src BatchSource, fn func([]Record) error) error {
-	done := ctx.Done()
-	bp := GetBatch()
-	defer PutBatch(bp)
-	buf := *bp
-	for {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		n, err := src.NextBatch(buf)
-		if n > 0 {
-			if ferr := fn(buf[:n]); ferr != nil {
-				return ferr
-			}
-		}
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// CollectContext is Collect with cancellation checked before every
-// batch pull.
-func CollectContext(ctx context.Context, src Source) ([]Record, error) {
-	return Collect(WithContext(ctx, src))
-}
-
-// CleanSourceContext is CleanSource with cancellation observed on every
-// underlying batch pull.
+// CleanSourceContext is CleanSourceWindow over WithContext with an
+// unbounded dedup window. It is a shim pinned by bench/layers.go, to
+// retire with Batched.
 func CleanSourceContext(ctx context.Context, src Source) *CleanedSource {
-	return CleanSourceWindowContext(ctx, src, 0)
-}
-
-// CleanSourceWindowContext is CleanSourceWindow with cancellation
-// observed on every underlying batch pull.
-func CleanSourceWindowContext(ctx context.Context, src Source, window int) *CleanedSource {
-	return CleanSourceWindow(WithContext(ctx, src), window)
+	return CleanSourceWindow(WithContext(ctx, src), 0)
 }

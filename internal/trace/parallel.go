@@ -47,34 +47,25 @@ const (
 )
 
 // IngestSource is the common surface of the CSV ingestion readers:
-// scalar and batched record access, malformed-row accounting (the bare
-// total and the per-category breakdown), and Close for releasing
-// background resources when a stream is abandoned before io.EOF (a no-op
-// for the serial Scanner, mandatory cleanup for the goroutine-backed
-// ParallelCSVSource).
+// batched record access, per-category malformed-row accounting, and Close
+// for releasing background resources when a stream is abandoned before
+// io.EOF (a no-op for the serial Scanner, mandatory cleanup for the
+// goroutine-backed ParallelCSVSource).
 type IngestSource interface {
 	Source
-	BatchSource
-	Skipped() int
 	Stats() SkipStats
 	Close()
 }
 
-// NewIngestSource returns the fastest CSV reader for the given worker
-// count: the serial zero-allocation Scanner for one worker (including
-// workers <= 0 resolving to GOMAXPROCS on a single-core machine, where
-// the chunk handoff would only cost), or a ParallelCSVSource fanning
-// chunk parsing across workers goroutines.
-func NewIngestSource(r io.Reader, workers int) (IngestSource, error) {
-	return NewIngestSourceContext(context.Background(), r, workers, ErrorPolicy{})
-}
-
-// NewIngestSourceContext is NewIngestSource with cancellation and an
-// explicit ingestion error policy. Cancellation is observed at batch
-// granularity on the serial path and chunk granularity on the parallel
-// path; when policy.Retry enables retrying, the reader is wrapped in a
-// RetryReader and the absorbed transient failures appear in
-// Stats().IORetries.
+// NewIngestSourceContext returns the fastest CSV reader for the given
+// worker count: the serial zero-allocation Scanner for one worker
+// (including workers <= 0 resolving to GOMAXPROCS on a single-core
+// machine, where the chunk handoff would only cost), or a
+// ParallelCSVSource fanning chunk parsing across workers goroutines. It
+// takes the ingestion error policy and observes ctx at batch granularity
+// on the serial path and chunk granularity on the parallel path; when
+// policy.Retry enables retrying, the reader is wrapped in a RetryReader
+// and the absorbed transient failures appear in Stats().IORetries.
 func NewIngestSourceContext(ctx context.Context, r io.Reader, workers int, policy ErrorPolicy) (IngestSource, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -98,7 +89,7 @@ func NewIngestSourceContext(ctx context.Context, r io.Reader, workers int, polic
 		}
 		src = WithContext(ctx, sc)
 	} else {
-		p, err := NewParallelCSVSourceContext(ctx, r, workers, policy)
+		p, err := newParallelCSVSourceOpts(ctx, r, workers, parallelChunkSize, policy)
 		if err != nil {
 			return nil, err
 		}
@@ -245,8 +236,8 @@ type parsedChunk struct {
 
 // ParallelCSVSource is an order-preserving parallel reader over the CSV
 // format written by WriteCSV / CSVWriter. It yields the same records
-// with the same malformed-row skip counts as CSVReader and Scanner, in
-// the same order, for any worker count. Not safe for concurrent use by
+// with the same malformed-row skip counts as the Scanner, in the same
+// order, for any worker count. Not safe for concurrent use by
 // multiple consumers.
 //
 // Error-policy granularity: PolicyFailFast stops exactly at the first
@@ -286,22 +277,14 @@ func NewParallelCSVSource(r io.Reader, workers int) (*ParallelCSVSource, error) 
 	return newParallelCSVSourceOpts(context.Background(), r, workers, parallelChunkSize, ErrorPolicy{})
 }
 
-// NewParallelCSVSourceContext is NewParallelCSVSource with cancellation
-// and an ingestion error policy. ctx is observed by the chunk reader,
-// the dispatch hand-off and the consumer, all at chunk granularity;
-// after cancellation Next/NextBatch return ctx.Err() and all background
-// goroutines drain. The retry part of the policy is ignored here — wrap
-// the reader (see NewIngestSourceContext) to retry transient I/O errors.
-func NewParallelCSVSourceContext(ctx context.Context, r io.Reader, workers int, policy ErrorPolicy) (*ParallelCSVSource, error) {
-	return newParallelCSVSourceOpts(ctx, r, workers, parallelChunkSize, policy)
-}
-
-// newParallelCSVSource exposes the chunk size so tests can force many
-// tiny chunks through small inputs.
-func newParallelCSVSource(r io.Reader, workers, chunkSize int) (*ParallelCSVSource, error) {
-	return newParallelCSVSourceOpts(context.Background(), r, workers, chunkSize, ErrorPolicy{})
-}
-
+// newParallelCSVSourceOpts is the constructor behind NewParallelCSVSource
+// and the parallel arm of NewIngestSourceContext. ctx is observed by the
+// chunk reader, the dispatch hand-off and the consumer, all at chunk
+// granularity; after cancellation NextBatch returns ctx.Err() and all
+// background goroutines drain. The retry part of the policy is ignored
+// here — NewIngestSourceContext wraps the reader to retry transient I/O
+// errors. chunkSize is a parameter so tests can force many tiny chunks
+// through small inputs.
 func newParallelCSVSourceOpts(ctx context.Context, r io.Reader, workers, chunkSize int, policy ErrorPolicy) (*ParallelCSVSource, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -603,25 +586,8 @@ func (p *ParallelCSVSource) advance() error {
 	return nil
 }
 
-// Next returns the next record in input order. The error is io.EOF at
-// end of input or the underlying I/O error, both sticky.
-func (p *ParallelCSVSource) Next() (Record, error) {
-	if p.err != nil {
-		return Record{}, p.err
-	}
-	for p.pos >= len(p.cur) {
-		if err := p.advance(); err != nil {
-			p.err = err
-			return Record{}, err
-		}
-	}
-	r := p.cur[p.pos]
-	p.pos++
-	return r, nil
-}
-
-// NextBatch copies up to len(dst) records in input order; see
-// BatchSource for the contract.
+// NextBatch copies up to len(dst) records in input order; see Source
+// for the contract. The terminal error is sticky.
 func (p *ParallelCSVSource) NextBatch(dst []Record) (int, error) {
 	if p.err != nil {
 		return 0, p.err
@@ -642,11 +608,6 @@ func (p *ParallelCSVSource) NextBatch(dst []Record) (int, error) {
 	return n, nil
 }
 
-// Skipped returns the number of malformed rows skipped in the chunks
-// consumed so far; after the stream is drained it is the total for the
-// whole input, equal to what CSVReader would report.
-func (p *ParallelCSVSource) Skipped() int { return int(p.stats.SkippedRows()) }
-
 // Stats returns the per-category skip accounting for the chunks consumed
 // so far; after the stream is drained it matches the serial Scanner's
 // stats for the whole input.
@@ -654,7 +615,7 @@ func (p *ParallelCSVSource) Stats() SkipStats { return p.stats }
 
 // Close stops the background reader and workers. Subsequent calls
 // return io.EOF (or the earlier terminal error). Close is idempotent
-// and unnecessary once Next or NextBatch returned a non-nil error; it
+// and unnecessary once NextBatch returned a non-nil error; it
 // does not interrupt a Read blocked in the underlying reader.
 func (p *ParallelCSVSource) Close() {
 	if p.closed {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,12 @@ import (
 
 	"repro/internal/testutil"
 )
+
+// newParallelCSVSource exposes the chunk size so tests can force many
+// tiny chunks through small inputs.
+func newParallelCSVSource(r io.Reader, workers, chunkSize int) (*ParallelCSVSource, error) {
+	return newParallelCSVSourceOpts(context.Background(), r, workers, chunkSize, ErrorPolicy{})
+}
 
 // parallelTestTrace builds a CSV trace with the full menu of realistic
 // content: clean rows, duplicates/conflicts, quoted addresses (some with
@@ -76,7 +83,7 @@ func TestParallelCSVSourceMatchesCSVReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Collect(cr)
+	want, err := Collect(SourceFunc(cr.Next))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +107,8 @@ func TestParallelCSVSourceMatchesCSVReader(t *testing.T) {
 					t.Fatalf("record %d differs:\nparallel: %+v\nserial:   %+v", i, got[i], want[i])
 				}
 			}
-			if p.Skipped() != cr.Skipped() {
-				t.Errorf("skipped %d, serial %d", p.Skipped(), cr.Skipped())
+			if int(p.Stats().SkippedRows()) != cr.Skipped() {
+				t.Errorf("skipped %d, serial %d", p.Stats().SkippedRows(), cr.Skipped())
 			}
 		})
 	}
@@ -200,8 +207,8 @@ func TestParallelCSVSourceQuotedNewlinesAcrossChunks(t *testing.T) {
 	if len(got) != rows {
 		t.Fatalf("parsed %d records, want %d (a quoted newline was torn)", len(got), rows)
 	}
-	if p.Skipped() != 0 {
-		t.Errorf("skipped %d rows of well-formed input", p.Skipped())
+	if p.Stats().SkippedRows() != 0 {
+		t.Errorf("skipped %d rows of well-formed input", p.Stats().SkippedRows())
 	}
 }
 
@@ -237,7 +244,7 @@ func TestParallelCSVSourceBareQuoteResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Collect(cr)
+	want, err := Collect(SourceFunc(cr.Next))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +266,8 @@ func TestParallelCSVSourceBareQuoteResync(t *testing.T) {
 			t.Fatalf("record %d differs", i)
 		}
 	}
-	if p.Skipped() != cr.Skipped() {
-		t.Errorf("skipped %d, serial %d", p.Skipped(), cr.Skipped())
+	if int(p.Stats().SkippedRows()) != cr.Skipped() {
+		t.Errorf("skipped %d, serial %d", p.Stats().SkippedRows(), cr.Skipped())
 	}
 }
 
@@ -306,7 +313,7 @@ func TestParallelCSVSourceErroredLineIsSkippedRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Collect(cr)
+	want, err := Collect(SourceFunc(cr.Next))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,9 +326,9 @@ func TestParallelCSVSourceErroredLineIsSkippedRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) || p.Skipped() != cr.Skipped() {
+	if len(got) != len(want) || int(p.Stats().SkippedRows()) != cr.Skipped() {
 		t.Fatalf("parallel %d records/%d skipped, serial %d/%d",
-			len(got), p.Skipped(), len(want), cr.Skipped())
+			len(got), p.Stats().SkippedRows(), len(want), cr.Skipped())
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -346,7 +353,7 @@ func TestParallelCSVSourceTinyChunksAdversarial(t *testing.T) {
 		if err != nil {
 			continue // header corrupted: construction equivalence is covered elsewhere
 		}
-		want, err := Collect(cr)
+		want, err := Collect(SourceFunc(cr.Next))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,9 +366,9 @@ func TestParallelCSVSourceTinyChunksAdversarial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) || p.Skipped() != cr.Skipped() {
+		if len(got) != len(want) || int(p.Stats().SkippedRows()) != cr.Skipped() {
 			t.Fatalf("trial %d: parallel %d/%d skipped, serial %d/%d skipped",
-				trial, len(got), p.Skipped(), len(want), cr.Skipped())
+				trial, len(got), p.Stats().SkippedRows(), len(want), cr.Skipped())
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -382,13 +389,13 @@ func TestParallelCSVSourceIOError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.Next(); err != nil {
+	if _, err := next(p); err != nil {
 		t.Fatalf("first record should parse, got %v", err)
 	}
-	if _, err := p.Next(); !errors.Is(err, broken) {
+	if _, err := next(p); !errors.Is(err, broken) {
 		t.Fatalf("I/O error should abort the stream, got %v", err)
 	}
-	if _, err := p.Next(); !errors.Is(err, broken) {
+	if _, err := next(p); !errors.Is(err, broken) {
 		t.Fatalf("error should be sticky, got %v", err)
 	}
 }
@@ -418,7 +425,7 @@ func TestParallelCSVSourceSurfacesHeaderLatchedError(t *testing.T) {
 	var got []Record
 	var gerr error
 	for {
-		r, err := p.Next()
+		r, err := next(p)
 		if err != nil {
 			gerr = err
 			break
@@ -449,7 +456,7 @@ func TestParallelCSVSourceCloseEarly(t *testing.T) {
 	}
 	p.Close()
 	p.Close() // idempotent
-	if _, err := p.Next(); !errors.Is(err, io.EOF) {
+	if _, err := next(p); !errors.Is(err, io.EOF) {
 		t.Errorf("closed source should return io.EOF, got %v", err)
 	}
 }
@@ -466,14 +473,14 @@ func TestParallelCSVSourceBadHeader(t *testing.T) {
 // TestIngestSourceSelection checks the worker-count dispatch helper.
 func TestIngestSourceSelection(t *testing.T) {
 	data := parallelTestTrace(t, 500, 2)
-	serial, err := NewIngestSource(bytes.NewReader(data), 1)
+	serial, err := newIngestSource(bytes.NewReader(data), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := serial.(*Scanner); !ok {
 		t.Errorf("workers=1 should select the serial Scanner, got %T", serial)
 	}
-	par, err := NewIngestSource(bytes.NewReader(data), 2)
+	par, err := newIngestSource(bytes.NewReader(data), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,9 +498,9 @@ func TestIngestSourceSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) || serial.Skipped() != par.Skipped() {
+	if len(a) != len(b) || serial.Stats().SkippedRows() != par.Stats().SkippedRows() {
 		t.Fatalf("serial %d/%d skipped, parallel %d/%d skipped",
-			len(a), serial.Skipped(), len(b), par.Skipped())
+			len(a), serial.Stats().SkippedRows(), len(b), par.Stats().SkippedRows())
 	}
 	for i := range a {
 		if a[i] != b[i] {

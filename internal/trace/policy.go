@@ -103,7 +103,7 @@ var ErrBudgetExceeded = errors.New("ingestion error budget exceeded")
 var ErrRowRejected = errors.New("row rejected by fail-fast ingestion policy")
 
 // SkipStats breaks the dropped-row accounting of an ingestion source
-// down by cause. Skipped() remains the backwards-compatible total.
+// down by cause; SkippedRows is the total.
 type SkipStats struct {
 	// MalformedRows counts structurally broken CSV rows: quoting errors,
 	// wrong field counts — rows encoding/csv itself would reject.
@@ -186,15 +186,15 @@ func (s *SkipStats) count(c skipCategory) {
 // failed read) starts. The header row is line 1. It wraps the underlying
 // cause for errors.Is / errors.As.
 //
-// Line numbers from the encoding/csv-backed CSVReader are best-effort
-// for quoted rows spanning physical lines (each record counts as one
-// line); the byte-level Scanner and ParallelCSVSource count physical
-// lines exactly.
+// The byte-level Scanner and ParallelCSVSource count physical lines
+// exactly; the encoding/csv-backed CSVReader the tests keep as their
+// oracle is best-effort for quoted rows spanning physical lines (each
+// record counts as one line).
 type PosError struct {
 	// Line is the 1-based line number of the failing row's first line.
 	Line int64
-	// Offset is the byte offset of that line's start (Scanner paths) or
-	// of the reader's position when the error surfaced (CSVReader paths).
+	// Offset is the byte offset of that line's start, or of the stream
+	// position at which a failed read surfaced.
 	Offset int64
 	// Err is the underlying cause.
 	Err error

@@ -62,7 +62,7 @@ func TestIOErrorCarriesPosition(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = Collect(cr)
+			_, err = Collect(SourceFunc(cr.Next))
 			return err
 		}},
 		{"Scanner", func() error {
@@ -223,7 +223,7 @@ func TestSkipStatsCategories(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			recs, err := Collect(cr)
+			recs, err := Collect(SourceFunc(cr.Next))
 			return cr, recs, err
 		},
 		"Parallel": func() (interface{ Stats() SkipStats }, []Record, error) {
@@ -383,7 +383,7 @@ func TestParallelCancellationProperty(t *testing.T) {
 }
 
 // TestCtxSourceCancellation asserts WithContext latches cancellation for
-// scalar and batch reads alike.
+// one-record and full-batch reads alike.
 func TestCtxSourceCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var served atomic.Int64
@@ -391,14 +391,14 @@ func TestCtxSourceCancellation(t *testing.T) {
 		served.Add(1)
 		return validRecord(), nil
 	}))
-	if _, err := src.Next(); err != nil {
+	if _, err := next(src); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	if _, err := src.Next(); !errors.Is(err, context.Canceled) {
+	if _, err := next(src); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	// Sticky: still cancelled on the batch path.
+	// Sticky: still cancelled for a wider batch.
 	if _, err := src.NextBatch(make([]Record, 4)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch read after cancel: %v", err)
 	}

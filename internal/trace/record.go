@@ -4,23 +4,25 @@
 // location information through the geocoder, and computing spatial traffic
 // density.
 //
-// Ingestion is batched and allocation-free: NewIngestSource returns
-// either the byte-level Scanner or the order-preserving parallel chunk
-// parser (ParallelCSVSource), both equivalence-tested against the
-// encoding/csv CSVReader; records move downstream through the
-// BatchSource interface. The write path (WriteCSV, CSVWriter,
-// WriteTowersCSV) is symmetric, serialising rows into reused buffers.
+// Ingestion is batched and allocation-free. Records move through one
+// interface, Source (NextBatch), and each stage has one entry point:
+// NewIngestSourceContext reads CSV — the byte-level Scanner for one
+// worker, the order-preserving parallel chunk parser (ParallelCSVSource)
+// for more, both equivalence-tested against an encoding/csv oracle kept
+// with the tests — CleanSourceWindow filters a source through the
+// streaming Cleaner, and ForEachBatch drains one. The write path
+// (WriteCSV, CSVWriter, WriteTowersCSV) is symmetric, serialising rows
+// into reused buffers.
 //
-// Fault tolerance: the CSV constructors have context-aware forms
-// (NewIngestSourceContext, NewParallelCSVSourceContext) taking an
-// ErrorPolicy that selects skip / fail-fast / budget handling of
-// malformed rows, with per-category skip accounting (SkipStats) and
-// bounded retry of transient read errors (RetryPolicy); NewIngestSource
-// and NewParallelCSVSource are the same with context.Background() and the
-// skip-everything policy. WithContext makes any source observe
-// cancellation between batches, and CleanSourceContext is CleanSource
-// over it. Terminal errors from the readers carry the failing row's line
-// number and byte offset via *PosError.
+// Fault tolerance: NewIngestSourceContext takes an ErrorPolicy that
+// selects skip / fail-fast / budget handling of malformed rows, with
+// per-category skip accounting (SkipStats) and bounded retry of transient
+// read errors (RetryPolicy); NewScanner and NewParallelCSVSource are the
+// two readers with the skip-everything policy and no cancellation.
+// WithContext is the one place a source pipeline observes cancellation:
+// it makes any source check ctx before every pull. Terminal errors from
+// the readers carry the failing row's line number and byte offset via
+// *PosError.
 package trace
 
 import (
@@ -88,7 +90,7 @@ func (r Record) Validate() error {
 
 const timeLayout = time.RFC3339
 
-// csvHeader is the column layout used by WriteCSV and ReadCSV.
+// csvHeader is the column layout of the trace CSV format.
 var csvHeader = []string{"user_id", "start", "end", "tower_id", "address", "bytes", "tech"}
 
 // csvHeaderLine is the serialised header row.
@@ -171,70 +173,6 @@ func appendRecord(buf []byte, r Record) []byte {
 	buf = append(buf, ',')
 	buf = appendCSVField(buf, string(r.Tech))
 	return append(buf, '\n')
-}
-
-// ReadCSV parses records written by WriteCSV. Rows that fail to parse are
-// returned as a count of skipped rows rather than aborting the whole read,
-// mirroring how a production pipeline tolerates malformed log lines. I/O
-// errors from the underlying reader, by contrast, abort the read.
-//
-// ReadCSV materialises the whole trace; large traces should stream through
-// NewCSVReader instead.
-func ReadCSV(r io.Reader) (records []Record, skipped int, err error) {
-	cr, err := NewCSVReader(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	records, err = Collect(cr)
-	if err != nil {
-		return nil, cr.Skipped(), err
-	}
-	return records, cr.Skipped(), nil
-}
-
-func parseRow(row []string) (Record, error) {
-	rec, _, err := parseRowCat(row)
-	return rec, err
-}
-
-// parseRowCat is parseRow with the drop category attached, feeding the
-// per-category SkipStats of CSVReader. Categories mirror the Scanner's
-// classification (same field order), so all three ingestion paths report
-// identical stats for the same input.
-func parseRowCat(row []string) (Record, skipCategory, error) {
-	userID, err := strconv.Atoi(row[0])
-	if err != nil {
-		return Record{}, skipBadField, fmt.Errorf("trace: user id: %w", err)
-	}
-	start, err := time.Parse(timeLayout, row[1])
-	if err != nil {
-		return Record{}, skipBadTimestamp, fmt.Errorf("trace: start: %w", err)
-	}
-	end, err := time.Parse(timeLayout, row[2])
-	if err != nil {
-		return Record{}, skipBadTimestamp, fmt.Errorf("trace: end: %w", err)
-	}
-	towerID, err := strconv.Atoi(row[3])
-	if err != nil {
-		return Record{}, skipBadField, fmt.Errorf("trace: tower id: %w", err)
-	}
-	bytes, err := strconv.ParseInt(row[5], 10, 64)
-	if err != nil {
-		return Record{}, skipBadField, fmt.Errorf("trace: bytes: %w", err)
-	}
-	rec := Record{
-		UserID:  userID,
-		Start:   start,
-		End:     end,
-		TowerID: towerID,
-		Address: row[4],
-		Bytes:   bytes,
-		Tech:    Technology(row[6]),
-	}
-	if err := rec.Validate(); err != nil {
-		return Record{}, skipBadField, err
-	}
-	return rec, skipNone, nil
 }
 
 // TowerInfo is the per-tower metadata recovered during preprocessing.

@@ -24,12 +24,12 @@ import (
 // producer in this repo emits); out-of-order records are delivered
 // without extra delay rather than rewinding the clock.
 //
-// Cancelling ctx wakes any in-flight pacing sleep immediately and makes
-// the source return ctx.Err() (sticky), so an ingest loop blocked on a
+// Cancelling ctx wakes any in-flight pacing sleep immediately — the woken
+// pull hands over the records it had already consumed — and makes every
+// later pull return ctx.Err() (sticky), so an ingest loop blocked on a
 // slow replay drains promptly on shutdown.
 type ReplaySource struct {
 	src     Source
-	bs      BatchSource
 	ctx     context.Context
 	speed   float64
 	base    time.Time // trace time of the first record seen
@@ -44,7 +44,7 @@ func NewReplaySource(ctx context.Context, src Source, speed float64) *ReplaySour
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &ReplaySource{src: src, bs: Batched(src), ctx: ctx, speed: speed}
+	return &ReplaySource{src: src, ctx: ctx, speed: speed}
 }
 
 // pace blocks until the record stamped at trace time ts is due (or ctx
@@ -90,31 +90,14 @@ func (r *ReplaySource) check() error {
 	return nil
 }
 
-// Next implements Source, delivering one record at its paced due time.
-func (r *ReplaySource) Next() (Record, error) {
-	if err := r.check(); err != nil {
-		return Record{}, err
-	}
-	rec, err := r.src.Next()
-	if err != nil {
-		r.err = err
-		return Record{}, err
-	}
-	if perr := r.pace(rec.Start); perr != nil {
-		r.err = perr
-		return Record{}, perr
-	}
-	return rec, nil
-}
-
-// NextBatch implements BatchSource. The batch is released when its last
+// NextBatch implements Source. The batch is released when its last
 // record is due; the records themselves are untouched, so an unpaced
 // ReplaySource is record-identical to the wrapped source.
 func (r *ReplaySource) NextBatch(dst []Record) (int, error) {
 	if err := r.check(); err != nil {
 		return 0, err
 	}
-	n, err := r.bs.NextBatch(dst)
+	n, err := r.src.NextBatch(dst)
 	if err != nil {
 		r.err = err
 	}
@@ -127,22 +110,6 @@ func (r *ReplaySource) NextBatch(dst []Record) (int, error) {
 		}
 	}
 	return n, err
-}
-
-// SizeHint forwards to the wrapped source.
-func (r *ReplaySource) SizeHint() int {
-	if h, ok := r.src.(SizeHinter); ok {
-		return h.SizeHint()
-	}
-	return 0
-}
-
-// Skipped forwards to the wrapped source.
-func (r *ReplaySource) Skipped() int {
-	if sk, ok := r.src.(interface{ Skipped() int }); ok {
-		return sk.Skipped()
-	}
-	return 0
 }
 
 // Stats forwards to the wrapped source.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,9 +34,6 @@ func replayRecords(n int, step time.Duration) []Record {
 func TestReplayUnpacedPassthrough(t *testing.T) {
 	recs := replayRecords(5000, time.Minute)
 	rs := NewReplaySource(context.Background(), SliceSource(recs), 0)
-	if got := rs.SizeHint(); got != len(recs) {
-		t.Errorf("SizeHint = %d, want %d", got, len(recs))
-	}
 	got, err := Collect(rs)
 	if err != nil {
 		t.Fatal(err)
@@ -166,29 +164,33 @@ func TestReplayOutOfOrderTimestampsNoExtraDelay(t *testing.T) {
 func TestReplayCancelDuringFirstPacingSleep(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	// The very first pacing sleep: the anchor record never sleeps, so the
-	// second delivery is the first call that can block — cancel while it
-	// is blocked there and the scalar path must fail promptly and stay
+	// second delivery is the first call that can block — cancel while a
+	// one-record pull is blocked there and it must wake promptly, hand
+	// over the record it had already consumed, and leave the source
 	// failed.
 	recs := replayRecords(3, time.Hour)
 	ctx, cancel := context.WithCancel(context.Background())
 	rs := NewReplaySource(ctx, SliceSource(recs), 1)
-	if _, err := rs.Next(); err != nil { // the anchor: no sleep
-		t.Fatal(err)
+	var one [1]Record
+	if n, err := rs.NextBatch(one[:]); n != 1 || err != nil { // the anchor: no sleep
+		t.Fatalf("anchor pull = (%d, %v)", n, err)
 	}
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	if _, err := rs.Next(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if n, err := rs.NextBatch(one[:]); n != 1 || err != nil || one[0] != recs[1] {
+		t.Fatalf("woken pull = (%d, %v), want the consumed record delivered", n, err)
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Errorf("cancellation took %v to wake the first pacing sleep", waited)
 	}
 	// The error is sticky: later pulls fail without touching the source.
-	if _, err := rs.Next(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("post-cancel err = %v, want sticky context.Canceled", err)
+	for i := 0; i < 2; i++ {
+		if n, err := rs.NextBatch(one[:]); n != 0 || !errors.Is(err, context.Canceled) {
+			t.Fatalf("post-cancel pull %d = (%d, %v), want (0, context.Canceled)", i, n, err)
+		}
 	}
 }
 
@@ -199,8 +201,8 @@ func TestReplayCancelledBeforeFirstPull(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rs := NewReplaySource(ctx, SliceSource(recs), 1)
-	if _, err := rs.Next(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Next err = %v, want context.Canceled", err)
+	if _, err := next(rs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("one-record pull err = %v, want context.Canceled", err)
 	}
 	var buf [4]Record
 	if n, err := rs.NextBatch(buf[:]); n != 0 || !errors.Is(err, context.Canceled) {
@@ -208,11 +210,13 @@ func TestReplayCancelledBeforeFirstPull(t *testing.T) {
 	}
 }
 
+// TestReplayScalarNext checks that one-record pulls deliver the same
+// stream as full batches.
 func TestReplayScalarNext(t *testing.T) {
 	recs := replayRecords(8, time.Second)
 	rs := NewReplaySource(context.Background(), SliceSource(recs), 1000)
 	for i := range recs {
-		r, err := rs.Next()
+		r, err := next(rs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +224,11 @@ func TestReplayScalarNext(t *testing.T) {
 			t.Fatalf("record %d differs", i)
 		}
 	}
-	if _, err := rs.Next(); !errors.Is(err, io.EOF) {
+	if _, err := next(rs); !errors.Is(err, io.EOF) {
 		t.Fatalf("err = %v, want io.EOF", err)
+	}
+	batched, err := Collect(NewReplaySource(context.Background(), SliceSource(recs), 1000))
+	if err != nil || !slices.Equal(batched, recs) {
+		t.Fatalf("full-batch replay = %d records, %v; want the same %d", len(batched), err, len(recs))
 	}
 }

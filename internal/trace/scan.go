@@ -1,16 +1,16 @@
 package trace
 
 // scan.go is the zero-allocation ingestion scanner: a byte-level CSV
-// reader that replaces the encoding/csv + strconv + time.Parse stack of
-// CSVReader on the hot path. Field bytes never become intermediate
-// strings: fields of single-line rows are borrowed as views straight out
-// of the read buffer, integers and the fixed RFC 3339 timestamp layout
-// are parsed in place (with a per-scanner date cache so the calendar
-// arithmetic runs once per distinct day, not once per record), tower
-// addresses are interned (one string per distinct address, not per
-// record) and the radio technology maps onto the two package constants.
-// In the steady state a warmed Scanner performs zero allocations per
-// record.
+// reader in place of an encoding/csv + strconv + time.Parse stack (the
+// CSVReader kept with the tests as its oracle). Field bytes never become
+// intermediate strings: fields of single-line rows are borrowed as views
+// straight out of the read buffer, integers and the fixed RFC 3339
+// timestamp layout are parsed in place (with a per-scanner date cache so
+// the calendar arithmetic runs once per distinct day, not once per
+// record), tower addresses are interned (one string per distinct address,
+// not per record) and the radio technology maps onto the two package
+// constants. In the steady state a warmed Scanner performs zero
+// allocations per record.
 //
 // Row classification is kept bit-compatible with the CSVReader oracle
 // (encoding/csv + parseRow): rows that leave the single-line fast path —
@@ -53,11 +53,10 @@ var (
 	errMultiline = errors.New("trace: row spans lines")
 )
 
-// Scanner is a streaming Source and BatchSource over the CSV format
-// written by WriteCSV / CSVWriter, drop-in compatible with CSVReader but
-// allocation-free per record in the steady state. Malformed rows are
-// skipped and counted (see Skipped); I/O errors from the underlying
-// reader abort the stream. Not safe for concurrent use.
+// Scanner is a streaming Source over the CSV format written by WriteCSV /
+// CSVWriter, allocation-free per record in the steady state. Malformed
+// rows are skipped and counted (see Stats); I/O errors from the
+// underlying reader abort the stream. Not safe for concurrent use.
 type Scanner struct {
 	r       io.Reader
 	buf     []byte
@@ -105,9 +104,8 @@ type Scanner struct {
 }
 
 // NewScanner wraps r, reads and checks the header row, and returns a
-// scanner yielding one record per data row. It replaces NewCSVReader on
-// performance-sensitive paths; NewIngestSource picks between the serial
-// and parallel layouts.
+// scanner yielding one record per data row. NewIngestSourceContext picks
+// between this serial layout and the parallel one.
 func NewScanner(r io.Reader) (*Scanner, error) {
 	return NewScannerPolicy(r, ErrorPolicy{})
 }
@@ -157,26 +155,12 @@ func (s *Scanner) resetBytes(data []byte) {
 	s.rowLine, s.rowOffset = 0, 0
 }
 
-// Skipped returns the number of malformed rows skipped so far.
-func (s *Scanner) Skipped() int { return int(s.stats.SkippedRows()) }
-
 // Stats returns the per-category skip accounting so far.
 func (s *Scanner) Stats() SkipStats { return s.stats }
 
 // Close is a no-op: the serial Scanner holds no background resources.
 // It exists so Scanner satisfies IngestSource's cleanup contract.
 func (s *Scanner) Close() {}
-
-// Next returns the next well-formed record; the error is io.EOF at end
-// of input or the underlying I/O error, both sticky.
-func (s *Scanner) Next() (Record, error) {
-	var one [1]Record
-	n, err := s.NextBatch(one[:])
-	if n == 1 {
-		return one[0], nil
-	}
-	return Record{}, err
-}
 
 // NextBatch fills dst with up to len(dst) records and returns how many
 // were produced. A non-nil error is terminal and may accompany the final

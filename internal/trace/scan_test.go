@@ -21,7 +21,7 @@ func oracleScan(data []byte) (records []Record, skipped int, ok bool, err error)
 	if cerr != nil {
 		return nil, 0, false, nil
 	}
-	records, err = Collect(cr)
+	records, err = Collect(SourceFunc(cr.Next))
 	return records, cr.Skipped(), true, err
 }
 
@@ -32,7 +32,7 @@ func scannerScan(data []byte) (records []Record, skipped int, ok bool, err error
 		return nil, 0, false, nil
 	}
 	records, err = Collect(sc)
-	return records, sc.Skipped(), true, err
+	return records, int(sc.Stats().SkippedRows()), true, err
 }
 
 // recordsEquivalent compares two records field by field. Times must be
@@ -214,13 +214,13 @@ func TestScannerAbortsOnIOError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Next(); err != nil {
+	if _, err := next(sc); err != nil {
 		t.Fatalf("first record should parse, got %v", err)
 	}
-	if _, err := sc.Next(); !errors.Is(err, broken) {
+	if _, err := next(sc); !errors.Is(err, broken) {
 		t.Fatalf("I/O error should abort the stream, got %v", err)
 	}
-	if _, err := sc.Next(); !errors.Is(err, broken) {
+	if _, err := next(sc); !errors.Is(err, broken) {
 		t.Fatalf("error should be sticky, got %v", err)
 	}
 }
@@ -264,7 +264,7 @@ func TestScannerServesBufferedRecordsBeforeReadError(t *testing.T) {
 	drain := func(src Source) ([]Record, error) {
 		var out []Record
 		for {
-			r, err := src.Next()
+			r, err := next(src)
 			if err != nil {
 				return out, err
 			}
@@ -275,7 +275,7 @@ func TestScannerServesBufferedRecordsBeforeReadError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, werr := drain(cr)
+	want, werr := drain(SourceFunc(cr.Next))
 	if !errors.Is(werr, broken) || len(want) != len(records) {
 		t.Fatalf("oracle: %d records, err %v — expected all %d then the read error",
 			len(want), werr, len(records))

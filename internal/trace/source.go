@@ -1,31 +1,46 @@
 package trace
 
 import (
-	"encoding/csv"
 	"errors"
-	"fmt"
 	"io"
 )
 
-// Source is a pull-based stream of connection records: the unit of
-// composition of the ingestion layer. Next returns the next record, or
-// io.EOF once the stream is exhausted. Any other error is a terminal
-// failure of the underlying producer; after a non-nil error the source
-// must not be used again.
+// Source is a pull-based stream of record batches: the unit of
+// composition of the ingestion layer. NextBatch fills dst with up to
+// len(dst) records and returns how many were produced; dst[:n] is always
+// valid. A non-nil error is terminal and may accompany the stream's
+// final records: io.EOF for the normal end of stream, anything else a
+// producer failure. After a non-nil error the source must not be used
+// again. Calling NextBatch with an empty dst makes no progress: it
+// returns (0, nil), or the terminal error from a source already at its
+// end.
 //
 // Sources let the pipeline process traces far larger than memory: the
-// CSV reader, the streaming cleaner and the streaming vectorizer all
+// CSV readers, the streaming cleaner and the streaming vectorizer all
 // speak Source, so a trace flows from disk (or the synthetic generator)
-// to per-tower traffic vectors one record at a time.
+// to per-tower traffic vectors a batch at a time, and at millions of
+// records per second the interface call is amortised over thousands of
+// records.
 type Source interface {
-	Next() (Record, error)
+	NextBatch(dst []Record) (int, error)
 }
 
-// SourceFunc adapts a function to the Source interface.
+// SourceFunc adapts a one-record-at-a-time function to Source: the one
+// scalar-to-batch adapter, for producers (and test fakes) that have no
+// cheaper way to fill a slice.
 type SourceFunc func() (Record, error)
 
-// Next calls f.
-func (f SourceFunc) Next() (Record, error) { return f() }
+// NextBatch fills dst one call of f at a time.
+func (f SourceFunc) NextBatch(dst []Record) (int, error) {
+	for i := range dst {
+		r, err := f()
+		if err != nil {
+			return i, err
+		}
+		dst[i] = r
+	}
+	return len(dst), nil
+}
 
 // sliceSource streams an in-memory record slice.
 type sliceSource struct {
@@ -33,19 +48,9 @@ type sliceSource struct {
 	pos     int
 }
 
-// SliceSource returns a Source that yields the records in order. It is
-// the bridge from the legacy slice-based APIs to the streaming core.
+// SliceSource returns a Source that yields the records in order.
 func SliceSource(records []Record) Source {
 	return &sliceSource{records: records}
-}
-
-func (s *sliceSource) Next() (Record, error) {
-	if s.pos >= len(s.records) {
-		return Record{}, io.EOF
-	}
-	r := s.records[s.pos]
-	s.pos++
-	return r, nil
 }
 
 // NextBatch copies the next run of records into dst.
@@ -61,28 +66,10 @@ func (s *sliceSource) NextBatch(dst []Record) (int, error) {
 // SizeHint reports exactly how many records remain.
 func (s *sliceSource) SizeHint() int { return len(s.records) - s.pos }
 
-// ForEach drains the source, invoking fn for every record. It stops at
-// the first error from either the source or fn and returns it (io.EOF
-// from the source is the normal end of stream and yields nil).
-func ForEach(src Source, fn func(Record) error) error {
-	for {
-		r, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-}
-
 // Collect drains the source into a slice. Prefer streaming consumers for
-// large traces; Collect exists for tests and the slice-based wrappers.
-// Sources implementing SizeHinter get their slice preallocated instead
-// of grown from nil, and batch-capable sources are drained batch-wise.
+// large traces; Collect exists for tests and small inputs. Sources
+// implementing SizeHinter get their slice preallocated instead of grown
+// from nil.
 func Collect(src Source) ([]Record, error) {
 	var out []Record
 	if h, ok := src.(SizeHinter); ok {
@@ -90,11 +77,10 @@ func Collect(src Source) ([]Record, error) {
 			out = make([]Record, 0, n)
 		}
 	}
-	bs := Batched(src)
 	bp := GetBatch()
 	defer PutBatch(bp)
 	for {
-		n, err := bs.NextBatch(*bp)
+		n, err := src.NextBatch(*bp)
 		out = append(out, (*bp)[:n]...)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
@@ -104,77 +90,3 @@ func Collect(src Source) ([]Record, error) {
 		}
 	}
 }
-
-// CSVReader is a streaming Source over the CSV format written by
-// WriteCSV / CSVWriter. Structurally broken rows (*csv.ParseError) and
-// rows whose fields fail to parse or validate are skipped and counted;
-// I/O errors from the underlying reader abort the stream.
-type CSVReader struct {
-	cr    *csv.Reader
-	stats SkipStats
-	line  int64 // physical lines consumed; best-effort for multi-line rows
-	err   error
-}
-
-// NewCSVReader wraps r, reads and checks the header row, and returns a
-// Source yielding one record per data row.
-func NewCSVReader(r io.Reader) (*CSVReader, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if len(header) != len(csvHeader) || header[0] != csvHeader[0] {
-		return nil, fmt.Errorf("trace: unexpected header %v", header)
-	}
-	return &CSVReader{cr: cr, line: 1}, nil
-}
-
-// Next returns the next well-formed record. Malformed rows are skipped
-// (see Skipped); the error is io.EOF at end of input, or the underlying
-// I/O error, both sticky. I/O errors are wrapped in a PosError carrying
-// the line number and byte offset at which the read failed, so a corrupt
-// region of a multi-gigabyte trace is locatable from the error alone.
-func (r *CSVReader) Next() (Record, error) {
-	if r.err != nil {
-		return Record{}, r.err
-	}
-	for {
-		row, err := r.cr.Read()
-		if err != nil {
-			var perr *csv.ParseError
-			if errors.As(err, &perr) {
-				// Structurally broken CSV row: count and continue.
-				// ParseError tracks physical lines exactly; resync so
-				// multi-line rows before this point don't skew positions.
-				r.stats.MalformedRows++
-				r.line = int64(perr.Line)
-				continue
-			}
-			if !errors.Is(err, io.EOF) {
-				err = fmt.Errorf("trace: reading row: %w", &PosError{
-					Line:   r.line + 1,
-					Offset: r.cr.InputOffset(),
-					Err:    err,
-				})
-			}
-			r.err = err
-			return Record{}, err
-		}
-		r.line++
-		rec, cat, _ := parseRowCat(row)
-		if cat != skipNone {
-			r.stats.count(cat)
-			continue
-		}
-		return rec, nil
-	}
-}
-
-// Skipped returns the number of malformed rows skipped so far.
-func (r *CSVReader) Skipped() int { return int(r.stats.SkippedRows()) }
-
-// Stats returns the per-category skip accounting so far.
-func (r *CSVReader) Stats() SkipStats { return r.stats }

@@ -26,7 +26,7 @@ func TestSliceSourceAndCollect(t *testing.T) {
 		t.Errorf("collect = %+v", back)
 	}
 	// Exhausted sources keep returning io.EOF.
-	if _, err := src.Next(); !errors.Is(err, io.EOF) {
+	if _, err := next(src); !errors.Is(err, io.EOF) {
 		t.Errorf("exhausted source: %v", err)
 	}
 	if got, err := Collect(SliceSource(nil)); err != nil || len(got) != 0 {
@@ -37,7 +37,7 @@ func TestSliceSourceAndCollect(t *testing.T) {
 func TestForEachStopsOnCallbackError(t *testing.T) {
 	boom := errors.New("boom")
 	n := 0
-	err := ForEach(SliceSource([]Record{validRecord(), validRecord()}), func(Record) error {
+	err := forEach(SliceSource([]Record{validRecord(), validRecord()}), func(Record) error {
 		n++
 		return boom
 	})
@@ -62,7 +62,7 @@ func TestCSVReaderStreamingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Collect(cr)
+	back, err := Collect(SourceFunc(cr.Next))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCSVReaderSkipAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Collect(cr)
+	back, err := Collect(SourceFunc(cr.Next))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +146,9 @@ func TestCSVReaderAbortsOnIOError(t *testing.T) {
 		t.Fatalf("error should be sticky, got %v", err)
 	}
 
-	records, _, err := ReadCSV(&flakyReader{payload: strings.NewReader(header), err: broken})
+	records, _, err := readCSV(&flakyReader{payload: strings.NewReader(header), err: broken})
 	if !errors.Is(err, broken) {
-		t.Fatalf("ReadCSV should surface the I/O error, got %v (records=%v)", err, records)
+		t.Fatalf("readCSV should surface the I/O error, got %v (records=%v)", err, records)
 	}
 }
 
@@ -195,9 +195,9 @@ func TestCleanerStreamEquivalenceProperty(t *testing.T) {
 			wantBytes[r.key()] += r.Bytes
 		}
 
-		src := CleanSource(SliceSource(records))
+		src := cleanSource(SliceSource(records))
 		gotBytes := make(map[key]int64)
-		if err := ForEach(src, func(r Record) error {
+		if err := forEach(src, func(r Record) error {
 			gotBytes[r.key()] += r.Bytes
 			return nil
 		}); err != nil {
@@ -273,7 +273,7 @@ func TestCleanerLateLargerConflictAmends(t *testing.T) {
 	big := small
 	big.Bytes = 100
 
-	c := NewCleaner()
+	c := NewCleanerWindow(0)
 	first, ok := c.Observe(small)
 	if !ok || first.Bytes != 10 {
 		t.Fatalf("first copy should be forwarded unchanged, got %+v (%v)", first, ok)

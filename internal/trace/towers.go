@@ -147,7 +147,7 @@ func (w *CSVWriter) Write(r Record) error {
 }
 
 // WriteBatch appends a batch of records, the write-side counterpart of
-// BatchSource.NextBatch (and directly usable as a ForEachBatch sink).
+// Source.NextBatch (and directly usable as a ForEachBatch sink).
 func (w *CSVWriter) WriteBatch(records []Record) error {
 	if len(records) == 0 {
 		return w.err

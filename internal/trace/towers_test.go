@@ -91,7 +91,7 @@ func TestCSVWriterStreaming(t *testing.T) {
 		t.Errorf("Count = %d, want 3", w.Count())
 	}
 	// The streamed output parses back with the batch reader.
-	records, skipped, err := ReadCSV(&buf)
+	records, skipped, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

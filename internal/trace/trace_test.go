@@ -55,7 +55,7 @@ func TestRecordValidate(t *testing.T) {
 func TestRecordValidDoesNotAllocate(t *testing.T) {
 	good, bad := validRecord(), validRecord()
 	bad.Bytes = -1
-	c := NewCleaner()
+	c := NewCleanerWindow(0)
 	c.Observe(good) // from here on, good is a duplicate: dropped like bad
 	for _, r := range []Record{good, bad} {
 		allocs := testing.AllocsPerRun(100, func() {
@@ -84,7 +84,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, records); err != nil {
 		t.Fatal(err)
 	}
-	back, skipped, err := ReadCSV(&buf)
+	back, skipped, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestReadCSVMalformedRows(t *testing.T) {
 		"4,2014-08-01T08:00:00Z,2014-08-01T08:05:00Z,7,addr,100,5G",
 		"5,2014-08-01T08:00:00Z,2014-08-01T08:05:00Z,7,addr,100,3G",
 	}, "\n")
-	records, skipped, err := ReadCSV(strings.NewReader(csvData))
+	records, skipped, err := readCSV(strings.NewReader(csvData))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestReadCSVMalformedRows(t *testing.T) {
 }
 
 func TestReadCSVBadHeader(t *testing.T) {
-	if _, _, err := ReadCSV(strings.NewReader("foo,bar\n1,2\n")); err == nil {
+	if _, _, err := readCSV(strings.NewReader("foo,bar\n1,2\n")); err == nil {
 		t.Error("bad header should fail")
 	}
-	if _, _, err := ReadCSV(strings.NewReader("")); err == nil {
+	if _, _, err := readCSV(strings.NewReader("")); err == nil {
 		t.Error("empty input should fail")
 	}
 }
