@@ -32,10 +32,10 @@
 // repository root.
 //
 // Every modeling stage has one implementation, generic over the element
-// type of a flat linalg.Mat[F] (cluster.HierarchicalMatCtx,
-// OptimalKMatCtx, KMeansMatCtx, the *Mat validity indices,
-// nmf.FactorizeMatContext); see README.md "Parallel modeling engine" for
-// the stage → entry point table. It runs at one of two numeric tiers,
+// type of a flat linalg.Mat[F] (cluster.DistancesMatCtx and the dendrogram
+// and silhouette read off its one distance matrix, OptimalKMatCtx,
+// KMeansMatCtx, the *Mat validity indices, nmf.FactorizeMatContext); see
+// README.md "Parallel modeling engine" for the stage → entry point table. It runs at one of two numeric tiers,
 // selected once by core.Options.Precision: Float64 (the default) is the
 // bit-reproducible reference, while Float32 runs the linalg
 // distance/matrix kernels — generic over float32 | float64 via

@@ -9,10 +9,10 @@
 package anomaly
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/dsp"
 	"repro/internal/linalg"
+	"repro/internal/panicsafe"
 )
 
 // Disabled switches a float Options field off entirely. The zero value of
@@ -104,22 +105,53 @@ var (
 // Detect models the tower's expected traffic from its own spectrum and
 // flags the slots whose residuals are extreme. traffic must cover nDays
 // whole days (a multiple of 7). The spectral model runs on an FFT plan from
-// the package-level pool; DetectAll shares per-worker plans across towers.
+// the package-level pool; DetectAllContext keeps one plan and one scratch
+// per worker across towers.
 func Detect(traffic linalg.Vector, nDays int, opts Options) (*Report, error) {
+	var d detector
+	defer d.release()
+	return d.detect(traffic, nDays, opts)
+}
+
+// detector is the reusable state of one sweep worker: the pooled FFT plan
+// of the current vector length and the two scratch vectors of that length
+// that never leave detect — the relative residuals and the buffer the
+// robust scale selects on. Only Expected and Residual are allocated per
+// tower, because the report keeps them.
+type detector struct {
+	plan           *dsp.Plan
+	relative, work linalg.Vector
+}
+
+// release hands the plan back to the pool.
+func (d *detector) release() {
+	if d.plan != nil {
+		d.plan.Release()
+		d.plan = nil
+	}
+}
+
+// resize readies the plan and scratch for vectors of length n.
+func (d *detector) resize(n int) error {
+	if d.plan != nil && d.plan.N() == n {
+		return nil
+	}
+	d.release()
+	plan, err := dsp.AcquirePlan(n)
+	if err != nil {
+		return err
+	}
+	d.plan = plan
+	d.relative = make(linalg.Vector, n)
+	d.work = make(linalg.Vector, n)
+	return nil
+}
+
+// detect is Detect on the worker's reusable state.
+func (d *detector) detect(traffic linalg.Vector, nDays int, opts Options) (*Report, error) {
 	if len(traffic) == 0 {
 		return nil, ErrEmptySignal
 	}
-	plan, err := dsp.AcquirePlan(len(traffic))
-	if err != nil {
-		return nil, err
-	}
-	defer plan.Release()
-	return detectPlan(plan, traffic, nDays, opts)
-}
-
-// detectPlan is Detect on a caller-supplied plan whose length matches the
-// traffic vector.
-func detectPlan(plan *dsp.Plan, traffic linalg.Vector, nDays int, opts Options) (*Report, error) {
 	if !traffic.IsFinite() {
 		return nil, fmt.Errorf("%w: non-finite traffic values", ErrEmptySignal)
 	}
@@ -127,6 +159,9 @@ func detectPlan(plan *dsp.Plan, traffic linalg.Vector, nDays int, opts Options) 
 	week, day, half, err := dsp.PrincipalBins(len(traffic), nDays)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadShape, err)
+	}
+	if err := d.resize(len(traffic)); err != nil {
+		return nil, err
 	}
 	bins := []int{week, day, half}
 	for h := 2; h <= opts.Harmonics+1; h++ {
@@ -151,7 +186,7 @@ func detectPlan(plan *dsp.Plan, traffic linalg.Vector, nDays int, opts Options) 
 	sort.Ints(valid)
 	valid = slices.Compact(valid)
 	expected := make(linalg.Vector, len(traffic))
-	if _, err := plan.ReconstructInto(expected, traffic, valid...); err != nil {
+	if _, err := d.plan.ReconstructInto(expected, traffic, valid...); err != nil {
 		return nil, err
 	}
 	for i, v := range expected {
@@ -168,12 +203,12 @@ func detectPlan(plan *dsp.Plan, traffic linalg.Vector, nDays int, opts Options) 
 		floor = 1
 	}
 	residual := make(linalg.Vector, len(traffic))
-	relative := make(linalg.Vector, len(traffic))
+	relative := d.relative
 	for i := range traffic {
 		residual[i] = traffic[i] - expected[i]
 		relative[i] = residual[i] / math.Max(expected[i], floor)
 	}
-	scale := robustScale(relative)
+	scale := robustScale(relative, d.work)
 	// A scale that is effectively zero means the model reproduces the
 	// signal to numerical precision (e.g. constant traffic); there is
 	// nothing to score against.
@@ -207,92 +242,82 @@ func detectPlan(plan *dsp.Plan, traffic linalg.Vector, nDays int, opts Options) 
 }
 
 // robustScale returns 1.4826 × the median absolute deviation of v, a
-// standard-deviation estimate that ignores the outliers being hunted.
-func robustScale(v linalg.Vector) float64 {
+// standard-deviation estimate that ignores the outliers being hunted. Both
+// medians are selected in place on work (scratch of len(v), overwritten)
+// in expected O(n); v itself is left untouched. The sort-based form this
+// replaced is robustScaleOracle in oracle_test.go.
+func robustScale(v, work linalg.Vector) float64 {
 	if len(v) == 0 {
 		return 0
 	}
-	med := linalg.Quantile(v, 0.5)
-	abs := make(linalg.Vector, len(v))
+	copy(work, v)
+	med := linalg.QuantileInPlace(work, 0.5)
 	for i, x := range v {
-		abs[i] = math.Abs(x - med)
+		work[i] = math.Abs(x - med)
 	}
-	return 1.4826 * linalg.Quantile(abs, 0.5)
+	return 1.4826 * linalg.QuantileInPlace(work, 0.5)
 }
 
-// DetectAll runs Detect on every tower and returns the reports in input
-// order. The towers are fanned across a GOMAXPROCS-wide worker pool; each
-// worker reuses pooled FFT plans keyed by vector length, so the fleet shares
-// one set of twiddle tables per distinct window length.
+// DetectAll is DetectAllContext without cancellation on a GOMAXPROCS-wide
+// pool.
 func DetectAll(traffic []linalg.Vector, nDays int, opts Options) ([]*Report, error) {
+	return DetectAllContext(context.Background(), traffic, nDays, opts, 0)
+}
+
+// DetectAllContext runs Detect on every tower and returns the reports in
+// input order. The towers are fanned across up to `workers` goroutines
+// (≤ 0 means GOMAXPROCS; 1 runs the sweep on the calling goroutine), each
+// claiming rows from a shared counter and reusing one pooled FFT plan and
+// one scratch across its towers. Every report is computed from its own row
+// alone, so the result is identical for any worker count. ctx is observed
+// before each tower; the first tower to fail, a cancellation, or a worker
+// panic (returned as a *panicsafe.Error) stops the sweep, and every worker
+// has exited by the time the call returns.
+func DetectAllContext(ctx context.Context, traffic []linalg.Vector, nDays int, opts Options, workers int) ([]*Report, error) {
 	out := make([]*Report, len(traffic))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(traffic) {
-		workers = len(traffic)
-	}
-	if workers <= 1 {
-		for i, v := range traffic {
-			r, err := Detect(v, nDays, opts)
+	var (
+		next     atomic.Int64
+		stop     atomic.Bool
+		errOnce  sync.Once
+		firstErr error
+	)
+	sweep := func() error {
+		var d detector
+		defer d.release()
+		for !stop.Load() {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			i := int(next.Add(1)) - 1
+			if i >= len(traffic) {
+				break
+			}
+			r, err := d.detect(traffic[i], nDays, opts)
 			if err != nil {
-				return nil, fmt.Errorf("anomaly: tower %d: %w", i, err)
+				return fmt.Errorf("anomaly: tower %d: %w", i, err)
 			}
 			out[i] = r
 		}
+		return nil
+	}
+	workers = min(linalg.ResolveWorkers(workers), len(traffic))
+	if workers <= 1 {
+		if err := sweep(); err != nil {
+			return nil, err
+		}
 		return out, nil
 	}
-	var (
-		next    atomic.Int64
-		aborted atomic.Bool
-		wg      sync.WaitGroup
-	)
-	errs := make([]error, len(traffic))
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var plan *dsp.Plan
-			defer func() {
-				if plan != nil {
-					plan.Release()
-				}
-			}()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(traffic) || aborted.Load() {
-					return
-				}
-				v := traffic[i]
-				if len(v) == 0 {
-					errs[i] = ErrEmptySignal
-					aborted.Store(true)
-					continue
-				}
-				if plan == nil || plan.N() != len(v) {
-					if plan != nil {
-						plan.Release()
-					}
-					var err error
-					if plan, err = dsp.AcquirePlan(len(v)); err != nil {
-						errs[i] = err
-						aborted.Store(true)
-						continue
-					}
-				}
-				r, err := detectPlan(plan, v, nDays, opts)
-				if err != nil {
-					errs[i] = err
-					aborted.Store(true)
-					continue
-				}
-				out[i] = r
-			}
-		}()
+		panicsafe.Go(sweep, func(err error) {
+			errOnce.Do(func() { firstErr = err })
+			stop.Store(true)
+		}, wg.Done)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("anomaly: tower %d: %w", i, err)
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return out, nil
 }

@@ -186,7 +186,8 @@ func TestRobustScale(t *testing.T) {
 	for i := range v {
 		v[i] = rng.NormFloat64() * 3
 	}
-	s := robustScale(v)
+	work := make(linalg.Vector, len(v))
+	s := robustScale(v, work)
 	if math.Abs(s-3) > 0.3 {
 		t.Errorf("robust scale = %g, want ~3", s)
 	}
@@ -194,10 +195,10 @@ func TestRobustScale(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		v[i] = 1e6
 	}
-	if math.Abs(robustScale(v)-s) > 0.3 {
+	if math.Abs(robustScale(v, work)-s) > 0.3 {
 		t.Error("robust scale should resist outliers")
 	}
-	if robustScale(nil) != 0 {
+	if robustScale(nil, nil) != 0 {
 		t.Error("empty scale should be 0")
 	}
 }

@@ -41,6 +41,14 @@ func preCancelledMat[F linalg.Float](t *testing.T, ctx context.Context, x *linal
 	if _, err := HierarchicalMatCtx(ctx, x, AverageLinkage, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("HierarchicalMatCtx[%T]: err = %v, want context.Canceled", x.Data, err)
 	}
+	if d, err := DistancesMatCtx(ctx, x, 4); !errors.Is(err, context.Canceled) || d != nil {
+		t.Errorf("DistancesMatCtx[%T] = %v, %v; want nil, context.Canceled", x.Data, d, err)
+	}
+	if d, err := DistancesMatCtx(context.Background(), x, 4); err != nil {
+		t.Errorf("DistancesMatCtx[%T]: %v", x.Data, err)
+	} else if _, err := d.HierarchicalCtx(ctx, AverageLinkage); !errors.Is(err, context.Canceled) {
+		t.Errorf("Distances.HierarchicalCtx[%T]: err = %v, want context.Canceled", x.Data, err)
+	}
 	if _, err := KMeansMatCtx(ctx, x, KMeansOptions{K: 4, Workers: 4, Restarts: 4}); !errors.Is(err, context.Canceled) {
 		t.Errorf("KMeansMatCtx[%T]: err = %v, want context.Canceled", x.Data, err)
 	}

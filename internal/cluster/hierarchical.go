@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/linalg"
@@ -81,44 +82,77 @@ type Dendrogram struct {
 	Merges []Merge
 }
 
-// HierarchicalMatCtx builds the dendrogram of x's rows under the given
-// linkage using the nearest-neighbour-chain algorithm over a condensed
-// upper-triangular distance matrix: O(N²) time, N(N-1)/2 matrix entries and
-// O(N) extra scratch for the chain. Distances are Euclidean, matching the
-// paper, and are computed by the element type's blocked kernel on up to
-// `workers` goroutines (≤ 0 means GOMAXPROCS); the agglomeration itself
-// always runs in float64 — for float32 inputs the condensed squared
-// distances are widened (exactly) before the square root, so the NN-chain
-// and Lance–Williams updates see full-precision arithmetic on once-rounded
-// inputs and the merge DECISIONS track the float64 instantiation.
+// Distances owns the pairwise Euclidean distances of one point set — the
+// N(N−1)/2 float64 entries above the diagonal, condensed — so the stages
+// that need them share one computation: the pattern identifier agglomerates
+// over them (HierarchicalCtx) and the silhouette index reduces them
+// (Silhouette). The entries cost 8 bytes each, 23 MB at 2,400 points and
+// 369 MB at the paper's 9,600; drop the value once both have run.
+type Distances struct {
+	c condensed
+}
+
+// DistancesMatCtx computes the distances between x's rows with the element
+// type's blocked Gram-trick kernel on up to `workers` goroutines (≤ 0 means
+// GOMAXPROCS). For float32 inputs the condensed squared distances are
+// widened (exactly) before the square root, so everything downstream sees
+// full-precision arithmetic on once-rounded inputs.
 //
-// The result is bit-identical for any worker count: every matrix entry is
-// computed independently and the agglomeration is sequential. ctx is
-// observed between row strips of the distance kernel and between merges of
-// the agglomeration, and a distance-kernel worker panic is returned as an
-// error instead of crashing the process.
-func HierarchicalMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], linkage Linkage, workers int) (*Dendrogram, error) {
-	n := x.Rows
-	if n == 0 {
+// Every entry is computed independently, so the result is bit-identical
+// for any worker count. ctx is observed between row strips of the kernel,
+// and a kernel worker panic is returned as an error instead of crashing the
+// process.
+func DistancesMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], workers int) (*Distances, error) {
+	if x.Rows == 0 {
 		return nil, ErrNoPoints
 	}
+	c := newCondensed(x.Rows)
+	if err := condensedInto(ctx, c.d, x, workers); err != nil {
+		return nil, err
+	}
+	return &Distances{c: c}, nil
+}
+
+// HierarchicalCtx builds the dendrogram of the points under the given
+// linkage using the nearest-neighbour-chain algorithm: O(N²) time and O(N)
+// extra scratch for the chain. The agglomeration overwrites the matrix it
+// runs on, so it runs on a scratch copy — transiently doubling the
+// footprint — and d stays valid for Silhouette or another linkage. The
+// agglomeration always runs in float64 and is sequential; ctx is observed
+// between merges.
+func (d *Distances) HierarchicalCtx(ctx context.Context, linkage Linkage) (*Dendrogram, error) {
+	return agglomerate(ctx, condensed{n: d.c.n, d: slices.Clone(d.c.d)}, linkage)
+}
+
+// agglomerate builds the dendrogram of the points behind dist, destroying
+// dist in the process.
+func agglomerate(ctx context.Context, dist condensed, linkage Linkage) (*Dendrogram, error) {
 	switch linkage {
 	case AverageLinkage, SingleLinkage, CompleteLinkage:
 	default:
 		return nil, fmt.Errorf("cluster: unknown linkage %v", linkage)
 	}
-	if n == 1 {
+	if dist.n == 1 {
 		return &Dendrogram{N: 1, Linkage: linkage, Merges: nil}, nil
 	}
-	c := newCondensed(n)
-	if err := condensedInto(ctx, c.d, x, workers); err != nil {
-		return nil, err
-	}
-	slotMerges, err := nnChain(ctx, c, linkage)
+	slotMerges, err := nnChain(ctx, dist, linkage)
 	if err != nil {
 		return nil, err
 	}
-	return relabelMerges(n, linkage, slotMerges), nil
+	return relabelMerges(dist.n, linkage, slotMerges), nil
+}
+
+// HierarchicalMatCtx builds the dendrogram of x's rows: DistancesMatCtx
+// followed by the agglomeration of HierarchicalCtx, run directly on the
+// distances (nothing else will read them) instead of a scratch copy. For
+// float32 inputs the merge DECISIONS track the float64 instantiation. The
+// result is bit-identical for any worker count.
+func HierarchicalMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], linkage Linkage, workers int) (*Dendrogram, error) {
+	d, err := DistancesMatCtx(ctx, x, workers)
+	if err != nil {
+		return nil, err
+	}
+	return agglomerate(ctx, d.c, linkage)
 }
 
 // HierarchicalWorkersCtx is HierarchicalMatCtx for points held as a slice of

@@ -185,33 +185,40 @@ func DistancesToCentroid[F linalg.Float](x *linalg.Mat[F], a *Assignment) ([][]f
 	return out, nil
 }
 
-// SilhouetteMat computes the mean silhouette coefficient of the
-// clustering, the second validity index of the serving plane's admission
-// gate and of the ablation benches. Points in singleton clusters
-// contribute a silhouette of zero.
+// Silhouette computes the mean silhouette coefficient of the clustering,
+// the second validity index of the serving plane's admission gate and of
+// the ablation benches. Points in singleton clusters contribute a
+// silhouette of zero.
 //
-// The full pairwise matrix is computed once by the Gram-trick kernel on up
-// to `workers` goroutines (≤ 0 means GOMAXPROCS) — N²/2 fused tiles instead
-// of N²/2 per-pair loops — and the per-point reductions keep their serial
-// order, so the coefficient is bit-identical for any worker count. The
-// matrix costs O(N²) elements of transient memory: internal/serve runs this
-// on every remodel candidate, ~46 MB at 2,400 float64 towers and ~740 MB
-// at the paper's 9,600 (half that at float32).
-func SilhouetteMat[F linalg.Float](x *linalg.Mat[F], a *Assignment, workers int) (float64, error) {
-	n := x.Rows
+// One pass over the condensed entries folds each distance into the
+// per-cluster sums of both its endpoints, an N×K buffer. The outer index
+// ascends, so every point's sums accumulate in ascending order of the other
+// point — the order of a row scan of the full matrix — and the coefficient
+// is bit-identical to that form's (silhouetteFullOracle in oracle_test.go).
+// d is only read.
+func (d *Distances) Silhouette(a *Assignment) (float64, error) {
+	n := d.c.n
 	if err := checkAssignment(n, a); err != nil {
 		return 0, err
 	}
 	if a.K < 2 {
 		return 0, errors.New("cluster: silhouette needs at least two clusters")
 	}
-	pair := linalg.NewMat[F](n, n)
-	if err := linalg.PairwiseSquaredInto(pair, x, nil, workers); err != nil {
-		return 0, err
+	k := a.K
+	sums := make([]float64, n*k)
+	dist := d.c.d
+	for i := 0; i < n-1; i++ {
+		li := a.Labels[i]
+		own := sums[i*k : (i+1)*k]
+		row := dist[:n-1-i]
+		dist = dist[len(row):]
+		for o, v := range row {
+			j := i + 1 + o
+			own[a.Labels[j]] += v
+			sums[j*k+li] += v
+		}
 	}
-	linalg.SquaredDistancesSqrtInPlace(pair.Data, workers)
 	sizes := a.Sizes()
-	sumByCluster := make([]float64, a.K)
 	var total float64
 	for i := 0; i < n; i++ {
 		li := a.Labels[i]
@@ -220,19 +227,10 @@ func SilhouetteMat[F linalg.Float](x *linalg.Mat[F], a *Assignment, workers int)
 		}
 		// Mean distance to own cluster (a) and to the nearest other
 		// cluster (b).
-		for c := range sumByCluster {
-			sumByCluster[c] = 0
-		}
-		row := pair.Row(i)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			sumByCluster[a.Labels[j]] += float64(row[j])
-		}
+		sumByCluster := sums[i*k : (i+1)*k]
 		own := sumByCluster[li] / float64(sizes[li]-1)
 		other := math.Inf(1)
-		for c := 0; c < a.K; c++ {
+		for c := 0; c < k; c++ {
 			if c == li || sizes[c] == 0 {
 				continue
 			}
@@ -249,6 +247,19 @@ func SilhouetteMat[F linalg.Float](x *linalg.Mat[F], a *Assignment, workers int)
 		}
 	}
 	return total / float64(n), nil
+}
+
+// SilhouetteMat is Distances.Silhouette for a caller that holds only the
+// points: the distances are computed (on up to `workers` goroutines, ≤ 0
+// means GOMAXPROCS), reduced and dropped. A caller that also clusters the
+// same points should compute the Distances once and ask both questions of
+// it, as core.AnalyzeContext does.
+func SilhouetteMat[F linalg.Float](x *linalg.Mat[F], a *Assignment, workers int) (float64, error) {
+	d, err := DistancesMatCtx(context.Background(), x, workers)
+	if err != nil {
+		return 0, err
+	}
+	return d.Silhouette(a)
 }
 
 // SilhouetteWorkers is SilhouetteMat for points held as a slice of float64

@@ -16,7 +16,8 @@ import (
 // oracles for the blocked production engine: the pre-condensed
 // agglomeration paths (for the NN-chain engine in hierarchical.go) and the
 // per-pair distance loops the Gram-trick kernels replaced (for the
-// condensed matrix, the k-means assignment step and the validity indices).
+// condensed matrix, the k-means assignment step and the validity indices),
+// plus the full-matrix silhouette the shared Distances reduction replaced.
 // All are strictly slower than the engine they check, and the naive
 // agglomeration is O(N³).
 
@@ -328,6 +329,64 @@ func silhouetteOracle(points []linalg.Vector, a *Assignment) (float64, error) {
 				return 0, err
 			}
 			sumByCluster[a.Labels[j]] += d
+		}
+		own := sumByCluster[li] / float64(sizes[li]-1)
+		other := math.Inf(1)
+		for c := 0; c < a.K; c++ {
+			if c == li || sizes[c] == 0 {
+				continue
+			}
+			if v := sumByCluster[c] / float64(sizes[c]); v < other {
+				other = v
+			}
+		}
+		if math.IsInf(other, 1) {
+			continue
+		}
+		max := math.Max(own, other)
+		if max > 0 {
+			total += (other - own) / max
+		}
+	}
+	return total / float64(n), nil
+}
+
+// silhouetteFullOracle is the full-matrix SilhouetteMat the condensed
+// reduction of Distances.Silhouette replaced: all N² distances into an N×N
+// matrix at x's element type (square roots included), then one row scan per
+// point into K per-cluster sums. At float64 the condensed reduction must
+// reproduce it bit for bit; at float32 the two differ in where the square
+// root is rounded (here at float32, there after widening).
+func silhouetteFullOracle[F linalg.Float](x *linalg.Mat[F], a *Assignment, workers int) (float64, error) {
+	n := x.Rows
+	if err := checkAssignment(n, a); err != nil {
+		return 0, err
+	}
+	if a.K < 2 {
+		return 0, errors.New("cluster: silhouette needs at least two clusters")
+	}
+	pair := linalg.NewMat[F](n, n)
+	if err := linalg.PairwiseSquaredInto(pair, x, nil, workers); err != nil {
+		return 0, err
+	}
+	linalg.SquaredDistancesSqrtInPlace(pair.Data, workers)
+	sizes := a.Sizes()
+	sumByCluster := make([]float64, a.K)
+	var total float64
+	for i := 0; i < n; i++ {
+		li := a.Labels[i]
+		if sizes[li] <= 1 {
+			continue // silhouette of a singleton is defined as 0
+		}
+		for c := range sumByCluster {
+			sumByCluster[c] = 0
+		}
+		row := pair.Row(i)
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			sumByCluster[a.Labels[j]] += float64(row[j])
 		}
 		own := sumByCluster[li] / float64(sizes[li]-1)
 		other := math.Inf(1)

@@ -179,6 +179,13 @@ type Result struct {
 	// OptimalK is the cluster count selected by the metric tuner (or
 	// ForceK when set).
 	OptimalK int
+	// Silhouette is the mean silhouette coefficient of Assignment, or -1
+	// when it is undefined (a single cluster). It is reduced from the same
+	// distance matrix the pattern identifier agglomerated over, so at
+	// Precision Float32 it measures the once-rounded distances the
+	// clustering saw rather than a float64 recompute: low-order digits
+	// differ from the Float64 tier, verdicts drawn from it do not.
+	Silhouette float64
 	// Clusters describes each cluster; index matches assignment labels.
 	Clusters []ClusterView
 	// ClusterLabels[c] is the functional region of cluster c.
@@ -350,19 +357,27 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 // (hierarchical clustering of the normalised vectors), the metric tuner
 // (Davies–Bouldin sweep, unless K is forced) and the optional NMF and
 // k-means decompositions. It fills the Dendrogram, DBICurve, OptimalK,
-// Assignment, NMF, DominantBasis and KMeans fields of the result. At
-// float32 the kernels run on the narrowed matrices; the agglomeration,
-// index statistics and all reported values are float64 either way.
+// Assignment, Silhouette, NMF, DominantBasis and KMeans fields of the
+// result. At float32 the kernels run on the narrowed matrices; the
+// agglomeration, index statistics and all reported values are float64
+// either way.
 func model[F linalg.Float](ctx context.Context, norm, raw *linalg.Mat[F], opts Options) (*Result, error) {
 	towers, slots := norm.Rows, norm.Cols
 
-	// Pattern identifier: condensed NN-chain engine, distance matrix
-	// parallelised across opts.Workers goroutines.
-	dendro, err := cluster.HierarchicalMatCtx(ctx, norm, opts.Linkage, opts.Workers)
+	// The pairwise distances are computed once, parallelised across
+	// opts.Workers goroutines, and serve both stages that need them: the
+	// pattern identifier's NN-chain agglomeration here and the silhouette of
+	// the selected cut below. dist is not referenced after that, so the
+	// decomposition stages and the published result never pin it.
+	dist, err := cluster.DistancesMatCtx(ctx, norm, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: clustering: %w", err)
 	}
-	res := &Result{Dendrogram: dendro}
+	dendro, err := dist.HierarchicalCtx(ctx, opts.Linkage)
+	if err != nil {
+		return nil, fmt.Errorf("core: clustering: %w", err)
+	}
+	res := &Result{Dendrogram: dendro, Silhouette: -1}
 
 	// Metric tuner: Davies–Bouldin sweep (unless K is forced).
 	maxK := min(opts.MaxClusters, towers)
@@ -389,6 +404,9 @@ func model[F linalg.Float](ctx context.Context, norm, raw *linalg.Mat[F], opts O
 	res.Assignment, err = dendro.CutK(k)
 	if err != nil {
 		return nil, fmt.Errorf("core: cutting dendrogram: %w", err)
+	}
+	if sil, err := dist.Silhouette(res.Assignment); err == nil {
+		res.Silhouette = sil
 	}
 
 	// Optional decomposition models, both deterministic under opts.Seed

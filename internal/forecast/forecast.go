@@ -108,8 +108,12 @@ type SpectralModel struct {
 // Name implements Model.
 func (m *SpectralModel) Name() string { return "spectral-" + m.Components.String() }
 
-// Fit implements Model.
+// Fit implements Model. A model that is fitted again reuses its
+// reconstruction and bin storage, so a caller sweeping a fleet of towers
+// with one model value allocates only on the first fit of each window
+// length. A refit that fails leaves the model unfitted.
 func (m *SpectralModel) Fit(train linalg.Vector, trainDays, slotsPerDay int) error {
+	m.trainSlots = 0
 	if err := validateTraining(train, trainDays, slotsPerDay); err != nil {
 		return err
 	}
@@ -121,17 +125,17 @@ func (m *SpectralModel) Fit(train linalg.Vector, trainDays, slotsPerDay int) err
 	if maxHarmonics <= 0 {
 		maxHarmonics = 6
 	}
-	var bins []int
+	bins := m.bins[:0]
 	switch m.Components {
 	case Principal:
-		bins = []int{week, day, half}
+		bins = append(bins, week, day, half)
 	case Harmonics:
-		bins = []int{week}
+		bins = append(bins, week)
 		for h := 1; h <= maxHarmonics; h++ {
 			bins = append(bins, h*day)
 		}
 	case HarmonicsAndSidebands:
-		bins = []int{week}
+		bins = append(bins, week)
 		for h := 1; h <= maxHarmonics; h++ {
 			bins = append(bins, h*day, h*day-week, h*day+week)
 		}
@@ -145,6 +149,7 @@ func (m *SpectralModel) Fit(train linalg.Vector, trainDays, slotsPerDay int) err
 			valid = append(valid, b)
 		}
 	}
+	m.bins = valid
 	// The band-limited reconstruction runs on a pooled FFT plan: fitting a
 	// fleet of per-tower models of one window length reuses a single set of
 	// twiddle tables.
@@ -152,13 +157,15 @@ func (m *SpectralModel) Fit(train linalg.Vector, trainDays, slotsPerDay int) err
 	if err != nil {
 		return fmt.Errorf("forecast: %w", err)
 	}
-	reconstructed, _, err := plan.Reconstruct(train, valid...)
+	if cap(m.reconstructed) < len(train) {
+		m.reconstructed = make(linalg.Vector, len(train))
+	}
+	m.reconstructed = m.reconstructed[:len(train)]
+	_, err = plan.ReconstructInto(m.reconstructed, train, valid...)
 	plan.Release()
 	if err != nil {
 		return fmt.Errorf("forecast: %w", err)
 	}
-	m.reconstructed = reconstructed
-	m.bins = valid
 	m.trainSlots = len(train)
 	return nil
 }

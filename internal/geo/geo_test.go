@@ -2,8 +2,10 @@ package geo
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -191,8 +193,35 @@ func TestPointIndexWithin(t *testing.T) {
 	}
 }
 
+// withinOracle is the radius scan PointIndex.Within ran before its window
+// was sized per axis: a fixed square of bucket rings around the centre's
+// bucket, a haversine on every candidate. Its window is the same number of
+// degrees wide on both axes, so east-west it reaches only rings × the
+// expected radius × cos(lat) on the ground; complete reports whether that
+// still covers the query radius (for a query at the expected radius, up to
+// 60°). Beyond that it silently misses points.
+func withinOracle(idx *PointIndex, center Point, radiusMeters, expectedRadiusMeters float64) (out []int, complete bool) {
+	rings := int(math.Ceil(radiusMeters/expectedRadiusMeters)) + 1
+	reach := float64(rings) * expectedRadiusMeters * math.Cos((math.Abs(center.Lat)+0.05)*math.Pi/180)
+	complete = reach >= 1.01*radiusMeters
+	key := idx.bucketKey(center)
+	for dr := -rings; dr <= rings; dr++ {
+		for dc := -rings; dc <= rings; dc++ {
+			for _, i := range idx.buckets[[2]int{key[0] + dr, key[1] + dc}] {
+				if DistanceMeters(center, idx.points[i]) <= radiusMeters {
+					out = append(out, i)
+				}
+			}
+		}
+	}
+	return out, complete
+}
+
 // Property: the grid radius query returns exactly the same set as a brute
-// force scan.
+// force scan — at every latitude, not only where a degree of longitude is
+// about as long as a degree of latitude, for query radii below, at and
+// above the one the index was built for — and, wherever the fixed-window
+// scan it replaced is complete, the same indices in the same order.
 func TestPointIndexMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	points := make([]Point, 500)
@@ -216,6 +245,82 @@ func TestPointIndexMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: point %d mismatch (brute=%v index=%v)", trial, i, inRadius, got[i])
 			}
 		}
+	}
+
+	const built = 200.0
+	for _, lat := range []float64{0, 31.2, 55, 62, 65, 70, -65, 89.9} {
+		t.Run(fmt.Sprintf("lat=%g", lat), func(t *testing.T) {
+			// A dense patch a few kilometres across, kept off the pole
+			// itself: ±0.02° of latitude, and the longitude span that
+			// covers the same ground distance at this latitude.
+			lonSpan := math.Min(0.04/math.Cos(lat*math.Pi/180), 20)
+			draw := func() Point {
+				return Point{Lat: lat + (rng.Float64()-0.5)*0.04, Lon: 20 + (rng.Float64()-0.5)*lonSpan}
+			}
+			points := make([]Point, 4000)
+			for i := range points {
+				points[i] = draw()
+			}
+			idx, err := NewPointIndex(points, built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compared := 0
+			for trial := 0; trial < 60; trial++ {
+				center := draw()
+				for _, radius := range []float64{50, 200, 500} {
+					var brute []int
+					for i, p := range points {
+						if DistanceMeters(center, p) <= radius {
+							brute = append(brute, i)
+						}
+					}
+					got := idx.Within(center, radius)
+					if n := idx.CountWithin(center, radius); n != len(brute) || len(got) != len(brute) {
+						t.Fatalf("%v radius %g: CountWithin = %d, Within finds %d, brute force %d", center, radius, n, len(got), len(brute))
+					}
+					sorted := slices.Clone(got)
+					slices.Sort(sorted)
+					if !slices.Equal(sorted, brute) {
+						t.Fatalf("%v radius %g: Within = %v, brute force %v", center, radius, sorted, brute)
+					}
+					if want, complete := withinOracle(idx, center, radius, built); complete {
+						compared++
+						if !slices.Equal(got, want) {
+							t.Fatalf("%v radius %g: Within = %v, fixed-window scan %v (same set, different order)", center, radius, got, want)
+						}
+					}
+				}
+			}
+			if math.Abs(lat) <= 55 && compared < 120 {
+				t.Errorf("only %d of 180 queries were compared with the fixed-window scan", compared)
+			}
+		})
+	}
+}
+
+// A query far from every indexed point, or with no usable radius, scans
+// nothing and finds nothing; one whose disc covers a pole has no longitude
+// bound and still terminates on the occupied buckets.
+func TestPointIndexDegenerateQueries(t *testing.T) {
+	points := []Point{{Lat: 89.9995, Lon: -170}, {Lat: 89.9995, Lon: 10}, {Lat: 89.9995, Lon: 100}, {Lat: 89.5, Lon: 10}}
+	idx, err := NewPointIndex(points, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first three points ring the pole ~56 m from it; all lie within
+	// 200 m of one another across it.
+	if got := idx.Within(points[1], 200); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("across the pole: Within = %v, want [0 1 2]", got)
+	}
+	if n := idx.CountWithin(Point{Lat: -40, Lon: 10}, 200); n != 0 {
+		t.Errorf("far query counted %d points", n)
+	}
+	if n := idx.CountWithin(points[3], -1); n != 0 {
+		t.Errorf("negative radius counted %d points", n)
+	}
+	if n := idx.CountWithin(points[3], 0); n != 1 {
+		t.Errorf("zero radius counted %d points, want the coincident one", n)
 	}
 }
 

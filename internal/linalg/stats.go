@@ -81,26 +81,61 @@ func NormalizeByMax(v Vector) Vector {
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of v using linear
 // interpolation between order statistics. It returns 0 for an empty vector.
+// v is not modified: the selection runs on a copy.
 func Quantile(v Vector, q float64) float64 {
+	return QuantileInPlace(v.Clone(), q)
+}
+
+// QuantileInPlace is Quantile on caller-owned scratch: it reorders v instead
+// of copying it, so a caller that already holds a throwaway buffer (the
+// anomaly sweep's per-worker scratch) pays no allocation. The order
+// statistics come from SelectKth — the k-th element, then the minimum of
+// the part above it as the interpolation partner — in expected O(n) instead
+// of a full sort, and are the same elements a sort would put there, so the
+// result equals the sort-based form's. NaNs are moved to the front first,
+// where sort.Float64s orders them: SelectKth's partition loops compare
+// against the pivot and do not terminate correctly on a NaN.
+func QuantileInPlace(v []float64, q float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
-	sorted := v.Clone()
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
+	nans := 0
+	for i, x := range v {
+		if x != x {
+			v[i], v[nans] = v[nans], x
+			nans++
+		}
 	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
+	// Order statistic k, plus the next one at weight frac when the quantile
+	// falls between two.
+	k, frac := 0, 0.0
+	switch {
+	case q <= 0:
+	case q >= 1:
+		k = len(v) - 1
+	default:
+		pos := q * float64(len(v)-1)
+		k = int(math.Floor(pos))
+		frac = pos - float64(k)
 	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
+	if k < nans {
+		return math.NaN() // a NaN order statistic, or an interpolation from one
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	rest := v[nans:]
+	vlo := SelectKth(rest, k-nans)
+	if frac == 0 {
+		return vlo
+	}
+	// SelectKth left everything above position k ≥ v[k], so the next order
+	// statistic is the minimum of that tail.
+	tail := rest[k-nans+1:]
+	vhi := tail[0]
+	for _, x := range tail[1:] {
+		if x < vhi {
+			vhi = x
+		}
+	}
+	return vlo*(1-frac) + vhi*frac
 }
 
 // SelectKth partially reorders v in place so that v[k] holds the k-th

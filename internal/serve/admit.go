@@ -30,10 +30,10 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/linalg"
 	"repro/internal/pipeline"
 )
@@ -113,10 +113,11 @@ func (e *RejectionError) Error() string {
 }
 
 // admissionStats measures a candidate model. The validity indices run on
-// the same normalized vectors the clustering saw; a degenerate assignment
-// (DBI +Inf on coincident centroids, silhouette errors) is recorded
-// as-is and left to the drift check to judge.
-func admissionStats(ds *pipeline.Dataset, a *cluster.Assignment, forecasts []towerForecast, workers int) AdmissionStats {
+// the same normalized vectors the clustering saw — the silhouette is the
+// one the analysis reduced from its own distance matrix — and a degenerate
+// assignment (DBI +Inf on coincident centroids, an undefined silhouette
+// as -1) is recorded as-is and left to the drift check to judge.
+func admissionStats(ds *pipeline.Dataset, res *core.Result, forecasts []towerForecast, workers int) AdmissionStats {
 	st := AdmissionStats{Towers: ds.NumTowers(), BacktestNRMSE: -1}
 
 	// Completeness: median across towers of the fraction of slots that
@@ -136,13 +137,10 @@ func admissionStats(ds *pipeline.Dataset, a *cluster.Assignment, forecasts []tow
 	}
 	st.Completeness = medianOf(fracs)
 
-	st.DBI, st.Silhouette = math.Inf(1), -1
+	st.DBI, st.Silhouette = math.Inf(1), res.Silhouette
 	if norm, err := linalg.RowsMatrix(ds.Normalized); err == nil {
-		if dbi, err := cluster.DaviesBouldinMat(norm, a, workers); err == nil {
+		if dbi, err := cluster.DaviesBouldinMat(norm, res.Assignment, workers); err == nil {
 			st.DBI = dbi
-		}
-		if sil, err := cluster.SilhouetteMat(norm, a, workers); err == nil {
-			st.Silhouette = sil
 		}
 	}
 
@@ -204,16 +202,7 @@ func admit(cfg AdmitConfig, prev *AdmissionStats, cand AdmissionStats) ([]Reject
 // medianOf returns the median of vals (0 for an empty slice). It copies;
 // callers keep their order.
 func medianOf(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	tmp := append([]float64(nil), vals...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
+	return linalg.Quantile(vals, 0.5)
 }
 
 // jsonFloat sanitises a float for JSON encoding: NaN and ±Inf (legal in

@@ -46,6 +46,8 @@ import (
 	"repro/internal/anomaly"
 	"repro/internal/core"
 	"repro/internal/forecast"
+	"repro/internal/linalg"
+	"repro/internal/panicsafe"
 	"repro/internal/pipeline"
 	"repro/internal/poi"
 	"repro/internal/snapfs"
@@ -465,14 +467,19 @@ func (s *Server) RemodelNow(ctx context.Context) error {
 		s.met.modelConsecFails.Add(1)
 		return fmt.Errorf("serve: analyze: %w", err)
 	}
-	reports, err := anomaly.DetectAll(ds.Raw, ds.Days, s.cfg.Anomaly)
+	reports, err := anomaly.DetectAllContext(ctx, ds.Raw, ds.Days, s.cfg.Anomaly, s.cfg.Analyze.Workers)
 	if err != nil {
 		s.met.modelFailures.Add(1)
 		s.met.modelConsecFails.Add(1)
 		return fmt.Errorf("serve: anomaly sweep: %w", err)
 	}
-	forecasts := s.buildForecasts(ds)
-	stats := admissionStats(ds, res.Assignment, forecasts, s.cfg.Analyze.Workers)
+	forecasts, err := s.buildForecasts(ctx, ds)
+	if err != nil {
+		s.met.modelFailures.Add(1)
+		s.met.modelConsecFails.Add(1)
+		return fmt.Errorf("serve: forecasts: %w", err)
+	}
+	stats := admissionStats(ds, res, forecasts, s.cfg.Analyze.Workers)
 
 	rowByID := make(map[int]int, len(ds.TowerIDs))
 	for row, id := range ds.TowerIDs {
@@ -560,30 +567,76 @@ func (s *Server) maybeAutoRollbackLocked() *generation {
 // window's final week and predicts the next day. Rows whose fit fails
 // (degenerate traffic) carry a zero towerForecast rather than failing
 // the cycle.
-func (s *Server) buildForecasts(ds *pipeline.Dataset) []towerForecast {
+//
+// The rows are fanned across up to Analyze.Workers goroutines (≤ 0 means
+// GOMAXPROCS; 1 runs the loop on the calling goroutine) claiming rows from
+// a shared counter. Each worker refits its own two models — the backtest's
+// and the full window's — row after row, so a cycle allocates per-row only
+// what it publishes, and every row is written by index from that row's
+// traffic alone, so the result is identical for any worker count. ctx is
+// observed before each row; a cancellation or a worker panic (returned as a
+// *panicsafe.Error) stops the stage, and every worker has exited by the
+// time it returns.
+func (s *Server) buildForecasts(ctx context.Context, ds *pipeline.Dataset) ([]towerForecast, error) {
 	out := make([]towerForecast, ds.NumTowers())
 	if s.cfg.ForecastTrainDays < 0 || ds.Days < 14 {
-		return out
+		return out, nil
 	}
 	spd := ds.SlotsPerDay()
 	trainDays := ds.Days - 7
-	for i, row := range ds.Raw {
-		m := &forecast.SpectralModel{Components: forecast.HarmonicsAndSidebands}
-		metrics, err := forecast.Backtest(m, row, ds.Days, trainDays, spd)
-		if err != nil {
-			continue
-		}
+	var (
+		next     atomic.Int64
+		stop     atomic.Bool
+		errOnce  sync.Once
+		firstErr error
+	)
+	fit := func() error {
+		backtest := &forecast.SpectralModel{Components: forecast.HarmonicsAndSidebands}
 		full := &forecast.SpectralModel{Components: forecast.HarmonicsAndSidebands}
-		if err := full.Fit(row, ds.Days, spd); err != nil {
-			continue
+		for !stop.Load() {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			i := int(next.Add(1)) - 1
+			if i >= len(ds.Raw) {
+				break
+			}
+			row := ds.Raw[i]
+			metrics, err := forecast.Backtest(backtest, row, ds.Days, trainDays, spd)
+			if err != nil {
+				continue
+			}
+			if err := full.Fit(row, ds.Days, spd); err != nil {
+				continue
+			}
+			nextDay, err := full.Predict(spd)
+			if err != nil {
+				continue
+			}
+			out[i] = towerForecast{Valid: true, Metrics: metrics, NextDay: nextDay}
 		}
-		nextDay, err := full.Predict(spd)
-		if err != nil {
-			continue
-		}
-		out[i] = towerForecast{Valid: true, Metrics: metrics, NextDay: nextDay}
+		return nil
 	}
-	return out
+	workers := min(linalg.ResolveWorkers(s.cfg.Analyze.Workers), len(ds.Raw))
+	if workers <= 1 {
+		if err := fit(); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		panicsafe.Go(fit, func(err error) {
+			errOnce.Do(func() { firstErr = err })
+			stop.Store(true)
+		}, wg.Done)
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return out, nil
 }
 
 // publishAnomalies pushes the anomalies of the newly covered window span
