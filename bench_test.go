@@ -155,7 +155,7 @@ func BenchmarkPipeline_FullAnalysis(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(env.Dataset, env.City.POIs, core.Options{ForceK: 5, Precision: c.prec}); err != nil {
+				if _, err := core.AnalyzeContext(context.Background(), env.Dataset, env.City.POIs, core.Options{ForceK: 5, Precision: c.prec}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -511,7 +511,7 @@ func BenchmarkAblation_ReconstructionComponents(b *testing.B) {
 			b.ReportAllocs()
 			var loss float64
 			for i := 0; i < b.N; i++ {
-				_, l, err := dsp.Reconstruct(agg, c.bins...)
+				_, l, err := env.Plan.Reconstruct(agg, c.bins...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -811,10 +811,12 @@ func BenchmarkCluster_Distances(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for it := 0; it < b.N; it++ {
-				if err := linalg.PairwiseSquaredCondensed(cond, x, norms, c.workers); err != nil {
+				if err := linalg.PairwiseSquaredCondensedCtx(context.Background(), cond, x, norms, c.workers); err != nil {
 					b.Fatal(err)
 				}
-				linalg.SquaredDistancesSqrtInPlace(cond, c.workers)
+				if err := linalg.SquaredDistancesSqrtInPlaceCtx(context.Background(), cond, c.workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 			reportPairRate(b, n)
 		})
@@ -836,10 +838,12 @@ func BenchmarkCluster_Distances(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for it := 0; it < b.N; it++ {
-				if err := linalg.PairwiseSquaredCondensed(cond32, x32, norms32, c.workers); err != nil {
+				if err := linalg.PairwiseSquaredCondensedCtx(context.Background(), cond32, x32, norms32, c.workers); err != nil {
 					b.Fatal(err)
 				}
-				linalg.SquaredDistancesSqrtInPlace(cond32, c.workers)
+				if err := linalg.SquaredDistancesSqrtInPlaceCtx(context.Background(), cond32, c.workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 			reportPairRate(b, n)
 		})

@@ -23,8 +23,7 @@
 // (internal/timedomain, internal/freqdomain — the latter driven by the
 // plan-based FFT engine of internal/dsp, whose dsp.Plan precomputes twiddle
 // factors per signal length and batches per-tower spectra across a worker
-// pool; see README.md for when to hold a plan vs. use the package-level
-// DFT/IDFT/Reconstruct wrappers) and the orchestration model
+// pool) and the orchestration model
 // (internal/core, with AnalyzeContext for in-memory datasets and
 // AnalyzeSourceContext for record streams). The benchmark harness that
 // regenerates every table and figure of the paper is internal/experiments,

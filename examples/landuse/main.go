@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("building dataset: %v", err)
 	}
-	result, err := core.Analyze(dataset, city.POIs, core.Options{ForceK: 5})
+	result, err := core.AnalyzeContext(context.Background(), dataset, city.POIs, core.Options{ForceK: 5})
 	if err != nil {
 		log.Fatalf("analysing: %v", err)
 	}

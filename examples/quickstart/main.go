@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 
 	// 3. Run the model: hierarchical clustering + Davies-Bouldin metric
 	//    tuner, POI labelling, time- and frequency-domain analysis.
-	result, err := core.Analyze(dataset, city.POIs, core.Options{})
+	result, err := core.AnalyzeContext(context.Background(), dataset, city.POIs, core.Options{})
 	if err != nil {
 		log.Fatalf("analysing: %v", err)
 	}

@@ -15,8 +15,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dsp"
 	"repro/internal/linalg"
@@ -265,59 +263,31 @@ func DetectAll(traffic []linalg.Vector, nDays int, opts Options) ([]*Report, err
 }
 
 // DetectAllContext runs Detect on every tower and returns the reports in
-// input order. The towers are fanned across up to `workers` goroutines
-// (≤ 0 means GOMAXPROCS; 1 runs the sweep on the calling goroutine), each
-// claiming rows from a shared counter and reusing one pooled FFT plan and
-// one scratch across its towers. Every report is computed from its own row
-// alone, so the result is identical for any worker count. ctx is observed
-// before each tower; the first tower to fail, a cancellation, or a worker
-// panic (returned as a *panicsafe.Error) stops the sweep, and every worker
-// has exited by the time the call returns.
+// input order. The towers fan out over panicsafe.ForEach on up to `workers`
+// goroutines (≤ 0 means GOMAXPROCS; 1 runs the sweep on the calling
+// goroutine), each reusing one pooled FFT plan and one scratch across its
+// towers. Every report is computed from its own row alone, so the result is
+// identical for any worker count, and when several towers fail the error
+// names the lowest of them.
 func DetectAllContext(ctx context.Context, traffic []linalg.Vector, nDays int, opts Options, workers int) ([]*Report, error) {
 	out := make([]*Report, len(traffic))
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-	)
-	sweep := func() error {
-		var d detector
-		defer d.release()
-		for !stop.Load() {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(traffic) {
-				break
-			}
-			r, err := d.detect(traffic[i], nDays, opts)
-			if err != nil {
-				return fmt.Errorf("anomaly: tower %d: %w", i, err)
-			}
-			out[i] = r
-		}
-		return nil
-	}
 	workers = min(linalg.ResolveWorkers(workers), len(traffic))
-	if workers <= 1 {
-		if err := sweep(); err != nil {
-			return nil, err
+	detectors := make([]detector, max(workers, 1))
+	defer func() {
+		for w := range detectors {
+			detectors[w].release()
 		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		panicsafe.Go(sweep, func(err error) {
-			errOnce.Do(func() { firstErr = err })
-			stop.Store(true)
-		}, wg.Done)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	}()
+	err := panicsafe.ForEach(ctx, len(traffic), workers, func(w, i int) error {
+		r, err := detectors[w].detect(traffic[i], nDays, opts)
+		if err != nil {
+			return fmt.Errorf("anomaly: tower %d: %w", i, err)
+		}
+		out[i] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,10 +3,14 @@ package anomaly
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/panicsafe"
 	"repro/internal/testutil"
 )
@@ -100,4 +104,38 @@ func TestDetectAllContextWorkerPanic(t *testing.T) {
 	}()
 	_, err = DetectAllContext(inline, towers, days, Options{}, 1)
 	t.Errorf("workers 1: DetectAllContext returned (%v) instead of panicking on the calling goroutine", err)
+}
+
+// When several towers of a sweep are unusable, the error names the lowest
+// of them, whatever the worker count and however the workers interleave —
+// an operator chasing a multi-fault sweep is told the same tower every
+// time. (With a first-error latch per pool, 4 workers named row 11 instead
+// of row 10 in about 2 % of runs.)
+func TestDetectAllLowestIndexErrorWins(t *testing.T) {
+	testutil.CheckNoGoroutineLeak(t)
+	// A week of hourly slots per tower keeps 4 000 sweeps quick under -race.
+	const weekDays, slots = 7, 7 * 24
+	rng := rand.New(rand.NewSource(102))
+	for _, bad := range [][2]int{{10, 11}, {3, 60}} {
+		towers := make([]linalg.Vector, 64)
+		for i := range towers {
+			towers[i] = make(linalg.Vector, slots)
+			for j := range towers[i] {
+				towers[i][j] = 100 + 50*math.Sin(2*math.Pi*float64(j)/24) + rng.Float64()
+			}
+		}
+		for _, row := range bad {
+			towers[row][7] = math.NaN()
+		}
+		want := fmt.Sprintf("anomaly: tower %d:", bad[0])
+		for _, workers := range []int{1, 2, 4, 0} {
+			for run := 0; run < 500; run++ {
+				reports, err := DetectAllContext(context.Background(), towers, weekDays, Options{}, workers)
+				if reports != nil || err == nil || !strings.HasPrefix(err.Error(), want) {
+					t.Fatalf("rows %v workers %d run %d: DetectAllContext = %v, %v; want an error starting %q",
+						bad, workers, run, reports, err, want)
+				}
+			}
+		}
+	}
 }

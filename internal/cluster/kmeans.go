@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/linalg"
@@ -62,9 +61,9 @@ type KMeansResult struct {
 // tiled pass); all per-iteration scratch — the distance matrix, centroid
 // norms, and the update step's sums and counts — is hoisted into buffers
 // allocated once per restart, so a warmed Lloyd iteration allocates
-// nothing. Restarts run concurrently, each with its own RNG seeded from
-// Seed and the restart index, so the outcome does not depend on
-// scheduling: the best result is selected by scanning the restarts in
+// nothing. Restarts fan out over panicsafe.ForEach, each with its own RNG
+// seeded from Seed and the restart index, so the outcome does not depend
+// on scheduling: the best result is selected by scanning the restarts in
 // index order with a strict inertia comparison, exactly as a serial loop
 // would.
 //
@@ -73,11 +72,9 @@ type KMeansResult struct {
 // step), with the k-means++ sampling totals, the inertia reduction and the
 // reported centroids kept in float64.
 //
-// ctx is observed once per Lloyd iteration of every restart and between
-// row strips of the blocked assignment kernel; on cancellation every
-// in-flight restart exits at its next iteration boundary and the pool
-// drains before the call returns. A panic in a restart or assignment
-// worker is returned as an error instead of crashing the process.
+// ctx is observed before every restart, once per Lloyd iteration of each
+// and between row strips of the blocked assignment kernel; on cancellation
+// every in-flight restart exits at its next iteration boundary.
 func KMeansMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], opts KMeansOptions) (*KMeansResult, error) {
 	opts = opts.withDefaults()
 	n := x.Rows
@@ -94,49 +91,23 @@ func KMeansMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], opts KM
 	}
 
 	workers := linalg.ResolveWorkers(opts.Workers)
-	restartRNG := func(r int) *rand.Rand {
-		return rand.New(rand.NewSource(opts.Seed + int64(r)*104729))
-	}
+	// Restarts run concurrently, bounded by the worker budget: at most
+	// `concurrent` of them at once, each chunking its assignment step across
+	// the remaining budget, so the total goroutine count stays within
+	// Workers. The first failing restart, in restart order, is the error.
+	concurrent := min(workers, opts.Restarts)
+	inner := workers / concurrent
 	results := make([]*KMeansResult, opts.Restarts)
-	errs := make([]error, opts.Restarts)
-	if workers == 1 || opts.Restarts == 1 {
-		for r := range results {
-			results[r], errs[r] = kmeansOnce(ctx, x, xnorms, opts, restartRNG(r), workers)
-		}
-	} else {
-		// Concurrent restarts, bounded by the worker budget: at most
-		// `concurrent` restarts run at once, each chunking its assignment
-		// step across the remaining budget, so the total goroutine count
-		// stays within Workers.
-		concurrent := workers
-		if concurrent > opts.Restarts {
-			concurrent = opts.Restarts
-		}
-		inner := workers / concurrent
-		sem := make(chan struct{}, concurrent)
-		var wg sync.WaitGroup
-		for r := range results {
-			wg.Add(1)
-			sem <- struct{}{}
-			// A panicking restart is captured as that restart's error slot;
-			// the deterministic first-error scan below surfaces it exactly
-			// where a serial run would have crashed.
-			panicsafe.Go(func() error {
-				defer func() { <-sem }()
-				var err error
-				results[r], err = kmeansOnce(ctx, x, xnorms, opts, restartRNG(r), inner)
-				return err
-			}, func(err error) { errs[r] = err }, wg.Done)
-		}
-		wg.Wait()
+	err := panicsafe.ForEach(ctx, opts.Restarts, concurrent, func(_, r int) error {
+		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*104729))
+		var err error
+		results[r], err = kmeansOnce(ctx, x, xnorms, opts, rng, inner)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Deterministic selection: first error, then lowest inertia, both in
-	// restart order.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	// Deterministic selection: lowest inertia, in restart order.
 	var best *KMeansResult
 	for _, res := range results {
 		if best == nil || res.Inertia < best.Inertia {
@@ -279,35 +250,6 @@ func widenRows[F linalg.Float](m *linalg.Mat[F]) []linalg.Vector {
 	return out
 }
 
-// chunkPoints splits [0, n) into at most `workers` contiguous chunks and
-// runs fn on each concurrently, returning the first error by chunk order.
-// A panic inside fn is captured as that chunk's error.
-func chunkPoints(n, workers int, fn func(lo, hi int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return panicsafe.Call(func() error { return fn(0, n) })
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		wg.Add(1)
-		panicsafe.Go(func() error {
-			return fn(lo, hi)
-		}, func(err error) { errs[w] = err }, wg.Done)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // pointCentroidDistances fills sc.dists with the squared distances of every
 // point to every current centroid via the blocked cross kernel. The point
 // norms are fixed for the whole run and shared read-only across restarts;
@@ -330,9 +272,11 @@ func assignNearest[F linalg.Float](ctx context.Context, x *linalg.Mat[F], xnorms
 	if workers <= 1 {
 		return argminRange(sc, 0, x.Rows), nil
 	}
+	// One contiguous chunk of points per worker.
+	n, chunks := x.Rows, min(workers, x.Rows)
 	var changed atomic.Bool
-	err := chunkPoints(x.Rows, workers, func(lo, hi int) error {
-		if argminRange(sc, lo, hi) {
+	err := panicsafe.ForEach(ctx, chunks, chunks, func(_, c int) error {
+		if argminRange(sc, c*n/chunks, (c+1)*n/chunks) {
 			changed.Store(true)
 		}
 		return nil

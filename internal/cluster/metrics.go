@@ -93,7 +93,7 @@ func DaviesBouldinMat[F linalg.Float](x *linalg.Mat[F], a *Assignment, workers i
 	}
 	// Centroid separations M_ij via the blocked symmetric kernel.
 	sep := linalg.NewMat[F](a.K, a.K)
-	if err := linalg.PairwiseSquaredInto(sep, cm, nil, workers); err != nil {
+	if err := linalg.PairwiseSquaredIntoCtx(context.Background(), sep, cm, nil, workers); err != nil {
 		return 0, err
 	}
 	var sum float64

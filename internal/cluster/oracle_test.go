@@ -366,10 +366,12 @@ func silhouetteFullOracle[F linalg.Float](x *linalg.Mat[F], a *Assignment, worke
 		return 0, errors.New("cluster: silhouette needs at least two clusters")
 	}
 	pair := linalg.NewMat[F](n, n)
-	if err := linalg.PairwiseSquaredInto(pair, x, nil, workers); err != nil {
+	if err := linalg.PairwiseSquaredIntoCtx(context.Background(), pair, x, nil, workers); err != nil {
 		return 0, err
 	}
-	linalg.SquaredDistancesSqrtInPlace(pair.Data, workers)
+	if err := linalg.SquaredDistancesSqrtInPlaceCtx(context.Background(), pair.Data, workers); err != nil {
+		return 0, err
+	}
 	sizes := a.Sizes()
 	sumByCluster := make([]float64, a.K)
 	var total float64

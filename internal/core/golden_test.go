@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -90,7 +91,7 @@ func snapshotModel(res *Result) goldenModel {
 // decides it — fails here. Regenerate deliberately with -update.
 func TestGoldenEndToEnd(t *testing.T) {
 	city, ds := goldenCity(t)
-	res, err := Analyze(ds, city.POIs, goldenOptions())
+	res, err := AnalyzeContext(context.Background(), ds, city.POIs, goldenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +154,13 @@ func TestAnalyzeBitIdenticalAcrossWorkers(t *testing.T) {
 	city, ds := goldenCity(t)
 	opts := goldenOptions()
 	opts.Workers = 1
-	serial, err := Analyze(ds, city.POIs, opts)
+	serial, err := AnalyzeContext(context.Background(), ds, city.POIs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0), 0} {
 		opts.Workers = workers
-		par, err := Analyze(ds, city.POIs, opts)
+		par, err := AnalyzeContext(context.Background(), ds, city.POIs, opts)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/label"
@@ -94,7 +95,7 @@ func TestEndToEndFromRawLogs(t *testing.T) {
 	}
 
 	// Full analysis on the log-derived dataset recovers the regions.
-	res, err := Analyze(ds, city.POIs, Options{ForceK: 5})
+	res, err := AnalyzeContext(context.Background(), ds, city.POIs, Options{ForceK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

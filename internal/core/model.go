@@ -5,17 +5,14 @@
 // (the three principal spectral components and the four primary components
 // every tower decomposes into).
 //
-// The entry point is Analyze, which takes a vectorised dataset (from
-// package pipeline) plus the POI inventory of the city and produces a
-// Result carrying every artefact needed to regenerate the paper's tables
-// and figures.
-//
-// AnalyzeContext and AnalyzeSourceContext are the cancellable forms:
-// ctx is observed between pipeline stages and inside every parallel
-// kernel (clustering, k-means, NMF, batch FFT), worker pools drain
-// before the call returns, and a panic in any pool worker comes back as
-// a *panicsafe.Error rather than crashing the process. Analyze remains
-// as the context.Background() form of AnalyzeContext.
+// The entry point is AnalyzeContext, which takes a vectorised dataset
+// (from package pipeline) plus the POI inventory of the city and produces
+// a Result carrying every artefact needed to regenerate the paper's tables
+// and figures; AnalyzeSourceContext is the same from a trace.Source. ctx
+// is observed between pipeline stages and inside every parallel kernel
+// (clustering, k-means, NMF, batch FFT), worker pools drain before the call
+// returns, and a panic in any pool worker comes back as a *panicsafe.Error
+// rather than crashing the process.
 //
 // The modeling stage (clustering, metric tuner, NMF, k-means) is one
 // generic function over the element type of a flat linalg.Mat;
@@ -213,15 +210,10 @@ type Result struct {
 	KMeans *cluster.KMeansResult
 }
 
-// Analyze runs the full pipeline on a vectorised dataset: clustering with
-// the metric tuner, POI labelling, time-domain characterisation and
-// frequency-domain feature extraction.
-func Analyze(ds *pipeline.Dataset, pois []poi.POI, opts Options) (*Result, error) {
-	return AnalyzeContext(context.Background(), ds, pois, opts)
-}
-
-// AnalyzeContext is Analyze with cancellation threaded through every
-// modeling stage: the clustering distance kernels, the metric tuner's
+// AnalyzeContext runs the full pipeline on a vectorised dataset: clustering
+// with the metric tuner, POI labelling, time-domain characterisation and
+// frequency-domain feature extraction. Cancellation is threaded through
+// every modeling stage: the clustering distance kernels, the metric tuner's
 // per-K sweep, the NMF update iterations and the k-means restarts all
 // observe ctx at their natural work boundaries, and a cancelled analysis
 // returns ctx.Err() (possibly wrapped with the failing stage) with every

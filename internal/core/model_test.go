@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -35,7 +36,7 @@ func buildShared(t *testing.T) (*synth.City, *pipeline.Dataset, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Analyze(ds, city.POIs, Options{ForceK: 5})
+	res, err := AnalyzeContext(context.Background(), ds, city.POIs, Options{ForceK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 func TestAnalyzeMetricTunerPicksAroundFive(t *testing.T) {
 	city, ds, _ := buildShared(t)
 	_ = city
-	res, err := Analyze(ds, city.POIs, Options{MinClusters: 2, MaxClusters: 8})
+	res, err := AnalyzeContext(context.Background(), ds, city.POIs, Options{MinClusters: 2, MaxClusters: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,17 +185,17 @@ func TestDecomposeTower(t *testing.T) {
 
 func TestAnalyzeErrors(t *testing.T) {
 	city, ds, _ := buildShared(t)
-	if _, err := Analyze(nil, city.POIs, Options{}); err == nil {
+	if _, err := AnalyzeContext(context.Background(), nil, city.POIs, Options{}); err == nil {
 		t.Error("nil dataset should fail")
 	}
 	var empty pipeline.Dataset
-	if _, err := Analyze(&empty, city.POIs, Options{}); err == nil {
+	if _, err := AnalyzeContext(context.Background(), &empty, city.POIs, Options{}); err == nil {
 		t.Error("empty dataset should fail")
 	}
-	if _, err := Analyze(ds, city.POIs, Options{ForceK: 10_000}); err == nil {
+	if _, err := AnalyzeContext(context.Background(), ds, city.POIs, Options{ForceK: 10_000}); err == nil {
 		t.Error("ForceK larger than tower count should fail")
 	}
-	if _, err := Analyze(ds, city.POIs, Options{POIRadiusMeters: -5, ForceK: 5}); err == nil {
+	if _, err := AnalyzeContext(context.Background(), ds, city.POIs, Options{POIRadiusMeters: -5, ForceK: 5}); err == nil {
 		// withDefaults replaces non-positive radius, so this should NOT fail;
 		// assert the opposite.
 		t.Log("negative radius replaced by default, as intended")
@@ -221,7 +222,7 @@ func TestAnalyzeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(oddDS, oddCity.POIs, Options{ForceK: 3}); err == nil {
+	if _, err := AnalyzeContext(context.Background(), oddDS, oddCity.POIs, Options{ForceK: 3}); err == nil {
 		t.Error("partial-week dataset should fail")
 	}
 }

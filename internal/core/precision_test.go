@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -30,7 +31,7 @@ func TestAnalyzeRejectsUnknownPrecision(t *testing.T) {
 	city, ds := goldenCity(t)
 	opts := goldenOptions()
 	opts.Precision = Precision(42)
-	if _, err := Analyze(ds, city.POIs, opts); err == nil {
+	if _, err := AnalyzeContext(context.Background(), ds, city.POIs, opts); err == nil {
 		t.Fatal("Analyze accepted an unknown precision")
 	}
 }
@@ -44,14 +45,14 @@ func TestAnalyzeRejectsUnknownPrecision(t *testing.T) {
 func TestFloat32DecisionsMatchFloat64(t *testing.T) {
 	city, ds := goldenCity(t)
 
-	ref, err := Analyze(ds, city.POIs, goldenOptions())
+	ref, err := AnalyzeContext(context.Background(), ds, city.POIs, goldenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	opts := goldenOptions()
 	opts.Precision = Float32
-	res, err := Analyze(ds, city.POIs, opts)
+	res, err := AnalyzeContext(context.Background(), ds, city.POIs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +88,13 @@ func TestFloat32BitIdenticalAcrossWorkers(t *testing.T) {
 	opts := goldenOptions()
 	opts.Precision = Float32
 	opts.Workers = 1
-	serial, err := Analyze(ds, city.POIs, opts)
+	serial, err := AnalyzeContext(context.Background(), ds, city.POIs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0), 0} {
 		opts.Workers = workers
-		par, err := Analyze(ds, city.POIs, opts)
+		par, err := AnalyzeContext(context.Background(), ds, city.POIs, opts)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}

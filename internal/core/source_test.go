@@ -70,7 +70,7 @@ func TestAnalyzeSourceMatchesBatchPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Analyze(wantDS, city.POIs, opts)
+	want, err := AnalyzeContext(context.Background(), wantDS, city.POIs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

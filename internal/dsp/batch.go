@@ -5,116 +5,56 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/panicsafe"
 )
 
-// BatchTransform computes the spectrum of every signal (all of length
-// p.N()) across a GOMAXPROCS-wide worker pool and calls fn with each result.
-// Each worker transforms with its own clone of the plan, so p itself is not
+// BatchTransformContext computes the spectrum of every signal (all of
+// length p.N()) and calls fn with each result. The signals fan out over
+// panicsafe.ForEach on a GOMAXPROCS-wide pool (see there for the
+// cancellation, panic and lowest-index-error contract); each worker after
+// the first transforms with its own clone of the plan, so p itself is not
 // touched concurrently.
 //
 // fn is invoked concurrently from the workers, once per signal, with the
 // row index and the spectrum. The spectrum slice is the worker's reusable
 // buffer: fn must copy anything it wants to retain, and calls for different
-// rows must not share mutable state unless fn synchronises. The first error
-// returned by fn (or the lowest-index signal of the wrong length) aborts the
-// batch.
-func (p *Plan) BatchTransform(signals [][]float64, fn func(row int, spectrum []complex128) error) error {
-	return p.BatchTransformContext(context.Background(), signals, fn)
-}
-
-// BatchTransformContext is BatchTransform with cancellation and worker
-// fault isolation: ctx is observed between signals (a Background context
-// costs nothing), and a panic in a worker — in the transform or in fn —
-// is returned as a *panicsafe.Error instead of crashing the process. On
-// either early exit the pool drains fully before the call returns.
+// rows must not share mutable state unless fn synchronises. A signal of the
+// wrong length fails the batch before any transform runs.
 func (p *Plan) BatchTransformContext(ctx context.Context, signals [][]float64, fn func(row int, spectrum []complex128) error) error {
 	if fn == nil {
-		return fmt.Errorf("dsp: BatchTransform requires a callback")
+		return fmt.Errorf("dsp: BatchTransformContext requires a callback")
 	}
 	for i, x := range signals {
 		if len(x) != p.n {
 			return fmt.Errorf("dsp: signal %d has %d samples, plan expects %d", i, len(x), p.n)
 		}
 	}
-	done := ctx.Done()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(signals) {
-		workers = len(signals)
+	workers := min(runtime.GOMAXPROCS(0), len(signals))
+	type state struct {
+		plan     *Plan
+		spectrum []complex128
 	}
-	if workers <= 1 {
-		spectrum := make([]complex128, p.n)
-		for i, x := range signals {
-			if done != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+	states := make([]state, max(workers, 1))
+	return panicsafe.ForEach(ctx, len(signals), workers, func(w, i int) error {
+		st := &states[w]
+		if st.plan == nil {
+			st.plan = p
+			if w > 0 {
+				st.plan = p.Clone()
 			}
-			if err := p.Transform(spectrum, x); err != nil {
-				return err
-			}
-			if err := fn(i, spectrum); err != nil {
-				return err
-			}
+			st.spectrum = make([]complex128, p.n)
 		}
-		return nil
-	}
-
-	var (
-		next    atomic.Int64
-		aborted atomic.Bool
-		errOnce sync.Once
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstEr = err })
-		aborted.Store(true)
-	}
-	for w := 0; w < workers; w++ {
-		plan := p
-		if w > 0 {
-			plan = p.Clone()
-		}
-		wg.Add(1)
-		panicsafe.Go(func() error {
-			spectrum := make([]complex128, plan.n)
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(signals) || aborted.Load() {
-					return nil
-				}
-				if done != nil && ctx.Err() != nil {
-					aborted.Store(true)
-					return nil
-				}
-				if err := plan.Transform(spectrum, signals[i]); err != nil {
-					return err
-				}
-				if err := fn(i, spectrum); err != nil {
-					return err
-				}
-			}
-		}, fail, wg.Done)
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return firstEr
-	}
-	if done != nil {
-		if err := ctx.Err(); err != nil {
+		if err := st.plan.Transform(st.spectrum, signals[i]); err != nil {
 			return err
 		}
-	}
-	return nil
+		return fn(i, st.spectrum)
+	})
 }
 
 // --- Package-level plan pool ---------------------------------------------
 
-// planPools holds one sync.Pool of *Plan per length, backing AcquirePlan and
-// the DFT/IDFT/Reconstruct compatibility wrappers.
+// planPools holds one sync.Pool of *Plan per length, backing AcquirePlan.
 var planPools sync.Map // int -> *sync.Pool
 
 func poolFor(n int) *sync.Pool {

@@ -7,124 +7,26 @@
 // The engine is Plan: an iterative in-place mixed-radix (Stockham) FFT with
 // twiddle factors precomputed per length, a real-input RFFT path, Bluestein's
 // algorithm for lengths with large prime factors, and a batch API that fans
-// per-tower spectra across a worker pool (see plan.go and batch.go). The
-// package-level DFT/IDFT/Reconstruct functions are thin compatibility
-// wrappers that draw plans from a pool keyed by signal length; hold a Plan
-// explicitly (NewPlan or AcquirePlan/Release) when transforming many signals
-// of one length.
+// per-tower spectra across a worker pool (see plan.go and batch.go). Hold
+// a Plan from NewPlan when transforming many signals of one length, or
+// borrow one from the pool keyed by length with AcquirePlan/Release.
 //
 // The traffic vectors analysed by the paper have N = 4032 samples
 // (28 days × 144 ten-minute slots); 4032 = 2⁶·3²·7 runs entirely through the
 // radix-4/2 and generic odd-radix Stockham stages. The O(N²) direct
-// transform survives only as the test oracle (directDFT).
+// transform survives only as the test oracle (directDFT in the tests).
 package dsp
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
-	"sync"
 )
-
-// ErrEmpty is returned when a transform is requested on an empty signal.
-var ErrEmpty = errors.New("dsp: empty signal")
-
-// DFT computes the discrete Fourier transform of the real signal x,
-// returning the complex spectrum X with len(X) == len(x). The convention
-// matches the paper:
-//
-//	X[k] = Σ_{n=0..N-1} x[n] · e^{-2πi·k·n/N}
-func DFT(x []float64) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, ErrEmpty
-	}
-	p, err := AcquirePlan(len(x))
-	if err != nil {
-		return nil, err
-	}
-	defer p.Release()
-	out := make([]complex128, len(x))
-	if err := p.Transform(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// IDFT computes the inverse discrete Fourier transform of the spectrum X,
-// returning a complex signal. The inverse includes the 1/N factor:
-//
-//	x[n] = (1/N) Σ_{k=0..N-1} X[k] · e^{+2πi·k·n/N}
-func IDFT(x []complex128) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, ErrEmpty
-	}
-	p, err := AcquirePlan(len(x))
-	if err != nil {
-		return nil, err
-	}
-	defer p.Release()
-	out := make([]complex128, len(x))
-	if err := p.Inverse(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// IDFTReal computes the inverse DFT and returns only the real part. It is
-// intended for spectra of real signals (conjugate-symmetric), where it runs
-// the half-length inverse RFFT path.
-func IDFTReal(x []complex128) ([]float64, error) {
-	if len(x) == 0 {
-		return nil, ErrEmpty
-	}
-	p, err := AcquirePlan(len(x))
-	if err != nil {
-		return nil, err
-	}
-	defer p.Release()
-	out := make([]float64, len(x))
-	if err := p.InverseReal(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// directDFT is the O(N²) reference transform, retained as the oracle for the
-// equivalence and fuzz tests of the FFT engine. inverse selects the sign of
-// the exponent (no 1/N scaling is applied).
-func directDFT(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for j := 0; j < n; j++ {
-			angle := sign * 2 * math.Pi * float64(k) * float64(j) / float64(n)
-			sum += x[j] * cmplx.Exp(complex(0, angle))
-		}
-		out[k] = sum
-	}
-	return out
-}
 
 // Amplitude returns |X[k]| for every bin of the spectrum.
 func Amplitude(spectrum []complex128) []float64 {
 	out := make([]float64, len(spectrum))
 	for i, c := range spectrum {
 		out[i] = cmplx.Abs(c)
-	}
-	return out
-}
-
-// Phase returns arg(X[k]) in (-π, π] for every bin of the spectrum.
-func Phase(spectrum []complex128) []float64 {
-	out := make([]float64, len(spectrum))
-	for i, c := range spectrum {
-		out[i] = cmplx.Phase(c)
 	}
 	return out
 }
@@ -138,45 +40,12 @@ func Energy(x []float64) float64 {
 	return s
 }
 
-// SpectralEnergy returns (1/N)·Σ |X[k]|², which by Parseval's theorem
-// equals the time-domain energy Σ x[n]².
-func SpectralEnergy(spectrum []complex128) float64 {
-	if len(spectrum) == 0 {
-		return 0
-	}
-	var s float64
-	for _, c := range spectrum {
-		s += real(c)*real(c) + imag(c)*imag(c)
-	}
-	return s / float64(len(spectrum))
-}
-
-// maskPool recycles the boolean masks of the package-level MaskComponents so
-// masking allocates nothing in steady state.
-var maskPool sync.Pool
-
-// MaskComponents zeroes every bin of the spectrum in place except bin 0 (the
-// DC term), the listed bins k, and their conjugate mirrors N-k — the Xʳ[k]
-// masking step of Section 5.1 applied to the caller's buffer. On error
-// (component out of range) the spectrum is left untouched.
-func MaskComponents(spectrum []complex128, ks ...int) error {
-	n := len(spectrum)
-	if n == 0 {
-		return ErrEmpty
-	}
-	mp, _ := maskPool.Get().(*[]bool)
-	if mp == nil || len(*mp) < n {
-		m := make([]bool, n)
-		mp = &m
-	}
-	err := applyMask(*mp, spectrum, ks)
-	maskPool.Put(mp)
-	return err
-}
-
-// applyMask zeroes the non-kept bins of spectrum using the caller-owned
-// boolean mask (len(mask) ≥ len(spectrum), all false). The mask is restored
-// to all-false before returning, touching only the set entries.
+// applyMask zeroes every bin of the spectrum in place except bin 0 (the DC
+// term), the listed bins k, and their conjugate mirrors N-k — the Xʳ[k]
+// masking step of Section 5.1 — using the caller-owned boolean mask
+// (len(mask) ≥ len(spectrum), all false). The mask is restored to all-false
+// before returning, touching only the set entries. On error (component out
+// of range) the spectrum is left untouched.
 func applyMask(mask []bool, spectrum []complex128, ks []int) error {
 	n := len(spectrum)
 	for _, k := range ks {
@@ -200,35 +69,4 @@ func applyMask(mask []bool, spectrum []complex128, ks []int) error {
 		mask[(n-k)%n] = false
 	}
 	return nil
-}
-
-// KeepComponents returns a copy of the spectrum with every bin zeroed except
-// bin 0, the listed bins and their conjugate mirrors. The input is not
-// modified; use MaskComponents to mask a buffer in place.
-func KeepComponents(spectrum []complex128, ks ...int) ([]complex128, error) {
-	if len(spectrum) == 0 {
-		return nil, ErrEmpty
-	}
-	out := make([]complex128, len(spectrum))
-	copy(out, spectrum)
-	if err := MaskComponents(out, ks...); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Reconstruct rebuilds a time-domain signal from the real signal x while
-// retaining only the DC term and the frequency components ks (plus their
-// conjugate mirrors). It returns the reconstructed signal and the relative
-// energy loss |E(x) - E(xr)| / E(x) as defined in Section 5.1 of the paper.
-func Reconstruct(x []float64, ks ...int) (reconstructed []float64, energyLoss float64, err error) {
-	if len(x) == 0 {
-		return nil, 0, ErrEmpty
-	}
-	p, err := AcquirePlan(len(x))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer p.Release()
-	return p.Reconstruct(x, ks...)
 }

@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -9,21 +8,81 @@ import (
 	"testing/quick"
 )
 
+// dft is the one-shot forward transform the correctness tests share: a
+// fresh plan per call, so every test also exercises plan construction for
+// its length.
+func dft(x []float64) ([]complex128, error) {
+	p, err := NewPlan(len(x))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]complex128, len(x))
+	return out, p.Transform(out, x)
+}
+
+// idftReal inverts the spectrum of a real signal on a fresh plan.
+func idftReal(spec []complex128) ([]float64, error) {
+	p, err := NewPlan(len(spec))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(spec))
+	return out, p.InverseReal(out, spec)
+}
+
+// directDFT is the O(N²) reference forward transform, the oracle for the
+// equivalence and fuzz tests of the FFT engine.
+func directDFT(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for j := 0; j < n; j++ {
+			angle := -2 * math.Pi * float64(k) * float64(j) / float64(n)
+			sum += x[j] * cmplx.Exp(complex(0, angle))
+		}
+		out[k] = sum
+	}
+	return out
+}
+
+// spectralEnergy returns (1/N)·Σ |X[k]|², which by Parseval's theorem
+// equals the time-domain energy Σ x[n]².
+func spectralEnergy(spectrum []complex128) float64 {
+	if len(spectrum) == 0 {
+		return 0
+	}
+	var s float64
+	for _, c := range spectrum {
+		s += real(c)*real(c) + imag(c)*imag(c)
+	}
+	return s / float64(len(spectrum))
+}
+
+// An empty signal has no transform: no plan can be built for it, and a plan
+// refuses a signal or destination that is not exactly its length.
 func TestDFTEmpty(t *testing.T) {
-	if _, err := DFT(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("DFT(nil): got %v, want ErrEmpty", err)
+	if _, err := dft(nil); err == nil {
+		t.Error("transform of an empty signal should fail")
 	}
-	if _, err := IDFT(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("IDFT(nil): got %v, want ErrEmpty", err)
+	if _, err := idftReal(nil); err == nil {
+		t.Error("inverse of an empty spectrum should fail")
 	}
-	if _, err := KeepComponents(nil, 1); !errors.Is(err, ErrEmpty) {
-		t.Errorf("KeepComponents(nil): got %v, want ErrEmpty", err)
+	p, err := NewPlan(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Transform(make([]complex128, 4), nil); err == nil {
+		t.Error("plan of length 4 accepted an empty signal")
+	}
+	if err := p.InverseReal(nil, make([]complex128, 4)); err == nil {
+		t.Error("plan of length 4 accepted an empty destination")
 	}
 }
 
 func TestDFTConstantSignal(t *testing.T) {
 	x := []float64{2, 2, 2, 2}
-	spec, err := DFT(x)
+	spec, err := dft(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +104,7 @@ func TestDFTSingleTone(t *testing.T) {
 	for i := range x {
 		x[i] = math.Cos(2 * math.Pi * 3 * float64(i) / float64(n))
 	}
-	spec, err := DFT(x)
+	spec, err := dft(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +133,11 @@ func TestDFTMatchesDirectOnCompositeAndPrimeLengths(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			c[i] = complex(x[i], 0)
 		}
-		fast, err := DFT(x)
+		fast, err := dft(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := directDFT(c, false)
+		ref := directDFT(c)
 		for k := range ref {
 			if cmplx.Abs(fast[k]-ref[k]) > 1e-9*float64(n) {
 				t.Errorf("n=%d bin %d: fast %v vs direct %v", n, k, fast[k], ref[k])
@@ -94,11 +153,11 @@ func TestDFTInverseRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		spec, err := DFT(x)
+		spec, err := dft(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := IDFTReal(spec)
+		back, err := idftReal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,42 +175,58 @@ func TestParseval(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	spec, err := DFT(x)
+	spec, err := dft(x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	te := Energy(x)
-	se := SpectralEnergy(spec)
+	se := spectralEnergy(spec)
 	if math.Abs(te-se) > 1e-6*te {
 		t.Errorf("Parseval violated: time %g vs spectral %g", te, se)
 	}
-	if SpectralEnergy(nil) != 0 {
-		t.Error("SpectralEnergy(nil) should be 0")
-	}
 }
 
+// Reconstruct keeps the DC term, the listed bins and their conjugate
+// mirrors and nothing else, and leaves its input alone.
 func TestKeepComponents(t *testing.T) {
-	spec := []complex128{1, 2, 3, 4, 5, 6, 7, 8}
-	kept, err := KeepComponents(spec, 2)
+	x := []float64{3, -1, 4, 1, -5, 9, 2, -6}
+	orig := append([]float64(nil), x...)
+	p, err := NewPlan(len(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := p.Reconstruct(x, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := dft(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := dft(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Bins 0, 2 and 6 (mirror of 2) survive.
-	want := []complex128{1, 0, 3, 0, 0, 0, 7, 0}
-	for i := range want {
-		if kept[i] != want[i] {
-			t.Errorf("kept[%d] = %v, want %v", i, kept[i], want[i])
+	for k := range kept {
+		want := complex128(0)
+		if k == 0 || k == 2 || k == 6 {
+			want = full[k]
+		}
+		if cmplx.Abs(kept[k]-want) > 1e-9 {
+			t.Errorf("kept[%d] = %v, want %v", k, kept[k], want)
 		}
 	}
-	if _, err := KeepComponents(spec, 99); err == nil {
+	if _, _, err := p.Reconstruct(x, 99); err == nil {
 		t.Error("out-of-range component should fail")
 	}
-	if _, err := KeepComponents(spec, -1); err == nil {
+	if _, _, err := p.Reconstruct(x, -1); err == nil {
 		t.Error("negative component should fail")
 	}
-	// Original must be untouched.
-	if spec[1] != 2 {
-		t.Error("KeepComponents modified its input")
+	for i := range x {
+		if x[i] != orig[i] {
+			t.Fatal("Reconstruct modified its input")
+		}
 	}
 }
 
@@ -164,7 +239,11 @@ func TestReconstructPureTones(t *testing.T) {
 		ti := float64(i)
 		x[i] = 3*math.Cos(2*math.Pi*4*ti/float64(n)+0.3) + 2*math.Sin(2*math.Pi*28*ti/float64(n))
 	}
-	rec, loss, err := Reconstruct(x, 4, 28)
+	p, err := NewPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, loss, err := p.Reconstruct(x, 4, 28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +257,7 @@ func TestReconstructPureTones(t *testing.T) {
 	}
 	// Dropping bin 28 must lose the energy of the second tone:
 	// fraction = (2²/2) / (3²/2 + 2²/2) = 4/13.
-	_, loss2, err := Reconstruct(x, 4)
+	_, loss2, err := p.Reconstruct(x, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +268,11 @@ func TestReconstructPureTones(t *testing.T) {
 
 func TestReconstructZeroSignal(t *testing.T) {
 	x := make([]float64, 64)
-	rec, loss, err := Reconstruct(x, 4)
+	p, err := NewPlan(len(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, loss, err := p.Reconstruct(x, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,50 +307,30 @@ func TestPrincipalBins(t *testing.T) {
 
 func TestSpectrumAccessors(t *testing.T) {
 	x := []float64{1, 0, -1, 0, 1, 0, -1, 0} // cosine at bin 2
-	s, err := NewSpectrum(x)
+	p, err := NewPlan(len(x))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.N() != 8 {
-		t.Errorf("N = %d, want 8", s.N())
-	}
-	c, err := s.Component(2)
+	s, err := p.Spectrum(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(c.Amplitude-4) > 1e-9 {
-		t.Errorf("amplitude at bin 2 = %g, want 4", c.Amplitude)
+	if len(s.Bins) != 8 {
+		t.Errorf("%d bins, want 8", len(s.Bins))
 	}
-	if _, err := s.Component(100); err == nil {
-		t.Error("out-of-range component should fail")
+	amps := s.Amplitudes()
+	if len(amps) != 8 || math.Abs(amps[2]-4) > 1e-9 || math.Abs(amps[6]-4) > 1e-9 {
+		t.Errorf("amplitudes = %v, want 4 at bins 2 and 6", amps)
 	}
-	cs, err := s.Components(0, 2)
-	if err != nil || len(cs) != 2 {
-		t.Fatalf("Components: %v %v", cs, err)
+	if amps[1] > 1e-9 {
+		t.Errorf("amplitude at bin 1 = %g, want 0", amps[1])
 	}
-	na, err := s.NormalizedAmplitude(2)
-	if err != nil || math.Abs(na-0.5) > 1e-9 {
-		t.Errorf("NormalizedAmplitude = %g, want 0.5", na)
-	}
-	trunc, err := s.Truncate(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv, err := trunc.Inverse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(inv[i]-x[i]) > 1e-9 {
-			t.Errorf("truncated inverse[%d] = %g, want %g", i, inv[i], x[i])
-		}
-	}
-	if len(s.Amplitudes()) != 8 || len(s.Phases()) != 8 {
-		t.Error("Amplitudes/Phases length mismatch")
+	if _, err := p.Spectrum(x[:7]); err == nil {
+		t.Error("a signal shorter than the plan should fail")
 	}
 }
 
-// Property: DFT is linear — DFT(a·x + y) = a·DFT(x) + DFT(y).
+// Property: DFT is linear — DFT(a·x + y) = a·dft(x) + dft(y).
 func TestDFTLinearityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f := func(seed uint8) bool {
@@ -279,9 +342,9 @@ func TestDFTLinearityProperty(t *testing.T) {
 			y[i] = rng.NormFloat64()
 			mix[i] = a*x[i] + y[i]
 		}
-		sx, _ := DFT(x)
-		sy, _ := DFT(y)
-		sm, _ := DFT(mix)
+		sx, _ := dft(x)
+		sy, _ := dft(y)
+		sm, _ := dft(mix)
 		for k := 0; k < n; k++ {
 			want := complex(a, 0)*sx[k] + sy[k]
 			if cmplx.Abs(sm[k]-want) > 1e-6*float64(n) {
@@ -305,11 +368,11 @@ func TestDFTRoundTripProperty(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64() * 10
 		}
-		spec, err := DFT(x)
+		spec, err := dft(x)
 		if err != nil {
 			return false
 		}
-		back, err := IDFTReal(spec)
+		back, err := idftReal(spec)
 		if err != nil {
 			return false
 		}
@@ -318,7 +381,7 @@ func TestDFTRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		return math.Abs(Energy(x)-SpectralEnergy(spec)) <= 1e-7*(Energy(x)+1)
+		return math.Abs(Energy(x)-spectralEnergy(spec)) <= 1e-7*(Energy(x)+1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -369,31 +432,20 @@ func TestFactorize(t *testing.T) {
 	}
 }
 
-func BenchmarkDFT4032(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 4032)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DFT(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkReconstruct4032(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	x := make([]float64, 4032)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
+	p, err := NewPlan(len(x))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Reconstruct(x, BinWeekly, BinDaily, BinHalfDay); err != nil {
+		if _, _, err := p.Reconstruct(x, BinWeekly, BinDaily, BinHalfDay); err != nil {
 			b.Fatal(err)
 		}
 	}

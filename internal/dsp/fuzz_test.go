@@ -62,7 +62,7 @@ func FuzzFFT(f *testing.F) {
 		for i, v := range x {
 			c[i] = complex(v, 0)
 		}
-		ref := directDFT(c, false)
+		ref := directDFT(c)
 		tol := 1e-9 * scale * float64(n)
 		for k := range ref {
 			if d := cmplx.Abs(got[k] - ref[k]); d > tol {

@@ -20,8 +20,7 @@ import (
 // A Plan is NOT safe for concurrent use: its scratch buffers are shared
 // between calls. Use Clone to give each goroutine its own plan (clones share
 // the immutable twiddle tables), or the batch API which does this
-// internally. For one-off transforms the package-level DFT/IDFT/Reconstruct
-// wrappers draw plans from a pool keyed by length.
+// internally.
 type Plan struct {
 	n    int
 	full *cplan       // complex transform of length n
@@ -128,35 +127,6 @@ func (p *Plan) Transform(dst []complex128, x []float64) error {
 	return nil
 }
 
-// TransformComplex computes the forward DFT of the complex signal src into
-// dst (no scaling). dst may alias src for an in-place transform.
-func (p *Plan) TransformComplex(dst, src []complex128) error {
-	if len(src) != p.n || len(dst) != p.n {
-		return fmt.Errorf("dsp: plan length %d, got signal %d and destination %d", p.n, len(src), len(dst))
-	}
-	p.full.forward(dst, src)
-	return nil
-}
-
-// Inverse computes the inverse DFT of src into dst, including the 1/N
-// factor: x[n] = (1/N) Σ X[k]·e^{+2πi·k·n/N}. dst may alias src.
-func (p *Plan) Inverse(dst, src []complex128) error {
-	if len(src) != p.n || len(dst) != p.n {
-		return fmt.Errorf("dsp: plan length %d, got spectrum %d and destination %d", p.n, len(src), len(dst))
-	}
-	// Inverse via the conjugation identity: IDFT(X) = conj(DFT(conj(X)))/N,
-	// which reuses the forward twiddles.
-	for i, v := range src {
-		p.cw[i] = cmplx.Conj(v)
-	}
-	p.full.forward(dst, p.cw)
-	scale := 1 / float64(p.n)
-	for i, v := range dst {
-		dst[i] = complex(real(v)*scale, -imag(v)*scale)
-	}
-	return nil
-}
-
 // InverseReal computes the inverse DFT of a conjugate-symmetric spectrum
 // (the spectrum of a real signal, possibly with bins masked to zero in
 // mirror pairs) and writes the real signal into dst. For even lengths it
@@ -214,8 +184,7 @@ func (p *Plan) Spectrum(x []float64) (*Spectrum, error) {
 
 // Reconstruct rebuilds x from the DC term plus the components ks and their
 // conjugate mirrors, returning the band-limited signal and the relative
-// energy loss (Section 5.1). It is the plan-backed form of the package-level
-// Reconstruct.
+// energy loss |E(x) - E(xr)| / E(x) as defined in Section 5.1 of the paper.
 func (p *Plan) Reconstruct(x []float64, ks ...int) ([]float64, float64, error) {
 	out := make([]float64, p.n)
 	loss, err := p.ReconstructInto(out, x, ks...)

@@ -1,10 +1,13 @@
 package dsp
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/testutil"
@@ -37,9 +40,9 @@ func maxAbsDiff(a, b []complex128) float64 {
 	return worst
 }
 
-// TestPlanMatchesDirectDFT pits the plan's real and complex forward
-// transforms against the O(N²) oracle on every test length. The acceptance
-// tolerance is 1e-9 maximum absolute error on unit-scale inputs.
+// TestPlanMatchesDirectDFT pits the plan's forward transform against the
+// O(N²) oracle on every test length. The acceptance tolerance is 1e-9
+// maximum absolute error on unit-scale inputs.
 func TestPlanMatchesDirectDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range testLengths {
@@ -52,7 +55,7 @@ func TestPlanMatchesDirectDFT(t *testing.T) {
 		for i, v := range x {
 			c[i] = complex(v, 0)
 		}
-		ref := directDFT(c, false)
+		ref := directDFT(c)
 
 		got := make([]complex128, n)
 		if err := p.Transform(got, x); err != nil {
@@ -62,32 +65,11 @@ func TestPlanMatchesDirectDFT(t *testing.T) {
 			t.Errorf("n=%d real transform: max abs error %g vs directDFT", n, d)
 		}
 
-		z := make([]complex128, n)
-		for i := range z {
-			z[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		refz := directDFT(z, false)
-		gotz := make([]complex128, n)
-		if err := p.TransformComplex(gotz, z); err != nil {
-			t.Fatalf("n=%d TransformComplex: %v", n, err)
-		}
-		if d := maxAbsDiff(gotz, refz); d > 1e-9 {
-			t.Errorf("n=%d complex transform: max abs error %g vs directDFT", n, d)
-		}
-
-		// In-place complex transform must agree with out-of-place.
-		if err := p.TransformComplex(z, z); err != nil {
-			t.Fatalf("n=%d in-place TransformComplex: %v", n, err)
-		}
-		if d := maxAbsDiff(z, refz); d > 1e-9 {
-			t.Errorf("n=%d in-place complex transform: max abs error %g", n, d)
-		}
 	}
 }
 
-// TestPlanRoundTripAndParseval checks Transform→InverseReal and
-// TransformComplex→Inverse round trips plus Parseval's identity on every
-// test length.
+// TestPlanRoundTripAndParseval checks the Transform→InverseReal round trip
+// plus Parseval's identity on every test length.
 func TestPlanRoundTripAndParseval(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range testLengths {
@@ -100,7 +82,7 @@ func TestPlanRoundTripAndParseval(t *testing.T) {
 		if err := p.Transform(spec, x); err != nil {
 			t.Fatal(err)
 		}
-		if te, se := Energy(x), SpectralEnergy(spec); math.Abs(te-se) > 1e-9*(te+1) {
+		if te, se := Energy(x), spectralEnergy(spec); math.Abs(te-se) > 1e-9*(te+1) {
 			t.Errorf("n=%d Parseval violated: time %g vs spectral %g", n, te, se)
 		}
 		back := make([]float64, n)
@@ -113,29 +95,12 @@ func TestPlanRoundTripAndParseval(t *testing.T) {
 			}
 		}
 
-		z := make([]complex128, n)
-		for i := range z {
-			z[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		fwd := make([]complex128, n)
-		if err := p.TransformComplex(fwd, z); err != nil {
-			t.Fatal(err)
-		}
-		inv := make([]complex128, n)
-		if err := p.Inverse(inv, fwd); err != nil {
-			t.Fatal(err)
-		}
-		for i := range z {
-			if cmplx.Abs(inv[i]-z[i]) > 1e-9 {
-				t.Fatalf("n=%d complex round trip[%d] = %v, want %v", n, i, inv[i], z[i])
-			}
-		}
 	}
 }
 
-// TestPlanReconstructMatchesWrapper checks that the plan's allocation-free
-// reconstruction agrees with the package-level wrapper and with first
-// principles on the paper length.
+// TestPlanReconstructMatchesWrapper checks that a plan borrowed from the
+// package-level pool — recycled scratch and mask included — reconstructs
+// exactly what a fresh plan does on the paper length.
 func TestPlanReconstructMatchesWrapper(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randomReal(rng, 4032)
@@ -147,16 +112,25 @@ func TestPlanReconstructMatchesWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantLoss, err := Reconstruct(x, BinWeekly, BinDaily, BinHalfDay)
-	if err != nil {
-		t.Fatal(err)
+	var want []float64
+	var wantLoss float64
+	for round := 0; round < 2; round++ { // the second round reuses the released plan
+		pooled, err := AcquirePlan(len(x))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantLoss, err = pooled.Reconstruct(x, BinWeekly, BinDaily, BinHalfDay)
+		pooled.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if math.Abs(gotLoss-wantLoss) > 1e-12 {
-		t.Errorf("energy loss: plan %g vs wrapper %g", gotLoss, wantLoss)
+		t.Errorf("energy loss: plan %g vs pooled plan %g", gotLoss, wantLoss)
 	}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("reconstruct[%d]: plan %g vs wrapper %g", i, got[i], want[i])
+			t.Fatalf("reconstruct[%d]: plan %g vs pooled plan %g", i, got[i], want[i])
 		}
 	}
 	if _, err := p.ReconstructInto(make([]float64, p.N()), x, p.N()); err == nil {
@@ -250,11 +224,10 @@ func TestPlanCloneConcurrent(t *testing.T) {
 }
 
 // batchSpectra collects the spectrum of every signal from
-// p.BatchTransform: the body of the deleted Plan.BatchSpectra, which only
-// tests called.
+// p.BatchTransformContext.
 func batchSpectra(p *Plan, signals [][]float64) ([][]complex128, error) {
 	out := make([][]complex128, len(signals))
-	err := p.BatchTransform(signals, func(row int, spectrum []complex128) error {
+	err := p.BatchTransformContext(context.Background(), signals, func(row int, spectrum []complex128) error {
 		out[row] = append([]complex128(nil), spectrum...)
 		return nil
 	})
@@ -265,7 +238,7 @@ func batchSpectra(p *Plan, signals [][]float64) ([][]complex128, error) {
 }
 
 // TestBatchSpectraMatchesSequential checks the batch fan-out against
-// per-signal wrapper calls, plus error propagation for ragged inputs.
+// per-signal transforms, plus error propagation for ragged inputs.
 func TestBatchSpectraMatchesSequential(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	rng := rand.New(rand.NewSource(19))
@@ -283,12 +256,12 @@ func TestBatchSpectraMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, x := range signals {
-		want, err := DFT(x)
+		want, err := dft(x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := maxAbsDiff(batch[i], want); d > 1e-12 {
-			t.Errorf("row %d: batch spectrum differs from DFT by %g", i, d)
+			t.Errorf("row %d: batch spectrum differs from the one-shot transform by %g", i, d)
 		}
 	}
 	if _, err := batchSpectra(p, [][]float64{make([]float64, n), make([]float64, n-1)}); err == nil {
@@ -299,12 +272,46 @@ func TestBatchSpectraMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMaskComponentsInPlace checks the in-place masking satellite: mirrors
-// kept, errors leave the buffer untouched, and the KeepComponents copy
-// semantics are preserved.
+// A batch under a cancelled context transforms nothing and reports the
+// cancellation; cancelled mid-batch, it stops delivering rows.
+func TestBatchTransformCancel(t *testing.T) {
+	testutil.CheckNoGoroutineLeak(t)
+	const n, rows = 48, 64
+	p, err := NewPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signals := make([][]float64, rows)
+	for i := range signals {
+		signals[i] = randomReal(rand.New(rand.NewSource(int64(i))), n)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var delivered atomic.Int64
+	count := func(int, []complex128) error { delivered.Add(1); return nil }
+	if err := p.BatchTransformContext(ctx, signals, count); !errors.Is(err, context.Canceled) || delivered.Load() != 0 {
+		t.Errorf("pre-cancelled: err %v after %d rows, want context.Canceled and none", err, delivered.Load())
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	err = p.BatchTransformContext(ctx, signals, func(row int, _ []complex128) error {
+		if delivered.Add(1) == 5 {
+			cancel()
+		}
+		return nil
+	})
+	// After the cancel each worker finishes at most the row it holds.
+	if got := delivered.Load(); !errors.Is(err, context.Canceled) || got >= rows {
+		t.Errorf("cancelled mid-batch: err %v after %d of %d rows", err, got, rows)
+	}
+}
+
+// TestMaskComponentsInPlace checks the in-place masking step: mirrors kept,
+// errors leave the buffer untouched, and the scratch mask comes back clear.
 func TestMaskComponentsInPlace(t *testing.T) {
+	mask := make([]bool, 8)
 	spec := []complex128{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := MaskComponents(spec, 2); err != nil {
+	if err := applyMask(mask, spec, []int{2}); err != nil {
 		t.Fatal(err)
 	}
 	want := []complex128{1, 0, 3, 0, 0, 0, 7, 0}
@@ -314,16 +321,18 @@ func TestMaskComponentsInPlace(t *testing.T) {
 		}
 	}
 	orig := []complex128{1, 2, 3, 4}
-	if err := MaskComponents(orig, 9); err == nil {
+	if err := applyMask(mask, orig, []int{1, 9}); err == nil {
 		t.Fatal("out-of-range component should fail")
 	}
 	for i, v := range []complex128{1, 2, 3, 4} {
 		if orig[i] != v {
-			t.Error("failed MaskComponents modified its input")
+			t.Error("failed applyMask modified its input")
 		}
 	}
-	if err := MaskComponents(nil); err == nil {
-		t.Error("empty spectrum should fail")
+	for i, set := range mask {
+		if set {
+			t.Errorf("mask[%d] left set", i)
+		}
 	}
 }
 

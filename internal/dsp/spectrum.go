@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math/cmplx"
-)
+import "fmt"
 
 // Canonical frequency bin indices for a 4-week, 10-minute-slot traffic
 // vector (N = 4032). With a 28-day window, bin k corresponds to a period of
@@ -41,81 +38,11 @@ func PrincipalBins(nSamples, nDays int) (week, day, halfDay int, err error) {
 	return week, day, halfDay, nil
 }
 
-// Component describes a single frequency bin of a spectrum in polar form.
-type Component struct {
-	Bin       int     // frequency bin index k
-	Amplitude float64 // |X[k]|
-	Phase     float64 // arg X[k] in (-π, π]
-}
-
-// Spectrum is the DFT of a traffic vector plus convenience accessors.
+// Spectrum is the DFT of a traffic vector, as Plan.Spectrum returns it.
 type Spectrum struct {
 	// Bins holds the complex DFT output, len == number of time samples.
 	Bins []complex128
 }
 
-// NewSpectrum computes the spectrum of the real signal x.
-func NewSpectrum(x []float64) (*Spectrum, error) {
-	bins, err := DFT(x)
-	if err != nil {
-		return nil, err
-	}
-	return &Spectrum{Bins: bins}, nil
-}
-
-// N returns the number of bins (equal to the number of time samples).
-func (s *Spectrum) N() int { return len(s.Bins) }
-
-// Component returns the polar form of bin k.
-func (s *Spectrum) Component(k int) (Component, error) {
-	if k < 0 || k >= len(s.Bins) {
-		return Component{}, fmt.Errorf("dsp: bin %d out of range [0,%d)", k, len(s.Bins))
-	}
-	c := s.Bins[k]
-	return Component{Bin: k, Amplitude: cmplx.Abs(c), Phase: cmplx.Phase(c)}, nil
-}
-
-// Components returns the polar form of several bins in order.
-func (s *Spectrum) Components(ks ...int) ([]Component, error) {
-	out := make([]Component, 0, len(ks))
-	for _, k := range ks {
-		c, err := s.Component(k)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-// NormalizedAmplitude returns |X[k]| / N, a scale that makes amplitudes of
-// z-score-normalised traffic vectors comparable across towers regardless of
-// vector length.
-func (s *Spectrum) NormalizedAmplitude(k int) (float64, error) {
-	c, err := s.Component(k)
-	if err != nil {
-		return 0, err
-	}
-	return c.Amplitude / float64(len(s.Bins)), nil
-}
-
 // Amplitudes returns |X[k]| for all bins.
 func (s *Spectrum) Amplitudes() []float64 { return Amplitude(s.Bins) }
-
-// Phases returns arg X[k] for all bins.
-func (s *Spectrum) Phases() []float64 { return Phase(s.Bins) }
-
-// Truncate returns a copy of the spectrum keeping only the DC bin, the
-// requested bins and their conjugate mirrors.
-func (s *Spectrum) Truncate(ks ...int) (*Spectrum, error) {
-	masked, err := KeepComponents(s.Bins, ks...)
-	if err != nil {
-		return nil, err
-	}
-	return &Spectrum{Bins: masked}, nil
-}
-
-// Inverse returns the real time-domain signal of the spectrum.
-func (s *Spectrum) Inverse() ([]float64, error) {
-	return IDFTReal(s.Bins)
-}

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -75,7 +76,7 @@ func Build(scale Scale) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building dataset: %w", err)
 	}
-	res, err := core.Analyze(ds, city.POIs, core.Options{
+	res, err := core.AnalyzeContext(context.Background(), ds, city.POIs, core.Options{
 		ForceK:      5,
 		MinClusters: 2,
 		MaxClusters: 10,
@@ -155,16 +156,6 @@ func RunnerByName(name string) (Runner, error) {
 		}
 	}
 	return Runner{}, fmt.Errorf("experiments: unknown experiment %q", name)
-}
-
-// Names returns all experiment names in paper order.
-func Names() []string {
-	reg := Registry()
-	out := make([]string, len(reg))
-	for i, r := range reg {
-		out[i] = r.Name
-	}
-	return out
 }
 
 // regionOrder returns the cluster views of the result ordered canonically

@@ -39,18 +39,18 @@ func TestBuildSmallEnv(t *testing.T) {
 }
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
-	names := Names()
+	reg := Registry()
 	want := []string{
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table1", "fig7", "table2",
 		"fig8", "table3", "fig9", "fig10", "table4", "table5", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "table6", "fig18", "fig19",
 	}
-	if len(names) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(names), len(want))
+	if len(reg) != len(want) {
+		t.Fatalf("registry has %d experiments, want %d", len(reg), len(want))
 	}
 	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("registry[%d] = %q, want %q", i, names[i], want[i])
+		if reg[i].Name != want[i] {
+			t.Errorf("registry[%d] = %q, want %q", i, reg[i].Name, want[i])
 		}
 	}
 	if _, err := RunnerByName("fig12"); err != nil {

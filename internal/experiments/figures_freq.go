@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -100,7 +101,7 @@ func Figure13(env *Env) (*Output, error) {
 	if maxBin > ds.NumSlots()/2 {
 		maxBin = ds.NumSlots() / 2
 	}
-	variance, err := freqdomain.AmplitudeVariancePlan(env.Plan, ds.Normalized, maxBin)
+	variance, err := freqdomain.AmplitudeVariancePlan(context.Background(), env.Plan, ds.Normalized, maxBin)
 	if err != nil {
 		return nil, err
 	}

@@ -49,11 +49,6 @@ func (f Features) Vector3() linalg.Vector {
 	return linalg.Vector{f.AmpDay, f.PhaseDay, f.AmpHalfDay}
 }
 
-// Vector6 returns all six spectral coordinates.
-func (f Features) Vector6() linalg.Vector {
-	return linalg.Vector{f.AmpWeek, f.PhaseWeek, f.AmpDay, f.PhaseDay, f.AmpHalfDay, f.PhaseHalfDay}
-}
-
 // ExtractPlanContext computes the spectral features of every traffic
 // vector using the caller's FFT plan, whose length must match the vectors.
 // The vectors must cover nDays whole days (a multiple of 7 so the weekly
@@ -103,7 +98,7 @@ func ExtractPlanContext(ctx context.Context, plan *dsp.Plan, vectors []linalg.Ve
 // variance spikes at the three principal bins, which is what makes them the
 // most discriminating features. It uses the caller's FFT plan, fanning the
 // per-tower transforms across the batch worker pool.
-func AmplitudeVariancePlan(plan *dsp.Plan, vectors []linalg.Vector, maxBin int) ([]float64, error) {
+func AmplitudeVariancePlan(ctx context.Context, plan *dsp.Plan, vectors []linalg.Vector, maxBin int) ([]float64, error) {
 	if len(vectors) == 0 {
 		return nil, ErrNoVectors
 	}
@@ -122,7 +117,7 @@ func AmplitudeVariancePlan(plan *dsp.Plan, vectors []linalg.Vector, maxBin int) 
 	for k := range amps {
 		amps[k] = make(linalg.Vector, len(vectors))
 	}
-	err := plan.BatchTransform(signals, func(i int, spectrum []complex128) error {
+	err := plan.BatchTransformContext(ctx, signals, func(i int, spectrum []complex128) error {
 		for k := 0; k < maxBin; k++ {
 			re, im := real(spectrum[k]), imag(spectrum[k])
 			amps[k][i] = math.Sqrt(re*re+im*im) / float64(n)
@@ -325,7 +320,7 @@ func medianPairwiseDistance(points []linalg.Vector) float64 {
 	norms := make(linalg.Vector, m)
 	// The sample is ≤ 300 points of 3-dimensional features: the kernel's
 	// serial path is already instant, so no fan-out.
-	if err := linalg.PairwiseSquaredCondensed(d2, x, norms, 1); err != nil {
+	if err := linalg.PairwiseSquaredCondensedCtx(context.Background(), d2, x, norms, 1); err != nil {
 		return 0
 	}
 	pos := 0.5 * float64(len(d2)-1)

@@ -36,7 +36,7 @@ func extract(vectors []linalg.Vector, nDays int) ([]Features, error) {
 
 func amplitudeVariance(vectors []linalg.Vector, maxBin int) ([]float64, error) {
 	return withPooledPlan(vectors, func(plan *dsp.Plan) ([]float64, error) {
-		return AmplitudeVariancePlan(plan, vectors, maxBin)
+		return AmplitudeVariancePlan(context.Background(), plan, vectors, maxBin)
 	})
 }
 
@@ -84,9 +84,6 @@ func TestExtractKnownTone(t *testing.T) {
 	v3 := f.Vector3()
 	if len(v3) != 3 || v3[0] != f.AmpDay || v3[1] != f.PhaseDay || v3[2] != f.AmpHalfDay {
 		t.Errorf("Vector3 = %v", v3)
-	}
-	if len(f.Vector6()) != 6 {
-		t.Error("Vector6 should have six entries")
 	}
 }
 

@@ -93,12 +93,3 @@ func (b BoundingBox) HeightKm() float64 {
 
 // AreaKm2 returns the approximate area of the box in square kilometres.
 func (b BoundingBox) AreaKm2() float64 { return b.WidthKm() * b.HeightKm() }
-
-// Expand returns a copy of the box grown by the given margin in degrees on
-// every side.
-func (b BoundingBox) Expand(marginDeg float64) BoundingBox {
-	return BoundingBox{
-		MinLat: b.MinLat - marginDeg, MaxLat: b.MaxLat + marginDeg,
-		MinLon: b.MinLon - marginDeg, MaxLon: b.MaxLon + marginDeg,
-	}
-}

@@ -57,9 +57,6 @@ func (g *Grid) Add(p Point, value float64) bool {
 	return true
 }
 
-// At returns the accumulated value of cell (row, col).
-func (g *Grid) At(row, col int) float64 { return g.Cells[row*g.ColsN+col] }
-
 // CellCenter returns the geographic centre of cell (row, col).
 func (g *Grid) CellCenter(row, col int) Point {
 	latStep := (g.Box.MaxLat - g.Box.MinLat) / float64(g.RowsN)
@@ -111,13 +108,6 @@ func (g *Grid) Total() float64 {
 		s += v
 	}
 	return s
-}
-
-// Reset zeroes all cells, retaining the raster geometry.
-func (g *Grid) Reset() {
-	for i := range g.Cells {
-		g.Cells[i] = 0
-	}
 }
 
 // PointIndex is a spatial index over a fixed set of points supporting
@@ -232,16 +222,8 @@ func (idx *PointIndex) visit(center Point, radiusMeters float64, fn func(i int))
 	}
 }
 
-// Within returns the indices of all indexed points within radiusMeters of
-// the centre point.
-func (idx *PointIndex) Within(center Point, radiusMeters float64) []int {
-	var out []int
-	idx.visit(center, radiusMeters, func(i int) { out = append(out, i) })
-	return out
-}
-
 // CountWithin returns the number of indexed points within radiusMeters of
-// the centre point, without materialising them.
+// the centre point.
 func (idx *PointIndex) CountWithin(center Point, radiusMeters float64) int {
 	n := 0
 	idx.visit(center, radiusMeters, func(int) { n++ })

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/panicsafe"
 )
@@ -63,58 +61,11 @@ func stripWorkers(strips, workers int) int {
 	return workers
 }
 
-// forEachStrip claims strip indices [0, strips) with `workers` goroutines
-// (> 1; the serial paths go through stripLoop so the warmed kernels stay
-// allocation-free) from a shared atomic counter. Each strip is processed
-// by exactly one worker. Cancellation is observed between strips — the
-// strip is the kernels' unit of promptness — and a worker panic is
-// recovered into the returned error; on either early exit every worker
-// drains through the shared stop flag before forEachStrip returns.
-func forEachStrip(ctx context.Context, strips, workers int, fn func(s int)) error {
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stop.Store(true)
-	}
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		panicsafe.Go(func() error {
-			for {
-				if stop.Load() || (done != nil && ctx.Err() != nil) {
-					stop.Store(true)
-					return nil
-				}
-				s := int(next.Add(1)) - 1
-				if s >= strips {
-					return nil
-				}
-				fn(s)
-			}
-		}, fail, wg.Done)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if done != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stripLoop is the serial counterpart of forEachStrip: strips run in order
-// on the caller's goroutine, with the same between-strips cancellation
-// points and zero allocations (a Background context short-circuits the
-// checks entirely).
+// stripLoop runs strips in order on the caller's goroutine, polling ctx
+// between them. It is what panicsafe.ForEach does with one worker, kept
+// here because a closure handed to ForEach escapes: every kernel below
+// takes this path when stripWorkers says one worker — so the warmed serial
+// kernels stay allocation-free — and ForEach only above it.
 func stripLoop(ctx context.Context, strips int, fn func(s int)) error {
 	done := ctx.Done()
 	for s := 0; s < strips; s++ {
@@ -335,19 +286,13 @@ func (m *Mat[F]) GramInto(dst *Mat[F], workers int) error {
 	return mirrorLower(ctx, dst, workers)
 }
 
-// PairwiseSquaredInto writes the full symmetric matrix of squared Euclidean
-// distances between the rows of x into dst (x.Rows × x.Rows) using up to
-// `workers` goroutines (≤ 0 means GOMAXPROCS). norms is caller scratch of
-// length x.Rows (nil allocates); on return it holds the squared row norms.
-// The diagonal is exactly zero and the result is bit-identical for any
-// worker count.
-func PairwiseSquaredInto[F Float](dst *Mat[F], x *Mat[F], norms Vec[F], workers int) error {
-	return PairwiseSquaredIntoCtx(context.Background(), dst, x, norms, workers)
-}
-
-// PairwiseSquaredIntoCtx is PairwiseSquaredInto with cancellation observed
-// at strip granularity and worker panics recovered into the returned
-// error. On early exit dst holds partial results and must not be used.
+// PairwiseSquaredIntoCtx writes the full symmetric matrix of squared
+// Euclidean distances between the rows of x into dst (x.Rows × x.Rows)
+// using up to `workers` goroutines (≤ 0 means GOMAXPROCS). norms is caller
+// scratch of length x.Rows (nil allocates); on return it holds the squared
+// row norms. The diagonal is exactly zero and the result is bit-identical
+// for any worker count. Row strips fan out over panicsafe.ForEach; on an
+// early exit dst holds partial results and must not be used.
 func PairwiseSquaredIntoCtx[F Float](ctx context.Context, dst *Mat[F], x *Mat[F], norms Vec[F], workers int) error {
 	n := x.Rows
 	if dst.Rows != n || dst.Cols != n {
@@ -377,7 +322,7 @@ func PairwiseSquaredIntoCtx[F Float](ctx context.Context, dst *Mat[F], x *Mat[F]
 func symmetricTiles[F Float](ctx context.Context, x *Mat[F], norms Vec[F], out []F, workers int) error {
 	strips := (x.Rows + pairTile - 1) / pairTile
 	if w := stripWorkers(strips, workers); w > 1 {
-		return forEachStrip(ctx, strips, w, func(s int) { symmetricStrip(x, norms, out, s) })
+		return panicsafe.ForEach(ctx, strips, w, func(_, s int) error { symmetricStrip(x, norms, out, s); return nil })
 	}
 	return stripLoop(ctx, strips, func(s int) { symmetricStrip(x, norms, out, s) })
 }
@@ -398,7 +343,7 @@ func symmetricStrip[F Float](x *Mat[F], norms Vec[F], out []F, s int) {
 func mirrorLower[F Float](ctx context.Context, dst *Mat[F], workers int) error {
 	strips := (dst.Rows + pairTile - 1) / pairTile
 	if w := stripWorkers(strips, workers); w > 1 {
-		return forEachStrip(ctx, strips, w, func(s int) { mirrorStrip(dst, s) })
+		return panicsafe.ForEach(ctx, strips, w, func(_, s int) error { mirrorStrip(dst, s); return nil })
 	}
 	return stripLoop(ctx, strips, func(s int) { mirrorStrip(dst, s) })
 }
@@ -415,23 +360,16 @@ func mirrorStrip[F Float](dst *Mat[F], s int) {
 	}
 }
 
-// PairwiseSquaredCondensed writes the squared Euclidean distances between
-// the rows of x into dst in condensed upper-triangular layout: row i's
-// distances to j ∈ (i, n) occupy a contiguous run starting at
+// PairwiseSquaredCondensedCtx writes the squared Euclidean distances
+// between the rows of x into dst in condensed upper-triangular layout: row
+// i's distances to j ∈ (i, n) occupy a contiguous run starting at
 // i·(2n−i−1)/2, the layout the clustering engine agglomerates over. dst
 // must have length n·(n−1)/2; norms is caller scratch of length n (nil
 // allocates). Up to `workers` goroutines (≤ 0 means GOMAXPROCS) each own
-// whole row strips, so the result is bit-identical for any worker count,
-// and the serial path performs no allocations.
-func PairwiseSquaredCondensed[F Float](dst []F, x *Mat[F], norms Vec[F], workers int) error {
-	return PairwiseSquaredCondensedCtx(context.Background(), dst, x, norms, workers)
-}
-
-// PairwiseSquaredCondensedCtx is PairwiseSquaredCondensed with
-// cancellation observed between row strips (the unit the clustering
-// engine's promptness bound is stated in) and worker panics recovered
-// into the returned error. On early exit dst holds partial results and
-// must not be used.
+// whole row strips — the unit the clustering engine's promptness bound is
+// stated in — so the result is bit-identical for any worker count, and the
+// serial path performs no allocations. On an early exit dst holds partial
+// results and must not be used.
 func PairwiseSquaredCondensedCtx[F Float](ctx context.Context, dst []F, x *Mat[F], norms Vec[F], workers int) error {
 	n := x.Rows
 	if len(dst) != n*(n-1)/2 {
@@ -445,7 +383,7 @@ func PairwiseSquaredCondensedCtx[F Float](ctx context.Context, dst []F, x *Mat[F
 	}
 	strips := (n + pairTile - 1) / pairTile
 	if w := stripWorkers(strips, workers); w > 1 {
-		return forEachStrip(ctx, strips, w, func(s int) { condensedStrip(dst, x, norms, s) })
+		return panicsafe.ForEach(ctx, strips, w, func(_, s int) error { condensedStrip(dst, x, norms, s); return nil })
 	}
 	return stripLoop(ctx, strips, func(s int) { condensedStrip(dst, x, norms, s) })
 }
@@ -521,7 +459,7 @@ func CrossSquaredIntoCtx[F Float](ctx context.Context, dst *Mat[F], x, y *Mat[F]
 	}
 	strips := (x.Rows + pairTile - 1) / pairTile
 	if w := stripWorkers(strips, workers); w > 1 {
-		return forEachStrip(ctx, strips, w, func(s int) { crossStrip(dst, x, y, xnorms, ynorms, s) })
+		return panicsafe.ForEach(ctx, strips, w, func(_, s int) error { crossStrip(dst, x, y, xnorms, ynorms, s); return nil })
 	}
 	return stripLoop(ctx, strips, func(s int) { crossStrip(dst, x, y, xnorms, ynorms, s) })
 }
@@ -556,7 +494,7 @@ func CrossDotIntoCtx[F Float](ctx context.Context, dst *Mat[F], x, y *Mat[F], wo
 	}
 	strips := (x.Rows + pairTile - 1) / pairTile
 	if w := stripWorkers(strips, workers); w > 1 {
-		return forEachStrip(ctx, strips, w, func(s int) { crossStrip(dst, x, y, nil, nil, s) })
+		return panicsafe.ForEach(ctx, strips, w, func(_, s int) error { crossStrip(dst, x, y, nil, nil, s); return nil })
 	}
 	return stripLoop(ctx, strips, func(s int) { crossStrip(dst, x, y, nil, nil, s) })
 }
@@ -592,7 +530,7 @@ func RowResidualsSquaredIntoCtx[F Float](ctx context.Context, dst []float64, v, 
 	}
 	strips := (v.Rows + pairTile - 1) / pairTile
 	if nw := stripWorkers(strips, workers); nw > 1 {
-		return forEachStrip(ctx, strips, nw, func(s int) { residualStrip(dst, v, w, h, s) })
+		return panicsafe.ForEach(ctx, strips, nw, func(_, s int) error { residualStrip(dst, v, w, h, s); return nil })
 	}
 	return stripLoop(ctx, strips, func(s int) { residualStrip(dst, v, w, h, s) })
 }
@@ -693,23 +631,15 @@ func AssignedSquaredDistance[F Float](x, y *Mat[F], xnorms, ynorms Vec[F], i, j 
 	return float64(v), nil
 }
 
-// SquaredDistancesSqrtInPlace replaces every entry of d with its square
-// root, splitting the buffer across up to `workers` goroutines (≤ 0 means
-// GOMAXPROCS). Element-wise, so bit-identical for any worker count.
-func SquaredDistancesSqrtInPlace[F Float](d []F, workers int) {
-	// The Background context cannot cancel and the chunked loops cannot
-	// panic, so the error is structurally nil.
-	_ = SquaredDistancesSqrtInPlaceCtx(context.Background(), d, workers)
-}
-
-// SquaredDistancesSqrtInPlaceCtx is SquaredDistancesSqrtInPlace with
-// cancellation observed between 16k-element chunks and worker panics
-// recovered into the returned error.
+// SquaredDistancesSqrtInPlaceCtx replaces every entry of d with its square
+// root, splitting the buffer into 16k-element chunks across up to
+// `workers` goroutines (≤ 0 means GOMAXPROCS). Element-wise, so
+// bit-identical for any worker count.
 func SquaredDistancesSqrtInPlaceCtx[F Float](ctx context.Context, d []F, workers int) error {
 	const chunk = 1 << 14
 	strips := (len(d) + chunk - 1) / chunk
 	if w := stripWorkers(strips, workers); w > 1 {
-		return forEachStrip(ctx, strips, w, func(s int) { sqrtStrip(d, s*chunk, min(len(d), s*chunk+chunk)) })
+		return panicsafe.ForEach(ctx, strips, w, func(_, s int) error { sqrtStrip(d, s*chunk, min(len(d), s*chunk+chunk)); return nil })
 	}
 	return stripLoop(ctx, strips, func(s int) { sqrtStrip(d, s*chunk, min(len(d), s*chunk+chunk)) })
 }

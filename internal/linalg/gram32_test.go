@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -60,10 +61,10 @@ func testFloat32PairwiseMatchesFloat64Oracle(t *testing.T) {
 			dst32 := NewMatrix32(n, n)
 			dst64 := NewMatrix(n, n)
 			norms := make(Vector, n)
-			if err := PairwiseSquaredInto(dst32, x32, nil, 1); err != nil {
+			if err := PairwiseSquaredIntoCtx(context.Background(), dst32, x32, nil, 1); err != nil {
 				t.Fatalf("shape %v: %v", s, err)
 			}
-			if err := PairwiseSquaredInto(dst64, x64, norms, 1); err != nil {
+			if err := PairwiseSquaredIntoCtx(context.Background(), dst64, x64, norms, 1); err != nil {
 				t.Fatalf("shape %v: %v", s, err)
 			}
 			nscale := 0.0
@@ -82,7 +83,7 @@ func testFloat32PairwiseMatchesFloat64Oracle(t *testing.T) {
 			// Condensed layout must agree with the full matrix it linearises.
 			if n > 1 {
 				cond := make(Vector32, n*(n-1)/2)
-				if err := PairwiseSquaredCondensed(cond, x32, nil, 1); err != nil {
+				if err := PairwiseSquaredCondensedCtx(context.Background(), cond, x32, nil, 1); err != nil {
 					t.Fatalf("shape %v: %v", s, err)
 				}
 				k := 0
@@ -172,27 +173,6 @@ func testFloat32GramAndDotMatchOracle(t *testing.T) {
 			}
 		}
 
-		if d == 0 {
-			continue
-		}
-		v32 := make(Vector32, d)
-		for i := range v32 {
-			v32[i] = float32(rng.Float64()*2 - 1)
-		}
-		out32 := make(Vector32, n)
-		if err := DotInto(out32, x32, v32); err != nil {
-			t.Fatalf("shape %v: %v", s, err)
-		}
-		v64 := make(Vector, d)
-		for i, x := range v32 {
-			v64[i] = float64(x)
-		}
-		for i := 0; i < n; i++ {
-			want := oracleDot(x64.Row(i), v64)
-			if got := float64(out32[i]); relDiff(got, want, math.Abs(want)) > f32Tol {
-				t.Fatalf("shape %v: f32 DotInto[%d] = %g, oracle %g", s, i, got, want)
-			}
-		}
 	}
 }
 
@@ -260,11 +240,11 @@ func testFloat32CoincidentRowsExactZero(t *testing.T) {
 		}
 
 		dst := NewMatrix32(n, n)
-		if err := PairwiseSquaredInto(dst, x32, nil, 1); err != nil {
+		if err := PairwiseSquaredIntoCtx(context.Background(), dst, x32, nil, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		cond := make(Vector32, n*(n-1)/2)
-		if err := PairwiseSquaredCondensed(cond, x32, nil, 1); err != nil {
+		if err := PairwiseSquaredCondensedCtx(context.Background(), cond, x32, nil, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		k := 0
@@ -319,11 +299,11 @@ func testFloat32KernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	run := func(workers int) snapshot {
 		var s snapshot
 		s.full = NewMatrix32(n, n)
-		if err := PairwiseSquaredInto(s.full, x32, nil, workers); err != nil {
+		if err := PairwiseSquaredIntoCtx(context.Background(), s.full, x32, nil, workers); err != nil {
 			t.Fatal(err)
 		}
 		s.cond = make(Vector32, n*(n-1)/2)
-		if err := PairwiseSquaredCondensed(s.cond, x32, nil, workers); err != nil {
+		if err := PairwiseSquaredCondensedCtx(context.Background(), s.cond, x32, nil, workers); err != nil {
 			t.Fatal(err)
 		}
 		s.cross = NewMatrix32(n, m)
@@ -401,8 +381,10 @@ func TestFloat32ZScoreAndAxpy(t *testing.T) {
 		}
 	}
 
-	y32 := z32.Clone()
-	if err := Axpy(float32(0.5), v32, y32); err != nil {
+	// y ← y + a·x from the in-place primitives the centroid updates use.
+	y32, ax := z32.Clone(), v32.Clone()
+	ax.ScaleInPlace(0.5)
+	if err := y32.AddInPlace(ax); err != nil {
 		t.Fatal(err)
 	}
 	for i := range y32 {
@@ -411,7 +393,7 @@ func TestFloat32ZScoreAndAxpy(t *testing.T) {
 			t.Fatalf("axpy[%d] = %g, want %g", i, y32[i], want)
 		}
 	}
-	if err := Axpy(float32(1), v32, make(Vector32, 1)); err == nil {
+	if err := make(Vector32, 1).AddInPlace(v32); err == nil {
 		t.Fatal("axpy with mismatched lengths must fail")
 	}
 }

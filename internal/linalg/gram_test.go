@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -86,7 +87,7 @@ func testPairwiseSquaredIntoMatchesOracle(t *testing.T) {
 		x := randomMatrix(rng, n, d)
 		dst := randomMatrix(rng, n, n)
 		norms := make(Vector, n)
-		if err := PairwiseSquaredInto(dst, x, norms, 1); err != nil {
+		if err := PairwiseSquaredIntoCtx(context.Background(), dst, x, norms, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		scale := 0.0
@@ -124,7 +125,7 @@ func testPairwiseSquaredCondensedMatchesOracle(t *testing.T) {
 		x := randomMatrix(rng, n, d)
 		dst := make([]float64, n*(n-1)/2)
 		norms := make(Vector, n)
-		if err := PairwiseSquaredCondensed(dst, x, norms, 1); err != nil {
+		if err := PairwiseSquaredCondensedCtx(context.Background(), dst, x, norms, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		scale := 0.0
@@ -200,7 +201,7 @@ func testPairwiseSquaredIdenticalRowsExactZero(t *testing.T) {
 		copy(x.Row(i), row)
 	}
 	dst := NewMatrix(x.Rows, x.Rows)
-	if err := PairwiseSquaredInto(dst, x, nil, 0); err != nil {
+	if err := PairwiseSquaredIntoCtx(context.Background(), dst, x, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range dst.Data {
@@ -228,10 +229,10 @@ func testBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	if err := x.GramInto(gramBase, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := PairwiseSquaredInto(pairBase, x, nil, 1); err != nil {
+	if err := PairwiseSquaredIntoCtx(context.Background(), pairBase, x, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := PairwiseSquaredCondensed(condBase, x, nil, 1); err != nil {
+	if err := PairwiseSquaredCondensedCtx(context.Background(), condBase, x, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := crossSquaredInto(crossBase, x, y, nil, nil, 1); err != nil {
@@ -245,10 +246,10 @@ func testBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		if err := x.GramInto(gram, workers); err != nil {
 			t.Fatal(err)
 		}
-		if err := PairwiseSquaredInto(pair, x, nil, workers); err != nil {
+		if err := PairwiseSquaredIntoCtx(context.Background(), pair, x, nil, workers); err != nil {
 			t.Fatal(err)
 		}
-		if err := PairwiseSquaredCondensed(cond, x, nil, workers); err != nil {
+		if err := PairwiseSquaredCondensedCtx(context.Background(), cond, x, nil, workers); err != nil {
 			t.Fatal(err)
 		}
 		if err := crossSquaredInto(cross, x, y, nil, nil, workers); err != nil {
@@ -288,11 +289,11 @@ func TestAsmAndGenericKernelsAgree(t *testing.T) {
 		x := randomMatrix(rng, n, d)
 		asmDst := NewMatrix(n, n)
 		genDst := NewMatrix(n, n)
-		if err := PairwiseSquaredInto(asmDst, x, nil, 1); err != nil {
+		if err := PairwiseSquaredIntoCtx(context.Background(), asmDst, x, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 		useAsm = false
-		err := PairwiseSquaredInto(genDst, x, nil, 1)
+		err := PairwiseSquaredIntoCtx(context.Background(), genDst, x, nil, 1)
 		useAsm = true
 		if err != nil {
 			t.Fatal(err)
@@ -310,10 +311,10 @@ func TestBlockedKernelDimensionErrors(t *testing.T) {
 	if err := x.GramInto(NewMatrix(9, 10), 1); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("gram wrong dst: %v", err)
 	}
-	if err := PairwiseSquaredInto(NewMatrix(10, 9), x, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
+	if err := PairwiseSquaredIntoCtx(context.Background(), NewMatrix(10, 9), x, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("pairwise wrong dst: %v", err)
 	}
-	if err := PairwiseSquaredCondensed(make([]float64, 44), x, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
+	if err := PairwiseSquaredCondensedCtx(context.Background(), make([]float64, 44), x, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("condensed wrong buffer: %v", err)
 	}
 	if err := crossSquaredInto(NewMatrix(10, 3), x, NewMatrix(3, 5), nil, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
@@ -347,10 +348,12 @@ func TestBlockedKernelsZeroAllocWarmed(t *testing.T) {
 	full := NewMatrix(x.Rows, x.Rows)
 
 	if n := testing.AllocsPerRun(10, func() {
-		if err := PairwiseSquaredCondensed(cond, x, norms, 1); err != nil {
+		if err := PairwiseSquaredCondensedCtx(context.Background(), cond, x, norms, 1); err != nil {
 			t.Fatal(err)
 		}
-		SquaredDistancesSqrtInPlace(cond, 1)
+		if err := SquaredDistancesSqrtInPlaceCtx(context.Background(), cond, 1); err != nil {
+			t.Fatal(err)
+		}
 	}); n != 0 {
 		t.Errorf("condensed kernel: %v allocs/op warmed, want 0", n)
 	}
@@ -362,7 +365,7 @@ func TestBlockedKernelsZeroAllocWarmed(t *testing.T) {
 		t.Errorf("cross kernel: %v allocs/op warmed, want 0", n)
 	}
 	if n := testing.AllocsPerRun(10, func() {
-		if err := PairwiseSquaredInto(full, x, norms, 1); err != nil {
+		if err := PairwiseSquaredIntoCtx(context.Background(), full, x, norms, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

@@ -113,22 +113,6 @@ func (m *Mat[F]) Row(i int) Vec[F] { return Vec[F](m.Data[i*m.Cols : (i+1)*m.Col
 // RowCopy returns a copy of row i.
 func (m *Mat[F]) RowCopy(i int) Vec[F] { return m.Row(i).Clone() }
 
-// Col returns a copy of column j.
-func (m *Mat[F]) Col(j int) Vec[F] {
-	out := make(Vec[F], m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
-// Clone returns a deep copy of m.
-func (m *Mat[F]) Clone() *Mat[F] {
-	out := NewMat[F](m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // MulVec returns m · v.
 func (m *Mat[F]) MulVec(v Vec[F]) (Vec[F], error) {
 	if m.Cols != len(v) {
@@ -144,32 +128,6 @@ func (m *Mat[F]) MulVec(v Vec[F]) (Vec[F], error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// DotInto fills dst[i] with the dot product of row i of x and v — the
-// matrix-vector product on the distance engine's shared dot kernel, so
-// each entry uses the same accumulation scheme (assembly FMA fold or
-// portable ascending scan) as the Gram-trick kernels. dst must have
-// length x.Rows and v length x.Cols.
-func DotInto[F Float](dst Vec[F], x *Mat[F], v Vec[F]) error {
-	if len(dst) != x.Rows {
-		return fmt.Errorf("%w: %d outputs for %d rows", ErrDimensionMismatch, len(dst), x.Rows)
-	}
-	if len(v) != x.Cols {
-		return fmt.Errorf("%w: matrix %dx%d times vector %d", ErrDimensionMismatch, x.Rows, x.Cols, len(v))
-	}
-	d := x.Cols
-	for i := 0; i < x.Rows; i++ {
-		dst[i] = dotPair(x.Data[i*d:(i+1)*d], []F(v))
-	}
-	return nil
-}
-
-// Transpose returns mᵀ.
-func (m *Mat[F]) Transpose() *Mat[F] {
-	out := NewMat[F](m.Cols, m.Rows)
-	_ = m.TransposeInto(out) // shapes match by construction
-	return out
 }
 
 // TransposeInto writes mᵀ into dst, which must be Cols×Rows and must not
@@ -188,21 +146,9 @@ func (m *Mat[F]) TransposeInto(dst *Mat[F]) error {
 	return nil
 }
 
-// Mul returns m · other.
-func (m *Mat[F]) Mul(other *Mat[F]) (*Mat[F], error) {
-	if m.Cols != other.Rows {
-		return nil, fmt.Errorf("%w: %dx%d times %dx%d", ErrDimensionMismatch, m.Rows, m.Cols, other.Rows, other.Cols)
-	}
-	out := NewMat[F](m.Rows, other.Cols)
-	if err := m.MulInto(out, other); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // MulInto writes m · other into dst, which must be Rows×other.Cols and must
-// not share storage with m or other. Reusing dst across calls avoids the
-// per-iteration allocations of Mul in iterative algorithms.
+// not share storage with m or other, so iterative algorithms can reuse one
+// product buffer across iterations.
 func (m *Mat[F]) MulInto(dst, other *Mat[F]) error {
 	if m.Cols != other.Rows {
 		return fmt.Errorf("%w: %dx%d times %dx%d", ErrDimensionMismatch, m.Rows, m.Cols, other.Rows, other.Cols)

@@ -39,9 +39,8 @@ func TestMatrixRowColAliasing(t *testing.T) {
 	if m.At(1, 0) != 3 {
 		t.Error("RowCopy should not alias matrix storage")
 	}
-	col := m.Col(1)
-	if col[0] != 2 || col[1] != 4 {
-		t.Errorf("Col(1) = %v, want [2 4]", col)
+	if rows := m.RowViews(); &rows[1][0] != &m.Data[2] {
+		t.Error("RowViews should alias matrix storage")
 	}
 }
 
@@ -62,26 +61,32 @@ func TestMatrixMulVec(t *testing.T) {
 func TestMatrixMulAndTranspose(t *testing.T) {
 	a, _ := NewMatrixFromRows([]Vector{{1, 2}, {3, 4}})
 	b, _ := NewMatrixFromRows([]Vector{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
+	c := NewMatrix(2, 2)
+	if err := a.MulInto(c, b); err != nil {
+		t.Fatalf("MulInto: %v", err)
 	}
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			if c.At(i, j) != want[i][j] {
-				t.Errorf("Mul(%d,%d) = %g, want %g", i, j, c.At(i, j), want[i][j])
+				t.Errorf("MulInto(%d,%d) = %g, want %g", i, j, c.At(i, j), want[i][j])
 			}
 		}
 	}
-	at := a.Transpose()
+	at := NewMatrix(2, 2)
+	if err := a.TransposeInto(at); err != nil {
+		t.Fatalf("TransposeInto: %v", err)
+	}
 	if at.At(0, 1) != 3 || at.At(1, 0) != 2 {
-		t.Errorf("Transpose wrong: %v", at.Data)
+		t.Errorf("TransposeInto wrong: %v", at.Data)
 	}
 	bad, _ := NewMatrixFromRows([]Vector{{1, 2, 3}})
-	if _, err := a.Mul(bad.Transpose()); err == nil {
-		// a is 2x2, badᵀ is 3x1 → incompatible
-		t.Error("Mul with incompatible dims should fail")
+	if err := a.MulInto(c, bad); !errors.Is(err, ErrDimensionMismatch) {
+		// a is 2x2, bad is 1x3 → incompatible
+		t.Errorf("MulInto with incompatible dims: got %v", err)
+	}
+	if err := bad.TransposeInto(at); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("TransposeInto a 1x3 into 2x2: got %v", err)
 	}
 }
 
@@ -122,8 +127,8 @@ func TestSolveSPDProperty(t *testing.T) {
 			raw.Data[i] = rng.NormFloat64()
 		}
 		// A = rawᵀ·raw + I is SPD.
-		a, err := raw.Transpose().Mul(raw)
-		if err != nil {
+		rawT, a := NewMatrix(n, n), NewMatrix(n, n)
+		if raw.TransposeInto(rawT) != nil || rawT.MulInto(a, raw) != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {

@@ -4,29 +4,22 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/panicsafe"
 )
 
 // Parallel matrix kernels for the modeling engine.
 //
-// Both kernels partition their output into fixed-size row blocks that
-// workers claim from a shared atomic counter. Every output element is
-// computed by exactly one worker using the same inner-loop order as the
-// serial MulInto/TransposeInto, so the results are bit-identical to the
-// serial kernels for ANY worker count — the property the deterministic
-// modeling engine (internal/nmf, internal/cluster) is built on.
-//
-// Every pool is fault-tolerant: a panic inside a worker is recovered and
-// returned as a *panicsafe.Error instead of crashing the process, and
-// the Ctx kernel variants observe context cancellation at block/strip
-// granularity — coarse enough to keep the hot loops free of per-element
-// checks, fine enough that cancellation returns within one block of
-// work. On either early exit every worker drains through the shared
-// stop flag before the kernel returns, so no goroutine outlives its
-// call.
+// Both kernels partition their output into fixed-size row blocks fanned
+// out over panicsafe.ForEach (which states the cancellation, panic and
+// error contract once, for every pool in the pipeline). Every output
+// element is computed by exactly one worker using the same inner-loop
+// order as the serial MulInto/TransposeInto, so the results are
+// bit-identical to the serial kernels for ANY worker count — the property
+// the deterministic modeling engine (internal/nmf, internal/cluster) is
+// built on. The block is the unit of cancellation: coarse enough to keep
+// the hot loops free of per-element checks, fine enough that a cancelled
+// kernel returns within one block of work per worker.
 
 // parallelBlockRows is the number of output rows per work unit. Blocks keep
 // the atomic-counter contention negligible while still load-balancing
@@ -48,59 +41,16 @@ func ResolveWorkers(workers int) int {
 	return workers
 }
 
-// parallelRowBlocks runs fn over [0, rows) split into parallelBlockRows-size
-// blocks claimed by `workers` goroutines. fn must be safe to call
-// concurrently for disjoint row ranges. A worker panic is converted to a
-// returned error; ctx cancellation stops the pool at block granularity and
-// returns ctx.Err(). Either way every worker has exited by return.
-func parallelRowBlocks(ctx context.Context, rows, workers int, fn func(lo, hi int)) error {
+// rowBlocks runs fn over [0, rows) split into parallelBlockRows-size blocks
+// fanned out over panicsafe.ForEach on `workers` (> 1) goroutines. fn must
+// be safe to call concurrently for disjoint row ranges.
+func rowBlocks(ctx context.Context, rows, workers int, fn func(lo, hi int)) error {
 	blocks := (rows + parallelBlockRows - 1) / parallelBlockRows
-	if workers > blocks {
-		workers = blocks
-	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stop.Store(true)
-	}
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		panicsafe.Go(func() error {
-			for {
-				if stop.Load() || (done != nil && ctx.Err() != nil) {
-					stop.Store(true)
-					return nil
-				}
-				b := int(next.Add(1)) - 1
-				if b >= blocks {
-					return nil
-				}
-				lo := b * parallelBlockRows
-				hi := lo + parallelBlockRows
-				if hi > rows {
-					hi = rows
-				}
-				fn(lo, hi)
-			}
-		}, fail, wg.Done)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if done != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return panicsafe.ForEach(ctx, blocks, workers, func(_, b int) error {
+		lo := b * parallelBlockRows
+		fn(lo, min(rows, lo+parallelBlockRows))
+		return nil
+	})
 }
 
 // ParallelMulIntoCtx writes m · other into dst using up to `workers`
@@ -129,7 +79,7 @@ func (m *Mat[F]) ParallelMulIntoCtx(ctx context.Context, dst, other *Mat[F], wor
 	if workers == 1 || m.Rows*m.Cols*other.Cols < parallelMinWork {
 		return m.MulInto(dst, other)
 	}
-	return parallelRowBlocks(ctx, m.Rows, workers, func(lo, hi int) {
+	return rowBlocks(ctx, m.Rows, workers, func(lo, hi int) {
 		mulRows(dst, m, other, lo, hi)
 	})
 }
@@ -152,7 +102,7 @@ func (m *Mat[F]) ParallelTransposeIntoCtx(ctx context.Context, dst *Mat[F], work
 	}
 	// Partition the SOURCE rows: worker w copies rows [lo,hi) of m into
 	// columns [lo,hi) of dst. Disjoint writes, no synchronisation needed.
-	return parallelRowBlocks(ctx, m.Rows, workers, func(lo, hi int) {
+	return rowBlocks(ctx, m.Rows, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := m.Data[i*m.Cols : (i+1)*m.Cols]
 			for j, x := range row {

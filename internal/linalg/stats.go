@@ -44,26 +44,6 @@ func ZScoreNormalizeInto[F Float](dst, v Vec[F]) error {
 	return nil
 }
 
-// MinMaxNormalize returns a copy of v linearly rescaled to [0, 1]
-// (min-max normalisation, used for POI counts in Section 3.3.2 of the
-// paper). If all values are equal the result is all zeros.
-func MinMaxNormalize(v Vector) Vector {
-	out := make(Vector, len(v))
-	if len(v) == 0 {
-		return out
-	}
-	min, _ := v.Min()
-	max, _ := v.Max()
-	if max == min {
-		return out
-	}
-	span := max - min
-	for i, x := range v {
-		out[i] = (x - min) / span
-	}
-	return out
-}
-
 // NormalizeByMax returns a copy of v divided by its maximum value,
 // matching the per-tower normalisation used for the heat maps of
 // Figures 4 and 5. If the maximum is not positive the result is all zeros.
@@ -207,11 +187,6 @@ func CDF(v Vector, probes []float64) []float64 {
 		out[i] = float64(n) / float64(len(sorted))
 	}
 	return out
-}
-
-// MeanStd returns the mean and population standard deviation of the values.
-func MeanStd(v Vector) (mean, std float64) {
-	return v.Mean(), v.Std()
 }
 
 // CircularMeanStd returns the circular mean and circular standard deviation

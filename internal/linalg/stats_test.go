@@ -31,21 +31,6 @@ func TestZScoreNormalizeConstant(t *testing.T) {
 	}
 }
 
-func TestMinMaxNormalize(t *testing.T) {
-	v := Vector{10, 20, 30}
-	m := MinMaxNormalize(v)
-	want := Vector{0, 0.5, 1}
-	for i := range want {
-		if !almostEqual(m[i], want[i], 1e-12) {
-			t.Errorf("minmax[%d] = %g, want %g", i, m[i], want[i])
-		}
-	}
-	constant := MinMaxNormalize(Vector{5, 5})
-	if constant[0] != 0 || constant[1] != 0 {
-		t.Error("minmax of constant vector should be zeros")
-	}
-}
-
 func TestNormalizeByMax(t *testing.T) {
 	v := Vector{2, 4, 8}
 	n := NormalizeByMax(v)
@@ -161,28 +146,33 @@ func TestZScoreProperty(t *testing.T) {
 	}
 }
 
-// Property: min-max output is always within [0, 1] and attains both bounds
-// for non-constant input.
+// Property: Min and Max bracket every element, their indices locate them
+// (the first occurrence on ties), and NormalizeByMax maps a positive
+// maximum to exactly 1 with nothing above it.
 func TestMinMaxProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := func(n uint8) bool {
 		dim := int(n%64) + 2
 		v := make(Vector, dim)
 		for i := range v {
-			v[i] = rng.NormFloat64() * 50
+			v[i] = math.Round(rng.NormFloat64() * 5) // small integers: ties occur
 		}
-		m := MinMaxNormalize(v)
-		min, _ := m.Min()
-		max, _ := m.Max()
-		if min < 0 || max > 1 {
+		min, imin := v.Min()
+		max, imax := v.Max()
+		if v[imin] != min || v[imax] != max {
 			return false
 		}
-		origMin, _ := v.Min()
-		origMax, _ := v.Max()
-		if origMin != origMax {
-			return almostEqual(min, 0, 1e-12) && almostEqual(max, 1, 1e-12)
+		for i, x := range v {
+			if x < min || x > max || (x == min && i < imin) || (x == max && i < imax) {
+				return false
+			}
 		}
-		return true
+		scaled := NormalizeByMax(v)
+		top, _ := scaled.Max()
+		if max > 0 {
+			return top == 1 && scaled[imax] == 1
+		}
+		return top == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

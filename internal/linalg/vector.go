@@ -52,11 +52,6 @@ var (
 	ErrEmpty = errors.New("linalg: empty input")
 )
 
-// NewVector returns a zero float64 vector of length n.
-func NewVector(n int) Vector {
-	return make(Vector, n)
-}
-
 // Clone returns a deep copy of v.
 func (v Vec[F]) Clone() Vec[F] {
 	out := make(Vec[F], len(v))
@@ -66,18 +61,6 @@ func (v Vec[F]) Clone() Vec[F] {
 
 // Len returns the number of elements in v.
 func (v Vec[F]) Len() int { return len(v) }
-
-// Add returns v + w element-wise.
-func (v Vec[F]) Add(w Vec[F]) (Vec[F], error) {
-	if len(v) != len(w) {
-		return nil, fmt.Errorf("%w: add %d vs %d", ErrDimensionMismatch, len(v), len(w))
-	}
-	out := make(Vec[F], len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out, nil
-}
 
 // AddInPlace adds w into v element-wise, modifying v.
 func (v Vec[F]) AddInPlace(w Vec[F]) error {
@@ -131,21 +114,6 @@ func (v Vec[F]) Dot(w Vec[F]) (F, error) {
 	return s, nil
 }
 
-// Axpy adds a·x into y element-wise (y ← y + a·x), the classic BLAS
-// building block. It modifies y and allocates nothing.
-func Axpy[F Float](a F, x, y Vec[F]) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("%w: axpy %d vs %d", ErrDimensionMismatch, len(x), len(y))
-	}
-	if a == 0 {
-		return nil
-	}
-	for i, xv := range x {
-		y[i] += a * xv
-	}
-	return nil
-}
-
 // Norm returns the Euclidean (L2) norm of v. The squared sum accumulates
 // at the vector's own precision; the square root is taken in float64.
 func (v Vec[F]) Norm() float64 {
@@ -154,26 +122,6 @@ func (v Vec[F]) Norm() float64 {
 		s += x * x
 	}
 	return math.Sqrt(float64(s))
-}
-
-// Norm1 returns the L1 norm of v.
-func (v Vec[F]) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(float64(x))
-	}
-	return s
-}
-
-// NormInf returns the L∞ norm (maximum absolute value) of v.
-func (v Vec[F]) NormInf() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(float64(x)); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Sum returns the sum of all elements of v, accumulated at the vector's
@@ -289,26 +237,6 @@ func Pearson[F Float](v, w Vec[F]) (float64, error) {
 		return 0, nil
 	}
 	return num / math.Sqrt(dv*dw), nil
-}
-
-// Centroid returns the element-wise mean of the given vectors. All vectors
-// must have the same length.
-func Centroid[F Float](vs []Vec[F]) (Vec[F], error) {
-	if len(vs) == 0 {
-		return nil, ErrEmpty
-	}
-	n := len(vs[0])
-	out := make(Vec[F], n)
-	for _, v := range vs {
-		if len(v) != n {
-			return nil, fmt.Errorf("%w: centroid %d vs %d", ErrDimensionMismatch, len(v), n)
-		}
-		for i, x := range v {
-			out[i] += x
-		}
-	}
-	out.ScaleInPlace(F(1 / float64(len(vs))))
-	return out, nil
 }
 
 // IsFinite reports whether every element of v is finite (not NaN or ±Inf).

@@ -18,14 +18,14 @@ func almostEqual(a, b, tol float64) bool {
 func TestVectorAddSub(t *testing.T) {
 	v := Vector{1, 2, 3}
 	w := Vector{4, 5, 6}
-	sum, err := v.Add(w)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
+	sum := v.Clone()
+	if err := sum.AddInPlace(w); err != nil {
+		t.Fatalf("AddInPlace: %v", err)
 	}
 	want := Vector{5, 7, 9}
 	for i := range want {
 		if sum[i] != want[i] {
-			t.Errorf("Add[%d] = %g, want %g", i, sum[i], want[i])
+			t.Errorf("AddInPlace[%d] = %g, want %g", i, sum[i], want[i])
 		}
 	}
 	diff, err := w.Sub(v)
@@ -42,9 +42,6 @@ func TestVectorAddSub(t *testing.T) {
 func TestVectorDimensionMismatch(t *testing.T) {
 	v := Vector{1, 2, 3}
 	w := Vector{1, 2}
-	if _, err := v.Add(w); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("Add mismatch: got %v, want ErrDimensionMismatch", err)
-	}
 	if _, err := v.Sub(w); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("Sub mismatch: got %v, want ErrDimensionMismatch", err)
 	}
@@ -70,12 +67,6 @@ func TestVectorDotNorm(t *testing.T) {
 	}
 	if v.Norm() != 5 {
 		t.Errorf("Norm = %g, want 5", v.Norm())
-	}
-	if v.Norm1() != 7 {
-		t.Errorf("Norm1 = %g, want 7", v.Norm1())
-	}
-	if v.NormInf() != 4 {
-		t.Errorf("NormInf = %g, want 4", v.NormInf())
 	}
 }
 
@@ -163,20 +154,25 @@ func TestPearson(t *testing.T) {
 	}
 }
 
+// The centroid of a set of vectors, accumulated the way the clustering
+// engine does it: AddInPlace per member, one ScaleInPlace by 1/count.
 func TestCentroid(t *testing.T) {
 	vs := []Vector{{1, 2}, {3, 4}, {5, 6}}
-	c, err := Centroid(vs)
-	if err != nil {
-		t.Fatalf("Centroid: %v", err)
+	c := make(Vector, 2)
+	for _, v := range vs {
+		if err := c.AddInPlace(v); err != nil {
+			t.Fatalf("AddInPlace: %v", err)
+		}
+	}
+	c.ScaleInPlace(1 / float64(len(vs)))
+	if c[0] != 3 || c[1] != 4 {
+		t.Errorf("centroid = %v, want [3 4]", c)
+	}
+	if err := c.AddInPlace(Vector{1}); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("ragged member: got %v, want ErrDimensionMismatch", err)
 	}
 	if c[0] != 3 || c[1] != 4 {
-		t.Errorf("Centroid = %v, want [3 4]", c)
-	}
-	if _, err := Centroid[float64](nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Centroid[float64](nil): got %v, want ErrEmpty", err)
-	}
-	if _, err := Centroid([]Vector{{1}, {1, 2}}); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("Centroid ragged: got %v, want ErrDimensionMismatch", err)
+		t.Errorf("a rejected member changed the accumulator: %v", c)
 	}
 }
 

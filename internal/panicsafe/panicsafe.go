@@ -2,12 +2,12 @@
 // returned errors. A panic on the main goroutine of a computation
 // unwinds to the caller like any other panic; a panic inside a pool
 // worker, by contrast, would crash the whole process — no deferred
-// recover on the caller's stack can catch it. Every worker pool in the
-// pipeline (the blocked distance kernels, the FFT batch pool, the
-// ingestion chunk parsers, the vectorizer shards, the k-means restarts)
-// therefore runs its worker body through Call and surfaces the resulting
-// *panicsafe.Error through its normal error return instead of dying
-// mid-analysis.
+// recover on the caller's stack can catch it. ForEach is the pipeline's
+// one row pool and recovers its workers itself; the goroutines that are
+// not row pools (the ingestion chunk reader and parsers, the vectorizer
+// shards, the serve loops and handlers) run their bodies through Call.
+// Either way the *panicsafe.Error comes back through the normal error
+// return instead of the process dying mid-analysis.
 package panicsafe
 
 import (
@@ -43,19 +43,4 @@ func Call(fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// Go runs fn on its own goroutine through Call, delivering the converted
-// error (or fn's own error) to report. report is only invoked for a
-// non-nil error and must be safe for concurrent use; pools typically
-// pass a sync.Once-guarded first-error store. done is called exactly
-// once when the goroutine finishes, panicked or not — a sync.WaitGroup's
-// Done in every current caller — so pools can always drain.
-func Go(fn func() error, report func(error), done func()) {
-	go func() {
-		defer done()
-		if err := Call(fn); err != nil && report != nil {
-			report(err)
-		}
-	}()
 }

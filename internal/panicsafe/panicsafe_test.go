@@ -3,7 +3,6 @@ package panicsafe
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -31,37 +30,5 @@ func TestCallConvertsPanic(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "kernel exploded") {
 		t.Errorf("Error() does not mention the panic value: %s", err)
-	}
-}
-
-func TestGoAlwaysCallsDone(t *testing.T) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var got []error
-	report := func(err error) {
-		mu.Lock()
-		got = append(got, err)
-		mu.Unlock()
-	}
-	wg.Add(3)
-	Go(func() error { return nil }, report, wg.Done)
-	Go(func() error { return errors.New("plain") }, report, wg.Done)
-	Go(func() error { panic(42) }, report, wg.Done)
-	wg.Wait() // deadlocks here if a panicking worker skipped done
-	if len(got) != 2 {
-		t.Fatalf("report called %d times, want 2 (plain error + panic)", len(got))
-	}
-	panics := 0
-	for _, err := range got {
-		var pe *Error
-		if errors.As(err, &pe) {
-			panics++
-			if pe.Value != 42 {
-				t.Errorf("panic Value = %v, want 42", pe.Value)
-			}
-		}
-	}
-	if panics != 1 {
-		t.Fatalf("%d reported errors were panics, want 1", panics)
 	}
 }

@@ -99,12 +99,6 @@ func (d *Dataset) SlotTime(i int) time.Time {
 	return d.Start.Add(time.Duration(i) * time.Duration(d.SlotMinutes) * time.Minute)
 }
 
-// IsWeekendSlot reports whether slot i falls on a Saturday or Sunday.
-func (d *Dataset) IsWeekendSlot(i int) bool {
-	wd := d.SlotTime(i).Weekday()
-	return wd == time.Saturday || wd == time.Sunday
-}
-
 // Validate checks the dataset's structural invariants: matching row counts,
 // equal-length vectors, finite values and a slot count that covers Days
 // whole days.
@@ -218,31 +212,6 @@ func (d *Dataset) AggregateRaw(idxs []int) (linalg.Vector, error) {
 		if err := out.AddInPlace(d.Raw[idx]); err != nil {
 			return nil, err
 		}
-	}
-	return out, nil
-}
-
-// Subset returns a new dataset containing only the given rows (sharing the
-// underlying vectors). The subset carries no flat matrix backing of its
-// own — its rows alias the parent's storage but are not, in general,
-// adjacent — so kernel consumers pack it on demand.
-func (d *Dataset) Subset(idxs []int) (*Dataset, error) {
-	out := &Dataset{
-		Start:       d.Start,
-		SlotMinutes: d.SlotMinutes,
-		Days:        d.Days,
-	}
-	for _, idx := range idxs {
-		if idx < 0 || idx >= d.NumTowers() {
-			return nil, fmt.Errorf("pipeline: row index %d out of range [0,%d)", idx, d.NumTowers())
-		}
-		out.TowerIDs = append(out.TowerIDs, d.TowerIDs[idx])
-		out.Locations = append(out.Locations, d.Locations[idx])
-		out.Raw = append(out.Raw, d.Raw[idx])
-		out.Normalized = append(out.Normalized, d.Normalized[idx])
-	}
-	if out.NumTowers() == 0 {
-		return nil, ErrEmptyDataset
 	}
 	return out, nil
 }

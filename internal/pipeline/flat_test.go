@@ -62,17 +62,6 @@ func TestVectorizeSeriesFlatBacking(t *testing.T) {
 			}
 		}
 	}
-	// Subsets share rows but drop the flat backing.
-	sub, err := ds.Subset([]int{0, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.RawMatrix != nil || sub.NormalizedMatrix != nil {
-		t.Error("subset must not claim a contiguous backing")
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("subset validation: %v", err)
-	}
 }
 
 // MinActiveSlots filtering must keep the flat backing dense: dropped

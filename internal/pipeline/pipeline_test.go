@@ -263,13 +263,6 @@ func TestDatasetAccessors(t *testing.T) {
 	if got := ds.SlotTime(144); !got.Equal(start.Add(24 * time.Hour)) {
 		t.Errorf("SlotTime(144) = %v", got)
 	}
-	// start is a Monday; slots of day 5 (Saturday) are weekend.
-	if ds.IsWeekendSlot(0) {
-		t.Error("Monday slot marked as weekend")
-	}
-	if !ds.IsWeekendSlot(5 * 144) {
-		t.Error("Saturday slot not marked as weekend")
-	}
 	if ds.RowByTowerID(8) != 1 || ds.RowByTowerID(99) != -1 {
 		t.Error("RowByTowerID wrong")
 	}
@@ -279,19 +272,6 @@ func TestDatasetAccessors(t *testing.T) {
 	}
 	if agg[0] != 7 {
 		t.Errorf("aggregate slot 0 = %g, want 7", agg[0])
-	}
-	sub, err := ds.Subset([]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumTowers() != 1 || sub.TowerIDs[0] != 8 {
-		t.Errorf("subset = %v", sub.TowerIDs)
-	}
-	if _, err := ds.Subset([]int{5}); err == nil {
-		t.Error("out-of-range subset should fail")
-	}
-	if _, err := ds.Subset(nil); !errors.Is(err, ErrEmptyDataset) {
-		t.Error("empty subset should fail")
 	}
 	if _, err := ds.AggregateRaw([]int{-1}); err == nil {
 		t.Error("bad aggregate index should fail")

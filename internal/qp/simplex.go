@@ -233,17 +233,9 @@ func polishActiveSet(g *linalg.Matrix, b, x linalg.Vector) (linalg.Vector, bool)
 	return out, true
 }
 
-// ProjectSimplex returns the Euclidean projection of v onto the probability
-// simplex {x : Σx = 1, x ≥ 0} using the sort-based algorithm of Held,
-// Wolfe & Crowder. The input is not modified.
-func ProjectSimplex(v linalg.Vector) linalg.Vector {
-	out := v.Clone()
-	projectSimplexInPlace(out, make(linalg.Vector, len(v)))
-	return out
-}
-
-// projectSimplexInPlace overwrites v with its projection onto the
-// simplex. sorted is scratch of the same length; it is sorted descending
+// projectSimplexInPlace overwrites v with its Euclidean projection onto
+// the probability simplex {x : Σx = 1, x ≥ 0} using the sort-based
+// algorithm of Held, Wolfe & Crowder. sorted is scratch of the same length; it is sorted descending
 // by insertion, which for the handful of components a decomposition has
 // beats a general sort and allocates nothing. NaNs order last, as
 // sort.Float64Slice would put them.

@@ -25,9 +25,17 @@ func onSimplex(x linalg.Vector, tol float64) bool {
 	return math.Abs(sum-1) <= tol
 }
 
+// projectSimplex is the allocating form of projectSimplexInPlace the tests
+// probe it through: the input is not modified.
+func projectSimplex(v linalg.Vector) linalg.Vector {
+	out := v.Clone()
+	projectSimplexInPlace(out, make(linalg.Vector, len(v)))
+	return out
+}
+
 func TestProjectSimplexAlreadyFeasible(t *testing.T) {
 	v := linalg.Vector{0.2, 0.3, 0.5}
-	p := ProjectSimplex(v)
+	p := projectSimplex(v)
 	for i := range v {
 		if !almostEqual(p[i], v[i], 1e-12) {
 			t.Errorf("projection changed a feasible point: %v -> %v", v, p)
@@ -37,23 +45,23 @@ func TestProjectSimplexAlreadyFeasible(t *testing.T) {
 
 func TestProjectSimplexKnownCases(t *testing.T) {
 	// Projection of (2, 0) onto the simplex is (1, 0).
-	p := ProjectSimplex(linalg.Vector{2, 0})
+	p := projectSimplex(linalg.Vector{2, 0})
 	if !almostEqual(p[0], 1, 1e-12) || !almostEqual(p[1], 0, 1e-12) {
-		t.Errorf("ProjectSimplex(2,0) = %v, want (1,0)", p)
+		t.Errorf("projectSimplex(2,0) = %v, want (1,0)", p)
 	}
 	// Projection of (0.5, 0.5, 0.5) is uniform (1/3 each).
-	p = ProjectSimplex(linalg.Vector{0.5, 0.5, 0.5})
+	p = projectSimplex(linalg.Vector{0.5, 0.5, 0.5})
 	for i := range p {
 		if !almostEqual(p[i], 1.0/3, 1e-12) {
-			t.Errorf("ProjectSimplex uniform[%d] = %g, want 1/3", i, p[i])
+			t.Errorf("projectSimplex uniform[%d] = %g, want 1/3", i, p[i])
 		}
 	}
 	// Strongly negative coordinates collapse onto a vertex.
-	p = ProjectSimplex(linalg.Vector{-5, 3, -5})
+	p = projectSimplex(linalg.Vector{-5, 3, -5})
 	if !almostEqual(p[1], 1, 1e-12) {
-		t.Errorf("ProjectSimplex vertex = %v, want e2", p)
+		t.Errorf("projectSimplex vertex = %v, want e2", p)
 	}
-	if len(ProjectSimplex(nil)) != 0 {
+	if len(projectSimplex(nil)) != 0 {
 		t.Error("projection of empty vector should be empty")
 	}
 }
@@ -67,11 +75,11 @@ func TestProjectSimplexProperty(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64() * 10
 		}
-		p := ProjectSimplex(v)
+		p := projectSimplex(v)
 		if !onSimplex(p, 1e-9) {
 			return false
 		}
-		pp := ProjectSimplex(p)
+		pp := projectSimplex(p)
 		for i := range p {
 			if !almostEqual(pp[i], p[i], 1e-9) {
 				return false
@@ -94,7 +102,7 @@ func TestProjectSimplexOptimalityProperty(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64() * 5
 		}
-		p := ProjectSimplex(v)
+		p := projectSimplex(v)
 		dp, _ := linalg.SquaredDistance(v, p)
 		// Random feasible competitor from a Dirichlet-ish draw.
 		q := make(linalg.Vector, n)
@@ -435,13 +443,13 @@ func TestProjectSimplexMatchesSortingOracle(t *testing.T) {
 			}
 		}
 		in := v.Clone()
-		got, want := ProjectSimplex(v), projectSimplexOracle(v)
+		got, want := projectSimplex(v), projectSimplexOracle(v)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: projection[%d] = %g, oracle %g", trial, i, got[i], want[i])
 			}
 			if v[i] != in[i] {
-				t.Fatalf("trial %d: ProjectSimplex modified its input", trial)
+				t.Fatalf("trial %d: projectSimplex modified its input", trial)
 			}
 		}
 	}

@@ -568,15 +568,11 @@ func (s *Server) maybeAutoRollbackLocked() *generation {
 // (degenerate traffic) carry a zero towerForecast rather than failing
 // the cycle.
 //
-// The rows are fanned across up to Analyze.Workers goroutines (≤ 0 means
-// GOMAXPROCS; 1 runs the loop on the calling goroutine) claiming rows from
-// a shared counter. Each worker refits its own two models — the backtest's
-// and the full window's — row after row, so a cycle allocates per-row only
-// what it publishes, and every row is written by index from that row's
-// traffic alone, so the result is identical for any worker count. ctx is
-// observed before each row; a cancellation or a worker panic (returned as a
-// *panicsafe.Error) stops the stage, and every worker has exited by the
-// time it returns.
+// The rows fan out over panicsafe.ForEach on up to Analyze.Workers
+// goroutines. Each worker refits its own two models — the backtest's and
+// the full window's — row after row, so a cycle allocates per-row only what
+// it publishes, and every row is written by index from that row's traffic
+// alone, so the result is identical for any worker count.
 func (s *Server) buildForecasts(ctx context.Context, ds *pipeline.Dataset) ([]towerForecast, error) {
 	out := make([]towerForecast, ds.NumTowers())
 	if s.cfg.ForecastTrainDays < 0 || ds.Days < 14 {
@@ -584,57 +580,33 @@ func (s *Server) buildForecasts(ctx context.Context, ds *pipeline.Dataset) ([]to
 	}
 	spd := ds.SlotsPerDay()
 	trainDays := ds.Days - 7
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-	)
-	fit := func() error {
-		backtest := &forecast.SpectralModel{Components: forecast.HarmonicsAndSidebands}
-		full := &forecast.SpectralModel{Components: forecast.HarmonicsAndSidebands}
-		for !stop.Load() {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(ds.Raw) {
-				break
-			}
-			row := ds.Raw[i]
-			metrics, err := forecast.Backtest(backtest, row, ds.Days, trainDays, spd)
-			if err != nil {
-				continue
-			}
-			if err := full.Fit(row, ds.Days, spd); err != nil {
-				continue
-			}
-			nextDay, err := full.Predict(spd)
-			if err != nil {
-				continue
-			}
-			out[i] = towerForecast{Valid: true, Metrics: metrics, NextDay: nextDay}
-		}
-		return nil
-	}
 	workers := min(linalg.ResolveWorkers(s.cfg.Analyze.Workers), len(ds.Raw))
-	if workers <= 1 {
-		if err := fit(); err != nil {
-			return nil, err
+	type models struct{ backtest, full forecast.SpectralModel }
+	perWorker := make([]*models, max(workers, 1))
+	err := panicsafe.ForEach(ctx, len(ds.Raw), workers, func(w, i int) error {
+		if perWorker[w] == nil {
+			perWorker[w] = &models{
+				backtest: forecast.SpectralModel{Components: forecast.HarmonicsAndSidebands},
+				full:     forecast.SpectralModel{Components: forecast.HarmonicsAndSidebands},
+			}
 		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		panicsafe.Go(fit, func(err error) {
-			errOnce.Do(func() { firstErr = err })
-			stop.Store(true)
-		}, wg.Done)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		m, row := perWorker[w], ds.Raw[i]
+		metrics, err := forecast.Backtest(&m.backtest, row, ds.Days, trainDays, spd)
+		if err != nil {
+			return nil
+		}
+		if err := m.full.Fit(row, ds.Days, spd); err != nil {
+			return nil
+		}
+		nextDay, err := m.full.Predict(spd)
+		if err != nil {
+			return nil
+		}
+		out[i] = towerForecast{Valid: true, Metrics: metrics, NextDay: nextDay}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

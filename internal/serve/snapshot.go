@@ -292,19 +292,3 @@ func (st *SnapshotStore) Restore() (*window.Window, string, error) {
 	}
 	return nil, "", nil
 }
-
-// Generations returns the on-disk generation paths, newest first (intact
-// or not).
-func (st *SnapshotStore) Generations() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	seqs, err := st.generations()
-	if err != nil {
-		return nil
-	}
-	paths := make([]string, 0, len(seqs))
-	for _, seq := range seqs {
-		paths = append(paths, st.genPath(seq))
-	}
-	return paths
-}

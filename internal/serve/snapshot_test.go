@@ -7,6 +7,7 @@ package serve
 // kill mid-ingest, and a fault-injection soak over the whole save path.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -30,6 +31,22 @@ func storeWindow(tb testing.TB, city *synth.City, series []synth.TowerSeries, da
 	return w
 }
 
+// generationPaths returns the on-disk generation paths, newest first
+// (intact or not).
+func generationPaths(st *SnapshotStore) []string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	seqs, err := st.generations()
+	if err != nil {
+		return nil
+	}
+	paths := make([]string, 0, len(seqs))
+	for _, seq := range seqs {
+		paths = append(paths, st.genPath(seq))
+	}
+	return paths
+}
+
 func TestSnapshotStoreRotationAndRetention(t *testing.T) {
 	city, series := testCity(t, 8, 21)
 	base := filepath.Join(t.TempDir(), "window.snap")
@@ -50,7 +67,7 @@ func TestSnapshotStoreRotationAndRetention(t *testing.T) {
 		}
 	}
 	// Retention keeps only the newest two.
-	if got, want := st.Generations(), []string{base + ".5", base + ".4"}; !reflect.DeepEqual(got, want) {
+	if got, want := generationPaths(st), []string{base + ".5", base + ".4"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("generations after retention: %v, want %v", got, want)
 	}
 	// Restore yields the newest.
@@ -113,7 +130,11 @@ func TestSnapshotStoreRestoresLegacyBarePath(t *testing.T) {
 	city, series := testCity(t, 8, 21)
 	base := filepath.Join(t.TempDir(), "window.snap")
 	orig := storeWindow(t, city, series, 7, 9)
-	if err := orig.Save(base); err != nil { // the pre-generational layout
+	var legacy bytes.Buffer // the pre-generational layout: one file at the bare path
+	if err := orig.WriteSnapshot(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base, legacy.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st := NewSnapshotStore(base, 3, nil, t.Logf)
@@ -138,7 +159,7 @@ func TestSnapshotStoreNeverRegresses(t *testing.T) {
 	if _, err := st.Save(newer); err != nil {
 		t.Fatal(err)
 	}
-	before := st.Generations()
+	before := generationPaths(st)
 
 	// An empty window must never be persisted.
 	if _, err := st.Save(newTestWindow(t, city, 7)); err != ErrSnapshotEmpty {
@@ -152,7 +173,7 @@ func TestSnapshotStoreNeverRegresses(t *testing.T) {
 			t.Fatalf("%s: stale save: %v, want ErrSnapshotStale", name, err)
 		}
 	}
-	if after := st.Generations(); !reflect.DeepEqual(after, before) {
+	if after := generationPaths(st); !reflect.DeepEqual(after, before) {
 		t.Fatalf("rejected saves changed the store: %v -> %v", before, after)
 	}
 	// An identical (equal-clock) window is also skipped: that state is

@@ -435,15 +435,6 @@ func poisson(rng *rand.Rand, mean float64) int {
 	}
 }
 
-// TowersByRegion groups tower indices by their ground-truth region.
-func (c *City) TowersByRegion() map[Region][]int {
-	out := make(map[Region][]int, len(Regions))
-	for i, t := range c.Towers {
-		out[t.Region] = append(out[t.Region], i)
-	}
-	return out
-}
-
 // TowerLocations returns the locations of all towers in tower order.
 func (c *City) TowerLocations() []geo.Point {
 	out := make([]geo.Point, len(c.Towers))

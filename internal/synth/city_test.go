@@ -135,6 +135,15 @@ func TestGenerateCityBasics(t *testing.T) {
 	}
 }
 
+// towersByRegion groups tower indices by their ground-truth region.
+func towersByRegion(c *City) map[Region][]int {
+	out := make(map[Region][]int, len(Regions))
+	for i, t := range c.Towers {
+		out[t.Region] = append(out[t.Region], i)
+	}
+	return out
+}
+
 func TestGenerateCityShares(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Towers = 1000
@@ -142,7 +151,7 @@ func TestGenerateCityShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRegion := city.TowersByRegion()
+	byRegion := towersByRegion(city)
 	var total int
 	for _, idxs := range byRegion {
 		total += len(idxs)

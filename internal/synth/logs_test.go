@@ -36,10 +36,10 @@ func TestGenerateLogsRecordsAreValid(t *testing.T) {
 	if len(records) == 0 {
 		t.Fatal("no records emitted")
 	}
+	if _, stats := trace.Clean(records); stats.Invalid != 0 {
+		t.Fatalf("the cleaner rejects %d of %d records as invalid", stats.Invalid, stats.Input)
+	}
 	for i, r := range records {
-		if err := r.Validate(); err != nil {
-			t.Fatalf("record %d invalid: %v", i, err)
-		}
 		if r.UserID >= city.Config.Users {
 			t.Fatalf("record %d user id %d out of range", i, r.UserID)
 		}

@@ -85,22 +85,3 @@ func isWeekend(t time.Time) bool {
 func (c *City) SlotStart(i int) time.Time {
 	return c.Config.Start.Add(time.Duration(i) * time.Duration(c.Config.SlotMinutes) * time.Minute)
 }
-
-// AggregateSeries sums a set of tower series element-wise, returning the
-// city-wide (or cluster-wide) traffic series.
-func AggregateSeries(series []TowerSeries) ([]float64, error) {
-	if len(series) == 0 {
-		return nil, fmt.Errorf("synth: no series to aggregate")
-	}
-	n := len(series[0].Bytes)
-	out := make([]float64, n)
-	for _, s := range series {
-		if len(s.Bytes) != n {
-			return nil, fmt.Errorf("synth: series length mismatch: %d vs %d", len(s.Bytes), n)
-		}
-		for i, v := range s.Bytes {
-			out[i] += v
-		}
-	}
-	return out, nil
-}

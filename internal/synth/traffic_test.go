@@ -79,7 +79,7 @@ func TestSeriesFollowsArchetype(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRegion := city.TowersByRegion()
+	byRegion := towersByRegion(city)
 	perDay := cfg.SlotsPerDay()
 
 	profileOf := func(towerIdx int) []float64 {
@@ -114,30 +114,6 @@ func TestSeriesFollowsArchetype(t *testing.T) {
 		if !(p[slotOf(8)] > p[slotOf(13)] && p[slotOf(18)] > p[slotOf(13)]) {
 			t.Errorf("transport tower should have two rush-hour humps: 8h=%g 13h=%g 18h=%g", p[slotOf(8)], p[slotOf(13)], p[slotOf(18)])
 		}
-	}
-}
-
-func TestAggregateSeries(t *testing.T) {
-	series := []TowerSeries{
-		{TowerID: 0, Bytes: []float64{1, 2, 3}},
-		{TowerID: 1, Bytes: []float64{10, 20, 30}},
-	}
-	agg, err := AggregateSeries(series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{11, 22, 33}
-	for i := range want {
-		if agg[i] != want[i] {
-			t.Errorf("agg[%d] = %g, want %g", i, agg[i], want[i])
-		}
-	}
-	if _, err := AggregateSeries(nil); err == nil {
-		t.Error("empty aggregate should fail")
-	}
-	bad := []TowerSeries{{Bytes: []float64{1}}, {Bytes: []float64{1, 2}}}
-	if _, err := AggregateSeries(bad); err == nil {
-		t.Error("length mismatch should fail")
 	}
 }
 

@@ -131,3 +131,25 @@ func parseRowCat(row []string) (Record, skipCategory, error) {
 	}
 	return rec, skipNone, nil
 }
+
+// Validate says why a record is structurally impossible (valid() only
+// answers whether): the acceptance rule of the encoding/csv oracle and of
+// the cleaner's flat-map oracle.
+func (r Record) Validate() error {
+	switch {
+	case r.valid():
+		return nil
+	case r.UserID < 0:
+		return fmt.Errorf("trace: negative user id %d", r.UserID)
+	case r.TowerID < 0:
+		return fmt.Errorf("trace: negative tower id %d", r.TowerID)
+	case r.Bytes < 0:
+		return fmt.Errorf("trace: negative byte count %d", r.Bytes)
+	case r.Start.IsZero() || r.End.IsZero():
+		return errors.New("trace: zero timestamp")
+	case r.End.Before(r.Start):
+		return fmt.Errorf("trace: end %v before start %v", r.End, r.Start)
+	default:
+		return fmt.Errorf("trace: unknown technology %q", r.Tech)
+	}
+}

@@ -26,8 +26,6 @@
 package trace
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -60,32 +58,13 @@ type Record struct {
 	Tech    Technology
 }
 
-// valid reports whether the record passes Validate, without building the
-// error: the cleaner asks once per record and only counts the answer.
+// valid reports whether the record holds no structurally impossible value.
+// It builds no error: the cleaner asks once per record and only counts the
+// answer (the tests' Record.Validate says why, for the oracles).
 func (r *Record) valid() bool {
 	return r.UserID >= 0 && r.TowerID >= 0 && r.Bytes >= 0 &&
 		!r.Start.IsZero() && !r.End.IsZero() && !r.End.Before(r.Start) &&
 		(r.Tech == Tech3G || r.Tech == TechLTE)
-}
-
-// Validate checks the record for structurally impossible values.
-func (r Record) Validate() error {
-	switch {
-	case r.valid():
-		return nil
-	case r.UserID < 0:
-		return fmt.Errorf("trace: negative user id %d", r.UserID)
-	case r.TowerID < 0:
-		return fmt.Errorf("trace: negative tower id %d", r.TowerID)
-	case r.Bytes < 0:
-		return fmt.Errorf("trace: negative byte count %d", r.Bytes)
-	case r.Start.IsZero() || r.End.IsZero():
-		return errors.New("trace: zero timestamp")
-	case r.End.Before(r.Start):
-		return fmt.Errorf("trace: end %v before start %v", r.End, r.Start)
-	default:
-		return fmt.Errorf("trace: unknown technology %q", r.Tech)
-	}
 }
 
 const timeLayout = time.RFC3339

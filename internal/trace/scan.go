@@ -527,7 +527,7 @@ parseField:
 
 // toRecord converts the current row's fields into rec, returning
 // skipNone on success or the drop category otherwise. Acceptance
-// matches parseRow + Validate; the category order follows the oracle's
+// matches the oracle's parseRow + Validate; the category order follows its
 // field order so serial, parallel and encoding/csv ingestion report
 // identical per-category stats.
 func (s *Scanner) toRecord(rec *Record) skipCategory {
@@ -560,12 +560,12 @@ func (s *Scanner) toRecord(rec *Record) skipCategory {
 	case len(tech) == 3 && tech[0] == 'L' && tech[1] == 'T' && tech[2] == 'E':
 		technology = TechLTE
 	default:
-		// Validate rejects every other technology; skip without building
-		// the string.
+		// Record.valid rejects every other technology; skip without
+		// building the string.
 		return skipBadField
 	}
-	// Validate, inlined to avoid copying the record through the method
-	// value. The checks and their outcomes match Record.Validate, plus
+	// Record.valid, inlined to avoid copying the record through the method
+	// value. The checks and their outcomes match it, plus
 	// the int range check strconv.Atoi applies on 32-bit platforms (the
 	// comparisons are constant-false on 64-bit).
 	if userID < math.MinInt || userID > math.MaxInt ||

@@ -114,14 +114,6 @@ func (w *Window) SetGuards(g Guards) {
 	}
 }
 
-// Guards returns the window's guard configuration (with defaults
-// applied).
-func (w *Window) Guards() Guards {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.guards
-}
-
 // judgeLocked scores a tower's completed slots — everything newer than
 // its last judgement up to (but excluding) the slot currently
 // accumulating — against its robust baseline and flips quarantine state.

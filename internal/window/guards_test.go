@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // guardWindow builds a 60-minute-slot, 7-day window with the given
@@ -35,7 +37,7 @@ func feedClean(w *Window, ids []int, fromSlot, toSlot int, scale func(id, slot i
 			if scale != nil {
 				v = scale(id, slot)
 			}
-			w.Add(rec(id, slot*60, v))
+			w.AddBatch([]trace.Record{rec(id, slot*60, v)})
 		}
 	}
 }
@@ -46,7 +48,7 @@ func TestClockSkewGuardDropsFutureRecords(t *testing.T) {
 	before := w.Summary()
 
 	// A corrupt timestamp 300 days ahead must be dropped, not admitted.
-	w.Add(rec(1, 300*1440, 999))
+	w.AddBatch([]trace.Record{rec(1, 300*1440, 999)})
 	s := w.Summary()
 	if s.DroppedFuture != 1 {
 		t.Fatalf("DroppedFuture = %d, want 1", s.DroppedFuture)
@@ -64,7 +66,7 @@ func TestClockSkewGuardDropsFutureRecords(t *testing.T) {
 	}
 
 	// Feed keeps flowing normally afterwards.
-	w.Add(rec(1, 8*24*60, dailyValue(0)))
+	w.AddBatch([]trace.Record{rec(1, 8*24*60, dailyValue(0))})
 	if s := w.Summary(); s.Ingested != before.Ingested+1 {
 		t.Fatalf("Ingested = %d after clean record, want %d", s.Ingested, before.Ingested+1)
 	}
@@ -74,7 +76,7 @@ func TestClockSkewGuardDropsFutureRecords(t *testing.T) {
 	// guard exists for.
 	uw := guardWindow(t, Guards{})
 	feedClean(uw, []int{1}, 0, 8*24, nil)
-	uw.Add(rec(1, 300*1440, 999))
+	uw.AddBatch([]trace.Record{rec(1, 300*1440, 999)})
 	if s := uw.Summary(); s.CompleteDays < 200 {
 		t.Fatalf("unguarded control: CompleteDays = %d, expected the clock to wedge forward", s.CompleteDays)
 	}

@@ -14,7 +14,7 @@
 // re-modeling loop run the unchanged batch pipeline (core.AnalyzeContext)
 // over live state.
 //
-// WriteSnapshot/ReadSnapshot persist the full window state in a versioned,
+// WriteSnapshot/DecodeSnapshot persist the full window state in a versioned,
 // CRC-32C-checksummed gob frame so a restarted service resumes with the
 // identical window instead of warming up from nothing, and a truncated or
 // bit-rotted snapshot is rejected (ErrBadSnapshot) rather than silently
@@ -33,8 +33,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -171,7 +169,7 @@ func (w *Window) Options() Options { return w.opts }
 // SetLocations registers tower locations for the datasets the window
 // hands to the modeling pipeline. Locations are construction-time
 // metadata, not window state: they are not persisted by WriteSnapshot and
-// must be re-supplied after ReadSnapshot.
+// must be re-supplied after DecodeSnapshot.
 func (w *Window) SetLocations(infos []trace.TowerInfo) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -241,13 +239,6 @@ func (w *Window) add(rec trace.Record) {
 	w.ingested++
 }
 
-// Add ingests one record.
-func (w *Window) Add(rec trace.Record) {
-	w.mu.Lock()
-	w.add(rec)
-	w.mu.Unlock()
-}
-
 // AddBatch ingests a batch of records under one lock acquisition — the
 // shape the ingest loop's pooled batches arrive in.
 func (w *Window) AddBatch(recs []trace.Record) {
@@ -296,13 +287,6 @@ func (w *Window) TowerStats(id int) (TowerStats, bool) {
 		Slots:         w.ringSlots,
 		Quarantined:   ts.quarantined,
 	}, true
-}
-
-// TowerIDs returns the IDs of every tower seen, sorted.
-func (w *Window) TowerIDs() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sortedIDsLocked()
 }
 
 func (w *Window) sortedIDsLocked() []int {
@@ -418,7 +402,7 @@ func (w *Window) Dataset() (*pipeline.Dataset, error) {
 }
 
 // snapshotVersion is the on-disk format version. Bump it when the frame
-// layout changes; ReadSnapshot rejects versions it does not know.
+// layout changes; DecodeSnapshot rejects versions it does not know.
 //
 // Version history:
 //
@@ -429,7 +413,7 @@ func (w *Window) Dataset() (*pipeline.Dataset, error) {
 const snapshotVersion = 2
 
 // snapshotMagic guards against feeding an arbitrary gob stream (or an
-// arbitrary file) to ReadSnapshot.
+// arbitrary file) to DecodeSnapshot.
 const snapshotMagic = "repro-window-snapshot"
 
 // snapshotFrame is the serialised form of the whole window.
@@ -607,63 +591,4 @@ func decodeFrame(body []byte, wantVersion int) (*Window, error) {
 		}
 	}
 	return w, nil
-}
-
-// ReadSnapshot rebuilds a window from a WriteSnapshot stream. See
-// DecodeSnapshot; the stream is read to EOF first, since verifying the
-// checksum needs every byte anyway.
-func ReadSnapshot(in io.Reader) (*Window, error) {
-	data, err := io.ReadAll(in)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return DecodeSnapshot(data)
-}
-
-// Save writes the snapshot to path atomically and durably: temp file,
-// fsync, rename, then a best-effort fsync of the directory — so a crash
-// at any point leaves either the previous snapshot or the new one, never
-// a truncated hybrid.
-func (w *Window) Save(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".window-snapshot-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := w.WriteSnapshot(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable. Best effort: some filesystems reject directory fsync, and the
-// data itself was already synced.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
-// Load reads a snapshot written by Save.
-func Load(path string) (*Window, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeSnapshot(data)
 }

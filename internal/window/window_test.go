@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 	"time"
 
@@ -45,7 +46,7 @@ func feedSeries(w *Window, series map[int][]float64, slotMinutes int) {
 	for slot := 0; slot < slots; slot++ {
 		for id, s := range series {
 			if slot < len(s) && s[slot] != 0 {
-				w.Add(rec(id, slot*slotMinutes, int64(s[slot])))
+				w.AddBatch([]trace.Record{rec(id, slot*slotMinutes, int64(s[slot]))})
 			}
 		}
 	}
@@ -204,7 +205,7 @@ func TestWindowWarmUpAndDrops(t *testing.T) {
 		t.Fatalf("6 complete days: err = %v, want ErrWarmingUp", err)
 	}
 	// One more slot completes day 7.
-	w.Add(rec(0, 7*24*60, 100))
+	w.AddBatch([]trace.Record{rec(0, 7*24*60, 100)})
 	if _, err := w.Dataset(); err != nil {
 		t.Fatalf("7 complete days: %v", err)
 	}
@@ -213,9 +214,9 @@ func TestWindowWarmUpAndDrops(t *testing.T) {
 	before := w.Summary().Dropped
 	old := rec(0, 0, 50)
 	old.Start = t0.Add(-time.Hour)
-	w.Add(old)
-	w.Add(rec(1, 0, 50))  // slot 0 is still inside the (Days+1)-day ring: accepted
-	w.Add(rec(2, -60, 0)) // before Start via negative minutes: dropped
+	w.AddBatch([]trace.Record{old})
+	w.AddBatch([]trace.Record{rec(1, 0, 50)})  // slot 0 is still inside the (Days+1)-day ring: accepted
+	w.AddBatch([]trace.Record{rec(2, -60, 0)}) // before Start via negative minutes: dropped
 	sum := w.Summary()
 	if sum.Dropped != before+2 {
 		t.Errorf("dropped = %d, want %d", sum.Dropped, before+2)
@@ -269,7 +270,7 @@ func TestSnapshotRoundTripIdenticalState(t *testing.T) {
 		if err := w.WriteSnapshot(&snap1); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := ReadSnapshot(bytes.NewReader(snap1.Bytes()))
+		restored, err := DecodeSnapshot(snap1.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,8 +289,8 @@ func TestSnapshotRoundTripIdenticalState(t *testing.T) {
 			for i, v := range s {
 				if v != 0 {
 					r := rec(id, (days*spd+i)*60, int64(v))
-					w.Add(r)
-					restored.Add(r)
+					w.AddBatch([]trace.Record{r})
+					restored.AddBatch([]trace.Record{r})
 				}
 			}
 		}
@@ -320,7 +321,7 @@ func TestSnapshotRoundTripIdenticalState(t *testing.T) {
 }
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(bytes.NewReader([]byte("not a snapshot"))); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := DecodeSnapshot([]byte("not a snapshot")); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("garbage: err = %v, want ErrBadSnapshot", err)
 	}
 	// A valid gob stream that is not a window snapshot.
@@ -336,11 +337,13 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatal("magic not found in frame")
 	}
 	raw[idx] ^= 0xff
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); err == nil {
+	if _, err := DecodeSnapshot(raw); err == nil {
 		t.Error("corrupted magic accepted")
 	}
 }
 
+// A snapshot streamed to a real file and read back whole restores the
+// window: the shape serve.SnapshotStore gives WriteSnapshot/DecodeSnapshot.
 func TestSaveLoadFile(t *testing.T) {
 	w, err := New(Options{Start: t0, SlotMinutes: 60, Days: 7})
 	if err != nil {
@@ -348,18 +351,29 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	feedSeries(w, genSeries(7, 2, 8, 24), 60)
 	path := t.TempDir() + "/window.snap"
-	if err := w.Save(path); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	if err := w.WriteSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Summary() != w.Summary() {
 		t.Errorf("loaded summary differs")
 	}
-	if _, err := Load(path + ".missing"); err == nil {
-		t.Error("missing file should fail")
+	if _, err := DecodeSnapshot(nil); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("empty file: err = %v, want ErrBadSnapshot", err)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Command deadcode is the repository's dead-code gate: it fails when a
-// gated package holds a function that no main package (cmd/*, bench,
-// examples/*, scripts/*) can reach — one kept alive by tests only, which
-// is how the duplicate Foo/FooCtx/FooWorkers ladders accreted. It needs
-// nothing but the Go toolchain, so it runs the same offline and in CI:
+// package under internal/ holds a function that no main package (cmd/*,
+// bench, examples/*, scripts/*) can reach — one kept alive by tests only,
+// which is how the duplicate Foo/FooCtx/FooWorkers ladders accreted. The
+// test-support packages (internal/faultinject, internal/testutil) are
+// exempt by rule: tests are their only callers by design. It needs nothing
+// but the Go toolchain, so it runs the same offline and in CI:
 //
 //	go run ./scripts/deadcode [module root]
 //
@@ -18,7 +20,9 @@
 // is dead; it can miss code a precise call graph would also call dead.
 //
 // allow.txt lists the library API kept on purpose although only tests
-// call it, one reason each; an entry that is no longer dead is an error.
+// call it, one reason each. An allowlisted function is a root of its own:
+// what only it calls needs no entry. An entry that is reachable without
+// the allowlist, or names no function, is an error.
 package main
 
 import (
@@ -32,6 +36,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -41,8 +46,12 @@ import (
 )
 
 // gated selects the packages in which an unreachable function fails the
-// gate; the rest of the module is reported for information only.
-var gated = regexp.MustCompile(`/internal/(trace|pipeline|core|cluster|nmf|window|serve)\.`)
+// gate; the rest of the module (the main packages themselves) is reported
+// for information only.
+var gated = regexp.MustCompile(`/internal/`)
+
+// testSupport selects the packages that exist to be called from tests.
+var testSupport = regexp.MustCompile(`/internal/(faultinject|testutil)$`)
 
 // stdInvoked are method names the standard library calls through its own
 // interfaces (error, fmt.Stringer, io.*, http.Handler, sort.Interface,
@@ -81,47 +90,52 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	dead, err := analyze(root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "deadcode:", err)
-		os.Exit(2)
-	}
-	allow := map[string]bool{}
+	os.Exit(run(root, allowText, os.Stdout, os.Stderr))
+}
+
+// run applies the gate to the module at root and returns the exit code.
+func run(root, allowText string, stdout, stderr io.Writer) int {
+	var allow []string
 	for _, line := range strings.Split(allowText, "\n") {
 		if name, _, _ := strings.Cut(line, "#"); strings.TrimSpace(name) != "" {
-			allow[strings.TrimSpace(name)] = true
+			allow = append(allow, strings.TrimSpace(name))
 		}
 	}
-	var failed, info []string
-	for _, name := range dead {
-		switch {
-		case allow[name]:
-			delete(allow, name)
-		case gated.MatchString(name):
-			failed = append(failed, name)
-		default:
-			info = append(info, name)
-		}
+	res, err := analyze(root, allow)
+	if err != nil {
+		fmt.Fprintln(stderr, "deadcode:", err)
+		return 2
 	}
-	fmt.Printf("deadcode: %d functions no main package reaches: %d allowlisted, %d in gated packages, %d elsewhere\n",
-		len(dead), len(dead)-len(failed)-len(info), len(failed), len(info))
-	if len(info) > 0 {
-		fmt.Printf("not gated (for information):\n  %s\n", strings.Join(info, "\n  "))
+	fmt.Fprintf(stdout, "deadcode: %d functions kept by allow.txt, %d unreachable in gated packages, %d elsewhere\n",
+		len(allow)-len(res.stale), len(res.gated), len(res.info))
+	if len(res.info) > 0 {
+		fmt.Fprintf(stdout, "not gated (for information):\n  %s\n", strings.Join(res.info, "\n  "))
 	}
-	for name := range allow {
+	failed := res.gated
+	for _, name := range res.stale {
 		failed = append(failed, name+"  (allow.txt entry that is not dead: remove it)")
 	}
 	if len(failed) > 0 {
 		sort.Strings(failed)
-		fmt.Fprintf(os.Stderr, "functions reachable only from tests (delete them, call them from non-test code, or allowlist them with a reason):\n  %s\n",
+		fmt.Fprintf(stderr, "functions reachable only from tests (delete them, call them from non-test code, or allowlist them with a reason):\n  %s\n",
 			strings.Join(failed, "\n  "))
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// analyze returns the sorted names ("import/path.Func" or
-// "import/path.Type.Method") of the module's unreachable functions.
-func analyze(root string) ([]string, error) {
+// result is what analyze found: unreachable functions by class, each
+// sorted, named "import/path.Func" or "import/path.Type.Method".
+type result struct {
+	gated []string // unreachable in a gated package: fails the gate
+	info  []string // unreachable elsewhere (a main package): reported only
+	stale []string // allow entries reachable without the allowlist, or naming nothing
+}
+
+// analyze type-checks the module at root and walks its reference graph,
+// first from the main packages alone (which finds the stale allow entries)
+// and then from the allowlisted functions too.
+func analyze(root string, allow []string) (*result, error) {
 	cmd := exec.Command("go", "list", "-pgo=off", "-json", "-deps", "./...")
 	cmd.Dir = root
 	cmd.Stderr = os.Stderr
@@ -137,8 +151,10 @@ func analyze(root string) ([]string, error) {
 	var (
 		bodies = map[*types.Func]*ast.BlockStmt{} // every declared function; nil body for assembly stubs
 		names  = map[*types.Func]string{}
+		pkgOf  = map[*types.Func]string{}
 		reach  = map[*types.Func]bool{}
 		work   []*types.Func
+		res    result
 	)
 	mark := func(f *types.Func) {
 		if f = f.Origin(); !reach[f] {
@@ -166,6 +182,15 @@ func analyze(root string) ([]string, error) {
 			}
 			return true
 		})
+	}
+	drain := func() {
+		for len(work) > 0 {
+			f := work[len(work)-1]
+			work = work[:len(work)-1]
+			if body := bodies[f]; body != nil {
+				refs(body)
+			}
+		}
 	}
 
 	var inits []ast.Node
@@ -200,6 +225,7 @@ func analyze(root string) ([]string, error) {
 				case *ast.FuncDecl:
 					f := info.Defs[d.Name].(*types.Func)
 					bodies[f] = d.Body
+					pkgOf[f] = p.ImportPath
 					names[f] = p.ImportPath + "." + d.Name.Name
 					if d.Recv != nil {
 						recv := types.ExprString(d.Recv.List[0].Type)
@@ -222,20 +248,35 @@ func analyze(root string) ([]string, error) {
 	for _, d := range inits {
 		refs(d)
 	}
-	for len(work) > 0 {
-		f := work[len(work)-1]
-		work = work[:len(work)-1]
-		if body := bodies[f]; body != nil {
-			refs(body)
-		}
-	}
+	drain()
 
-	var dead []string
+	byFullName := map[string]*types.Func{}
 	for f, name := range names {
-		if !reach[f] {
-			dead = append(dead, name)
+		byFullName[name] = f
+	}
+	for _, name := range allow {
+		if f := byFullName[name]; f == nil || reach[f] {
+			res.stale = append(res.stale, name)
 		}
 	}
-	sort.Strings(dead)
-	return dead, nil
+	for _, name := range allow {
+		if f := byFullName[name]; f != nil {
+			mark(f)
+		}
+	}
+	drain()
+
+	for f, name := range names {
+		switch {
+		case reach[f] || testSupport.MatchString(pkgOf[f]):
+		case gated.MatchString(pkgOf[f]):
+			res.gated = append(res.gated, name)
+		default:
+			res.info = append(res.info, name)
+		}
+	}
+	sort.Strings(res.gated)
+	sort.Strings(res.info)
+	sort.Strings(res.stale)
+	return &res, nil
 }
