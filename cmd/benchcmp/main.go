@@ -1,21 +1,15 @@
-// Command benchcmp diffs two benchmark snapshots produced by cmd/benchjson
-// (or parses raw `go test -bench` output directly) and fails when the new
-// run regresses: more than -max-ns-regress percent on ns/op, or *any*
-// growth in allocs/op, on the benchmarks tracked by both snapshots. CI runs
-// it against a same-machine baseline built from the merge base, so the
-// ingestion, FFT, distance-kernel and full-analysis numbers cannot silently
-// rot; the committed BENCH_N.json files archive the trajectory across PRs
-// but are never compared across machines.
+// Command benchcmp diffs two raw `go test -bench` outputs and fails when the
+// new run regresses: more than -max-ns-regress percent on ns/op, or *any*
+// growth in allocs/op, on the benchmarks present in both. CI runs it against
+// a same-machine baseline built from the merge base, so the ingestion, FFT,
+// distance-kernel and full-analysis numbers cannot silently rot.
 //
 // Usage:
 //
-//	go run ./cmd/benchcmp -old base.json -new head.json
-//	go run ./cmd/benchcmp -old base.json -new head.txt -max-ns-regress 10
+//	go run ./cmd/benchcmp -old base.txt -new head.txt -max-ns-regress 10
 //
-// Inputs ending in .json are read as benchjson documents; anything else is
-// parsed as raw benchmark output. Benchmarks present in only one snapshot
-// are reported but never fail the gate (they are new or retired, not
-// regressed).
+// Benchmarks present in only one output are reported but never fail the
+// gate (they are new or retired, not regressed).
 package main
 
 import (
@@ -34,8 +28,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchcmp: ")
 	var (
-		oldPath  = flag.String("old", "", "baseline snapshot (benchjson .json or raw bench output)")
-		newPath  = flag.String("new", "", "candidate snapshot (benchjson .json or raw bench output)")
+		oldPath  = flag.String("old", "", "baseline go test -bench output")
+		newPath  = flag.String("new", "", "candidate go test -bench output")
 		maxNs    = flag.Float64("max-ns-regress", 15, "fail when ns/op grows by more than this percentage")
 		filter   = flag.String("select", "", "regexp restricting the compared benchmark names (default all)")
 		minIters = flag.Int64("min-iters", 1, "skip benchmarks with fewer baseline or candidate iterations (single-shot runs are too noisy to gate on)")
@@ -118,30 +112,12 @@ func closeEnough(a, b float64) bool {
 	return math.Abs(a-b) < 0.5
 }
 
-// load reads path as a benchjson document when it ends in .json, and as raw
-// `go test -bench` output otherwise.
+// load parses the raw `go test -bench` output at path.
 func load(path string, sel *regexp.Regexp) (*benchfmt.Document, error) {
-	if strings.HasSuffix(path, ".json") {
-		doc, err := benchfmt.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		if sel == nil {
-			return doc, nil
-		}
-		kept := doc.Benchmarks[:0]
-		for _, e := range doc.Benchmarks {
-			if sel.MatchString(e.Name) {
-				kept = append(kept, e)
-			}
-		}
-		doc.Benchmarks = kept
-		return doc, nil
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return benchfmt.Parse(f, path, sel)
+	return benchfmt.Parse(f, sel)
 }

@@ -83,122 +83,100 @@ func usageErrorf(format string, args ...any) {
 }
 
 func main() {
+	// Every flag binds straight into the struct that consumes it.
+	city := synth.SmallConfig()
+	cfg := serve.Config{Logf: log.Printf}
+	var guards window.Guards
 	var (
-		addr            = flag.String("addr", ":8080", "HTTP listen address")
-		windowDays      = flag.Int("window-days", 14, "sliding-window length in days (positive multiple of 7)")
-		remodelInterval = flag.Duration("remodel-interval", time.Minute, "pause between background modeling cycles (> 0)")
-		staleAfter      = flag.Duration("stale-after", 0, "model age at which /readyz turns 503 (0 = 3x the remodel interval)")
-		requestTimeout  = flag.Duration("request-timeout", 0, "per-request timeout on the query endpoints (0 = the service default, negative disables)")
-		precision       = flag.String("precision", "float64", "modeling precision: float64 or float32")
-		workers         = flag.Int("workers", 0, "modeling worker goroutines (0 = GOMAXPROCS)")
-
-		snapshot       = flag.String("snapshot", "", "base path of the generational window snapshot store: newest intact generation restored on start, a new generation written every -snapshot-interval and on shutdown")
-		snapshotEvery  = flag.Duration("snapshot-interval", time.Minute, "pause between periodic snapshot generations (0 = only on shutdown)")
-		snapshotToKeep = flag.Int("snapshot-generations", 3, "snapshot generations to retain (> 0)")
-
-		minCoverage     = flag.Float64("min-coverage", 0.5, "admission gate: minimum candidate/accepted tower-coverage ratio, in (0, 1] (0 disables)")
-		minCompleteness = flag.Float64("min-completeness", 0, "admission gate: minimum median per-tower fraction of non-empty slots, in (0, 1] (0 disables)")
-		maxDrift        = flag.Float64("max-validity-drift", 0.5, "admission gate: maximum clustering-validity degradation vs the last accepted model (0 disables)")
-		maxRegress      = flag.Float64("max-backtest-regress", 0.5, "admission gate: maximum relative backtest-NRMSE regression vs the last accepted model (0 disables)")
-		modelHistory    = flag.Int("model-history", 4, "accepted model generations retained for rollback (> 0)")
-		autoRollback    = flag.Int("auto-rollback", 0, "roll back one generation after this many consecutive gate rejections (0 disables)")
-		quarantineZ     = flag.Float64("quarantine-z", 8, "robust z-score beyond which a tower's slot counts as an outlier toward quarantine (0 disables)")
-		maxFutureSkew   = flag.Duration("max-future-skew", 24*time.Hour, "drop records timestamped further than this ahead of the window's data-driven clock (0 disables)")
-		apiToken        = flag.String("api-token", "", "when set, require 'Authorization: Bearer <token>' on the query and operator endpoints")
-		rateLimit       = flag.Float64("rate-limit", 0, "per-client requests/second on the query endpoints (0 disables)")
-		rateBurst       = flag.Int("rate-burst", 0, "per-client rate-limit burst capacity (0 = 2x -rate-limit)")
-
-		towers      = flag.Int("towers", 200, "towers in the synthetic city feeding the service (> 0)")
-		days        = flag.Int("days", 28, "days of synthetic traffic to replay (> 0)")
-		seed        = flag.Int64("seed", 1, "synthetic city seed")
+		addr        = flag.String("addr", ":8080", "HTTP listen address")
+		windowDays  = flag.Int("window-days", 14, "sliding-window length in days (positive multiple of 7)")
+		precision   = flag.String("precision", "float64", "modeling precision: float64 or float32")
 		replaySpeed = flag.Float64("replay-speed", 0, "trace-time over wall-time replay factor (3600 = an hour per second; 0 = as fast as possible)")
-		dedupWindow = flag.Int("dedup-window", 0, "bound the streaming cleaner's dedup state to this many records (0 = exact)")
 	)
+	flag.DurationVar(&cfg.RemodelInterval, "remodel-interval", time.Minute, "pause between background modeling cycles (> 0)")
+	flag.DurationVar(&cfg.StaleAfter, "stale-after", 0, "model age at which /readyz turns 503 (0 = 3x the remodel interval)")
+	flag.DurationVar(&cfg.RequestTimeout, "request-timeout", 0, "per-request timeout on the query endpoints (0 = the service default, negative disables)")
+	flag.IntVar(&cfg.Analyze.Workers, "workers", 0, "modeling worker goroutines (0 = GOMAXPROCS)")
+
+	flag.StringVar(&cfg.SnapshotPath, "snapshot", "", "base path of the generational window snapshot store: newest intact generation restored on start, a new generation written every -snapshot-interval and on shutdown")
+	flag.DurationVar(&cfg.SnapshotInterval, "snapshot-interval", time.Minute, "pause between periodic snapshot generations (0 = only on shutdown)")
+	flag.IntVar(&cfg.SnapshotGenerations, "snapshot-generations", 3, "snapshot generations to retain (> 0)")
+
+	flag.Float64Var(&cfg.Admission.MinCoverage, "min-coverage", 0.5, "admission gate: minimum candidate/accepted tower-coverage ratio, in (0, 1] (0 disables)")
+	flag.Float64Var(&cfg.Admission.MinCompleteness, "min-completeness", 0, "admission gate: minimum median per-tower fraction of non-empty slots, in (0, 1] (0 disables)")
+	flag.Float64Var(&cfg.Admission.MaxValidityDrift, "max-validity-drift", 0.5, "admission gate: maximum clustering-validity degradation vs the last accepted model (0 disables)")
+	flag.Float64Var(&cfg.Admission.MaxBacktestRegress, "max-backtest-regress", 0.5, "admission gate: maximum relative backtest-NRMSE regression vs the last accepted model (0 disables)")
+	flag.IntVar(&cfg.ModelHistory, "model-history", 4, "accepted model generations retained for rollback (> 0)")
+	flag.IntVar(&cfg.AutoRollback, "auto-rollback", 0, "roll back one generation after this many consecutive gate rejections (0 disables)")
+	flag.Float64Var(&guards.Quarantine.ZThreshold, "quarantine-z", 8, "robust z-score beyond which a tower's slot counts as an outlier toward quarantine (0 disables)")
+	flag.DurationVar(&guards.MaxFutureSkew, "max-future-skew", 24*time.Hour, "drop records timestamped further than this ahead of the window's data-driven clock (0 disables)")
+	flag.StringVar(&cfg.APIToken, "api-token", "", "when set, require 'Authorization: Bearer <token>' on the query and operator endpoints")
+	flag.Float64Var(&cfg.RateLimit, "rate-limit", 0, "per-client requests/second on the query endpoints (0 disables)")
+	flag.IntVar(&cfg.RateBurst, "rate-burst", 0, "per-client rate-limit burst capacity (0 = 2x -rate-limit)")
+
+	flag.IntVar(&city.Towers, "towers", 200, "towers in the synthetic city feeding the service (> 0)")
+	flag.IntVar(&city.Days, "days", 28, "days of synthetic traffic to replay (> 0)")
+	flag.Int64Var(&city.Seed, "seed", 1, "synthetic city seed")
+	flag.IntVar(&cfg.CleanWindow, "dedup-window", 0, "bound the streaming cleaner's dedup state to this many records (0 = exact)")
 	flag.Parse()
 
 	// Validate before anything runs: a misconfigured service must refuse
 	// to start with a usage error, not limp along with nonsense values.
+	adm := cfg.Admission
 	switch {
 	case *windowDays <= 0 || *windowDays%7 != 0:
 		usageErrorf("-window-days %d: must be a positive multiple of 7", *windowDays)
-	case *remodelInterval <= 0:
-		usageErrorf("-remodel-interval %v: must be positive", *remodelInterval)
-	case *staleAfter < 0:
-		usageErrorf("-stale-after %v: must not be negative", *staleAfter)
-	case *snapshotEvery < 0:
-		usageErrorf("-snapshot-interval %v: must not be negative", *snapshotEvery)
-	case *snapshotToKeep <= 0:
-		usageErrorf("-snapshot-generations %d: must be positive", *snapshotToKeep)
-	case *towers <= 0:
-		usageErrorf("-towers %d: must be positive", *towers)
-	case *days <= 0:
-		usageErrorf("-days %d: must be positive", *days)
+	case cfg.RemodelInterval <= 0:
+		usageErrorf("-remodel-interval %v: must be positive", cfg.RemodelInterval)
+	case cfg.StaleAfter < 0:
+		usageErrorf("-stale-after %v: must not be negative", cfg.StaleAfter)
+	case cfg.SnapshotInterval < 0:
+		usageErrorf("-snapshot-interval %v: must not be negative", cfg.SnapshotInterval)
+	case cfg.SnapshotGenerations <= 0:
+		usageErrorf("-snapshot-generations %d: must be positive", cfg.SnapshotGenerations)
+	case city.Towers <= 0:
+		usageErrorf("-towers %d: must be positive", city.Towers)
+	case city.Days <= 0:
+		usageErrorf("-days %d: must be positive", city.Days)
 	case *replaySpeed < 0:
 		usageErrorf("-replay-speed %g: must not be negative (0 disables pacing)", *replaySpeed)
-	case *dedupWindow < 0:
-		usageErrorf("-dedup-window %d: must not be negative", *dedupWindow)
-	case *minCoverage < 0 || *minCoverage > 1:
-		usageErrorf("-min-coverage %g: must be in [0, 1]", *minCoverage)
-	case *minCompleteness < 0 || *minCompleteness > 1:
-		usageErrorf("-min-completeness %g: must be in [0, 1]", *minCompleteness)
-	case *maxDrift < 0:
-		usageErrorf("-max-validity-drift %g: must not be negative", *maxDrift)
-	case *maxRegress < 0:
-		usageErrorf("-max-backtest-regress %g: must not be negative", *maxRegress)
-	case *modelHistory <= 0:
-		usageErrorf("-model-history %d: must be positive", *modelHistory)
-	case *autoRollback < 0:
-		usageErrorf("-auto-rollback %d: must not be negative (0 disables)", *autoRollback)
-	case *quarantineZ < 0:
-		usageErrorf("-quarantine-z %g: must not be negative (0 disables)", *quarantineZ)
-	case *maxFutureSkew < 0:
-		usageErrorf("-max-future-skew %v: must not be negative (0 disables)", *maxFutureSkew)
-	case *rateLimit < 0:
-		usageErrorf("-rate-limit %g: must not be negative (0 disables)", *rateLimit)
-	case *rateBurst < 0:
-		usageErrorf("-rate-burst %d: must not be negative", *rateBurst)
+	case cfg.CleanWindow < 0:
+		usageErrorf("-dedup-window %d: must not be negative", cfg.CleanWindow)
+	case adm.MinCoverage < 0 || adm.MinCoverage > 1:
+		usageErrorf("-min-coverage %g: must be in [0, 1]", adm.MinCoverage)
+	case adm.MinCompleteness < 0 || adm.MinCompleteness > 1:
+		usageErrorf("-min-completeness %g: must be in [0, 1]", adm.MinCompleteness)
+	case adm.MaxValidityDrift < 0:
+		usageErrorf("-max-validity-drift %g: must not be negative", adm.MaxValidityDrift)
+	case adm.MaxBacktestRegress < 0:
+		usageErrorf("-max-backtest-regress %g: must not be negative", adm.MaxBacktestRegress)
+	case cfg.ModelHistory <= 0:
+		usageErrorf("-model-history %d: must be positive", cfg.ModelHistory)
+	case cfg.AutoRollback < 0:
+		usageErrorf("-auto-rollback %d: must not be negative (0 disables)", cfg.AutoRollback)
+	case guards.Quarantine.ZThreshold < 0:
+		usageErrorf("-quarantine-z %g: must not be negative (0 disables)", guards.Quarantine.ZThreshold)
+	case guards.MaxFutureSkew < 0:
+		usageErrorf("-max-future-skew %v: must not be negative (0 disables)", guards.MaxFutureSkew)
+	case cfg.RateLimit < 0:
+		usageErrorf("-rate-limit %g: must not be negative (0 disables)", cfg.RateLimit)
+	case cfg.RateBurst < 0:
+		usageErrorf("-rate-burst %d: must not be negative", cfg.RateBurst)
 	}
-	opts := core.Options{Workers: *workers, Seed: *seed}
+	cfg.Analyze.Seed = city.Seed
 	switch *precision {
 	case "float64":
-		opts.Precision = core.Float64
+		cfg.Analyze.Precision = core.Float64
 	case "float32":
-		opts.Precision = core.Float32
+		cfg.Analyze.Precision = core.Float32
 	default:
 		usageErrorf("-precision %q: want float64 or float32", *precision)
 	}
+	city.Users = 50 * city.Towers
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, runConfig{
-		addr:            *addr,
-		windowDays:      *windowDays,
-		remodelInterval: *remodelInterval,
-		staleAfter:      *staleAfter,
-		requestTimeout:  *requestTimeout,
-		snapshot:        *snapshot,
-		snapshotEvery:   *snapshotEvery,
-		snapshotToKeep:  *snapshotToKeep,
-		analyze:         opts,
-		towers:          *towers,
-		days:            *days,
-		seed:            *seed,
-		replaySpeed:     *replaySpeed,
-		dedupWindow:     *dedupWindow,
-		admission: serve.AdmitConfig{
-			MinCoverage:        *minCoverage,
-			MinCompleteness:    *minCompleteness,
-			MaxValidityDrift:   *maxDrift,
-			MaxBacktestRegress: *maxRegress,
-		},
-		modelHistory:  *modelHistory,
-		autoRollback:  *autoRollback,
-		quarantineZ:   *quarantineZ,
-		maxFutureSkew: *maxFutureSkew,
-		apiToken:      *apiToken,
-		rateLimit:     *rateLimit,
-		rateBurst:     *rateBurst,
-	}); err != nil {
+	if err := run(ctx, *addr, *windowDays, *replaySpeed, city, guards, cfg); err != nil {
 		log.Print(err)
 		var ioErr *snapshotIOError
 		if errors.As(err, &ioErr) {
@@ -215,37 +193,10 @@ type snapshotIOError struct{ err error }
 func (e *snapshotIOError) Error() string { return e.err.Error() }
 func (e *snapshotIOError) Unwrap() error { return e.err }
 
-type runConfig struct {
-	addr            string
-	windowDays      int
-	remodelInterval time.Duration
-	staleAfter      time.Duration
-	requestTimeout  time.Duration
-	snapshot        string
-	snapshotEvery   time.Duration
-	snapshotToKeep  int
-	analyze         core.Options
-	towers, days    int
-	seed            int64
-	replaySpeed     float64
-	dedupWindow     int
-	admission       serve.AdmitConfig
-	modelHistory    int
-	autoRollback    int
-	quarantineZ     float64
-	maxFutureSkew   time.Duration
-	apiToken        string
-	rateLimit       float64
-	rateBurst       int
-}
-
-func run(ctx context.Context, rc runConfig) error {
-	cfg := synth.SmallConfig()
-	cfg.Towers = rc.towers
-	cfg.Users = 50 * rc.towers
-	cfg.Days = rc.days
-	cfg.Seed = rc.seed
-	city, err := synth.GenerateCity(cfg)
+// run serves cfg — missing only the window, feed and POIs built here from the
+// synthetic city — on addr until ctx is cancelled.
+func run(ctx context.Context, addr string, windowDays int, replaySpeed float64, cityCfg synth.Config, guards window.Guards, cfg serve.Config) error {
+	city, err := synth.GenerateCity(cityCfg)
 	if err != nil {
 		return fmt.Errorf("generating city: %w", err)
 	}
@@ -255,11 +206,11 @@ func run(ctx context.Context, rc runConfig) error {
 	}
 
 	var w *window.Window
-	if rc.snapshot != "" {
-		if err := os.MkdirAll(filepath.Dir(rc.snapshot), 0o755); err != nil {
+	if cfg.SnapshotPath != "" {
+		if err := os.MkdirAll(filepath.Dir(cfg.SnapshotPath), 0o755); err != nil {
 			return &snapshotIOError{fmt.Errorf("snapshot directory: %w", err)}
 		}
-		store := serve.NewSnapshotStore(rc.snapshot, rc.snapshotToKeep, nil, log.Printf)
+		store := serve.NewSnapshotStore(cfg.SnapshotPath, cfg.SnapshotGenerations, nil, log.Printf)
 		restored, from, err := store.Restore()
 		if err != nil {
 			return &snapshotIOError{fmt.Errorf("restoring snapshot: %w", err)}
@@ -272,9 +223,9 @@ func run(ctx context.Context, rc runConfig) error {
 	}
 	if w == nil {
 		if w, err = window.New(window.Options{
-			Start:       cfg.Start,
-			SlotMinutes: cfg.SlotMinutes,
-			Days:        rc.windowDays,
+			Start:       cityCfg.Start,
+			SlotMinutes: cityCfg.SlotMinutes,
+			Days:        windowDays,
 		}); err != nil {
 			return err
 		}
@@ -282,43 +233,23 @@ func run(ctx context.Context, rc runConfig) error {
 	w.SetLocations(city.TowerInfos())
 	// Guards are construction-time configuration, not snapshot state: they
 	// must be (re-)applied whether the window was restored or fresh.
-	w.SetGuards(window.Guards{
-		MaxFutureSkew: rc.maxFutureSkew,
-		Quarantine:    window.QuarantineOptions{ZThreshold: rc.quarantineZ},
-	})
+	w.SetGuards(guards)
 
 	stream := city.LogSource(series, synth.LogOptions{TimeMajor: true})
 	defer stream.Close()
-	srv, err := serve.New(serve.Config{
-		Window:              w,
-		Source:              trace.NewReplaySource(ctx, stream, rc.replaySpeed),
-		POIs:                city.POIs,
-		RemodelInterval:     rc.remodelInterval,
-		StaleAfter:          rc.staleAfter,
-		RequestTimeout:      rc.requestTimeout,
-		Analyze:             rc.analyze,
-		CleanWindow:         rc.dedupWindow,
-		SnapshotPath:        rc.snapshot,
-		SnapshotInterval:    rc.snapshotEvery,
-		SnapshotGenerations: rc.snapshotToKeep,
-		Admission:           rc.admission,
-		ModelHistory:        rc.modelHistory,
-		AutoRollback:        rc.autoRollback,
-		APIToken:            rc.apiToken,
-		RateLimit:           rc.rateLimit,
-		RateBurst:           rc.rateBurst,
-		Logf:                log.Printf,
-	})
+	cfg.Window, cfg.POIs = w, city.POIs
+	cfg.Source = trace.NewReplaySource(ctx, stream, replaySpeed)
+	srv, err := serve.New(cfg)
 	if err != nil {
 		return err
 	}
 	srv.Start(ctx)
 
-	httpSrv := &http.Server{Addr: rc.addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.ListenAndServe() }()
 	log.Printf("serving on %s: %d towers, %d-day window, re-model every %v, replay speed %gx",
-		rc.addr, rc.towers, rc.windowDays, rc.remodelInterval, rc.replaySpeed)
+		addr, cityCfg.Towers, windowDays, cfg.RemodelInterval, replaySpeed)
 
 	select {
 	case err := <-httpErr:

@@ -26,6 +26,12 @@ import (
 // sentinel: any negative value works, Disabled is the canonical spelling.
 const Disabled = -1
 
+// harmonics is the number of daily harmonics kept in the expected traffic
+// model beyond the principal components; their weekly sidebands are kept as
+// well. More harmonics give a tighter "normal" band but start absorbing
+// genuine anomalies.
+const harmonics = 4
+
 // Options configure the detector.
 type Options struct {
 	// Threshold is the number of robust standard deviations (scaled MAD) a
@@ -34,11 +40,6 @@ type Options struct {
 	// as given; Disabled (any negative value) removes the score cut
 	// entirely, flagging every slot that clears MinRelativeDeviation.
 	Threshold float64
-	// Harmonics is the number of daily harmonics kept in the expected
-	// traffic model beyond the principal components (default 4); their
-	// weekly sidebands are kept as well. More harmonics give a tighter
-	// "normal" band but start absorbing genuine anomalies.
-	Harmonics int
 	// MinRelativeDeviation additionally requires the residual to be at
 	// least this fraction of the tower's mean traffic, which suppresses
 	// statistically-significant-but-tiny deviations during quiet hours.
@@ -53,9 +54,6 @@ func (o Options) withDefaults() Options {
 		o.Threshold = 5
 	case o.Threshold < 0:
 		o.Threshold = 0
-	}
-	if o.Harmonics <= 0 {
-		o.Harmonics = 4
 	}
 	switch {
 	case o.MinRelativeDeviation == 0:
@@ -162,7 +160,7 @@ func (d *detector) detect(traffic linalg.Vector, nDays int, opts Options) (*Repo
 		return nil, err
 	}
 	bins := []int{week, day, half}
-	for h := 2; h <= opts.Harmonics+1; h++ {
+	for h := 2; h <= harmonics+1; h++ {
 		bins = append(bins, h*day)
 		if h*day-week > 0 {
 			bins = append(bins, h*day-week)

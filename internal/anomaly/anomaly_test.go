@@ -218,7 +218,7 @@ func BenchmarkDetect(b *testing.B) {
 func TestOptionsDisableSentinels(t *testing.T) {
 	// Zero value keeps the documented defaults.
 	d := Options{}.withDefaults()
-	if d.Threshold != 5 || d.Harmonics != 4 || d.MinRelativeDeviation != 0.5 {
+	if d.Threshold != 5 || d.MinRelativeDeviation != 0.5 {
 		t.Errorf("zero-value defaults = %+v", d)
 	}
 	// Sub-default positive values are taken as given, not clamped up.

@@ -1,16 +1,12 @@
-// Package benchfmt parses `go test -bench` output into the JSON document
-// shape the repository archives across PRs (BENCH_N.json): one entry per
-// benchmark with its name, iteration count and a metric map keyed by unit.
-// cmd/benchjson emits the documents; cmd/benchcmp diffs a fresh run against
-// a committed baseline and gates CI on regressions.
+// Package benchfmt parses `go test -bench` output: one entry per benchmark
+// with its name, iteration count and a metric map keyed by unit.
+// cmd/benchcmp diffs two parsed runs and gates CI on regressions.
 package benchfmt
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -19,20 +15,18 @@ import (
 // Entry is one benchmark result.
 type Entry struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped.
-	Name string `json:"name"`
+	Name string
 	// Iterations is the b.N the reported values were averaged over.
-	Iterations int64 `json:"iterations"`
+	Iterations int64
 	// Metrics maps a unit (ns/op, MB/s, records/s, allocs/op, ...) to its
 	// reported value.
-	Metrics map[string]float64 `json:"metrics"`
+	Metrics map[string]float64
 }
 
-// Document is the archived JSON shape.
+// Document is one parsed benchmark run.
 type Document struct {
-	// Source names the input the benchmarks were parsed from.
-	Source string `json:"source"`
 	// Benchmarks holds every selected benchmark in input order.
-	Benchmarks []Entry `json:"benchmarks"`
+	Benchmarks []Entry
 }
 
 // Lookup returns the entry named name, or nil.
@@ -45,19 +39,6 @@ func (d *Document) Lookup(name string) *Entry {
 	return nil
 }
 
-// ReadFile loads an archived document.
-func ReadFile(path string) (*Document, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc Document
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return &doc, nil
-}
-
 // gomaxprocsSuffix strips the trailing -N the testing package appends to
 // benchmark names.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
@@ -66,8 +47,8 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 // (nil keeps all). The format is fixed by the testing package: name,
 // iteration count, then value/unit pairs separated by whitespace;
 // non-benchmark lines are ignored so a full `go test` transcript parses.
-func Parse(r io.Reader, source string, sel *regexp.Regexp) (*Document, error) {
-	doc := &Document{Source: source}
+func Parse(r io.Reader, sel *regexp.Regexp) (*Document, error) {
+	doc := &Document{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {

@@ -15,7 +15,7 @@ PASS
 `
 
 func TestParse(t *testing.T) {
-	doc, err := Parse(strings.NewReader(sample), "test", nil)
+	doc, err := Parse(strings.NewReader(sample), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseSelect(t *testing.T) {
-	doc, err := Parse(strings.NewReader(sample), "test", regexp.MustCompile(`DSP_FFT`))
+	doc, err := Parse(strings.NewReader(sample), regexp.MustCompile(`DSP_FFT`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestParseSelect(t *testing.T) {
 }
 
 func TestParseBadValue(t *testing.T) {
-	if _, err := Parse(strings.NewReader("BenchmarkX 2 abc ns/op\n"), "test", nil); err == nil {
+	if _, err := Parse(strings.NewReader("BenchmarkX 2 abc ns/op\n"), nil); err == nil {
 		t.Fatal("malformed metric value accepted")
 	}
 }

@@ -87,9 +87,6 @@ type Options struct {
 	// POIRadiusMeters is the POI counting radius around each tower
 	// (default 200, as in the paper).
 	POIRadiusMeters float64
-	// SmoothWindowSlots is the moving-average window applied to daily
-	// profiles before extracting peaks and valleys (default 3 slots).
-	SmoothWindowSlots int
 	// RepOptions tune the representative-tower search of the
 	// frequency-domain stage.
 	RepOptions freqdomain.RepOptions
@@ -123,6 +120,10 @@ type Options struct {
 	Precision Precision
 }
 
+// smoothWindowSlots is the moving-average window applied to daily profiles
+// before extracting peaks and valleys.
+const smoothWindowSlots = 3
+
 func (o Options) withDefaults() Options {
 	if o.MinClusters <= 1 {
 		o.MinClusters = 2
@@ -132,9 +133,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.POIRadiusMeters <= 0 {
 		o.POIRadiusMeters = poi.DefaultRadiusMeters
-	}
-	if o.SmoothWindowSlots <= 0 {
-		o.SmoothWindowSlots = 3
 	}
 	return o
 }
@@ -325,7 +323,7 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 				return nil, fmt.Errorf("core: aggregating cluster %d: %w", c, err)
 			}
 			view.AggregateRaw = agg
-			summary, err := timedomain.Summarize(agg, clock, opts.SmoothWindowSlots)
+			summary, err := timedomain.Summarize(agg, clock, smoothWindowSlots)
 			if err != nil {
 				return nil, fmt.Errorf("core: summarising cluster %d: %w", c, err)
 			}

@@ -12,7 +12,7 @@ import (
 
 // AnalyzeSourceContext runs the full pipeline straight from a record
 // stream: the records are cleaned in a single pass by the streaming
-// Cleaner, sharded into per-tower traffic vectors by the streaming
+// Cleaner, summed into per-tower traffic vectors by the streaming
 // vectorizer, and the resulting dataset is analysed exactly as
 // AnalyzeContext would. At no point is the record slice materialised: the
 // vectorizer holds O(towers × slots) accumulators, and the cleaner holds
@@ -20,8 +20,8 @@ import (
 // bounded O(window) of dedup state, which is what makes arbitrarily long
 // traces ingestible (the shape the paper's Hadoop deployment relies on to
 // process billions of logs). The whole chain is batch-wise: records move
-// from the parser through the cleaner into the vectorizer's shard queues
-// thousands at a time.
+// from the parser through the cleaner into the vectorizer thousands at a
+// time.
 //
 // towers supplies the resolved tower locations (typically from
 // trace.ReadTowersCSV); towers appearing in the stream but absent from it

@@ -33,7 +33,7 @@ func readCSV(r io.Reader) ([]trace.Record, int, error) {
 }
 
 // TestAnalyzeSourceMatchesBatchPath checks that the fully streaming entry
-// point (log source → streaming cleaner → sharded vectorizer → Analyze)
+// point (log source → streaming cleaner → vectorizer → Analyze)
 // produces the same analysis as the materialised batch path over the same
 // synthetic city.
 func TestAnalyzeSourceMatchesBatchPath(t *testing.T) {

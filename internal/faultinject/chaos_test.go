@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -281,32 +282,47 @@ func TestChaosFailFastPolicy(t *testing.T) {
 
 // vectorizeOpts is the shared vectorizer window of the pipeline chaos
 // tests; genTrace's records all land within the first day.
-func vectorizeOpts(workers int) pipeline.VectorizerOptions {
+func vectorizeOpts() pipeline.VectorizerOptions {
 	return pipeline.VectorizerOptions{
 		Start:            time.Date(2014, 8, 1, 0, 0, 0, 0, time.UTC),
 		Days:             7,
 		SlotMinutes:      10,
-		Workers:          workers,
 		KeepPartialWeeks: true,
 	}
 }
 
+// vectorize runs the vectorizer over src and fails the test if the call
+// itself left a goroutine behind. The count is read right before and right
+// after with no settling wait — the sources start theirs at construction —
+// so a pool that is merely drained late fails as well.
+func vectorize(t *testing.T, ctx context.Context, src trace.Source) (*pipeline.Dataset, error) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	ds, err := pipeline.VectorizeSourceContext(ctx, src, nil, vectorizeOpts())
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("the vectorizer left %d goroutine(s) behind (%d before, %d after)", after-before, before, after)
+	}
+	return ds, err
+}
+
 // TestChaosVectorizeSource drives the streaming vectorizer with faulty
-// sources — mid-stream errors and panics at assorted depths — at every
-// worker count, asserting the failure always surfaces as a clean error
-// (with the panic stack preserved) and never leaks a shard worker.
+// sources — mid-stream errors and panics at assorted depths — over every
+// parser worker count of the source under the fault layer, asserting the
+// failure always surfaces as a clean error (with the panic stack preserved)
+// and that the vectorizer itself starts no goroutine.
 func TestChaosVectorizeSource(t *testing.T) {
 	data, _ := genTrace(t, 4000, 0)
 
 	// Baseline dataset, no faults.
-	mk := func() trace.Source {
-		src, err := trace.NewIngestSourceContext(context.Background(), bytes.NewReader(data), 1, trace.ErrorPolicy{})
+	mk := func(t *testing.T, workers int) trace.Source {
+		src, err := trace.NewIngestSourceContext(context.Background(), bytes.NewReader(data), workers, trace.ErrorPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { src.Close() })
 		return src
 	}
-	baseDS, err := pipeline.VectorizeSourceContext(context.Background(), mk(), nil, vectorizeOpts(2))
+	baseDS, err := vectorize(t, context.Background(), mk(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +330,7 @@ func TestChaosVectorizeSource(t *testing.T) {
 	for _, workers := range chaosWorkerCounts() {
 		t.Run(fmt.Sprintf("w%d/no-fault", workers), func(t *testing.T) {
 			testutil.CheckNoGoroutineLeak(t)
-			ds, err := pipeline.VectorizeSourceContext(context.Background(),
-				faultinject.NewSource(mk(), faultinject.SourceProfile{}), nil, vectorizeOpts(workers))
+			ds, err := vectorize(t, context.Background(), faultinject.NewSource(mk(t, workers), faultinject.SourceProfile{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,8 +341,7 @@ func TestChaosVectorizeSource(t *testing.T) {
 		for _, after := range []int{1, 513, 2999} {
 			t.Run(fmt.Sprintf("w%d/err-after-%d", workers, after), func(t *testing.T) {
 				testutil.CheckNoGoroutineLeak(t)
-				_, err := pipeline.VectorizeSourceContext(context.Background(),
-					faultinject.NewSource(mk(), faultinject.SourceProfile{ErrAfter: after}), nil, vectorizeOpts(workers))
+				_, err := vectorize(t, context.Background(), faultinject.NewSource(mk(t, workers), faultinject.SourceProfile{ErrAfter: after}))
 				if !errors.Is(err, faultinject.ErrInjected) {
 					t.Fatalf("want ErrInjected through the pipeline, got %v", err)
 				}
@@ -335,10 +349,8 @@ func TestChaosVectorizeSource(t *testing.T) {
 			t.Run(fmt.Sprintf("w%d/panic-after-%d", workers, after), func(t *testing.T) {
 				testutil.CheckNoGoroutineLeak(t)
 				// A panicking source must come back as a *panicsafe.Error
-				// carrying the stack — never as a crash, a deadlock or a
-				// leaked shard worker.
-				_, err := pipeline.VectorizeSourceContext(context.Background(),
-					faultinject.NewSource(mk(), faultinject.SourceProfile{PanicAfter: after}), nil, vectorizeOpts(workers))
+				// carrying the stack — never as a crash.
+				_, err := vectorize(t, context.Background(), faultinject.NewSource(mk(t, workers), faultinject.SourceProfile{PanicAfter: after}))
 				var pe *panicsafe.Error
 				if !errors.As(err, &pe) {
 					t.Fatalf("want *panicsafe.Error for a panicking source, got %v", err)
@@ -352,7 +364,7 @@ func TestChaosVectorizeSource(t *testing.T) {
 }
 
 // TestChaosIngestToVectorize chains a faulty byte stream through the
-// parallel parser into the parallel vectorizer — the full ingestion
+// parallel parser into the vectorizer — the full ingestion
 // pipeline under byte-level chaos — and asserts every combination either
 // completes or fails cleanly with zero leaked goroutines.
 func TestChaosIngestToVectorize(t *testing.T) {
@@ -378,7 +390,7 @@ func TestChaosIngestToVectorize(t *testing.T) {
 					return // header unreadable under this schedule: clean abort
 				}
 				defer src.Close()
-				ds, err := pipeline.VectorizeSourceContext(context.Background(), src, nil, vectorizeOpts(workers))
+				ds, err := vectorize(t, context.Background(), src)
 				if err != nil {
 					if errors.Is(err, pipeline.ErrEmptyDataset) {
 						return
@@ -431,7 +443,7 @@ func TestChaosCancellation(t *testing.T) {
 					return one[0], err
 				})
 				start := time.Now()
-				_, err = pipeline.VectorizeSourceContext(ctx, counting, nil, vectorizeOpts(workers))
+				_, err = vectorize(t, ctx, counting)
 				elapsed := time.Since(start)
 				if err != nil && !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancelled run returned %v", err)

@@ -10,9 +10,10 @@
 //     that towers with different absolute volumes but the same shape look
 //     identical to the clustering stage.
 //
-// The paper runs this on a Hadoop cluster; here the same two phases run on
-// a worker pool that shards the towers across goroutines, the idiomatic Go
-// equivalent of the paper's parallel transformer.
+// The paper runs this on a Hadoop cluster; here both phases are a single
+// pass on the calling goroutine in O(towers × slots) memory: aggregation is
+// one addition per record, and handing that to a worker costs more than
+// doing it (see VectorizeSourceContext).
 package pipeline
 
 import (

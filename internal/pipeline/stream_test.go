@@ -206,7 +206,7 @@ func BenchmarkIngestSlice(b *testing.B) {
 }
 
 // BenchmarkIngestStream measures the streaming path over the identical
-// workload: records flow straight from the generator into the sharded
+// workload: records flow straight from the generator into the
 // accumulators and are never materialised.
 func BenchmarkIngestStream(b *testing.B) {
 	for _, sc := range benchScales {

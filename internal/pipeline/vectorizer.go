@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/geo"
@@ -20,8 +19,6 @@ type VectorizerOptions struct {
 	Days int
 	// SlotMinutes is the aggregation granularity (default 10).
 	SlotMinutes int
-	// Workers is the number of parallel workers (default GOMAXPROCS).
-	Workers int
 	// KeepPartialWeeks retains days beyond the last whole week instead of
 	// trimming them.
 	KeepPartialWeeks bool
@@ -34,9 +31,6 @@ type VectorizerOptions struct {
 func (o VectorizerOptions) withDefaults() VectorizerOptions {
 	if o.SlotMinutes == 0 {
 		o.SlotMinutes = 10
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }

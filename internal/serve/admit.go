@@ -95,9 +95,9 @@ const (
 	RejectBacktest     RejectReason = "backtest"
 )
 
-// rejectReasons is the fixed reason vocabulary, for zero-filled metric
-// families.
-var rejectReasons = []RejectReason{RejectCoverage, RejectCompleteness, RejectValidity, RejectBacktest}
+// rejectReasons is the fixed reason vocabulary; the per-reason counters
+// (metrics.rejected) are indexed like it.
+var rejectReasons = [...]RejectReason{RejectCoverage, RejectCompleteness, RejectValidity, RejectBacktest}
 
 // RejectionError reports a candidate model the gate refused, carrying
 // every failed check. It is not a modeling failure: the cycle ran to

@@ -2,15 +2,22 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/panicsafe"
+	"repro/internal/pipeline"
 	"repro/internal/testutil"
+	"repro/internal/trace"
+	"repro/internal/window"
 )
 
 // tripContext reports no error for its first tripAt Err calls and
@@ -119,10 +126,10 @@ func TestRemodelNowPreCancelled(t *testing.T) {
 func TestRemodelNowCancelMidRun(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	for _, workers := range []int{1, 2, 4} {
-		for _, stage := range []string{"anomaly sweep", "forecasts"} {
+		for _, stage := range []string{"anomaly.detect_all", "forecast.backtest_fit"} {
 			h := newCancelHarness(t, workers)
 			tripAt := h.inForecasts()
-			if stage == "anomaly sweep" {
+			if stage == "anomaly.detect_all" {
 				tripAt = h.inAnomalies(workers)
 			}
 			ctx := newTripContext(tripAt)
@@ -143,10 +150,10 @@ func TestRemodelNowCancelMidRun(t *testing.T) {
 func TestRemodelNowWorkerPanic(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	const workers = 2
-	for _, stage := range []string{"anomaly sweep", "forecasts"} {
+	for _, stage := range []string{"anomaly.detect_all", "forecast.backtest_fit"} {
 		h := newCancelHarness(t, workers)
 		ctx := newTripContext(h.inForecasts())
-		if stage == "anomaly sweep" {
+		if stage == "anomaly.detect_all" {
 			ctx = newTripContext(h.inAnomalies(workers))
 		}
 		ctx.boom = stage + " worker exploded"
@@ -164,10 +171,10 @@ func TestRemodelNowWorkerPanic(t *testing.T) {
 // RemodelNow to the caller.
 func TestRemodelNowSingleWorkerRunsInline(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
-	for _, stage := range []string{"anomaly sweep", "forecasts"} {
+	for _, stage := range []string{"anomaly.detect_all", "forecast.backtest_fit"} {
 		h := newCancelHarness(t, 1)
 		ctx := newTripContext(h.inForecasts())
-		if stage == "anomaly sweep" {
+		if stage == "anomaly.detect_all" {
 			ctx = newTripContext(h.inAnomalies(1))
 		}
 		ctx.boom = stage + " exploded inline"
@@ -197,6 +204,85 @@ func TestBuildForecastsMatchesSerialOracle(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers %d: forecasts differ from the serial loop", workers)
+		}
+	}
+}
+
+// A failure at any of the four stages is one failed cycle, counted once by
+// the stage helper: failures and the consecutive-failure streak tick by
+// exactly one, the error names the stage, nothing is counted as a skip and
+// the published model stays. The window stage takes no context, so its
+// failure is a window whose only tower never carried traffic (whole weeks,
+// empty dataset); the other three are tripped through ctx.
+func TestRemodelNowStageAccounting(t *testing.T) {
+	testutil.CheckNoGoroutineLeak(t)
+	const workers = 2
+	h := newCancelHarness(t, workers)
+	published := h.srv.model()
+
+	silent, err := window.New(window.Options{Start: published.ds.Start, SlotMinutes: published.ds.SlotMinutes, Days: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, day := range []int{0, 8} {
+		at := published.ds.Start.Add(time.Duration(day) * 24 * time.Hour)
+		silent.AddBatch([]trace.Record{{UserID: 1, TowerID: 1, Start: at, End: at.Add(time.Minute), Tech: trace.TechLTE}})
+	}
+	good := h.srv.cfg.Window
+
+	for i, ctx := range [len(stageNames)]context.Context{
+		context.Background(),
+		newTripContext(0),
+		newTripContext(h.inAnomalies(workers)),
+		newTripContext(h.inForecasts()),
+	} {
+		h.srv.cfg.Window = good
+		if i == 0 {
+			h.srv.cfg.Window = silent
+		}
+		fails, streak, skips := h.srv.met.modelFailures.Load(), h.srv.met.modelConsecFails.Load(), h.srv.met.modelSkips.Load()
+		err := h.srv.RemodelNow(ctx)
+		if err == nil || !strings.HasPrefix(err.Error(), "serve: "+stageNames[i]+": ") {
+			t.Errorf("stage %d: RemodelNow = %v, want an error naming %s", i, err, stageNames[i])
+		}
+		if i == 0 && !errors.Is(err, pipeline.ErrEmptyDataset) {
+			t.Errorf("window stage failed with %v, want ErrEmptyDataset", err)
+		}
+		if i > 0 && !errors.Is(err, context.Canceled) {
+			t.Errorf("%s failed with %v, want context.Canceled", stageNames[i], err)
+		}
+		if f, c := h.srv.met.modelFailures.Load(), h.srv.met.modelConsecFails.Load(); f != fails+1 || c != streak+1 {
+			t.Errorf("%s: failures %d → %d, streak %d → %d; want one tick each", stageNames[i], fails, f, streak, c)
+		}
+		if got := h.srv.met.modelSkips.Load(); got != skips {
+			t.Errorf("%s: a failed cycle was counted as a warm-up skip", stageNames[i])
+		}
+		if h.srv.model() != published {
+			t.Errorf("%s: the failed cycle replaced the published model", stageNames[i])
+		}
+	}
+}
+
+// The live stage gauge and the benchmark report share one vocabulary: every
+// stage name is a per_layer prefix of BENCHMARK.json with a duration metric.
+func TestStageNamesAreBenchmarkLayers(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decl struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &decl); err != nil {
+		t.Fatal(err)
+	}
+	layers := map[string]bool{}
+	for _, l := range decl.PerLayer {
+		layers[l.Name] = true
+	}
+	for _, name := range stageNames {
+		if !layers[name+"_s"] {
+			t.Errorf("stage %q has no %s_s entry in BENCHMARK.json per_layer", name, name)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // health.go is the service's explicit health state machine. Health is a
 // pure function of loop liveness and model age, so /readyz computes it
 // fresh on every probe (a wedged or dead remodel loop flips readiness
-// immediately); a background ticker re-evaluates it every HealthInterval
+// immediately); a background ticker re-evaluates it every healthInterval
 // anyway to log transitions and keep the /metrics gauge current.
 //
 // The three states:
@@ -58,12 +58,9 @@ func (s *Server) staleAfter() time.Duration {
 	return 3 * s.cfg.RemodelInterval
 }
 
-// healthInterval resolves Config.HealthInterval: default a quarter of
-// the remodel interval, clamped to [1s, 15s].
+// healthInterval is the health re-evaluation (and transition-logging)
+// cadence: a quarter of the remodel interval, clamped to [1s, 15s].
 func (s *Server) healthInterval() time.Duration {
-	if s.cfg.HealthInterval > 0 {
-		return s.cfg.HealthInterval
-	}
 	iv := s.cfg.RemodelInterval / 4
 	if iv < time.Second {
 		iv = time.Second
@@ -121,7 +118,7 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// healthLoop re-evaluates health every HealthInterval, logging every
+// healthLoop re-evaluates health every healthInterval, logging every
 // transition and keeping the /metrics gauge (healthState) current.
 func (s *Server) healthLoop(ctx context.Context) {
 	defer s.wg.Done()

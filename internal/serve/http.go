@@ -22,10 +22,11 @@ import (
 	"repro/internal/panicsafe"
 )
 
-// metrics are the service's operational counters, exposed on /metrics.
-// They are hand-rolled atomics rather than expvar publications so that
-// tests (and embedders) can build any number of Servers in one process
-// without tripping expvar's global re-registration panic.
+// metrics are the service's operational counters, exposed on /metrics
+// through the table in metrics.go. They are hand-rolled atomics rather than
+// expvar publications so that tests (and embedders) can build any number of
+// Servers in one process without tripping expvar's global re-registration
+// panic.
 type metrics struct {
 	ingestRecords    atomic.Uint64
 	ingestBatches    atomic.Uint64
@@ -36,13 +37,10 @@ type metrics struct {
 	modelConsecFails atomic.Uint64 // failed cycles since the last success
 
 	// Admission-gate accounting: candidates refused (total and per failed
-	// check), the consecutive-rejection streak (reset by an acceptance or
-	// a rollback) and rollbacks by kind.
+	// check, indexed like rejectReasons), the consecutive-rejection streak
+	// (reset by an acceptance or a rollback) and rollbacks by kind.
 	modelRejected      atomic.Uint64
-	rejCoverage        atomic.Uint64
-	rejCompleteness    atomic.Uint64
-	rejValidity        atomic.Uint64
-	rejBacktest        atomic.Uint64
+	rejected           [len(rejectReasons)]atomic.Uint64
 	modelConsecRejects atomic.Uint64
 	rollbackAuto       atomic.Uint64
 	rollbackManual     atomic.Uint64
@@ -50,40 +48,18 @@ type metrics struct {
 	snapshotSkips      atomic.Uint64 // intentional (empty/stale window)
 	snapshotFailures   atomic.Uint64
 	lastModelNanos     atomic.Int64
+	stageNanos         [len(stageNames)]atomic.Int64 // indexed like stageNames
 
 	healthState       atomic.Int32 // last Health the health loop observed
 	healthTransitions atomic.Uint64
 
-	reqTower        atomic.Uint64
-	reqTowers       atomic.Uint64
-	reqSummary      atomic.Uint64
-	reqHealthz      atomic.Uint64
-	reqReadyz       atomic.Uint64
-	reqStream       atomic.Uint64
-	reqMetrics      atomic.Uint64
-	reqModels       atomic.Uint64
-	reqRollback     atomic.Uint64
-	reqRejected     atomic.Uint64 // concurrent-request limiter refusals
-	reqTimeouts     atomic.Uint64 // requests cut off by RequestTimeout
-	reqPanics       atomic.Uint64 // handler panics converted to 500s
-	reqUnauthorized atomic.Uint64 // bearer-auth refusals
-	reqRateLimited  atomic.Uint64 // per-client rate-limit refusals
-	sseRejected     atomic.Uint64 // /stream refusals over MaxSSEClients
-}
-
-// rejectCounter maps a reject reason to its counter (nil for unknown).
-func (m *metrics) rejectCounter(r RejectReason) *atomic.Uint64 {
-	switch r {
-	case RejectCoverage:
-		return &m.rejCoverage
-	case RejectCompleteness:
-		return &m.rejCompleteness
-	case RejectValidity:
-		return &m.rejValidity
-	case RejectBacktest:
-		return &m.rejBacktest
-	}
-	return nil
+	requests        []atomic.Uint64 // per endpoint, indexed like routes
+	reqRejected     atomic.Uint64   // concurrent-request limiter refusals
+	reqTimeouts     atomic.Uint64   // requests cut off by RequestTimeout
+	reqPanics       atomic.Uint64   // handler panics converted to 500s
+	reqUnauthorized atomic.Uint64   // bearer-auth refusals
+	reqRateLimited  atomic.Uint64   // per-client rate-limit refusals
+	sseRejected     atomic.Uint64   // /stream refusals over MaxSSEClients
 }
 
 // Handler returns the service's HTTP API:
@@ -130,16 +106,47 @@ func (m *metrics) rejectCounter(r RejectReason) *atomic.Uint64 {
 // Close (from the last published model).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", counted(&s.met.reqHealthz, s.handleHealthz))
-	mux.HandleFunc("GET /readyz", counted(&s.met.reqReadyz, s.handleReadyz))
-	mux.HandleFunc("GET /summary", counted(&s.met.reqSummary, s.authed(s.rateLimited(s.hardened(s.handleSummary)))))
-	mux.HandleFunc("GET /towers", counted(&s.met.reqTowers, s.authed(s.rateLimited(s.hardened(s.handleTowers)))))
-	mux.HandleFunc("GET /towers/{id}", counted(&s.met.reqTower, s.authed(s.rateLimited(s.hardened(s.handleTower)))))
-	mux.HandleFunc("GET /stream", counted(&s.met.reqStream, s.authed(s.rateLimited(s.handleStream))))
-	mux.HandleFunc("GET /metrics", counted(&s.met.reqMetrics, s.handleMetrics))
-	mux.HandleFunc("GET /models", counted(&s.met.reqModels, s.authed(s.rateLimited(s.hardened(s.handleModels)))))
-	mux.HandleFunc("POST /models/rollback", counted(&s.met.reqRollback, s.authed(s.hardened(s.handleRollback))))
+	for i, rt := range routes {
+		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+		if rt.guards&guardHardened != 0 {
+			h = s.hardened(h)
+		}
+		if rt.guards&guardRate != 0 {
+			h = s.rateLimited(h)
+		}
+		if rt.guards&guardAuth != 0 {
+			h = s.authed(h)
+		}
+		mux.HandleFunc(rt.pattern, counted(&s.met.requests[i], h))
+	}
 	return mux
+}
+
+// route is one endpoint of the API: its mux pattern, the name it is counted
+// under on /metrics (metrics.requests is indexed like routes), its handler
+// and which of the wrappers documented on Handler guard it.
+type route struct {
+	pattern, name string
+	handle        func(*Server, http.ResponseWriter, *http.Request)
+	guards        int
+}
+
+const (
+	guardAuth     = 1 << iota // bearer token, when Config.APIToken is set
+	guardRate                 // per-client rate limit, when Config.RateLimit is set
+	guardHardened             // request timeout, concurrency limiter, panic containment
+)
+
+var routes = [...]route{
+	{"GET /healthz", "healthz", (*Server).handleHealthz, 0},
+	{"GET /readyz", "readyz", (*Server).handleReadyz, 0},
+	{"GET /summary", "summary", (*Server).handleSummary, guardAuth | guardRate | guardHardened},
+	{"GET /towers", "towers", (*Server).handleTowers, guardAuth | guardRate | guardHardened},
+	{"GET /towers/{id}", "tower", (*Server).handleTower, guardAuth | guardRate | guardHardened},
+	{"GET /stream", "stream", (*Server).handleStream, guardAuth | guardRate},
+	{"GET /metrics", "metrics", (*Server).handleMetrics, 0},
+	{"GET /models", "models", (*Server).handleModels, guardAuth | guardRate | guardHardened},
+	{"POST /models/rollback", "rollback", (*Server).handleRollback, guardAuth | guardHardened},
 }
 
 func counted(c *atomic.Uint64, h http.HandlerFunc) http.HandlerFunc {
@@ -505,93 +512,6 @@ func (s *Server) handleTower(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleMetrics exposes the operational counters. JSON by default; the
-// Prometheus text exposition is selected with ?format=prom (or
-// ?format=prometheus) or an Accept header preferring text/plain. The
-// counters themselves are identical either way.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsPrometheus(r) {
-		s.writePrometheus(w)
-		return
-	}
-	h, _ := s.healthNow()
-	loops := map[string]any{}
-	for _, ls := range []*loopStatus{&s.ingestLoop, &s.remodelLoop, &s.snapshotLoop} {
-		info := map[string]any{
-			"state":    loopStateName(ls.state.Load()),
-			"restarts": ls.restarts.Load(),
-		}
-		if err := ls.LastErr(); err != nil {
-			info["last_error"] = err.Error()
-		}
-		loops[ls.name] = info
-	}
-	resp := map[string]any{
-		"ingest": map[string]uint64{
-			"records": s.met.ingestRecords.Load(),
-			"batches": s.met.ingestBatches.Load(),
-			"errors":  s.met.ingestErrors.Load(),
-		},
-		"model": map[string]any{
-			"cycles":               s.met.modelCycles.Load(),
-			"warmup_skips":         s.met.modelSkips.Load(),
-			"failures":             s.met.modelFailures.Load(),
-			"consecutive_failures": s.met.modelConsecFails.Load(),
-			"last_cycle_millis":    time.Duration(s.met.lastModelNanos.Load()).Milliseconds(),
-		},
-		"admission": map[string]any{
-			"accepted":            s.met.modelCycles.Load(),
-			"rejected":            s.met.modelRejected.Load(),
-			"consecutive_rejects": s.met.modelConsecRejects.Load(),
-			"rejected_by_reason": map[string]uint64{
-				string(RejectCoverage):     s.met.rejCoverage.Load(),
-				string(RejectCompleteness): s.met.rejCompleteness.Load(),
-				string(RejectValidity):     s.met.rejValidity.Load(),
-				string(RejectBacktest):     s.met.rejBacktest.Load(),
-			},
-			"rollbacks": map[string]uint64{
-				"auto":   s.met.rollbackAuto.Load(),
-				"manual": s.met.rollbackManual.Load(),
-			},
-		},
-		"requests": map[string]uint64{
-			"healthz":      s.met.reqHealthz.Load(),
-			"readyz":       s.met.reqReadyz.Load(),
-			"summary":      s.met.reqSummary.Load(),
-			"towers":       s.met.reqTowers.Load(),
-			"tower":        s.met.reqTower.Load(),
-			"stream":       s.met.reqStream.Load(),
-			"metrics":      s.met.reqMetrics.Load(),
-			"models":       s.met.reqModels.Load(),
-			"rollback":     s.met.reqRollback.Load(),
-			"rejected":     s.met.reqRejected.Load(),
-			"timeouts":     s.met.reqTimeouts.Load(),
-			"panics":       s.met.reqPanics.Load(),
-			"unauthorized": s.met.reqUnauthorized.Load(),
-			"ratelimited":  s.met.reqRateLimited.Load(),
-		},
-		"stream": map[string]any{
-			"clients":  s.broker.clientCount(),
-			"dropped":  s.broker.droppedCount(),
-			"rejected": s.met.sseRejected.Load(),
-		},
-		"snapshots": map[string]uint64{
-			"saves":    s.met.snapshots.Load(),
-			"skips":    s.met.snapshotSkips.Load(),
-			"failures": s.met.snapshotFailures.Load(),
-		},
-		"health": map[string]any{
-			"state":       h.String(),
-			"transitions": s.met.healthTransitions.Load(),
-		},
-		"loops": loops,
-	}
-	if m := s.model(); m != nil {
-		resp["model"].(map[string]any)["age_seconds"] = time.Since(m.ModeledAt).Seconds()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // generationJSON is one entry of the /models history listing.
 type generationJSON struct {
 	Seq        uint64         `json:"seq"`
@@ -635,16 +555,8 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	gens := s.hist.list()
 	s.admMu.Unlock()
 	cur := s.model()
-	resp := map[string]any{
-		"accepted":            s.met.modelCycles.Load(),
-		"rejected":            s.met.modelRejected.Load(),
-		"consecutive_rejects": s.met.modelConsecRejects.Load(),
-		"rollbacks": map[string]uint64{
-			"auto":   s.met.rollbackAuto.Load(),
-			"manual": s.met.rollbackManual.Load(),
-		},
-		"generations": generationsJSON(gens, cur),
-	}
+	resp := s.metricsJSON()["admission"].(map[string]any)
+	resp["generations"] = generationsJSON(gens, cur)
 	if cur != nil {
 		resp["current_seq"] = cur.Seq
 	}
@@ -752,8 +664,6 @@ func (b *broker) clientCount() int {
 	defer b.mu.Unlock()
 	return len(b.clients)
 }
-
-func (b *broker) droppedCount() uint64 { return b.dropped.Load() }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)

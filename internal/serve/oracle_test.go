@@ -25,7 +25,7 @@ import (
 // reconstruction per fit.
 func buildForecastsOracle(s *Server, ds *pipeline.Dataset) []towerForecast {
 	out := make([]towerForecast, ds.NumTowers())
-	if s.cfg.ForecastTrainDays < 0 || ds.Days < 14 {
+	if ds.Days < 14 {
 		return out
 	}
 	spd := ds.SlotsPerDay()

@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +51,6 @@ import (
 	"repro/internal/panicsafe"
 	"repro/internal/pipeline"
 	"repro/internal/poi"
-	"repro/internal/snapfs"
 	"repro/internal/trace"
 	"repro/internal/window"
 )
@@ -77,11 +77,6 @@ type Config struct {
 	// Anomaly configures the per-tower anomaly detector run after each
 	// re-model. The zero value keeps the detector's defaults.
 	Anomaly anomaly.Options
-	// ForecastTrainDays holds out the window's final week and backtests a
-	// spectral forecaster on it when the window covers at least two weeks.
-	// It is a switch, not a number: zero enables the stage, a negative
-	// value disables forecasting entirely.
-	ForecastTrainDays int
 	// CleanWindow bounds the streaming cleaner's dedup state (see
 	// trace.NewCleanerWindow); zero keeps exact, unbounded state.
 	CleanWindow int
@@ -95,9 +90,6 @@ type Config struct {
 	SnapshotInterval time.Duration
 	// SnapshotGenerations is how many generations to retain (default 3).
 	SnapshotGenerations int
-	// SnapshotFS overrides the filesystem the snapshot store writes
-	// through; nil means the real one. Chaos tests inject faults here.
-	SnapshotFS snapfs.FS
 	// Restart bounds the supervisor that keeps the background loops
 	// alive: MaxAttempts is the restart budget per unstable stretch
 	// (0 = default 5, negative = no restarts), Backoff/MaxBackoff the
@@ -106,9 +98,6 @@ type Config struct {
 	// StaleAfter is the model age at which the service reports itself
 	// stale (readyz 503). Zero means 3×RemodelInterval.
 	StaleAfter time.Duration
-	// HealthInterval is the health re-evaluation (and transition-logging)
-	// cadence. Zero means RemodelInterval/4 clamped to [1s, 15s].
-	HealthInterval time.Duration
 	// RemodelTimeout bounds one modeling cycle; a cycle that exceeds it
 	// is cancelled and counted as a failure, so a wedged dependency
 	// degrades the service instead of freezing the loop. Zero disables.
@@ -179,6 +168,7 @@ type Server struct {
 	cfg     Config
 	cur     atomic.Pointer[model]
 	met     metrics
+	rows    []metric // the /metrics table over met, see metricTable
 	broker  *broker
 	done    chan struct{} // closed by Close; unblocks SSE writers
 	store   *SnapshotStore
@@ -244,6 +234,8 @@ func New(cfg Config) (*Server, error) {
 		done:   make(chan struct{}),
 		hist:   newModelHistory(cfg.ModelHistory),
 	}
+	s.met.requests = make([]atomic.Uint64, len(routes))
+	s.rows = s.metricTable()
 	if cfg.RateLimit > 0 {
 		s.rl = newRateLimiter(cfg.RateLimit, cfg.RateBurst)
 	}
@@ -251,7 +243,7 @@ func New(cfg Config) (*Server, error) {
 	s.remodelLoop.name = "remodel"
 	s.snapshotLoop.name = "snapshot"
 	if cfg.SnapshotPath != "" {
-		s.store = NewSnapshotStore(cfg.SnapshotPath, cfg.SnapshotGenerations, cfg.SnapshotFS, s.logf)
+		s.store = NewSnapshotStore(cfg.SnapshotPath, cfg.SnapshotGenerations, nil, s.logf)
 	}
 	if cfg.MaxConcurrent > 0 {
 		s.limiter = make(chan struct{}, cfg.MaxConcurrent)
@@ -451,33 +443,24 @@ func (s *Server) RemodelNow(ctx context.Context) error {
 	if s.testRemodelHook != nil {
 		s.testRemodelHook()
 	}
-	ds, err := s.cfg.Window.Dataset()
-	if err != nil {
-		if errors.Is(err, window.ErrWarmingUp) {
-			s.met.modelSkips.Add(1)
-		} else {
-			s.met.modelFailures.Add(1)
-			s.met.modelConsecFails.Add(1)
+	var (
+		ds        *pipeline.Dataset
+		res       *core.Result
+		reports   []*anomaly.Report
+		forecasts []towerForecast
+	)
+	for i, run := range [len(stageNames)]func() error{
+		func() (err error) { ds, err = s.cfg.Window.Dataset(); return },
+		func() (err error) { res, err = core.AnalyzeContext(ctx, ds, s.cfg.POIs, s.cfg.Analyze); return },
+		func() (err error) {
+			reports, err = anomaly.DetectAllContext(ctx, ds.Raw, ds.Days, s.cfg.Anomaly, s.cfg.Analyze.Workers)
+			return
+		},
+		func() (err error) { forecasts, err = s.buildForecasts(ctx, ds); return },
+	} {
+		if err := s.stage(i, run); err != nil {
+			return err
 		}
-		return err
-	}
-	res, err := core.AnalyzeContext(ctx, ds, s.cfg.POIs, s.cfg.Analyze)
-	if err != nil {
-		s.met.modelFailures.Add(1)
-		s.met.modelConsecFails.Add(1)
-		return fmt.Errorf("serve: analyze: %w", err)
-	}
-	reports, err := anomaly.DetectAllContext(ctx, ds.Raw, ds.Days, s.cfg.Anomaly, s.cfg.Analyze.Workers)
-	if err != nil {
-		s.met.modelFailures.Add(1)
-		s.met.modelConsecFails.Add(1)
-		return fmt.Errorf("serve: anomaly sweep: %w", err)
-	}
-	forecasts, err := s.buildForecasts(ctx, ds)
-	if err != nil {
-		s.met.modelFailures.Add(1)
-		s.met.modelConsecFails.Add(1)
-		return fmt.Errorf("serve: forecasts: %w", err)
 	}
 	stats := admissionStats(ds, res, forecasts, s.cfg.Analyze.Workers)
 
@@ -531,14 +514,39 @@ func (s *Server) RemodelNow(ctx context.Context) error {
 	return nil
 }
 
+// stageNames are the stages of a modeling cycle in the order RemodelNow runs
+// them, named after BENCHMARK.json's per_layer prefixes so the live stage
+// gauge and the benchmark report speak one vocabulary.
+var stageNames = [...]string{"window.dataset", "core.analyze", "anomaly.detect_all", "forecast.backtest_fit"}
+
+// stage runs stage i of a modeling cycle: it records the stage's wall time
+// and does the cycle's failure accounting once — a warming-up window is a
+// skip and comes back as window.ErrWarmingUp itself, anything else is a
+// failed cycle and comes back wrapped in the stage's name.
+func (s *Server) stage(i int, run func() error) error {
+	began := time.Now()
+	err := run()
+	s.met.stageNanos[i].Store(int64(time.Since(began)))
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, window.ErrWarmingUp):
+		s.met.modelSkips.Add(1)
+		return err
+	}
+	s.met.modelFailures.Add(1)
+	s.met.modelConsecFails.Add(1)
+	return fmt.Errorf("serve: %s: %w", stageNames[i], err)
+}
+
 // noteRejectionLocked ticks the rejection counters (total, per reason,
 // and the consecutive streak). Callers hold admMu.
 func (s *Server) noteRejectionLocked(reasons []RejectReason) {
 	s.met.modelRejected.Add(1)
 	s.met.modelConsecRejects.Add(1)
 	for _, r := range reasons {
-		if c := s.met.rejectCounter(r); c != nil {
-			c.Add(1)
+		if i := slices.Index(rejectReasons[:], r); i >= 0 {
+			s.met.rejected[i].Add(1)
 		}
 	}
 }
@@ -575,7 +583,7 @@ func (s *Server) maybeAutoRollbackLocked() *generation {
 // alone, so the result is identical for any worker count.
 func (s *Server) buildForecasts(ctx context.Context, ds *pipeline.Dataset) ([]towerForecast, error) {
 	out := make([]towerForecast, ds.NumTowers())
-	if s.cfg.ForecastTrainDays < 0 || ds.Days < 14 {
+	if ds.Days < 14 {
 		return out, nil
 	}
 	spd := ds.SlotsPerDay()

@@ -55,6 +55,11 @@ type loopStatus struct {
 	lastErr error
 }
 
+// loops lists the supervised loops for /metrics.
+func (s *Server) loops() [3]*loopStatus {
+	return [...]*loopStatus{&s.ingestLoop, &s.remodelLoop, &s.snapshotLoop}
+}
+
 func (l *loopStatus) setErr(err error) {
 	l.mu.Lock()
 	l.lastErr = err

@@ -434,12 +434,3 @@ func poisson(rng *rand.Rand, mean float64) int {
 		k++
 	}
 }
-
-// TowerLocations returns the locations of all towers in tower order.
-func (c *City) TowerLocations() []geo.Point {
-	out := make([]geo.Point, len(c.Towers))
-	for i, t := range c.Towers {
-		out[i] = t.Location
-	}
-	return out
-}

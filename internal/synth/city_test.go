@@ -210,22 +210,6 @@ func TestGenerateCityInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestTowerLocationsAndRegions(t *testing.T) {
-	city, err := GenerateCity(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	locs := city.TowerLocations()
-	if len(locs) != len(city.Towers) {
-		t.Fatalf("locations = %d, want %d", len(locs), len(city.Towers))
-	}
-	for i := range locs {
-		if locs[i] != city.Towers[i].Location {
-			t.Errorf("location %d mismatch", i)
-		}
-	}
-}
-
 func TestPOIDistributionByRegion(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Towers = 300

@@ -52,9 +52,6 @@ var Regions = urban.Regions
 // primary components of the frequency-domain decomposition (Section 5.3).
 var PrimaryRegions = urban.PrimaryRegions
 
-// ParseRegion converts a region name to its Region value.
-func ParseRegion(s string) (Region, error) { return urban.ParseRegion(s) }
-
 // DefaultShares returns the fraction of towers per region reported in
 // Table 1 of the paper.
 func DefaultShares() map[Region]float64 { return urban.DefaultShares() }

@@ -22,18 +22,6 @@ func TestRegionString(t *testing.T) {
 	}
 }
 
-func TestParseRegion(t *testing.T) {
-	for _, r := range Regions {
-		got, err := ParseRegion(r.String())
-		if err != nil || got != r {
-			t.Errorf("ParseRegion(%q) = %v, %v", r.String(), got, err)
-		}
-	}
-	if _, err := ParseRegion("suburb"); err == nil {
-		t.Error("ParseRegion of unknown name should fail")
-	}
-}
-
 func TestDefaultSharesSumToOne(t *testing.T) {
 	var total float64
 	for _, s := range DefaultShares() {

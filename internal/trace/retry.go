@@ -35,12 +35,9 @@ type RetryPolicy struct {
 	Backoff time.Duration
 	// MaxBackoff caps the doubling. 0 means defaultRetryMaxBackoff.
 	MaxBackoff time.Duration
-	// IsTransient classifies errors worth retrying; nil means the
-	// package-level IsTransient.
-	IsTransient func(error) bool
 }
 
-// IsTransient is the default transient-error classifier: an error is
+// IsTransient is the retry layer's transient-error classifier: an error is
 // retriable when anything in its chain declares itself Temporary() or
 // Timeout() — the convention of net.Error and of the fault-injection
 // harness. io.EOF and io.ErrUnexpectedEOF are never transient.
@@ -83,9 +80,6 @@ func NewRetryReader(ctx context.Context, r io.Reader, policy RetryPolicy) *Retry
 	if policy.MaxBackoff <= 0 {
 		policy.MaxBackoff = defaultRetryMaxBackoff
 	}
-	if policy.IsTransient == nil {
-		policy.IsTransient = IsTransient
-	}
 	return &RetryReader{r: r, ctx: ctx, policy: policy}
 }
 
@@ -99,7 +93,7 @@ func (r *RetryReader) Read(p []byte) (int, error) {
 	backoff := r.policy.Backoff
 	for attempt := 0; ; attempt++ {
 		n, err := r.r.Read(p)
-		if n > 0 || err == nil || !r.policy.IsTransient(err) || attempt >= r.policy.MaxAttempts {
+		if n > 0 || err == nil || !IsTransient(err) || attempt >= r.policy.MaxAttempts {
 			return n, err
 		}
 		r.retries.Add(1)

@@ -45,16 +45,6 @@ func (r Region) String() string {
 	}
 }
 
-// ParseRegion converts a region name to its Region value.
-func ParseRegion(s string) (Region, error) {
-	for _, r := range Regions {
-		if r.String() == s {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("urban: unknown region %q", s)
-}
-
 // DefaultShares returns the fraction of towers per region reported in
 // Table 1 of the paper.
 func DefaultShares() map[Region]float64 {

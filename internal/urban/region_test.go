@@ -21,18 +21,6 @@ func TestRegionString(t *testing.T) {
 	}
 }
 
-func TestParseRegionRoundTrip(t *testing.T) {
-	for _, r := range Regions {
-		got, err := ParseRegion(r.String())
-		if err != nil || got != r {
-			t.Errorf("ParseRegion(%q) = %v, %v", r.String(), got, err)
-		}
-	}
-	if _, err := ParseRegion("downtown"); err == nil {
-		t.Error("unknown region should fail")
-	}
-}
-
 func TestRegionsOrderMatchesPaper(t *testing.T) {
 	// The paper numbers clusters 1-5 as resident, transport, office,
 	// entertainment, comprehensive; the enum order must match so cluster

@@ -26,6 +26,16 @@ echo "==> starting served on $ADDR"
 PID=$!
 AUTH=(-H "Authorization: Bearer $TOKEN")
 
+# fetch NAME URL [curl args...] stores the body in $WORKDIR/NAME. Every body
+# is fetched once and grepped from the file: `curl | grep -q` under pipefail
+# fails whenever grep closes the pipe at its first match while curl is
+# still writing (curl exits 23).
+fetch() {
+  local name="$1"
+  shift
+  curl -fsS -o "$WORKDIR/$name" "$@"
+}
+
 fail() {
   echo "==> FAIL: $1" >&2
   echo "---- served log:" >&2
@@ -38,7 +48,7 @@ echo "==> waiting for the first model"
 ready=""
 for _ in $(seq 1 240); do
   kill -0 "$PID" 2>/dev/null || fail "served exited during warm-up"
-  if curl -fsS "http://$ADDR/healthz" 2>/dev/null | grep -q '"ready": true'; then
+  if fetch healthz "http://$ADDR/healthz" 2>/dev/null && grep -q '"ready": true' "$WORKDIR/healthz"; then
     ready=yes
     break
   fi
@@ -47,27 +57,38 @@ done
 [ -n "$ready" ] || fail "model never became ready"
 
 echo "==> querying the API"
-curl -fsS "${AUTH[@]}" "http://$ADDR/summary" | grep -q '"clusters"' || fail "/summary has no clusters"
-tower=$(curl -fsS "${AUTH[@]}" "http://$ADDR/towers" | grep -o '"tower": [0-9]*' | head -1 | grep -o '[0-9]*')
-[ -n "$tower" ] || fail "/towers listed no towers"
-curl -fsS "${AUTH[@]}" "http://$ADDR/towers/$tower" | grep -q '"region"' || fail "/towers/$tower has no region"
-curl -sS "${AUTH[@]}" -o /dev/null -w '%{http_code}' "http://$ADDR/towers/999999" | grep -q 404 || fail "unknown tower did not 404"
-curl -fsS "http://$ADDR/metrics" | grep -q '"cycles"' || fail "/metrics has no model cycles"
-curl -fsS "http://$ADDR/readyz" | grep -q '"status": "ready"' || fail "/readyz not ready with a fresh model"
-curl -fsS "http://$ADDR/metrics?format=prom" | grep -q '# TYPE repro_model_cycles_total counter' \
-  || fail "/metrics?format=prom is not Prometheus text"
+fetch summary "${AUTH[@]}" "http://$ADDR/summary" || fail "/summary failed"
+grep -q '"clusters"' "$WORKDIR/summary" || fail "/summary has no clusters"
+fetch towers "${AUTH[@]}" "http://$ADDR/towers" || fail "/towers failed"
+tower=$(grep -m1 -o '"tower": [0-9]*' "$WORKDIR/towers" | grep -o '[0-9]*$') || fail "/towers listed no towers"
+fetch tower "${AUTH[@]}" "http://$ADDR/towers/$tower" || fail "/towers/$tower failed"
+grep -q '"region"' "$WORKDIR/tower" || fail "/towers/$tower has no region"
+code=$(curl -sS "${AUTH[@]}" -o /dev/null -w '%{http_code}' "http://$ADDR/towers/999999")
+[ "$code" -eq 404 ] || fail "unknown tower returned $code, want 404"
+fetch readyz "http://$ADDR/readyz" || fail "/readyz failed"
+grep -q '"status": "ready"' "$WORKDIR/readyz" || fail "/readyz not ready with a fresh model"
 
-echo "==> admission gate and model history"
-curl -fsS "${AUTH[@]}" "http://$ADDR/models" | grep -q '"current_seq"' || fail "/models has no current_seq"
-curl -fsS "${AUTH[@]}" "http://$ADDR/models" | grep -q '"generations"' || fail "/models has no generations"
-curl -fsS "http://$ADDR/metrics" | grep -q '"rejected_by_reason"' || fail "/metrics has no admission block"
-curl -fsS "http://$ADDR/metrics?format=prom" -o "$WORKDIR/prom.txt"
+echo "==> /metrics: one table, two encodings"
+fetch metrics.json "http://$ADDR/metrics" || fail "/metrics failed"
+grep -q '"cycles"' "$WORKDIR/metrics.json" || fail "/metrics has no model cycles"
+grep -q '"rejected_by_reason"' "$WORKDIR/metrics.json" || fail "/metrics has no admission block"
+grep -q '"core.analyze"' "$WORKDIR/metrics.json" || fail "/metrics has no per-stage durations"
+fetch prom.txt "http://$ADDR/metrics?format=prom" || fail "/metrics?format=prom failed"
+grep -q '# TYPE repro_model_cycles_total counter' "$WORKDIR/prom.txt" \
+  || fail "/metrics?format=prom is not Prometheus text"
 grep -q 'repro_model_rejected_total{reason="coverage"}' "$WORKDIR/prom.txt" \
   || fail "prom exposition has no per-reason reject counters"
 grep -q 'repro_model_rollback_total{kind="manual"}' "$WORKDIR/prom.txt" \
   || fail "prom exposition has no rollback counters"
 grep -q 'repro_window_quarantined_towers' "$WORKDIR/prom.txt" \
   || fail "prom exposition has no quarantine gauge"
+grep -q 'repro_model_stage_seconds{stage="core.analyze"} [0-9.]*[1-9]' "$WORKDIR/prom.txt" \
+  || fail "prom exposition has no per-stage duration of the last cycle"
+
+echo "==> admission gate and model history"
+fetch models "${AUTH[@]}" "http://$ADDR/models" || fail "/models failed"
+grep -q '"current_seq"' "$WORKDIR/models" || fail "/models has no current_seq"
+grep -q '"generations"' "$WORKDIR/models" || fail "/models has no generations"
 # Only one generation is retained this early: rollback must refuse (409)
 # rather than serve anything it cannot vouch for.
 code=$(curl -sS "${AUTH[@]}" -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/models/rollback")
@@ -84,7 +105,7 @@ for _ in $(seq 1 60); do
   if [ "$code" -eq 429 ]; then limited=yes; break; fi
 done
 [ -n "$limited" ] || fail "burst of queries never hit the rate limit (429)"
-curl -fsS "http://$ADDR/metrics?format=prom" -o "$WORKDIR/prom.txt"
+fetch prom.txt "http://$ADDR/metrics?format=prom" || fail "/metrics?format=prom failed"
 grep -q 'repro_requests_ratelimited_total [1-9]' "$WORKDIR/prom.txt" \
   || fail "rate-limit refusals not counted in prom exposition"
 
