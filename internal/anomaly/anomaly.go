@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/dsp"
@@ -27,10 +26,10 @@ import (
 const Disabled = -1
 
 // harmonics is the number of daily harmonics kept in the expected traffic
-// model beyond the principal components; their weekly sidebands are kept as
-// well. More harmonics give a tighter "normal" band but start absorbing
-// genuine anomalies.
-const harmonics = 4
+// model — the day and half-day principal components are the first two —
+// each with its weekly sidebands. More harmonics give a tighter "normal"
+// band but start absorbing genuine anomalies.
+const harmonics = 5
 
 // Options configure the detector.
 type Options struct {
@@ -74,15 +73,14 @@ type Anomaly struct {
 	Score float64
 }
 
-// Report is the outcome of detection on one tower.
+// Report is the outcome of detection on one tower: the model's description
+// and the slots it flagged. The modelled traffic itself is not kept — a
+// reader that wants it rebuilds it from Bins (dsp.Plan.Reconstruct, negative
+// slots clamped to zero); every flagged slot carries its own Expected.
 type Report struct {
 	// Bins are the spectral bins retained by the expected-traffic model,
 	// sorted and unique.
 	Bins []int
-	// Expected is the modelled traffic (band-limited reconstruction).
-	Expected linalg.Vector
-	// Residual is Observed − Expected per slot.
-	Residual linalg.Vector
 	// Scale is the robust scale (1.4826 × MAD) of the *relative* residuals
 	// (Observed − Expected) / Expected. Traffic noise is multiplicative —
 	// busy slots deviate by more bytes than quiet ones — so scoring
@@ -110,13 +108,13 @@ func Detect(traffic linalg.Vector, nDays int, opts Options) (*Report, error) {
 }
 
 // detector is the reusable state of one sweep worker: the pooled FFT plan
-// of the current vector length and the two scratch vectors of that length
-// that never leave detect — the relative residuals and the buffer the
-// robust scale selects on. Only Expected and Residual are allocated per
-// tower, because the report keeps them.
+// of the current vector length and the three scratch vectors of that length
+// that never leave detect — the expected-traffic reconstruction, the
+// relative residuals and the buffer the robust scale selects on. A tower
+// costs only what its report keeps: the bin list and the flagged slots.
 type detector struct {
-	plan           *dsp.Plan
-	relative, work linalg.Vector
+	plan                     *dsp.Plan
+	expected, relative, work linalg.Vector
 }
 
 // release hands the plan back to the pool.
@@ -138,6 +136,7 @@ func (d *detector) resize(n int) error {
 		return err
 	}
 	d.plan = plan
+	d.expected = make(linalg.Vector, n)
 	d.relative = make(linalg.Vector, n)
 	d.work = make(linalg.Vector, n)
 	return nil
@@ -152,37 +151,18 @@ func (d *detector) detect(traffic linalg.Vector, nDays int, opts Options) (*Repo
 		return nil, fmt.Errorf("%w: non-finite traffic values", ErrEmptySignal)
 	}
 	opts = opts.withDefaults()
-	week, day, half, err := dsp.PrincipalBins(len(traffic), nDays)
+	week, day, _, err := dsp.PrincipalBins(len(traffic), nDays)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadShape, err)
 	}
 	if err := d.resize(len(traffic)); err != nil {
 		return nil, err
 	}
-	bins := []int{week, day, half}
-	for h := 2; h <= harmonics+1; h++ {
-		bins = append(bins, h*day)
-		if h*day-week > 0 {
-			bins = append(bins, h*day-week)
-		}
-		bins = append(bins, h*day+week)
-	}
-	bins = append(bins, day-week, day+week)
-	valid := bins[:0]
-	for _, b := range bins {
-		if b > 0 && b < len(traffic) {
-			valid = append(valid, b)
-		}
-	}
-	// The construction above lists some bins twice (h=2 re-adds 2·day,
-	// which IS the half-day principal bin). ReconstructInto applies bins
-	// as a mask, so duplicates were harmless there — but the bin list is
-	// also the model's description (counted, exported, summed by the
-	// serving API), so keep it sorted and unique.
-	sort.Ints(valid)
-	valid = slices.Compact(valid)
-	expected := make(linalg.Vector, len(traffic))
-	if _, err := d.plan.ReconstructInto(expected, traffic, valid...); err != nil {
+	// The bin list is also the model's description (counted, exported,
+	// summed by the serving API), so the report owns its copy.
+	bins := dsp.HarmonicBins(make([]int, 0, 1+3*harmonics), len(traffic), week, day, harmonics)
+	expected := d.expected
+	if _, err := d.plan.ReconstructInto(expected, traffic, bins...); err != nil {
 		return nil, err
 	}
 	for i, v := range expected {
@@ -198,11 +178,9 @@ func (d *detector) detect(traffic linalg.Vector, nDays int, opts Options) (*Repo
 	if floor <= 0 {
 		floor = 1
 	}
-	residual := make(linalg.Vector, len(traffic))
 	relative := d.relative
 	for i := range traffic {
-		residual[i] = traffic[i] - expected[i]
-		relative[i] = residual[i] / math.Max(expected[i], floor)
+		relative[i] = (traffic[i] - expected[i]) / math.Max(expected[i], floor)
 	}
 	scale := robustScale(relative, d.work)
 	// A scale that is effectively zero means the model reproduces the
@@ -212,7 +190,7 @@ func (d *detector) detect(traffic linalg.Vector, nDays int, opts Options) (*Repo
 		scale = 0
 	}
 
-	report := &Report{Bins: valid, Expected: expected, Residual: residual, Scale: scale}
+	report := &Report{Bins: bins, Scale: scale}
 	if scale == 0 {
 		return report, nil
 	}
@@ -221,7 +199,7 @@ func (d *detector) detect(traffic linalg.Vector, nDays int, opts Options) (*Repo
 		if score < opts.Threshold {
 			continue
 		}
-		if math.Abs(residual[i]) < opts.MinRelativeDeviation*mean {
+		if math.Abs(traffic[i]-expected[i]) < opts.MinRelativeDeviation*mean {
 			continue
 		}
 		report.Anomalies = append(report.Anomalies, Anomaly{

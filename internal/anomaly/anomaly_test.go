@@ -40,8 +40,18 @@ func TestDetectCleanTrafficHasFewAnomalies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Expected) != len(traffic) || len(report.Residual) != len(traffic) {
-		t.Fatal("report shapes wrong")
+	// The report describes a model of the whole vector: rebuilt from its
+	// bins, the reconstruction tracks the clean traffic closely.
+	expected := expectedOf(t, traffic, report)
+	if len(expected) != len(traffic) {
+		t.Fatal("reconstruction shape wrong")
+	}
+	absErr := 0.0
+	for i, v := range traffic {
+		absErr += math.Abs(v - expected[i])
+	}
+	if rel := absErr / float64(len(traffic)) / traffic.Mean(); rel > 0.2 {
+		t.Errorf("mean absolute residual is %.2f of the mean traffic, want a close fit on clean traffic", rel)
 	}
 	if report.Scale <= 0 {
 		t.Fatal("robust scale should be positive for noisy traffic")

@@ -8,8 +8,31 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/linalg"
 )
+
+// expectedOf rebuilds the expected traffic a report's model stands for: the
+// band-limited reconstruction of traffic from report.Bins, clamped at zero
+// — what Report.Expected held before the sweep stopped publishing it.
+func expectedOf(t testing.TB, traffic linalg.Vector, report *Report) linalg.Vector {
+	t.Helper()
+	plan, err := dsp.AcquirePlan(len(traffic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plan.Release()
+	expected, _, err := plan.Reconstruct(traffic, report.Bins...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range expected {
+		if v < 0 {
+			expected[i] = 0
+		}
+	}
+	return expected
+}
 
 // medianSortOracle is the clone-and-sort median linalg.Quantile(v, 0.5) was
 // when robustScale called it twice per tower.
@@ -86,12 +109,15 @@ func TestRobustScaleMatchesSortOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		expected := expectedOf(t, traffic, report)
 		relative := make(linalg.Vector, len(traffic))
+		residual := make(linalg.Vector, len(traffic))
 		for i := range relative {
-			relative[i] = report.Residual[i] / math.Max(report.Expected[i], 1)
+			residual[i] = traffic[i] - expected[i]
+			relative[i] = residual[i] / math.Max(expected[i], 1)
 		}
 		checkRobustScale(t, "tower", relative)
-		checkRobustScale(t, "residual", report.Residual)
+		checkRobustScale(t, "residual", residual)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestPreCancelledContext(t *testing.T) {
 		t.Errorf("OptimalKCtx: err = %v, want context.Canceled", err)
 	}
 	preCancelledMat(t, ctx, x, dendro)
-	preCancelledMat(t, ctx, narrow(x), dendro)
+	preCancelledMat(t, ctx, linalg.Narrow(x), dendro)
 }
 
 func preCancelledMat[F linalg.Float](t *testing.T, ctx context.Context, x *linalg.Mat[F], dendro *Dendrogram) {

@@ -47,7 +47,7 @@ func TestDistancesSilhouetteMatchesFullOracle(t *testing.T) {
 	workerCounts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	for _, shape := range []struct{ n, dim int }{{2, 7}, {6, 7}, {67, 336}, {400, 336}, {1031, 48}} {
 		x := matOf(t, randomPoints(rng, shape.n, shape.dim))
-		x32 := narrow(x)
+		x32 := linalg.Narrow(x)
 		for _, k := range []int{2, 5, 10} {
 			for name, a := range silhouetteLabelings(rng, shape.n, k) {
 				id := fmt.Sprintf("n=%d k=%d %s", shape.n, k, name)

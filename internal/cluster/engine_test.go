@@ -54,7 +54,7 @@ func TestCondensedDistancesMatchPerPairOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Run("float64", func(t *testing.T) { condensedMatchesOracle(t, x, want, float64Tol) })
-	t.Run("float32", func(t *testing.T) { condensedMatchesOracle(t, narrow(x), want, float32Tol) })
+	t.Run("float32", func(t *testing.T) { condensedMatchesOracle(t, linalg.Narrow(x), want, float32Tol) })
 }
 
 func condensedMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], want condensed, relTol float64) {
@@ -76,7 +76,7 @@ func condensedMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], want
 func TestHierarchicalDecisionsUnchangedOnSeededCity(t *testing.T) {
 	x := cityMatrix(t, 90, 31)
 	t.Run("float64", func(t *testing.T) { hierarchicalMatchesOracle(t, x, x.RowViews(), float64Tol) })
-	t.Run("float32", func(t *testing.T) { hierarchicalMatchesOracle(t, narrow(x), x.RowViews(), float32Tol) })
+	t.Run("float32", func(t *testing.T) { hierarchicalMatchesOracle(t, linalg.Narrow(x), x.RowViews(), float32Tol) })
 }
 
 func hierarchicalMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], points []linalg.Vector, relTol float64) {
@@ -100,7 +100,7 @@ func hierarchicalMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], p
 func TestKMeansDecisionsUnchangedOnSeededCity(t *testing.T) {
 	x := cityMatrix(t, 90, 37)
 	t.Run("float64", func(t *testing.T) { kmeansMatchesOracle(t, x, x.RowViews(), float64Tol) })
-	t.Run("float32", func(t *testing.T) { kmeansMatchesOracle(t, narrow(x), x.RowViews(), float32Tol) })
+	t.Run("float32", func(t *testing.T) { kmeansMatchesOracle(t, linalg.Narrow(x), x.RowViews(), float32Tol) })
 }
 
 func kmeansMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], points []linalg.Vector, relTol float64) {
@@ -139,7 +139,7 @@ func kmeansMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], points 
 func TestValidityIndicesMatchPerPairOracles(t *testing.T) {
 	x := cityMatrix(t, 80, 41)
 	t.Run("float64", func(t *testing.T) { validityMatchesOracles(t, x, x.RowViews(), float64Tol) })
-	t.Run("float32", func(t *testing.T) { validityMatchesOracles(t, narrow(x), x.RowViews(), float32Tol) })
+	t.Run("float32", func(t *testing.T) { validityMatchesOracles(t, linalg.Narrow(x), x.RowViews(), float32Tol) })
 }
 
 func validityMatchesOracles[F linalg.Float](t *testing.T, x *linalg.Mat[F], points []linalg.Vector, relTol float64) {
@@ -200,7 +200,7 @@ func validityMatchesOracles[F linalg.Float](t *testing.T, x *linalg.Mat[F], poin
 func TestValidityIndicesBitIdenticalAcrossWorkers(t *testing.T) {
 	x := cityMatrix(t, 70, 43)
 	t.Run("float64", func(t *testing.T) { validityBitIdenticalAcrossWorkers(t, x) })
-	t.Run("float32", func(t *testing.T) { validityBitIdenticalAcrossWorkers(t, narrow(x)) })
+	t.Run("float32", func(t *testing.T) { validityBitIdenticalAcrossWorkers(t, linalg.Narrow(x)) })
 }
 
 func validityBitIdenticalAcrossWorkers[F linalg.Float](t *testing.T, x *linalg.Mat[F]) {

@@ -17,16 +17,6 @@ func matOf(t testing.TB, points []linalg.Vector) *linalg.Matrix {
 	return x
 }
 
-// narrow returns the float32 narrowing of x — the same single rounding
-// pipeline.Dataset.EnsureFloat32 applies before the float32 tier runs.
-func narrow(x *linalg.Matrix) *linalg.Matrix32 {
-	out := linalg.NewMatrix32(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = float32(v)
-	}
-	return out
-}
-
 // hierarchical builds the dendrogram of loose points with all cores and no
 // cancellation, through the slice adapter.
 func hierarchical(points []linalg.Vector, linkage Linkage) (*Dendrogram, error) {

@@ -54,12 +54,12 @@ func TestValidityIndicesRejectBadAssignment(t *testing.T) {
 			continue
 		}
 		got := map[string]error{}
-		_, got["CentroidsMat/float32"] = CentroidsMat(narrow(x), &c.a)
+		_, got["CentroidsMat/float32"] = CentroidsMat(linalg.Narrow(x), &c.a)
 		_, got["DaviesBouldinMat"] = DaviesBouldinMat(x, &c.a, 1)
-		_, got["DaviesBouldinMat/float32"] = DaviesBouldinMat(narrow(x), &c.a, 1)
+		_, got["DaviesBouldinMat/float32"] = DaviesBouldinMat(linalg.Narrow(x), &c.a, 1)
 		_, got["DaviesBouldinWorkers"] = DaviesBouldinWorkers(points, &c.a, 1)
 		_, got["SilhouetteMat"] = SilhouetteMat(x, &c.a, 1)
-		_, got["SilhouetteMat/float32"] = SilhouetteMat(narrow(x), &c.a, 1)
+		_, got["SilhouetteMat/float32"] = SilhouetteMat(linalg.Narrow(x), &c.a, 1)
 		_, got["SilhouetteWorkers"] = SilhouetteWorkers(points, &c.a, 1)
 		for fn, err := range got {
 			if err == nil || err.Error() != want.Error() {

@@ -54,7 +54,7 @@ func TestHierarchicalMatchesNaiveOracle(t *testing.T) {
 				t.Fatalf("%v n=%d: %v", linkage, n, err)
 			}
 			sameDendrogram(t, got, want, float64Tol, min(n, 8))
-			got32, err := HierarchicalMatCtx(context.Background(), narrow(x), linkage, 0)
+			got32, err := HierarchicalMatCtx(context.Background(), linalg.Narrow(x), linkage, 0)
 			if err != nil {
 				t.Fatalf("%v n=%d float32: %v", linkage, n, err)
 			}
@@ -108,7 +108,7 @@ func TestHierarchicalWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	x := matOf(t, randomPoints(rng, 120, 6))
 	t.Run("float64", func(t *testing.T) { hierarchicalWorkersBitIdentical(t, x) })
-	t.Run("float32", func(t *testing.T) { hierarchicalWorkersBitIdentical(t, narrow(x)) })
+	t.Run("float32", func(t *testing.T) { hierarchicalWorkersBitIdentical(t, linalg.Narrow(x)) })
 }
 
 func hierarchicalWorkersBitIdentical[F linalg.Float](t *testing.T, x *linalg.Mat[F]) {
@@ -213,7 +213,7 @@ func TestKMeansWorkersBitIdentical(t *testing.T) {
 	points, _ := blobs(rng, 4, 60, 8, 2.5)
 	x := matOf(t, points)
 	t.Run("float64", func(t *testing.T) { kmeansWorkersBitIdentical(t, x) })
-	t.Run("float32", func(t *testing.T) { kmeansWorkersBitIdentical(t, narrow(x)) })
+	t.Run("float32", func(t *testing.T) { kmeansWorkersBitIdentical(t, linalg.Narrow(x)) })
 }
 
 func kmeansWorkersBitIdentical[F linalg.Float](t *testing.T, x *linalg.Mat[F]) {

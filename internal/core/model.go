@@ -227,9 +227,13 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 	if ds.Days%7 != 0 {
 		return nil, fmt.Errorf("core: dataset covers %d days; whole weeks are required for frequency analysis", ds.Days)
 	}
-	// The float64 traffic matrix: the dataset's flat backing when its rows
-	// are views of one (aliased, not copied), a packed copy otherwise.
+	// The float64 traffic matrices: the dataset's own buffers when its rows
+	// are views of one (aliased, not copied), packed copies otherwise.
 	norm, err := linalg.RowsMatrix(ds.Normalized)
+	if err != nil {
+		return nil, fmt.Errorf("core: invalid dataset: %w", err)
+	}
+	raw, err := linalg.RowsMatrix(ds.Raw)
 	if err != nil {
 		return nil, fmt.Errorf("core: invalid dataset: %w", err)
 	}
@@ -238,18 +242,12 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 	var res *Result
 	switch opts.Precision {
 	case Float64:
-		var raw *linalg.Matrix
-		if raw, err = linalg.RowsMatrix(ds.Raw); err != nil {
-			return nil, fmt.Errorf("core: invalid dataset: %w", err)
-		}
 		res, err = model(ctx, norm, raw, opts)
 	case Float32:
-		// Narrow the traffic matrices once; every float32 kernel reads
-		// these backings.
-		if err := ds.EnsureFloat32(); err != nil {
-			return nil, fmt.Errorf("core: float32 backings: %w", err)
-		}
-		res, err = model(ctx, ds.NormalizedMatrix32, ds.RawMatrix32, opts)
+		// Narrow the traffic matrices here, once per analysis: this is the
+		// tier's one precision loss, every float32 kernel reads these
+		// copies, and nothing is written back to or cached on the dataset.
+		res, err = model(ctx, linalg.Narrow(norm), linalg.Narrow(raw), opts)
 	default:
 		return nil, fmt.Errorf("core: unknown precision %v", opts.Precision)
 	}

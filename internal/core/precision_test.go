@@ -4,7 +4,10 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
 // TestPrecisionString covers the enum's debug formatting, including the
@@ -113,5 +116,56 @@ func TestFloat32BitIdenticalAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(par.KMeans, serial.KMeans) {
 			t.Errorf("workers %d: k-means baseline differs from serial run", workers)
 		}
+	}
+}
+
+// The float32 tier narrows the dataset's rows inside each analysis and
+// caches nothing on the dataset: a row edited between two calls is seen by
+// the second (a narrowing cached on the Dataset would have served it the
+// first call's matrix), and no call modifies the dataset.
+func TestFloat32SeesRowEditedBetweenCalls(t *testing.T) {
+	city, ds := goldenCity(t)
+	opts := goldenOptions()
+	opts.Precision = Float32
+	first, err := AnalyzeContext(context.Background(), ds, city.POIs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Overwrite row 0, in place, with the traffic of a tower from another
+	// cluster.
+	other := slices.IndexFunc(first.Assignment.Labels, func(l int) bool { return l != first.Assignment.Labels[0] })
+	if other < 0 {
+		t.Fatal("golden city has a single cluster")
+	}
+	copy(ds.Raw[0], ds.Raw[other])
+	copy(ds.Normalized[0], ds.Normalized[other])
+	before := &pipeline.Dataset{
+		TowerIDs: slices.Clone(ds.TowerIDs), Locations: slices.Clone(ds.Locations),
+		Start: ds.Start, SlotMinutes: ds.SlotMinutes, Days: ds.Days,
+	}
+	for i := range ds.Raw {
+		before.Raw = append(before.Raw, ds.Raw[i].Clone())
+		before.Normalized = append(before.Normalized, ds.Normalized[i].Clone())
+	}
+
+	second, err := AnalyzeContext(context.Background(), ds, city.POIs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := second.Assignment.Labels[0], second.Assignment.Labels[other]; got != want {
+		t.Errorf("row 0 now carries row %d's traffic but is in cluster %d, not %d: the edit was not seen", other, got, want)
+	}
+	// Identical to an analysis that never saw the unedited rows (before's
+	// rows are loose clones, so this also runs the packing path).
+	fresh, err := AnalyzeContext(context.Background(), before, city.POIs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := snapshotModel(second), snapshotModel(fresh); !reflect.DeepEqual(got, want) {
+		t.Errorf("second analysis of the edited dataset differs from a fresh one:\n  second: %+v\n  fresh:  %+v", got, want)
+	}
+	if !reflect.DeepEqual(ds, before) {
+		t.Error("AnalyzeContext modified the dataset")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -302,6 +304,83 @@ func TestPrincipalBins(t *testing.T) {
 	}
 	if _, _, _, err := PrincipalBins(10, 7); err == nil {
 		t.Error("half-day bin out of range should fail")
+	}
+}
+
+// harmonicBinsOracle is the hand-built list anomaly.detect carried before
+// HarmonicBins: principal bins, harmonics 2…n with sidebands, the daily
+// sidebands, then clip, sort and de-duplicate.
+func harmonicBinsOracle(nSamples, week, day, harmonics int) []int {
+	bins := []int{week, day, 2 * day}
+	for h := 2; h <= harmonics; h++ {
+		bins = append(bins, h*day, h*day-week, h*day+week)
+	}
+	bins = append(bins, day-week, day+week)
+	valid := bins[:0]
+	for _, b := range bins {
+		if b > 0 && b < nSamples {
+			valid = append(valid, b)
+		}
+	}
+	sort.Ints(valid)
+	return slices.Compact(valid)
+}
+
+func TestHarmonicBins(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		nSamples, nDays  int
+		harmonics        int
+		want             []int
+		appendsAfterHead bool
+	}{
+		{"one week of 10-minute slots", 1008, 7, 5,
+			[]int{1, 6, 7, 8, 13, 14, 15, 20, 21, 22, 27, 28, 29, 34, 35, 36}, false},
+		{"two weeks", 2016, 14, 5,
+			[]int{2, 12, 14, 16, 26, 28, 30, 40, 42, 44, 54, 56, 58, 68, 70, 72}, true},
+		{"the paper's four weeks", 4032, 28, 5,
+			[]int{4, 24, 28, 32, 52, 56, 60, 80, 84, 88, 108, 112, 116, 136, 140, 144}, false},
+		{"forecast's six harmonics", 2016, 14, 6,
+			[]int{2, 12, 14, 16, 26, 28, 30, 40, 42, 44, 54, 56, 58, 68, 70, 72, 82, 84, 86}, false},
+		// A week of six-hour slots has 28 samples: the fourth harmonic
+		// (bin 28) and everything above it fall out of range.
+		{"one week of 6-hour slots", 28, 7, 5,
+			[]int{1, 6, 7, 8, 13, 14, 15, 20, 21, 22, 27}, false},
+	} {
+		week, day, _, err := PrincipalBins(tc.nSamples, tc.nDays)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var dst []int
+		if tc.appendsAfterHead {
+			dst = []int{-7}
+		}
+		got := HarmonicBins(dst, tc.nSamples, week, day, tc.harmonics)
+		if tc.appendsAfterHead {
+			if got[0] != -7 {
+				t.Errorf("%s: HarmonicBins overwrote dst's contents", tc.name)
+			}
+			got = got[1:]
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: HarmonicBins = %v, want %v", tc.name, got, tc.want)
+		}
+		if oracle := harmonicBinsOracle(tc.nSamples, week, day, tc.harmonics); !slices.Equal(got, oracle) {
+			t.Errorf("%s: HarmonicBins = %v, hand-built list %v", tc.name, got, oracle)
+		}
+	}
+	// Every window shape the pipeline produces, against the hand-built list.
+	for _, weeks := range []int{1, 2, 3, 4} {
+		for _, slotMinutes := range []int{10, 20, 60, 180, 360} {
+			nDays := 7 * weeks
+			n := nDays * 1440 / slotMinutes
+			for harmonics := 2; harmonics <= 7; harmonics++ { // the hand-built list always held the half-day bin
+				got := HarmonicBins(nil, n, nDays/7, nDays, harmonics)
+				if want := harmonicBinsOracle(n, nDays/7, nDays, harmonics); !slices.Equal(got, want) {
+					t.Errorf("%d weeks at %d min, %d harmonics: %v, want %v", weeks, slotMinutes, harmonics, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -38,6 +38,26 @@ func PrincipalBins(nSamples, nDays int) (week, day, halfDay int, err error) {
 	return week, day, halfDay, nil
 }
 
+// HarmonicBins appends to dst the bins of the harmonic traffic model — the
+// weekly bin plus the first `harmonics` daily harmonics and the weekly
+// sidebands of each: h·day − week, h·day, h·day + week for h = 0…harmonics,
+// clipped to (0, nSamples) — and returns the extended slice. week and day
+// are the bins PrincipalBins returns; 2·week < day, so the list is
+// ascending and unique as built.
+func HarmonicBins(dst []int, nSamples, week, day, harmonics int) []int {
+	for h := 0; h <= harmonics; h++ {
+		for _, b := range [3]int{h*day - week, h * day, h*day + week} {
+			if b >= nSamples {
+				return dst
+			}
+			if b > 0 {
+				dst = append(dst, b)
+			}
+		}
+	}
+	return dst
+}
+
 // Spectrum is the DFT of a traffic vector, as Plan.Spectrum returns it.
 type Spectrum struct {
 	// Bins holds the complex DFT output, len == number of time samples.

@@ -135,10 +135,7 @@ func (m *SpectralModel) Fit(train linalg.Vector, trainDays, slotsPerDay int) err
 			bins = append(bins, h*day)
 		}
 	case HarmonicsAndSidebands:
-		bins = append(bins, week)
-		for h := 1; h <= maxHarmonics; h++ {
-			bins = append(bins, h*day, h*day-week, h*day+week)
-		}
+		bins = dsp.HarmonicBins(bins, len(train), week, day, maxHarmonics)
 	default:
 		return fmt.Errorf("forecast: unknown component set %v", m.Components)
 	}

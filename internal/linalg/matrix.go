@@ -33,6 +33,16 @@ func NewMatrix(rows, cols int) *Matrix { return NewMat[float64](rows, cols) }
 // NewMatrix32 returns a zero float32 matrix with the given dimensions.
 func NewMatrix32(rows, cols int) *Matrix32 { return NewMat[float32](rows, cols) }
 
+// Narrow returns the float32 narrowing of m: one rounding per element, the
+// single precision loss of the reduced-precision tier.
+func Narrow(m *Matrix) *Matrix32 {
+	out := NewMatrix32(m.Rows, m.Cols)
+	for i, x := range m.Data {
+		out.Data[i] = float32(x)
+	}
+	return out
+}
+
 // NewMatrixFromRows builds a matrix whose rows are copies of the given
 // vectors. All rows must have equal length.
 func NewMatrixFromRows[F Float](rows []Vec[F]) (*Mat[F], error) {

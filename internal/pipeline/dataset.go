@@ -27,14 +27,13 @@ import (
 
 // Dataset is the vectorised form of a traffic trace: one row per tower.
 //
-// The traffic itself lives in two contiguous row-major matrices —
-// RawMatrix and NormalizedMatrix — and Raw/Normalized are per-row views
-// aliasing their storage, the form the per-tower stages (FFT, anomaly,
-// forecast) read. The modeling stage takes its matrix from the row views
-// with linalg.RowsMatrix, which recognises views of one flat buffer and
-// aliases it without packing, and packs rows assembled one by one — so it
-// works on every dataset. Mutating a row through either form mutates the
-// matrix.
+// The traffic is stored once, as row views. A dataset that came out of the
+// vectorizer lays the rows of Raw, and those of Normalized, end to end in
+// one contiguous row-major buffer each, so linalg.RowsMatrix hands the
+// modeling stage that buffer as a flat matrix without copying; for rows
+// assembled one by one (hand-built literals) it packs them instead, so it
+// works on every dataset. Nothing derived from the rows is cached here: the
+// float32 tier narrows them in core.AnalyzeContext, once per analysis.
 type Dataset struct {
 	// TowerIDs[i] is the base-station ID of row i.
 	TowerIDs []int
@@ -42,25 +41,11 @@ type Dataset struct {
 	// if unknown).
 	Locations []geo.Point
 	// Raw[i] is the aggregated (unnormalised) traffic vector of row i in
-	// bytes per slot — a view into RawMatrix when the dataset came out of
-	// the vectorizer.
+	// bytes per slot.
 	Raw []linalg.Vector
 	// Normalized[i] is the z-score normalised traffic vector of row i; this
-	// is the input to the clustering stage. A view into NormalizedMatrix
-	// when the dataset came out of the vectorizer.
+	// is the input to the clustering stage.
 	Normalized []linalg.Vector
-	// RawMatrix and NormalizedMatrix are the contiguous flat backings of
-	// Raw and Normalized. They are nil for datasets assembled row by row
-	// (Subset, hand-built literals).
-	RawMatrix        *linalg.Matrix
-	NormalizedMatrix *linalg.Matrix
-	// RawMatrix32 and NormalizedMatrix32 are float32 narrowings of the two
-	// flat backings, the inputs of the reduced-precision modeling fast
-	// path. They are nil until EnsureFloat32 builds them; the float64
-	// matrices stay authoritative and the narrowed copies are never
-	// widened back.
-	RawMatrix32        *linalg.Matrix32
-	NormalizedMatrix32 *linalg.Matrix32
 	// Start is the first instant covered by slot 0.
 	Start time.Time
 	// SlotMinutes is the aggregation granularity.
@@ -128,62 +113,6 @@ func (d *Dataset) Validate() error {
 		}
 		if !d.Raw[i].IsFinite() || !d.Normalized[i].IsFinite() {
 			return fmt.Errorf("pipeline: row %d contains non-finite values", i)
-		}
-	}
-	for _, m := range []*linalg.Matrix{d.RawMatrix, d.NormalizedMatrix} {
-		if m != nil && (m.Rows != n || m.Cols != slots) {
-			return fmt.Errorf("%w: flat backing %dx%d for %d towers × %d slots", ErrBadShape, m.Rows, m.Cols, n, slots)
-		}
-	}
-	for _, m := range []*linalg.Matrix32{d.RawMatrix32, d.NormalizedMatrix32} {
-		if m != nil && (m.Rows != n || m.Cols != slots) {
-			return fmt.Errorf("%w: float32 backing %dx%d for %d towers × %d slots", ErrBadShape, m.Rows, m.Cols, n, slots)
-		}
-	}
-	return nil
-}
-
-// EnsureFloat32 builds the float32 flat backings by narrowing the rows of
-// the dataset — from the contiguous float64 matrices when present, from
-// the per-row views otherwise. It is idempotent: existing float32
-// backings are kept. The narrowing is the single precision loss of the
-// float32 modeling path; every kernel downstream works on these bits.
-func (d *Dataset) EnsureFloat32() error {
-	n, slots := d.NumTowers(), d.NumSlots()
-	if n == 0 || slots == 0 {
-		return ErrEmptyDataset
-	}
-	narrow := func(m *linalg.Matrix, rows []linalg.Vector) (*linalg.Matrix32, error) {
-		out := linalg.NewMatrix32(n, slots)
-		if m != nil {
-			if m.Rows != n || m.Cols != slots {
-				return nil, fmt.Errorf("%w: flat backing %dx%d for %d towers × %d slots", ErrBadShape, m.Rows, m.Cols, n, slots)
-			}
-			for i, x := range m.Data {
-				out.Data[i] = float32(x)
-			}
-			return out, nil
-		}
-		for i, row := range rows {
-			if len(row) != slots {
-				return nil, fmt.Errorf("%w: row %d has %d slots, want %d", ErrBadShape, i, len(row), slots)
-			}
-			dst := out.Row(i)
-			for j, x := range row {
-				dst[j] = float32(x)
-			}
-		}
-		return out, nil
-	}
-	var err error
-	if d.RawMatrix32 == nil {
-		if d.RawMatrix32, err = narrow(d.RawMatrix, d.Raw); err != nil {
-			return err
-		}
-	}
-	if d.NormalizedMatrix32 == nil {
-		if d.NormalizedMatrix32, err = narrow(d.NormalizedMatrix, d.Normalized); err != nil {
-			return err
 		}
 	}
 	return nil

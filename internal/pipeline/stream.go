@@ -89,24 +89,22 @@ func VectorizeSourceContext(ctx context.Context, src trace.Source, towers []trac
 			return nil, err
 		}
 	}
-	if len(acc) == 0 {
-		return nil, ErrEmptyDataset
-	}
 	towerIDs := make([]int, 0, len(acc))
 	for id := range acc {
 		towerIDs = append(towerIDs, id)
 	}
 	sort.Ints(towerIDs)
-	raw := make([]linalg.Vector, len(towerIDs))
-	for i, id := range towerIDs {
-		raw[i] = acc[id]
-	}
-
 	locByID := make(map[int]geo.Point, len(towers))
 	for _, t := range towers {
 		if t.Resolved {
 			locByID[t.TowerID] = t.Location
 		}
 	}
-	return assemble(towerIDs, raw, locByID, opts, days)
+	locations := make([]geo.Point, len(towerIDs))
+	raw := linalg.NewMatrix(len(towerIDs), slots)
+	for i, id := range towerIDs {
+		locations[i] = locByID[id]
+		copy(raw.Row(i), acc[id])
+	}
+	return VectorizeMatrix(towerIDs, locations, raw, opts)
 }

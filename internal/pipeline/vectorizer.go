@@ -77,45 +77,55 @@ type SeriesInput struct {
 // Each series must cover opts.Days days at opts.SlotMinutes granularity;
 // the vectorizer trims them to whole weeks and z-score normalises, sharing
 // the normalisation code path with VectorizeSourceContext. The series
-// bytes are copied exactly once — straight into the dataset's flat matrix
-// backing.
+// bytes are copied exactly once — into the matrix VectorizeMatrix adopts.
 func VectorizeSeries(series []SeriesInput, opts VectorizerOptions) (*Dataset, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if len(series) == 0 {
-		return nil, ErrEmptyDataset
-	}
-	days := opts.effectiveDays()
-	slots := days * (1440 / opts.SlotMinutes)
+	slots := opts.effectiveDays() * (1440 / opts.SlotMinutes)
 	fullSlots := opts.Days * (1440 / opts.SlotMinutes)
 
 	towerIDs := make([]int, len(series))
-	raw := make([]linalg.Vector, len(series))
-	locByID := make(map[int]geo.Point, len(series))
+	locations := make([]geo.Point, len(series))
+	raw := linalg.NewMatrix(len(series), slots)
 	for i, s := range series {
 		if len(s.Bytes) != fullSlots {
 			return nil, fmt.Errorf("pipeline: series for tower %d has %d slots, want %d", s.TowerID, len(s.Bytes), fullSlots)
 		}
-		towerIDs[i] = s.TowerID
-		locByID[s.TowerID] = s.Location
-		raw[i] = linalg.Vector(s.Bytes[:slots])
+		towerIDs[i], locations[i] = s.TowerID, s.Location
+		copy(raw.Row(i), s.Bytes[:slots])
 	}
-	return assemble(towerIDs, raw, locByID, opts, days)
+	return VectorizeMatrix(towerIDs, locations, raw, opts)
 }
 
-// assemble runs phase 2 (filtering, flat-matrix packing and normalisation)
-// and builds the Dataset: the kept raw rows are written into one
-// contiguous RawMatrix, each row is z-score normalised directly into the
-// matching NormalizedMatrix row, and Raw/Normalized become views of the
-// two flat buffers. The input rows are only read, never retained.
-func assemble(towerIDs []int, raw []linalg.Vector, locByID map[int]geo.Point, opts VectorizerOptions, days int) (*Dataset, error) {
-	keep := make([]int, 0, len(towerIDs))
-	for i := range towerIDs {
+// VectorizeMatrix runs phase 2 (filtering and normalisation) on traffic
+// that is already aggregated into a towers × slots matrix, and builds the
+// Dataset around it. It adopts its arguments rather than copying them: rows
+// with fewer than opts.MinActiveSlots non-zero slots are dropped by moving
+// the kept rows (and their towerIDs and locations entries) up in place, the
+// dataset's Raw rows are views of raw's storage, and each is z-score
+// normalised into the matching row of one second buffer. The caller must
+// not touch the three arguments afterwards. raw must have one row per tower
+// ID and location, and one column per slot of the whole weeks opts.Days
+// trims to (ErrBadShape otherwise); no surviving row is ErrEmptyDataset.
+func VectorizeMatrix(towerIDs []int, locations []geo.Point, raw *linalg.Matrix, opts VectorizerOptions) (*Dataset, error) {
+	opts = opts.withDefaults()
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	days := opts.effectiveDays()
+	slots := days * (1440 / opts.SlotMinutes)
+	if len(towerIDs) != raw.Rows || len(locations) != raw.Rows || raw.Cols != slots || len(raw.Data) != raw.Rows*slots {
+		return nil, fmt.Errorf("%w: %d tower IDs, %d locations, %dx%d matrix over %d values, want %d slots",
+			ErrBadShape, len(towerIDs), len(locations), raw.Rows, raw.Cols, len(raw.Data), slots)
+	}
+	keep := 0
+	for r := 0; r < raw.Rows; r++ {
+		row := raw.Row(r)
 		if opts.MinActiveSlots > 0 {
 			active := 0
-			for _, v := range raw[i] {
+			for _, v := range row {
 				if v > 0 {
 					active++
 				}
@@ -124,38 +134,31 @@ func assemble(towerIDs []int, raw []linalg.Vector, locByID map[int]geo.Point, op
 				continue
 			}
 		}
-		keep = append(keep, i)
+		if keep != r {
+			copy(raw.Row(keep), row)
+			towerIDs[keep], locations[keep] = towerIDs[r], locations[r]
+		}
+		keep++
 	}
-	if len(keep) == 0 {
+	if keep == 0 {
 		return nil, ErrEmptyDataset
 	}
-	slots := days * (1440 / opts.SlotMinutes)
-	d := &Dataset{
-		TowerIDs:         make([]int, len(keep)),
-		Locations:        make([]geo.Point, len(keep)),
-		RawMatrix:        linalg.NewMatrix(len(keep), slots),
-		NormalizedMatrix: linalg.NewMatrix(len(keep), slots),
-		Start:            opts.Start,
-		SlotMinutes:      opts.SlotMinutes,
-		Days:             days,
-	}
-	for r, idx := range keep {
-		// copy() would silently truncate or zero-pad a short row into the
-		// matrix; the pre-flat path surfaced such bugs through Validate, so
-		// keep the guard explicit.
-		if len(raw[idx]) != slots {
-			return nil, fmt.Errorf("%w: row for tower %d has %d slots, want %d", ErrBadShape, towerIDs[idx], len(raw[idx]), slots)
-		}
-		d.TowerIDs[r] = towerIDs[idx]
-		d.Locations[r] = locByID[towerIDs[idx]]
-		rawRow := d.RawMatrix.Row(r)
-		copy(rawRow, raw[idx])
-		if err := linalg.ZScoreNormalizeInto(d.NormalizedMatrix.Row(r), rawRow); err != nil {
+	raw.Rows, raw.Data = keep, raw.Data[:keep*slots]
+	norm := linalg.NewMatrix(keep, slots)
+	for r := 0; r < keep; r++ {
+		if err := linalg.ZScoreNormalizeInto(norm.Row(r), raw.Row(r)); err != nil {
 			return nil, err
 		}
 	}
-	d.Raw = d.RawMatrix.RowViews()
-	d.Normalized = d.NormalizedMatrix.RowViews()
+	d := &Dataset{
+		TowerIDs:    towerIDs[:keep],
+		Locations:   locations[:keep],
+		Raw:         raw.RowViews(),
+		Normalized:  norm.RowViews(),
+		Start:       opts.Start,
+		SlotMinutes: opts.SlotMinutes,
+		Days:        days,
+	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

@@ -22,8 +22,9 @@ package window
 
 import (
 	"math"
-	"sort"
 	"time"
+
+	"repro/internal/linalg"
 )
 
 // Guards configure the window's feed-quality defenses. Guards are
@@ -208,11 +209,11 @@ func (w *Window) refreshBaselineLocked(ts *towerState) {
 			ts.baseMed[j], ts.baseScale[j] = 0, -1 // too few samples: unjudgeable
 			continue
 		}
-		med := medianInPlace(samples)
+		med := linalg.QuantileInPlace(samples, 0.5)
 		for k, v := range samples {
 			samples[k] = math.Abs(v - med)
 		}
-		scale := 1.4826 * medianInPlace(samples)
+		scale := 1.4826 * linalg.QuantileInPlace(samples, 0.5)
 		if floor := relScaleFloor * med; scale < floor {
 			scale = floor
 		}
@@ -232,15 +233,4 @@ func (w *Window) refreshBaselineLocked(ts *towerState) {
 		}
 	}
 	w.scratch = samples[:0]
-}
-
-// medianInPlace sorts vals and returns their median (mean of the middle
-// pair for even lengths). It is only called on non-empty slices.
-func medianInPlace(vals []float64) float64 {
-	sort.Float64s(vals)
-	n := len(vals)
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return (vals[n/2-1] + vals[n/2]) / 2
 }

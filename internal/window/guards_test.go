@@ -3,9 +3,13 @@ package window
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/linalg"
 	"repro/internal/trace"
 )
 
@@ -225,5 +229,49 @@ func TestQuarantineStatePersistsAcrossSnapshot(t *testing.T) {
 	}
 	if ds.NumTowers() != 2 {
 		t.Fatalf("dataset towers = %v with guards disabled, want both", ds.TowerIDs)
+	}
+}
+
+// medianInPlace is the sort-based median the quarantine baseline used
+// before it moved to linalg.QuantileInPlace: it sorts vals and returns
+// their median (mean of the middle pair for even lengths).
+func medianInPlace(vals []float64) float64 {
+	sort.Float64s(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
+}
+
+// At q = 0.5 the selection-based quantile interpolates lo·½ + hi·½, which
+// equals the sort-based (lo+hi)/2 bit for bit, so the baseline — and every
+// quarantine verdict drawn from it — is the same. Lengths 3–14 are what a
+// 7- or 14-day ring gives a slot of day.
+func TestBaselineMedianMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for n := 3; n <= 14; n++ {
+		for trial := 0; trial < 200; trial++ {
+			samples := make([]float64, n)
+			switch trial % 4 {
+			case 0: // byte counts, as the ring holds them
+				for i := range samples {
+					samples[i] = math.Round(rng.Float64() * 1e7)
+				}
+			case 1: // heavy ties
+				for i := range samples {
+					samples[i] = float64(rng.Intn(3)) * 1234.5
+				}
+			case 2: // absolute deviations with awkward mantissas
+				for i := range samples {
+					samples[i] = math.Abs(rng.NormFloat64()) / 3
+				}
+			case 3: // a dead-quiet slot of day
+			}
+			want := medianInPlace(slices.Clone(samples))
+			if got := linalg.QuantileInPlace(samples, 0.5); got != want {
+				t.Fatalf("n=%d trial %d: QuantileInPlace = %v, sort-based median %v", n, trial, got, want)
+			}
+		}
 	}
 }

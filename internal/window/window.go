@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/linalg"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
@@ -351,10 +352,16 @@ func (w *Window) Summary() Summary {
 // the feed-quality guards (Summary.Quarantined accounts for them). It
 // returns ErrWarmingUp until a whole week of complete days has been
 // observed.
+//
+// Each tower's window is copied once, from its ring straight into a row of
+// the matrix pipeline.VectorizeMatrix adopts. The window lock is held only
+// for that copy (and the per-tower advance and judgement before it);
+// normalisation and validation run after it is released, on memory the
+// window no longer references, so they stall neither ingest nor TowerStats.
 func (w *Window) Dataset() (*pipeline.Dataset, error) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.latest < 0 {
+		w.mu.Unlock()
 		return nil, ErrWarmingUp
 	}
 	// Slots strictly before `latest` are complete (the feed is
@@ -368,12 +375,15 @@ func (w *Window) Dataset() (*pipeline.Dataset, error) {
 	}
 	days -= days % 7
 	if days < 7 {
+		w.mu.Unlock()
 		return nil, ErrWarmingUp
 	}
 	startSlot := int64(endDay-days) * int64(w.spd)
 	slots := days * w.spd
 
-	inputs := make([]pipeline.SeriesInput, 0, len(w.towers))
+	towerIDs := make([]int, 0, len(w.towers))
+	locations := make([]geo.Point, 0, len(w.towers))
+	raw := linalg.NewMatrix(len(w.towers), slots)
 	for _, id := range w.sortedIDsLocked() {
 		ts := w.towers[id]
 		w.advance(ts, w.latest)
@@ -381,19 +391,19 @@ func (w *Window) Dataset() (*pipeline.Dataset, error) {
 		// silent (no add() calls to score them) are evaluated here.
 		w.judgeLocked(ts)
 		if ts.quarantined {
-			continue
+			continue // before a row is spent: the next tower takes this one
 		}
-		bytes := make([]float64, slots)
-		for k := range bytes {
-			bytes[k] = ts.ring[(startSlot+int64(k))%int64(w.ringSlots)]
-		}
-		inputs = append(inputs, pipeline.SeriesInput{
-			TowerID:  id,
-			Location: w.locations[id],
-			Bytes:    bytes,
-		})
+		// The window is shorter than the ring, so it wraps at most once.
+		row := raw.Row(len(towerIDs))
+		n := copy(row, ts.ring[startSlot%int64(w.ringSlots):])
+		copy(row[n:], ts.ring)
+		towerIDs = append(towerIDs, id)
+		locations = append(locations, w.locations[id])
 	}
-	return pipeline.VectorizeSeries(inputs, pipeline.VectorizerOptions{
+	w.mu.Unlock()
+
+	raw.Rows, raw.Data = len(towerIDs), raw.Data[:len(towerIDs)*slots]
+	return pipeline.VectorizeMatrix(towerIDs, locations, raw, pipeline.VectorizerOptions{
 		Start:          w.opts.Start.Add(time.Duration(startSlot) * w.slotDur),
 		Days:           days,
 		SlotMinutes:    w.opts.SlotMinutes,

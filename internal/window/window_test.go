@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -124,11 +125,31 @@ func TestWindowDatasetMatchesBatchVectorizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A zero slot scores at most 1/relScaleFloor = 10 against its baseline,
+	// so at this threshold only the spike below can quarantine a tower.
+	w.SetGuards(Guards{Quarantine: QuarantineOptions{ZThreshold: 50}})
 	spd := 24
 	days := 10 // 10 days of feed; the dataset must be days 3..9 (last 7 complete)
-	series := genSeries(2, 4, days, spd)
-	w.SetLocations([]trace.TowerInfo{{TowerID: 0, Location: geo.Point{Lat: 31.2, Lon: 121.5}, Resolved: true}})
+	series := genSeries(2, 6, days, spd)
+	// Two towers in the middle of the ID order never reach the dataset, so
+	// the rows after them are filled, and compacted, one place up: tower 1
+	// is quarantined (it spikes through the last six slots of the feed,
+	// after the modeled window) and tower 3 is silent from the third day on,
+	// so its extracted window is all zeros.
+	for s := days*spd - 6; s < days*spd; s++ {
+		series[1][s] = 5e6
+	}
+	for s := 2 * spd; s < days*spd; s++ {
+		series[3][s] = 0
+	}
+	w.SetLocations([]trace.TowerInfo{
+		{TowerID: 0, Location: geo.Point{Lat: 31.2, Lon: 121.5}, Resolved: true},
+		{TowerID: 4, Location: geo.Point{Lat: 31.3, Lon: 121.4}, Resolved: true},
+	})
 	feedSeries(w, series, 60)
+	if st, _ := w.TowerStats(1); !st.Quarantined || w.Summary().Quarantined != 1 {
+		t.Fatalf("want exactly tower 1 quarantined, got %+v", w.Summary())
+	}
 
 	ds, err := w.Dataset()
 	if err != nil {
@@ -149,14 +170,10 @@ func TestWindowDatasetMatchesBatchVectorizer(t *testing.T) {
 	// Build the reference dataset through the batch vectorizer on the
 	// same suffix of the ground-truth series.
 	var inputs []pipeline.SeriesInput
-	for id := 0; id < 4; id++ {
-		loc := geo.Point{}
-		if id == 0 {
-			loc = geo.Point{Lat: 31.2, Lon: 121.5}
-		}
+	for _, id := range []int{0, 2, 3, 4, 5} { // tower 3 falls to MinActiveSlots in the reference too
 		inputs = append(inputs, pipeline.SeriesInput{
 			TowerID:  id,
-			Location: loc,
+			Location: map[int]geo.Point{0: {Lat: 31.2, Lon: 121.5}, 4: {Lat: 31.3, Lon: 121.4}}[id],
 			Bytes:    series[id][startSlot : startSlot+7*spd],
 		})
 	}
@@ -169,8 +186,8 @@ func TestWindowDatasetMatchesBatchVectorizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.NumTowers() != want.NumTowers() {
-		t.Fatalf("towers = %d, want %d", ds.NumTowers(), want.NumTowers())
+	if !reflect.DeepEqual(ds.TowerIDs, []int{0, 2, 4, 5}) || !reflect.DeepEqual(want.TowerIDs, ds.TowerIDs) {
+		t.Fatalf("towers = %v (reference %v), want [0 2 4 5]", ds.TowerIDs, want.TowerIDs)
 	}
 	for i := range want.TowerIDs {
 		if ds.TowerIDs[i] != want.TowerIDs[i] {
