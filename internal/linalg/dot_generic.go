@@ -23,3 +23,11 @@ func dotVecAsm32(a, b *float32, n int) float32 {
 func dot1x4Asm32(a, b *float32, ldb, n int, out *[4]float32) {
 	panic("linalg: dot1x4Asm32 without assembly support")
 }
+
+func residualLanesAsm(v, w, h *float64, ldh, r, n int, lanes *[4]float64) {
+	panic("linalg: residualLanesAsm without assembly support")
+}
+
+func residualLanesAsm32(v, w, h *float32, ldh, r, n int, lanes *[4]float64) {
+	panic("linalg: residualLanesAsm32 without assembly support")
+}

@@ -11,7 +11,9 @@ import (
 // Blocked Gram-matrix distance engine.
 //
 // The clustering and metric stages of the pipeline are dominated by pairwise
-// Euclidean distances over ~10,000 rows of 1,008 slots. Computed per pair
+// Euclidean distances over ~10,000 rows of 2,016 slots (the service and
+// every benchmark workload model 14 days of 10-minute slots; the paper's
+// single week is 1,008). Computed per pair
 // (one subtract-square loop per (i,j)), every pair streams both rows from
 // memory: O(N²·d) loads for O(N²·d) flops, hopelessly memory-bound at scale.
 // The kernels here instead tile the output into pairTile×pairTile blocks and
@@ -26,8 +28,10 @@ import (
 // VFMADD231PD) and dot32_amd64.s for float32 (8-lane VFMADD231PS), selected
 // by an element-type switch inside the generic bodies — roughly 4× the
 // scalar flop rate, with the float32 kernels moving half the bytes per
-// element on top. Everywhere else the portable register-tiled Go kernels
-// below apply, instantiated per element type.
+// element on top. The fused row residual has its own pair of kernels
+// (residual_amd64.s) behind the same gate; those use no FMA and return the
+// bits of the portable loop. Everywhere else the portable register-tiled Go
+// kernels below apply, instantiated per element type.
 //
 // Determinism contract: every output entry is computed by exactly one
 // worker, and every entry — whichever kernel variant produces it —
@@ -48,8 +52,10 @@ import (
 // the serial (workers == 1) path, so warmed callers run at 0 allocs/op.
 
 // pairTile is the row/column tile size of the blocked kernels: two panels
-// of pairTile rows × 1,008 slots (the paper's week of 10-minute slots) sit
-// around 500 KiB together, comfortably inside L2 while a tile is computed.
+// of pairTile rows × 2,016 slots (14 days of 10-minute slots, what the
+// service and the benchmark workloads model) are about 1 MiB together at
+// float64 and half that at float32, which an L2 of a few MiB holds while a
+// tile is computed; the paper's 1,008-slot week needs half of either.
 const pairTile = 32
 
 // stripWorkers normalises a worker count against the number of strips.
@@ -512,12 +518,15 @@ const residualChunk = 256
 // would) and consumed at once. The subtraction runs at the element type and
 // the squares accumulate in float64 at either precision, in four partial
 // sums per row keyed by column mod 4 and folded (s0+s1)+(s2+s3). dst must
-// have length v.Rows and w at least one column. Up to `workers` goroutines (≤ 0 means GOMAXPROCS)
-// each own whole row strips and every dst entry is written by exactly one
-// of them, so the result is bit-identical for any worker count; a caller
-// that wants ‖v − w·h‖² folds dst in row order. Cancellation is observed
-// between strips and worker panics come back as the returned error; the
-// serial path performs no allocations.
+// have length v.Rows and w at least one column. On amd64 with AVX2 the
+// whole vectors of a row run in the assembly kernels of residual_amd64.s,
+// which round every product and sum separately in the same order, so the
+// result does not depend on which path ran. Up to `workers` goroutines
+// (≤ 0 means GOMAXPROCS) each own whole row strips and every dst entry is
+// written by exactly one of them, so the result is bit-identical for any
+// worker count; a caller that wants ‖v − w·h‖² folds dst in row order.
+// Cancellation is observed between strips and worker panics come back as
+// the returned error; the serial path performs no allocations.
 func RowResidualsSquaredIntoCtx[F Float](ctx context.Context, dst []float64, v, w, h *Mat[F], workers int) error {
 	if w.Cols != h.Rows || w.Cols == 0 {
 		return fmt.Errorf("%w: %dx%d times %dx%d", ErrDimensionMismatch, w.Rows, w.Cols, h.Rows, h.Cols)
@@ -535,75 +544,111 @@ func RowResidualsSquaredIntoCtx[F Float](ctx context.Context, dst []float64, v, 
 	return stripLoop(ctx, strips, func(s int) { residualStrip(dst, v, w, h, s) })
 }
 
-// residualStrip fills the row residuals of one pairTile strip. The first
-// r−1 terms of an entry of w·h accumulate in the chunk buffer, four k per
-// pass (one load and store of the buffer per four products); the last term
-// is added in the pass that subtracts from v and squares, so the finished
-// product row is never stored. Every entry accumulates in ascending k.
+// residualStrip fills the row residuals of one pairTile strip: the whole
+// vectors of a row go through the assembly kernel where there is one, the
+// columns left — all of them on the portable path — through residualLanes.
+// The two produce the same bits, so which one ran never shows in dst.
 func residualStrip[F Float](dst []float64, v, w, h *Mat[F], s int) {
 	m, r := v.Cols, w.Cols
 	i0 := s * pairTile
 	i1 := min(v.Rows, i0+pairTile)
-	last := r - 1
-	var buf [residualChunk]F
 	for i := i0; i < i1; i++ {
 		vrow := v.Data[i*m : (i+1)*m]
 		wrow := w.Data[i*r : (i+1)*r]
-		var s0, s1, s2, s3 float64
-		for j0 := 0; j0 < m; j0 += residualChunk {
-			j1 := min(m, j0+residualChunk)
-			x := vrow[j0:j1]
-			p := buf[:len(x)]
+		var lanes [4]float64
+		from := residualVectors(&lanes, vrow, wrow, h.Data)
+		residualLanes(&lanes, vrow, wrow, h.Data, from)
+		dst[i] = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+	}
+}
+
+// residualVectors is the path dispatch of the residual, as dotPair is of
+// the dots: where the build and the CPU have the AVX2 kernels
+// (residual_amd64.s) it runs the row's whole vectors — 4 float64 or 8
+// float32 columns each — through them and returns the number of columns
+// taken; otherwise it returns 0 and leaves lanes alone.
+func residualVectors[F Float](lanes *[4]float64, vrow, wrow, hd []F) int {
+	m, r := len(vrow), len(wrow)
+	switch x := any(vrow).(type) {
+	case []float64:
+		if n := m &^ 3; useAsm && n > 0 {
+			residualLanesAsm(&x[0], &any(wrow).([]float64)[0], &any(hd).([]float64)[0], m, r, n, lanes)
+			return n
+		}
+	case []float32:
+		if n := m &^ 7; useAsmF32 && n > 0 {
+			residualLanesAsm32(&x[0], &any(wrow).([]float32)[0], &any(hd).([]float32)[0], m, r, n, lanes)
+			return n
+		}
+	}
+	return 0
+}
+
+// residualLanes is the portable residual loop and the reference of the
+// assembly kernels: it adds the squares of v − w·h over columns
+// [from, len(vrow)) of one row onto the four partial sums in lanes. from
+// must be a multiple of 4. The first r−1 terms of an entry of w·h
+// accumulate in the chunk buffer, four k per pass (one load and store of
+// the buffer per four products); the last term is added in the pass that
+// subtracts from v and squares, so the finished product row is never
+// stored. Every entry accumulates in ascending k.
+func residualLanes[F Float](lanes *[4]float64, vrow, wrow, hd []F, from int) {
+	m, last := len(vrow), len(wrow)-1
+	s0, s1, s2, s3 := lanes[0], lanes[1], lanes[2], lanes[3]
+	var buf [residualChunk]F
+	for j0 := from; j0 < m; j0 += residualChunk {
+		j1 := min(m, j0+residualChunk)
+		x := vrow[j0:j1]
+		p := buf[:len(x)]
+		for j := range p {
+			p[j] = 0
+		}
+		k := 0
+		for ; k+4 <= last; k += 4 {
+			a0, a1, a2, a3 := wrow[k], wrow[k+1], wrow[k+2], wrow[k+3]
+			h0 := hd[(k+0)*m+j0 : (k+0)*m+j1][:len(p)]
+			h1 := hd[(k+1)*m+j0 : (k+1)*m+j1][:len(p)]
+			h2 := hd[(k+2)*m+j0 : (k+2)*m+j1][:len(p)]
+			h3 := hd[(k+3)*m+j0 : (k+3)*m+j1][:len(p)]
 			for j := range p {
-				p[j] = 0
-			}
-			k := 0
-			for ; k+4 <= last; k += 4 {
-				a0, a1, a2, a3 := wrow[k], wrow[k+1], wrow[k+2], wrow[k+3]
-				h0 := h.Data[(k+0)*m+j0 : (k+0)*m+j1][:len(p)]
-				h1 := h.Data[(k+1)*m+j0 : (k+1)*m+j1][:len(p)]
-				h2 := h.Data[(k+2)*m+j0 : (k+2)*m+j1][:len(p)]
-				h3 := h.Data[(k+3)*m+j0 : (k+3)*m+j1][:len(p)]
-				for j := range p {
-					p[j] = (((p[j] + a0*h0[j]) + a1*h1[j]) + a2*h2[j]) + a3*h3[j]
-				}
-			}
-			for ; k < last; k++ {
-				a := wrow[k]
-				hk := h.Data[k*m+j0 : k*m+j1][:len(p)]
-				for j := range p {
-					p[j] += a * hk[j]
-				}
-			}
-			a := wrow[last]
-			hl := h.Data[last*m+j0 : last*m+j1][:len(p)]
-			j := 0
-			for ; j+4 <= len(p); j += 4 {
-				d0 := float64(x[j+0] - (p[j+0] + a*hl[j+0]))
-				d1 := float64(x[j+1] - (p[j+1] + a*hl[j+1]))
-				d2 := float64(x[j+2] - (p[j+2] + a*hl[j+2]))
-				d3 := float64(x[j+3] - (p[j+3] + a*hl[j+3]))
-				s0 += d0 * d0
-				s1 += d1 * d1
-				s2 += d2 * d2
-				s3 += d3 * d3
-			}
-			// Only the last chunk can have a tail; its columns keep their
-			// mod-4 lanes because every chunk starts on a multiple of 4.
-			for ; j < len(p); j++ {
-				d := float64(x[j] - (p[j] + a*hl[j]))
-				switch j % 4 {
-				case 0:
-					s0 += d * d
-				case 1:
-					s1 += d * d
-				default:
-					s2 += d * d
-				}
+				p[j] = (((p[j] + a0*h0[j]) + a1*h1[j]) + a2*h2[j]) + a3*h3[j]
 			}
 		}
-		dst[i] = (s0 + s1) + (s2 + s3)
+		for ; k < last; k++ {
+			a := wrow[k]
+			hk := hd[k*m+j0 : k*m+j1][:len(p)]
+			for j := range p {
+				p[j] += a * hk[j]
+			}
+		}
+		a := wrow[last]
+		hl := hd[last*m+j0 : last*m+j1][:len(p)]
+		j := 0
+		for ; j+4 <= len(p); j += 4 {
+			d0 := float64(x[j+0] - (p[j+0] + a*hl[j+0]))
+			d1 := float64(x[j+1] - (p[j+1] + a*hl[j+1]))
+			d2 := float64(x[j+2] - (p[j+2] + a*hl[j+2]))
+			d3 := float64(x[j+3] - (p[j+3] + a*hl[j+3]))
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		// Only the last chunk can have a tail; its columns keep their
+		// mod-4 lanes because every chunk starts on a multiple of 4.
+		for ; j < len(p); j++ {
+			d := float64(x[j] - (p[j] + a*hl[j]))
+			switch j % 4 {
+			case 0:
+				s0 += d * d
+			case 1:
+				s1 += d * d
+			default:
+				s2 += d * d
+			}
+		}
 	}
+	lanes[0], lanes[1], lanes[2], lanes[3] = s0, s1, s2, s3
 }
 
 // AssignedSquaredDistance returns the squared Euclidean distance between

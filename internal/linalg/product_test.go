@@ -88,8 +88,7 @@ var residualShapes = [][3]int{
 }
 
 func TestRowResidualsMatchNaiveOracle(t *testing.T) {
-	t.Run("float64", testRowResidualsMatchNaive[float64])
-	t.Run("float32", testRowResidualsMatchNaive[float32])
+	onEachPrecision(t, testRowResidualsMatchNaive[float64], testRowResidualsMatchNaive[float32])
 }
 
 func testRowResidualsMatchNaive[F Float](t *testing.T) {
@@ -210,14 +209,20 @@ func TestProductKernelsPreCancelled(t *testing.T) {
 	}
 }
 
-// The warmed serial kernels run once per NMF iteration on reused scratch
-// and must not allocate.
+// The warmed serial kernels run once per NMF iteration (and, on the fused
+// pass, once per strip) on reused scratch and must not allocate — at either
+// element type, through the assembly residual kernel or the portable loop.
 func TestProductKernelsZeroAllocWarmed(t *testing.T) {
+	onEachPrecision(t, testProductKernelsZeroAlloc[float64], testProductKernelsZeroAlloc[float32])
+}
+
+func testProductKernelsZeroAlloc[F Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(405))
-	v := nonNegativeMat[float64](rng, 100, 300, 10)
-	w := nonNegativeMat[float64](rng, 100, 5, 2)
-	h := nonNegativeMat[float64](rng, 5, 300, 2)
-	dot := NewMatrix(100, 5)
+	// 301 columns: whole vectors for the residual kernel plus a portable tail.
+	v := nonNegativeMat[F](rng, 100, 301, 10)
+	w := nonNegativeMat[F](rng, 100, 5, 2)
+	h := nonNegativeMat[F](rng, 5, 301, 2)
+	dot := NewMat[F](100, 5)
 	res := make([]float64, 100)
 	ctx := context.Background()
 	if allocs := testing.AllocsPerRun(10, func() {

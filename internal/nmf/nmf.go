@@ -9,9 +9,13 @@
 // convex combination.
 //
 // The updates run in Gram form: the denominators are (WᵀW)·H and W·(H·Hᵀ),
-// so an iteration makes three passes of n·m·r work — the numerators Wᵀ·V
-// and V·Hᵀ on the linalg dot micro-kernels, and one fused ‖V − W·H‖
-// residual — and everything else is r-sized.
+// so an iteration reads V twice — once transposed for the numerator Wᵀ·V,
+// and once in row strips that each compute their rows of V·Hᵀ, update their
+// rows of W and take their rows' ‖V − W·H‖ residual while the strip is
+// cache-hot — with the n·m·r work on the linalg dot and residual kernels
+// and everything else r-sized. The three-pass iteration this replaced
+// (V·Hᵀ, then all of W, then the residual) is kept as factorizeThreePass in
+// fused_oracle_test.go, and agrees with it in every bit.
 package nmf
 
 import (
@@ -22,6 +26,7 @@ import (
 	"math/rand"
 
 	"repro/internal/linalg"
+	"repro/internal/panicsafe"
 )
 
 // Options configure a factorisation run.
@@ -35,15 +40,15 @@ type Options struct {
 	Tolerance float64
 	// Seed drives the random initialisation.
 	Seed int64
-	// Workers bounds the goroutines used for the three n·m·r-sized steps of
-	// an iteration — the numerators Wᵀ·V (parallel over time slots) and
-	// V·Hᵀ (over towers) and the reconstruction residual (over towers) —
-	// and for the one-time transpose of V (≤ 0 means GOMAXPROCS). The
-	// r-sized products in between run on the calling goroutine. The
-	// factorisation is deterministic: for a fixed Seed the result is
-	// bit-identical for any Workers value, because every output entry is
-	// computed by one worker in one fixed accumulation order and the
-	// residual is folded serially in row order.
+	// Workers bounds the goroutines used for the two n·m·r-sized passes of
+	// an iteration — the numerator Wᵀ·V (parallel over time slots) and the
+	// strip pass that forms V·Hᵀ, updates W and takes the reconstruction
+	// residual (parallel over towers) — and for the one-time transpose of V
+	// (≤ 0 means GOMAXPROCS). The r-sized products in between run on the
+	// calling goroutine. The factorisation is deterministic: for a fixed
+	// Seed the result is bit-identical for any Workers value, because every
+	// output entry is computed by one worker in one fixed accumulation
+	// order and the residual is folded serially in row order.
 	Workers int
 }
 
@@ -81,6 +86,39 @@ var (
 
 const epsilon = 1e-12
 
+// stripRows is the number of rows of V one unit of the strip pass owns:
+// linalg's tile height, so the kernels a strip calls see exactly one of
+// their own strips, and 32 rows of 2,016 float64 slots are 0.5 MB — the
+// strip's second and third reads of its rows of V come from L2.
+const stripRows = 32
+
+// strip is one band of stripRows rows of the factorisation: views of V, W
+// and the two W-update scratch matrices over those rows, and the band's
+// slice of the row residuals. The views are built once per factorisation,
+// so an iteration allocates nothing per strip.
+type strip[F linalg.Float] struct {
+	v, w, vht, whht linalg.Mat[F]
+	rowErr          []float64
+}
+
+// update runs an iteration's W step and residual for the strip's rows:
+// W ← W ∘ (V Hᵀ) / (W (H Hᵀ)) with hht = H·Hᵀ, then ‖v_i − (w·h)_i‖² of
+// every row against the updated W. Both depend on no other row of V or W,
+// so strips run in any order, on any goroutine, with the same bits. The
+// kernels run serially inside the strip; the pool is across strips.
+func (s *strip[F]) update(ctx context.Context, h, hht *linalg.Mat[F], eps F) error {
+	if err := linalg.CrossDotIntoCtx(ctx, &s.vht, &s.v, h, 1); err != nil {
+		return err
+	}
+	if err := s.w.MulInto(&s.whht, hht); err != nil {
+		return err
+	}
+	for i := range s.w.Data {
+		s.w.Data[i] *= s.vht.Data[i] / (s.whht.Data[i] + eps)
+	}
+	return linalg.RowResidualsSquaredIntoCtx(ctx, s.rowErr, &s.v, &s.w, h, 1)
+}
+
 // FactorizeContext is FactorizeMatContext for a matrix held as a slice of
 // float64 row vectors. When the rows alias one contiguous buffer — a
 // dataset's flat raw matrix — the factorisation reads it in place; loose
@@ -106,18 +144,26 @@ func FactorizeContext(ctx context.Context, rows []linalg.Vector, opts Options) (
 // instantiation, and the reported W/H are widened to float64 once at the
 // end.
 //
-// Per iteration: Wᵀ·V as linalg.CrossDotIntoCtx of a transposed copy of V
-// against Wᵀ, V·Hᵀ as the same kernel on V and H, the denominators
-// (WᵀW)·H and W·(H·Hᵀ) through r×r Gram matrices, and the error from
-// linalg.RowResidualsSquaredIntoCtx, which never stores W·H. The scratch is
-// that transposed copy (the one n×m buffer, made once) plus r-sized
-// factors; V itself is only read.
+// An iteration makes two passes over V. The H step takes Wᵀ·V as
+// linalg.CrossDotIntoCtx of a transposed copy of V against Wᵀ and its
+// denominator (WᵀW)·H through an r×r Gram matrix. The W step and the error
+// share one panicsafe.ForEach over strips of stripRows rows (strip.update):
+// each strip forms its rows of V·Hᵀ on the same dot kernels and of
+// W·(H·Hᵀ), updates its rows of W, and takes their residuals from
+// linalg.RowResidualsSquaredIntoCtx, which never stores W·H — row i of the
+// update and of the residual needs only row i of V, so the strip reads its
+// rows from memory once. The scratch is the transposed copy (the one n×m
+// buffer, made once) plus r-sized factors; V itself is only read. The loop
+// nest this replaced — V·Hᵀ, the W update and the residual as three
+// whole-matrix steps — is factorizeThreePass in fused_oracle_test.go; the
+// two agree in every bit of W, H, the errors and the iteration count.
 //
-// ctx is observed once per multiplicative-update iteration and between row
-// strips of the three parallel kernels, so a cancelled factorisation
-// returns within one update step and its worker pool drains before the
-// call returns. A kernel error — cancellation or a recovered worker panic —
-// is returned as such, never read as convergence.
+// ctx is observed once per multiplicative-update iteration, between row
+// strips of the Wᵀ·V kernel, and before each strip and each of its two
+// kernels in the strip pass, so a cancelled factorisation returns within
+// one update step and its worker pool drains before the call returns. A
+// strip or kernel error — cancellation or a recovered worker panic — is
+// returned as such, never read as convergence.
 func FactorizeMatContext[F linalg.Float](ctx context.Context, v *linalg.Mat[F], opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	n, m := v.Rows, v.Cols
@@ -169,13 +215,27 @@ func FactorizeMatContext[F linalg.Float](ctx context.Context, v *linalg.Mat[F], 
 		vtw    = linalg.NewMat[F](m, r) // (Wᵀ·V)ᵀ
 		gram   = linalg.NewMat[F](r, r) // WᵀW, then H·Hᵀ
 		wtwh   = linalg.NewMat[F](r, m)
-		vht    = linalg.NewMat[F](n, r)
-		whht   = linalg.NewMat[F](n, r)
+		wstep  = make([]F, 2*n*r) // V·Hᵀ, then W·(H·Hᵀ), seen through the strips
 		rowErr = make([]float64, n)
 	)
 	// The update-rule damping term. 1e-12 is an ordinary normal float32
 	// (min normal ≈ 1.2e-38), so the narrowing keeps its value.
 	eps := F(epsilon)
+	strips := make([]strip[F], (n+stripRows-1)/stripRows)
+	for s := range strips {
+		i0 := s * stripRows
+		i1 := min(n, i0+stripRows)
+		rowsOf := func(data []F, cols int) linalg.Mat[F] {
+			return linalg.Mat[F]{Rows: i1 - i0, Cols: cols, Data: data[i0*cols : i1*cols]}
+		}
+		strips[s] = strip[F]{
+			v: rowsOf(v.Data, m), w: rowsOf(w.Data, r),
+			vht: rowsOf(wstep[:n*r], r), whht: rowsOf(wstep[n*r:], r),
+			rowErr: rowErr[i0:i1],
+		}
+	}
+	// Built once, not per iteration: a closure handed to the pool escapes.
+	updateStrip := func(_, s int) error { return strips[s].update(ctx, h, gram, eps) }
 	done := ctx.Done()
 	prevErr := math.Inf(1)
 	iterations := 0
@@ -207,26 +267,18 @@ func FactorizeMatContext[F linalg.Float](ctx context.Context, v *linalg.Mat[F], 
 				hrow[j] *= vtw.Data[j*r+k] / (den[j] + eps)
 			}
 		}
-		// W ← W ∘ (V Hᵀ) / (W (H Hᵀ)): rows of V against rows of H.
-		if err := linalg.CrossDotIntoCtx(ctx, vht, v, h, workers); err != nil {
-			return nil, err
-		}
+		// W ← W ∘ (V Hᵀ) / (W (H Hᵀ)) and the row residuals against the new
+		// W, strip by strip.
 		if err := h.GramInto(gram, 1); err != nil {
 			return nil, err
 		}
-		if err := w.MulInto(whht, gram); err != nil {
+		if err := panicsafe.ForEach(ctx, len(strips), workers, updateStrip); err != nil {
 			return nil, err
-		}
-		for i := range w.Data {
-			w.Data[i] *= vht.Data[i] / (whht.Data[i] + eps)
 		}
 		// Convergence check on the reconstruction error ‖V − W·H‖: the
 		// direct residual (the trace identity cancels catastrophically on
 		// near-exact fits), float64 row sums folded in row order, so the
 		// decision is the same for any worker count.
-		if err := linalg.RowResidualsSquaredIntoCtx(ctx, rowErr, v, w, h, workers); err != nil {
-			return nil, err
-		}
 		var sq float64
 		for _, e := range rowErr {
 			sq += e

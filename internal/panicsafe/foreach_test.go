@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dsp"
 	"repro/internal/linalg"
+	"repro/internal/nmf"
 	"repro/internal/panicsafe"
 	"repro/internal/testutil"
 )
@@ -237,21 +238,37 @@ func TestPoolContractAtCallSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nonNegative := linalg.NewMatrix(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		nonNegative.Data[i] = max(v, -v)
+	}
 	sites := []struct {
 		name string
-		call func(ctx context.Context) error
+		// passes is the number of polls that succeed first: enough to be
+		// past the ones the site makes on the calling goroutine.
+		passes int64
+		call   func(ctx context.Context) error
 	}{
-		{"linalg.PairwiseSquaredCondensedCtx", func(ctx context.Context) error {
+		{"linalg.PairwiseSquaredCondensedCtx", 2, func(ctx context.Context) error {
 			return linalg.PairwiseSquaredCondensedCtx(ctx, make([]float64, 200*199/2), x, nil, 4)
 		}},
-		{"linalg.CrossDotIntoCtx", func(ctx context.Context) error {
+		{"linalg.CrossDotIntoCtx", 2, func(ctx context.Context) error {
 			return linalg.CrossDotIntoCtx(ctx, linalg.NewMatrix(200, 200), x, x, 4)
 		}},
-		{"dsp.BatchTransformContext", func(ctx context.Context) error {
+		{"dsp.BatchTransformContext", 2, func(ctx context.Context) error {
 			return plan.BatchTransformContext(ctx, signals, func(int, []complex128) error { return nil })
 		}},
-		{"cluster.KMeansMatCtx", func(ctx context.Context) error {
+		{"cluster.KMeansMatCtx", 2, func(ctx context.Context) error {
 			_, err := cluster.KMeansMatCtx(ctx, x, cluster.KMeansOptions{K: 3, Restarts: 4, Workers: 4, Seed: 1})
+			return err
+		}},
+		// The factorisation's strip pass (W update + residual, 7 strips of
+		// these 200 rows) is its first pooled dispatch here: three polls
+		// come before it, all on the caller — the transpose's entry check,
+		// the iteration's, and the one strip of the 8-row Wᵀ·V product,
+		// which runs inline.
+		{"nmf.FactorizeMatContext", 3, func(ctx context.Context) error {
+			_, err := nmf.FactorizeMatContext(ctx, nonNegative, nmf.Options{Rank: 3, Seed: 1, Workers: 4})
 			return err
 		}},
 	}
@@ -261,7 +278,7 @@ func TestPoolContractAtCallSites(t *testing.T) {
 				t.Skip("the FFT batch pool is GOMAXPROCS wide: one proc runs it inline")
 			}
 			testutil.CheckNoGoroutineLeak(t)
-			ctx := newTripContext(2)
+			ctx := newTripContext(site.passes)
 			ctx.boom = site.name + " exploded"
 			var pe *panicsafe.Error
 			if err := site.call(ctx); !errors.As(err, &pe) || pe.Value != ctx.boom {
