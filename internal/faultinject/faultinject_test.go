@@ -197,5 +197,32 @@ func TestSourceBatchNeverCrossesFaultBoundary(t *testing.T) {
 	}
 }
 
+// TestSourceTransientFaultResumes: a Transient fault fires on exactly one
+// call, hands out nothing with it, and the stream carries on from the
+// record after the boundary.
+func TestSourceTransientFaultResumes(t *testing.T) {
+	recs := make([]trace.Record, 10)
+	for i := range recs {
+		recs[i].UserID = i
+	}
+	src := faultinject.NewSource(trace.SliceSource(recs), faultinject.SourceProfile{ErrAfter: 7, Transient: true})
+	dst := make([]trace.Record, 64)
+	if n, err := src.NextBatch(dst); n != 7 || err != nil {
+		t.Fatalf("first batch = (%d, %v), want (7, nil)", n, err)
+	}
+	if n, err := src.NextBatch(dst); n != 0 || !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("second batch = (%d, %v), want (0, ErrInjected)", n, err)
+	}
+	if n, err := src.NextBatch(dst); n != 3 || err != nil || dst[0].UserID != 7 {
+		t.Fatalf("third batch = (%d, %v) starting at record %d, want (3, nil) starting at 7", n, err, dst[0].UserID)
+	}
+	if n, err := src.NextBatch(dst); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("fourth batch = (%d, %v), want (0, io.EOF)", n, err)
+	}
+	if src.Delivered() != len(recs) {
+		t.Fatalf("delivered %d records, want %d", src.Delivered(), len(recs))
+	}
+}
+
 // rngFromSeed gives subtests stable but distinct randomness.
 func rngFromSeed(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

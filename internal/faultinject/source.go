@@ -18,6 +18,11 @@ type SourceProfile struct {
 	ErrAfter int
 	// Err overrides the injected error.
 	Err error
+	// Transient makes the ErrAfter fault fire once: the call that reaches
+	// it returns Err and the calls after it resume the stream at the next
+	// record — the model of a live feed that drops its connection and
+	// reconnects, the kind of source a supervisor may pull again.
+	Transient bool
 	// PanicAfter makes NextBatch panic after this many records have
 	// been delivered — the model of a bug in a source implementation,
 	// which the pipeline's worker pools must convert into an error
@@ -27,12 +32,13 @@ type SourceProfile struct {
 
 // Source wraps a trace.Source with record-level fault injection. After
 // the configured fault fires the source is dead: subsequent calls return
-// the same error.
+// the same error (unless the profile is Transient).
 type Source struct {
 	src       trace.Source
 	p         SourceProfile
 	delivered int
 	err       error
+	fired     bool // a Transient fault has already fired
 }
 
 // NewSource wraps src with the given fault profile.
@@ -43,7 +49,7 @@ func NewSource(src trace.Source, p SourceProfile) *Source {
 	return &Source{src: src, p: p}
 }
 
-// Delivered returns the number of records handed out before any fault.
+// Delivered returns the number of records handed out so far.
 func (s *Source) Delivered() int { return s.delivered }
 
 // trip fires the configured fault if the stream has reached it. It
@@ -59,8 +65,12 @@ func (s *Source) trip() (int, error) {
 		}
 		budget = s.p.PanicAfter - s.delivered
 	}
-	if s.p.ErrAfter > 0 {
+	if s.p.ErrAfter > 0 && !s.fired {
 		if s.delivered >= s.p.ErrAfter {
+			if s.p.Transient {
+				s.fired = true
+				return 0, s.p.Err
+			}
 			s.err = s.p.Err
 			return 0, s.err
 		}

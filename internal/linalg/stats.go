@@ -123,13 +123,16 @@ func QuantileInPlace(v []float64, q float64) float64 {
 // after it is ≥ v[k] — and returns that element. It is the expected-O(n)
 // quickselect used for the median of the condensed pairwise-distance
 // buffer, where a full sort of N(N−1)/2 entries would dominate the kernel
-// itself. It panics if k is out of range.
+// itself. A range of at most selectSortCutoff elements — the window
+// guard's ≤ 14 samples per slot of day arrive that short — is finished by
+// insertion sort, which puts the same order statistics in place with no
+// pivot to choose. It panics if k is out of range.
 func SelectKth(v []float64, k int) float64 {
 	if k < 0 || k >= len(v) {
 		panic(fmt.Sprintf("linalg: SelectKth(%d) on %d elements", k, len(v)))
 	}
 	lo, hi := 0, len(v)-1
-	for lo < hi {
+	for hi-lo >= selectSortCutoff {
 		// Median-of-three pivot guards the common sorted/reversed inputs.
 		mid := lo + (hi-lo)/2
 		if v[mid] < v[lo] {
@@ -168,8 +171,20 @@ func SelectKth(v []float64, k int) float64 {
 			lo = j + 1
 		}
 	}
+	for i := lo + 1; i <= hi; i++ {
+		x := v[i]
+		j := i
+		for ; j > lo && x < v[j-1]; j-- {
+			v[j] = v[j-1]
+		}
+		v[j] = x
+	}
 	return v[k]
 }
+
+// selectSortCutoff is the range length at and below which SelectKth stops
+// partitioning and sorts.
+const selectSortCutoff = 16
 
 // CDF computes the empirical cumulative distribution of the values in v at
 // the given probe points. For each probe p the result is the fraction of

@@ -77,3 +77,69 @@ func TestQuantileMatchesSortOracle(t *testing.T) {
 		}
 	}
 }
+
+// Property: around selectSortCutoff — lengths 1–40, so ranges that are
+// sorted at once, ranges partitioned once and then sorted, and ranges
+// partitioned twice — SelectKth leaves at every k the element a full sort
+// puts there, partitions the rest around it and keeps the multiset, on
+// random, heavily tied, sorted, reversed and constant inputs; and with NaNs
+// mixed in, QuantileInPlace over it still equals the sort form at every
+// order statistic and between each pair of neighbours.
+func TestSelectKthMatchesSortOracleAroundCutoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(389))
+	shapes := []struct {
+		name string
+		at   func(i, n int) float64
+	}{
+		{"random", func(int, int) float64 { return rng.NormFloat64() }},
+		{"ties", func(int, int) float64 { return float64(rng.Intn(3)) }},
+		{"sorted", func(i, _ int) float64 { return float64(i / 2) }}, // pairs of equal neighbours
+		{"reversed", func(i, n int) float64 { return float64((n - i) / 2) }},
+		{"constant", func(int, int) float64 { return 7 }},
+	}
+	for n := 1; n <= 40; n++ {
+		for _, shape := range shapes {
+			name := shape.name
+			in := make([]float64, n)
+			for i := range in {
+				in[i] = shape.at(i, n)
+			}
+			sorted := append([]float64(nil), in...)
+			sort.Float64s(sorted)
+			for k := 0; k < n; k++ {
+				v := append([]float64(nil), in...)
+				if got := SelectKth(v, k); got != sorted[k] || v[k] != got {
+					t.Fatalf("%s n=%d k=%d: SelectKth = %g (v[k] = %g), sorted[k] = %g (input %v)", name, n, k, got, v[k], sorted[k], in)
+				}
+				for i, x := range v {
+					if (i < k && x > v[k]) || (i > k && x < v[k]) {
+						t.Fatalf("%s n=%d k=%d: v[%d] = %g is on the wrong side of v[k] = %g", name, n, k, i, x, v[k])
+					}
+				}
+				sort.Float64s(v)
+				for i := range v {
+					if v[i] != sorted[i] {
+						t.Fatalf("%s n=%d k=%d: SelectKth changed the multiset: %v, want %v", name, n, k, v, sorted)
+					}
+				}
+			}
+			// The same input with NaNs over a few entries, through the quantile.
+			withNaN := Vector(append([]float64(nil), in...))
+			for i := 0; i < n; i += 1 + rng.Intn(5) {
+				withNaN[i] = math.NaN()
+			}
+			for _, v := range []Vector{in, withNaN} {
+				for step := 0; step <= 2*(n-1); step++ {
+					q := 1.0
+					if n > 1 {
+						q = float64(step) / float64(2*(n-1))
+					}
+					got, want := QuantileInPlace(v.Clone(), q), quantileSortOracle(v, q)
+					if !sameQuantile(got, want) {
+						t.Fatalf("%s n=%d q=%g: QuantileInPlace = %g, sort form %g (input %v)", name, n, q, got, want, v)
+					}
+				}
+			}
+		}
+	}
+}

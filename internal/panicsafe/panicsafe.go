@@ -4,9 +4,9 @@
 // worker, by contrast, would crash the whole process — no deferred
 // recover on the caller's stack can catch it. ForEach is the pipeline's
 // one row pool and recovers its workers itself; the goroutines that are
-// not row pools (the ingestion chunk reader and parsers, the serve loops
-// and handlers) run their bodies through Call, as does the vectorizer's
-// read loop.
+// not row pools (the ingestion chunk reader and parsers, the read-ahead
+// producer's pulls, the serve loops and handlers) run their bodies through
+// Call, as does the vectorizer's read loop.
 // Either way the *panicsafe.Error comes back through the normal error
 // return instead of the process dying mid-analysis.
 package panicsafe

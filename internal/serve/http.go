@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/anomaly"
 	"repro/internal/panicsafe"
+	"repro/internal/trace"
 )
 
 // metrics are the service's operational counters, exposed on /metrics
@@ -31,6 +32,7 @@ type metrics struct {
 	ingestRecords    atomic.Uint64
 	ingestBatches    atomic.Uint64
 	ingestErrors     atomic.Uint64
+	ingestWaits      trace.ReadAheadWaits // the two ingest stages waiting for each other, over all attempts
 	modelCycles      atomic.Uint64
 	modelSkips       atomic.Uint64
 	modelFailures    atomic.Uint64

@@ -41,6 +41,8 @@ type metric struct {
 	read    func() float64 // takes the number at scrape time
 }
 
+const ingestWaitHelp = "Seconds one ingest stage spent blocked on the other: bound=source is the cleaning goroutine waiting for a decoded batch, bound=window the decoding goroutine waiting for a free buffer."
+
 // metricTable builds the rows over this server's counters. Adding an
 // operational number is adding a row here (and a counter, if code ticks it).
 func (s *Server) metricTable() []metric {
@@ -55,6 +57,11 @@ func (s *Server) metricTable() []metric {
 		{family: "repro_ingest_records_total", help: "Trace records ingested into the sliding window.", json: "ingest.records", read: count(&m.ingestRecords)},
 		{family: "repro_ingest_batches_total", help: "Trace batches ingested.", json: "ingest.batches", read: count(&m.ingestBatches)},
 		{family: "repro_ingest_errors_total", help: "Ingest loop failures (supervised restarts included).", json: "ingest.errors", read: count(&m.ingestErrors)},
+		// Which ingest stage is waiting for the other: a feed that cannot keep
+		// the cleaner busy grows the first row, a cleaner + window that cannot
+		// keep up with the feed grows the second.
+		{family: "repro_ingest_wait_seconds_total", help: ingestWaitHelp, labelKey: "bound", labelVal: "source", json: "ingest.wait_seconds", read: seconds(&m.ingestWaits.Consumer)},
+		{family: "repro_ingest_wait_seconds_total", help: ingestWaitHelp, labelKey: "bound", labelVal: "window", json: "ingest.wait_seconds", read: seconds(&m.ingestWaits.Producer)},
 		// The admission gate accepts exactly the cycles that publish.
 		{family: "repro_model_cycles_total", help: "Modeling cycles that published a model.", json: "model.cycles admission.accepted", read: count(&m.modelCycles)},
 		{family: "repro_model_warmup_skips_total", help: "Modeling cycles skipped while the window warms up.", json: "model.warmup_skips", read: count(&m.modelSkips)},

@@ -117,6 +117,8 @@ func metricsFixture(t *testing.T) *Server {
 	} {
 		c.Store(uint64(101 + i))
 	}
+	srv.met.ingestWaits.Consumer.Store(int64(1500 * time.Millisecond))
+	srv.met.ingestWaits.Producer.Store(int64(250 * time.Millisecond))
 	srv.ingestLoop.state.Store(loopBackoff)
 	srv.ingestLoop.restarts.Store(2)
 	srv.ingestLoop.setErr(errors.New("feed broke"))
@@ -197,7 +199,9 @@ func promSampleName(line string) string {
 // hand-written renderer per encoding — and are not regenerated: the test
 // requires golden ⊆ actual (every Prometheus HELP, TYPE and sample line,
 // every JSON path with the same value), so rows added later need no golden
-// entry. It then walks the table: every row is emitted by both renderers
+// entry (the two repro_ingest_wait_seconds_total rows were appended to the
+// goldens by hand, with the fixture line that sets them, in the change that
+// added the rows). It then walks the table: every row is emitted by both renderers
 // with the same value, and a family's rows are adjacent, as the exposition
 // format requires.
 func TestMetricsParity(t *testing.T) {

@@ -8,13 +8,21 @@
 // the re-modeling loop builds the next *model off to the side and
 // publishes it with a single pointer swap, so queries never block on
 // modeling and always see a complete, self-consistent result. The ingest
-// goroutine, the re-modeling loop and the HTTP handlers share no locks
+// goroutines, the re-modeling loop and the HTTP handlers share no locks
 // beyond the window's own mutex.
 //
-// Lifecycle: New validates the configuration, Start(ctx) launches the
-// ingest and re-modeling goroutines, Close (or cancelling ctx) drains
-// them and, when a snapshot path is configured, persists the window so a
-// restarted process resumes the identical sliding window.
+// Goroutines, all started by Start and joined by Close: the supervised
+// ingest loop, which for the length of each attempt is two — one pulls and
+// decodes Config.Source a fixed two batches ahead, one cleans and writes
+// the window (see runIngest) — the supervised re-modeling loop (plus the
+// row pools a cycle fans out over, joined before the cycle returns), the
+// supervised snapshot loop when SnapshotInterval is set, and the health
+// loop. The HTTP plane adds net/http's goroutine per request.
+//
+// Lifecycle: New validates the configuration, Start(ctx) launches those
+// goroutines, Close (or cancelling ctx) drains them and, when a snapshot
+// path is configured, persists the window so a restarted process resumes
+// the identical sliding window.
 //
 // The service is built to survive without an operator:
 //
@@ -65,6 +73,13 @@ type Config struct {
 	// The feed is passed through the streaming cleaner before it reaches
 	// the window, so duplicated and conflicting records are eliminated
 	// exactly as in the batch pipeline.
+	//
+	// NextBatch is called from one goroutine at a time, but not from the
+	// goroutine that cleans, and from a new one after every supervised
+	// restart — including a restart that follows the source's own error
+	// (see trace.Source). Close waits for a NextBatch in flight, as it
+	// always has: a source that can block must return once the context
+	// given to Start ends, or be unblocked by its owner before Close.
 	Source trace.Source
 	// POIs is the city's POI inventory, handed to the labelling stage of
 	// every re-model.
@@ -339,15 +354,38 @@ func (s *Server) saveSnapshot() error {
 	}
 }
 
-// runIngest drains the configured source through the streaming cleaner
-// into the window; it is one supervised attempt. Feed exhaustion
-// (io.EOF) is a clean return — the service keeps serving the window it
-// has. Errors and panics (a broken decoder, a faulty disk past the retry
-// budget) surface to the supervisor, which restarts the loop with
-// backoff: a restart re-reads from wherever the source is, with a fresh
-// dedup window.
+// runIngest drains the configured source into the window; it is one
+// supervised attempt, and two goroutines: a producer (trace.ReadAhead)
+// pulls — decodes — the source trace.ReadAheadDepth batches ahead, and this
+// goroutine takes those batches, in source order, through the streaming
+// cleaner into Window.AddBatch. The producer is joined before runIngest
+// returns, however it returns, so nothing outlives the attempt, and a
+// shutdown is as prompt as the source's own NextBatch — as it was when
+// this goroutine made that call itself. /metrics says which of the two is
+// waiting for the other (repro_ingest_wait_seconds_total).
+//
+// Feed exhaustion (io.EOF) is a clean return — the service keeps serving
+// the window it has. Errors and panics (a broken decoder, a faulty disk
+// past the retry budget; a panic inside the source arrives here as the
+// *panicsafe.Error the producer recovered) surface to the supervisor,
+// which restarts the loop with backoff: a restart re-reads from wherever
+// the source is, with a fresh dedup window.
+//
+// What a restart loses depends on the side that failed. A failing source
+// loses nothing it had handed out: the producer stops at the error, and
+// the error reaches this goroutine behind every record pulled before it.
+// A crash on this side — a panic in the cleaner or the window — forfeits
+// the batch in hand plus at most the trace.ReadAheadDepth batches the
+// producer had pulled: they are dropped with the attempt, not re-read.
+//
+// "Re-reads from wherever the source is" means Config.Source is pulled
+// again after it returned a non-EOF error, which trace.Source tells
+// consumers not to count on; see there for what a source given to this
+// service must do when that happens.
 func (s *Server) runIngest(ctx context.Context) error {
-	cleaned := trace.CleanSourceWindow(trace.WithContext(ctx, s.cfg.Source), s.cfg.CleanWindow)
+	ahead := trace.ReadAhead(trace.WithContext(ctx, s.cfg.Source), &s.met.ingestWaits)
+	defer ahead.Close() // joins the producer, on a panic below too
+	cleaned := trace.CleanSourceWindow(ahead, s.cfg.CleanWindow)
 	err := trace.ForEachBatch(cleaned, func(batch []trace.Record) error {
 		s.cfg.Window.AddBatch(batch)
 		s.met.ingestRecords.Add(uint64(len(batch)))

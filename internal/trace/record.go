@@ -10,9 +10,10 @@
 // worker, the order-preserving parallel chunk parser (ParallelCSVSource)
 // for more, both equivalence-tested against an encoding/csv oracle kept
 // with the tests — CleanSourceWindow filters a source through the
-// streaming Cleaner, and ForEachBatch drains one. The write path
-// (WriteCSV, CSVWriter, WriteTowersCSV) is symmetric, serialising rows
-// into reused buffers.
+// streaming Cleaner, ReadAhead pulls one on its own goroutine a fixed two
+// batches ahead of whoever consumes it, and ForEachBatch drains one. The
+// write path (WriteCSV, CSVWriter, WriteTowersCSV) is symmetric,
+// serialising rows into reused buffers.
 //
 // Fault tolerance: NewIngestSourceContext takes an ErrorPolicy that
 // selects skip / fail-fast / budget handling of malformed rows, with

@@ -10,10 +10,19 @@ import (
 // len(dst) records and returns how many were produced; dst[:n] is always
 // valid. A non-nil error is terminal and may accompany the stream's
 // final records: io.EOF for the normal end of stream, anything else a
-// producer failure. After a non-nil error the source must not be used
-// again. Calling NextBatch with an empty dst makes no progress: it
-// returns (0, nil), or the terminal error from a source already at its
-// end.
+// producer failure. After a non-nil error a consumer must not use the
+// source again expecting records: every source in this package latches
+// its terminal error and repeats it on each later call. Calling NextBatch
+// with an empty dst makes no progress: it returns (0, nil), or the
+// terminal error from a source already at its end.
+//
+// One consumer pulls again on purpose: the serve supervisor restarts its
+// ingest loop after a non-EOF error and re-pulls the same source. A
+// source handed to it must answer that pull in one of two ways — repeat
+// the error, as the sources here do (the restart budget burns down and
+// the loop is declared dead), or, if it is a live feed that can reconnect,
+// resume at the first record it has not handed out yet. It must not
+// panic, skip or replay records because of the earlier failure.
 //
 // Sources let the pipeline process traces far larger than memory: the
 // CSV readers, the streaming cleaner and the streaming vectorizer all

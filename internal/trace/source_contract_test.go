@@ -12,6 +12,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,18 +104,20 @@ func TestSourceContract(t *testing.T) {
 		t.Cleanup(src.Close)
 		return src
 	}
+	// failing yields the records and then a sticky failure rather than EOF.
+	failing := func() Source {
+		pos := 0
+		return SourceFunc(func() (Record, error) {
+			if pos == len(records) {
+				return Record{}, broken
+			}
+			pos++
+			return records[pos-1], nil
+		})
+	}
 	cases := map[string]func(t *testing.T) Source{
 		"SliceSource": func(*testing.T) Source { return SliceSource(records) },
-		"SourceFunc": func(*testing.T) Source {
-			pos := 0
-			return SourceFunc(func() (Record, error) {
-				if pos == len(records) {
-					return Record{}, broken // a sticky failure rather than EOF
-				}
-				pos++
-				return records[pos-1], nil
-			})
-		},
+		"SourceFunc":  func(*testing.T) Source { return failing() },
 		"Scanner": func(t *testing.T) Source {
 			return ingest(t, func() (IngestSource, error) { return NewScanner(strings.NewReader(csvData)) })
 		},
@@ -161,6 +164,16 @@ func TestSourceContract(t *testing.T) {
 		"ReplaySource": func(*testing.T) Source {
 			return NewReplaySource(context.Background(), SliceSource(records), 0)
 		},
+		"ReadAheadSource": func(t *testing.T) Source {
+			src := ReadAhead(SliceSource(records), nil)
+			t.Cleanup(src.Close)
+			return src
+		},
+		"ReadAheadSource/io-error": func(t *testing.T) Source {
+			src := ReadAhead(failing(), nil)
+			t.Cleanup(src.Close)
+			return src
+		},
 	}
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -171,7 +184,9 @@ func TestSourceContract(t *testing.T) {
 
 // TestSourceContractCancelledContext pins the one place a source pipeline
 // observes cancellation: once ctx ends, a WithContext source returns
-// ctx.Err() without touching the source it wraps.
+// ctx.Err() without touching the source it wraps — directly, through a
+// cleaner, and (the ReadAhead subtest) after what a read-ahead stage had
+// already pulled.
 func TestSourceContractCancelledContext(t *testing.T) {
 	pulls := 0
 	inner := SourceFunc(func() (Record, error) {
@@ -202,5 +217,58 @@ func TestSourceContractCancelledContext(t *testing.T) {
 	}
 	if pulls != 0 || cleaned.Stats().Input != 0 {
 		t.Fatalf("pre-cancelled pipeline consumed %d records (cleaner saw %d)", pulls, cleaned.Stats().Input)
+	}
+	t.Run("ReadAhead", cancelledContextReadAhead)
+}
+
+// cancelledContextReadAhead is the same pin with a read-ahead stage over
+// the WithContext source: what the producer had pulled when ctx ended — at
+// most ReadAheadDepth batches — still comes out, in order, then ctx.Err()
+// on every later call; nothing is pulled after the cancellation and
+// nothing pulled is lost.
+func cancelledContextReadAhead(t *testing.T) {
+	testutil.CheckNoGoroutineLeak(t)
+	var pulls atomic.Int64
+	inner := SourceFunc(func() (Record, error) {
+		r := validRecord()
+		r.Bytes = pulls.Add(1)
+		return r, nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	src := ReadAhead(WithContext(ctx, inner), nil)
+	defer src.Close()
+	dst := make([]Record, 3)
+	if n, err := src.NextBatch(dst); n != 3 || err != nil {
+		t.Fatalf("live pull = (%d, %v)", n, err)
+	}
+	cancel()
+	got := int64(3)
+	for {
+		n, err := src.NextBatch(dst)
+		for _, r := range dst[:n] {
+			if got++; r.Bytes != got {
+				t.Fatalf("record %d arrived in place %d", r.Bytes, got)
+			}
+		}
+		if err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("terminal error %v, want context.Canceled", err)
+			}
+			break
+		}
+	}
+	if got != pulls.Load() {
+		t.Fatalf("%d records delivered, %d pulled from the wrapped source", got, pulls.Load())
+	}
+	if limit := int64(3 + ReadAheadDepth*DefaultBatchSize); got > limit {
+		t.Fatalf("%d records came out after the cancellation, want at most the %d read ahead", got-3, limit-3)
+	}
+	for _, dst := range [][]Record{dst, dst[:1], nil} {
+		if n, err := src.NextBatch(dst); n != 0 || !errors.Is(err, context.Canceled) {
+			t.Fatalf("NextBatch(len %d) after the terminal error = (%d, %v), want (0, context.Canceled)", len(dst), n, err)
+		}
+	}
+	if got != pulls.Load() {
+		t.Fatalf("the producer kept pulling after the cancellation: %d pulls, %d delivered", pulls.Load(), got)
 	}
 }

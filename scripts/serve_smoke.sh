@@ -84,6 +84,12 @@ grep -q 'repro_window_quarantined_towers' "$WORKDIR/prom.txt" \
   || fail "prom exposition has no quarantine gauge"
 grep -q 'repro_model_stage_seconds{stage="core.analyze"} [0-9.]*[1-9]' "$WORKDIR/prom.txt" \
   || fail "prom exposition has no per-stage duration of the last cycle"
+# Which ingest stage has waited for the other: feed-bound or window-bound.
+grep -q 'repro_ingest_wait_seconds_total{bound="source"} [0-9]' "$WORKDIR/prom.txt" \
+  || fail "prom exposition has no source-bound ingest wait"
+grep -q 'repro_ingest_wait_seconds_total{bound="window"} [0-9]' "$WORKDIR/prom.txt" \
+  || fail "prom exposition has no window-bound ingest wait"
+grep 'repro_ingest_wait_seconds_total{' "$WORKDIR/prom.txt"
 
 echo "==> admission gate and model history"
 fetch models "${AUTH[@]}" "http://$ADDR/models" || fail "/models failed"
