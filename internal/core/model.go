@@ -163,7 +163,8 @@ type ClusterView struct {
 
 // Result is the full outcome of the analysis.
 type Result struct {
-	// Dataset is the input dataset (not copied).
+	// Dataset is the input dataset (not copied): whoever retains the Result
+	// retains the dataset's raw and normalised matrices with it.
 	Dataset *pipeline.Dataset
 	// Dendrogram is the full merge tree of the pattern identifier.
 	Dendrogram *cluster.Dendrogram

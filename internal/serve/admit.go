@@ -146,8 +146,8 @@ func admissionStats(ds *pipeline.Dataset, res *core.Result, forecasts []towerFor
 
 	nrmses := make([]float64, 0, len(forecasts))
 	for _, fc := range forecasts {
-		if fc.Valid && fc.Metrics.Coverage > 0 && !math.IsNaN(fc.Metrics.NRMSE) {
-			nrmses = append(nrmses, fc.Metrics.NRMSE)
+		if fc.Valid && fc.Coverage > 0 && !math.IsNaN(fc.NRMSE) {
+			nrmses = append(nrmses, fc.NRMSE)
 		}
 	}
 	if len(nrmses) > 0 {
@@ -203,13 +203,4 @@ func admit(cfg AdmitConfig, prev *AdmissionStats, cand AdmissionStats) ([]Reject
 // callers keep their order.
 func medianOf(vals []float64) float64 {
 	return linalg.Quantile(vals, 0.5)
-}
-
-// jsonFloat sanitises a float for JSON encoding: NaN and ±Inf (legal in
-// the Prometheus exposition, fatal to encoding/json) become nil.
-func jsonFloat(f float64) any {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil
-	}
-	return f
 }

@@ -80,15 +80,15 @@ func TestModelHistoryRollback(t *testing.T) {
 	if _, err := h.rollback(0); !errors.Is(err, errNoOlderGeneration) {
 		t.Fatalf("rollback of empty history: %v, want errNoOlderGeneration", err)
 	}
-	gen := func(seq uint64) *generation { return &generation{m: &model{Seq: seq}} }
+	gen := func(seq uint64) *generation { return &generation{rm: &readModel{modelInfo: modelInfo{Seq: seq}}} }
 	for seq := uint64(1); seq <= 4; seq++ {
 		h.push(gen(seq))
 	}
-	if len(h.gens) != 3 || h.gens[0].m.Seq != 2 {
-		t.Fatalf("cap eviction: have %d gens, oldest #%d; want 3 gens from #2", len(h.gens), h.gens[0].m.Seq)
+	if len(h.gens) != 3 || h.gens[0].rm.Seq != 2 {
+		t.Fatalf("cap eviction: have %d gens, oldest #%d; want 3 gens from #2", len(h.gens), h.gens[0].rm.Seq)
 	}
-	if got := h.list(); got[0].m.Seq != 4 || got[2].m.Seq != 2 {
-		t.Fatalf("list not newest-first: %v..%v", got[0].m.Seq, got[2].m.Seq)
+	if got := h.list(); got[0].rm.Seq != 4 || got[2].rm.Seq != 2 {
+		t.Fatalf("list not newest-first: %v..%v", got[0].rm.Seq, got[2].rm.Seq)
 	}
 	if _, err := h.rollback(4); err == nil {
 		t.Fatal("rollback to the live head should fail")
@@ -97,11 +97,11 @@ func TestModelHistoryRollback(t *testing.T) {
 		t.Fatal("rollback to an unknown seq should fail")
 	}
 	g, err := h.rollback(0)
-	if err != nil || g.m.Seq != 3 {
+	if err != nil || g.rm.Seq != 3 {
 		t.Fatalf("one-step rollback: gen %v err %v, want #3", g, err)
 	}
 	g, err = h.rollback(2)
-	if err != nil || g.m.Seq != 2 {
+	if err != nil || g.rm.Seq != 2 {
 		t.Fatalf("named rollback: gen %v err %v, want #2", g, err)
 	}
 	if _, err := h.rollback(0); !errors.Is(err, errNoOlderGeneration) {

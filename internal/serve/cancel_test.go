@@ -77,7 +77,17 @@ func newCancelHarness(t *testing.T, workers int) *cancelHarness {
 	if err := srv.RemodelNow(count); err != nil {
 		t.Fatal(err)
 	}
-	return &cancelHarness{srv: srv, towers: int64(srv.model().ds.NumTowers()), polls: count.calls.Load()}
+	return &cancelHarness{srv: srv, towers: int64(srv.model().Towers), polls: count.calls.Load()}
+}
+
+// dataset is the window's dataset, the input of the published cycle.
+func (h *cancelHarness) dataset(t *testing.T) *pipeline.Dataset {
+	t.Helper()
+	ds, err := h.srv.cfg.Window.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }
 
 // inForecasts and inAnomalies are trip points in the middle of each stage.
@@ -110,7 +120,7 @@ func TestRemodelNowPreCancelled(t *testing.T) {
 	h.untouched(t, "pre-cancelled")
 
 	// The two per-tower stages on their own: nothing is processed.
-	ds := h.srv.model().ds
+	ds := h.dataset(t)
 	trip := newTripContext(0)
 	if fcs, err := h.srv.buildForecasts(trip, ds); !errors.Is(err, context.Canceled) || fcs != nil {
 		t.Errorf("buildForecasts = %v, %v; want nil, context.Canceled", fcs, err)
@@ -194,7 +204,7 @@ func TestRemodelNowSingleWorkerRunsInline(t *testing.T) {
 // deep-equal to the serial loop it replaced for any worker count.
 func TestBuildForecastsMatchesSerialOracle(t *testing.T) {
 	h := newCancelHarness(t, 2)
-	ds := h.srv.model().ds
+	ds := h.dataset(t)
 	want := buildForecastsOracle(h.srv, ds)
 	for _, workers := range []int{1, 2, 4, 0} {
 		h.srv.cfg.Analyze.Workers = workers
@@ -219,13 +229,14 @@ func TestRemodelNowStageAccounting(t *testing.T) {
 	const workers = 2
 	h := newCancelHarness(t, workers)
 	published := h.srv.model()
+	ds := h.dataset(t)
 
-	silent, err := window.New(window.Options{Start: published.ds.Start, SlotMinutes: published.ds.SlotMinutes, Days: 14})
+	silent, err := window.New(window.Options{Start: ds.Start, SlotMinutes: ds.SlotMinutes, Days: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, day := range []int{0, 8} {
-		at := published.ds.Start.Add(time.Duration(day) * 24 * time.Hour)
+		at := ds.Start.Add(time.Duration(day) * 24 * time.Hour)
 		silent.AddBatch([]trace.Record{{UserID: 1, TowerID: 1, Start: at, End: at.Add(time.Minute), Tech: trace.TechLTE}})
 	}
 	good := h.srv.cfg.Window

@@ -5,8 +5,8 @@ package serve
 // pushed here with its acceptance stats, and rollback — manual via
 // POST /models/rollback, or automatic after AutoRollback consecutive
 // rejections — republishes an older generation by dropping the newer
-// ones. The ring is bounded (Config.ModelHistory), so memory stays
-// O(K × model size) no matter how long the service runs.
+// ones. The ring is bounded (Config.ModelHistory) and holds read models, so
+// memory stays O(K × read model size) no matter how long the service runs.
 //
 // Rollback is honest about time: a republished generation keeps its
 // original Seq and ModeledAt, so its age (and therefore staleness) keeps
@@ -22,9 +22,10 @@ import (
 	"time"
 )
 
-// generation is one accepted model plus its acceptance record.
+// generation is one accepted model's read model plus its acceptance
+// record. It holds no traffic matrix (see readmodel.go).
 type generation struct {
-	m          *model
+	rm         *readModel
 	stats      AdmissionStats
 	acceptedAt time.Time
 }
@@ -84,7 +85,7 @@ func (h *modelHistory) rollback(toSeq uint64) (*generation, error) {
 	if toSeq != 0 {
 		target = -1
 		for i, g := range h.gens[:len(h.gens)-1] {
-			if g.m.Seq == toSeq {
+			if g.rm.Seq == toSeq {
 				target = i
 				break
 			}

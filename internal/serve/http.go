@@ -2,15 +2,16 @@ package serve
 
 // http.go is the query plane of the analysis service: a JSON API over
 // the currently published model plus a server-sent-events feed of fresh
-// anomalies. Handlers only ever read the atomic model pointer and the
-// window's O(1) per-tower stats, so they stay fast and non-blocking no
-// matter what the re-modeling loop is doing.
+// anomalies. Handlers only ever read the published read model (through
+// the atomic model pointer) and the window's O(1) per-tower stats, so they
+// stay fast and non-blocking no matter what the re-modeling loop is doing.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -247,7 +248,115 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, status, &struct {
+		Error string `json:"error"`
+	}{fmt.Sprintf(format, args...)})
+}
+
+// The response bodies the handlers once built as maps. Their fields are
+// declared in sorted JSON-key order, the order encoding/json wrote the maps'
+// keys in; testdata/responses.golden pins every body byte for byte.
+type (
+	healthzJSON struct {
+		CompleteDays int    `json:"complete_days"`
+		Health       string `json:"health"`
+		ModelSeq     uint64 `json:"model_seq,omitempty"`
+		Ready        bool   `json:"ready"`
+		Status       string `json:"status"`
+		Towers       int    `json:"towers"`
+	}
+	readyzJSON struct {
+		Health          string   `json:"health"`
+		ModelAgeSeconds *float64 `json:"model_age_seconds,omitempty"`
+		ModelSeq        uint64   `json:"model_seq,omitempty"`
+		Reason          string   `json:"reason"`
+		Status          string   `json:"status"`
+	}
+	summaryJSON struct {
+		Health string            `json:"health"`
+		Model  *summaryModelJSON `json:"model,omitempty"`
+		Window windowJSON        `json:"window"`
+	}
+	summaryModelJSON struct {
+		AnomalousTowers int           `json:"anomalous_towers"`
+		Clusters        []clusterJSON `json:"clusters"`
+		Info            modelInfo     `json:"info"`
+	}
+	windowJSON struct {
+		CompleteDays       int       `json:"complete_days"`
+		Dropped            uint64    `json:"dropped"`
+		DroppedFuture      uint64    `json:"dropped_future"`
+		Ingested           uint64    `json:"ingested"`
+		LatestSlotEnd      time.Time `json:"latest_slot_end"`
+		QuarantineEvents   uint64    `json:"quarantine_events"`
+		QuarantineReleases uint64    `json:"quarantine_releases"`
+		Quarantined        int       `json:"quarantined"`
+		Towers             int       `json:"towers"`
+	}
+	towersJSON struct {
+		Health string     `json:"health"`
+		Model  modelInfo  `json:"model"`
+		Towers []towerRow `json:"towers"`
+	}
+	towerJSON struct {
+		Anomalies []anomalyJSON   `json:"anomalies"`
+		Cluster   int             `json:"cluster"`
+		Forecast  *towerForecast  `json:"forecast,omitempty"`
+		Health    string          `json:"health"`
+		Model     modelInfo       `json:"model"`
+		Region    string          `json:"region"`
+		Tower     int             `json:"tower"`
+		Window    *towerStatsJSON `json:"window,omitempty"`
+	}
+	towerStatsJSON struct {
+		LastSlotBytes    float64 `json:"last_slot_bytes"`
+		MeanBytesPerSlot float64 `json:"mean_bytes_per_slot"`
+		StdBytesPerSlot  float64 `json:"std_bytes_per_slot"`
+	}
+	modelsJSON struct {
+		Accepted           uint64                  `json:"accepted"`
+		ConsecutiveRejects uint64                  `json:"consecutive_rejects"`
+		CurrentSeq         uint64                  `json:"current_seq,omitempty"`
+		Generations        []generationJSON        `json:"generations"`
+		Rejected           uint64                  `json:"rejected"`
+		RejectedByReason   map[RejectReason]uint64 `json:"rejected_by_reason"`
+		Rollbacks          struct {
+			Auto   uint64 `json:"auto"`
+			Manual uint64 `json:"manual"`
+		} `json:"rollbacks"`
+	}
+	rollbackJSON struct {
+		Serving modelInfo `json:"serving"`
+		Status  string    `json:"status"`
+	}
+)
+
+// generationJSON is one entry of the /models history listing (typed before
+// the other bodies; only Stats was a map, so only Stats is sorted).
+type generationJSON struct {
+	Seq        uint64    `json:"seq"`
+	AcceptedAt time.Time `json:"accepted_at"`
+	AgeSeconds float64   `json:"age_seconds"`
+	Current    bool      `json:"current"`
+	Towers     int       `json:"towers"`
+	Days       int       `json:"days"`
+	K          int       `json:"k"`
+	Stats      struct {
+		BacktestNRMSE *float64 `json:"backtest_nrmse"`
+		Completeness  float64  `json:"completeness"`
+		DBI           *float64 `json:"dbi"`
+		Silhouette    *float64 `json:"silhouette"`
+	} `json:"stats"`
+}
+
+// jsonFloat sanitises a float for JSON encoding: NaN and ±Inf (legal in
+// the Prometheus exposition, fatal to encoding/json) become nil, which
+// encodes as null.
+func jsonFloat(f float64) *float64 {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil
+	}
+	return &f
 }
 
 // handleHealthz is liveness only: it always answers 200 while the
@@ -256,17 +365,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	sum := s.cfg.Window.Summary()
 	m := s.model()
 	h, _ := s.healthNow()
-	resp := map[string]any{
-		"status":        "ok",
-		"ready":         m != nil,
-		"health":        h.String(),
-		"towers":        sum.Towers,
-		"complete_days": sum.CompleteDays,
-	}
+	resp := healthzJSON{Status: "ok", Ready: m != nil, Health: h.String(), Towers: sum.Towers, CompleteDays: sum.CompleteDays}
 	if m != nil {
-		resp["model_seq"] = m.Seq
+		resp.ModelSeq = m.Seq
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // handleReadyz is readiness with load-balancer semantics: 200 while the
@@ -275,103 +378,48 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // instance while direct clients can still query the last-good model.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	h, reason := s.healthNow()
-	resp := map[string]any{"health": h.String(), "reason": reason}
+	resp := readyzJSON{Health: h.String(), Reason: reason, Status: "ready"}
 	if m := s.model(); m != nil {
-		resp["model_seq"] = m.Seq
-		resp["model_age_seconds"] = time.Since(m.ModeledAt).Seconds()
+		age := time.Since(m.ModeledAt).Seconds()
+		resp.ModelSeq, resp.ModelAgeSeconds = m.Seq, &age
 	}
+	status := http.StatusOK
 	if h == Stale {
-		resp["status"] = "unready"
+		resp.Status, status = "unready", http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.healthInterval().Seconds())+1))
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-		return
 	}
-	resp["status"] = "ready"
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, status, &resp)
 }
 
-// modelInfo is the JSON shape of a published model's identity. Age and
-// Stale are computed at response time: they are how a client reading a
-// last-known-good model can tell.
-type modelInfo struct {
-	Seq        uint64    `json:"seq"`
-	ModeledAt  time.Time `json:"modeled_at"`
-	AgeSeconds float64   `json:"age_seconds"`
-	Stale      bool      `json:"stale"`
-	WindowFrom time.Time `json:"window_from"`
-	WindowTo   time.Time `json:"window_to"`
-	Days       int       `json:"days"`
-	Towers     int       `json:"towers"`
-	K          int       `json:"k"`
-}
-
-func (s *Server) info(m *model) modelInfo {
-	age := time.Since(m.ModeledAt)
-	return modelInfo{
-		Seq:        m.Seq,
-		ModeledAt:  m.ModeledAt,
-		AgeSeconds: age.Seconds(),
-		Stale:      age > s.staleAfter(),
-		WindowFrom: m.ds.Start,
-		WindowTo:   m.WindowEnd,
-		Days:       m.ds.Days,
-		Towers:     m.ds.NumTowers(),
-		K:          m.res.OptimalK,
-	}
+// info is a generation's identity with its age and staleness as of now.
+func (s *Server) info(rm *readModel) modelInfo {
+	info := rm.modelInfo
+	age := time.Since(info.ModeledAt)
+	info.AgeSeconds, info.Stale = age.Seconds(), age > s.staleAfter()
+	return info
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	sum := s.cfg.Window.Summary()
 	h, _ := s.healthNow()
-	resp := map[string]any{
-		"health": h.String(),
-		"window": map[string]any{
-			"towers":              sum.Towers,
-			"ingested":            sum.Ingested,
-			"dropped":             sum.Dropped,
-			"dropped_future":      sum.DroppedFuture,
-			"latest_slot_end":     sum.LatestSlotEnd,
-			"complete_days":       sum.CompleteDays,
-			"quarantined":         sum.Quarantined,
-			"quarantine_events":   sum.QuarantineEvents,
-			"quarantine_releases": sum.QuarantineReleases,
+	resp := summaryJSON{
+		Health: h.String(),
+		Window: windowJSON{
+			Towers:             sum.Towers,
+			Ingested:           sum.Ingested,
+			Dropped:            sum.Dropped,
+			DroppedFuture:      sum.DroppedFuture,
+			LatestSlotEnd:      sum.LatestSlotEnd,
+			CompleteDays:       sum.CompleteDays,
+			Quarantined:        sum.Quarantined,
+			QuarantineEvents:   sum.QuarantineEvents,
+			QuarantineReleases: sum.QuarantineReleases,
 		},
 	}
 	if m := s.model(); m != nil {
-		type clusterJSON struct {
-			Index          int     `json:"index"`
-			Region         string  `json:"region"`
-			Towers         int     `json:"towers"`
-			Share          float64 `json:"share"`
-			Representative int     `json:"representative_tower"`
-		}
-		clusters := make([]clusterJSON, 0, len(m.res.Clusters))
-		anomalous := 0
-		for _, c := range m.res.Clusters {
-			rep := -1
-			if c.Representative >= 0 {
-				rep = m.ds.TowerIDs[c.Representative]
-			}
-			clusters = append(clusters, clusterJSON{
-				Index:          c.Index,
-				Region:         c.Region.String(),
-				Towers:         len(c.Members),
-				Share:          c.Share,
-				Representative: rep,
-			})
-		}
-		for _, rep := range m.anomalies {
-			if rep != nil && len(rep.Anomalies) > 0 {
-				anomalous++
-			}
-		}
-		resp["model"] = map[string]any{
-			"info":             s.info(m),
-			"clusters":         clusters,
-			"anomalous_towers": anomalous,
-		}
+		resp.Model = &summaryModelJSON{Info: s.info(m.readModel), Clusters: m.clusters, AnomalousTowers: m.anomalous}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleTowers(w http.ResponseWriter, r *http.Request) {
@@ -380,36 +428,8 @@ func (s *Server) handleTowers(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "no model published yet")
 		return
 	}
-	type towerRow struct {
-		Tower     int    `json:"tower"`
-		Cluster   int    `json:"cluster"`
-		Region    string `json:"region"`
-		Anomalies int    `json:"anomalies"`
-	}
-	rows := make([]towerRow, m.ds.NumTowers())
-	for row, id := range m.ds.TowerIDs {
-		n := 0
-		if rep := m.anomalies[row]; rep != nil {
-			n = len(rep.Anomalies)
-		}
-		rows[row] = towerRow{
-			Tower:     id,
-			Cluster:   m.res.Assignment.Labels[row],
-			Region:    m.res.TowerRegions[row].String(),
-			Anomalies: n,
-		}
-	}
 	h, _ := s.healthNow()
-	writeJSON(w, http.StatusOK, map[string]any{"health": h.String(), "model": s.info(m), "towers": rows})
-}
-
-// anomalyJSON is one flagged slot, with the slot resolved to wall time.
-type anomalyJSON struct {
-	Time     time.Time `json:"time"`
-	Slot     int       `json:"slot"`
-	Observed float64   `json:"observed"`
-	Expected float64   `json:"expected"`
-	Score    float64   `json:"score"`
+	writeJSON(w, http.StatusOK, &towersJSON{Health: h.String(), Model: s.info(m.readModel), Towers: m.towers})
 }
 
 // anomalyOverride parses the ?threshold= and ?min_rel_dev= query
@@ -443,6 +463,9 @@ func anomalyOverride(q url.Values, base anomaly.Options) (anomaly.Options, bool,
 	return base, override, nil
 }
 
+// handleTower answers one tower from the read model; an anomaly-filter
+// override re-scores the tower's row of the published raw matrix live,
+// which a generation republished by rollback no longer holds (409).
 func (s *Server) handleTower(w http.ResponseWriter, r *http.Request) {
 	m := s.model()
 	if m == nil {
@@ -454,98 +477,45 @@ func (s *Server) handleTower(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad tower id %q", r.PathValue("id"))
 		return
 	}
-	row, ok := m.rowByID[id]
+	row, ok := m.row(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "tower %d is not in the modeled window", id)
 		return
 	}
 
-	rep := m.anomalies[row]
+	anomalies := m.anomalies[row]
 	if opts, override, err := anomalyOverride(r.URL.Query(), s.cfg.Anomaly); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	} else if override {
-		fresh, derr := anomaly.Detect(m.ds.Raw[row], m.ds.Days, opts)
+		if m.raw == nil {
+			httpError(w, http.StatusConflict, "model #%d was republished by a rollback and keeps no traffic to re-score; drop ?threshold= and ?min_rel_dev=", m.Seq)
+			return
+		}
+		fresh, derr := anomaly.Detect(m.raw[row], m.Days, opts)
 		if derr != nil {
 			httpError(w, http.StatusInternalServerError, "re-detect: %v", derr)
 			return
 		}
-		rep = fresh
-	}
-	anomalies := []anomalyJSON{}
-	if rep != nil {
-		for _, a := range rep.Anomalies {
-			anomalies = append(anomalies, anomalyJSON{
-				Time:     m.ds.SlotTime(a.Slot),
-				Slot:     a.Slot,
-				Observed: a.Observed,
-				Expected: a.Expected,
-				Score:    a.Score,
-			})
-		}
+		anomalies = m.resolve(fresh)
 	}
 
 	h, _ := s.healthNow()
-	resp := map[string]any{
-		"tower":     id,
-		"cluster":   m.res.Assignment.Labels[row],
-		"region":    m.res.TowerRegions[row].String(),
-		"model":     s.info(m),
-		"health":    h.String(),
-		"anomalies": anomalies,
+	resp := towerJSON{
+		Tower:     id,
+		Cluster:   m.towers[row].Cluster,
+		Region:    m.towers[row].Region,
+		Model:     s.info(m.readModel),
+		Health:    h.String(),
+		Anomalies: anomalies,
 	}
 	if stats, ok := s.cfg.Window.TowerStats(id); ok {
-		resp["window"] = map[string]any{
-			"mean_bytes_per_slot": stats.Mean,
-			"std_bytes_per_slot":  stats.Std,
-			"last_slot_bytes":     stats.LastSlotBytes,
-		}
+		resp.Window = &towerStatsJSON{MeanBytesPerSlot: stats.Mean, StdBytesPerSlot: stats.Std, LastSlotBytes: stats.LastSlotBytes}
 	}
-	if fc := m.forecasts[row]; fc.Valid {
-		resp["forecast"] = map[string]any{
-			"mape":      fc.Metrics.MAPE,
-			"rmse":      fc.Metrics.RMSE,
-			"nrmse":     fc.Metrics.NRMSE,
-			"evaluable": fc.Metrics.Evaluable,
-			"coverage":  fc.Metrics.Coverage,
-			"next_day":  fc.NextDay,
-		}
+	if fc := &m.forecasts[row]; fc.Valid {
+		resp.Forecast = fc
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// generationJSON is one entry of the /models history listing.
-type generationJSON struct {
-	Seq        uint64         `json:"seq"`
-	AcceptedAt time.Time      `json:"accepted_at"`
-	AgeSeconds float64        `json:"age_seconds"`
-	Current    bool           `json:"current"`
-	Towers     int            `json:"towers"`
-	Days       int            `json:"days"`
-	K          int            `json:"k"`
-	Stats      map[string]any `json:"stats"`
-}
-
-func generationsJSON(gens []*generation, cur *model) []generationJSON {
-	out := make([]generationJSON, 0, len(gens))
-	for _, g := range gens {
-		out = append(out, generationJSON{
-			Seq:        g.m.Seq,
-			AcceptedAt: g.acceptedAt,
-			AgeSeconds: time.Since(g.m.ModeledAt).Seconds(),
-			Current:    cur != nil && g.m.Seq == cur.Seq,
-			Towers:     g.m.ds.NumTowers(),
-			Days:       g.m.ds.Days,
-			K:          g.m.res.OptimalK,
-			Stats: map[string]any{
-				"completeness":   g.stats.Completeness,
-				"dbi":            jsonFloat(g.stats.DBI),
-				"silhouette":     jsonFloat(g.stats.Silhouette),
-				"backtest_nrmse": jsonFloat(g.stats.BacktestNRMSE),
-			},
-		})
-	}
-	return out
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // handleModels lists the retained accepted generations, newest first,
@@ -556,13 +526,30 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	s.admMu.Lock()
 	gens := s.hist.list()
 	s.admMu.Unlock()
-	cur := s.model()
-	resp := s.metricsJSON()["admission"].(map[string]any)
-	resp["generations"] = generationsJSON(gens, cur)
-	if cur != nil {
-		resp["current_seq"] = cur.Seq
+	resp := modelsJSON{
+		Accepted:           s.met.modelCycles.Load(),
+		ConsecutiveRejects: s.met.modelConsecRejects.Load(),
+		Generations:        make([]generationJSON, len(gens)),
+		Rejected:           s.met.modelRejected.Load(),
+		RejectedByReason:   make(map[RejectReason]uint64, len(rejectReasons)),
 	}
-	writeJSON(w, http.StatusOK, resp)
+	for i, reason := range rejectReasons {
+		resp.RejectedByReason[reason] = s.met.rejected[i].Load()
+	}
+	resp.Rollbacks.Auto, resp.Rollbacks.Manual = s.met.rollbackAuto.Load(), s.met.rollbackManual.Load()
+	cur := s.model()
+	if cur != nil {
+		resp.CurrentSeq = cur.Seq
+	}
+	for i, g := range gens {
+		gj := &resp.Generations[i]
+		gj.Seq, gj.AcceptedAt, gj.AgeSeconds = g.rm.Seq, g.acceptedAt, time.Since(g.rm.ModeledAt).Seconds()
+		gj.Current = cur != nil && g.rm.Seq == cur.Seq
+		gj.Towers, gj.Days, gj.K = g.rm.Towers, g.rm.Days, g.rm.K
+		gj.Stats.Completeness = g.stats.Completeness
+		gj.Stats.DBI, gj.Stats.Silhouette, gj.Stats.BacktestNRMSE = jsonFloat(g.stats.DBI), jsonFloat(g.stats.Silhouette), jsonFloat(g.stats.BacktestNRMSE)
+	}
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // handleRollback republishes an older accepted generation: ?to=seq
@@ -583,7 +570,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 	s.admMu.Lock()
 	g, err := s.hist.rollback(toSeq)
 	if err == nil {
-		s.cur.Store(g.m)
+		s.cur.Store(&model{readModel: g.rm})
 		s.met.rollbackManual.Add(1)
 		s.met.modelConsecRejects.Store(0)
 	}
@@ -592,22 +579,16 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	s.logf("serve: manual rollback to model #%d (modeled %s)", g.m.Seq, g.m.ModeledAt.Format(time.RFC3339))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":  "rolled back",
-		"serving": s.info(g.m),
-	})
+	s.logf("serve: manual rollback to model #%d (modeled %s)", g.rm.Seq, g.rm.ModeledAt.Format(time.RFC3339))
+	writeJSON(w, http.StatusOK, &rollbackJSON{Status: "rolled back", Serving: s.info(g.rm)})
 }
 
-// anomalyEvent is the payload of one SSE "anomaly" event.
+// anomalyEvent is the payload of one SSE "anomaly" event: the tower, the
+// anomaly's fields inline, and the generation that published it.
 type anomalyEvent struct {
-	Tower    int       `json:"tower"`
-	Time     time.Time `json:"time"`
-	Slot     int       `json:"slot"`
-	Observed float64   `json:"observed"`
-	Expected float64   `json:"expected"`
-	Score    float64   `json:"score"`
-	ModelSeq uint64    `json:"model_seq"`
+	Tower int `json:"tower"`
+	anomalyJSON
+	ModelSeq uint64 `json:"model_seq"`
 }
 
 // broker fans anomaly events out to SSE subscribers. Slow subscribers

@@ -134,7 +134,7 @@ func metricsFixture(t *testing.T) *Server {
 	hit(2, "GET", "/readyz", http.StatusOK)
 	hit(2, "GET", "/summary", http.StatusOK)
 	hit(4, "GET", "/towers", http.StatusOK)
-	hit(5, "GET", fmt.Sprintf("/towers/%d", srv.model().ds.TowerIDs[0]), http.StatusOK)
+	hit(5, "GET", fmt.Sprintf("/towers/%d", srv.model().towers[0].Tower), http.StatusOK)
 	hit(6, "GET", "/stream", http.StatusOK)
 	hit(9, "GET", "/models", http.StatusOK)
 	hit(10, "GET", "/metrics", http.StatusOK)

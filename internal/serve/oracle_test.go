@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/anomaly"
 	"repro/internal/cluster"
@@ -44,7 +45,7 @@ func buildForecastsOracle(s *Server, ds *pipeline.Dataset) []towerForecast {
 		if err != nil {
 			continue
 		}
-		out[i] = towerForecast{Valid: true, Metrics: metrics, NextDay: nextDay}
+		out[i] = newTowerForecast(metrics, nextDay)
 	}
 	return out
 }
@@ -94,8 +95,8 @@ func admissionStatsOracle(ds *pipeline.Dataset, a *cluster.Assignment, forecasts
 	}
 	nrmses := make([]float64, 0, len(forecasts))
 	for _, fc := range forecasts {
-		if fc.Valid && fc.Metrics.Coverage > 0 && !math.IsNaN(fc.Metrics.NRMSE) {
-			nrmses = append(nrmses, fc.Metrics.NRMSE)
+		if fc.Valid && fc.Coverage > 0 && !math.IsNaN(fc.NRMSE) {
+			nrmses = append(nrmses, fc.NRMSE)
 		}
 	}
 	if len(nrmses) > 0 {
@@ -111,12 +112,13 @@ func sameStatsBits(a, b AdmissionStats) bool {
 		bits(a.Silhouette) == bits(b.Silhouette) && bits(a.BacktestNRMSE) == bits(b.BacktestNRMSE)
 }
 
-// One modeling cycle over a 300-tower, two-week window must publish exactly
-// what the cycle it replaced published — the admission statistics bit for
+// One modeling cycle over a 300-tower, two-week window must compute exactly
+// what the cycle it replaced computed — the admission statistics bit for
 // bit, every anomaly report equal to a serial Detect of its row, every
 // forecast equal to the serial loop's — for every worker count, because
 // sharing the distance matrix, selecting instead of sorting and pooling the
-// per-tower stages change where the work happens, not its arithmetic.
+// per-tower stages change where the work happens, not its arithmetic. What
+// it publishes is the read model projected from those oracle outputs.
 func TestRemodelMatchesOraclesAcrossWorkers(t *testing.T) {
 	city, series := testCity(t, 300, 21)
 	w := newTestWindow(t, city, 14)
@@ -131,19 +133,19 @@ func TestRemodelMatchesOraclesAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.RemodelNow(context.Background()); err != nil {
+		c, err := srv.runStages(context.Background())
+		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
-		m := srv.model()
 		if wantReports == nil {
-			for _, row := range m.ds.Raw {
-				r, err := anomaly.Detect(row, m.ds.Days, cfg.Anomaly)
+			for _, row := range c.ds.Raw {
+				r, err := anomaly.Detect(row, c.ds.Days, cfg.Anomaly)
 				if err != nil {
 					t.Fatal(err)
 				}
 				wantReports = append(wantReports, r)
 			}
-			wantForecasts = buildForecastsOracle(srv, m.ds)
+			wantForecasts = buildForecastsOracle(srv, c.ds)
 			valid := 0
 			for _, fc := range wantForecasts {
 				if fc.Valid {
@@ -154,19 +156,27 @@ func TestRemodelMatchesOraclesAcrossWorkers(t *testing.T) {
 				t.Fatalf("only %d of %d oracle forecasts are valid; the comparison would be vacuous", valid, len(wantForecasts))
 			}
 		}
-		if !reflect.DeepEqual(m.anomalies, wantReports) {
+		if !reflect.DeepEqual(c.reports, wantReports) {
 			t.Errorf("workers %d: anomaly reports differ from serial Detect", workers)
 		}
-		if !reflect.DeepEqual(m.forecasts, wantForecasts) {
+		if !reflect.DeepEqual(c.forecasts, wantForecasts) {
 			t.Errorf("workers %d: forecasts differ from the serial loop", workers)
 		}
+		if err := srv.publish(c, time.Now()); err != nil {
+			t.Fatal(err)
+		}
 		got := srv.hist.head().stats
-		want := admissionStatsOracle(m.ds, m.res.Assignment, wantForecasts, workers)
+		want := admissionStatsOracle(c.ds, c.res.Assignment, wantForecasts, workers)
 		if !sameStatsBits(got, want) {
 			t.Errorf("workers %d: admission stats %+v, oracle %+v", workers, got, want)
 		}
 		if want.Silhouette <= 0 || want.BacktestNRMSE <= 0 || math.IsInf(want.DBI, 0) {
 			t.Errorf("workers %d: degenerate oracle stats %+v", workers, want)
+		}
+		m := srv.model()
+		oracle := &candidate{ds: c.ds, res: c.res, reports: wantReports, forecasts: wantForecasts}
+		if !reflect.DeepEqual(m.readModel, project(oracle, m.Seq, m.ModeledAt)) {
+			t.Errorf("workers %d: published read model differs from the oracle outputs' projection", workers)
 		}
 	}
 }
@@ -187,12 +197,15 @@ func TestRemodelFloat32SilhouetteTracksFloat64Oracle(t *testing.T) {
 	}
 	var got, want []AdmissionStats
 	for day := 15; day <= 16; day++ {
-		if err := srv.RemodelNow(context.Background()); err != nil {
+		c, err := srv.runStages(context.Background())
+		if err != nil {
 			t.Fatal(err)
 		}
-		m := srv.model()
+		if err := srv.publish(c, time.Now()); err != nil {
+			t.Fatal(err)
+		}
 		got = append(got, srv.hist.head().stats)
-		want = append(want, admissionStatsOracle(m.ds, m.res.Assignment, m.forecasts, cfg.Analyze.Workers))
+		want = append(want, admissionStatsOracle(c.ds, c.res.Assignment, c.forecasts, cfg.Analyze.Workers))
 		feedDays(w, city, series, day, day+1, nil)
 	}
 	gotReasons, _ := admit(cfg.Admission, &got[0], got[1])

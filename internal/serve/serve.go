@@ -5,11 +5,12 @@
 // towers, clusters, anomalies and forecasts.
 //
 // The serving core is a double-buffered model behind an atomic.Pointer:
-// the re-modeling loop builds the next *model off to the side and
-// publishes it with a single pointer swap, so queries never block on
-// modeling and always see a complete, self-consistent result. The ingest
-// goroutines, the re-modeling loop and the HTTP handlers share no locks
-// beyond the window's own mutex.
+// the re-modeling loop builds the next generation off to the side,
+// projects it into a read model — typed to what the handlers encode,
+// nothing else (see readmodel.go) — and publishes it with a single pointer
+// swap, so queries never block on modeling and always see a complete,
+// self-consistent result. The ingest goroutines, the re-modeling loop and
+// the HTTP handlers share no locks beyond the window's own mutex.
 //
 // Goroutines, all started by Start and joined by Close: the supervised
 // ingest loop, which for the length of each attempt is two — one pulls and
@@ -149,33 +150,6 @@ type Config struct {
 	RateBurst int
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
-}
-
-// towerForecast is the per-row forecasting artefact of one modeling cycle.
-type towerForecast struct {
-	// Valid reports whether the forecasting stage ran for this row.
-	Valid bool
-	// Metrics is the backtest of the spectral model on the window's final
-	// held-out week.
-	Metrics forecast.Metrics
-	// NextDay is the predicted traffic of the day following the window.
-	NextDay []float64
-}
-
-// model is one published analysis generation: everything the HTTP
-// handlers read, built off to the side and swapped in atomically.
-type model struct {
-	// Seq numbers the modeling cycles from 1.
-	Seq uint64
-	// ModeledAt is when the cycle finished.
-	ModeledAt time.Time
-	// WindowEnd is the end of the modeled window (exclusive).
-	WindowEnd time.Time
-	ds        *pipeline.Dataset
-	res       *core.Result
-	anomalies []*anomaly.Report
-	forecasts []towerForecast
-	rowByID   map[int]int
 }
 
 // Server is the running analysis service. Create with New.
@@ -470,8 +444,8 @@ func (s *Server) remodelOnce(ctx context.Context) {
 // RemodelNow runs one full modeling cycle synchronously — snapshot the
 // window into a dataset, run the analysis pipeline, the anomaly sweep
 // and the forecasting stage — routes the candidate through the
-// admission gate, and on acceptance publishes it with an atomic pointer
-// swap. Queries are never blocked while this runs. It returns
+// admission gate, and on acceptance publishes its read model with an
+// atomic pointer swap. Queries are never blocked while this runs. It returns
 // window.ErrWarmingUp while the window covers less than one whole week,
 // and a *RejectionError when the gate refuses the candidate (the live
 // model is untouched; AutoRollback may additionally republish an older
@@ -481,31 +455,38 @@ func (s *Server) RemodelNow(ctx context.Context) error {
 	if s.testRemodelHook != nil {
 		s.testRemodelHook()
 	}
-	var (
-		ds        *pipeline.Dataset
-		res       *core.Result
-		reports   []*anomaly.Report
-		forecasts []towerForecast
-	)
+	c, err := s.runStages(ctx)
+	if err != nil {
+		return err
+	}
+	return s.publish(c, began)
+}
+
+// runStages runs the four stages of a modeling cycle and returns their
+// output as a candidate.
+func (s *Server) runStages(ctx context.Context) (*candidate, error) {
+	c := &candidate{}
 	for i, run := range [len(stageNames)]func() error{
-		func() (err error) { ds, err = s.cfg.Window.Dataset(); return },
-		func() (err error) { res, err = core.AnalyzeContext(ctx, ds, s.cfg.POIs, s.cfg.Analyze); return },
+		func() (err error) { c.ds, err = s.cfg.Window.Dataset(); return },
+		func() (err error) { c.res, err = core.AnalyzeContext(ctx, c.ds, s.cfg.POIs, s.cfg.Analyze); return },
 		func() (err error) {
-			reports, err = anomaly.DetectAllContext(ctx, ds.Raw, ds.Days, s.cfg.Anomaly, s.cfg.Analyze.Workers)
+			c.reports, err = anomaly.DetectAllContext(ctx, c.ds.Raw, c.ds.Days, s.cfg.Anomaly, s.cfg.Analyze.Workers)
 			return
 		},
-		func() (err error) { forecasts, err = s.buildForecasts(ctx, ds); return },
+		func() (err error) { c.forecasts, err = s.buildForecasts(ctx, c.ds); return },
 	} {
 		if err := s.stage(i, run); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	stats := admissionStats(ds, res, forecasts, s.cfg.Analyze.Workers)
+	return c, nil
+}
 
-	rowByID := make(map[int]int, len(ds.TowerIDs))
-	for row, id := range ds.TowerIDs {
-		rowByID[id] = row
-	}
+// publish routes a candidate through the admission gate and, on acceptance,
+// swaps its read model in (with the raw matrix the live re-score reads) and
+// pushes the read model onto the history. began is when the cycle started.
+func (s *Server) publish(c *candidate, began time.Time) error {
+	stats := admissionStats(c.ds, c.res, c.forecasts, s.cfg.Analyze.Workers)
 
 	// The publication path: gate verdict, history mutation and pointer
 	// swap move under admMu so a concurrent rollback cannot interleave.
@@ -524,23 +505,14 @@ func (s *Server) RemodelNow(ctx context.Context) error {
 			err := &RejectionError{Reasons: reasons, Details: details}
 			s.logf("%v", err)
 			if rolledTo != nil {
-				s.logf("serve: auto-rollback after %d consecutive rejections: serving model #%d again", s.cfg.AutoRollback, rolledTo.m.Seq)
+				s.logf("serve: auto-rollback after %d consecutive rejections: serving model #%d again", s.cfg.AutoRollback, rolledTo.rm.Seq)
 			}
 			return err
 		}
 	}
-	next := &model{
-		Seq:       s.pubSeq.Add(1),
-		ModeledAt: time.Now(),
-		WindowEnd: ds.SlotTime(ds.NumSlots()),
-		ds:        ds,
-		res:       res,
-		anomalies: reports,
-		forecasts: forecasts,
-		rowByID:   rowByID,
-	}
+	next := &model{readModel: project(c, s.pubSeq.Add(1), time.Now()), raw: c.ds.Raw}
 	prev := s.cur.Swap(next)
-	s.hist.push(&generation{m: next, stats: stats, acceptedAt: next.ModeledAt})
+	s.hist.push(&generation{rm: next.readModel, stats: stats, acceptedAt: next.ModeledAt})
 	s.met.modelCycles.Add(1)
 	s.met.modelConsecFails.Store(0)
 	s.met.modelConsecRejects.Store(0)
@@ -548,7 +520,7 @@ func (s *Server) RemodelNow(ctx context.Context) error {
 	s.met.lastModelNanos.Store(int64(time.Since(began)))
 	s.publishAnomalies(prev, next)
 	s.logf("serve: model #%d published: %d towers, %d days, k=%d (%v)",
-		next.Seq, ds.NumTowers(), ds.Days, res.OptimalK, time.Since(began).Round(time.Millisecond))
+		next.Seq, next.Towers, next.Days, next.K, time.Since(began).Round(time.Millisecond))
 	return nil
 }
 
@@ -603,7 +575,7 @@ func (s *Server) maybeAutoRollbackLocked() *generation {
 	if err != nil {
 		return nil // nothing older to fall back to; keep serving the head
 	}
-	s.cur.Store(g.m)
+	s.cur.Store(&model{readModel: g.rm})
 	s.met.rollbackAuto.Add(1)
 	s.met.modelConsecRejects.Store(0)
 	return g
@@ -648,7 +620,7 @@ func (s *Server) buildForecasts(ctx context.Context, ds *pipeline.Dataset) ([]to
 		if err != nil {
 			return nil
 		}
-		out[i] = towerForecast{Valid: true, Metrics: metrics, NextDay: nextDay}
+		out[i] = newTowerForecast(metrics, nextDay)
 		return nil
 	})
 	if err != nil {
@@ -665,24 +637,12 @@ func (s *Server) publishAnomalies(prev, next *model) {
 	if prev == nil {
 		return
 	}
-	for row, rep := range next.anomalies {
-		if rep == nil {
-			continue
-		}
-		for _, a := range rep.Anomalies {
-			at := next.ds.SlotTime(a.Slot)
-			if at.Before(prev.WindowEnd) {
+	for row, anomalies := range next.anomalies {
+		for _, a := range anomalies {
+			if a.Time.Before(prev.WindowTo) {
 				continue
 			}
-			s.broker.publish(anomalyEvent{
-				Tower:    next.ds.TowerIDs[row],
-				Time:     at,
-				Slot:     a.Slot,
-				Observed: a.Observed,
-				Expected: a.Expected,
-				Score:    a.Score,
-				ModelSeq: next.Seq,
-			})
+			s.broker.publish(anomalyEvent{Tower: next.towers[row].Tower, anomalyJSON: a, ModelSeq: next.Seq})
 		}
 	}
 }

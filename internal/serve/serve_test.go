@@ -150,7 +150,7 @@ func TestServerAPIEndToEnd(t *testing.T) {
 	}
 
 	m := srv.model()
-	id := m.ds.TowerIDs[0]
+	id := m.towers[0].Tower
 	tower := getJSON(t, fmt.Sprintf("%s/towers/%d", ts.URL, id), http.StatusOK)
 	if tower["region"] == "" {
 		t.Errorf("tower response missing region: %v", tower)
@@ -172,8 +172,8 @@ func TestServerAPIEndToEnd(t *testing.T) {
 	// Anomaly filter overrides: disabling both filters flags every slot
 	// (the window carries noisy traffic, so the residual scale is nonzero).
 	off := getJSON(t, fmt.Sprintf("%s/towers/%d?threshold=off&min_rel_dev=off", ts.URL, id), http.StatusOK)
-	if n := len(off["anomalies"].([]any)); n != m.ds.NumSlots() {
-		t.Errorf("filters off flagged %d slots, want all %d", n, m.ds.NumSlots())
+	if n := len(off["anomalies"].([]any)); n != len(m.raw[0]) {
+		t.Errorf("filters off flagged %d slots, want all %d", n, len(m.raw[0]))
 	}
 
 	// Error paths.
@@ -388,14 +388,12 @@ func TestServerSnapshotRestartResumesIdenticalModel(t *testing.T) {
 	}
 	m2 := srv2.model()
 
-	if !reflect.DeepEqual(m1.ds.Raw, m2.ds.Raw) {
+	if !reflect.DeepEqual(m1.raw, m2.raw) {
 		t.Fatal("restarted service modeled a different raw window")
 	}
-	if !reflect.DeepEqual(m1.res.Assignment, m2.res.Assignment) {
-		t.Fatal("restarted service produced a different cluster assignment")
-	}
-	if !reflect.DeepEqual(m1.res.TowerRegions, m2.res.TowerRegions) {
-		t.Fatal("restarted service produced different region labels")
+	// A tower row carries the tower's cluster label and region.
+	if m1.K != m2.K || !reflect.DeepEqual(m1.towers, m2.towers) {
+		t.Fatal("restarted service produced a different cluster assignment or region labels")
 	}
 
 	// Both services continue from the same live feed: still identical.
@@ -411,7 +409,7 @@ func TestServerSnapshotRestartResumesIdenticalModel(t *testing.T) {
 	if err := srv2.RemodelNow(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(srv3.model().res.Assignment, srv2.model().res.Assignment) {
+	if !reflect.DeepEqual(srv3.model().towers, srv2.model().towers) {
 		t.Fatal("windows diverged after identical post-restart traffic")
 	}
 }
@@ -432,7 +430,10 @@ func BenchmarkTowerLookupUnderIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	handler := srv.Handler()
-	ids := srv.model().ds.TowerIDs
+	var ids []int
+	for _, row := range srv.model().towers {
+		ids = append(ids, row.Tower)
+	}
 
 	stop := make(chan struct{})
 	ingested := make(chan uint64)

@@ -320,13 +320,13 @@ func TestServerKillMidIngestRecoversDurableGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2, mRef := srv2.model(), srvRef.model()
-	if !reflect.DeepEqual(m2.ds.Raw, mRef.ds.Raw) {
+	if !reflect.DeepEqual(m2.raw, mRef.raw) {
 		t.Fatal("recovered window differs from the durable generation")
 	}
-	if !reflect.DeepEqual(m2.res.Assignment, mRef.res.Assignment) {
+	if m2.K != mRef.K || !reflect.DeepEqual(m2.towers, mRef.towers) {
 		t.Fatal("recovered model clusters differently than the durable generation")
 	}
-	if m2.WindowEnd.Equal(srv1.model().WindowEnd) {
+	if m2.WindowTo.Equal(srv1.model().WindowTo) {
 		t.Fatal("recovered model claims the post-kill window end; lost data went unnoticed")
 	}
 }

@@ -351,7 +351,7 @@ func (w *Window) Summary() Summary {
 // MinActiveSlots does, and so are towers currently held in quarantine by
 // the feed-quality guards (Summary.Quarantined accounts for them). It
 // returns ErrWarmingUp until a whole week of complete days has been
-// observed.
+// observed. Rows are in ascending tower-ID order.
 //
 // Each tower's window is copied once, from its ring straight into a row of
 // the matrix pipeline.VectorizeMatrix adopts. The window lock is held only
