@@ -47,7 +47,7 @@ var (
 
 // benchScale picks the workload size: the small scale by default so the
 // full suite stays laptop-friendly; set REPRO_BENCH_SCALE=paper for the
-// four-week, 1200-tower configuration used for EXPERIMENTS.md.
+// four-week, 1200-tower configuration cmd/experiments -scale paper runs.
 func benchScale() experiments.Scale {
 	if os.Getenv("REPRO_BENCH_SCALE") == "paper" {
 		return experiments.PaperScale()
@@ -463,26 +463,6 @@ func BenchmarkAblation_Linkage(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_KMeansBaseline compares the k-means baseline at K=5
-// against the hierarchical result, reporting its DBI.
-func BenchmarkAblation_KMeansBaseline(b *testing.B) {
-	env := sharedEnv(b)
-	b.ReportAllocs()
-	var lastDBI float64
-	for i := 0; i < b.N; i++ {
-		res, err := kmeansRows(env.Dataset.Normalized, cluster.KMeansOptions{K: 5, Seed: int64(i + 1), Restarts: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		dbi, err := cluster.DaviesBouldinWorkers(env.Dataset.Normalized, res.Assignment, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lastDBI = dbi
-	}
-	b.ReportMetric(lastDBI, "DBI@5")
-}
-
 // BenchmarkAblation_ReconstructionComponents extends Figure 12 by sweeping
 // the number of retained spectral components and reporting the energy loss.
 func BenchmarkAblation_ReconstructionComponents(b *testing.B) {
@@ -672,8 +652,7 @@ func formatNoise(noise float64) string {
 // --- Modeling engine ----------------------------------------------------
 
 // The modeling-engine benchmarks measure the deterministic parallel stage
-// (condensed NN-chain hierarchical clustering, chunked k-means, parallel
-// NMF) on synthetic traffic-shaped vectors at one week of 10-minute slots.
+// (condensed NN-chain hierarchical clustering, parallel NMF) on synthetic traffic-shaped vectors at one week of 10-minute slots.
 // The default tower count keeps the CI benchmark smoke run fast; set
 // REPRO_BENCH_SCALE=paper for the ≈10k towers of the paper's deployment.
 // Each benchmark has a serial and an all-cores sub-run so the multi-core
@@ -716,16 +695,6 @@ func modelingPoints(b *testing.B) (raw, norm []linalg.Vector) {
 		}
 	})
 	return modelRawRows, modelNormRows
-}
-
-// kmeansRows runs the k-means baseline on row vectors; like the slice
-// adapters of the other stages it packs loose rows on every call.
-func kmeansRows(rows []linalg.Vector, opts cluster.KMeansOptions) (*cluster.KMeansResult, error) {
-	x, err := linalg.RowsMatrix(rows)
-	if err != nil {
-		return nil, err
-	}
-	return cluster.KMeansMatCtx(context.Background(), x, opts)
 }
 
 // benchWorkers runs fn once per parallelism level (serial vs all cores).
@@ -864,20 +833,6 @@ func BenchmarkCluster_Hierarchical(b *testing.B) {
 	benchWorkers(b, func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cluster.HierarchicalWorkersCtx(context.Background(), norm, cluster.AverageLinkage, workers); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkCluster_KMeans measures the chunked-assignment k-means baseline
-// with concurrent seeded restarts.
-func BenchmarkCluster_KMeans(b *testing.B) {
-	_, norm := modelingPoints(b)
-	benchWorkers(b, func(b *testing.B, workers int) {
-		for i := 0; i < b.N; i++ {
-			opts := cluster.KMeansOptions{K: 5, Seed: 3, Restarts: 2, MaxIterations: 25, Workers: workers}
-			if _, err := kmeansRows(norm, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

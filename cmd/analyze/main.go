@@ -16,8 +16,8 @@
 // -ingest-workers value: the parallel parser reassembles chunks in input
 // order.
 //
-// The modeling stage (hierarchical clustering, NMF basis extraction,
-// k-means baseline) runs in parallel; -workers bounds the goroutines and
+// The modeling stage (hierarchical clustering, NMF basis extraction) runs
+// in parallel; -workers bounds the goroutines and
 // a given -seed produces bit-identical results for any worker count.
 // -nmf-rank sizes the NMF decomposition (default: one basis pattern per
 // identified cluster; 0 disables the stage).
@@ -115,7 +115,7 @@ func main() {
 		stream    = flag.Bool("stream", false, "with -synthetic, ingest the city's CDR log through the full streaming path instead of the pre-aggregated series fast path")
 		towers    = flag.Int("towers", 600, "towers for -synthetic")
 		days      = flag.Int("days", 28, "days for -synthetic")
-		seed      = flag.Int64("seed", 1, "seed for -synthetic city generation and for the modeling stage (NMF initialisation, k-means restarts)")
+		seed      = flag.Int64("seed", 1, "seed for -synthetic city generation and for the modeling stage (NMF initialisation)")
 		clusters  = flag.Int("k", 0, "force the number of clusters (0 = pick by Davies-Bouldin index)")
 		window    = flag.Int("dedup-window", 0, "bound the streaming cleaner's dedup state to ~this many recent records (0 = exact, unbounded); copies of a connection arriving further apart than the window are not deduplicated")
 		workers   = flag.Int("workers", 0, "bound the parallelism of the modeling stage (0 = all cores); results are identical for any value")

@@ -1,7 +1,7 @@
 // Command experiments regenerates the tables and figures of the paper's
 // evaluation. Each experiment writes its tables and figure data as CSV into
-// the output directory and prints its headline notes (the paper-vs-measured
-// shape checks recorded in EXPERIMENTS.md).
+// the output directory and prints its headline notes: the paper-vs-measured
+// shape checks.
 //
 // Examples:
 //

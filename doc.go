@@ -11,8 +11,8 @@
 // "Ingestion engine" for the stage → entry point table), the
 // deterministic parallel
 // modeling engine — the pattern identifier and metric tuner
-// (internal/cluster, condensed NN-chain hierarchical clustering and a
-// chunked k-means baseline) plus NMF basis extraction (internal/nmf) on
+// (internal/cluster, condensed NN-chain hierarchical clustering cut by
+// the Davies–Bouldin index) plus NMF basis extraction (internal/nmf) on
 // the blocked kernels of internal/linalg: a Gram-matrix distance engine
 // (register-tiled, AVX2+FMA assembly micro-kernels on amd64) feeding on
 // the contiguous flat matrices behind every pipeline.Dataset, plus tiled
@@ -32,8 +32,8 @@
 //
 // Every modeling stage has one implementation, generic over the element
 // type of a flat linalg.Mat[F] (cluster.DistancesMatCtx and the dendrogram
-// and silhouette read off its one distance matrix, OptimalKMatCtx,
-// KMeansMatCtx, the *Mat validity indices, nmf.FactorizeMatContext); see
+// and silhouette read off its one distance matrix, OptimalKMatCtx, the
+// *Mat validity indices, nmf.FactorizeMatContext); see
 // README.md "Parallel modeling engine" for the stage → entry point table. It runs at one of two numeric tiers,
 // selected once by core.Options.Precision: Float64 (the default) is the
 // bit-reproducible reference, while Float32 runs the linalg

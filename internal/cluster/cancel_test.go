@@ -49,9 +49,6 @@ func preCancelledMat[F linalg.Float](t *testing.T, ctx context.Context, x *linal
 	} else if _, err := d.HierarchicalCtx(ctx, AverageLinkage); !errors.Is(err, context.Canceled) {
 		t.Errorf("Distances.HierarchicalCtx[%T]: err = %v, want context.Canceled", x.Data, err)
 	}
-	if _, err := KMeansMatCtx(ctx, x, KMeansOptions{K: 4, Workers: 4, Restarts: 4}); !errors.Is(err, context.Canceled) {
-		t.Errorf("KMeansMatCtx[%T]: err = %v, want context.Canceled", x.Data, err)
-	}
 	if _, err := DBICurveMatCtx(ctx, x, dendro, 2, 8, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("DBICurveMatCtx[%T]: err = %v, want context.Canceled", x.Data, err)
 	}
@@ -99,44 +96,6 @@ func TestHierarchicalCancellationProperty(t *testing.T) {
 		case errors.Is(err, context.Canceled):
 			if dendro != nil {
 				t.Fatalf("trial %d: partial dendrogram returned alongside cancellation", trial)
-			}
-		default:
-			t.Fatalf("trial %d: unexpected error %v", trial, err)
-		}
-	}
-}
-
-// TestKMeansCancellationProperty does the same for concurrent k-means
-// restarts: cancellation mid-restart must drain the semaphore-bounded
-// pool and report context.Canceled, never a partial result.
-func TestKMeansCancellationProperty(t *testing.T) {
-	testutil.CheckNoGoroutineLeak(t)
-	rng := rand.New(rand.NewSource(2718))
-	points := randomPoints(rng, 300, 16)
-	x := matOf(t, points)
-	opts := KMeansOptions{K: 5, Restarts: 8, Seed: 11, Workers: 4}
-	baseline, err := kmeans(points, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for trial := 0; trial < 8; trial++ {
-		delay := time.Duration(rng.Intn(1500)) * time.Microsecond
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(delay)
-			cancel()
-		}()
-		res, err := KMeansMatCtx(ctx, x, opts)
-		cancel()
-		switch {
-		case err == nil:
-			if res.Inertia != baseline.Inertia || !reflect.DeepEqual(res.Assignment.Labels, baseline.Assignment.Labels) {
-				t.Fatalf("trial %d: completed run diverged from baseline", trial)
-			}
-		case errors.Is(err, context.Canceled):
-			if res != nil {
-				t.Fatalf("trial %d: partial result returned alongside cancellation", trial)
 			}
 		default:
 			t.Fatalf("trial %d: unexpected error %v", trial, err)

@@ -11,7 +11,7 @@ import (
 )
 
 // Relative tolerances on the values the one implementation reports (merge
-// distances, DBI, silhouette, inertia, centroids) against the float64
+// distances, DBI, silhouette, centroids) against the float64
 // per-pair oracles: Gram-trick reassociation at float64, plus the input
 // narrowing and float32 kernel arithmetic at float32. Decisions — merge
 // order, cut labels, the tuned cluster count — are compared exactly at
@@ -90,46 +90,6 @@ func hierarchicalMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], p
 			t.Fatal(err)
 		}
 		sameDendrogram(t, got, want, relTol, 10)
-	}
-}
-
-// The blocked k-means assignment step must make the identical decisions as
-// the per-pair serial oracle on seeded city traffic, at either precision:
-// same labels, sizes and iteration counts, inertia and centroids within
-// tolerance.
-func TestKMeansDecisionsUnchangedOnSeededCity(t *testing.T) {
-	x := cityMatrix(t, 90, 37)
-	t.Run("float64", func(t *testing.T) { kmeansMatchesOracle(t, x, x.RowViews(), float64Tol) })
-	t.Run("float32", func(t *testing.T) { kmeansMatchesOracle(t, linalg.Narrow(x), x.RowViews(), float32Tol) })
-}
-
-func kmeansMatchesOracle[F linalg.Float](t *testing.T, x *linalg.Mat[F], points []linalg.Vector, relTol float64) {
-	for _, seed := range []int64{1, 7, 23} {
-		opts := KMeansOptions{K: 5, Seed: seed, Restarts: 3, Workers: 1}
-		got, err := KMeansMatCtx(context.Background(), x, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := kmeansOracle(points, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Assignment, want.Assignment) {
-			t.Fatalf("seed %d: assignment diverges from per-pair oracle", seed)
-		}
-		if got.Iterations != want.Iterations {
-			t.Fatalf("seed %d: %d iterations, oracle %d", seed, got.Iterations, want.Iterations)
-		}
-		if !within(got.Inertia, want.Inertia, relTol) {
-			t.Fatalf("seed %d: inertia %g, oracle %g", seed, got.Inertia, want.Inertia)
-		}
-		for c := range got.Centroids {
-			for j := range got.Centroids[c] {
-				if !within(got.Centroids[c][j], want.Centroids[c][j], relTol) {
-					t.Fatalf("seed %d: centroid %d[%d] = %g, oracle %g", seed, c, j, got.Centroids[c][j], want.Centroids[c][j])
-				}
-			}
-		}
 	}
 }
 
@@ -247,26 +207,5 @@ func validityBitIdenticalAcrossWorkers[F linalg.Float](t *testing.T, x *linalg.M
 		if !reflect.DeepEqual(curve, curveBase) {
 			t.Errorf("workers %d: DBI curve differs from serial", workers)
 		}
-	}
-}
-
-// The Lloyd loop's scratch is hoisted per restart: extra iterations must
-// not allocate. Comparing a long run against a short one isolates the
-// per-iteration cost from the fixed per-restart setup.
-func TestKMeansZeroAllocsPerIteration(t *testing.T) {
-	x := cityMatrix(t, 60, 47)
-	run := func(iters int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			opts := KMeansOptions{K: 4, Seed: 11, Restarts: 1, MaxIterations: iters, Workers: 1}
-			if _, err := KMeansMatCtx(context.Background(), x, opts); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	short := run(2)
-	long := run(40)
-	if extra := long - short; extra > 1 {
-		t.Errorf("extra Lloyd iterations allocated %v times (short %v, long %v); want 0 allocs/iter warmed",
-			extra, short, long)
 	}
 }

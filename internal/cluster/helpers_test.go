@@ -22,12 +22,3 @@ func matOf(t testing.TB, points []linalg.Vector) *linalg.Matrix {
 func hierarchical(points []linalg.Vector, linkage Linkage) (*Dendrogram, error) {
 	return HierarchicalWorkersCtx(context.Background(), points, linkage, 0)
 }
-
-// kmeans runs the k-means baseline on loose points with no cancellation.
-func kmeans(points []linalg.Vector, opts KMeansOptions) (*KMeansResult, error) {
-	x, err := pointsMatrix(points)
-	if err != nil {
-		return nil, err
-	}
-	return KMeansMatCtx(context.Background(), x, opts)
-}

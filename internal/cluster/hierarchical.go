@@ -2,9 +2,9 @@
 // of the paper's system (Section 3.2): agglomerative hierarchical
 // clustering of the per-tower traffic vectors with average linkage and a
 // Euclidean metric, cut either by a distance threshold or by cluster count,
-// with the Davies–Bouldin index as the model-selection criterion. A k-means
-// baseline and a second validity index (silhouette) serve the ablation
-// studies and the serving plane's admission gate.
+// with the Davies–Bouldin index as the model-selection criterion. A second
+// validity index (silhouette) serves the ablation studies and the serving
+// plane's admission gate.
 //
 // Every stage has one implementation, generic over the element type of a
 // flat row-major linalg.Mat (float64 or float32) and taking ctx first where

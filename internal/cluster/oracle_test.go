@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -16,7 +15,7 @@ import (
 // oracles for the blocked production engine: the pre-condensed
 // agglomeration paths (for the NN-chain engine in hierarchical.go) and the
 // per-pair distance loops the Gram-trick kernels replaced (for the
-// condensed matrix, the k-means assignment step and the validity indices),
+// condensed matrix and the validity indices),
 // plus the full-matrix silhouette the shared Distances reduction replaced.
 // All are strictly slower than the engine they check, and the naive
 // agglomeration is O(N³).
@@ -207,103 +206,6 @@ func hierarchicalPerPairOracle(points []linalg.Vector, linkage Linkage) (*Dendro
 		return nil, err
 	}
 	return relabelMerges(n, linkage, slotMerges), nil
-}
-
-// kmeansOracle is the per-pair serial k-means the blocked assignment step
-// replaced: SquaredDistance per point-centroid pair, freshly allocated
-// centroid sums every iteration. The RNG consumption is identical to the
-// production engine's, so for the same options the two must make the same
-// decisions (assignments, sizes, iteration counts) with inertia agreeing
-// to Gram-trick precision.
-func kmeansOracle(points []linalg.Vector, opts KMeansOptions) (*KMeansResult, error) {
-	opts = opts.withDefaults()
-	n := len(points)
-	if n == 0 {
-		return nil, ErrNoPoints
-	}
-	var best *KMeansResult
-	for r := 0; r < opts.Restarts; r++ {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*104729))
-		res, err := kmeansOnceOracle(points, opts, rng)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.Inertia < best.Inertia {
-			best = res
-		}
-	}
-	return best, nil
-}
-
-func kmeansOnceOracle(points []linalg.Vector, opts KMeansOptions, rng *rand.Rand) (*KMeansResult, error) {
-	n := len(points)
-	x, err := linalg.RowsMatrix(points)
-	if err != nil {
-		return nil, err
-	}
-	// The shared k-means++ init consumes the RNG identically to the
-	// production engine; row copies of x are exactly the input points.
-	centroids, err := kmeansPlusPlusInit(x, opts.K, rng)
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]int, n)
-	var iterations int
-	for iterations = 0; iterations < opts.MaxIterations; iterations++ {
-		changed := false
-		for i, p := range points {
-			best, bestDist := 0, math.Inf(1)
-			for c, centroid := range centroids {
-				d, err := linalg.SquaredDistance(p, centroid)
-				if err != nil {
-					return nil, err
-				}
-				if d < bestDist {
-					best, bestDist = c, d
-				}
-			}
-			if labels[i] != best {
-				labels[i] = best
-				changed = true
-			}
-		}
-		if !changed && iterations > 0 {
-			break
-		}
-		dim := len(points[0])
-		sums := make([]linalg.Vector, opts.K)
-		counts := make([]int, opts.K)
-		for c := range sums {
-			sums[c] = make(linalg.Vector, dim)
-		}
-		for i, p := range points {
-			if err := sums[labels[i]].AddInPlace(p); err != nil {
-				return nil, err
-			}
-			counts[labels[i]]++
-		}
-		for c := range centroids {
-			if counts[c] == 0 {
-				centroids[c] = points[rng.Intn(n)].Clone()
-				continue
-			}
-			centroids[c] = sums[c].Scale(1 / float64(counts[c]))
-		}
-	}
-	var inertia float64
-	for i, p := range points {
-		d, err := linalg.SquaredDistance(p, centroids[labels[i]])
-		if err != nil {
-			return nil, err
-		}
-		inertia += d
-	}
-	return &KMeansResult{
-		Assignment: &Assignment{Labels: labels, K: opts.K},
-		Centroids:  centroids,
-		Inertia:    inertia,
-		Iterations: iterations,
-	}, nil
 }
 
 // silhouetteOracle is the per-pair Silhouette the blocked kernel replaced.

@@ -204,40 +204,6 @@ func TestCondensedIndexing(t *testing.T) {
 	}
 }
 
-// Property: k-means is bit-identical for any Workers value — the serial path
-// (Workers=1) is the oracle for the chunked assignment step and the
-// concurrent restarts.
-func TestKMeansWorkersBitIdentical(t *testing.T) {
-	testutil.CheckNoGoroutineLeak(t)
-	rng := rand.New(rand.NewSource(47))
-	points, _ := blobs(rng, 4, 60, 8, 2.5)
-	x := matOf(t, points)
-	t.Run("float64", func(t *testing.T) { kmeansWorkersBitIdentical(t, x) })
-	t.Run("float32", func(t *testing.T) { kmeansWorkersBitIdentical(t, linalg.Narrow(x)) })
-}
-
-func kmeansWorkersBitIdentical[F linalg.Float](t *testing.T, x *linalg.Mat[F]) {
-	for _, maxIter := range []int{3, 100} { // exhaustion and convergence exits
-		opts := KMeansOptions{K: 4, Seed: 17, Restarts: 3, MaxIterations: maxIter}
-		opts.Workers = 1
-		serial, err := KMeansMatCtx(context.Background(), x, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range testWorkerCounts() {
-			opts.Workers = workers
-			par, err := KMeansMatCtx(context.Background(), x, opts)
-			if err != nil {
-				t.Fatalf("workers %d: %v", workers, err)
-			}
-			if !reflect.DeepEqual(par, serial) {
-				t.Fatalf("maxIter %d workers %d: result differs from serial run:\npar  %+v\nser  %+v",
-					maxIter, workers, par, serial)
-			}
-		}
-	}
-}
-
 func BenchmarkHierarchicalVsNaive400(b *testing.B) {
 	rng := rand.New(rand.NewSource(49))
 	points := randomPoints(rng, 400, 24)

@@ -20,16 +20,14 @@ import (
 var updateGolden = flag.Bool("update", false, "regenerate golden fixtures")
 
 // goldenOptions is the full modeling configuration of the golden run: the
-// metric tuner picks K, NMF extracts one basis per cluster and the k-means
-// baseline runs three seeded restarts. Everything downstream must be
-// reproducible from the seed alone.
+// metric tuner picks K and NMF extracts one basis per cluster. Everything
+// downstream must be reproducible from the seed alone.
 func goldenOptions() Options {
 	return Options{
-		MinClusters:    2,
-		MaxClusters:    8,
-		Seed:           7,
-		NMFRank:        NMFRankAuto,
-		KMeansRestarts: 3,
+		MinClusters: 2,
+		MaxClusters: 8,
+		Seed:        7,
+		NMFRank:     NMFRankAuto,
 	}
 }
 
@@ -62,7 +60,6 @@ type goldenModel struct {
 	ClusterLabels []string `json:"cluster_labels"`
 	Assignment    []int    `json:"assignment"`
 	DominantBasis []int    `json:"dominant_basis"`
-	KMeansSizes   []int    `json:"kmeans_sizes"`
 	NMFIterations int      `json:"nmf_iterations"`
 }
 
@@ -79,14 +76,13 @@ func snapshotModel(res *Result) goldenModel {
 		ClusterLabels: labels,
 		Assignment:    res.Assignment.Labels,
 		DominantBasis: res.DominantBasis,
-		KMeansSizes:   res.KMeans.Assignment.Sizes(),
 		NMFIterations: res.NMF.Iterations,
 	}
 }
 
 // TestGoldenEndToEnd is the regression net over the full paper pipeline:
-// seeded city → vectorisation → clustering → metric tuner → NMF → k-means
-// → labelling, compared field by field against a checked-in fixture. Any
+// seeded city → vectorisation → clustering → metric tuner → NMF →
+// labelling, compared field by field against a checked-in fixture. Any
 // refactor that changes what the pipeline decides — not just how fast it
 // decides it — fails here. Regenerate deliberately with -update.
 func TestGoldenEndToEnd(t *testing.T) {
@@ -139,17 +135,14 @@ func TestGoldenEndToEnd(t *testing.T) {
 	if !reflect.DeepEqual(got.DominantBasis, want.DominantBasis) {
 		t.Errorf("NMF dominant-basis assignment diverged from golden fixture")
 	}
-	if !reflect.DeepEqual(got.KMeansSizes, want.KMeansSizes) {
-		t.Errorf("k-means baseline sizes %v, golden %v", got.KMeansSizes, want.KMeansSizes)
-	}
 	if got.NMFIterations != want.NMFIterations {
 		t.Errorf("NMF converged in %d iterations, golden %d", got.NMFIterations, want.NMFIterations)
 	}
 }
 
 // TestAnalyzeBitIdenticalAcrossWorkers is the determinism acceptance test:
-// same seed ⇒ same labels, assignments, factors and baselines for every
-// Workers value.
+// same seed ⇒ same labels, assignments and factors for every Workers
+// value.
 func TestAnalyzeBitIdenticalAcrossWorkers(t *testing.T) {
 	city, ds := goldenCity(t)
 	opts := goldenOptions()
@@ -178,9 +171,6 @@ func TestAnalyzeBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 		if !reflect.DeepEqual(par.NMF.W.Data, serial.NMF.W.Data) || !reflect.DeepEqual(par.NMF.H.Data, serial.NMF.H.Data) {
 			t.Errorf("workers %d: NMF factors differ from serial run", workers)
-		}
-		if !reflect.DeepEqual(par.KMeans, serial.KMeans) {
-			t.Errorf("workers %d: k-means baseline differs from serial run", workers)
 		}
 	}
 }

@@ -10,14 +10,14 @@
 // a Result carrying every artefact needed to regenerate the paper's tables
 // and figures; AnalyzeSourceContext is the same from a trace.Source. ctx
 // is observed between pipeline stages and inside every parallel kernel
-// (clustering, k-means, NMF, batch FFT), worker pools drain before the call
-// returns, and a panic in any pool worker comes back as a *panicsafe.Error
-// rather than crashing the process.
+// (clustering, NMF, batch FFT), worker pools drain before the call returns,
+// and a panic in any pool worker comes back as a *panicsafe.Error rather
+// than crashing the process.
 //
-// The modeling stage (clustering, metric tuner, NMF, k-means) is one
-// generic function over the element type of a flat linalg.Mat;
-// AnalyzeContext picks float64 or float32 once from Options.Precision and
-// everything after it is float64.
+// The modeling stage (clustering, metric tuner, NMF) is one generic
+// function over the element type of a flat linalg.Mat; AnalyzeContext
+// picks float64 or float32 once from Options.Precision and everything
+// after it is float64.
 package core
 
 import (
@@ -42,7 +42,7 @@ import (
 const NMFRankAuto = -1
 
 // Precision selects the numeric tier of the modeling stage — the element
-// type of the distance, k-means and NMF kernels.
+// type of the distance and NMF kernels.
 type Precision int
 
 const (
@@ -50,12 +50,12 @@ const (
 	// bit-identical run to run and across worker counts.
 	Float64 Precision = iota
 	// Float32 is the opt-in fast tier: the bandwidth-bound kernels
-	// (condensed distances, k-means assignment, NMF updates, validity
-	// indices) run on float32 narrowings of the traffic matrices, halving
-	// their memory traffic. The agglomeration logic, index statistics and
-	// all reported values stay float64, so modeling DECISIONS — merges,
-	// cluster counts, labels — track the Float64 tier; only low-order
-	// digits of reported distances/errors move. The FFT stage always runs
+	// (condensed distances, NMF updates, validity indices) run on float32
+	// narrowings of the traffic matrices, halving their memory traffic.
+	// The agglomeration logic, index statistics and all reported values
+	// stay float64, so modeling DECISIONS — merges, cluster counts,
+	// labels — track the Float64 tier; only low-order digits of reported
+	// distances/errors move. The FFT stage always runs
 	// in float64. Still deterministic across worker counts.
 	Float32
 )
@@ -84,9 +84,6 @@ type Options struct {
 	// ForceK skips the metric tuner and cuts the dendrogram into exactly
 	// ForceK clusters. Zero lets the Davies–Bouldin index choose.
 	ForceK int
-	// POIRadiusMeters is the POI counting radius around each tower
-	// (default 200, as in the paper).
-	POIRadiusMeters float64
 	// RepOptions tune the representative-tower search of the
 	// frequency-domain stage.
 	RepOptions freqdomain.RepOptions
@@ -99,22 +96,18 @@ type Options struct {
 	CleanWindow int
 	// Workers bounds the goroutines of the modeling stage — the
 	// hierarchical clustering distance matrix, the metric tuner's
-	// Davies–Bouldin kernels, the NMF multiplicative updates and the
-	// k-means baseline (≤ 0 means GOMAXPROCS). The stage is
-	// deterministic: for a fixed Seed, every Workers value produces
-	// bit-identical assignments, factors and labels.
+	// Davies–Bouldin kernels and the NMF multiplicative updates (≤ 0
+	// means GOMAXPROCS). The stage is deterministic: for a fixed Seed,
+	// every Workers value produces bit-identical assignments, factors and
+	// labels.
 	Workers int
-	// Seed drives the stochastic modeling components: the NMF random
-	// initialisation and the k-means++ restarts.
+	// Seed drives the NMF random initialisation.
 	Seed int64
 	// NMFRank enables the NMF decomposition stage on the raw traffic
 	// matrix: a positive value is used as the rank directly, NMFRankAuto
 	// (-1) uses the selected cluster count, and 0 (the zero value) skips
 	// the stage.
 	NMFRank int
-	// KMeansRestarts enables the k-means baseline at the selected cluster
-	// count with this many restarts. 0 (the zero value) skips it.
-	KMeansRestarts int
 	// Precision selects the numeric tier of the modeling kernels
 	// (default Float64; see Precision).
 	Precision Precision
@@ -130,9 +123,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxClusters <= 0 {
 		o.MaxClusters = 10
-	}
-	if o.POIRadiusMeters <= 0 {
-		o.POIRadiusMeters = poi.DefaultRadiusMeters
 	}
 	return o
 }
@@ -204,19 +194,16 @@ type Result struct {
 	// the hard clustering induced by the factorisation. Nil unless the NMF
 	// stage ran.
 	DominantBasis []int
-	// KMeans is the k-means baseline at the selected cluster count,
-	// present only when Options.KMeansRestarts enabled it.
-	KMeans *cluster.KMeansResult
 }
 
 // AnalyzeContext runs the full pipeline on a vectorised dataset: clustering
 // with the metric tuner, POI labelling, time-domain characterisation and
 // frequency-domain feature extraction. Cancellation is threaded through
 // every modeling stage: the clustering distance kernels, the metric tuner's
-// per-K sweep, the NMF update iterations and the k-means restarts all
-// observe ctx at their natural work boundaries, and a cancelled analysis
-// returns ctx.Err() (possibly wrapped with the failing stage) with every
-// worker pool drained. A Background context costs nothing.
+// per-K sweep and the NMF update iterations all observe ctx at their
+// natural work boundaries, and a cancelled analysis returns ctx.Err()
+// (possibly wrapped with the failing stage) with every worker pool
+// drained. A Background context costs nothing.
 func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, opts Options) (*Result, error) {
 	if ds == nil {
 		return nil, errors.New("core: nil dataset")
@@ -264,11 +251,11 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	counter, err := poi.NewCounter(pois, opts.POIRadiusMeters)
+	counter, err := poi.NewCounter(pois, poi.DefaultRadiusMeters)
 	if err != nil {
 		return nil, fmt.Errorf("core: indexing POIs: %w", err)
 	}
-	towerPOI := counter.CountAll(ds.Locations, opts.POIRadiusMeters)
+	towerPOI := counter.CountAll(ds.Locations, poi.DefaultRadiusMeters)
 	members := assign.Members()
 	labeling, err := label.LabelClusters(towerPOI, members)
 	if err != nil {
@@ -344,12 +331,11 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 
 // model runs the modeling stage at one element type: the pattern identifier
 // (hierarchical clustering of the normalised vectors), the metric tuner
-// (Davies–Bouldin sweep, unless K is forced) and the optional NMF and
-// k-means decompositions. It fills the Dendrogram, DBICurve, OptimalK,
-// Assignment, Silhouette, NMF, DominantBasis and KMeans fields of the
-// result. At float32 the kernels run on the narrowed matrices; the
-// agglomeration, index statistics and all reported values are float64
-// either way.
+// (Davies–Bouldin sweep, unless K is forced) and the optional NMF
+// decomposition. It fills the Dendrogram, DBICurve, OptimalK, Assignment,
+// Silhouette, NMF and DominantBasis fields of the result. At float32 the
+// kernels run on the narrowed matrices; the agglomeration, index
+// statistics and all reported values are float64 either way.
 func model[F linalg.Float](ctx context.Context, norm, raw *linalg.Mat[F], opts Options) (*Result, error) {
 	towers, slots := norm.Rows, norm.Cols
 
@@ -398,10 +384,9 @@ func model[F linalg.Float](ctx context.Context, norm, raw *linalg.Mat[F], opts O
 		res.Silhouette = sil
 	}
 
-	// Optional decomposition models, both deterministic under opts.Seed
-	// for any opts.Workers value: NMF basis extraction on the raw traffic
-	// matrix (the related-work baseline the paper's convex combination is
-	// compared against) and the k-means baseline at the selected K.
+	// Optional NMF basis extraction on the raw traffic matrix (the
+	// related-work baseline the paper's convex combination is compared
+	// against), deterministic under opts.Seed for any opts.Workers value.
 	if opts.NMFRank != 0 {
 		rank := opts.NMFRank
 		if rank == NMFRankAuto {
@@ -416,17 +401,6 @@ func model[F linalg.Float](ctx context.Context, norm, raw *linalg.Mat[F], opts O
 			return nil, fmt.Errorf("core: NMF decomposition: %w", err)
 		}
 		res.DominantBasis = res.NMF.DominantBasis()
-	}
-	if opts.KMeansRestarts > 0 {
-		res.KMeans, err = cluster.KMeansMatCtx(ctx, norm, cluster.KMeansOptions{
-			K:        k,
-			Seed:     opts.Seed,
-			Restarts: opts.KMeansRestarts,
-			Workers:  opts.Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: k-means baseline: %w", err)
-		}
 	}
 	return res, nil
 }

@@ -195,34 +195,20 @@ func TestAnalyzeErrors(t *testing.T) {
 	if _, err := AnalyzeContext(context.Background(), ds, city.POIs, Options{ForceK: 10_000}); err == nil {
 		t.Error("ForceK larger than tower count should fail")
 	}
-	if _, err := AnalyzeContext(context.Background(), ds, city.POIs, Options{POIRadiusMeters: -5, ForceK: 5}); err == nil {
-		// withDefaults replaces non-positive radius, so this should NOT fail;
-		// assert the opposite.
-		t.Log("negative radius replaced by default, as intended")
+	// A dataset with partial weeks is rejected (frequency bins undefined):
+	// the shared fortnight cut to its first ten days, otherwise valid.
+	odd := *ds
+	odd.Days = 10
+	odd.Raw, odd.Normalized = nil, nil
+	slots := odd.Days * ds.SlotsPerDay()
+	for i := range ds.Raw {
+		odd.Raw = append(odd.Raw, ds.Raw[i][:slots])
+		odd.Normalized = append(odd.Normalized, ds.Normalized[i][:slots])
 	}
-	// A dataset with partial weeks is rejected (frequency bins undefined).
-	cfg := synth.SmallConfig()
-	cfg.Towers = 10
-	cfg.Days = 10
-	oddCity, err := synth.GenerateCity(cfg)
-	if err != nil {
+	if err := odd.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	series, err := oddCity.GenerateSeries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := make([]pipeline.SeriesInput, len(series))
-	for i, s := range series {
-		inputs[i] = pipeline.SeriesInput{TowerID: s.TowerID, Bytes: s.Bytes}
-	}
-	oddDS, err := pipeline.VectorizeSeries(inputs, pipeline.VectorizerOptions{
-		Start: cfg.Start, Days: cfg.Days, SlotMinutes: cfg.SlotMinutes, KeepPartialWeeks: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AnalyzeContext(context.Background(), oddDS, oddCity.POIs, Options{ForceK: 3}); err == nil {
+	if _, err := AnalyzeContext(context.Background(), &odd, city.POIs, Options{ForceK: 3}); err == nil {
 		t.Error("partial-week dataset should fail")
 	}
 }

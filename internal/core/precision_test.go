@@ -42,9 +42,9 @@ func TestAnalyzeRejectsUnknownPrecision(t *testing.T) {
 // TestFloat32DecisionsMatchFloat64 is the float32 fast path's acceptance
 // test: on the golden seeded city the narrowed pipeline must make the
 // identical *decisions* — cluster count, memberships, land-use labels, NMF
-// dominant bases, k-means partition — as the float64 reference. Scores
-// (DBI values, inertia, reconstruction error) may differ in the last few
-// digits; everything discrete must not.
+// dominant bases — as the float64 reference. Scores (DBI values,
+// reconstruction error) may differ in the last few digits; everything
+// discrete must not.
 func TestFloat32DecisionsMatchFloat64(t *testing.T) {
 	city, ds := goldenCity(t)
 
@@ -63,9 +63,6 @@ func TestFloat32DecisionsMatchFloat64(t *testing.T) {
 	got, want := snapshotModel(res), snapshotModel(ref)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("float32 decisions diverged from float64:\n  float32: %+v\n  float64: %+v", got, want)
-	}
-	if res.KMeans.Iterations != ref.KMeans.Iterations {
-		t.Errorf("float32 k-means took %d iterations, float64 %d", res.KMeans.Iterations, ref.KMeans.Iterations)
 	}
 	// The DBI curves should agree closely (the curve minima already agreed
 	// exactly via OptimalK above).
@@ -112,9 +109,6 @@ func TestFloat32BitIdenticalAcrossWorkers(t *testing.T) {
 		}
 		if !reflect.DeepEqual(par.NMF.W.Data, serial.NMF.W.Data) || !reflect.DeepEqual(par.NMF.H.Data, serial.NMF.H.Data) {
 			t.Errorf("workers %d: NMF factors differ from serial run", workers)
-		}
-		if !reflect.DeepEqual(par.KMeans, serial.KMeans) {
-			t.Errorf("workers %d: k-means baseline differs from serial run", workers)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // runner that takes a prepared environment (city, vectorised dataset and
 // analysis result) and produces tables, figures and headline notes. The
 // cmd/experiments binary and the repository-level benchmarks both drive the
-// same runners, so the numbers in EXPERIMENTS.md and the benchmark output
+// same runners, so the notes cmd/experiments prints and the benchmark output
 // come from identical code paths.
 package experiments
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -165,6 +167,50 @@ func TestHeadlineShapes(t *testing.T) {
 		joined := strings.Join(out.Notes, " ")
 		if !strings.Contains(joined, "half-day") {
 			t.Error("figure 15 notes missing the half-day check")
+		}
+	})
+
+	// A note printed with a literal "%%" was built from a plain string, not
+	// formatted from a measurement.
+	t.Run("notes are formatted", func(t *testing.T) {
+		for _, r := range Registry() {
+			out, err := r.Run(env)
+			if err != nil {
+				t.Fatalf("%s: %v", r.Name, err)
+			}
+			for _, n := range out.Notes {
+				if strings.Contains(n, "%%") {
+					t.Errorf("%s note contains a literal %%%%: %q", r.Name, n)
+				}
+			}
+		}
+	})
+
+	t.Run("table 1 names its largest and smallest cluster", func(t *testing.T) {
+		out, err := Table1(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := out.Tables[0].Rows
+		towers := func(row []string) int {
+			n, err := strconv.Atoi(row[2])
+			if err != nil {
+				t.Fatalf("towers cell %q: %v", row[2], err)
+			}
+			return n
+		}
+		first, last := rows[0], rows[0]
+		for _, row := range rows[1:] {
+			if towers(row) > towers(first) {
+				first = row
+			}
+			if towers(row) < towers(last) {
+				last = row
+			}
+		}
+		want := fmt.Sprintf("%s is the largest cluster and %s the smallest", first[1], last[1])
+		if joined := strings.Join(out.Notes, "\n"); !strings.Contains(joined, want) {
+			t.Errorf("table 1 notes do not say %q:\n%s", want, joined)
 		}
 	})
 }

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/label"
 	"repro/internal/linalg"
@@ -88,9 +92,16 @@ func Figure6(env *Env) (*Output, error) {
 		}
 	}
 
+	// The paper puts 80 % of the members within distance 10 of their centroid.
+	var all linalg.Vector
+	for _, d := range dists {
+		all = append(all, d...)
+	}
+	share := linalg.CDF(all, []float64{10})[0]
 	notes := []string{
 		fmt.Sprintf("Davies-Bouldin index minimised at K=%d (paper: five basic patterns)", bestK),
-		"distance CDFs of the clusters rise quickly, indicating cohesive clusters (paper: 80%% of members within distance 10 of their centroid)",
+		fmt.Sprintf("%.1f%% of members lie within distance 10 of their cluster centroid (paper: 80%%): %s",
+			100*share, verdict(share >= 0.8)),
 	}
 	return &Output{
 		Name:        "fig6",
@@ -129,6 +140,8 @@ func Table1(env *Env) (*Output, error) {
 		truthShare := float64(truthCounts[view.Region]) / float64(len(env.Truth))
 		tbl.AddRow(i+1, view.Region.String(), len(view.Members), view.Share, truthShare, paper[view.Region])
 	}
+	bySize := func(a, b core.ClusterView) int { return cmp.Compare(len(a.Members), len(b.Members)) }
+	largest, smallest := slices.MaxFunc(views, bySize), slices.MinFunc(views, bySize)
 	// Headline check: label accuracy against ground truth.
 	overall, perRegion, err := label.Accuracy(res.TowerRegions, env.Truth)
 	if err != nil {
@@ -137,7 +150,8 @@ func Table1(env *Env) (*Output, error) {
 	notes := []string{
 		fmt.Sprintf("tower-level region recovery accuracy = %.1f%% (office recall %.1f%%, resident recall %.1f%%)",
 			100*overall, 100*perRegion[urban.Office], 100*perRegion[urban.Resident]),
-		"office is the largest cluster and transport the smallest, matching Table 1 of the paper",
+		fmt.Sprintf("%v is the largest cluster and %v the smallest (paper Table 1: office the largest, transport the smallest): %s",
+			largest.Region, smallest.Region, verdict(largest.Region == urban.Office && smallest.Region == urban.Transport)),
 	}
 	return &Output{Name: "table1", Description: "cluster shares", Tables: []*report.Table{tbl}, Notes: notes}, nil
 }
@@ -163,6 +177,9 @@ func Figure7(env *Env) (*Output, error) {
 		Headers: []string{"cluster region", "towers", "densest cell lat", "densest cell lon", "towers in densest cell", "share of cluster in top 5 cells"},
 	}
 	fig := &report.Figure{Title: "Figure 7: tower count by grid cell per cluster", XLabel: "cell index", YLabel: "towers"}
+	// The least concentrated single-function cluster and the most
+	// concentrated comprehensive one, by the share of their top 5 cells.
+	single, comprehensive := math.Inf(1), math.Inf(-1)
 	for _, view := range regionOrder(env.Result) {
 		grid, err := clusterDensityGrid(env, view.Members, rows, cols)
 		if err != nil {
@@ -172,6 +189,11 @@ func Figure7(env *Env) (*Output, error) {
 		center := grid.CellCenter(r, c)
 		top5 := topCellShare(grid, 5)
 		tbl.AddRow(view.Region.String(), len(view.Members), center.Lat, center.Lon, maxVal, top5)
+		if view.Region == urban.Comprehensive {
+			comprehensive = max(comprehensive, top5)
+		} else {
+			single = min(single, top5)
+		}
 		x := make([]float64, len(grid.Cells))
 		for i := range x {
 			x[i] = float64(i)
@@ -180,10 +202,22 @@ func Figure7(env *Env) (*Output, error) {
 			return nil, err
 		}
 	}
-	notes := []string{
-		"single-function clusters concentrate in few cells (hot spots); the comprehensive cluster spreads across the city, as in Figure 7 of the paper",
+	const paper = "(paper Figure 7: single-function clusters form hot spots, the comprehensive cluster spreads across the city)"
+	note := "no comprehensive and single-function clusters to compare " + paper
+	if !math.IsInf(single, 0) && !math.IsInf(comprehensive, 0) {
+		note = fmt.Sprintf("the top 5 cells hold at least %.0f%% of every single-function cluster and %.0f%% of the comprehensive one %s: %s",
+			100*single, 100*comprehensive, paper, verdict(single > comprehensive))
 	}
+	notes := []string{note}
 	return &Output{Name: "fig7", Description: "cluster geography", Tables: []*report.Table{tbl}, Figures: []*report.Figure{fig}, Notes: notes}, nil
+}
+
+// verdict words a note's comparison of a measurement with the paper.
+func verdict(matches bool) string {
+	if matches {
+		return "matches"
+	}
+	return "does not match"
 }
 
 func topCellShare(grid *geo.Grid, n int) float64 {

@@ -284,10 +284,9 @@ func TestChaosFailFastPolicy(t *testing.T) {
 // tests; genTrace's records all land within the first day.
 func vectorizeOpts() pipeline.VectorizerOptions {
 	return pipeline.VectorizerOptions{
-		Start:            time.Date(2014, 8, 1, 0, 0, 0, 0, time.UTC),
-		Days:             7,
-		SlotMinutes:      10,
-		KeepPartialWeeks: true,
+		Start:       time.Date(2014, 8, 1, 0, 0, 0, 0, time.UTC),
+		Days:        7,
+		SlotMinutes: 10,
 	}
 }
 

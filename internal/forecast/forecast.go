@@ -92,13 +92,14 @@ func (c ComponentSet) String() string {
 	}
 }
 
+// maxHarmonics bounds the daily harmonics kept by the Harmonics and
+// HarmonicsAndSidebands sets.
+const maxHarmonics = 6
+
 // SpectralModel forecasts by keeping a small set of DFT components of the
 // training window and extending them periodically.
 type SpectralModel struct {
 	Components ComponentSet
-	// MaxHarmonics bounds the daily harmonics kept by the Harmonics and
-	// HarmonicsAndSidebands sets (default 6).
-	MaxHarmonics int
 
 	reconstructed linalg.Vector
 	bins          []int
@@ -120,10 +121,6 @@ func (m *SpectralModel) Fit(train linalg.Vector, trainDays, slotsPerDay int) err
 	week, day, half, err := dsp.PrincipalBins(len(train), trainDays)
 	if err != nil {
 		return fmt.Errorf("forecast: %w", err)
-	}
-	maxHarmonics := m.MaxHarmonics
-	if maxHarmonics <= 0 {
-		maxHarmonics = 6
 	}
 	bins := m.bins[:0]
 	switch m.Components {

@@ -429,68 +429,27 @@ func condensedStrip[F Float](dst []F, x *Mat[F], norms Vec[F], s int) {
 	}
 }
 
-// CrossSquaredIntoCtx writes the squared Euclidean distances between every
-// row of x and every row of y into dst (x.Rows × y.Rows) using up to
-// `workers` goroutines (≤ 0 means GOMAXPROCS). xnorms and ynorms must hold
-// the squared row norms of x and y as produced by RowNormsSquaredInto; pass
-// nil to have either computed here (allocating). Taking the norms as
-// inputs lets iterative callers — the k-means assignment step, where x
-// never changes but the centroids do — reuse point norms across
-// iterations and restarts without the kernel rewriting shared buffers.
-// Bit-identical for any worker count; with caller-provided norms the
-// serial path performs no allocations. Cancellation is observed at strip
-// granularity and worker panics are recovered into the returned error; on
-// early exit dst holds partial results and must not be used.
-func CrossSquaredIntoCtx[F Float](ctx context.Context, dst *Mat[F], x, y *Mat[F], xnorms, ynorms Vec[F], workers int) error {
-	if x.Cols != y.Cols {
-		return fmt.Errorf("%w: cross distances between %d-col and %d-col rows", ErrDimensionMismatch, x.Cols, y.Cols)
-	}
-	if dst.Rows != x.Rows || dst.Cols != y.Rows {
-		return fmt.Errorf("%w: cross distances %dx%d into %dx%d", ErrDimensionMismatch, x.Rows, y.Rows, dst.Rows, dst.Cols)
-	}
-	if xnorms == nil {
-		xnorms = make(Vec[F], x.Rows)
-		if err := RowNormsSquaredInto(xnorms, x); err != nil {
-			return err
-		}
-	}
-	if ynorms == nil {
-		ynorms = make(Vec[F], y.Rows)
-		if err := RowNormsSquaredInto(ynorms, y); err != nil {
-			return err
-		}
-	}
-	if len(xnorms) != x.Rows || len(ynorms) != y.Rows {
-		return fmt.Errorf("%w: %d/%d norms for %dx%d cross distances", ErrDimensionMismatch, len(xnorms), len(ynorms), x.Rows, y.Rows)
-	}
-	strips := (x.Rows + pairTile - 1) / pairTile
-	if w := stripWorkers(strips, workers); w > 1 {
-		return panicsafe.ForEach(ctx, strips, w, func(_, s int) error { crossStrip(dst, x, y, xnorms, ynorms, s); return nil })
-	}
-	return stripLoop(ctx, strips, func(s int) { crossStrip(dst, x, y, xnorms, ynorms, s) })
-}
-
-// crossStrip fills one pairTile strip of the cross-distance matrix.
-func crossStrip[F Float](dst *Mat[F], x, y *Mat[F], xnorms, ynorms Vec[F], s int) {
+// crossStrip fills one pairTile strip of the cross-dot matrix.
+func crossStrip[F Float](dst *Mat[F], x, y *Mat[F], s int) {
 	m := y.Rows
 	i0 := s * pairTile
 	i1 := min(x.Rows, i0+pairTile)
 	for j0 := 0; j0 < m; j0 += pairTile {
 		j1 := min(m, j0+pairTile)
-		pairTileRect(x, y, xnorms, ynorms, i0, i1, j0, j1, dst.Data[i0*m+j0:], m)
+		pairTileRect(x, y, nil, nil, i0, i1, j0, j1, dst.Data[i0*m+j0:], m)
 	}
 }
 
 // CrossDotIntoCtx writes x·yᵀ — the dot product of every row of x with
 // every row of y — into dst (x.Rows × y.Rows) using up to `workers`
-// goroutines (≤ 0 means GOMAXPROCS). It is CrossSquaredIntoCtx without the
-// norms: the same strips, tiles and dot micro-kernels, so a product whose
-// right factor is only available row-major as its transpose (V·Hᵀ from V
-// and H) needs no explicit transpose and runs on the assembly kernels where
-// the build has them. Cancellation is observed between strips and worker
-// panics come back as the returned error; on early exit dst holds partial
-// results. Bit-identical for any worker count, and the serial path
-// performs no allocations.
+// goroutines (≤ 0 means GOMAXPROCS). It runs the strips, tiles and dot
+// micro-kernels of the distance kernels without their norms, so a product
+// whose right factor is only available row-major as its transpose (V·Hᵀ
+// from V and H) needs no explicit transpose and runs on the assembly
+// kernels where the build has them. Cancellation is observed between
+// strips and worker panics come back as the returned error; on early exit
+// dst holds partial results. Bit-identical for any worker count, and the
+// serial path performs no allocations.
 func CrossDotIntoCtx[F Float](ctx context.Context, dst *Mat[F], x, y *Mat[F], workers int) error {
 	if x.Cols != y.Cols {
 		return fmt.Errorf("%w: cross dots between %d-col and %d-col rows", ErrDimensionMismatch, x.Cols, y.Cols)
@@ -500,9 +459,9 @@ func CrossDotIntoCtx[F Float](ctx context.Context, dst *Mat[F], x, y *Mat[F], wo
 	}
 	strips := (x.Rows + pairTile - 1) / pairTile
 	if w := stripWorkers(strips, workers); w > 1 {
-		return panicsafe.ForEach(ctx, strips, w, func(_, s int) error { crossStrip(dst, x, y, nil, nil, s); return nil })
+		return panicsafe.ForEach(ctx, strips, w, func(_, s int) error { crossStrip(dst, x, y, s); return nil })
 	}
-	return stripLoop(ctx, strips, func(s int) { crossStrip(dst, x, y, nil, nil, s) })
+	return stripLoop(ctx, strips, func(s int) { crossStrip(dst, x, y, s) })
 }
 
 // residualChunk is the number of columns of w·h a residual row holds at a
@@ -654,10 +613,11 @@ func residualLanes[F Float](lanes *[4]float64, vrow, wrow, hd []F, from int) {
 // AssignedSquaredDistance returns the squared Euclidean distance between
 // row i of x and row j of y via the Gram trick, using precomputed row
 // norms (RowNormsSquaredInto). The dot product runs the kernels' shared
-// accumulation scheme, so the value is bit-identical to the corresponding
-// CrossSquaredIntoCtx entry — including the exact zero for bit-identical
-// rows — without computing any of the other pairs. This is the
-// one-pair-per-point form the cluster-scatter statistic wants.
+// accumulation scheme, so the value is bit-identical to the same
+// norms-and-dot sum over the corresponding CrossDotIntoCtx entry —
+// including the exact zero for bit-identical rows — without computing any
+// of the other pairs. This is the one-pair-per-point form the
+// cluster-scatter statistic wants.
 func AssignedSquaredDistance[F Float](x, y *Mat[F], xnorms, ynorms Vec[F], i, j int) (float64, error) {
 	if x.Cols != y.Cols {
 		return 0, fmt.Errorf("%w: assigned distance between %d-col and %d-col rows", ErrDimensionMismatch, x.Cols, y.Cols)

@@ -112,12 +112,12 @@ func testFloat32CrossMatchesFloat64Oracle(t *testing.T) {
 		x32, x64 := randomMatrix32(rng, n, d, 1)
 		y32, y64 := randomMatrix32(rng, m, d, 1)
 
-		dst32 := NewMatrix32(n, m)
-		dst64 := NewMatrix(n, m)
-		if err := crossSquaredInto(dst32, x32, y32, nil, nil, 1); err != nil {
+		dot32 := NewMatrix32(n, m)
+		dot64 := NewMatrix(n, m)
+		if err := CrossDotIntoCtx(context.Background(), dot32, x32, y32, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
-		if err := crossSquaredInto(dst64, x64, y64, nil, nil, 1); err != nil {
+		if err := CrossDotIntoCtx(context.Background(), dot64, x64, y64, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
 		nscale := 0.0
@@ -134,16 +134,22 @@ func testFloat32CrossMatchesFloat64Oracle(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < m; j++ {
-				got, want := float64(dst32.At(i, j)), dst64.At(i, j)
+				got, want := float64(dot32.At(i, j)), dot64.At(i, j)
 				if relDiff(got, want, nscale) > f32Tol {
-					t.Fatalf("shape %v: f32 cross[%d][%d] = %g, f64 oracle %g", s, i, j, got, want)
+					t.Fatalf("shape %v: f32 cross dot[%d][%d] = %g, f64 oracle %g", s, i, j, got, want)
+				}
+				// The one-pair distance shares the tiles' dot: it is the
+				// clamped norms-and-dot sum of this entry, bit for bit.
+				sq := xn32[i] + yn32[j] - 2*dot32.At(i, j)
+				if sq < 0 {
+					sq = 0
 				}
 				one, err := AssignedSquaredDistance(x32, y32, xn32, yn32, i, j)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if one != got {
-					t.Fatalf("shape %v: assigned(%d,%d) = %g, cross entry %g", s, i, j, one, got)
+				if one != float64(sq) {
+					t.Fatalf("shape %v: assigned(%d,%d) = %g, from the cross dot %g", s, i, j, one, sq)
 				}
 			}
 		}
@@ -261,17 +267,22 @@ func testFloat32CoincidentRowsExactZero(t *testing.T) {
 			}
 		}
 
-		// Cross kernel against a centroid matrix containing copies of rows.
+		// Cross dots against copies of rows: each equals the row's squared
+		// norm exactly, the same accumulation as RowNormsSquaredInto.
 		y32 := NewMatrix32(2, d)
 		copy(y32.Row(0), x32.Row(0))
 		copy(y32.Row(1), x32.Row(1))
 		cross := NewMatrix32(n, 2)
-		if err := crossSquaredInto(cross, x32, y32, nil, nil, 1); err != nil {
+		if err := CrossDotIntoCtx(context.Background(), cross, x32, y32, 1); err != nil {
 			t.Fatalf("shape %v: %v", s, err)
 		}
+		norms := make(Vector32, n)
+		if err := RowNormsSquaredInto(norms, x32); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < n; i++ {
-			if got := cross.At(i, i%2); got != 0 {
-				t.Fatalf("shape %v: cross d²[%d][%d] = %g, want exact 0 for coincident rows", s, i, i%2, got)
+			if got := cross.At(i, i%2); got != norms[i] {
+				t.Fatalf("shape %v: cross dot[%d][%d] = %g, want the squared norm %g exactly", s, i, i%2, got, norms[i])
 			}
 		}
 	}
@@ -288,13 +299,12 @@ func testFloat32KernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(306))
 	const n, d, m = 97, 129, 7
 	x32, _ := randomMatrix32(rng, n, d, 1)
-	y32, _ := randomMatrix32(rng, m, d, 1)
 	a32, _ := randomMatrix32(rng, n, d, 1)
 	b32, _ := randomMatrix32(rng, d, m, 1)
 
 	type snapshot struct {
-		full, cross, mul *Matrix32
-		cond             Vector32
+		full, mul *Matrix32
+		cond      Vector32
 	}
 	run := func(workers int) snapshot {
 		var s snapshot
@@ -304,10 +314,6 @@ func testFloat32KernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 		s.cond = make(Vector32, n*(n-1)/2)
 		if err := PairwiseSquaredCondensedCtx(context.Background(), s.cond, x32, nil, workers); err != nil {
-			t.Fatal(err)
-		}
-		s.cross = NewMatrix32(n, m)
-		if err := crossSquaredInto(s.cross, x32, y32, nil, nil, workers); err != nil {
 			t.Fatal(err)
 		}
 		s.mul = NewMatrix32(n, m)
@@ -328,11 +334,6 @@ func testFloat32KernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		for i := range base.cond {
 			if got.cond[i] != base.cond[i] {
 				t.Fatalf("workers=%d: condensed differs at %d", workers, i)
-			}
-		}
-		for i := range base.cross.Data {
-			if got.cross.Data[i] != base.cross.Data[i] {
-				t.Fatalf("workers=%d: cross differs at %d", workers, i)
 			}
 		}
 		for i := range base.mul.Data {
@@ -381,7 +382,7 @@ func TestFloat32ZScoreAndAxpy(t *testing.T) {
 		}
 	}
 
-	// y ← y + a·x from the in-place primitives the centroid updates use.
+	// y ← y + a·x from the in-place primitives.
 	y32, ax := z32.Clone(), v32.Clone()
 	ax.ScaleInPlace(0.5)
 	if err := y32.AddInPlace(ax); err != nil {

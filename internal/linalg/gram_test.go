@@ -145,43 +145,6 @@ func testPairwiseSquaredCondensedMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestCrossSquaredIntoMatchesOracle(t *testing.T) {
-	onKernelPaths(t, testCrossSquaredIntoMatchesOracle)
-}
-
-func testCrossSquaredIntoMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	shapes := [][3]int{{1, 1, 1}, {3, 2, 4}, {9, 5, 3}, {40, 5, 17}, {70, 33, 6}, {100, 4, 1008}}
-	for _, s := range shapes {
-		n, k, d := s[0], s[1], s[2]
-		x := randomMatrix(rng, n, d)
-		y := randomMatrix(rng, k, d)
-		dst := randomMatrix(rng, n, k)
-		xn, yn := make(Vector, n), make(Vector, k)
-		if err := RowNormsSquaredInto(xn, x); err != nil {
-			t.Fatal(err)
-		}
-		if err := RowNormsSquaredInto(yn, y); err != nil {
-			t.Fatal(err)
-		}
-		if err := crossSquaredInto(dst, x, y, xn, yn, 1); err != nil {
-			t.Fatalf("shape %v: %v", s, err)
-		}
-		scale := 0.0
-		for _, nn := range append(xn.Clone(), yn...) {
-			scale = math.Max(scale, nn)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < k; j++ {
-				want := oracleSquared(x.Row(i), y.Row(j))
-				if got := dst.At(i, j); relDiff(got, want, scale) > 1e-9 {
-					t.Fatalf("shape %v: cross d²[%d][%d] = %g, oracle %g", s, i, j, got, want)
-				}
-			}
-		}
-	}
-}
-
 // Identical rows must produce an exactly-zero Gram-trick distance: the norm
 // and the cross dot product run the same operation sequence, so the
 // cancellation is exact, which DaviesBouldin's coincident-centroid handling
@@ -220,12 +183,10 @@ func TestBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 func testBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	x := randomMatrix(rng, 131, 57)
-	y := randomMatrix(rng, 7, 57)
 
 	gramBase := NewMatrix(x.Rows, x.Rows)
 	pairBase := NewMatrix(x.Rows, x.Rows)
 	condBase := make([]float64, x.Rows*(x.Rows-1)/2)
-	crossBase := NewMatrix(x.Rows, y.Rows)
 	if err := x.GramInto(gramBase, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -235,14 +196,10 @@ func testBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	if err := PairwiseSquaredCondensedCtx(context.Background(), condBase, x, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := crossSquaredInto(crossBase, x, y, nil, nil, 1); err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range workerCounts() {
 		gram := randomMatrix(rng, x.Rows, x.Rows)
 		pair := randomMatrix(rng, x.Rows, x.Rows)
 		cond := make([]float64, len(condBase))
-		cross := randomMatrix(rng, x.Rows, y.Rows)
 		if err := x.GramInto(gram, workers); err != nil {
 			t.Fatal(err)
 		}
@@ -250,9 +207,6 @@ func testBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := PairwiseSquaredCondensedCtx(context.Background(), cond, x, nil, workers); err != nil {
-			t.Fatal(err)
-		}
-		if err := crossSquaredInto(cross, x, y, nil, nil, workers); err != nil {
 			t.Fatal(err)
 		}
 		for i := range gramBase.Data {
@@ -266,11 +220,6 @@ func testBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		for i := range condBase {
 			if cond[i] != condBase[i] {
 				t.Fatalf("workers %d: condensed element %d differs from serial", workers, i)
-			}
-		}
-		for i := range crossBase.Data {
-			if cross.Data[i] != crossBase.Data[i] {
-				t.Fatalf("workers %d: CrossSquaredInto element %d differs from serial", workers, i)
 			}
 		}
 	}
@@ -317,34 +266,21 @@ func TestBlockedKernelDimensionErrors(t *testing.T) {
 	if err := PairwiseSquaredCondensedCtx(context.Background(), make([]float64, 44), x, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("condensed wrong buffer: %v", err)
 	}
-	if err := crossSquaredInto(NewMatrix(10, 3), x, NewMatrix(3, 5), nil, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("cross mismatched cols: %v", err)
-	}
-	if err := crossSquaredInto(NewMatrix(9, 3), x, NewMatrix(3, 4), nil, nil, 1); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("cross wrong dst: %v", err)
-	}
 	if err := RowNormsSquaredInto(make(Vector, 9), x); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("norms wrong length: %v", err)
 	}
 }
 
 // The warmed serial kernels must not allocate: they are the inner loop of
-// the clustering engine, called once per restart/iteration with reused
-// scratch.
+// the clustering engine, called with reused scratch.
 func TestBlockedKernelsZeroAllocWarmed(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	x := randomMatrix(rng, 100, 64)
-	y := randomMatrix(rng, 5, 64)
 	cond := make([]float64, x.Rows*(x.Rows-1)/2)
 	norms := make(Vector, x.Rows)
-	ynorms := make(Vector, y.Rows)
 	if err := RowNormsSquaredInto(norms, x); err != nil {
 		t.Fatal(err)
 	}
-	if err := RowNormsSquaredInto(ynorms, y); err != nil {
-		t.Fatal(err)
-	}
-	cross := NewMatrix(x.Rows, y.Rows)
 	full := NewMatrix(x.Rows, x.Rows)
 
 	if n := testing.AllocsPerRun(10, func() {
@@ -356,13 +292,6 @@ func TestBlockedKernelsZeroAllocWarmed(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("condensed kernel: %v allocs/op warmed, want 0", n)
-	}
-	if n := testing.AllocsPerRun(10, func() {
-		if err := crossSquaredInto(cross, x, y, norms, ynorms, 1); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("cross kernel: %v allocs/op warmed, want 0", n)
 	}
 	if n := testing.AllocsPerRun(10, func() {
 		if err := PairwiseSquaredIntoCtx(context.Background(), full, x, norms, 1); err != nil {

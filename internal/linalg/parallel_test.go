@@ -19,10 +19,6 @@ func parallelTransposeInto[F Float](m, dst *Mat[F], workers int) error {
 	return m.ParallelTransposeIntoCtx(context.Background(), dst, workers)
 }
 
-func crossSquaredInto[F Float](dst, x, y *Mat[F], xnorms, ynorms Vec[F], workers int) error {
-	return CrossSquaredIntoCtx(context.Background(), dst, x, y, xnorms, ynorms, workers)
-}
-
 // randomMatrix fills a rows×cols matrix with standard normal values, with a
 // sprinkling of exact zeros to exercise the a==0 skip of the kernels.
 func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {

@@ -85,15 +85,6 @@ func (v Vec[F]) Sub(w Vec[F]) (Vec[F], error) {
 	return out, nil
 }
 
-// Scale returns v multiplied by the scalar a.
-func (v Vec[F]) Scale(a F) Vec[F] {
-	out := make(Vec[F], len(v))
-	for i := range v {
-		out[i] = a * v[i]
-	}
-	return out
-}
-
 // ScaleInPlace multiplies every element of v by a.
 func (v Vec[F]) ScaleInPlace(a F) {
 	for i := range v {

@@ -235,7 +235,9 @@ func TestDotProperties(t *testing.T) {
 		}
 		ab, _ := a.Dot(b)
 		ba, _ := b.Dot(a)
-		scaled, _ := a.Scale(2).Dot(b)
+		a2 := a.Clone()
+		a2.ScaleInPlace(2)
+		scaled, _ := a2.Dot(b)
 		return almostEqual(ab, ba, 1e-9) && almostEqual(scaled, 2*ab, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

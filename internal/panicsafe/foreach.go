@@ -10,8 +10,7 @@ import (
 
 // ForEach calls fn(worker, i) once for every i in [0, n) and is the one
 // row pool of the pipeline: the blocked distance kernels, the FFT batch,
-// the anomaly sweep, the forecast stage and the k-means restarts and
-// assignment chunks all fan out through it.
+// the anomaly sweep and the forecast stage all fan out through it.
 //
 // workers ≤ 0 means GOMAXPROCS; the count is clamped to n. With one worker
 // (or n ≤ 1) the indices run in order on the calling goroutine and nothing

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/dsp"
 	"repro/internal/linalg"
 	"repro/internal/nmf"
@@ -258,10 +257,6 @@ func TestPoolContractAtCallSites(t *testing.T) {
 		{"dsp.BatchTransformContext", 2, func(ctx context.Context) error {
 			return plan.BatchTransformContext(ctx, signals, func(int, []complex128) error { return nil })
 		}},
-		{"cluster.KMeansMatCtx", 2, func(ctx context.Context) error {
-			_, err := cluster.KMeansMatCtx(ctx, x, cluster.KMeansOptions{K: 3, Restarts: 4, Workers: 4, Seed: 1})
-			return err
-		}},
 		// The factorisation's strip pass (W update + residual, 7 strips of
 		// these 200 rows) is its first pooled dispatch here: three polls
 		// come before it, all on the caller — the transpose's entry check,
@@ -290,8 +285,7 @@ func TestPoolContractAtCallSites(t *testing.T) {
 
 // The same lowest-index rule on a stage that gets it from the helper: the
 // first bad callback of an FFT batch names the error, whatever the
-// schedule. (A k-means restart can only fail through ctx or a panic, which
-// no caller can aim at one restart, so KMeansMatCtx has no such case.)
+// schedule.
 func TestBatchTransformLowestIndexErrorWins(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	plan, err := dsp.NewPlan(16)

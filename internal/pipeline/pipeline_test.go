@@ -119,15 +119,6 @@ func TestVectorizeRecordsTrimsToWholeWeeks(t *testing.T) {
 	if ds.NumSlots() != 4032 {
 		t.Errorf("slots = %d, want 4032", ds.NumSlots())
 	}
-	// KeepPartialWeeks retains all 31 days.
-	opts.KeepPartialWeeks = true
-	ds, err = vectorizeRecords(records, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Days != 31 {
-		t.Errorf("Days with KeepPartialWeeks = %d, want 31", ds.Days)
-	}
 	// Fewer than 7 days cannot be trimmed.
 	opts = defaultOpts()
 	opts.Days = 3

@@ -19,9 +19,6 @@ type VectorizerOptions struct {
 	Days int
 	// SlotMinutes is the aggregation granularity (default 10).
 	SlotMinutes int
-	// KeepPartialWeeks retains days beyond the last whole week instead of
-	// trimming them.
-	KeepPartialWeeks bool
 	// MinActiveSlots drops towers whose raw vector has fewer than this many
 	// non-zero slots; such towers carry too little signal to cluster.
 	// Zero keeps everything.
@@ -51,12 +48,9 @@ func (o VectorizerOptions) validate() error {
 	return nil
 }
 
-// effectiveDays returns the number of days retained after optional
-// whole-week trimming.
+// effectiveDays returns the number of days retained after whole-week
+// trimming; fewer than seven days are kept as they are.
 func (o VectorizerOptions) effectiveDays() int {
-	if o.KeepPartialWeeks {
-		return o.Days
-	}
 	weeks := o.Days / 7
 	if weeks == 0 {
 		return o.Days
