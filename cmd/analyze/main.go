@@ -468,8 +468,11 @@ func printResult(res *core.Result) {
 			tn.AddRow(b, c, float64(c)/float64(len(res.DominantBasis)))
 		}
 		fmt.Println(tn.String())
-		fmt.Printf("NMF rank %d converged in %d iterations (relative error %.4f)\n\n",
-			res.NMF.H.Rows, res.NMF.Iterations, res.NMF.RelativeError)
+		stop := fmt.Sprintf("converged in %d iterations", res.NMF.Iterations)
+		if !res.NMF.Converged {
+			stop = fmt.Sprintf("stopped at its %d-iteration cap", res.NMF.Iterations)
+		}
+		fmt.Printf("NMF rank %d %s (relative error %.4f)\n\n", res.NMF.H.Rows, stop, res.NMF.RelativeError)
 	}
 
 	t45 := &report.Table{

@@ -75,6 +75,11 @@ type Result struct {
 	RelativeError float64
 	// Iterations is the number of update iterations performed.
 	Iterations int
+	// Converged reports that the relative improvement fell below
+	// Options.Tolerance. When false the factorisation stopped at
+	// Options.MaxIterations; Iterations alone cannot tell the two apart
+	// when convergence falls on the last permitted iteration.
+	Converged bool
 }
 
 // Errors returned by the factorisation.
@@ -238,7 +243,7 @@ func FactorizeMatContext[F linalg.Float](ctx context.Context, v *linalg.Mat[F], 
 	updateStrip := func(_, s int) error { return strips[s].update(ctx, h, gram, eps) }
 	done := ctx.Done()
 	prevErr := math.Inf(1)
-	iterations := 0
+	iterations, converged := 0, false
 	for ; iterations < opts.MaxIterations; iterations++ {
 		// One cancellation check per update iteration; the parallel
 		// kernels below add per-strip checks.
@@ -284,7 +289,7 @@ func FactorizeMatContext[F linalg.Float](ctx context.Context, v *linalg.Mat[F], 
 			sq += e
 		}
 		cur := math.Sqrt(sq)
-		converged := prevErr-cur < opts.Tolerance*(prevErr+epsilon)
+		converged = prevErr-cur < opts.Tolerance*(prevErr+epsilon)
 		prevErr = cur
 		if converged {
 			iterations++
@@ -296,7 +301,7 @@ func FactorizeMatContext[F linalg.Float](ctx context.Context, v *linalg.Mat[F], 
 	if norm > 0 {
 		rel = prevErr / norm
 	}
-	return &Result{W: widen(w), H: widen(h), FrobeniusError: prevErr, RelativeError: rel, Iterations: iterations}, nil
+	return &Result{W: widen(w), H: widen(h), FrobeniusError: prevErr, RelativeError: rel, Iterations: iterations, Converged: converged}, nil
 }
 
 // widen returns m as a float64 matrix: m itself when it already is one, a

@@ -100,6 +100,34 @@ func TestFactorizeRankOneExact(t *testing.T) {
 	}
 }
 
+// Converged separates "stopped because the improvement fell below the
+// tolerance" from "stopped at MaxIterations", including the case that
+// Iterations cannot: convergence on the last permitted iteration.
+func TestFactorizeReportsConvergence(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	rows, _ := syntheticMix(rng, 40, 60, 3)
+	free, err := factorize(rows, Options{Rank: 3, Seed: 1, MaxIterations: 5000, Tolerance: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := free.Iterations
+	if !free.Converged || n >= 5000 || n < 2 {
+		t.Fatalf("uncapped run: converged=%v after %d iterations", free.Converged, n)
+	}
+	for _, tc := range []struct {
+		max       int
+		converged bool
+	}{{n, true}, {n - 1, false}} {
+		res, err := factorize(rows, Options{Rank: 3, Seed: 1, MaxIterations: tc.max, Tolerance: 1e-3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != tc.max || res.Converged != tc.converged {
+			t.Errorf("MaxIterations %d: %d iterations, converged=%v; want %d, %v", tc.max, res.Iterations, res.Converged, tc.max, tc.converged)
+		}
+	}
+}
+
 func TestFactorizeRecoversLowRankStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	rows, _ := syntheticMix(rng, 40, 60, 3)

@@ -76,9 +76,9 @@ type regionShape struct {
 	weekendScale float64
 }
 
-// shapes returns the archetypal traffic shapes of the four single-function
-// regions. The parameters are calibrated so the derived statistics land in
-// the neighbourhood of the paper's Tables 4 and 5:
+// shapes holds the archetypal traffic shapes of the four single-function
+// regions, indexed by region. The parameters are calibrated so the derived
+// statistics land in the neighbourhood of the paper's Tables 4 and 5:
 //
 //   - resident: evening peak ~21:30, high night floor, weekday ≈ weekend,
 //     peak-valley ratio ≈ 9;
@@ -88,45 +88,43 @@ type regionShape struct {
 //     weekday/weekend amount ratio ≈ 1.8, peak-valley ratio ≈ 20;
 //   - entertainment: evening peak (18:00) on weekdays, midday peak (12:30)
 //     on weekends, peak-valley ratio ≈ 32.
-func shapes() map[Region]regionShape {
-	return map[Region]regionShape{
-		Resident: {
-			weekday: func(t float64) float64 {
-				return 0.11 + 0.28*bump(t, 12.5, 2.0) + 0.90*bump(t, 21.5, 2.4) + 0.18*bump(t, 8.0, 1.6)
-			},
-			weekend: func(t float64) float64 {
-				return 0.11 + 0.33*bump(t, 12.5, 2.2) + 0.92*bump(t, 21.5, 2.5) + 0.12*bump(t, 9.0, 1.8)
-			},
-			weekendScale: 1.0,
+var shapes = [...]regionShape{
+	Resident: {
+		weekday: func(t float64) float64 {
+			return 0.11 + 0.28*bump(t, 12.5, 2.0) + 0.90*bump(t, 21.5, 2.4) + 0.18*bump(t, 8.0, 1.6)
 		},
-		Transport: {
-			weekday: func(t float64) float64 {
-				return 0.008 + 1.00*bump(t, 8.0, 1.1) + 0.92*bump(t, 18.0, 1.3) + 0.30*bump(t, 12.5, 2.2)
-			},
-			weekend: func(t float64) float64 {
-				return 0.008 + 0.45*bump(t, 9.5, 1.8) + 0.85*bump(t, 18.0, 2.0) + 0.30*bump(t, 13.0, 2.4)
-			},
-			weekendScale: 0.62,
+		weekend: func(t float64) float64 {
+			return 0.11 + 0.33*bump(t, 12.5, 2.2) + 0.92*bump(t, 21.5, 2.5) + 0.12*bump(t, 9.0, 1.8)
 		},
-		Office: {
-			weekday: func(t float64) float64 {
-				return 0.045 + 1.00*bump(t, 10.5, 2.2) + 0.85*bump(t, 14.5, 2.6) + 0.25*bump(t, 19.0, 1.8)
-			},
-			weekend: func(t float64) float64 {
-				return 0.055 + 0.80*bump(t, 12.0, 2.6) + 0.45*bump(t, 15.5, 2.6)
-			},
-			weekendScale: 0.78,
+		weekendScale: 1.0,
+	},
+	Transport: {
+		weekday: func(t float64) float64 {
+			return 0.008 + 1.00*bump(t, 8.0, 1.1) + 0.92*bump(t, 18.0, 1.3) + 0.30*bump(t, 12.5, 2.2)
 		},
-		Entertainment: {
-			weekday: func(t float64) float64 {
-				return 0.030 + 0.95*bump(t, 18.0, 2.2) + 0.55*bump(t, 21.0, 1.8) + 0.30*bump(t, 12.5, 1.8)
-			},
-			weekend: func(t float64) float64 {
-				return 0.030 + 0.95*bump(t, 12.5, 2.4) + 0.75*bump(t, 18.0, 2.6) + 0.40*bump(t, 21.0, 1.8)
-			},
-			weekendScale: 0.75,
+		weekend: func(t float64) float64 {
+			return 0.008 + 0.45*bump(t, 9.5, 1.8) + 0.85*bump(t, 18.0, 2.0) + 0.30*bump(t, 13.0, 2.4)
 		},
-	}
+		weekendScale: 0.62,
+	},
+	Office: {
+		weekday: func(t float64) float64 {
+			return 0.045 + 1.00*bump(t, 10.5, 2.2) + 0.85*bump(t, 14.5, 2.6) + 0.25*bump(t, 19.0, 1.8)
+		},
+		weekend: func(t float64) float64 {
+			return 0.055 + 0.80*bump(t, 12.0, 2.6) + 0.45*bump(t, 15.5, 2.6)
+		},
+		weekendScale: 0.78,
+	},
+	Entertainment: {
+		weekday: func(t float64) float64 {
+			return 0.030 + 0.95*bump(t, 18.0, 2.2) + 0.55*bump(t, 21.0, 1.8) + 0.30*bump(t, 12.5, 1.8)
+		},
+		weekend: func(t float64) float64 {
+			return 0.030 + 0.95*bump(t, 12.5, 2.4) + 0.75*bump(t, 18.0, 2.6) + 0.40*bump(t, 21.0, 1.8)
+		},
+		weekendScale: 0.75,
+	},
 }
 
 // Intensity returns the archetypal traffic intensity (arbitrary units in
@@ -137,10 +135,10 @@ func Intensity(r Region, hour float64, weekend bool) (float64, error) {
 	if r == Comprehensive {
 		return 0, fmt.Errorf("synth: comprehensive region has no single archetype; use MixtureIntensity")
 	}
-	s, ok := shapes()[r]
-	if !ok {
+	if r < 0 || int(r) >= len(shapes) {
 		return 0, fmt.Errorf("synth: unknown region %v", r)
 	}
+	s := &shapes[r]
 	hour = math.Mod(math.Mod(hour, 24)+24, 24)
 	if weekend {
 		return s.weekendScale * s.weekend(hour), nil

@@ -125,9 +125,31 @@ func TestIntensityErrors(t *testing.T) {
 	if _, err := Intensity(Comprehensive, 12, false); err == nil {
 		t.Error("comprehensive region should require MixtureIntensity")
 	}
-	if _, err := Intensity(Region(42), 12, false); err == nil {
-		t.Error("unknown region should fail")
+	for _, r := range []Region{-1, 42} {
+		if _, err := Intensity(r, 12, false); err == nil {
+			t.Errorf("unknown region %d should fail", r)
+		}
 	}
+}
+
+// The archetypes are a fixed table: evaluating one builds nothing.
+func TestIntensityZeroAlloc(t *testing.T) {
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		for _, r := range PrimaryRegions {
+			v, _ := Intensity(r, 13.25, true)
+			sink += v
+		}
+	}); n != 0 {
+		t.Errorf("Intensity allocates %g times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		v, _ := MixtureIntensity(DefaultComprehensiveMix, 21.5, false)
+		sink += v
+	}); n != 0 {
+		t.Errorf("MixtureIntensity allocates %g times per call", n)
+	}
+	_ = sink
 }
 
 func TestMixtureIntensity(t *testing.T) {

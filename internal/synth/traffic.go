@@ -1,10 +1,13 @@
 package synth
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"time"
+
+	"repro/internal/panicsafe"
 )
 
 // TowerSeries is the ground-truth traffic time series of one tower: bytes
@@ -25,17 +28,21 @@ type TowerSeries struct {
 // evaluated on the diurnal archetypes, shifted by the tower's peak jitter,
 // scaled by its amplitude and the city-wide byte anchor, and perturbed with
 // multiplicative log-normal noise per slot.
+//
+// Towers are generated in parallel on all cores. Each tower draws from its
+// own seeded stream (see GenerateTowerSeries), so the result is identical
+// to generating the towers one by one in order, and a failure reports the
+// lowest failing tower.
 func (c *City) GenerateSeries() ([]TowerSeries, error) {
-	cfg := c.Config
 	out := make([]TowerSeries, len(c.Towers))
-	for i := range c.Towers {
-		s, err := c.GenerateTowerSeries(i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
+	err := panicsafe.ForEach(context.Background(), len(out), 0, func(_, i int) error {
+		var err error
+		out[i], err = c.GenerateTowerSeries(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	_ = cfg
 	return out, nil
 }
 
@@ -51,26 +58,40 @@ func (c *City) GenerateTowerSeries(towerIdx int) (TowerSeries, error) {
 	// Independent deterministic stream per tower.
 	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(t.ID)*7919 + 17))
 
-	slots := cfg.TotalSlots()
 	perDay := cfg.SlotsPerDay()
-	bytes := make([]float64, slots)
 	scale := cfg.MeanBytesPerSlotPeak * t.Amplitude
-	for i := 0; i < slots; i++ {
-		day := i / perDay
+	// The mixture intensity of a slot depends only on its slot of day and
+	// whether its day is a weekend, so it is evaluated once per tower into
+	// a weekday row and a weekend row, already multiplied by scale. Each
+	// slot then multiplies by its noise draw, so the product is rounded in
+	// the order of intensity*scale*noise.
+	level := make([]float64, 2*perDay)
+	for i := range level {
 		slotOfDay := i % perDay
 		hour := (float64(slotOfDay)+0.5)*float64(cfg.SlotMinutes)/60 - t.peakShiftHours
-		date := cfg.Start.AddDate(0, 0, day)
-		weekend := isWeekend(date)
-		intensity, err := MixtureIntensity(t.Mix, hour, weekend)
+		intensity, err := MixtureIntensity(t.Mix, hour, i >= perDay)
 		if err != nil {
 			return TowerSeries{}, fmt.Errorf("synth: tower %d: %w", t.ID, err)
 		}
-		noise := math.Exp(rng.NormFloat64()*cfg.NoiseSigma - cfg.NoiseSigma*cfg.NoiseSigma/2)
-		v := intensity * scale * noise
-		if v < 0 {
-			v = 0
+		level[i] = intensity * scale
+	}
+	weekday, weekend := level[:perDay], level[perDay:]
+
+	bytes := make([]float64, cfg.TotalSlots())
+	for day := range cfg.Days {
+		row := weekday
+		if isWeekend(cfg.Start.AddDate(0, 0, day)) {
+			row = weekend
 		}
-		bytes[i] = math.Round(v)
+		out := bytes[day*perDay : (day+1)*perDay]
+		for i, base := range row {
+			noise := math.Exp(rng.NormFloat64()*cfg.NoiseSigma - cfg.NoiseSigma*cfg.NoiseSigma/2)
+			v := base * noise
+			if v < 0 {
+				v = 0
+			}
+			out[i] = math.Round(v)
+		}
 	}
 	return TowerSeries{TowerID: t.ID, Bytes: bytes}, nil
 }
