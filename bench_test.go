@@ -691,7 +691,8 @@ func modelingPoints(b *testing.B) (raw, norm []linalg.Vector) {
 				row[j] = amp*(1.3+math.Sin(hour+phase)) + rng.Float64()*3
 			}
 			modelRawRows[i] = row
-			modelNormRows[i] = linalg.ZScoreNormalize(row)
+			modelNormRows[i] = make(linalg.Vector, modelSlots)
+			_ = linalg.ZScoreNormalizeInto(modelNormRows[i], row) // lengths match
 		}
 	})
 	return modelRawRows, modelNormRows

@@ -372,7 +372,7 @@ func loadMetadata(dir string) ([]trace.TowerInfo, []poi.POI, error) {
 		return nil, nil, fmt.Errorf("opening towers.csv: %w", err)
 	}
 	defer towersFile.Close()
-	towers, _, err := trace.ReadTowersCSV(bufio.NewReader(towersFile))
+	towers, err := trace.ReadTowersCSV(bufio.NewReader(towersFile))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/label"
 	"repro/internal/pipeline"
 	"repro/internal/synth"
@@ -13,9 +14,9 @@ import (
 
 // TestEndToEndFromRawLogs exercises the complete slow path of the system:
 // synthetic CDR emission (with duplicates and conflicts), CSV round trip,
-// cleaning, address resolution through the geocoder, record vectorisation,
-// clustering, labelling and decomposition — the path a user with an actual
-// log archive would follow via cmd/gentrace + cmd/analyze.
+// cleaning, tower metadata through a towers.csv round trip, record
+// vectorisation, clustering, labelling and decomposition — the path a user
+// with an actual log archive would follow via cmd/gentrace + cmd/analyze.
 func TestEndToEndFromRawLogs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end log path is slow; skipped with -short")
@@ -51,19 +52,20 @@ func TestEndToEndFromRawLogs(t *testing.T) {
 		t.Errorf("skipped %d rows of freshly written CSV", skipped)
 	}
 
-	// Preprocessing: clean, resolve addresses, vectorise.
-	cleaned, stats := trace.Clean(parsed)
-	if stats.Duplicates == 0 && stats.Conflicts == 0 {
-		t.Error("expected the generator to inject redundant or conflicting logs")
+	// Tower metadata, stored and read back as cmd/gentrace and cmd/analyze do.
+	buf.Reset()
+	if err := trace.WriteTowersCSV(&buf, city.TowerInfos()); err != nil {
+		t.Fatal(err)
 	}
-	towers, err := trace.ResolveTowers(cleaned, city.Geocoder)
+	towers, err := trace.ReadTowersCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, info := range towers {
-		if !info.Resolved {
-			t.Errorf("tower %d address %q failed to geocode", info.TowerID, info.Address)
-		}
+
+	// Preprocessing: clean, vectorise.
+	cleaned, stats := trace.Clean(parsed)
+	if stats.Duplicates == 0 && stats.Conflicts == 0 {
+		t.Error("expected the generator to inject redundant or conflicting logs")
 	}
 	ds, err := vectorizeRecords(cleaned, towers, pipeline.VectorizerOptions{
 		Start:       cfg.Start,
@@ -86,6 +88,9 @@ func TestEndToEndFromRawLogs(t *testing.T) {
 		directRow := direct.RowByTowerID(ds.TowerIDs[i])
 		if directRow < 0 {
 			t.Fatalf("tower %d missing from direct dataset", ds.TowerIDs[i])
+		}
+		if d := geo.DistanceMeters(ds.Locations[i], direct.Locations[directRow]); d > 1 {
+			t.Errorf("tower %d: towers.csv location is %.1f m from the city's", ds.TowerIDs[i], d)
 		}
 		logSum := ds.Raw[i].Sum()
 		directSum := direct.Raw[directRow].Sum()

@@ -235,7 +235,12 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 		// Narrow the traffic matrices here, once per analysis: this is the
 		// tier's one precision loss, every float32 kernel reads these
 		// copies, and nothing is written back to or cached on the dataset.
-		res, err = model(ctx, linalg.Narrow(norm), linalg.Narrow(raw), opts)
+		// Only NMF reads the raw matrix, so it is narrowed only for NMF.
+		var raw32 *linalg.Matrix32
+		if opts.NMFRank != 0 {
+			raw32 = linalg.Narrow(raw)
+		}
+		res, err = model(ctx, linalg.Narrow(norm), raw32, opts)
 	default:
 		return nil, fmt.Errorf("core: unknown precision %v", opts.Precision)
 	}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/synth"
 )
 
 // TestPrecisionString covers the enum's debug formatting, including the
@@ -161,5 +163,50 @@ func TestFloat32SeesRowEditedBetweenCalls(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ds, before) {
 		t.Error("AnalyzeContext modified the dataset")
+	}
+}
+
+// Only NMF reads the raw matrix, so with NMF off the float32 tier narrows
+// the normalised matrix alone: on a wide dataset (slots ≫ towers, so the
+// matrices dominate what an analysis allocates) a Float32 analysis
+// allocates less than 1.5 narrowed matrices more than a Float64 one. A
+// tier that also narrowed the unread raw matrix would allocate about two.
+// One candidate cluster count keeps the metric tuner's centroids, which
+// are narrower at float32, from offsetting the difference.
+func TestFloat32NarrowsOnlyWhatItReads(t *testing.T) {
+	cfg := synth.SmallConfig()
+	cfg.Towers = 60
+	cfg.Days = 14
+	cfg.Seed = 3
+	city, err := synth.GenerateCity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := city.BuildDataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The least a run allocates, over a few runs, so that a garbage
+	// collection emptying a pool mid-run cannot count.
+	allocated := func(p Precision) uint64 {
+		opts := Options{MinClusters: 2, MaxClusters: 2, Workers: 1, Precision: p}
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := AnalyzeContext(context.Background(), ds, city.POIs, opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	f64, f32 := allocated(Float64), allocated(Float32)
+	narrowed := float64(ds.NumTowers() * ds.NumSlots() * 4)
+	extra := float64(f32) - float64(f64)
+	t.Logf("float64 %d B, float32 %d B, one narrowed matrix %.0f B", f64, f32, narrowed)
+	if extra >= 1.5*narrowed {
+		t.Errorf("float32 allocates %.2f narrowed matrices more than float64, want < 1.5", extra/narrowed)
 	}
 }

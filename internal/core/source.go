@@ -23,7 +23,7 @@ import (
 // from the parser through the cleaner into the vectorizer thousands at a
 // time.
 //
-// towers supplies the resolved tower locations (typically from
+// towers supplies the tower locations (typically from
 // trace.ReadTowersCSV); towers appearing in the stream but absent from it
 // simply get a zero location. The returned CleanStats describe what the
 // streaming cleaner removed or amended.

@@ -1,7 +1,8 @@
 // Package geo provides the geographic primitives of the analysis pipeline:
 // latitude/longitude points, distances, bounding boxes, uniform grids for
-// density rasters, and an offline geocoder that stands in for the Baidu Map
-// API used by the paper to resolve base-station addresses.
+// density rasters, and a bucketed index for radius queries. Tower
+// locations arrive as coordinates; the paper's address geocoding is not
+// reproduced.
 package geo
 
 import (

@@ -1,12 +1,10 @@
 package geo
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -322,58 +320,6 @@ func TestPointIndexDegenerateQueries(t *testing.T) {
 	}
 	if n := idx.CountWithin(points[3], 0); n != 1 {
 		t.Errorf("zero radius counted %d points, want the coincident one", n)
-	}
-}
-
-func TestGeocoder(t *testing.T) {
-	g := NewGeocoder()
-	p := Point{Lat: 31.23, Lon: 121.47}
-	if err := g.Register("88 Century Avenue, Pudong", p); err != nil {
-		t.Fatal(err)
-	}
-	// Lookup is case- and whitespace-insensitive.
-	got, err := g.Resolve("  88 century   avenue, pudong ")
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	if got != p {
-		t.Errorf("Resolve = %v, want %v", got, p)
-	}
-	if _, err := g.Resolve("nonexistent road"); !errors.Is(err, ErrAddressNotFound) {
-		t.Errorf("unknown address: got %v, want ErrAddressNotFound", err)
-	}
-	if err := g.Register("", p); err == nil {
-		t.Error("empty address should fail")
-	}
-	if err := g.Register("bad point", Point{Lat: 99, Lon: 0}); err == nil {
-		t.Error("invalid point should fail")
-	}
-	if g.Len() != 1 {
-		t.Errorf("Len = %d, want 1", g.Len())
-	}
-	hits, misses := g.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("Stats = (%d, %d), want (1, 1)", hits, misses)
-	}
-}
-
-func TestGeocoderConcurrent(t *testing.T) {
-	g := NewGeocoder()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				addr := "tower " + string(rune('a'+id)) + " block"
-				_ = g.Register(addr, Point{Lat: 31, Lon: 121})
-				_, _ = g.Resolve(addr)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if g.Len() != 8 {
-		t.Errorf("Len after concurrent registration = %d, want 8", g.Len())
 	}
 }
 

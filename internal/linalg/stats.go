@@ -6,24 +6,15 @@ import (
 	"sort"
 )
 
-// ZScoreNormalize returns a copy of v normalised to zero mean and unit
-// standard deviation (the "zero-score normalization" of the paper's traffic
-// vectorizer). If the standard deviation of v is zero — a tower with
-// constant traffic — the returned vector is all zeros, which places it at
-// the origin of the feature space rather than producing NaNs.
-func ZScoreNormalize[F Float](v Vec[F]) Vec[F] {
-	out := make(Vec[F], len(v))
-	_ = ZScoreNormalizeInto(out, v) // lengths match by construction
-	return out
-}
-
-// ZScoreNormalizeInto writes the z-score normalisation of v into dst (which
-// must have the same length), the allocation-free form used when the
-// destination is a row of a dataset's flat matrix backing. The deviation
-// and quotient are formed in float64 and only the final value narrows, so
-// float32 rows differ from their float64 counterparts by at most a handful
-// of roundings. The same zero-variance convention as ZScoreNormalize
-// applies.
+// ZScoreNormalizeInto writes v normalised to zero mean and unit standard
+// deviation (the "zero-score normalization" of the paper's traffic
+// vectorizer) into dst, which must have the same length — in practice a
+// row of a dataset's flat matrix backing. If the standard deviation of v
+// is zero — a tower with constant traffic — dst is all zeros, which places
+// it at the origin of the feature space rather than producing NaNs. The
+// deviation and quotient are formed in float64 and only the final value
+// narrows, so float32 rows differ from their float64 counterparts by at
+// most a handful of roundings.
 func ZScoreNormalizeInto[F Float](dst, v Vec[F]) error {
 	if len(dst) != len(v) {
 		return fmt.Errorf("%w: normalize %d into %d", ErrDimensionMismatch, len(v), len(dst))

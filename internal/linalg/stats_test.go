@@ -7,9 +7,16 @@ import (
 	"testing/quick"
 )
 
+// zscored returns ZScoreNormalizeInto's output in a fresh vector.
+func zscored(v Vector) Vector {
+	z := make(Vector, len(v))
+	_ = ZScoreNormalizeInto(z, v) // lengths match by construction
+	return z
+}
+
 func TestZScoreNormalize(t *testing.T) {
 	v := Vector{1, 2, 3, 4, 5}
-	z := ZScoreNormalize(v)
+	z := zscored(v)
 	if !almostEqual(z.Mean(), 0, 1e-12) {
 		t.Errorf("mean of z-scored = %g, want 0", z.Mean())
 	}
@@ -20,14 +27,20 @@ func TestZScoreNormalize(t *testing.T) {
 
 func TestZScoreNormalizeConstant(t *testing.T) {
 	v := Vector{7, 7, 7}
-	z := ZScoreNormalize(v)
+	z := Vector{1, 1, 1} // stale contents must be overwritten
+	if err := ZScoreNormalizeInto(z, v); err != nil {
+		t.Fatal(err)
+	}
 	for i, x := range z {
 		if x != 0 {
 			t.Errorf("z[%d] = %g, want 0 for constant input", i, x)
 		}
 	}
-	if len(ZScoreNormalize[float64](nil)) != 0 {
-		t.Error("z-score of empty vector should be empty")
+	if err := ZScoreNormalizeInto[float64](nil, nil); err != nil {
+		t.Errorf("z-score of empty vector: %v", err)
+	}
+	if err := ZScoreNormalizeInto(make(Vector, 2), v); err == nil {
+		t.Error("length mismatch should fail")
 	}
 }
 
@@ -135,7 +148,7 @@ func TestZScoreProperty(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64() * 100
 		}
-		z := ZScoreNormalize(v)
+		z := zscored(v)
 		if !z.IsFinite() {
 			return false
 		}
@@ -204,9 +217,10 @@ func BenchmarkZScoreNormalize4032(b *testing.B) {
 	for i := range v {
 		v[i] = rng.Float64()
 	}
+	z := make(Vector, len(v))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ZScoreNormalize(v)
+		_ = ZScoreNormalizeInto(z, v)
 	}
 }

@@ -61,9 +61,12 @@ func TestVectorizeSeriesFlatBacking(t *testing.T) {
 		t.Error("VectorizeSeries must not alias the caller's series")
 	}
 	ds.Raw[0][0] = series[0].Bytes[0]
-	// Normalisation must match the reference ZScoreNormalize bit for bit.
+	// Normalisation must match ZScoreNormalizeInto of the row bit for bit.
+	want := make(linalg.Vector, ds.NumSlots())
 	for i := 0; i < ds.NumTowers(); i++ {
-		want := linalg.ZScoreNormalize(ds.Raw[i])
+		if err := linalg.ZScoreNormalizeInto(want, ds.Raw[i]); err != nil {
+			t.Fatal(err)
+		}
 		for j := range want {
 			if ds.Normalized[i][j] != want[j] {
 				t.Fatalf("row %d slot %d: normalized %g, want %g", i, j, ds.Normalized[i][j], want[j])

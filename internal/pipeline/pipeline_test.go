@@ -48,7 +48,7 @@ func TestVectorizeRecordsBasic(t *testing.T) {
 		rec(2, 13, start.Add(24*time.Hour), 999),                 // day 2, slot 144
 	}
 	towers := []trace.TowerInfo{
-		{TowerID: 1, Location: geo.Point{Lat: 31.2, Lon: 121.5}, Resolved: true},
+		{TowerID: 1, Location: geo.Point{Lat: 31.2, Lon: 121.5}},
 	}
 	ds, err := vectorizeRecords(records, towers, defaultOpts())
 	if err != nil {

@@ -31,9 +31,8 @@ import (
 // are attributed to the slot containing its start time; records outside
 // the aggregation window are dropped, and every tower appearing in the
 // stream gets a row even if all its records fall outside the window.
-// Tower locations are taken from the supplied tower infos (resolved
-// during preprocessing); towers absent from the infos still get a vector
-// with a zero location.
+// Tower locations are taken from the supplied tower infos (towers.csv);
+// towers absent from the infos still get a vector with a zero location.
 //
 // Cancellation and fault isolation: ctx is observed between source batches
 // (a Background context costs nothing), and the read loop runs under panic
@@ -96,9 +95,7 @@ func VectorizeSourceContext(ctx context.Context, src trace.Source, towers []trac
 	sort.Ints(towerIDs)
 	locByID := make(map[int]geo.Point, len(towers))
 	for _, t := range towers {
-		if t.Resolved {
-			locByID[t.TowerID] = t.Location
-		}
+		locByID[t.TowerID] = t.Location
 	}
 	locations := make([]geo.Point, len(towerIDs))
 	raw := linalg.NewMatrix(len(towerIDs), slots)

@@ -47,10 +47,9 @@ func datasetsEqual(a, b *Dataset) error {
 func TestVectorizeSourceMatchesRecordsProperty(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	towers := []trace.TowerInfo{
-		{TowerID: 0, Location: geo.Point{Lat: 31.1, Lon: 121.4}, Resolved: true},
-		{TowerID: 1, Location: geo.Point{Lat: 31.2, Lon: 121.5}, Resolved: true},
-		{TowerID: 2, Resolved: false},
-	}
+		{TowerID: 0, Location: geo.Point{Lat: 31.1, Lon: 121.4}},
+		{TowerID: 1, Location: geo.Point{Lat: 31.2, Lon: 121.5}},
+	} // towers 2–4 are missing from the metadata
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 50 + rng.Intn(200)
@@ -80,6 +79,12 @@ func TestVectorizeSourceMatchesRecordsProperty(t *testing.T) {
 		if err := datasetsEqual(want, got); err != nil {
 			t.Logf("mismatch: %v", err)
 			return false
+		}
+		for i, id := range got.TowerIDs {
+			if id >= len(towers) && got.Locations[i] != (geo.Point{}) {
+				t.Logf("tower %d has no metadata but location %v", id, got.Locations[i])
+				return false
+			}
 		}
 		return true
 	}

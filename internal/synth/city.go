@@ -136,9 +136,8 @@ func (c Config) TotalSlots() int { return c.Days * c.SlotsPerDay() }
 type Tower struct {
 	// ID is the base-station identifier, unique within the city.
 	ID int
-	// Address is the textual address; the preprocessing stage resolves it
-	// back to coordinates via the geocoder, like the paper did with the
-	// Baidu Map API.
+	// Address is the textual base-station address, written to towers.csv
+	// beside Location.
 	Address string
 	// Location is the ground-truth position of the tower.
 	Location geo.Point
@@ -158,11 +157,10 @@ type Tower struct {
 
 // City is the generated urban environment.
 type City struct {
-	Config   Config
-	Towers   []Tower
-	POIs     []poi.POI
-	Geocoder *geo.Geocoder
-	Box      geo.BoundingBox
+	Config Config
+	Towers []Tower
+	POIs   []poi.POI
+	Box    geo.BoundingBox
 
 	rng *rand.Rand
 }
@@ -222,18 +220,17 @@ var roadNames = []string{
 	"Siping", "Wujiaochang", "Zhangyang", "Dapu", "Caoxi", "Tianyaoqiao",
 }
 
-// GenerateCity builds the synthetic city: towers with ground-truth regions
-// and mixtures, POIs, and a populated geocoder.
+// GenerateCity builds the synthetic city: towers with addresses,
+// coordinates, ground-truth regions and mixtures, and POIs.
 func GenerateCity(cfg Config) (*City, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	city := &City{
-		Config:   cfg,
-		Geocoder: geo.NewGeocoder(),
-		Box:      cityBox,
-		rng:      rng,
+		Config: cfg,
+		Box:    cityBox,
+		rng:    rng,
 	}
 
 	counts, err := apportion(cfg.Towers, cfg.Shares)
@@ -263,7 +260,7 @@ func GenerateCity(cfg Config) (*City, error) {
 			if !cityBox.Contains(loc) {
 				loc = clampToBox(loc, cityBox)
 			}
-			t := Tower{
+			city.Towers = append(city.Towers, Tower{
 				ID:             id,
 				Address:        towerAddress(rng, id),
 				Location:       loc,
@@ -271,11 +268,7 @@ func GenerateCity(cfg Config) (*City, error) {
 				Mix:            towerMix(rng, region, cfg.MixJitter),
 				Amplitude:      math.Exp(rng.NormFloat64() * cfg.AmplitudeSigma),
 				peakShiftHours: (rng.Float64()*2 - 1) * cfg.PeakJitterMinutes / 60,
-			}
-			if err := city.Geocoder.Register(t.Address, t.Location); err != nil {
-				return nil, fmt.Errorf("synth: registering tower %d: %w", id, err)
-			}
-			city.Towers = append(city.Towers, t)
+			})
 			id++
 		}
 	}

@@ -117,12 +117,8 @@ func TestGenerateCityBasics(t *testing.T) {
 		if math.Abs(mixSum-1) > 1e-9 {
 			t.Errorf("tower %d mix sums to %g", tw.ID, mixSum)
 		}
-		// Every address resolves through the geocoder.
-		p, err := city.Geocoder.Resolve(tw.Address)
-		if err != nil {
-			t.Errorf("address %q not geocodable: %v", tw.Address, err)
-		} else if p != tw.Location {
-			t.Errorf("geocoder returned %v for tower at %v", p, tw.Location)
+		if strings.TrimSpace(tw.Address) == "" || !tw.Location.Valid() {
+			t.Errorf("tower %d: address %q at %v would not pass towers.csv's checks", tw.ID, tw.Address, tw.Location)
 		}
 	}
 	if len(city.POIs) == 0 {

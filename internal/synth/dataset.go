@@ -44,7 +44,6 @@ func (c *City) TowerInfos() []trace.TowerInfo {
 			TowerID:  t.ID,
 			Address:  t.Address,
 			Location: t.Location,
-			Resolved: true,
 		}
 	}
 	return out

@@ -103,9 +103,6 @@ func TestTowerInfos(t *testing.T) {
 		if info.TowerID != city.Towers[i].ID || info.Address != city.Towers[i].Address {
 			t.Errorf("info %d metadata mismatch", i)
 		}
-		if !info.Resolved {
-			t.Errorf("info %d should be resolved", i)
-		}
 		if info.Location != city.Towers[i].Location {
 			t.Errorf("info %d location mismatch", i)
 		}

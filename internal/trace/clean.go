@@ -2,14 +2,10 @@ package trace
 
 import (
 	"cmp"
-	"fmt"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"time"
-
-	"repro/internal/geo"
 )
 
 // CleanStats summarises what the preprocessing stage removed or repaired.
@@ -443,66 +439,4 @@ func Clean(records []Record) ([]Record, CleanStats) {
 	stats := c.Stats()
 	stats.Output = len(out)
 	return out, stats
-}
-
-// ResolveTowers performs the second preprocessing step: it collects the
-// distinct towers appearing in the records and resolves their addresses to
-// coordinates through the geocoder (the offline stand-in for the Baidu Map
-// API). Towers whose address cannot be resolved are reported with
-// Resolved=false so the caller can decide whether to drop them.
-func ResolveTowers(records []Record, geocoder *geo.Geocoder) ([]TowerInfo, error) {
-	if geocoder == nil {
-		return nil, fmt.Errorf("trace: nil geocoder")
-	}
-	addr := make(map[int]string)
-	for _, r := range records {
-		if _, ok := addr[r.TowerID]; !ok {
-			addr[r.TowerID] = r.Address
-		}
-	}
-	ids := make([]int, 0, len(addr))
-	for id := range addr {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]TowerInfo, 0, len(ids))
-	for _, id := range ids {
-		info := TowerInfo{TowerID: id, Address: addr[id]}
-		if p, err := geocoder.Resolve(info.Address); err == nil {
-			info.Location = p
-			info.Resolved = true
-		}
-		out = append(out, info)
-	}
-	return out, nil
-}
-
-// TrafficDensity performs the third preprocessing step: it rasterises the
-// per-tower traffic onto a grid over the city bounding box and returns the
-// grid populated with bytes, from which Densities() yields bytes per km².
-// Records belonging to towers without a resolved location are skipped and
-// counted.
-func TrafficDensity(records []Record, towers []TowerInfo, box geo.BoundingBox, rows, cols int) (*geo.Grid, int, error) {
-	grid, err := geo.NewGrid(box, rows, cols)
-	if err != nil {
-		return nil, 0, err
-	}
-	loc := make(map[int]geo.Point, len(towers))
-	for _, t := range towers {
-		if t.Resolved {
-			loc[t.TowerID] = t.Location
-		}
-	}
-	skipped := 0
-	for _, r := range records {
-		p, ok := loc[r.TowerID]
-		if !ok {
-			skipped++
-			continue
-		}
-		if !grid.Add(p, float64(r.Bytes)) {
-			skipped++
-		}
-	}
-	return grid, skipped, nil
 }

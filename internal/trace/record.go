@@ -1,8 +1,7 @@
 // Package trace models the raw cellular connection logs (CDR-style
-// records) and implements the preprocessing stage of Section 2.2 of the
-// paper: eliminating redundant and conflicting logs, completing tower
-// location information through the geocoder, and computing spatial traffic
-// density.
+// records) and implements the log cleaning of the paper's Section 2.2:
+// eliminating redundant and conflicting logs. Tower metadata, locations
+// included, is read from towers.csv (ReadTowersCSV).
 //
 // Ingestion is batched and allocation-free. Records move through one
 // interface, Source (NextBatch), and each stage has one entry point:
@@ -155,11 +154,10 @@ func appendRecord(buf []byte, r Record) []byte {
 	return append(buf, '\n')
 }
 
-// TowerInfo is the per-tower metadata recovered during preprocessing.
+// TowerInfo is the per-tower metadata of towers.csv: the base-station
+// identifier, its address and its coordinates.
 type TowerInfo struct {
 	TowerID  int
 	Address  string
 	Location geo.Point
-	// Resolved reports whether the address was successfully geocoded.
-	Resolved bool
 }

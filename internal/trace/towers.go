@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"repro/internal/geo"
 )
@@ -16,10 +17,11 @@ var towersHeader = []string{"tower_id", "address", "lat", "lon"}
 // towersHeaderLine is the serialised tower metadata header row.
 const towersHeaderLine = "tower_id,address,lat,lon\n"
 
-// WriteTowersCSV writes tower metadata (ID, address, coordinates) as CSV.
-// It is the on-disk form of the base-station registry the paper obtained by
-// geocoding addresses. Rows are appended into one reused buffer with
-// strconv.Append* — no per-field strings — and flushed in large writes.
+// WriteTowersCSV writes tower metadata (ID, address, coordinates) as CSV:
+// towers.csv, the file that gives every tower its location (the paper
+// geocoded addresses for these; the synthetic city knows them). Rows are
+// appended into one reused buffer with strconv.Append* — no per-field
+// strings — and flushed in large writes.
 func WriteTowersCSV(w io.Writer, towers []TowerInfo) error {
 	buf := make([]byte, 0, writerFlushSize+512)
 	buf = append(buf, towersHeaderLine...)
@@ -47,54 +49,55 @@ func WriteTowersCSV(w io.Writer, towers []TowerInfo) error {
 	return nil
 }
 
-// ReadTowersCSV parses tower metadata written by WriteTowersCSV and returns
-// the towers plus a geocoder populated with their addresses (so the
-// preprocessing stage can resolve addresses exactly as it would against the
-// online map service).
-func ReadTowersCSV(r io.Reader) ([]TowerInfo, *geo.Geocoder, error) {
+// ReadTowersCSV parses tower metadata written by WriteTowersCSV. It
+// rejects a blank address, invalid coordinates and a tower ID that appears
+// twice, naming the offending tower.
+func ReadTowersCSV(r io.Reader) ([]TowerInfo, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(towersHeader)
 	header, err := cr.Read()
 	if err != nil {
-		return nil, nil, fmt.Errorf("trace: reading towers header: %w", err)
+		return nil, fmt.Errorf("trace: reading towers header: %w", err)
 	}
 	if len(header) != len(towersHeader) || header[0] != towersHeader[0] {
-		return nil, nil, fmt.Errorf("trace: unexpected towers header %v", header)
+		return nil, fmt.Errorf("trace: unexpected towers header %v", header)
 	}
-	geocoder := geo.NewGeocoder()
 	var out []TowerInfo
+	seen := make(map[int]bool)
 	for {
 		row, err := cr.Read()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("trace: reading tower row: %w", err)
+			return nil, fmt.Errorf("trace: reading tower row: %w", err)
 		}
 		id, err := strconv.Atoi(row[0])
 		if err != nil {
-			return nil, nil, fmt.Errorf("trace: tower id %q: %w", row[0], err)
+			return nil, fmt.Errorf("trace: tower id %q: %w", row[0], err)
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("trace: tower %d listed twice", id)
+		}
+		seen[id] = true
+		if strings.TrimSpace(row[1]) == "" {
+			return nil, fmt.Errorf("trace: tower %d has a blank address", id)
 		}
 		lat, err := strconv.ParseFloat(row[2], 64)
 		if err != nil {
-			return nil, nil, fmt.Errorf("trace: tower %d latitude: %w", id, err)
+			return nil, fmt.Errorf("trace: tower %d latitude: %w", id, err)
 		}
 		lon, err := strconv.ParseFloat(row[3], 64)
 		if err != nil {
-			return nil, nil, fmt.Errorf("trace: tower %d longitude: %w", id, err)
+			return nil, fmt.Errorf("trace: tower %d longitude: %w", id, err)
 		}
-		info := TowerInfo{
-			TowerID:  id,
-			Address:  row[1],
-			Location: geo.Point{Lat: lat, Lon: lon},
-			Resolved: true,
+		loc := geo.Point{Lat: lat, Lon: lon}
+		if !loc.Valid() {
+			return nil, fmt.Errorf("trace: tower %d has invalid coordinates %v", id, loc)
 		}
-		if err := geocoder.Register(info.Address, info.Location); err != nil {
-			return nil, nil, fmt.Errorf("trace: registering tower %d: %w", id, err)
-		}
-		out = append(out, info)
+		out = append(out, TowerInfo{TowerID: id, Address: row[1], Location: loc})
 	}
-	return out, geocoder, nil
+	return out, nil
 }
 
 // writerFlushSize is the buffered-output threshold of the append-based

@@ -11,14 +11,14 @@ import (
 
 func TestTowersCSVRoundTrip(t *testing.T) {
 	towers := []TowerInfo{
-		{TowerID: 1, Address: "No.500 Century Road, Pudong District, Shanghai (BS-00001)", Location: geo.Point{Lat: 31.2304, Lon: 121.4737}, Resolved: true},
-		{TowerID: 7, Address: "No.12 Nanjing Road, Huangpu District, Shanghai (BS-00007)", Location: geo.Point{Lat: 31.2400, Lon: 121.4800}, Resolved: true},
+		{TowerID: 1, Address: "No.500 Century Road, Pudong District, Shanghai (BS-00001)", Location: geo.Point{Lat: 31.2304, Lon: 121.4737}},
+		{TowerID: 7, Address: "No.12 Nanjing Road, Huangpu District, Shanghai (BS-00007)", Location: geo.Point{Lat: 31.2400, Lon: 121.4800}},
 	}
 	var buf bytes.Buffer
 	if err := WriteTowersCSV(&buf, towers); err != nil {
 		t.Fatal(err)
 	}
-	back, geocoder, err := ReadTowersCSV(&buf)
+	back, err := ReadTowersCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,32 +32,24 @@ func TestTowersCSVRoundTrip(t *testing.T) {
 		if geo.DistanceMeters(back[i].Location, towers[i].Location) > 1 {
 			t.Errorf("tower %d location drifted", i)
 		}
-		if !back[i].Resolved {
-			t.Errorf("tower %d should be marked resolved", i)
-		}
-	}
-	// The geocoder is populated with the addresses.
-	p, err := geocoder.Resolve(towers[0].Address)
-	if err != nil {
-		t.Fatalf("geocoder missing address: %v", err)
-	}
-	if geo.DistanceMeters(p, towers[0].Location) > 1 {
-		t.Error("geocoder returned wrong location")
 	}
 }
 
 func TestReadTowersCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"foo,bar,baz,qux\n",
-		"tower_id,address,lat,lon\nnot-a-number,addr,31,121\n",
-		"tower_id,address,lat,lon\n1,addr,bad,121\n",
-		"tower_id,address,lat,lon\n1,addr,31,bad\n",
-		"tower_id,address,lat,lon\n1,addr,99,121\n", // invalid latitude for geocoder
+	cases := []struct{ in, want string }{
+		{"", "header"},
+		{"foo,bar,baz,qux\n", "header"},
+		{"tower_id,address,lat,lon\nnot-a-number,addr,31,121\n", "not-a-number"},
+		{"tower_id,address,lat,lon\n1,addr,bad,121\n", "tower 1 latitude"},
+		{"tower_id,address,lat,lon\n1,addr,31,bad\n", "tower 1 longitude"},
+		{"tower_id,address,lat,lon\n1,addr,99,121\n", "tower 1 has invalid coordinates"},
+		{"tower_id,address,lat,lon\n1,  ,31,121\n", "tower 1 has a blank address"},
+		{"tower_id,address,lat,lon\n4,addr,31,121\n2,b,31,121\n4,c,31.1,121\n", "tower 4 listed twice"},
 	}
 	for i, c := range cases {
-		if _, _, err := ReadTowersCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: expected error", i)
+		_, err := ReadTowersCSV(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: error %v, want one containing %q", i, err, c.want)
 		}
 	}
 }

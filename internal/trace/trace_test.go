@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"repro/internal/geo"
 )
 
 var t0 = time.Date(2014, 8, 1, 8, 0, 0, 0, time.UTC)
@@ -244,59 +242,5 @@ func TestCleanIdempotentProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestResolveTowers(t *testing.T) {
-	geocoder := geo.NewGeocoder()
-	loc := geo.Point{Lat: 31.23, Lon: 121.47}
-	if err := geocoder.Register(validRecord().Address, loc); err != nil {
-		t.Fatal(err)
-	}
-	known := validRecord()
-	unknown := validRecord()
-	unknown.TowerID = 8
-	unknown.Address = "Unknown Alley 3"
-	infos, err := ResolveTowers([]Record{known, unknown, known}, geocoder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 2 {
-		t.Fatalf("infos = %d, want 2", len(infos))
-	}
-	if !infos[0].Resolved || infos[0].Location != loc {
-		t.Errorf("tower 7 should resolve to %v: %+v", loc, infos[0])
-	}
-	if infos[1].Resolved {
-		t.Error("unknown address should not resolve")
-	}
-	if _, err := ResolveTowers(nil, nil); err == nil {
-		t.Error("nil geocoder should fail")
-	}
-}
-
-func TestTrafficDensity(t *testing.T) {
-	box := geo.BoundingBox{MinLat: 31, MaxLat: 32, MinLon: 121, MaxLon: 122}
-	towers := []TowerInfo{
-		{TowerID: 7, Location: geo.Point{Lat: 31.1, Lon: 121.1}, Resolved: true},
-		{TowerID: 8, Resolved: false},
-	}
-	recA := validRecord() // tower 7
-	recB := validRecord()
-	recB.TowerID = 8 // unresolved tower → skipped
-	recC := validRecord()
-	recC.TowerID = 99 // unknown tower → skipped
-	grid, skipped, err := TrafficDensity([]Record{recA, recB, recC}, towers, box, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 2 {
-		t.Errorf("skipped = %d, want 2", skipped)
-	}
-	if grid.Total() != float64(recA.Bytes) {
-		t.Errorf("grid total = %g, want %d", grid.Total(), recA.Bytes)
-	}
-	if _, _, err := TrafficDensity(nil, nil, box, 0, 10); err == nil {
-		t.Error("invalid grid size should fail")
 	}
 }

@@ -143,8 +143,8 @@ func TestWindowDatasetMatchesBatchVectorizer(t *testing.T) {
 		series[3][s] = 0
 	}
 	w.SetLocations([]trace.TowerInfo{
-		{TowerID: 0, Location: geo.Point{Lat: 31.2, Lon: 121.5}, Resolved: true},
-		{TowerID: 4, Location: geo.Point{Lat: 31.3, Lon: 121.4}, Resolved: true},
+		{TowerID: 0, Location: geo.Point{Lat: 31.2, Lon: 121.5}},
+		{TowerID: 4, Location: geo.Point{Lat: 31.3, Lon: 121.4}},
 	})
 	feedSeries(w, series, 60)
 	if st, _ := w.TowerStats(1); !st.Quarantined || w.Summary().Quarantined != 1 {
