@@ -434,35 +434,6 @@ func BenchmarkClean(b *testing.B) {
 
 // --- Ablations ------------------------------------------------------------
 
-// BenchmarkAblation_Linkage compares the three linkage criteria on the same
-// dataset, reporting the Davies-Bouldin index each achieves at K=5.
-func BenchmarkAblation_Linkage(b *testing.B) {
-	env := sharedEnv(b)
-	for _, linkage := range []cluster.Linkage{cluster.AverageLinkage, cluster.SingleLinkage, cluster.CompleteLinkage} {
-		linkage := linkage
-		b.Run(linkage.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			var lastDBI float64
-			for i := 0; i < b.N; i++ {
-				dendro, err := cluster.HierarchicalWorkersCtx(context.Background(), env.Dataset.Normalized, linkage, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				assign, err := dendro.CutK(5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dbi, err := cluster.DaviesBouldinWorkers(env.Dataset.Normalized, assign, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lastDBI = dbi
-			}
-			b.ReportMetric(lastDBI, "DBI@5")
-		})
-	}
-}
-
 // BenchmarkAblation_ReconstructionComponents extends Figure 12 by sweeping
 // the number of retained spectral components and reporting the energy loss.
 func BenchmarkAblation_ReconstructionComponents(b *testing.B) {

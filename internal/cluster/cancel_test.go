@@ -19,7 +19,7 @@ func TestPreCancelledContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	points := randomPoints(rng, 64, 8)
 	x := matOf(t, points)
-	dendro, err := hierarchical(points, AverageLinkage)
+	dendro, err := hierarchical(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestHierarchicalCancellationProperty(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	rng := rand.New(rand.NewSource(1409))
 	points := randomPoints(rng, 400, 32)
-	baseline, err := hierarchical(points, AverageLinkage)
+	baseline, err := hierarchical(points)
 	if err != nil {
 		t.Fatal(err)
 	}

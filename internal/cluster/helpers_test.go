@@ -19,6 +19,6 @@ func matOf(t testing.TB, points []linalg.Vector) *linalg.Matrix {
 
 // hierarchical builds the dendrogram of loose points with all cores and no
 // cancellation, through the slice adapter.
-func hierarchical(points []linalg.Vector, linkage Linkage) (*Dendrogram, error) {
-	return HierarchicalWorkersCtx(context.Background(), points, linkage, 0)
+func hierarchical(points []linalg.Vector) (*Dendrogram, error) {
+	return HierarchicalWorkersCtx(context.Background(), points, AverageLinkage, 0)
 }

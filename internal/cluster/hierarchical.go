@@ -1,10 +1,11 @@
 // Package cluster implements the pattern-identifier and metric-tuner stages
 // of the paper's system (Section 3.2): agglomerative hierarchical
-// clustering of the per-tower traffic vectors with average linkage and a
-// Euclidean metric, cut either by a distance threshold or by cluster count,
-// with the Davies–Bouldin index as the model-selection criterion. A second
-// validity index (silhouette) serves the ablation studies and the serving
-// plane's admission gate.
+// clustering of the per-tower traffic vectors with average linkage — the
+// one linkage the package implements — and a Euclidean metric, cut either
+// by a distance threshold or by cluster count, with the Davies–Bouldin
+// index as the model-selection criterion. A second validity index
+// (silhouette) serves the ablation studies and the serving plane's
+// admission gate.
 //
 // Every stage has one implementation, generic over the element type of a
 // flat row-major linalg.Mat (float64 or float32) and taking ctx first where
@@ -23,33 +24,21 @@ import (
 	"repro/internal/linalg"
 )
 
-// Linkage selects how the distance between two clusters is derived from
-// point-to-point distances.
+// Linkage names how the distance between two clusters is derived from
+// point-to-point distances. AverageLinkage, the paper's criterion, is the
+// only one; every other value is rejected.
 type Linkage int
 
-// Supported linkage criteria.
-const (
-	// AverageLinkage is the paper's choice: the mean pairwise distance
-	// between members of the two clusters.
-	AverageLinkage Linkage = iota
-	// SingleLinkage is the minimum pairwise distance.
-	SingleLinkage
-	// CompleteLinkage is the maximum pairwise distance.
-	CompleteLinkage
-)
+// AverageLinkage is the mean pairwise distance between members of the two
+// clusters.
+const AverageLinkage Linkage = 0
 
 // String implements fmt.Stringer.
 func (l Linkage) String() string {
-	switch l {
-	case AverageLinkage:
+	if l == AverageLinkage {
 		return "average"
-	case SingleLinkage:
-		return "single"
-	case CompleteLinkage:
-		return "complete"
-	default:
-		return fmt.Sprintf("linkage(%d)", int(l))
 	}
+	return fmt.Sprintf("linkage(%d)", int(l))
 }
 
 // Errors returned by the clustering functions.
@@ -74,11 +63,9 @@ type Merge struct {
 type Dendrogram struct {
 	// N is the number of leaves (input points).
 	N int
-	// Linkage is the criterion the tree was built with.
-	Linkage Linkage
 	// Merges has exactly N-1 entries ordered as performed by the
-	// algorithm. Merge distances are non-decreasing for reducible linkages
-	// (average, single, complete).
+	// algorithm. Average linkage is reducible, so merge distances are
+	// non-decreasing.
 	Merges []Merge
 }
 
@@ -113,11 +100,10 @@ func DistancesMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], work
 	return &Distances{c: c}, nil
 }
 
-// HierarchicalCtx builds the dendrogram of the points under the given
-// linkage using the nearest-neighbour-chain algorithm: O(N²) time and O(N)
+// HierarchicalCtx builds the average-linkage dendrogram of the points using the nearest-neighbour-chain algorithm: O(N²) time and O(N)
 // extra scratch for the chain. The agglomeration overwrites the matrix it
 // runs on, so it runs on a scratch copy — transiently doubling the
-// footprint — and d stays valid for Silhouette or another linkage. The
+// footprint — and d stays valid for Silhouette. The
 // agglomeration always runs in float64 and is sequential; ctx is observed
 // between merges.
 func (d *Distances) HierarchicalCtx(ctx context.Context, linkage Linkage) (*Dendrogram, error) {
@@ -127,19 +113,17 @@ func (d *Distances) HierarchicalCtx(ctx context.Context, linkage Linkage) (*Dend
 // agglomerate builds the dendrogram of the points behind dist, destroying
 // dist in the process.
 func agglomerate(ctx context.Context, dist condensed, linkage Linkage) (*Dendrogram, error) {
-	switch linkage {
-	case AverageLinkage, SingleLinkage, CompleteLinkage:
-	default:
+	if linkage != AverageLinkage {
 		return nil, fmt.Errorf("cluster: unknown linkage %v", linkage)
 	}
 	if dist.n == 1 {
-		return &Dendrogram{N: 1, Linkage: linkage, Merges: nil}, nil
+		return &Dendrogram{N: 1, Merges: nil}, nil
 	}
-	slotMerges, err := nnChain(ctx, dist, linkage)
+	slotMerges, err := nnChain(ctx, dist)
 	if err != nil {
 		return nil, err
 	}
-	return relabelMerges(dist.n, linkage, slotMerges), nil
+	return relabelMerges(dist.n, slotMerges), nil
 }
 
 // HierarchicalMatCtx builds the dendrogram of x's rows: DistancesMatCtx
@@ -243,9 +227,9 @@ type slotMerge struct {
 // nnChain runs the nearest-neighbour-chain agglomeration over the condensed
 // matrix, destroying it in the process. Extra scratch is O(N): the active
 // and size arrays plus the chain stack. Merges are recorded against slots
-// in discovery order, which for reducible linkages (average, single,
-// complete) sorts into a valid agglomeration order.
-func nnChain(ctx context.Context, dist condensed, linkage Linkage) ([]slotMerge, error) {
+// in discovery order, which for a reducible linkage such as average
+// linkage sorts into a valid agglomeration order.
+func nnChain(ctx context.Context, dist condensed) ([]slotMerge, error) {
 	done := ctx.Done()
 	n := dist.n
 	active := make([]bool, n)
@@ -299,22 +283,14 @@ func nnChain(ctx context.Context, dist condensed, linkage Linkage) ([]slotMerge,
 				a, b := top, best
 				chain = chain[:len(chain)-2]
 				na, nb := size[a], size[b]
-				// Lance–Williams update of distances from the merged
-				// cluster (stored in slot a) to every other active cluster.
+				// Average-linkage Lance–Williams update of distances from
+				// the merged cluster (stored in slot a) to every other
+				// active cluster.
 				for k := 0; k < n; k++ {
 					if !active[k] || k == a || k == b {
 						continue
 					}
-					var nd float64
-					switch linkage {
-					case AverageLinkage:
-						nd = (float64(na)*dist.at(a, k) + float64(nb)*dist.at(b, k)) / float64(na+nb)
-					case SingleLinkage:
-						nd = math.Min(dist.at(a, k), dist.at(b, k))
-					case CompleteLinkage:
-						nd = math.Max(dist.at(a, k), dist.at(b, k))
-					}
-					dist.set(a, k, nd)
+					dist.set(a, k, (float64(na)*dist.at(a, k)+float64(nb)*dist.at(b, k))/float64(na+nb))
 				}
 				slotMerges = append(slotMerges, slotMerge{slotA: a, slotB: b, distance: bestDist})
 				active[b] = false
@@ -329,7 +305,7 @@ func nnChain(ctx context.Context, dist condensed, linkage Linkage) ([]slotMerge,
 
 // relabelMerges sorts slot merges by distance and relabels slots into
 // dendrogram node IDs with a union-find over the leaves.
-func relabelMerges(n int, linkage Linkage, slotMerges []slotMerge) *Dendrogram {
+func relabelMerges(n int, slotMerges []slotMerge) *Dendrogram {
 	sort.SliceStable(slotMerges, func(i, j int) bool { return slotMerges[i].distance < slotMerges[j].distance })
 	parent := make([]int, 2*n-1)
 	nodeSize := make([]int, 2*n-1)
@@ -348,7 +324,7 @@ func relabelMerges(n int, linkage Linkage, slotMerges []slotMerge) *Dendrogram {
 		nodeSize[newNode] = nodeSize[ra] + nodeSize[rb]
 		merges = append(merges, Merge{A: ra, B: rb, Distance: sm.distance, Size: nodeSize[newNode]})
 	}
-	return &Dendrogram{N: n, Linkage: linkage, Merges: merges}
+	return &Dendrogram{N: n, Merges: merges}
 }
 
 // findRoot returns the root of x in the union-find forest, halving the
@@ -452,7 +428,7 @@ func (d *Dendrogram) MergeDistances() []float64 {
 // ThresholdForK returns a threshold value that, when passed to
 // CutThreshold, yields exactly k clusters: the midpoint between the last
 // applied merge distance and the first undone one. It assumes monotone
-// merge distances (true for average/single/complete linkage).
+// merge distances (true for average linkage).
 func (d *Dendrogram) ThresholdForK(k int) (float64, error) {
 	if k < 1 || k > d.N {
 		return 0, fmt.Errorf("%w: k=%d with %d points", ErrBadK, k, d.N)

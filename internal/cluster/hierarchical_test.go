@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -33,9 +34,8 @@ func blobs(rng *rand.Rand, k, pointsPer, dim int, spread float64) ([]linalg.Vect
 }
 
 func TestLinkageString(t *testing.T) {
-	if AverageLinkage.String() != "average" || SingleLinkage.String() != "single" ||
-		CompleteLinkage.String() != "complete" {
-		t.Error("linkage names wrong")
+	if AverageLinkage.String() != "average" {
+		t.Error("linkage name wrong")
 	}
 	if Linkage(9).String() != "linkage(9)" {
 		t.Error("unknown linkage name wrong")
@@ -43,21 +43,21 @@ func TestLinkageString(t *testing.T) {
 }
 
 func TestHierarchicalErrors(t *testing.T) {
-	if _, err := hierarchical(nil, AverageLinkage); !errors.Is(err, ErrNoPoints) {
+	if _, err := hierarchical(nil); !errors.Is(err, ErrNoPoints) {
 		t.Errorf("no points: got %v", err)
 	}
 	ragged := []linalg.Vector{{1, 2}, {1}}
-	if _, err := hierarchical(ragged, AverageLinkage); !errors.Is(err, ErrShapeRagged) {
+	if _, err := hierarchical(ragged); !errors.Is(err, ErrShapeRagged) {
 		t.Errorf("ragged points: got %v", err)
 	}
 	bad := []linalg.Vector{{1}, {2}, {3}}
-	if _, err := hierarchical(bad, Linkage(42)); err == nil {
+	if _, err := HierarchicalWorkersCtx(context.Background(), bad, Linkage(42), 0); err == nil {
 		t.Error("unknown linkage should fail")
 	}
 }
 
 func TestHierarchicalSinglePoint(t *testing.T) {
-	d, err := hierarchical([]linalg.Vector{{1, 2}}, AverageLinkage)
+	d, err := hierarchical([]linalg.Vector{{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestHierarchicalKnownSmallCase(t *testing.T) {
 	// Points on a line: {0, 1} form one pair, {10, 11} another; the two
 	// pairs merge last.
 	points := []linalg.Vector{{0}, {1}, {10}, {11}}
-	d, err := hierarchical(points, AverageLinkage)
+	d, err := hierarchical(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,70 +119,44 @@ func TestHierarchicalKnownSmallCase(t *testing.T) {
 	}
 }
 
-func TestSingleVsCompleteLinkage(t *testing.T) {
-	// A chain of points: single linkage merges the whole chain at distance
-	// 1; complete linkage's final merge distance is the chain length.
-	points := []linalg.Vector{{0}, {1}, {2}, {3}, {4}}
-	single, err := hierarchical(points, SingleLinkage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	complete, err := hierarchical(points, CompleteLinkage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastSingle := single.Merges[len(single.Merges)-1].Distance
-	lastComplete := complete.Merges[len(complete.Merges)-1].Distance
-	if lastSingle != 1 {
-		t.Errorf("single linkage final distance = %g, want 1", lastSingle)
-	}
-	if lastComplete != 4 {
-		t.Errorf("complete linkage final distance = %g, want 4", lastComplete)
-	}
-}
-
 func TestHierarchicalRecoversBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, linkage := range []Linkage{AverageLinkage, CompleteLinkage} {
-		points, truth := blobs(rng, 4, 20, 6, 0.5)
-		d, err := hierarchical(points, linkage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := d.CutK(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ari, err := AdjustedRandIndex(a.Labels, truth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ari < 0.99 {
-			t.Errorf("%v linkage ARI = %g, want ~1 on well-separated blobs", linkage, ari)
-		}
+	points, truth := blobs(rng, 4, 20, 6, 0.5)
+	d, err := hierarchical(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := d.CutK(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ari, err := AdjustedRandIndex(a.Labels, truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ari < 0.99 {
+		t.Errorf("ARI = %g, want ~1 on well-separated blobs", ari)
 	}
 }
 
 func TestMergeDistancesMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	points, _ := blobs(rng, 3, 15, 4, 1.0)
-	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
-		d, err := hierarchical(points, linkage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dists := d.MergeDistances()
-		for i := 1; i < len(dists); i++ {
-			if dists[i] < dists[i-1]-1e-9 {
-				t.Errorf("%v linkage merge distances not monotone at %d: %g < %g", linkage, i, dists[i], dists[i-1])
-			}
+	d, err := hierarchical(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dists := d.MergeDistances()
+	for i := 1; i < len(dists); i++ {
+		if dists[i] < dists[i-1]-1e-9 {
+			t.Errorf("merge distances not monotone at %d: %g < %g", i, dists[i], dists[i-1])
 		}
 	}
 }
 
 func TestCutKBounds(t *testing.T) {
 	points := []linalg.Vector{{0}, {1}, {2}}
-	d, err := hierarchical(points, AverageLinkage)
+	d, err := hierarchical(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +181,7 @@ func TestThresholdForK(t *testing.T) {
 	// (with tied merge distances a distance threshold cannot separate the
 	// tied merges, which is inherent to threshold-based cutting).
 	points := []linalg.Vector{{0}, {1.2}, {10}, {11}}
-	d, err := hierarchical(points, AverageLinkage)
+	d, err := hierarchical(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +214,7 @@ func TestCutPartitionProperty(t *testing.T) {
 		for i := range points {
 			points[i] = linalg.Vector{rng.NormFloat64(), rng.NormFloat64()}
 		}
-		d, err := hierarchical(points, AverageLinkage)
+		d, err := hierarchical(points)
 		if err != nil {
 			return false
 		}
@@ -285,7 +259,7 @@ func BenchmarkHierarchical200x144(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hierarchical(points, AverageLinkage); err != nil {
+		if _, err := hierarchical(points); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,18 +24,13 @@ import (
 // for the global minimum linkage distance, merge, apply the Lance–Williams
 // update on a full N×N matrix, repeat. O(N³) time, O(N²) memory — slow but
 // obviously correct, which is exactly what an oracle should be.
-func hierarchicalNaive(points []linalg.Vector, linkage Linkage) (*Dendrogram, error) {
+func hierarchicalNaive(points []linalg.Vector) (*Dendrogram, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, ErrNoPoints
 	}
-	switch linkage {
-	case AverageLinkage, SingleLinkage, CompleteLinkage:
-	default:
-		return nil, fmt.Errorf("cluster: unknown linkage %v", linkage)
-	}
 	if n == 1 {
-		return &Dendrogram{N: 1, Linkage: linkage, Merges: nil}, nil
+		return &Dendrogram{N: 1, Merges: nil}, nil
 	}
 	dist, err := distanceMatrix(points)
 	if err != nil {
@@ -74,22 +69,13 @@ func hierarchicalNaive(points []linalg.Vector, linkage Linkage) (*Dendrogram, er
 			if !active[k] || k == a || k == b {
 				continue
 			}
-			var nd float64
-			switch linkage {
-			case AverageLinkage:
-				nd = (float64(na)*d(a, k) + float64(nb)*d(b, k)) / float64(na+nb)
-			case SingleLinkage:
-				nd = math.Min(d(a, k), d(b, k))
-			case CompleteLinkage:
-				nd = math.Max(d(a, k), d(b, k))
-			}
-			setD(a, k, nd)
+			setD(a, k, (float64(na)*d(a, k)+float64(nb)*d(b, k))/float64(na+nb))
 		}
 		slotMerges = append(slotMerges, slotMerge{slotA: a, slotB: b, distance: bestDist})
 		active[b] = false
 		size[a] = na + nb
 	}
-	return relabelMerges(n, linkage, slotMerges), nil
+	return relabelMerges(n, slotMerges), nil
 }
 
 // distanceMatrix computes the full N×N Euclidean distance matrix in
@@ -189,23 +175,23 @@ func condensedDistancesOracle(points []linalg.Vector) (condensed, error) {
 // over the per-pair oracle distances — isolating the effect of the blocked
 // kernel from the effect of the chain algorithm (which
 // hierarchicalNaive covers).
-func hierarchicalPerPairOracle(points []linalg.Vector, linkage Linkage) (*Dendrogram, error) {
+func hierarchicalPerPairOracle(points []linalg.Vector) (*Dendrogram, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, ErrNoPoints
 	}
 	if n == 1 {
-		return &Dendrogram{N: 1, Linkage: linkage, Merges: nil}, nil
+		return &Dendrogram{N: 1, Merges: nil}, nil
 	}
 	dist, err := condensedDistancesOracle(points)
 	if err != nil {
 		return nil, err
 	}
-	slotMerges, err := nnChain(context.Background(), dist, linkage)
+	slotMerges, err := nnChain(context.Background(), dist)
 	if err != nil {
 		return nil, err
 	}
-	return relabelMerges(n, linkage, slotMerges), nil
+	return relabelMerges(n, slotMerges), nil
 }
 
 // silhouetteOracle is the per-pair Silhouette the blocked kernel replaced.

@@ -36,30 +36,28 @@ func randomPoints(rng *rand.Rand, n, dim int) []linalg.Vector {
 }
 
 // Property: the condensed NN-chain engine agrees with the naive O(N³)
-// global-minimum agglomeration oracle for every linkage — same merge
+// global-minimum agglomeration oracle — same merge
 // structure, same sizes, same distances (up to FP noise), and identical
 // partitions at every cut.
 func TestHierarchicalMatchesNaiveOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
-		for _, n := range []int{2, 3, 5, 13, 31, 60} {
-			points := randomPoints(rng, n, 4)
-			want, err := hierarchicalNaive(points, linkage)
-			if err != nil {
-				t.Fatalf("%v n=%d oracle: %v", linkage, n, err)
-			}
-			x := matOf(t, points)
-			got, err := HierarchicalMatCtx(context.Background(), x, linkage, 0)
-			if err != nil {
-				t.Fatalf("%v n=%d: %v", linkage, n, err)
-			}
-			sameDendrogram(t, got, want, float64Tol, min(n, 8))
-			got32, err := HierarchicalMatCtx(context.Background(), linalg.Narrow(x), linkage, 0)
-			if err != nil {
-				t.Fatalf("%v n=%d float32: %v", linkage, n, err)
-			}
-			sameDendrogram(t, got32, want, float32Tol, min(n, 8))
+	for _, n := range []int{2, 3, 5, 13, 31, 60} {
+		points := randomPoints(rng, n, 4)
+		want, err := hierarchicalNaive(points)
+		if err != nil {
+			t.Fatalf("n=%d oracle: %v", n, err)
 		}
+		x := matOf(t, points)
+		got, err := HierarchicalMatCtx(context.Background(), x, AverageLinkage, 0)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		sameDendrogram(t, got, want, float64Tol, min(n, 8))
+		got32, err := HierarchicalMatCtx(context.Background(), linalg.Narrow(x), AverageLinkage, 0)
+		if err != nil {
+			t.Fatalf("n=%d float32: %v", n, err)
+		}
+		sameDendrogram(t, got32, want, float32Tol, min(n, 8))
 	}
 }
 
@@ -68,9 +66,9 @@ func TestHierarchicalMatchesNaiveOracle(t *testing.T) {
 // relTol, and identical partitions at every cut k ≤ maxK.
 func sameDendrogram(t *testing.T, got, want *Dendrogram, relTol float64, maxK int) {
 	t.Helper()
-	if got.N != want.N || got.Linkage != want.Linkage || len(got.Merges) != len(want.Merges) {
-		t.Fatalf("dendrogram of %d points (%v, %d merges), want %d (%v, %d merges)",
-			got.N, got.Linkage, len(got.Merges), want.N, want.Linkage, len(want.Merges))
+	if got.N != want.N || len(got.Merges) != len(want.Merges) {
+		t.Fatalf("dendrogram of %d points (%d merges), want %d (%d merges)",
+			got.N, len(got.Merges), want.N, len(want.Merges))
 	}
 	for i := range got.Merges {
 		g, w := got.Merges[i], want.Merges[i]
@@ -79,10 +77,10 @@ func sameDendrogram(t *testing.T, got, want *Dendrogram, relTol float64, maxK in
 		ga, gb := min(g.A, g.B), max(g.A, g.B)
 		wa, wb := min(w.A, w.B), max(w.A, w.B)
 		if ga != wa || gb != wb || g.Size != w.Size {
-			t.Fatalf("%v merge %d: got %+v, want %+v", want.Linkage, i, g, w)
+			t.Fatalf("merge %d: got %+v, want %+v", i, g, w)
 		}
 		if diff := math.Abs(g.Distance - w.Distance); diff > relTol*(1+w.Distance) {
-			t.Fatalf("%v merge %d: distance %g, want %g", want.Linkage, i, g.Distance, w.Distance)
+			t.Fatalf("merge %d: distance %g, want %g", i, g.Distance, w.Distance)
 		}
 	}
 	for k := 1; k <= maxK; k++ {
@@ -95,7 +93,7 @@ func sameDendrogram(t *testing.T, got, want *Dendrogram, relTol float64, maxK in
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ga.Labels, wa.Labels) {
-			t.Fatalf("%v k=%d: labels %v, want %v", want.Linkage, k, ga.Labels, wa.Labels)
+			t.Fatalf("k=%d: labels %v, want %v", k, ga.Labels, wa.Labels)
 		}
 	}
 }
@@ -210,7 +208,7 @@ func BenchmarkHierarchicalVsNaive400(b *testing.B) {
 	b.Run("nnchain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := hierarchical(points, AverageLinkage); err != nil {
+			if _, err := hierarchical(points); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -218,7 +216,7 @@ func BenchmarkHierarchicalVsNaive400(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := hierarchicalNaive(points, AverageLinkage); err != nil {
+			if _, err := hierarchicalNaive(points); err != nil {
 				b.Fatal(err)
 			}
 		}

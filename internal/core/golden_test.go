@@ -24,7 +24,6 @@ var updateGolden = flag.Bool("update", false, "regenerate golden fixtures")
 // downstream must be reproducible from the seed alone.
 func goldenOptions() Options {
 	return Options{
-		MinClusters: 2,
 		MaxClusters: 8,
 		Seed:        7,
 		NMFRank:     NMFRankAuto,

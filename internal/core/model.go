@@ -75,12 +75,12 @@ func (p Precision) String() string {
 // Options configure the end-to-end analysis. The zero value is usable and
 // matches the paper's configuration where applicable.
 type Options struct {
-	// Linkage is the hierarchical clustering linkage (default average,
-	// matching the paper).
+	// Linkage is the hierarchical clustering linkage. The zero value,
+	// cluster.AverageLinkage (the paper's), is the only one accepted.
 	Linkage cluster.Linkage
-	// MinClusters and MaxClusters bound the Davies–Bouldin sweep of the
-	// metric tuner (defaults 2 and 10).
-	MinClusters, MaxClusters int
+	// MaxClusters is the upper bound of the Davies–Bouldin sweep of the
+	// metric tuner (default 10); the lower bound is minClusters.
+	MaxClusters int
 	// ForceK skips the metric tuner and cuts the dendrogram into exactly
 	// ForceK clusters. Zero lets the Davies–Bouldin index choose.
 	ForceK int
@@ -117,10 +117,10 @@ type Options struct {
 // before extracting peaks and valleys.
 const smoothWindowSlots = 3
 
+// minClusters is the lower bound of the Davies–Bouldin sweep.
+const minClusters = 2
+
 func (o Options) withDefaults() Options {
-	if o.MinClusters <= 1 {
-		o.MinClusters = 2
-	}
 	if o.MaxClusters <= 0 {
 		o.MaxClusters = 10
 	}
@@ -361,7 +361,7 @@ func model[F linalg.Float](ctx context.Context, norm, raw *linalg.Mat[F], opts O
 
 	// Metric tuner: Davies–Bouldin sweep (unless K is forced).
 	maxK := min(opts.MaxClusters, towers)
-	minK := min(opts.MinClusters, maxK)
+	minK := min(minClusters, maxK)
 	if opts.ForceK > 0 {
 		res.OptimalK = opts.ForceK
 		if opts.ForceK > towers {

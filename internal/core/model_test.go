@@ -105,7 +105,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 func TestAnalyzeMetricTunerPicksAroundFive(t *testing.T) {
 	city, ds, _ := buildShared(t)
 	_ = city
-	res, err := AnalyzeContext(context.Background(), ds, city.POIs, Options{MinClusters: 2, MaxClusters: 8})
+	res, err := AnalyzeContext(context.Background(), ds, city.POIs, Options{MaxClusters: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,7 +189,7 @@ func TestFloat32NarrowsOnlyWhatItReads(t *testing.T) {
 	// The least a run allocates, over a few runs, so that a garbage
 	// collection emptying a pool mid-run cannot count.
 	allocated := func(p Precision) uint64 {
-		opts := Options{MinClusters: 2, MaxClusters: 2, Workers: 1, Precision: p}
+		opts := Options{MaxClusters: 2, Workers: 1, Precision: p}
 		least := uint64(math.MaxUint64)
 		for range 3 {
 			var before, after runtime.MemStats

@@ -81,7 +81,6 @@ func Build(scale Scale) (*Env, error) {
 	}
 	res, err := core.AnalyzeContext(context.Background(), ds, city.POIs, core.Options{
 		ForceK:      5,
-		MinClusters: 2,
 		MaxClusters: 10,
 		Workers:     scale.Workers,
 		Seed:        scale.Seed,

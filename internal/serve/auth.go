@@ -8,8 +8,8 @@ package serve
 //
 // The limiter is a classic lazily-refilled token bucket per client IP:
 // no background goroutine, state touched only when the client shows up,
-// and the table is swept of long-idle buckets when it grows past a
-// bound, so an address-rotating scanner cannot grow it without limit.
+// and the table never holds more than maxRateClients buckets, so an
+// address-rotating scanner cannot grow it without limit.
 
 import (
 	"crypto/subtle"
@@ -22,8 +22,8 @@ import (
 	"time"
 )
 
-// maxRateClients bounds the limiter table; reaching it triggers a sweep
-// of buckets idle long enough to have fully refilled.
+// maxRateClients bounds the limiter table; a new client arriving at the
+// bound triggers a sweep (see sweepLocked).
 const maxRateClients = 4096
 
 // tokenBucket is one client's limiter state.
@@ -75,13 +75,23 @@ func (l *rateLimiter) allow(client string, now time.Time) (bool, time.Duration) 
 }
 
 // sweepLocked drops buckets idle long enough to be full again — their
-// state is indistinguishable from a fresh bucket.
+// state is indistinguishable from a fresh bucket. When that frees no
+// room, it evicts the least recently seen bucket instead, so the table
+// stays within maxRateClients.
 func (l *rateLimiter) sweepLocked(now time.Time) {
 	idle := time.Duration(l.burst / l.rate * float64(time.Second))
+	var lru *tokenBucket
+	var lruClient string
 	for c, b := range l.buckets {
-		if now.Sub(b.last) > idle {
+		switch {
+		case now.Sub(b.last) > idle:
 			delete(l.buckets, c)
+		case lru == nil || b.last.Before(lru.last):
+			lru, lruClient = b, c
 		}
+	}
+	if len(l.buckets) >= maxRateClients {
+		delete(l.buckets, lruClient)
 	}
 }
 

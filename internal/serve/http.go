@@ -62,7 +62,7 @@ type metrics struct {
 	reqPanics       atomic.Uint64   // handler panics converted to 500s
 	reqUnauthorized atomic.Uint64   // bearer-auth refusals
 	reqRateLimited  atomic.Uint64   // per-client rate-limit refusals
-	sseRejected     atomic.Uint64   // /stream refusals over MaxSSEClients
+	sseRejected     atomic.Uint64   // /stream refusals over maxSSEClients
 }
 
 // Handler returns the service's HTTP API:
@@ -91,10 +91,10 @@ type metrics struct {
 // health state, so a client can always tell when it is reading a
 // last-known-good model. The query endpoints (/summary, /towers,
 // /towers/{id}) run hardened: per-request timeout (RequestTimeout),
-// concurrent-request limiter (MaxConcurrent, excess → 429) and handler
+// concurrent-request limiter (maxConcurrent, excess → 429) and handler
 // panic containment; the health and metrics probes bypass the limiter so
 // an overloaded service can still be observed, and /stream is bounded by
-// MaxSSEClients instead.
+// maxSSEClients instead.
 //
 // When Config.APIToken is set, the query and operator endpoints require
 // "Authorization: Bearer <token>"; when Config.RateLimit is set, the
@@ -159,20 +159,22 @@ func counted(c *atomic.Uint64, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// hardened wraps a query handler with the concurrent-request limiter,
-// the per-request timeout and panic containment.
+// maxConcurrent caps in-flight requests on the hardened endpoints.
+const maxConcurrent = 64
+
+// hardened wraps a query handler with the concurrent-request limiter
+// (429 + Retry-After over maxConcurrent), the per-request timeout and
+// panic containment.
 func (s *Server) hardened(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.limiter != nil {
-			select {
-			case s.limiter <- struct{}{}:
-				defer func() { <-s.limiter }()
-			default:
-				s.met.reqRejected.Add(1)
-				w.Header().Set("Retry-After", "1")
-				httpError(w, http.StatusTooManyRequests, "over the concurrent-request limit (%d)", cap(s.limiter))
-				return
-			}
+		select {
+		case s.limiter <- struct{}{}:
+			defer func() { <-s.limiter }()
+		default:
+			s.met.reqRejected.Add(1)
+			w.Header().Set("Retry-After", "1")
+			httpError(w, http.StatusTooManyRequests, "over the concurrent-request limit (%d)", maxConcurrent)
+			return
 		}
 		s.timed(h)(w, r)
 	}
@@ -604,15 +606,19 @@ func newBroker() *broker {
 	return &broker{clients: make(map[chan []byte]struct{})}
 }
 
-// subscriberBuffer bounds each SSE client's in-flight event queue.
-const subscriberBuffer = 64
+// subscriberBuffer bounds each SSE client's in-flight event queue, and
+// maxSSEClients the number of concurrent /stream subscribers.
+const (
+	subscriberBuffer = 64
+	maxSSEClients    = 32
+)
 
-// subscribe registers a new client unless max clients (0 = unlimited)
-// are already connected.
-func (b *broker) subscribe(max int) (chan []byte, bool) {
+// subscribe registers a new client unless maxSSEClients are already
+// connected.
+func (b *broker) subscribe() (chan []byte, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if max > 0 && len(b.clients) >= max {
+	if len(b.clients) >= maxSSEClients {
 		return nil, false
 	}
 	ch := make(chan []byte, subscriberBuffer)
@@ -654,11 +660,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	ch, ok := s.broker.subscribe(s.cfg.MaxSSEClients)
+	ch, ok := s.broker.subscribe()
 	if !ok {
 		s.met.sseRejected.Add(1)
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusServiceUnavailable, "over the SSE client limit (%d)", s.cfg.MaxSSEClients)
+		httpError(w, http.StatusServiceUnavailable, "over the SSE client limit (%d)", maxSSEClients)
 		return
 	}
 	defer s.broker.unsubscribe(ch)

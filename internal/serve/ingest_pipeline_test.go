@@ -136,11 +136,11 @@ func TestIngestPipelineLifecycleLeakFree(t *testing.T) {
 		defer stream.Close()
 		cfg := testConfig(city, newTestWindow(t, city, 7))
 		cfg.Source = faultinject.NewSource(stream, faultinject.SourceProfile{PanicAfter: 100})
-		cfg.Restart = trace.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
 		srv, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv.restart = fastRestart
 		srv.Start(context.Background())
 		defer srv.Close()
 		waitFor(t, "ingest loop death", func() bool { return srv.ingestLoop.state.Load() == loopDead })
@@ -193,11 +193,11 @@ func TestIngestPipelineSourceFaultLosesNothing(t *testing.T) {
 	w := newTestWindow(t, city, 7)
 	cfg := testConfig(city, w)
 	cfg.Source = src
-	cfg.Restart = trace.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.restart = fastRestart
 	srv.Start(context.Background())
 	defer srv.Close()
 	waitFor(t, "the resumed feed to end", func() bool { return srv.ingestLoop.state.Load() == loopDone })

@@ -102,7 +102,7 @@ func metricsFixture(t *testing.T) *Server {
 	srv.noteRejectionLocked([]RejectReason{RejectBacktest})
 	srv.admMu.Unlock()
 
-	if _, ok := srv.broker.subscribe(0); !ok {
+	if _, ok := srv.broker.subscribe(); !ok {
 		t.Fatal("subscribe refused")
 	}
 	for i := 0; i <= subscriberBuffer; i++ {

@@ -79,7 +79,7 @@ func TestResponsesMatchParentGolden(t *testing.T) {
 		}
 		return bytes
 	})
-	events, ok := srv.broker.subscribe(0)
+	events, ok := srv.broker.subscribe()
 	if !ok {
 		t.Fatal("subscribe refused")
 	}

@@ -18,8 +18,11 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/synth"
 	"repro/internal/testutil"
-	"repro/internal/trace"
 )
+
+// fastRestart is a supervisor policy for tests that burn a restart
+// budget: two restarts, millisecond backoff.
+var fastRestart = restartPolicy{budget: 2, backoff: time.Millisecond, maxBackoff: 2 * time.Millisecond}
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -46,11 +49,11 @@ func TestSupervisorIngestBudgetExhaustionDegrades(t *testing.T) {
 	defer stream.Close()
 	cfg := testConfig(city, w)
 	cfg.Source = faultinject.NewSource(stream, faultinject.SourceProfile{ErrAfter: 100})
-	cfg.Restart = trace.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.restart = fastRestart
 	srv.Start(context.Background())
 	defer srv.Close()
 	if err := srv.RemodelNow(context.Background()); err != nil {
@@ -94,12 +97,11 @@ func TestWedgedRemodelFlipsReadyzStale(t *testing.T) {
 	city, series := testCity(t, 12, 21)
 	w := newTestWindow(t, city, 14)
 	feedDays(w, city, series, 0, 15, nil)
-	cfg := testConfig(city, w)
-	cfg.Restart = trace.RetryPolicy{MaxAttempts: -1} // one strike
-	srv, err := New(cfg)
+	srv, err := New(testConfig(city, w))
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.restart = restartPolicy{} // one strike: a zero budget allows no restart
 	// Publish a good model first, then wedge every later cycle.
 	if err := srv.RemodelNow(context.Background()); err != nil {
 		t.Fatal(err)
@@ -175,16 +177,16 @@ func TestRequestLimiterRejectsExcess(t *testing.T) {
 	city, series := testCity(t, 12, 21)
 	w := newTestWindow(t, city, 14)
 	feedDays(w, city, series, 0, 15, nil)
-	cfg := testConfig(city, w)
-	cfg.MaxConcurrent = 1
-	srv, err := New(cfg)
+	srv, err := New(testConfig(city, w))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.RemodelNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	srv.limiter <- struct{}{} // occupy the only slot
+	for range maxConcurrent { // occupy every slot
+		srv.limiter <- struct{}{}
+	}
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/towers", nil))
 	if rec.Code != http.StatusTooManyRequests {
@@ -209,6 +211,21 @@ func TestRequestLimiterRejectsExcess(t *testing.T) {
 	}
 	if got := srv.met.reqRejected.Load(); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
+	}
+}
+
+// Distinct clients arriving within one refill window leave the sweep
+// nothing idle to drop; the table must still stay within maxRateClients.
+func TestRateLimiterTableBounded(t *testing.T) {
+	l := newRateLimiter(1, 1)
+	now := time.Unix(1_700_000_000, 0)
+	for i := range 5000 {
+		if ok, _ := l.allow(fmt.Sprintf("10.0.%d.%d", i/256, i%256), now); !ok {
+			t.Fatalf("client %d refused its first request", i)
+		}
+	}
+	if n := len(l.buckets); n > maxRateClients {
+		t.Fatalf("%d buckets after 5000 distinct clients, want at most %d", n, maxRateClients)
 	}
 }
 
@@ -276,41 +293,41 @@ func TestHandlerPanicBecomes500(t *testing.T) {
 func TestSSEClientCap(t *testing.T) {
 	testutil.CheckNoGoroutineLeak(t)
 	city, _ := testCity(t, 4, 8)
-	cfg := testConfig(city, newTestWindow(t, city, 7))
-	cfg.MaxSSEClients = 1
-	srv, err := New(cfg)
+	srv, err := New(testConfig(city, newTestWindow(t, city, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	first, err := http.Get(ts.URL + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Body.Close()
-	if first.StatusCode != http.StatusOK {
-		t.Fatalf("first stream client: %d, want 200", first.StatusCode)
-	}
-	buf := make([]byte, 1) // wait until the subscription is live
-	if _, err := first.Body.Read(buf); err != nil {
-		t.Fatal(err)
+	for i := range maxSSEClients {
+		sub, err := http.Get(ts.URL + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Body.Close()
+		if sub.StatusCode != http.StatusOK {
+			t.Fatalf("stream client %d: %d, want 200", i+1, sub.StatusCode)
+		}
+		buf := make([]byte, 1) // wait until the subscription is live
+		if _, err := sub.Body.Read(buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	second, err := http.Get(ts.URL + "/stream")
+	over, err := http.Get(ts.URL + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, second.Body)
-	second.Body.Close()
-	if second.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("over-cap stream client: %d, want 503", second.StatusCode)
+	io.Copy(io.Discard, over.Body)
+	over.Body.Close()
+	if over.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stream client %d: %d, want 503", maxSSEClients+1, over.StatusCode)
 	}
 	if got := srv.met.sseRejected.Load(); got != 1 {
 		t.Errorf("sse rejected counter = %d, want 1", got)
 	}
-	if err := srv.Close(); err != nil { // wakes the first client's writer
+	if err := srv.Close(); err != nil { // wakes the subscribers' writers
 		t.Fatal(err)
 	}
 }

@@ -106,11 +106,6 @@ type Config struct {
 	SnapshotInterval time.Duration
 	// SnapshotGenerations is how many generations to retain (default 3).
 	SnapshotGenerations int
-	// Restart bounds the supervisor that keeps the background loops
-	// alive: MaxAttempts is the restart budget per unstable stretch
-	// (0 = default 5, negative = no restarts), Backoff/MaxBackoff the
-	// exponential backoff between restarts — trace.RetryPolicy semantics.
-	Restart trace.RetryPolicy
 	// StaleAfter is the model age at which the service reports itself
 	// stale (readyz 503). Zero means 3×RemodelInterval.
 	StaleAfter time.Duration
@@ -121,12 +116,6 @@ type Config struct {
 	// RequestTimeout bounds one non-streaming HTTP request (default 15s,
 	// negative disables). Requests that exceed it get 503.
 	RequestTimeout time.Duration
-	// MaxConcurrent caps in-flight non-streaming requests (default 64,
-	// negative unlimited); excess requests get 429 + Retry-After.
-	MaxConcurrent int
-	// MaxSSEClients caps concurrent /stream subscribers (default 32,
-	// negative unlimited); excess subscribers get 503 + Retry-After.
-	MaxSSEClients int
 	// Admission are the model admission-gate thresholds (see admit.go).
 	// The zero value disables the gate: every candidate publishes, the
 	// pre-gate behaviour.
@@ -161,8 +150,9 @@ type Server struct {
 	broker  *broker
 	done    chan struct{} // closed by Close; unblocks SSE writers
 	store   *SnapshotStore
-	limiter chan struct{} // concurrent-request semaphore; nil = unlimited
+	limiter chan struct{} // concurrent-request semaphore, maxConcurrent slots
 	rl      *rateLimiter  // per-client rate limiter; nil = unlimited
+	restart restartPolicy // supervisor timing; tests shorten it before Start
 
 	// admMu serialises the publication path: admission decision, history
 	// mutation and pointer swap move together, so a rollback can never
@@ -202,12 +192,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 15 * time.Second
 	}
-	if cfg.MaxConcurrent == 0 {
-		cfg.MaxConcurrent = 64
-	}
-	if cfg.MaxSSEClients == 0 {
-		cfg.MaxSSEClients = 32
-	}
 	if cfg.ModelHistory == 0 {
 		cfg.ModelHistory = 4
 	}
@@ -218,10 +202,12 @@ func New(cfg Config) (*Server, error) {
 		cfg.RateBurst = max(1, int(2*cfg.RateLimit))
 	}
 	s := &Server{
-		cfg:    cfg,
-		broker: newBroker(),
-		done:   make(chan struct{}),
-		hist:   newModelHistory(cfg.ModelHistory),
+		cfg:     cfg,
+		broker:  newBroker(),
+		done:    make(chan struct{}),
+		limiter: make(chan struct{}, maxConcurrent),
+		restart: restartPolicy{budget: restartBudget, backoff: restartBackoff, maxBackoff: restartMaxBackoff},
+		hist:    newModelHistory(cfg.ModelHistory),
 	}
 	s.met.requests = make([]atomic.Uint64, len(routes))
 	s.rows = s.metricTable()
@@ -233,9 +219,6 @@ func New(cfg Config) (*Server, error) {
 	s.snapshotLoop.name = "snapshot"
 	if cfg.SnapshotPath != "" {
 		s.store = NewSnapshotStore(cfg.SnapshotPath, cfg.SnapshotGenerations, nil, s.logf)
-	}
-	if cfg.MaxConcurrent > 0 {
-		s.limiter = make(chan struct{}, cfg.MaxConcurrent)
 	}
 	s.met.healthState.Store(int32(Stale)) // nothing published yet
 	return s, nil

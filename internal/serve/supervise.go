@@ -3,10 +3,9 @@ package serve
 // supervise.go keeps the service's background loops alive: each loop
 // (ingest, re-model, snapshot) runs under a supervisor that converts
 // panics into errors (panicsafe), restarts the loop with bounded
-// exponential backoff — trace.RetryPolicy semantics, the same knobs the
-// ingestion retry layer uses — and gives up only when the restart budget
-// is exhausted, flipping the loop to "dead" where the health state
-// machine can see it. A wedged dependency therefore degrades the service
+// exponential backoff and gives up only when the restart budget is
+// exhausted, flipping the loop to "dead" where the health state machine
+// can see it. A wedged dependency therefore degrades the service
 // instead of silently killing a goroutine.
 
 import (
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/panicsafe"
-	"repro/internal/trace"
 )
 
 // Loop lifecycle states, observable through loopStatus.
@@ -73,31 +71,21 @@ func (l *loopStatus) LastErr() error {
 	return l.lastErr
 }
 
-// Default supervisor timing when Config.Restart leaves the knobs zero.
-// The budget is per unstable stretch: a loop that stays up for
-// supervisorStableAfter earns its full budget back.
+// Supervisor timing. The budget is per unstable stretch: a loop that
+// stays up for supervisorStableAfter earns its full budget back.
 const (
-	defaultRestartBudget  = 5
-	defaultRestartBackoff = 500 * time.Millisecond
-	defaultRestartMax     = 30 * time.Second
+	restartBudget         = 5
+	restartBackoff        = 500 * time.Millisecond
+	restartMaxBackoff     = 30 * time.Second
 	supervisorStableAfter = time.Minute
 )
 
-// restartPolicy normalises Config.Restart: MaxAttempts 0 means the
-// default budget, negative disables restarts entirely (one strike).
-func restartPolicy(p trace.RetryPolicy) trace.RetryPolicy {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = defaultRestartBudget
-	} else if p.MaxAttempts < 0 {
-		p.MaxAttempts = 0
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = defaultRestartBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = defaultRestartMax
-	}
-	return p
+// restartPolicy is the supervisor's timing as New sets it from the
+// constants above: budget restarts, then backoff doubling up to
+// maxBackoff between them.
+type restartPolicy struct {
+	budget              int
+	backoff, maxBackoff time.Duration
 }
 
 // supervise runs fn until it returns cleanly or the context ends,
@@ -106,8 +94,8 @@ func restartPolicy(p trace.RetryPolicy) trace.RetryPolicy {
 // caller must have added the goroutine to s.wg.
 func (s *Server) supervise(ctx context.Context, ls *loopStatus, fn func(context.Context) error, onErr func(error)) {
 	defer s.wg.Done()
-	policy := restartPolicy(s.cfg.Restart)
-	backoff := policy.Backoff
+	policy := s.restart
+	backoff := policy.backoff
 	attempts := 0
 	for {
 		ls.state.Store(loopRunning)
@@ -126,18 +114,18 @@ func (s *Server) supervise(ctx context.Context, ls *loopStatus, fn func(context.
 			// A long healthy run earns the budget back: only tight crash
 			// loops should exhaust it.
 			attempts = 0
-			backoff = policy.Backoff
+			backoff = policy.backoff
 		}
-		if attempts++; attempts > policy.MaxAttempts {
+		if attempts++; attempts > policy.budget {
 			ls.state.Store(loopDead)
 			s.logf("serve: %s loop dead after %d restarts: %v", ls.name, attempts-1, err)
 			return
 		}
 		var pe *panicsafe.Error
 		if errors.As(err, &pe) {
-			s.logf("serve: %s loop panicked, restart %d/%d in %v: %v", ls.name, attempts, policy.MaxAttempts, backoff, pe.Value)
+			s.logf("serve: %s loop panicked, restart %d/%d in %v: %v", ls.name, attempts, policy.budget, backoff, pe.Value)
 		} else {
-			s.logf("serve: %s loop failed, restart %d/%d in %v: %v", ls.name, attempts, policy.MaxAttempts, backoff, err)
+			s.logf("serve: %s loop failed, restart %d/%d in %v: %v", ls.name, attempts, policy.budget, backoff, err)
 		}
 		ls.state.Store(loopBackoff)
 		timer := time.NewTimer(backoff)
@@ -148,9 +136,7 @@ func (s *Server) supervise(ctx context.Context, ls *loopStatus, fn func(context.
 			ls.state.Store(loopDone)
 			return
 		}
-		if backoff *= 2; backoff > policy.MaxBackoff {
-			backoff = policy.MaxBackoff
-		}
+		backoff = min(2*backoff, policy.maxBackoff)
 		ls.restarts.Add(1)
 	}
 }

@@ -567,7 +567,7 @@ func (p *ParallelCSVSource) advance() error {
 	switch {
 	case c.err != nil:
 		err = p.rebase(c.err)
-	case p.policy.exceeded(p.stats.SkippedRows(), p.rows):
+	case p.policy.exceeded(p.stats.SkippedRows()):
 		err = fmt.Errorf("trace: %w: %d of %d rows dropped (%v)",
 			ErrBudgetExceeded, p.stats.SkippedRows(), p.rows, p.stats)
 	}

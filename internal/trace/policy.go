@@ -46,23 +46,13 @@ func (m PolicyMode) String() string {
 	}
 }
 
-// Budget bounds how many malformed rows PolicyBudget tolerates. A zero
-// field disables that bound; a Budget with both fields zero tolerates
-// everything, like PolicySkip.
+// Budget bounds how many malformed rows PolicyBudget tolerates. The zero
+// Budget tolerates everything, like PolicySkip.
 type Budget struct {
 	// MaxRows is the largest acceptable number of skipped rows; the
 	// stream aborts on the row that exceeds it. <= 0 means unlimited.
 	MaxRows int
-	// MaxFraction is the largest acceptable skipped/seen row fraction.
-	// To keep one early bad row from tripping a ratio over a tiny
-	// denominator, the fraction is only evaluated once
-	// budgetFractionMinRows rows have been seen. <= 0 means unlimited.
-	MaxFraction float64
 }
-
-// budgetFractionMinRows is the minimum number of observed data rows
-// before Budget.MaxFraction is evaluated.
-const budgetFractionMinRows = 1024
 
 // ErrorPolicy configures an ingestion source's tolerance for malformed
 // rows and transient I/O errors. The zero value is the historical
@@ -79,19 +69,8 @@ type ErrorPolicy struct {
 }
 
 // exceeded reports whether the accumulated skip count breaks the budget.
-// rows counts all data rows observed so far, skipped included.
-func (p ErrorPolicy) exceeded(skipped, rows int64) bool {
-	if p.Mode != PolicyBudget {
-		return false
-	}
-	if p.Budget.MaxRows > 0 && skipped > int64(p.Budget.MaxRows) {
-		return true
-	}
-	if p.Budget.MaxFraction > 0 && rows >= budgetFractionMinRows &&
-		float64(skipped) > p.Budget.MaxFraction*float64(rows) {
-		return true
-	}
-	return false
+func (p ErrorPolicy) exceeded(skipped int64) bool {
+	return p.Mode == PolicyBudget && p.Budget.MaxRows > 0 && skipped > int64(p.Budget.MaxRows)
 }
 
 // ErrBudgetExceeded is wrapped into the terminal error of a source whose

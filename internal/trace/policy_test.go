@@ -163,38 +163,6 @@ func TestBudgetPolicySerialExact(t *testing.T) {
 	}
 }
 
-// TestBudgetMaxFraction asserts the fractional budget only arms after
-// the minimum row count, then trips on the configured ratio.
-func TestBudgetMaxFraction(t *testing.T) {
-	// 10% garbage: trips a 5% fraction budget, but only once 1024 rows
-	// have been seen.
-	data, _ := policyTrace(t, 2000, 10)
-	sc, err := NewScannerPolicy(strings.NewReader(data), ErrorPolicy{
-		Mode:   PolicyBudget,
-		Budget: Budget{MaxFraction: 0.05},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Collect(sc)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("want ErrBudgetExceeded, got %v", err)
-	}
-
-	// 1% garbage stays under the 5% budget: the stream completes.
-	data, _ = policyTrace(t, 2000, 100)
-	sc, err = NewScannerPolicy(strings.NewReader(data), ErrorPolicy{
-		Mode:   PolicyBudget,
-		Budget: Budget{MaxFraction: 0.05},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = Collect(sc); err != nil {
-		t.Fatalf("1%% error rate must fit a 5%% budget: %v", err)
-	}
-}
-
 // TestSkipStatsCategories asserts each malformation lands in its own
 // counter, identically across all three ingestion paths.
 func TestSkipStatsCategories(t *testing.T) {

@@ -16,8 +16,9 @@ import (
 	"time"
 )
 
-// Default retry timing, used when a RetryPolicy enables retrying but
-// leaves the knobs zero.
+// Retry timing: defaultRetryBackoff is used when a RetryPolicy enables
+// retrying but leaves Backoff zero; the doubling always stops at
+// defaultRetryMaxBackoff.
 const (
 	defaultRetryBackoff    = time.Millisecond
 	defaultRetryMaxBackoff = 250 * time.Millisecond
@@ -31,10 +32,9 @@ type RetryPolicy struct {
 	// disables retrying.
 	MaxAttempts int
 	// Backoff is the sleep before the first retry, doubling on every
-	// consecutive failure. 0 means defaultRetryBackoff.
+	// consecutive failure up to defaultRetryMaxBackoff. 0 means
+	// defaultRetryBackoff.
 	Backoff time.Duration
-	// MaxBackoff caps the doubling. 0 means defaultRetryMaxBackoff.
-	MaxBackoff time.Duration
 }
 
 // IsTransient is the retry layer's transient-error classifier: an error is
@@ -77,9 +77,6 @@ func NewRetryReader(ctx context.Context, r io.Reader, policy RetryPolicy) *Retry
 	if policy.Backoff <= 0 {
 		policy.Backoff = defaultRetryBackoff
 	}
-	if policy.MaxBackoff <= 0 {
-		policy.MaxBackoff = defaultRetryMaxBackoff
-	}
 	return &RetryReader{r: r, ctx: ctx, policy: policy}
 }
 
@@ -104,8 +101,6 @@ func (r *RetryReader) Read(p []byte) (int, error) {
 			t.Stop()
 			return 0, r.ctx.Err()
 		}
-		if backoff *= 2; backoff > r.policy.MaxBackoff {
-			backoff = r.policy.MaxBackoff
-		}
+		backoff = min(2*backoff, defaultRetryMaxBackoff)
 	}
 }

@@ -212,7 +212,7 @@ func (s *Scanner) reject(cat skipCategory) error {
 			Err:    fmt.Errorf("%v: %w", cat, ErrRowRejected),
 		})
 	case PolicyBudget:
-		if s.policy.exceeded(s.stats.SkippedRows(), s.rows) {
+		if s.policy.exceeded(s.stats.SkippedRows()) {
 			return fmt.Errorf("trace: %w: %d of %d rows dropped (%v)",
 				ErrBudgetExceeded, s.stats.SkippedRows(), s.rows, s.stats)
 		}
