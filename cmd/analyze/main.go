@@ -40,15 +40,6 @@
 //	analyze -synthetic -workers 4 -seed 7 -nmf-rank 5
 //	analyze -synthetic -precision float32
 //	analyze -synthetic -cpuprofile cpu.pprof -memprofile mem.pprof
-//
-// The package ships a default.pgo profile-guided-optimisation profile
-// collected from a paper-scale synthetic run at both precisions, so plain
-// `go build ./cmd/analyze` compiles the hot modeling kernels with PGO.
-// Regenerate it after large perf changes:
-//
-//	go run ./cmd/analyze -synthetic -cpuprofile f64.pprof
-//	go run ./cmd/analyze -synthetic -precision float32 -cpuprofile f32.pprof
-//	go tool pprof -proto f64.pprof f32.pprof > cmd/analyze/default.pgo
 package main
 
 import (

@@ -5,6 +5,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/linalg"
+	"repro/internal/poi"
 )
 
 // sharedEnv is built once for the whole test package; building it is the
@@ -231,5 +234,27 @@ func TestRegionOrderStable(t *testing.T) {
 	}
 	if pos["resident"] > pos["office"] || pos["office"] > pos["comprehensive"] {
 		t.Errorf("unexpected region order: %v", pos)
+	}
+}
+
+// Table 6's consistency note counts a comprehensive tower as agreeing when
+// its smallest-NTF-IDF type has the smallest coefficient. With exact zeros
+// the minimum is tied, and the verdict must not depend on which tied index
+// comes first: comparing against Vec.Min's first index called the first
+// and the last tower below disagreeing.
+func TestSmallestAgreeTiedZeroCoefficients(t *testing.T) {
+	coefs := linalg.Vector{0.6, 0, 0.4, 0}
+	ntf := poi.Counts{0.5, 0.3, 0.4, 0.1} // smallest: type 3
+	if !smallestAgree(coefs, ntf) {
+		t.Error("type 3 has a zero coefficient tied for smallest: want agreement")
+	}
+	ntf = poi.Counts{0.5, 0.3, 0.1, 0.4} // smallest: type 2
+	if smallestAgree(coefs, ntf) {
+		t.Error("type 2's coefficient 0.4 is not the smallest: want disagreement")
+	}
+	coefs = linalg.Vector{0, 0.5, 0.5, 0}
+	ntf = poi.Counts{0.2, 0.3, 0.4, 0.1}
+	if !smallestAgree(coefs, ntf) {
+		t.Error("type 3 ties index 0 at zero: want agreement")
 	}
 }

@@ -405,14 +405,7 @@ func Table6(env *Env) (*Output, error) {
 			return nil, err
 		}
 		totalComp++
-		_, minCoefIdx := dec.Coefficients.Min()
-		minNTF, minNTFIdx := math.Inf(1), 0
-		for t := 0; t < poi.NumTypes; t++ {
-			if ntf[row][t] < minNTF {
-				minNTF, minNTFIdx = ntf[row][t], t
-			}
-		}
-		if minCoefIdx == minNTFIdx {
+		if smallestAgree(dec.Coefficients, ntf[row]) {
 			agree++
 		}
 	}
@@ -421,6 +414,21 @@ func Table6(env *Env) (*Output, error) {
 		fmt.Sprintf("smallest coefficient matches smallest NTF-IDF for %d of %d comprehensive towers (paper: the small entries coincide)", agree, totalComp),
 	}
 	return &Output{Name: "table6", Description: "coefficients vs NTF-IDF", Tables: []*report.Table{tbl}, Notes: notes}, nil
+}
+
+// smallestAgree reports whether a tower's smallest-NTF-IDF POI type also
+// has its smallest convex-combination coefficient. Several coefficients can
+// be exactly zero, so the type agrees when its coefficient equals the
+// minimum, not only when it is the first index holding it.
+func smallestAgree(coefs linalg.Vector, ntf poi.Counts) bool {
+	minNTF, minNTFIdx := math.Inf(1), 0
+	for t := 0; t < poi.NumTypes; t++ {
+		if ntf[t] < minNTF {
+			minNTF, minNTFIdx = ntf[t], t
+		}
+	}
+	minCoef, _ := coefs.Min()
+	return coefs[minNTFIdx] == minCoef
 }
 
 // pickP5 selects the comprehensive tower used by Figures 18 and 19 (the

@@ -28,6 +28,12 @@ var ErrNoPrimaries = errors.New("freqdomain: no primary components")
 // quadratic program of Section 5.3:
 //
 //	minimise ‖F − Σ x_i F⁰_i‖²  s.t.  Σ x_i = 1,  x_i ≥ 0
+//
+// The solution is exact, not iterated: the optimum lies in the relative
+// interior of one face of the simplex, where it solves a small
+// equality-constrained least squares, so qp.SolveSimplexLS solves that on
+// all 2⁴ − 1 = 15 faces of the four primaries' simplex and keeps the best
+// feasible one.
 func Decompose(target Features, primaries []Features) (*Decomposition, error) {
 	if len(primaries) == 0 {
 		return nil, ErrNoPrimaries
@@ -36,7 +42,7 @@ func Decompose(target Features, primaries []Features) (*Decomposition, error) {
 	for i, p := range primaries {
 		comps[i] = p.Vector3()
 	}
-	res, err := qp.SolveSimplexLS(target.Vector3(), comps, qp.Options{})
+	res, err := qp.SolveSimplexLS(target.Vector3(), comps)
 	if err != nil {
 		return nil, fmt.Errorf("freqdomain: decomposing tower %d: %w", target.Index, err)
 	}

@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Mat is a dense row-major matrix of F values.
 type Mat[F Float] struct {
@@ -113,9 +110,6 @@ func contiguousRows[F Float](rows []Vec[F], cols int) bool {
 // At returns the element at row i, column j.
 func (m *Mat[F]) At(i, j int) F { return m.Data[i*m.Cols+j] }
 
-// Set stores x at row i, column j.
-func (m *Mat[F]) Set(i, j int, x F) { m.Data[i*m.Cols+j] = x }
-
 // Row returns row i as a vector that aliases the matrix storage.
 // Mutating the returned slice mutates the matrix.
 func (m *Mat[F]) Row(i int) Vec[F] { return Vec[F](m.Data[i*m.Cols : (i+1)*m.Cols]) }
@@ -222,54 +216,4 @@ func mulRows[F Float](dst, m, other *Mat[F], lo, hi int) {
 			}
 		}
 	}
-}
-
-// SolveSPD solves the linear system A·x = b for a symmetric positive
-// definite A using Cholesky decomposition. It is used by the QP solver for
-// small equality-constrained subproblems. A is not modified.
-func SolveSPD[F Float](a *Mat[F], b Vec[F]) (Vec[F], error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("%w: SolveSPD requires square matrix, got %dx%d", ErrDimensionMismatch, a.Rows, a.Cols)
-	}
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: SolveSPD rhs %d vs %d", ErrDimensionMismatch, len(b), n)
-	}
-	// Cholesky factorisation A = L·Lᵀ.
-	l := NewMat[F](n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, fmt.Errorf("linalg: matrix is not positive definite (pivot %g at %d)", sum, i)
-				}
-				l.Set(i, j, F(math.Sqrt(float64(sum))))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	// Forward substitution L·y = b.
-	y := make(Vec[F], n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= l.At(i, k) * y[k]
-		}
-		y[i] = sum / l.At(i, i)
-	}
-	// Backward substitution Lᵀ·x = y.
-	x := make(Vec[F], n)
-	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l.At(k, i) * x[k]
-		}
-		x[i] = sum / l.At(i, i)
-	}
-	return x, nil
 }

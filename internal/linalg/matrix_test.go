@@ -2,10 +2,7 @@ package linalg
 
 import (
 	"errors"
-	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewMatrixFromRows(t *testing.T) {
@@ -87,73 +84,5 @@ func TestMatrixMulAndTranspose(t *testing.T) {
 	}
 	if err := bad.TransposeInto(at); !errors.Is(err, ErrDimensionMismatch) {
 		t.Errorf("TransposeInto a 1x3 into 2x2: got %v", err)
-	}
-}
-
-func TestSolveSPD(t *testing.T) {
-	// A = [[4,1],[1,3]], b = [1,2] → x = [1/11, 7/11]
-	a, _ := NewMatrixFromRows([]Vector{{4, 1}, {1, 3}})
-	x, err := SolveSPD(a, Vector{1, 2})
-	if err != nil {
-		t.Fatalf("SolveSPD: %v", err)
-	}
-	if !almostEqual(x[0], 1.0/11, 1e-12) || !almostEqual(x[1], 7.0/11, 1e-12) {
-		t.Errorf("SolveSPD = %v, want [1/11 7/11]", x)
-	}
-}
-
-func TestSolveSPDErrors(t *testing.T) {
-	notSquare, _ := NewMatrixFromRows([]Vector{{1, 2, 3}, {4, 5, 6}})
-	if _, err := SolveSPD(notSquare, Vector{1, 2}); err == nil {
-		t.Error("SolveSPD should reject non-square matrices")
-	}
-	square, _ := NewMatrixFromRows([]Vector{{1, 0}, {0, 1}})
-	if _, err := SolveSPD(square, Vector{1}); err == nil {
-		t.Error("SolveSPD should reject mismatched rhs")
-	}
-	indefinite, _ := NewMatrixFromRows([]Vector{{0, 0}, {0, -1}})
-	if _, err := SolveSPD(indefinite, Vector{1, 1}); err == nil {
-		t.Error("SolveSPD should reject indefinite matrices")
-	}
-}
-
-// Property: SolveSPD(AᵀA + I, b) reproduces b when multiplied back.
-func TestSolveSPDProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func(seed uint8) bool {
-		n := int(seed%5) + 2
-		raw := NewMatrix(n, n)
-		for i := range raw.Data {
-			raw.Data[i] = rng.NormFloat64()
-		}
-		// A = rawᵀ·raw + I is SPD.
-		rawT, a := NewMatrix(n, n), NewMatrix(n, n)
-		if raw.TransposeInto(rawT) != nil || rawT.MulInto(a, raw) != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+1)
-		}
-		b := make(Vector, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := SolveSPD(a, b)
-		if err != nil {
-			return false
-		}
-		back, err := a.MulVec(x)
-		if err != nil {
-			return false
-		}
-		for i := range b {
-			if math.Abs(back[i]-b[i]) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

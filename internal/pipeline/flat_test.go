@@ -23,11 +23,11 @@ func assertDense(t *testing.T, name string, rows []linalg.Vector) {
 	}
 	for i := range rows {
 		orig := m.At(i, 1)
-		m.Set(i, 1, -123)
+		m.Data[i*m.Cols+1] = -123
 		if rows[i][1] != -123 {
 			t.Fatalf("%s: RowsMatrix packed row %d instead of aliasing one dense buffer", name, i)
 		}
-		m.Set(i, 1, orig)
+		m.Data[i*m.Cols+1] = orig
 	}
 }
 
@@ -127,7 +127,7 @@ func TestVectorizeMatrixAdoptsAndCompacts(t *testing.T) {
 				continue
 			}
 			for j := 0; j < slots; j++ {
-				raw.Set(i, j, float64((i+1)*(j%24)))
+				raw.Data[i*raw.Cols+j] = float64((i + 1) * (j % 24))
 			}
 		}
 		return ids, locs, raw
