@@ -39,12 +39,31 @@ type Model interface {
 	// Fit trains the model on a traffic vector covering trainDays whole
 	// days at slotsPerDay slots per day.
 	Fit(train linalg.Vector, trainDays, slotsPerDay int) error
-	// Predict returns the forecast for the next horizon slots.
-	Predict(horizon int) (linalg.Vector, error)
 	// StateSize returns the number of float64 values the fitted model
 	// needs to keep per tower (the "cost" axis of the accuracy/state
 	// trade-off).
 	StateSize() int
+	// period returns one period of the forecast: the prediction for
+	// slot i after the training window is period()[i mod len]. It is
+	// empty until a fit succeeds. Backtest scores the horizon from it
+	// slot by slot, so a backtest builds no prediction vector.
+	period() linalg.Vector
+}
+
+// predict returns a fitted model's forecast for the next horizon slots.
+func predict(m Model, horizon int) (linalg.Vector, error) {
+	p := m.period()
+	if len(p) == 0 {
+		return nil, ErrNotFitted
+	}
+	if horizon <= 0 {
+		return nil, fmt.Errorf("%w: %d", ErrBadHorizon, horizon)
+	}
+	out := make(linalg.Vector, horizon)
+	for i := range out {
+		out[i] = p[i%len(p)]
+	}
+	return out, nil
 }
 
 // validateTraining checks the common training-window invariants.
@@ -160,30 +179,22 @@ func (m *SpectralModel) Fit(train linalg.Vector, trainDays, slotsPerDay int) err
 	if err != nil {
 		return fmt.Errorf("forecast: %w", err)
 	}
+	for i, v := range m.reconstructed {
+		if v < 0 {
+			m.reconstructed[i] = 0 // traffic cannot be negative
+		}
+	}
 	m.trainSlots = len(train)
 	return nil
 }
 
-// Predict implements Model. The retained components are periodic over the
+// period implements Model. The retained components are periodic over the
 // training window, so the forecast for slot trainSlots+i is the
-// reconstruction at slot i (mod trainSlots).
-func (m *SpectralModel) Predict(horizon int) (linalg.Vector, error) {
-	if m.trainSlots == 0 {
-		return nil, ErrNotFitted
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadHorizon, horizon)
-	}
-	out := make(linalg.Vector, horizon)
-	for i := 0; i < horizon; i++ {
-		v := m.reconstructed[i%m.trainSlots]
-		if v < 0 {
-			v = 0 // traffic cannot be negative
-		}
-		out[i] = v
-	}
-	return out, nil
-}
+// reconstruction, clamped at zero, at slot i (mod trainSlots).
+func (m *SpectralModel) period() linalg.Vector { return m.reconstructed[:m.trainSlots] }
+
+// Predict returns the forecast for the next horizon slots.
+func (m *SpectralModel) Predict(horizon int) (linalg.Vector, error) { return predict(m, horizon) }
 
 // StateSize implements Model: amplitude and phase per retained bin, plus the
 // DC term.
@@ -215,20 +226,8 @@ func (m *LastWeekModel) Fit(train linalg.Vector, trainDays, slotsPerDay int) err
 	return nil
 }
 
-// Predict implements Model.
-func (m *LastWeekModel) Predict(horizon int) (linalg.Vector, error) {
-	if len(m.lastWeek) == 0 {
-		return nil, ErrNotFitted
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadHorizon, horizon)
-	}
-	out := make(linalg.Vector, horizon)
-	for i := range out {
-		out[i] = m.lastWeek[i%len(m.lastWeek)]
-	}
-	return out, nil
-}
+// period implements Model.
+func (m *LastWeekModel) period() linalg.Vector { return m.lastWeek }
 
 // StateSize implements Model.
 func (m *LastWeekModel) StateSize() int { return len(m.lastWeek) }
@@ -266,20 +265,8 @@ func (m *SlotOfWeekMeanModel) Fit(train linalg.Vector, trainDays, slotsPerDay in
 	return nil
 }
 
-// Predict implements Model.
-func (m *SlotOfWeekMeanModel) Predict(horizon int) (linalg.Vector, error) {
-	if len(m.means) == 0 {
-		return nil, ErrNotFitted
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadHorizon, horizon)
-	}
-	out := make(linalg.Vector, horizon)
-	for i := range out {
-		out[i] = m.means[i%len(m.means)]
-	}
-	return out, nil
-}
+// period implements Model.
+func (m *SlotOfWeekMeanModel) period() linalg.Vector { return m.means }
 
 // StateSize implements Model.
 func (m *SlotOfWeekMeanModel) StateSize() int { return len(m.means) }
@@ -309,13 +296,14 @@ type Metrics struct {
 	Coverage float64
 }
 
-// Evaluate compares a forecast against the actual traffic.
-func Evaluate(actual, predicted linalg.Vector) (Metrics, error) {
-	if len(actual) != len(predicted) {
-		return Metrics{}, fmt.Errorf("forecast: %d actual vs %d predicted slots", len(actual), len(predicted))
-	}
+// evaluate compares the actual traffic with a forecast that repeats
+// period: slot i is predicted as period[i mod len(period)].
+func evaluate(actual, period linalg.Vector) (Metrics, error) {
 	if len(actual) == 0 {
 		return Metrics{}, errors.New("forecast: empty evaluation window")
+	}
+	if len(period) == 0 {
+		return Metrics{}, ErrNotFitted
 	}
 	mean := actual.Mean()
 	threshold := mean * 0.1
@@ -323,7 +311,7 @@ func Evaluate(actual, predicted linalg.Vector) (Metrics, error) {
 	var mapeN int
 	var sq float64
 	for i := range actual {
-		d := predicted[i] - actual[i]
+		d := period[i%len(period)] - actual[i]
 		sq += d * d
 		if actual[i] > threshold && actual[i] > 0 {
 			mapeSum += math.Abs(d) / actual[i]
@@ -345,7 +333,8 @@ func Evaluate(actual, predicted linalg.Vector) (Metrics, error) {
 }
 
 // Backtest fits the model on the first trainDays days of the series and
-// evaluates its prediction of the remaining slots.
+// evaluates its prediction of the remaining slots, slot by slot from the
+// model's period, without building the prediction.
 func Backtest(model Model, series linalg.Vector, totalDays, trainDays, slotsPerDay int) (Metrics, error) {
 	if trainDays <= 0 || trainDays >= totalDays {
 		return Metrics{}, fmt.Errorf("%w: train %d of %d days", ErrBadTraining, trainDays, totalDays)
@@ -357,10 +346,5 @@ func Backtest(model Model, series linalg.Vector, totalDays, trainDays, slotsPerD
 	if err := model.Fit(series[:trainSlots], trainDays, slotsPerDay); err != nil {
 		return Metrics{}, err
 	}
-	horizon := len(series) - trainSlots
-	predicted, err := model.Predict(horizon)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return Evaluate(series[trainSlots:], predicted)
+	return evaluate(series[trainSlots:], model.period())
 }

@@ -112,7 +112,7 @@ func TestSpectralModelExactOnPureComponents(t *testing.T) {
 	if err := m.Fit(train, trainDays, slotsPerDay); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := m.Predict(7 * slotsPerDay)
+	pred, err := predict(m, 7*slotsPerDay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestModelErrors(t *testing.T) {
 		good[i] = float64(i % 100)
 	}
 	for _, m := range allModels() {
-		if _, err := m.Predict(10); !errors.Is(err, ErrNotFitted) {
+		if _, err := predict(m, 10); !errors.Is(err, ErrNotFitted) {
 			t.Errorf("%s: predict before fit: %v", m.Name(), err)
 		}
 		if err := m.Fit(good[:10], 7, slotsPerDay); !errors.Is(err, ErrBadTraining) {
@@ -144,7 +144,7 @@ func TestModelErrors(t *testing.T) {
 		if err := m.Fit(good, 7, slotsPerDay); err != nil {
 			t.Fatalf("%s: fit: %v", m.Name(), err)
 		}
-		if _, err := m.Predict(0); !errors.Is(err, ErrBadHorizon) {
+		if _, err := predict(m, 0); !errors.Is(err, ErrBadHorizon) {
 			t.Errorf("%s: zero horizon: %v", m.Name(), err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestModelErrors(t *testing.T) {
 func TestEvaluate(t *testing.T) {
 	actual := linalg.Vector{100, 200, 0, 100}
 	predicted := linalg.Vector{110, 180, 10, 100}
-	m, err := Evaluate(actual, predicted)
+	m, err := evaluate(actual, predicted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,20 @@ func TestEvaluate(t *testing.T) {
 	if math.Abs(m.NRMSE-wantRMSE/100) > 1e-9 {
 		t.Errorf("NRMSE = %g", m.NRMSE)
 	}
-	if _, err := Evaluate(actual, predicted[:2]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := Evaluate(nil, nil); err == nil {
+	if _, err := evaluate(nil, predicted); err == nil {
 		t.Error("empty evaluation should fail")
+	}
+	if _, err := evaluate(actual, nil); !errors.Is(err, ErrNotFitted) {
+		t.Errorf("empty forecast period: %v", err)
+	}
+	// A period shorter than the window repeats: the forecast 110 180 is
+	// scored as 110 180 110 180.
+	m, err = evaluate(actual, predicted[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Sqrt((100 + 400 + 110*110 + 80*80) / 4); math.Abs(m.RMSE-want) > 1e-9 {
+		t.Errorf("repeated period: RMSE = %g, want %g", m.RMSE, want)
 	}
 }
 
@@ -240,7 +249,7 @@ func TestEvaluateZeroWindowIsNotPerfect(t *testing.T) {
 	for i := range predicted {
 		predicted[i] = 100 // wildly wrong forecast for a dead tower
 	}
-	m, err := Evaluate(actual, predicted)
+	m, err := evaluate(actual, predicted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +269,7 @@ func TestEvaluateZeroWindowIsNotPerfect(t *testing.T) {
 	for i := range live {
 		live[i] = 50 + float64(i%7)
 	}
-	m, err = Evaluate(live, live)
+	m, err = evaluate(live, live)
 	if err != nil {
 		t.Fatal(err)
 	}

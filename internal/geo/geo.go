@@ -1,12 +1,14 @@
 // Package geo provides the geographic primitives of the analysis pipeline:
 // latitude/longitude points, distances, bounding boxes, uniform grids for
-// density rasters, and a bucketed index for radius queries. Tower
-// locations arrive as coordinates; the paper's address geocoding is not
-// reproduced.
+// density rasters, and PointIndex for exact radius queries (the POIs
+// within 200 m of a tower). The index stores its points once, in one flat
+// array sorted into buckets by a counting sort, with an offsets table of
+// one entry per point, so its size does not depend on how sparse or wide
+// the points' bounding box is. Tower locations arrive as coordinates; the
+// paper's address geocoding is not reproduced.
 package geo
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -33,14 +35,26 @@ func (p Point) String() string { return fmt.Sprintf("(%.5f, %.5f)", p.Lat, p.Lon
 // HaversineKm returns the great-circle distance between two points in
 // kilometres.
 func HaversineKm(a, b Point) float64 {
-	lat1 := a.Lat * math.Pi / 180
-	lat2 := b.Lat * math.Pi / 180
+	return arcKm(haversineTerm(a, b, cosLat(a), cosLat(b)))
+}
+
+// haversineTerm returns the haversine of the central angle between the
+// points, sin²(Δlat/2) + cos(lat_a)·cos(lat_b)·sin²(Δlon/2), given the
+// cosines of both latitudes, so a caller that measures from one point to
+// many computes each once.
+func haversineTerm(a, b Point, cosA, cosB float64) float64 {
 	dLat := (b.Lat - a.Lat) * math.Pi / 180
 	dLon := (b.Lon - a.Lon) * math.Pi / 180
-	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(s)))
+	sinLat, sinLon := math.Sin(dLat/2), math.Sin(dLon/2)
+	return sinLat*sinLat + cosA*cosB*sinLon*sinLon
 }
+
+// arcKm returns the great-circle distance whose haversine term is s; it
+// does not decrease as s grows.
+func arcKm(s float64) float64 { return 2 * EarthRadiusKm * math.Asin(min(1, math.Sqrt(s))) }
+
+// cosLat returns the cosine of the point's latitude.
+func cosLat(p Point) float64 { return math.Cos(p.Lat * math.Pi / 180) }
 
 // DistanceMeters returns the great-circle distance between two points in
 // metres.
@@ -49,25 +63,6 @@ func DistanceMeters(a, b Point) float64 { return HaversineKm(a, b) * 1000 }
 // BoundingBox is an axis-aligned latitude/longitude rectangle.
 type BoundingBox struct {
 	MinLat, MinLon, MaxLat, MaxLon float64
-}
-
-// NewBoundingBox returns the smallest box containing all points.
-// It returns an error for an empty slice.
-func NewBoundingBox(points []Point) (BoundingBox, error) {
-	if len(points) == 0 {
-		return BoundingBox{}, errors.New("geo: no points for bounding box")
-	}
-	b := BoundingBox{
-		MinLat: points[0].Lat, MaxLat: points[0].Lat,
-		MinLon: points[0].Lon, MaxLon: points[0].Lon,
-	}
-	for _, p := range points[1:] {
-		b.MinLat = math.Min(b.MinLat, p.Lat)
-		b.MaxLat = math.Max(b.MaxLat, p.Lat)
-		b.MinLon = math.Min(b.MinLon, p.Lon)
-		b.MaxLon = math.Max(b.MaxLon, p.Lon)
-	}
-	return b, nil
 }
 
 // Contains reports whether the point lies within the box (inclusive).

@@ -8,8 +8,7 @@ import (
 
 // Grid is a uniform latitude/longitude raster over a bounding box. It backs
 // the traffic-density maps of Figure 2 and the per-cluster tower-density
-// maps of Figure 7 of the paper, and doubles as a spatial index for
-// radius queries (POI within 200 m of a tower).
+// maps of Figure 7 of the paper.
 type Grid struct {
 	Box          BoundingBox
 	RowsN, ColsN int       // raster dimensions (rows = latitude, cols = longitude)
@@ -108,124 +107,4 @@ func (g *Grid) Total() float64 {
 		s += v
 	}
 	return s
-}
-
-// PointIndex is a spatial index over a fixed set of points supporting
-// exact radius queries. It buckets points into square latitude/longitude
-// cells about one expected query radius on a side, so a query reads only
-// the buckets its disc can reach. The index is planar in longitude: a query
-// does not see across the ±180° antimeridian.
-type PointIndex struct {
-	box     BoundingBox
-	cellDeg float64
-	// maxRow and maxCol are the highest occupied bucket coordinates; the
-	// lowest are 0 because the box is the points' own bounding box.
-	maxRow, maxCol int
-	buckets        map[[2]int][]int
-	points         []Point
-}
-
-// metersPerDegree is the length of one degree of latitude — and of one
-// degree of longitude at the equator — on the haversine sphere.
-const metersPerDegree = EarthRadiusKm * 1000 * math.Pi / 180
-
-// NewPointIndex indexes the points for radius queries of roughly
-// expectedRadiusMeters. Any query radius stays exact; larger ones read
-// proportionally more buckets.
-func NewPointIndex(points []Point, expectedRadiusMeters float64) (*PointIndex, error) {
-	if len(points) == 0 {
-		return nil, errors.New("geo: no points to index")
-	}
-	if expectedRadiusMeters <= 0 {
-		return nil, fmt.Errorf("geo: invalid radius %g", expectedRadiusMeters)
-	}
-	box, err := NewBoundingBox(points)
-	if err != nil {
-		return nil, err
-	}
-	// Cells are about one expected radius of latitude on a side (one degree
-	// ≈ 111.19 km), in degrees on both axes. A degree of longitude spans
-	// only cos(lat) of that on the ground, so away from the equator a cell
-	// is narrower east-west than the radius; a query sizes its column
-	// window by latitude to make up for it (see visit).
-	idx := &PointIndex{
-		box:     box,
-		cellDeg: expectedRadiusMeters / 111190.0,
-		buckets: make(map[[2]int][]int),
-		points:  points,
-	}
-	for i, p := range points {
-		key := idx.bucketKey(p)
-		idx.buckets[key] = append(idx.buckets[key], i)
-		idx.maxRow = max(idx.maxRow, key[0])
-		idx.maxCol = max(idx.maxCol, key[1])
-	}
-	return idx, nil
-}
-
-func (idx *PointIndex) bucketKey(p Point) [2]int {
-	return [2]int{
-		int(math.Floor((p.Lat - idx.box.MinLat) / idx.cellDeg)),
-		int(math.Floor((p.Lon - idx.box.MinLon) / idx.cellDeg)),
-	}
-}
-
-// bucketSpan returns the occupied bucket coordinates in [0, maxKey] that
-// the coordinate interval [lo, hi] overlaps (empty when first > last).
-// The clamp happens in floating point, so an unbounded interval — a query
-// whose disc touches a pole has no longitude bound — stays a finite loop.
-func (idx *PointIndex) bucketSpan(lo, hi, origin float64, maxKey int) (first, last int) {
-	f := math.Max(0, math.Floor((lo-origin)/idx.cellDeg))
-	l := math.Min(float64(maxKey), math.Floor((hi-origin)/idx.cellDeg))
-	if !(f <= l) {
-		return 0, -1
-	}
-	return int(f), int(l)
-}
-
-// visit calls fn with the index of every point within radiusMeters of the
-// centre, in bucket (row, column) order and insertion order within a
-// bucket.
-//
-// A great-circle distance is never shorter than its latitude leg, so a
-// point within the radius r lies within r/metersPerDegree degrees of the
-// centre's latitude; and along the great-circle path to it the longitude
-// advances by at most ds/cos(lat) per ds travelled, so it lies within that
-// many degrees divided by the cosine of the highest latitude of the band.
-// The bucket window is sized per axis from those two bounds, and a
-// candidate that exceeds either is rejected before the haversine. Both
-// bounds carry a 1e-9 relative margin (plus 1e-12° for the rounding of the
-// window's corner coordinates), far above the haversine's own rounding, so
-// the prefilter never changes which points pass the exact test below.
-func (idx *PointIndex) visit(center Point, radiusMeters float64, fn func(i int)) {
-	const margin = 1 + 1e-9
-	dLat := radiusMeters / metersPerDegree * margin
-	dLon := math.Inf(1)
-	if top := math.Abs(center.Lat) + dLat; top < 90 {
-		dLon = dLat / math.Cos(top*math.Pi/180) * margin
-	}
-	const pad = 1e-12
-	r0, r1 := idx.bucketSpan(center.Lat-dLat-pad, center.Lat+dLat+pad, idx.box.MinLat, idx.maxRow)
-	c0, c1 := idx.bucketSpan(center.Lon-dLon-pad, center.Lon+dLon+pad, idx.box.MinLon, idx.maxCol)
-	for r := r0; r <= r1; r++ {
-		for c := c0; c <= c1; c++ {
-			for _, i := range idx.buckets[[2]int{r, c}] {
-				p := idx.points[i]
-				if math.Abs(p.Lat-center.Lat) > dLat || math.Abs(p.Lon-center.Lon) > dLon {
-					continue
-				}
-				if DistanceMeters(center, p) <= radiusMeters {
-					fn(i)
-				}
-			}
-		}
-	}
-}
-
-// CountWithin returns the number of indexed points within radiusMeters of
-// the centre point.
-func (idx *PointIndex) CountWithin(center Point, radiusMeters float64) int {
-	n := 0
-	idx.visit(center, radiusMeters, func(int) { n++ })
-	return n
 }

@@ -33,7 +33,8 @@ func WriteCSV(w io.Writer, pois []POI) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a POI inventory written by WriteCSV.
+// ReadCSV parses a POI inventory written by WriteCSV. It rejects a row
+// whose coordinates are not a valid location, naming its line.
 func ReadCSV(r io.Reader) ([]POI, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(poiHeader)
@@ -65,7 +66,12 @@ func ReadCSV(r io.Reader) ([]POI, error) {
 		if err != nil {
 			return nil, fmt.Errorf("poi: longitude %q: %w", row[2], err)
 		}
-		out = append(out, POI{Type: typ, Location: geo.Point{Lat: lat, Lon: lon}, Name: row[3]})
+		loc := geo.Point{Lat: lat, Lon: lon}
+		if !loc.Valid() {
+			line, _ := cr.FieldPos(1)
+			return nil, fmt.Errorf("poi: line %d has invalid coordinates %v", line, loc)
+		}
+		out = append(out, POI{Type: typ, Location: loc, Name: row[3]})
 	}
 	return out, nil
 }

@@ -51,6 +51,18 @@ func TestReadPOICSVErrors(t *testing.T) {
 	}
 }
 
+// A row that parses but is not a valid location is refused, with its
+// line: a NaN coordinate would zero every count of its POI type.
+func TestReadCSVRejectsInvalidCoordinates(t *testing.T) {
+	for _, row := range []string{"resident,NaN,121.4,x", "resident,31.2,+Inf,x", "office,90.5,121.4,x", "office,31.2,-180.01,x"} {
+		in := "type,lat,lon,name\nresident,31.2,121.4,ok\n" + row + "\n"
+		_, err := ReadCSV(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%q: err = %v, want one naming line 3", row, err)
+		}
+	}
+}
+
 func TestParseType(t *testing.T) {
 	for _, typ := range Types {
 		got, err := ParseType(typ.String())

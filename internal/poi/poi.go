@@ -65,51 +65,43 @@ func (c Counts) Total() float64 {
 }
 
 // Counter answers "how many POIs of each type lie within r metres of a
-// point" efficiently by keeping one spatial index per POI type.
+// point" from one spatial index over all POIs, labelled by type.
 type Counter struct {
-	indexes [NumTypes]*geo.PointIndex
-	present [NumTypes]bool
+	index *geo.PointIndex // nil when there are no POIs
 }
 
 // DefaultRadiusMeters is the counting radius used throughout the paper.
 const DefaultRadiusMeters = 200.0
 
 // NewCounter indexes the POIs for radius queries of roughly radiusMeters.
+// It rejects a POI of unknown type or at an invalid location.
 func NewCounter(pois []POI, radiusMeters float64) (*Counter, error) {
-	if radiusMeters <= 0 {
+	if !(radiusMeters > 0) {
 		return nil, fmt.Errorf("poi: invalid radius %g", radiusMeters)
 	}
-	var byType [NumTypes][]geo.Point
-	for _, p := range pois {
+	for i, p := range pois {
 		if int(p.Type) < 0 || int(p.Type) >= NumTypes {
-			return nil, fmt.Errorf("poi: unknown POI type %d", p.Type)
+			return nil, fmt.Errorf("poi: POI %d has unknown type %d", i, p.Type)
 		}
-		byType[p.Type] = append(byType[p.Type], p.Location)
 	}
-	c := &Counter{}
-	for i, pts := range byType {
-		if len(pts) == 0 {
-			continue
-		}
-		idx, err := geo.NewPointIndex(pts, radiusMeters)
-		if err != nil {
-			return nil, fmt.Errorf("poi: indexing type %v: %w", Type(i), err)
-		}
-		c.indexes[i] = idx
-		c.present[i] = true
+	if len(pois) == 0 {
+		return &Counter{}, nil
 	}
-	return c, nil
+	idx, err := geo.NewPointIndex(len(pois), func(i int) (geo.Point, uint8) {
+		return pois[i].Location, uint8(pois[i].Type)
+	}, radiusMeters)
+	if err != nil {
+		return nil, fmt.Errorf("poi: indexing POIs: %w", err)
+	}
+	return &Counter{index: idx}, nil
 }
 
 // CountWithin returns the number of POIs of each type within radiusMeters
 // of the centre.
 func (c *Counter) CountWithin(center geo.Point, radiusMeters float64) Counts {
 	var out Counts
-	for i := range c.indexes {
-		if !c.present[i] {
-			continue
-		}
-		out[i] = float64(c.indexes[i].CountWithin(center, radiusMeters))
+	if c.index != nil {
+		c.index.CountWithin(center, radiusMeters, out[:])
 	}
 	return out
 }

@@ -2,7 +2,12 @@ package poi
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -73,6 +78,95 @@ func TestCounterCountWithin(t *testing.T) {
 	all := counter.CountAll([]geo.Point{center, north}, DefaultRadiusMeters)
 	if len(all) != 2 || all[0] != atCenter || all[1] != atNorth {
 		t.Errorf("CountAll mismatch: %v", all)
+	}
+
+	// At every latitude the index is tested at, the per-type counts equal
+	// a brute-force scan with DistanceMeters, for radii below, at and
+	// above the one the counter was built for.
+	rng := rand.New(rand.NewSource(19))
+	for _, lat := range []float64{0, 31.2, 55, 62, 65, 70, -65, 89.9} {
+		t.Run(fmt.Sprintf("lat=%g", lat), func(t *testing.T) {
+			lonSpan := math.Min(0.04/math.Cos(lat*math.Pi/180), 20)
+			draw := func() geo.Point {
+				return geo.Point{Lat: lat + (rng.Float64()-0.5)*0.04, Lon: 20 + (rng.Float64()-0.5)*lonSpan}
+			}
+			pois := make([]POI, 3000)
+			for i := range pois {
+				// Skewed type mix, and every tenth POI on top of another.
+				pois[i] = POI{Type: Type(min(rng.Intn(6), 3)), Location: draw()}
+				if i%10 == 9 {
+					pois[i].Location = pois[rng.Intn(i)].Location
+				}
+			}
+			counter, err := NewCounter(pois, DefaultRadiusMeters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 40; trial++ {
+				center := draw()
+				for _, radius := range []float64{50, DefaultRadiusMeters, 500} {
+					var want Counts
+					for _, p := range pois {
+						if geo.DistanceMeters(center, p.Location) <= radius {
+							want[p.Type]++
+						}
+					}
+					if got := counter.CountWithin(center, radius); got != want {
+						t.Fatalf("%v radius %g: CountWithin = %v, brute force %v", center, radius, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// A POI at a non-finite location would make the index's bounding box NaN
+// and every cell window empty, so every count of its type would read 0
+// with no error; NewCounter refuses it and names it.
+func TestNewCounterRejectsInvalidLocation(t *testing.T) {
+	at := geo.Point{Lat: 31.2, Lon: 121.4}
+	pois := []POI{{Type: Resident, Location: at}, {Type: Resident, Location: geo.Point{Lat: 31.2001, Lon: 121.4}}}
+	counter, err := NewCounter(pois, DefaultRadiusMeters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counter.CountWithin(at, DefaultRadiusMeters); got != (Counts{2, 0, 0, 0}) {
+		t.Fatalf("two resident POIs count %v", got)
+	}
+	for _, bad := range []geo.Point{{Lat: math.NaN(), Lon: 121.4}, {Lat: 31.2, Lon: math.Inf(-1)}, {Lat: 95, Lon: 121.4}} {
+		withBad := append(slices.Clone(pois), POI{Type: Resident, Location: bad})
+		counter, err := NewCounter(withBad, DefaultRadiusMeters)
+		if err == nil {
+			t.Errorf("POI at %v accepted; the tower counts %v", bad, counter.CountWithin(at, DefaultRadiusMeters))
+		} else if !strings.Contains(err.Error(), "point 2 ") {
+			t.Errorf("POI at %v: error %q does not name POI 2", bad, err)
+		}
+	}
+}
+
+// NewCounter allocates the index's flat arrays — the points in bucket
+// order, their latitude cosines and types, and one int32 offset per POI —
+// and nothing that grows with the bounding box: at most 32 bytes per POI.
+func TestNewCounterAllocationCeiling(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	pois := make([]POI, 100000)
+	for i := range pois {
+		pois[i] = POI{Type: Type(rng.Intn(NumTypes)), Location: geo.Point{Lat: 31 + rng.Float64()*0.5, Lon: 121 + rng.Float64()*0.5}}
+	}
+	// A far outlier stretches the box over a continent of empty cells.
+	pois[0].Location = geo.Point{Lat: 51.5, Lon: -0.1}
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewCounter(pois, DefaultRadiusMeters); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if perPOI := float64(best) / float64(len(pois)); perPOI > 32 {
+		t.Errorf("NewCounter allocated %d B for %d POIs, %.1f B per POI; want at most 32", best, len(pois), perPOI)
 	}
 }
 
