@@ -214,9 +214,6 @@ func (c condensed) index(i, j int) int {
 	return i*(2*c.n-i-1)/2 + (j - i - 1)
 }
 
-func (c condensed) at(i, j int) float64     { return c.d[c.index(i, j)] }
-func (c condensed) set(i, j int, v float64) { c.d[c.index(i, j)] = v }
-
 // slotMerge records one agglomeration against matrix slots: slot i always
 // holds the current cluster occupying the slot of original leaf i.
 type slotMerge struct {
@@ -225,30 +222,30 @@ type slotMerge struct {
 }
 
 // nnChain runs the nearest-neighbour-chain agglomeration over the condensed
-// matrix, destroying it in the process. Extra scratch is O(N): the active
-// and size arrays plus the chain stack. Merges are recorded against slots
-// in discovery order, which for a reducible linkage such as average
-// linkage sorts into a valid agglomeration order.
+// matrix, destroying it in the process. Extra scratch is O(N): the sizes,
+// one offset per condensed row, the ascending list of active slots and the
+// chain stack. Merges are recorded against slots in discovery order, which
+// for a reducible linkage such as average linkage sorts into a valid
+// agglomeration order.
+//
+// Every entry is reached through the row offsets: the pair (i, j), i < j,
+// sits at off[i]+j. A neighbour scan of top walks only the active slots,
+// first those below top (the column above the diagonal, one entry per row)
+// and then those above it (top's own row run), so j still ascends and the
+// strict < keeps the lowest j of a tie.
 func nnChain(ctx context.Context, dist condensed) ([]slotMerge, error) {
 	done := ctx.Done()
-	n := dist.n
-	active := make([]bool, n)
+	n, d := dist.n, dist.d
 	size := make([]int, n)
-	for i := range active {
-		active[i] = true
+	off := make([]int, n)
+	active := make([]int, n)
+	for i := range off {
 		size[i] = 1
+		off[i] = dist.index(i, i+1) - (i + 1)
+		active[i] = i
 	}
 	slotMerges := make([]slotMerge, 0, n-1)
 	chain := make([]int, 0, n)
-
-	anyActive := func() int {
-		for i, a := range active {
-			if a {
-				return i
-			}
-		}
-		return -1
-	}
 
 	for len(slotMerges) < n-1 {
 		// One cancellation check per merge: O(N) checks against the
@@ -259,17 +256,21 @@ func nnChain(ctx context.Context, dist condensed) ([]slotMerge, error) {
 			}
 		}
 		if len(chain) == 0 {
-			chain = append(chain, anyActive())
+			chain = append(chain, active[0])
 		}
 		for {
 			top := chain[len(chain)-1]
 			// Nearest active neighbour of top.
 			best, bestDist := -1, math.Inf(1)
-			for j := 0; j < n; j++ {
-				if j == top || !active[j] {
-					continue
+			at, _ := slices.BinarySearch(active, top)
+			for _, j := range active[:at] {
+				if dj := d[off[j]+top]; dj < bestDist {
+					best, bestDist = j, dj
 				}
-				if dj := dist.at(top, j); dj < bestDist {
+			}
+			row := off[top]
+			for _, j := range active[at+1:] {
+				if dj := d[row+j]; dj < bestDist {
 					best, bestDist = j, dj
 				}
 			}
@@ -286,14 +287,22 @@ func nnChain(ctx context.Context, dist condensed) ([]slotMerge, error) {
 				// Average-linkage Lance–Williams update of distances from
 				// the merged cluster (stored in slot a) to every other
 				// active cluster.
-				for k := 0; k < n; k++ {
-					if !active[k] || k == a || k == b {
+				for _, k := range active {
+					if k == a || k == b {
 						continue
 					}
-					dist.set(a, k, (float64(na)*dist.at(a, k)+float64(nb)*dist.at(b, k))/float64(na+nb))
+					ak, bk := off[a]+k, off[b]+k
+					if k < a {
+						ak = off[k] + a
+					}
+					if k < b {
+						bk = off[k] + b
+					}
+					d[ak] = (float64(na)*d[ak] + float64(nb)*d[bk]) / float64(na+nb)
 				}
 				slotMerges = append(slotMerges, slotMerge{slotA: a, slotB: b, distance: bestDist})
-				active[b] = false
+				at, _ := slices.BinarySearch(active, b)
+				active = slices.Delete(active, at, at+1)
 				size[a] = na + nb
 				break
 			}

@@ -264,3 +264,21 @@ func BenchmarkHierarchical200x144(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHierarchicalCtx2400 times the pattern identifier's agglomeration
+// alone at remodel-wide's 2 400 towers: the distances are built once,
+// outside the timer, and each iteration clones and agglomerates them.
+func BenchmarkHierarchicalCtx2400(b *testing.B) {
+	rng := rand.New(rand.NewSource(37))
+	points, _ := blobs(rng, 8, 300, 16, 2.0)
+	d, err := DistancesMatCtx(context.Background(), matOf(b, points), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := d.HierarchicalCtx(context.Background(), AverageLinkage); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

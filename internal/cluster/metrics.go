@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/linalg"
+	"repro/internal/panicsafe"
 )
 
 // Cluster validity indices over a flat row-major matrix, generic over the
@@ -67,17 +68,27 @@ func CentroidsMat[F linalg.Float](x *linalg.Mat[F], a *Assignment) (*linalg.Mat[
 // j. Lower is better. Clusters with no members are skipped; the index is
 // undefined for fewer than two non-empty clusters.
 //
-// The member-to-centroid and centroid-to-centroid distances both come from
-// the Gram-trick kernels on up to `workers` goroutines (≤ 0 means
-// GOMAXPROCS), so the index is bit-identical for any worker count;
-// clusters whose centroids coincide bit-for-bit still divide by an exact
-// zero and score +Inf, exactly as the per-pair form did.
+// The member-to-centroid distances run serially in point order; the
+// centroid separations come from the blocked symmetric kernel on up to
+// `workers` goroutines (≤ 0 means GOMAXPROCS). Both use the Gram-trick
+// dots, so the index is bit-identical for any worker count; clusters whose
+// centroids coincide bit-for-bit still divide by an exact zero and score
+// +Inf, exactly as the per-pair form did.
 func DaviesBouldinMat[F linalg.Float](x *linalg.Mat[F], a *Assignment, workers int) (float64, error) {
+	xnorms := make(linalg.Vec[F], x.Rows)
+	if err := linalg.RowNormsSquaredInto(xnorms, x); err != nil {
+		return 0, err
+	}
+	return daviesBouldin(x, xnorms, a, workers)
+}
+
+// daviesBouldin is DaviesBouldinMat given the squared row norms of x.
+func daviesBouldin[F linalg.Float](x *linalg.Mat[F], xnorms linalg.Vec[F], a *Assignment, workers int) (float64, error) {
 	cm, err := CentroidsMat(x, a) // also checks the assignment
 	if err != nil {
 		return 0, err
 	}
-	scatter, counts, err := clusterScatter(x, a, cm)
+	scatter, counts, err := clusterScatter(x, xnorms, a, cm)
 	if err != nil {
 		return 0, err
 	}
@@ -130,18 +141,14 @@ func DaviesBouldinWorkers(points []linalg.Vector, a *Assignment, workers int) (f
 }
 
 // clusterScatter returns S_i (mean member-to-centroid distance) and member
-// counts per cluster of an already-checked assignment. Each point needs
-// only the distance to its ASSIGNED centroid, so this runs one Gram-trick
-// dot per point — same operation sequence as the cross kernel (making
-// coincident point/centroid pairs exactly zero) without computing the
-// unused n×K remainder. The sums accumulate serially in point order in
-// float64.
-func clusterScatter[F linalg.Float](x *linalg.Mat[F], a *Assignment, cm *linalg.Mat[F]) ([]float64, []int, error) {
-	xnorms := make(linalg.Vec[F], x.Rows)
+// counts per cluster of an already-checked assignment, given the squared
+// row norms of x. Each point needs only the distance to its ASSIGNED
+// centroid, so this runs one Gram-trick dot per point — same operation
+// sequence as the cross kernel (making coincident point/centroid pairs
+// exactly zero) without computing the unused n×K remainder. The sums
+// accumulate serially in point order in float64.
+func clusterScatter[F linalg.Float](x *linalg.Mat[F], xnorms linalg.Vec[F], a *Assignment, cm *linalg.Mat[F]) ([]float64, []int, error) {
 	cnorms := make(linalg.Vec[F], cm.Rows)
-	if err := linalg.RowNormsSquaredInto(xnorms, x); err != nil {
-		return nil, nil, err
-	}
 	if err := linalg.RowNormsSquaredInto(cnorms, cm); err != nil {
 		return nil, nil, err
 	}
@@ -282,8 +289,12 @@ type DBICurvePoint struct {
 
 // DBICurveMatCtx evaluates the Davies–Bouldin index for every cluster count
 // in [minK, maxK], reproducing the metric-tuner sweep behind Figure 6(a).
-// `workers` bounds the goroutines of the per-K Davies–Bouldin evaluations
-// (≤ 0 means GOMAXPROCS); ctx is observed once per evaluated cluster count.
+// The squared row norms of x are computed once for the sweep, and the
+// cluster counts fan out over up to `workers` goroutines (≤ 0 means
+// GOMAXPROCS; one runs them in order on the caller's goroutine). Each
+// count's index is computed exactly as DaviesBouldinMat computes it, so the
+// curve is bit-identical for any worker count. ctx is observed once per
+// evaluated cluster count.
 func DBICurveMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], dendro *Dendrogram, minK, maxK, workers int) ([]DBICurvePoint, error) {
 	if minK < 2 {
 		return nil, fmt.Errorf("%w: minK=%d (need at least 2)", ErrBadK, minK)
@@ -291,24 +302,30 @@ func DBICurveMatCtx[F linalg.Float](ctx context.Context, x *linalg.Mat[F], dendr
 	if maxK < minK || maxK > dendro.N {
 		return nil, fmt.Errorf("%w: maxK=%d with minK=%d and %d points", ErrBadK, maxK, minK, dendro.N)
 	}
-	out := make([]DBICurvePoint, 0, maxK-minK+1)
-	for k := minK; k <= maxK; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	xnorms := make(linalg.Vec[F], x.Rows)
+	if err := linalg.RowNormsSquaredInto(xnorms, x); err != nil {
+		return nil, err
+	}
+	out := make([]DBICurvePoint, maxK-minK+1)
+	err := panicsafe.ForEach(ctx, len(out), workers, func(_, i int) error {
+		k := minK + i
 		assign, err := dendro.CutK(k)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		dbi, err := DaviesBouldinMat(x, assign, workers)
+		dbi, err := daviesBouldin(x, xnorms, assign, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		threshold, err := dendro.ThresholdForK(k)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, DBICurvePoint{K: k, Threshold: threshold, DBI: dbi})
+		out[i] = DBICurvePoint{K: k, Threshold: threshold, DBI: dbi}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -141,6 +141,9 @@ produce:
 	return dist, nil
 }
 
+// at returns the distance between i and j (i ≠ j).
+func (c condensed) at(i, j int) float64 { return c.d[c.index(i, j)] }
+
 // row returns the contiguous slice of distances from i to j ∈ (i, N).
 func (c condensed) row(i int) []float64 {
 	lo := c.index(i, i+1)

@@ -11,8 +11,9 @@ import (
 // plan performs zero allocations per transform. The transform kernel is an
 // iterative self-sorting (Stockham) mixed-radix FFT with specialised radix-2,
 // radix-3 and radix-4 butterflies (each with an unrolled first-stage form for
-// the unit-stride pass), a generic butterfly for the remaining small odd
-// prime factors, and Bluestein's chirp-z algorithm whenever the
+// the unit-stride pass), an unrolled radix-7 butterfly bit-identical to the
+// generic one, a generic butterfly for the remaining small odd prime
+// factors, and Bluestein's chirp-z algorithm whenever the
 // length has a prime factor larger than maxStockhamRadix — so no length ever
 // falls back to the O(N²) direct transform. Real input goes through an RFFT
 // path that packs the signal into a half-length complex transform.
@@ -312,18 +313,24 @@ func (c *cplan) forward(dst, src []complex128) {
 		copy(a, src)
 	}
 	for i := range c.stages {
-		st := &c.stages[i]
-		switch st.r {
-		case 2:
-			stageRadix2(b, a, st)
-		case 3:
-			stageRadix3(b, a, st)
-		case 4:
-			stageRadix4(b, a, st)
-		default:
-			stageGeneric(b, a, st, c.radix[st.r])
-		}
+		c.pass(b, a, &c.stages[i])
 		a, b = b, a
+	}
+}
+
+// pass runs one Stockham stage from src into dst on its radix's butterfly.
+func (c *cplan) pass(dst, src []complex128, st *stage) {
+	switch st.r {
+	case 2:
+		stageRadix2(dst, src, st)
+	case 3:
+		stageRadix3(dst, src, st)
+	case 4:
+		stageRadix4(dst, src, st)
+	case 7:
+		stageRadix7(dst, src, st, c.radix[7])
+	default:
+		stageGeneric(dst, src, st, c.radix[st.r])
 	}
 }
 
@@ -463,6 +470,45 @@ func stageGeneric(dst, src []complex128, st *stage, rt []complex128) {
 					acc *= twp[j-1]
 				}
 				dst[base+q] = acc
+			}
+		}
+	}
+}
+
+// stageRadix7 is stageGeneric at r = 7, the radix of every whole-week
+// length: each (p, q) loads its seven inputs once instead of once per
+// output, and the u loop is unrolled. Every output still starts from a
+// zero accumulator, adds its seven table products in ascending u and then
+// takes its twiddle, so the two butterflies agree bit for bit.
+func stageRadix7(dst, src []complex128, st *stage, rt []complex128) {
+	m, s := st.m, st.s
+	rt = rt[:49]
+	for p := 0; p < m; p++ {
+		twp := st.tw[6*p : 6*p+6]
+		for q := 0; q < s; q++ {
+			i := s*p + q
+			a0 := src[i]
+			a1 := src[i+s*m]
+			a2 := src[i+2*s*m]
+			a3 := src[i+3*s*m]
+			a4 := src[i+4*s*m]
+			a5 := src[i+5*s*m]
+			a6 := src[i+6*s*m]
+			o := s*7*p + q
+			for j := 0; j < 7; j++ {
+				wr := rt[7*j : 7*j+7]
+				var acc complex128
+				acc += a0 * wr[0]
+				acc += a1 * wr[1]
+				acc += a2 * wr[2]
+				acc += a3 * wr[3]
+				acc += a4 * wr[4]
+				acc += a5 * wr[5]
+				acc += a6 * wr[6]
+				if j > 0 {
+					acc *= twp[j-1]
+				}
+				dst[o+j*s] = acc
 			}
 		}
 	}

@@ -206,9 +206,9 @@ func RepresentativeTowers(features []Features, assign *cluster.Assignment, opts 
 	if len(assign.Labels) != len(features) {
 		return nil, fmt.Errorf("freqdomain: %d labels for %d features", len(assign.Labels), len(features))
 	}
-	points := make([]linalg.Vector, len(features))
+	points := make([][3]float64, len(features))
 	for i, f := range features {
-		points[i] = f.Vector3()
+		points[i] = [3]float64(f.Vector3())
 	}
 	radius := opts.DensityRadius
 	if radius <= 0 {
@@ -223,9 +223,22 @@ func RepresentativeTowers(features []Features, assign *cluster.Assignment, opts 
 	for c := range out {
 		out[c] = -1
 	}
+	// The cluster's own points and everyone else's, gathered contiguously
+	// once per cluster.
+	own := make([][3]float64, 0, len(points))
+	others := make([][3]float64, 0, len(points))
 	for c, mem := range members {
 		if len(mem) == 0 {
 			continue
+		}
+		own, others = own[:0], others[:0]
+		for _, i := range mem {
+			own = append(own, points[i])
+		}
+		for j, p := range points {
+			if assign.Labels[j] != c {
+				others = append(others, p)
+			}
 		}
 		minDensity := opts.MinDensity
 		if minDensity <= 0 {
@@ -237,35 +250,25 @@ func RepresentativeTowers(features []Features, assign *cluster.Assignment, opts 
 		bestIdx, bestScore := -1, math.Inf(-1)
 		var fallbackIdx int = mem[0]
 		var fallbackScore = math.Inf(-1)
-		for _, i := range mem {
+		for o, i := range mem {
+			p := own[o]
 			// Density within the own cluster.
 			density := 0
-			for _, j := range mem {
-				if i == j {
-					continue
-				}
-				d, err := linalg.Distance(points[i], points[j])
-				if err != nil {
-					return nil, err
-				}
-				if d <= radius {
+			for o2, q := range own {
+				if o2 != o && math.Sqrt(squaredDistance3(p, q)) <= radius {
 					density++
 				}
 			}
-			// Distance to the nearest tower of any other cluster.
-			nearestOther := math.Inf(1)
-			for j := range points {
-				if assign.Labels[j] == c {
-					continue
-				}
-				d, err := linalg.Distance(points[i], points[j])
-				if err != nil {
-					return nil, err
-				}
-				if d < nearestOther {
-					nearestOther = d
+			// Distance to the nearest tower of any other cluster: the root
+			// of the least squared distance, which is the least root
+			// because sqrt is monotone and correctly rounded.
+			nearestSq := math.Inf(1)
+			for _, q := range others {
+				if sq := squaredDistance3(p, q); sq < nearestSq {
+					nearestSq = sq
 				}
 			}
+			nearestOther := math.Sqrt(nearestSq)
 			if math.IsInf(nearestOther, 1) {
 				// Single-cluster corner case: fall back to density.
 				nearestOther = float64(density)
@@ -290,6 +293,16 @@ func RepresentativeTowers(features []Features, assign *cluster.Assignment, opts 
 	return out, nil
 }
 
+// squaredDistance3 is linalg.SquaredDistance of two feature points, with
+// its accumulation order: the squares added in ascending coordinate order.
+func squaredDistance3(p, q [3]float64) float64 {
+	d0, d1, d2 := p[0]-q[0], p[1]-q[1], p[2]-q[2]
+	s := d0 * d0
+	s += d1 * d1
+	s += d2 * d2
+	return s
+}
+
 // medianPairwiseDistance estimates the scale of the feature space. For
 // large inputs it subsamples to bound the O(N²) cost. The sampled points
 // run through the blocked condensed distance kernel and the median comes
@@ -298,23 +311,19 @@ func RepresentativeTowers(features []Features, assign *cluster.Assignment, opts 
 // statistics of the squared distances and interpolating their roots is
 // exactly Quantile(dists, 0.5) over the per-pair form, up to the
 // Gram-trick's ≤1e-9 relative error on each distance.
-func medianPairwiseDistance(points []linalg.Vector) float64 {
+func medianPairwiseDistance(points [][3]float64) float64 {
 	const maxSample = 300
 	step := 1
 	if len(points) > maxSample {
 		step = len(points) / maxSample
 	}
-	sampled := make([]linalg.Vector, 0, (len(points)+step-1)/step)
-	for i := 0; i < len(points); i += step {
-		sampled = append(sampled, points[i])
-	}
-	m := len(sampled)
+	m := (len(points) + step - 1) / step
 	if m < 2 {
 		return 0
 	}
-	x, err := linalg.RowsMatrix(sampled)
-	if err != nil {
-		return 0
+	x := linalg.NewMatrix(m, 3)
+	for r := range m {
+		copy(x.Row(r), points[r*step][:])
 	}
 	d2 := make([]float64, m*(m-1)/2)
 	norms := make(linalg.Vector, m)

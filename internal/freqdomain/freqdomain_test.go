@@ -228,6 +228,32 @@ func TestRepresentativeTowersSkipsNoise(t *testing.T) {
 	}
 }
 
+// A same-cluster tower exactly DensityRadius away counts towards the
+// density: here it is what lets the two close towers of cluster 0 pass
+// the filter, so the isolated one is not chosen.
+func TestRepresentativeTowersDensityRadiusInclusive(t *testing.T) {
+	feats := []Features{
+		{Index: 0, AmpDay: 0, PhaseDay: 0, AmpHalfDay: 0},
+		{Index: 1, AmpDay: 0.3, PhaseDay: 0.4, AmpHalfDay: 0.1},
+		{Index: 2, AmpDay: 5, PhaseDay: 0, AmpHalfDay: 0},
+		{Index: 3, AmpDay: -5, PhaseDay: 0, AmpHalfDay: 0},
+		{Index: 4, AmpDay: -5.1, PhaseDay: 0, AmpHalfDay: 0},
+	}
+	assign := &cluster.Assignment{Labels: []int{0, 0, 0, 1, 1}, K: 2}
+	radius, err := linalg.Distance(feats[0].Vector3(), feats[1].Vector3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := RepresentativeTowers(feats, assign, RepOptions{DensityRadius: radius, MinDensity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Towers 0 and 1 pass with density 1; 1 is the farther from cluster 1.
+	if reps[0] != 1 {
+		t.Errorf("cluster 0 representative = %d, want 1 (the neighbour at exactly the radius counts)", reps[0])
+	}
+}
+
 func TestRepresentativeTowersDefaultsAndErrors(t *testing.T) {
 	feats, assign := clusteredFeatures()
 	reps, err := RepresentativeTowers(feats, assign, RepOptions{})

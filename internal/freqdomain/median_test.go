@@ -10,7 +10,7 @@ import (
 
 // medianPairwiseOracle is the per-pair, fully-sorting implementation the
 // quickselect-over-condensed-kernel version replaced.
-func medianPairwiseOracle(points []linalg.Vector) float64 {
+func medianPairwiseOracle(points [][3]float64) float64 {
 	const maxSample = 300
 	step := 1
 	if len(points) > maxSample {
@@ -19,7 +19,7 @@ func medianPairwiseOracle(points []linalg.Vector) float64 {
 	var dists linalg.Vector
 	for i := 0; i < len(points); i += step {
 		for j := i + step; j < len(points); j += step {
-			d, err := linalg.Distance(points[i], points[j])
+			d, err := linalg.Distance(points[i][:], points[j][:])
 			if err != nil {
 				return 0
 			}
@@ -38,9 +38,9 @@ func medianPairwiseOracle(points []linalg.Vector) float64 {
 func TestMedianPairwiseDistanceMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, n := range []int{0, 1, 2, 3, 4, 17, 50, 299, 301, 1200} {
-		points := make([]linalg.Vector, n)
+		points := make([][3]float64, n)
 		for i := range points {
-			points[i] = linalg.Vector{rng.NormFloat64(), rng.NormFloat64() * 3, rng.Float64()}
+			points[i] = [3]float64{rng.NormFloat64(), rng.NormFloat64() * 3, rng.Float64()}
 		}
 		got := medianPairwiseDistance(points)
 		want := medianPairwiseOracle(points)
@@ -54,14 +54,14 @@ func TestMedianPairwiseDistanceMatchesOracle(t *testing.T) {
 // buffer plus the sample slice is the whole working set.
 func TestMedianPairwiseDistanceAllocsBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	points := make([]linalg.Vector, 200)
+	points := make([][3]float64, 200)
 	for i := range points {
-		points[i] = linalg.Vector{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		points[i] = [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		medianPairwiseDistance(points)
 	})
-	// Sample slice + packed matrix + condensed buffer + norms, not O(N²).
+	// Packed sample + condensed buffer + norms, not O(N²).
 	if allocs > 10 {
 		t.Errorf("medianPairwiseDistance allocated %v times, want a small constant", allocs)
 	}

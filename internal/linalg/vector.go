@@ -231,11 +231,21 @@ func Pearson[F Float](v, w Vec[F]) (float64, error) {
 }
 
 // IsFinite reports whether every element of v is finite (not NaN or ±Inf).
+// x − x is zero exactly when x is finite and NaN otherwise, so the sum of
+// those differences is NaN exactly when some element is not finite; four
+// accumulators and no branch per element keep the scan at memory speed.
 func (v Vec[F]) IsFinite() bool {
-	for _, x := range v {
-		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return false
-		}
+	var s0, s1, s2, s3 F
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		s0 += v[i] - v[i]
+		s1 += v[i+1] - v[i+1]
+		s2 += v[i+2] - v[i+2]
+		s3 += v[i+3] - v[i+3]
 	}
-	return true
+	for ; i < len(v); i++ {
+		s0 += v[i] - v[i]
+	}
+	s := s0 + s1 + s2 + s3
+	return s == s
 }

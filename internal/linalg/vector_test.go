@@ -188,6 +188,46 @@ func TestIsFinite(t *testing.T) {
 	}
 }
 
+// isFiniteOracle is the per-element predicate IsFinite replaced.
+func isFiniteOracle[F Float](v Vec[F]) bool {
+	for _, x := range v {
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// IsFinite gives the per-element predicate's verdict with NaN, ±Inf or the
+// largest finite value of either sign at every position of every length
+// 0–19, on top of finite values of mixed signs.
+func TestIsFiniteMatchesPredicate(t *testing.T) {
+	t.Run("float64", func(t *testing.T) { testIsFiniteMatchesPredicate[float64](t, math.MaxFloat64) })
+	t.Run("float32", func(t *testing.T) { testIsFiniteMatchesPredicate[float32](t, math.MaxFloat32) })
+}
+
+func testIsFiniteMatchesPredicate[F Float](t *testing.T, maxFinite float64) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), maxFinite, -maxFinite}
+	for n := 0; n < 20; n++ {
+		v := make(Vec[F], n)
+		for i := range v {
+			v[i] = F(float64(i%5) - 2.5)
+		}
+		if got := v.IsFinite(); !got || got != isFiniteOracle(v) {
+			t.Fatalf("length %d finite: IsFinite %v", n, got)
+		}
+		for pos := 0; pos < n; pos++ {
+			for _, x := range specials {
+				w := v.Clone()
+				w[pos] = F(x)
+				if got, want := w.IsFinite(), isFiniteOracle(w); got != want {
+					t.Errorf("length %d, %g at %d: IsFinite %v, predicate %v", n, x, pos, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	v := Vector{1, 2, 3}
 	c := v.Clone()
