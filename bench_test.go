@@ -228,7 +228,7 @@ func BenchmarkIngest_CityLogsStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := city.LogSource(series, synth.LogOptions{})
-		cleaned := trace.CleanSourceWindow(src, 0)
+		cleaned := trace.CleanSource(src)
 		if _, err := vectorizeSource(cleaned, city.TowerInfos(), vopts); err != nil {
 			b.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func BenchmarkClean(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				src := trace.CleanSourceWindow(trace.SliceSource(records), 0)
+				src := trace.CleanSource(trace.SliceSource(records))
 				for {
 					if _, err := src.NextBatch(batch); err != nil {
 						if !errors.Is(err, io.EOF) {

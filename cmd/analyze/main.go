@@ -10,11 +10,10 @@
 // -ingest-workers != 1, the order-preserving parallel chunk parser) into
 // the cleaner and vectorizer in batches, so no record slice is ever
 // materialised. Memory is towers × slots for the vectorizer plus the
-// cleaner's dedup state (small hash tables per tower and start-time hour,
-// ~70–90 bytes per distinct connection, or a hard bound when
-// -dedup-window is set). Results are identical for any
-// -ingest-workers value: the parallel parser reassembles chunks in input
-// order.
+// cleaner's exact dedup state (small hash tables per tower and start-time
+// hour, ~77 bytes per distinct connection of the trace). Results are
+// identical for any -ingest-workers value: the parallel parser
+// reassembles chunks in input order.
 //
 // The modeling stage (hierarchical clustering, NMF basis extraction) runs
 // in parallel; -workers bounds the goroutines and
@@ -108,7 +107,6 @@ func main() {
 		days      = flag.Int("days", 28, "days for -synthetic")
 		seed      = flag.Int64("seed", 1, "seed for -synthetic city generation and for the modeling stage (NMF initialisation)")
 		clusters  = flag.Int("k", 0, "force the number of clusters (0 = pick by Davies-Bouldin index)")
-		window    = flag.Int("dedup-window", 0, "bound the streaming cleaner's dedup state to ~this many recent records (0 = exact, unbounded); copies of a connection arriving further apart than the window are not deduplicated")
 		workers   = flag.Int("workers", 0, "bound the parallelism of the modeling stage (0 = all cores); results are identical for any value")
 		nmfRank   = flag.Int("nmf-rank", core.NMFRankAuto, "NMF decomposition rank (-1 = one basis per cluster, 0 = skip the NMF stage)")
 		ingestW   = flag.Int("ingest-workers", 0, "parallelism of the CSV ingestion stage (0 = all cores, 1 = the serial zero-allocation scanner); the record stream is identical for any value")
@@ -150,7 +148,7 @@ func main() {
 	}
 	policy := ingestPolicy(*maxBad)
 
-	runErr := run(ctx, *traceDir, *synthetic, *stream, *towers, *days, *seed, *clusters, *window, *workers, *nmfRank, *ingestW, prec, policy)
+	runErr := run(ctx, *traceDir, *synthetic, *stream, *towers, *days, *seed, *clusters, *workers, *nmfRank, *ingestW, prec, policy)
 
 	// Flush the profiles even when the run failed: a profile of the work
 	// done up to the error is exactly what a perf investigation wants.
@@ -198,14 +196,13 @@ func ingestPolicy(maxBad int) trace.ErrorPolicy {
 	return p
 }
 
-func run(ctx context.Context, traceDir string, synthetic, stream bool, towers, days int, seed int64, forceK, dedupWindow, workers, nmfRank, ingestWorkers int, prec core.Precision, policy trace.ErrorPolicy) error {
+func run(ctx context.Context, traceDir string, synthetic, stream bool, towers, days int, seed int64, forceK, workers, nmfRank, ingestWorkers int, prec core.Precision, policy trace.ErrorPolicy) error {
 	opts := core.Options{
-		ForceK:      forceK,
-		CleanWindow: dedupWindow,
-		Workers:     workers,
-		Seed:        seed,
-		NMFRank:     nmfRank,
-		Precision:   prec,
+		ForceK:    forceK,
+		Workers:   workers,
+		Seed:      seed,
+		NMFRank:   nmfRank,
+		Precision: prec,
 	}
 	log.Printf("modeling precision %s, distance kernels: %s", prec, linalg.KernelDescription())
 	var (

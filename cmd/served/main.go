@@ -117,7 +117,6 @@ func main() {
 	flag.IntVar(&city.Towers, "towers", 200, "towers in the synthetic city feeding the service (> 0)")
 	flag.IntVar(&city.Days, "days", 28, "days of synthetic traffic to replay (> 0)")
 	flag.Int64Var(&city.Seed, "seed", 1, "synthetic city seed")
-	flag.IntVar(&cfg.CleanWindow, "dedup-window", 0, "bound the streaming cleaner's dedup state to this many records (0 = exact: keeps ~90 B per connection for the life of the process, growing without bound while the feed runs)")
 	flag.Parse()
 
 	// Validate before anything runs: a misconfigured service must refuse
@@ -140,8 +139,6 @@ func main() {
 		usageErrorf("-days %d: must be positive", city.Days)
 	case *replaySpeed < 0:
 		usageErrorf("-replay-speed %g: must not be negative (0 disables pacing)", *replaySpeed)
-	case cfg.CleanWindow < 0:
-		usageErrorf("-dedup-window %d: must not be negative", cfg.CleanWindow)
 	case adm.MinCoverage < 0 || adm.MinCoverage > 1:
 		usageErrorf("-min-coverage %g: must be in [0, 1]", adm.MinCoverage)
 	case adm.MinCompleteness < 0 || adm.MinCompleteness > 1:

@@ -87,13 +87,6 @@ type Options struct {
 	// RepOptions tune the representative-tower search of the
 	// frequency-domain stage.
 	RepOptions freqdomain.RepOptions
-	// CleanWindow bounds the streaming cleaner's dedup state when the
-	// pipeline is entered through AnalyzeSourceContext: state is kept for
-	// at least the most recent CleanWindow records (see
-	// trace.NewCleanerWindow). Zero keeps exact, unbounded dedup state
-	// (~70–90 bytes per distinct connection). Ignored by Analyze, which
-	// takes an already-vectorised dataset.
-	CleanWindow int
 	// Workers bounds the goroutines of the modeling stage — the
 	// hierarchical clustering distance matrix, the metric tuner's
 	// Davies–Bouldin kernels and the NMF multiplicative updates (≤ 0

@@ -15,13 +15,11 @@ import (
 // Cleaner, summed into per-tower traffic vectors by the streaming
 // vectorizer, and the resulting dataset is analysed exactly as
 // AnalyzeContext would. At no point is the record slice materialised: the
-// vectorizer holds O(towers × slots) accumulators, and the cleaner holds
-// ~70–90 bytes per distinct connection — or, with opts.CleanWindow set, a
-// bounded O(window) of dedup state, which is what makes arbitrarily long
-// traces ingestible (the shape the paper's Hadoop deployment relies on to
-// process billions of logs). The whole chain is batch-wise: records move
-// from the parser through the cleaner into the vectorizer thousands at a
-// time.
+// vectorizer holds O(towers × slots) accumulators. The cleaner's dedup
+// state is exact and unbounded over the finite trace: ~77 bytes per
+// distinct connection, so memory grows with the trace's connections, not
+// with its records. The whole chain is batch-wise: records move from the
+// parser through the cleaner into the vectorizer thousands at a time.
 //
 // towers supplies the tower locations (typically from
 // trace.ReadTowersCSV); towers appearing in the stream but absent from it
@@ -39,7 +37,7 @@ func AnalyzeSourceContext(ctx context.Context, src trace.Source, towers []trace.
 	if src == nil {
 		return nil, trace.CleanStats{}, errors.New("core: nil source")
 	}
-	cleaned := trace.CleanSourceWindow(src, opts.CleanWindow)
+	cleaned := trace.CleanSource(src)
 	ds, err := pipeline.VectorizeSourceContext(ctx, cleaned, towers, vopts)
 	if err != nil {
 		return nil, cleaned.Stats(), fmt.Errorf("core: vectorizing stream: %w", err)

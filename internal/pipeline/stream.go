@@ -26,7 +26,7 @@ import (
 // would hand over, at any core count (measured on bench's batch-ingest).
 //
 // The record stream is typically a trace ingestion source wrapped in
-// trace.CleanSourceWindow, or a synthetic city's log source. Following
+// trace.CleanSource, or a synthetic city's log source. Following
 // the paper's chunking of logs into 10-minute segments, a record's bytes
 // are attributed to the slot containing its start time; records outside
 // the aggregation window are dropped, and every tower appearing in the

@@ -177,7 +177,7 @@ func TestIngestPipelineSourceFaultLosesNothing(t *testing.T) {
 	}
 	removed := 0
 	for _, part := range [][]trace.Record{all[:errAfter], all[errAfter:]} {
-		cleaned := trace.CleanSourceWindow(trace.SliceSource(part), 0)
+		cleaned := trace.CleanSource(trace.SliceSource(part))
 		if err := trace.ForEachBatch(cleaned, func([]trace.Record) error { return nil }); err != nil {
 			t.Fatal(err)
 		}

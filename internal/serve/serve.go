@@ -73,7 +73,8 @@ type Config struct {
 	// ingest goroutine (the window is fed out of band, e.g. by tests).
 	// The feed is passed through the streaming cleaner before it reaches
 	// the window, so duplicated and conflicting records are eliminated
-	// exactly as in the batch pipeline.
+	// exactly as in the batch pipeline; the cleaner's state is bounded
+	// by the window's span (see runIngest).
 	//
 	// NextBatch is called from one goroutine at a time, but not from the
 	// goroutine that cleans, and from a new one after every supervised
@@ -93,9 +94,6 @@ type Config struct {
 	// Anomaly configures the per-tower anomaly detector run after each
 	// re-model. The zero value keeps the detector's defaults.
 	Anomaly anomaly.Options
-	// CleanWindow bounds the streaming cleaner's dedup state (see
-	// trace.NewCleanerWindow); zero keeps exact, unbounded state.
-	CleanWindow int
 	// SnapshotPath, when non-empty, is the base path of the generational
 	// snapshot store: the window is persisted as <path>.1, <path>.2, ...
 	// (higher is newer) every SnapshotInterval and once more on Close,
@@ -321,12 +319,20 @@ func (s *Server) saveSnapshot() error {
 // this goroutine made that call itself. /metrics says which of the two is
 // waiting for the other (repro_ingest_wait_seconds_total).
 //
+// The cleaner's dedup state is bounded by the window: after every batch,
+// it forgets the tower-hours behind the window's admission horizon, whose
+// copies the window drops anyway (trace.CleanedSource.EvictBefore). The
+// horizon comes from the window's clock, not from the newest start the
+// cleaner saw, which may be a record the skew guard dropped. So the state
+// holds the ring's span of connections plus a day and an hour, except
+// that a skew-dropped record's state lasts until the horizon passes it.
+//
 // Feed exhaustion (io.EOF) is a clean return — the service keeps serving
 // the window it has. Errors and panics (a broken decoder, a faulty disk
 // past the retry budget; a panic inside the source arrives here as the
 // *panicsafe.Error the producer recovered) surface to the supervisor,
 // which restarts the loop with backoff: a restart re-reads from wherever
-// the source is, with a fresh dedup window.
+// the source is, with empty dedup state.
 //
 // What a restart loses depends on the side that failed. A failing source
 // loses nothing it had handed out: the producer stops at the error, and
@@ -342,9 +348,10 @@ func (s *Server) saveSnapshot() error {
 func (s *Server) runIngest(ctx context.Context) error {
 	ahead := trace.ReadAhead(trace.WithContext(ctx, s.cfg.Source), &s.met.ingestWaits)
 	defer ahead.Close() // joins the producer, on a panic below too
-	cleaned := trace.CleanSourceWindow(ahead, s.cfg.CleanWindow)
+	cleaned := trace.CleanSource(ahead)
 	err := trace.ForEachBatch(cleaned, func(batch []trace.Record) error {
 		s.cfg.Window.AddBatch(batch)
+		cleaned.EvictBefore(s.cfg.Window.Horizon())
 		s.met.ingestRecords.Add(uint64(len(batch)))
 		s.met.ingestBatches.Add(1)
 		return nil

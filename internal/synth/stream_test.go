@@ -86,7 +86,7 @@ func TestLogSourcePropagatesGeneratorError(t *testing.T) {
 }
 
 // The headline equivalence property of streaming ingestion: streaming a
-// synthetic city's CDR log through CleanSourceWindow +
+// synthetic city's CDR log through CleanSource +
 // VectorizeSourceContext yields a Dataset identical to the batch path
 // (GenerateLogs → Clean → vectorize the slice) over the same logs.
 func TestStreamingIngestionMatchesBatchOverCityLogs(t *testing.T) {
@@ -123,7 +123,7 @@ func TestStreamingIngestionMatchesBatchOverCityLogs(t *testing.T) {
 		}
 
 		src := city.LogSource(series, LogOptions{})
-		cleanedSrc := trace.CleanSourceWindow(src, 0)
+		cleanedSrc := trace.CleanSource(src)
 		got, err := vectorizeSource(cleanedSrc, towers, opts)
 		src.Close()
 		if err != nil {

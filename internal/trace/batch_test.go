@@ -172,7 +172,7 @@ func TestCleanedSourceBatchMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		records := randomRecords(rng, 60)
 
-		wantSrc := cleanSource(SliceSource(records))
+		wantSrc := CleanSource(SliceSource(records))
 		var want []Record
 		if err := forEach(wantSrc, func(r Record) error {
 			want = append(want, r)
@@ -181,7 +181,7 @@ func TestCleanedSourceBatchMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		gotSrc := cleanSource(SliceSource(records))
+		gotSrc := CleanSource(SliceSource(records))
 		var got []Record
 		// Vary the batch size to hit partial-batch boundaries.
 		dst := make([]Record, 1+rng.Intn(17))
@@ -226,7 +226,7 @@ func TestCleanedSourceOverScanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Collect(cleanSource(SourceFunc(cr.Next)))
+	want, err := Collect(CleanSource(SourceFunc(cr.Next)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestCleanedSourceOverScanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(cleanSource(sc))
+	got, err := Collect(CleanSource(sc))
 	if err != nil {
 		t.Fatal(err)
 	}

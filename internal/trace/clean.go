@@ -2,6 +2,7 @@ package trace
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -54,19 +55,17 @@ type CleanStats struct {
 // the vectorizer, traffic density — therefore see exactly the same totals
 // as the batch Clean.
 type Cleaner struct {
-	stats  CleanStats
-	window uint64
-	seq    uint64
-	conns  int    // connections currently retained, over all cells
-	seed   uint64 // per-cleaner hash seed: a feed cannot aim at one slot
+	stats CleanStats
+	conns int    // connections currently retained, over all cells
+	seed  uint64 // per-cleaner hash seed: a feed cannot aim at one slot
+	swept int64  // horizon of the last sweep (evictBefore), in Unix nanoseconds
 
 	cells  []cell // open-addressed by key, len a power of two, at most three-quarters full
 	ncells int
 	last   *cell // one-entry cache in front of cells; nil after cells is rebuilt
 
-	slab    []conn                                 // tail of the current slab, carved into cell tables
-	free    [maxPooledLg - minTableLg + 1][][]conn // cleared tables awaiting reuse, by size class
-	scratch []conn                                 // evict's survivors buffer
+	slab []conn                                 // tail of the current slab, carved into cell tables
+	free [maxPooledLg - minTableLg + 1][][]conn // cleared tables awaiting reuse, by size class
 }
 
 // cellWidth is the span of start times that share a cell: wide enough
@@ -107,40 +106,29 @@ type cell struct {
 	used int
 }
 
-// conn is the per-connection dedup state: the largest byte count seen
-// and the stream position of the last copy, used for window eviction.
-// seq is never zero for a stored connection, so zero marks a free slot.
+// conn is the per-connection dedup state: the largest byte count seen,
+// stored complemented. Released tables are cleared, so a free slot must
+// be the zero value, yet every other field of a stored connection may be
+// zero: user 0 at tower 0 for no time at 1970-01-01T00:00:00Z is a valid
+// record. valid() requires Bytes ≥ 0, so ^Bytes is negative and the
+// complement of a stored count is never zero.
 type conn struct {
 	user       int
 	start, end int64
-	bytes      int64
-	seq        uint64
+	notBytes   int64 // ^largest byte count; 0 marks a free slot
 }
 
-// NewCleanerWindow returns a streaming cleaner whose dedup state is
-// bounded: state for a connection is guaranteed to be retained while the
-// last copy of that connection is within the most recent `window`
-// observed records, and the total state never exceeds 2×window
-// connections. A duplicate or conflicting copy arriving more than
-// `window` records after the previous copy of the same connection may be
-// forwarded again as if new — so the window must exceed the maximum
-// reorder distance between copies of one connection. CDR exports emit
-// redundant copies adjacently, so a modest window (say 2^20) keeps
-// cleaning exact while capping memory regardless of trace length. Cells
-// emptied by eviction leave the index and their tables are reused.
-//
-// window 0 means unbounded: exact for arbitrarily reordered input, at 40
-// bytes per table slot — ~90 bytes per distinct connection at the bench's
-// ~16 connections per tower-hour, ~70 on denser feeds, up to ~400 for a
-// feed so sparse that every connection is alone in its tower-hour.
-func NewCleanerWindow(window int) *Cleaner {
-	if window < 0 {
-		window = 0
-	}
+// NewCleaner returns a streaming cleaner with exact dedup state: it
+// retains every connection it has seen, so it is exact for arbitrarily
+// reordered input, at 32 bytes per table slot — ~77 bytes per distinct
+// connection at ~15 connections per tower-hour, less on denser feeds, up
+// to ~380 for a feed so sparse that every connection is alone in its
+// tower-hour. Only CleanedSource.EvictBefore ever forgets a connection.
+func NewCleaner() *Cleaner {
 	return &Cleaner{
-		window: uint64(window),
-		seed:   rand.Uint64(),
-		cells:  make([]cell, 1<<minIndexLg),
+		seed:  rand.Uint64(),
+		swept: math.MinInt64,
+		cells: make([]cell, 1<<minIndexLg),
 	}
 }
 
@@ -163,10 +151,6 @@ func (c *Cleaner) observe(r *Record) bool {
 		c.stats.Invalid++
 		return false
 	}
-	c.seq++
-	if c.window > 0 && uint64(c.conns) > 2*c.window {
-		c.evict()
-	}
 	start, end := r.Start.UnixNano(), r.End.UnixNano()
 	k := cellOf(r.TowerID, start)
 	cl := c.last
@@ -176,27 +160,27 @@ func (c *Cleaner) observe(r *Record) bool {
 	}
 	h := c.hash(r.UserID, start, end)
 	e := probe(cl.tab, h, r.UserID, start, end)
-	if e.seq == 0 {
+	if e.notBytes == 0 {
 		if (cl.used+1)*4 > len(cl.tab)*3 {
-			c.rebuild(cl, cl.tab, tableLg(cl.used+1))
+			c.rebuild(cl, tableLg(cl.used+1))
 			e = probe(cl.tab, h, r.UserID, start, end)
 		}
-		*e = conn{user: r.UserID, start: start, end: end, bytes: r.Bytes, seq: c.seq}
+		*e = conn{user: r.UserID, start: start, end: end, notBytes: ^r.Bytes}
 		cl.used++
 		c.conns++
 		c.stats.Output++
 		return true
 	}
-	e.seq = c.seq
-	if r.Bytes == e.bytes {
+	seen := ^e.notBytes
+	if r.Bytes == seen {
 		c.stats.Duplicates++
 		return false
 	}
 	c.stats.Conflicts++
-	if r.Bytes < e.bytes {
+	if r.Bytes < seen {
 		return false
 	}
-	r.Bytes, e.bytes = r.Bytes-e.bytes, r.Bytes
+	r.Bytes, e.notBytes = r.Bytes-seen, ^r.Bytes
 	c.stats.Output++
 	return true
 }
@@ -257,7 +241,7 @@ func probe(tab []conn, h uint64, user int, start, end int64) *conn {
 	mask := uint64(len(tab) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		e := &tab[i]
-		if e.seq == 0 || (e.user == user && e.start == start && e.end == end) {
+		if e.notBytes == 0 || (e.user == user && e.start == start && e.end == end) {
 			return e
 		}
 	}
@@ -273,15 +257,13 @@ func tableLg(n int) int {
 	return lg
 }
 
-// rebuild gives cl a fresh table of 1<<lg slots holding conns, which may
-// be (or alias) its current table, and releases the current one.
-func (c *Cleaner) rebuild(cl *cell, conns []conn, lg int) {
+// rebuild moves cl's connections into a fresh table of 1<<lg slots and
+// releases the old one.
+func (c *Cleaner) rebuild(cl *cell, lg int) {
 	tab := c.alloc(lg)
-	cl.used = 0
-	for i := range conns {
-		if e := &conns[i]; e.seq != 0 {
+	for i := range cl.tab {
+		if e := &cl.tab[i]; e.notBytes != 0 {
 			*probe(tab, c.hash(e.user, e.start, e.end), e.user, e.start, e.end) = *e
-			cl.used++
 		}
 	}
 	c.release(cl.tab)
@@ -316,37 +298,26 @@ func (c *Cleaner) release(tab []conn) {
 	c.free[lg-minTableLg] = append(c.free[lg-minTableLg], tab)
 }
 
-// evict drops dedup state whose connection was last seen more than
-// `window` records ago, re-packing every cell that loses any and
-// removing the cells that lose all. It sweeps every table slot, of which
-// there are a bounded number per retained connection (a table is at
-// least three-eighths full once it has grown, and starts no larger than
-// 1<<maxPooledLg), and runs once per `window` new connections at most,
-// so the amortised cost per record is O(1).
-func (c *Cleaner) evict() {
-	cut := c.seq - c.window // > window ≥ 1, so free slots (seq 0) never survive
+// evictBefore drops every cell whose hour ends at or before horizon
+// (Unix nanoseconds), releasing its table, once horizon has advanced by
+// at least a day since the last sweep. A sweep visits every cell, and
+// cells exist only for hours that saw a record, so a day between sweeps
+// keeps the cost per record O(1), amortised.
+func (c *Cleaner) evictBefore(horizon int64) {
+	if horizon < c.swept+int64(24*time.Hour) {
+		return
+	}
+	c.swept = horizon
+	cut := cellOf(0, horizon).bucket // a cell's hour ends at or before horizon iff its bucket is below cut
 	vacated := false
 	for i := range c.cells {
-		cl := &c.cells[i]
-		live := c.scratch[:0]
-		for j := range cl.tab {
-			if cl.tab[j].seq >= cut {
-				live = append(live, cl.tab[j])
-			}
-		}
-		c.scratch = live
-		if len(live) == cl.used {
-			continue
-		}
-		c.conns -= cl.used - len(live)
-		if len(live) == 0 {
+		if cl := &c.cells[i]; cl.tab != nil && cl.key.bucket < cut {
+			c.conns -= cl.used
 			c.release(cl.tab)
 			*cl = cell{}
 			c.ncells--
 			vacated = true
-			continue
 		}
-		c.rebuild(cl, live, tableLg(len(live)))
 	}
 	if vacated {
 		c.reindex(len(c.cells)) // a vacated slot would cut the probe runs through it
@@ -368,15 +339,13 @@ type CleanedSource struct {
 	cleaner *Cleaner
 }
 
-// CleanSourceWindow wraps src so that every record pulled from the
-// returned source has passed the streaming cleaner with a bounded dedup
-// window (see NewCleanerWindow): memory stays O(window) regardless of
-// trace length, provided copies of one connection arrive within `window`
-// records of each other. window 0 means unbounded, exact dedup state.
-// Stats are available at any time (typically after the stream is
-// drained).
-func CleanSourceWindow(src Source, window int) *CleanedSource {
-	return &CleanedSource{src: src, cleaner: NewCleanerWindow(window)}
+// CleanSource wraps src so that every record pulled from the returned
+// source has passed a streaming Cleaner (see NewCleaner). Its dedup state
+// is exact and grows with the distinct connections of the trace unless
+// EvictBefore bounds it. Stats are available at any time (typically after
+// the stream is drained).
+func CleanSource(src Source) *CleanedSource {
+	return &CleanedSource{src: src, cleaner: NewCleaner()}
 }
 
 // NextBatch fills dst with up to len(dst) records that survived
@@ -404,6 +373,18 @@ func (s *CleanedSource) NextBatch(dst []Record) (int, error) {
 // Stats returns the cleaning counters accumulated so far.
 func (s *CleanedSource) Stats() CleanStats { return s.cleaner.Stats() }
 
+// EvictBefore forgets the connections of every tower-hour that ends at or
+// before horizon, sweeping at most once per day of horizon advance. A
+// later copy of a forgotten connection is forwarded as new, so horizon
+// must be an instant before which the consumer drops every record anyway,
+// and must never move backwards: a sliding window's admission horizon
+// (window.Window.Horizon). Eviction then changes nothing the consumer keeps.
+func (s *CleanedSource) EvictBefore(horizon time.Time) {
+	if !horizon.IsZero() {
+		s.cleaner.evictBefore(horizon.UnixNano())
+	}
+}
+
 // Clean is the batch wrapper over the streaming Cleaner: it drops
 // structurally invalid records, removes exact duplicates and resolves
 // conflicting logs, keeping the largest byte count of each conflicting
@@ -414,7 +395,7 @@ func (s *CleanedSource) Stats() CleanStats { return s.cleaner.Stats() }
 // then tower, then user, then end time, giving the pipeline a
 // deterministic order.
 func Clean(records []Record) ([]Record, CleanStats) {
-	c := NewCleanerWindow(0)
+	c := NewCleaner()
 	fwd := make([]Record, 0, len(records))
 	for i := range records {
 		if r, ok := c.Observe(records[i]); ok {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -22,22 +23,15 @@ func (r Record) key() key {
 }
 
 // oracleCleaner is the flat-map cleaner the locality-indexed Cleaner
-// replaced, kept as the reference: one map of every connection, evicted
-// by a full sweep. Same rules, no layout.
+// replaced, kept as the reference: one map of every connection, with the
+// largest byte count seen. Same rules, no layout.
 type oracleCleaner struct {
-	stats  CleanStats
-	max    map[key]cleanEntry
-	window uint64
-	seq    uint64
+	stats CleanStats
+	max   map[key]int64
 }
 
-type cleanEntry struct {
-	bytes int64
-	seq   uint64
-}
-
-func newOracleCleaner(window int) *oracleCleaner {
-	return &oracleCleaner{max: make(map[key]cleanEntry), window: uint64(max(window, 0))}
+func newOracleCleaner() *oracleCleaner {
+	return &oracleCleaner{max: make(map[key]int64)}
 }
 
 func (c *oracleCleaner) Observe(r Record) (Record, bool) {
@@ -46,52 +40,97 @@ func (c *oracleCleaner) Observe(r Record) (Record, bool) {
 		c.stats.Invalid++
 		return Record{}, false
 	}
-	c.seq++
-	if c.window > 0 && uint64(len(c.max)) > 2*c.window {
-		for k, e := range c.max {
-			if e.seq < c.seq-c.window {
-				delete(c.max, k)
-			}
-		}
-	}
 	k := r.key()
 	prev, seen := c.max[k]
-	c.max[k] = cleanEntry{bytes: max(prev.bytes, r.Bytes), seq: c.seq}
+	c.max[k] = max(prev, r.Bytes)
 	switch {
 	case !seen:
 		c.stats.Output++
 		return r, true
-	case r.Bytes == prev.bytes:
+	case r.Bytes == prev:
 		c.stats.Duplicates++
 		return Record{}, false
-	case r.Bytes < prev.bytes:
+	case r.Bytes < prev:
 		c.stats.Conflicts++
 		return Record{}, false
 	}
 	c.stats.Conflicts++
 	c.stats.Output++
-	r.Bytes -= prev.bytes
+	r.Bytes -= prev
 	return r, true
 }
 
-// matchOracle feeds the same records to the Cleaner and the oracle and
-// requires the same verdict and forwarded record at every step, the same
-// retained-connection count, and the same final stats.
-func matchOracle(t testing.TB, records []Record, window int) {
+// forget drops every connection that started before cut (Unix
+// nanoseconds): the exact horizon the Cleaner approximates from below.
+func (c *oracleCleaner) forget(cut int64) {
+	for k := range c.max {
+		if k.start < cut {
+			delete(c.max, k)
+		}
+	}
+}
+
+// retained returns the largest byte count the Cleaner holds for k.
+func (c *Cleaner) retained(k key) (int64, bool) {
+	ck := cellOf(k.towerID, k.start)
+	cl := probeCell(c.cells, c.hash(ck.tower, ck.bucket, 0), ck)
+	if cl.tab == nil {
+		return 0, false
+	}
+	e := probe(cl.tab, c.hash(k.userID, k.start, k.end), k.userID, k.start, k.end)
+	return ^e.notBytes, e.notBytes != 0
+}
+
+// matchOracle feeds the same records to the Cleaner and the oracle. With
+// window 0 nothing is forgotten, and the two must agree at every step on
+// the verdict, the forwarded record and the retained-connection count,
+// and on the final stats. With window > 0 a monotone cut trails the
+// newest valid start by window, and both forget what lies behind it: the
+// Cleaner (evictBefore) whole tower-hours, at most
+// once per day of cut advance, and the oracle, whenever the Cleaner
+// sweeps, every connection that started before the cut. A record starting
+// at or after the cut must then get the oracle's verdict and forwarded
+// record, and after every sweep the Cleaner must still hold every
+// connection the oracle holds, at the same byte count. Records behind the cut may go
+// either way: their consumer drops them.
+func matchOracle(t testing.TB, records []Record, window time.Duration) {
 	t.Helper()
-	c, o := NewCleanerWindow(window), newOracleCleaner(window)
+	c, o := NewCleaner(), newOracleCleaner()
+	cut, newest := int64(math.MinInt64), int64(math.MinInt64)
 	for i, r := range records {
 		got, gotOK := c.Observe(r)
 		want, wantOK := o.Observe(r)
-		if gotOK != wantOK || got != want {
-			t.Fatalf("window %d, record %d %+v: forwarded %+v (%v), oracle %+v (%v)", window, i, r, got, gotOK, want, wantOK)
+		if (!r.valid() || r.Start.UnixNano() >= cut) && (gotOK != wantOK || got != want) {
+			t.Fatalf("window %v, record %d %+v: forwarded %+v (%v), oracle %+v (%v)", window, i, r, got, gotOK, want, wantOK)
 		}
-		if c.Len() != len(o.max) {
-			t.Fatalf("window %d, after record %d: %d connections retained, oracle %d", window, i, c.Len(), len(o.max))
+		if window == 0 {
+			if c.Len() != len(o.max) {
+				t.Fatalf("after record %d: %d connections retained, oracle %d", i, c.Len(), len(o.max))
+			}
+			continue
+		}
+		if r.valid() {
+			newest = max(newest, r.Start.UnixNano())
+			cut = max(cut, newest-int64(window))
+		}
+		swept := c.swept
+		if c.evictBefore(cut); c.swept == swept {
+			continue
+		}
+		o.forget(cut)
+		for k, bytes := range o.max {
+			if got, ok := c.retained(k); !ok || got != bytes {
+				t.Fatalf("window %v, after the sweep at record %d: connection %+v retained %v with %d bytes, oracle %d", window, i, k, ok, got, bytes)
+			}
 		}
 	}
-	if c.Stats() != o.stats {
-		t.Fatalf("window %d: stats %+v, oracle %+v", window, c.Stats(), o.stats)
+	got, want := c.Stats(), o.stats
+	if window > 0 {
+		// Behind the cut, a copy may count as new rather than removed.
+		got.Duplicates, got.Conflicts, got.Output = want.Duplicates, want.Conflicts, want.Output
+	}
+	if got != want {
+		t.Fatalf("window %v: stats %+v, oracle %+v", window, c.Stats(), o.stats)
 	}
 }
 
@@ -153,11 +192,16 @@ func feed(rng *rand.Rand, towers, slots, lag int, order string) []Record {
 	return out
 }
 
+// window=N trails the cut N minutes behind the newest start (0: no cut)
+// over a feed of four days, so the cut sweeps the Cleaner's state a few
+// times.
 func TestCleanerMatchesOracle(t *testing.T) {
 	for _, order := range []string{"tower", "time", "shuffled"} {
 		for _, window := range []int{0, 2, 1000} {
-			records := feed(rand.New(rand.NewSource(int64(window)+7)), 12, 150, 40, order)
-			t.Run(fmt.Sprintf("%s/window=%d", order, window), func(t *testing.T) { matchOracle(t, records, window) })
+			records := feed(rand.New(rand.NewSource(int64(window)+7)), 12, 600, 40, order)
+			t.Run(fmt.Sprintf("%s/window=%d", order, window), func(t *testing.T) {
+				matchOracle(t, records, time.Duration(window)*time.Minute)
+			})
 		}
 	}
 }
@@ -196,28 +240,36 @@ func TestCleanerMatchesOracleAtCellEdges(t *testing.T) {
 	})
 
 	t.Run("emptied cell is re-created", func(t *testing.T) {
-		// Window 4: a tower-hour fills, is evicted whole while another
-		// tower streams, and then receives the same connections again,
-		// which must be forwarded as new (by documented design).
-		var records []Record
-		b := validRecord().Start.UnixNano()
-		for round := 0; round < 3; round++ {
+		// Each round, the horizon moves a day and an hour on: the cell of
+		// tower 7 at b is dropped whole, and so is the previous round's
+		// cell at the old horizon, while the cell starting at the new
+		// horizon survives. The connections at b then arrive again and
+		// open a fresh cell as new connections (by documented design:
+		// whoever set the horizon drops them).
+		c := NewCleaner()
+		b := validRecord().Start.Truncate(time.Hour).UnixNano()
+		for round := int64(1); round <= 3; round++ {
+			horizon := b + round*25*hour
 			for u := 0; u < 6; u++ {
-				records = append(records, at(b, u, 10))
+				for _, r := range []Record{at(b, u, 10), at(horizon, u, 10)} {
+					if _, ok := c.Observe(r); !ok {
+						t.Fatalf("round %d: new connection %+v dropped", round, r)
+					}
+					if _, ok := c.Observe(r); ok {
+						t.Fatalf("round %d: duplicate of %+v forwarded", round, r)
+					}
+				}
 			}
-			for u := 0; u < 20; u++ {
-				r := at(b+int64(round)*hour, 100+u, 10)
-				r.TowerID++
-				records = append(records, r, r)
+			if cells := min(round+1, 3); c.Len() != 6*int(cells) || c.ncells != int(cells) {
+				t.Fatalf("round %d: %d connections in %d cells, want %d in %d", round, c.Len(), c.ncells, 6*cells, cells)
+			}
+			c.evictBefore(horizon)
+			if c.Len() != 6 || c.ncells != 1 {
+				t.Fatalf("round %d: %d connections in %d cells after the sweep, want 6 in 1", round, c.Len(), c.ncells)
 			}
 		}
-		matchOracle(t, records, 4)
-		c := NewCleanerWindow(4)
-		for _, r := range records {
-			c.Observe(r)
-		}
-		if got := c.ncells; got > 3 {
-			t.Errorf("%d cells indexed for at most 9 retained connections: emptied cells were not removed", got)
+		if want := (CleanStats{Input: 72, Duplicates: 36, Output: 36}); c.Stats() != want {
+			t.Errorf("stats %+v, want %+v", c.Stats(), want)
 		}
 	})
 }
@@ -244,7 +296,7 @@ func TestCleanerHotCellStaysLinear(t *testing.T) {
 	perRecord := func(records []Record) time.Duration {
 		best := time.Duration(1 << 62)
 		for try := 0; try < 5; try++ {
-			c := NewCleanerWindow(0)
+			c := NewCleaner()
 			begin := time.Now()
 			for i := range records {
 				c.Observe(records[i])
@@ -262,11 +314,11 @@ func TestCleanerHotCellStaysLinear(t *testing.T) {
 	}
 }
 
-// FuzzCleanerMatchesOracle decodes bytes into a window and a record
+// FuzzCleanerMatchesOracle decodes bytes into a cut window and a record
 // sequence drawn from a few towers, users, byte counts and start times
 // that cluster around bucket boundaries and the epoch, so copies of one
 // connection recur at every distance, and requires the Cleaner to agree
-// with the flat-map oracle record for record.
+// with the flat-map oracle record for record at and after the cut.
 func FuzzCleanerMatchesOracle(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{2, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 9})
@@ -276,10 +328,7 @@ func FuzzCleanerMatchesOracle(f *testing.F) {
 		if len(data) == 0 || len(data) > 1<<12 {
 			return
 		}
-		window := int(data[0] % 8)
-		if window == 7 {
-			window = 1000
-		}
+		window := []time.Duration{0, 1, time.Hour, 1000 * time.Minute}[data[0]%4]
 		starts := []int64{0, -1, 1, -int64(time.Hour), int64(time.Hour) - 1, int64(time.Hour), 1406880000e9, 1406880000e9 + int64(time.Hour)}
 		var records []Record
 		for rest := data[1:]; len(rest) >= 4; rest = rest[4:] {

@@ -77,9 +77,8 @@ func (c *CtxSource) Close() {
 	}
 }
 
-// CleanSourceContext is CleanSourceWindow over WithContext with an
-// unbounded dedup window. It is a shim pinned by bench/layers.go, to
-// retire with Batched.
+// CleanSourceContext is CleanSource over WithContext. It is a shim pinned
+// by bench/layers.go, to retire with Batched.
 func CleanSourceContext(ctx context.Context, src Source) *CleanedSource {
-	return CleanSourceWindow(WithContext(ctx, src), 0)
+	return CleanSource(WithContext(ctx, src))
 }

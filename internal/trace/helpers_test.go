@@ -53,8 +53,6 @@ func readCSV(r io.Reader) ([]Record, int, error) {
 	return records, int(sc.Stats().SkippedRows()), err
 }
 
-func cleanSource(src Source) *CleanedSource { return CleanSourceWindow(src, 0) }
-
 func newIngestSource(r io.Reader, workers int) (IngestSource, error) {
 	return NewIngestSourceContext(context.Background(), r, workers, ErrorPolicy{})
 }

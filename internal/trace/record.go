@@ -8,7 +8,7 @@
 // NewIngestSourceContext reads CSV — the byte-level Scanner for one
 // worker, the order-preserving parallel chunk parser (ParallelCSVSource)
 // for more, both equivalence-tested against an encoding/csv oracle kept
-// with the tests — CleanSourceWindow filters a source through the
+// with the tests — CleanSource filters a source through the
 // streaming Cleaner, ReadAhead pulls one on its own goroutine a fixed two
 // batches ahead of whoever consumes it, and ForEachBatch drains one. The
 // write path (WriteCSV, CSVWriter, WriteTowersCSV) is symmetric,

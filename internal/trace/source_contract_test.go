@@ -152,10 +152,7 @@ func TestSourceContract(t *testing.T) {
 					ErrorPolicy{Retry: RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}})
 			})
 		},
-		"CleanedSource": func(*testing.T) Source { return CleanSourceWindow(SliceSource(records), 0) },
-		"CleanedSource/window": func(*testing.T) Source {
-			return CleanSourceWindow(SliceSource(records), 16)
-		},
+		"CleanedSource": func(*testing.T) Source { return CleanSource(SliceSource(records)) },
 		"CtxSource": func(t *testing.T) Source {
 			ctx, cancel := context.WithCancel(context.Background())
 			t.Cleanup(cancel)
@@ -211,7 +208,7 @@ func TestSourceContractCancelledContext(t *testing.T) {
 	// Cancelled before the first pull: nothing is consumed at all, through
 	// a cleaner as well.
 	pulls = 0
-	cleaned := CleanSourceWindow(WithContext(ctx, inner), 0)
+	cleaned := CleanSource(WithContext(ctx, inner))
 	if n, err := cleaned.NextBatch(make([]Record, 8)); n != 0 || !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled cleaned pull = (%d, %v), want (0, context.Canceled)", n, err)
 	}

@@ -195,7 +195,7 @@ func TestCleanerStreamEquivalenceProperty(t *testing.T) {
 			wantBytes[r.key()] += r.Bytes
 		}
 
-		src := cleanSource(SliceSource(records))
+		src := CleanSource(SliceSource(records))
 		gotBytes := make(map[key]int64)
 		if err := forEach(src, func(r Record) error {
 			gotBytes[r.key()] += r.Bytes
@@ -224,56 +224,13 @@ func TestCleanerStreamEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestCleanerWindowBoundsState(t *testing.T) {
-	const window = 1000
-	c := NewCleanerWindow(window)
-	r := validRecord()
-	for i := 0; i < 50*window; i++ {
-		// Every record is a distinct connection; adjacent duplicate every
-		// third record must still be caught despite eviction.
-		r.UserID = i
-		if _, ok := c.Observe(r); !ok {
-			t.Fatalf("fresh record %d dropped", i)
-		}
-		if i%3 == 0 {
-			if _, ok := c.Observe(r); ok {
-				t.Fatalf("adjacent duplicate of record %d not deduplicated", i)
-			}
-		}
-		if c.Len() > 2*window+1 {
-			t.Fatalf("dedup state grew to %d entries, want ≤ %d", c.Len(), 2*window+1)
-		}
-	}
-	if c.Stats().Duplicates == 0 {
-		t.Error("expected duplicates to be counted")
-	}
-}
-
-func TestCleanerWindowEvictsFarApartCopies(t *testing.T) {
-	// With a tiny window, a duplicate arriving far after the original is
-	// (by documented design) treated as new again.
-	c := NewCleanerWindow(2)
-	dup := validRecord()
-	if _, ok := c.Observe(dup); !ok {
-		t.Fatal("first copy dropped")
-	}
-	filler := validRecord()
-	for i := 0; i < 50; i++ {
-		filler.UserID = 1000 + i
-		c.Observe(filler)
-	}
-	if _, ok := c.Observe(dup); !ok {
-		t.Error("evicted connection should be forwarded as new")
-	}
-}
-
 func TestCleanerLateLargerConflictAmends(t *testing.T) {
 	small := validRecord()
 	small.Bytes = 10
 	big := small
 	big.Bytes = 100
 
-	c := NewCleanerWindow(0)
+	c := NewCleaner()
 	first, ok := c.Observe(small)
 	if !ok || first.Bytes != 10 {
 		t.Fatalf("first copy should be forwarded unchanged, got %+v (%v)", first, ok)

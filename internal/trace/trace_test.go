@@ -53,7 +53,7 @@ func TestRecordValidate(t *testing.T) {
 func TestRecordValidDoesNotAllocate(t *testing.T) {
 	good, bad := validRecord(), validRecord()
 	bad.Bytes = -1
-	c := NewCleanerWindow(0)
+	c := NewCleaner()
 	c.Observe(good) // from here on, good is a duplicate: dropped like bad
 	for _, r := range []Record{good, bad} {
 		allocs := testing.AllocsPerRun(100, func() {

@@ -250,6 +250,19 @@ func (w *Window) AddBatch(recs []trace.Record) {
 	w.mu.Unlock()
 }
 
+// Horizon returns the oldest record start that add still admits: a record
+// starting before it is dropped as slid out (or as before Options.Start),
+// whatever else arrives. It never moves backwards, since the clock does
+// not, and is the zero time before the first record.
+func (w *Window) Horizon() time.Time {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.latest < 0 {
+		return time.Time{}
+	}
+	return w.opts.Start.Add(time.Duration(max(w.latest-int64(w.ringSlots)+1, 0)) * w.slotDur)
+}
+
 // TowerStats is the live z-score state of one tower's window.
 type TowerStats struct {
 	// Mean and Std are the incremental first moment and standard

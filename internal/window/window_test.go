@@ -411,3 +411,45 @@ func TestOptionsValidation(t *testing.T) {
 		t.Errorf("defaults not applied: %v %+v", err, w.Options())
 	}
 }
+
+// Horizon is exactly the oldest start add admits: a record there is
+// ingested, one a nanosecond earlier dropped. It is the zero time before
+// the first record and Options.Start until the ring has filled, and a
+// record the skew guard drops does not move it.
+func TestHorizonIsOldestAdmittedStart(t *testing.T) {
+	w, err := New(Options{Start: t0, SlotMinutes: 60, Days: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetGuards(Guards{MaxFutureSkew: 14 * 24 * time.Hour})
+	if h := w.Horizon(); !h.IsZero() {
+		t.Fatalf("horizon %v before the first record, want the zero time", h)
+	}
+	admits := func(start time.Time) bool {
+		before := w.Summary().Ingested
+		r := rec(1, 0, 1)
+		r.Start, r.End = start, start
+		w.AddBatch([]trace.Record{r})
+		return w.Summary().Ingested > before
+	}
+	for _, minutes := range []int{0, 90, 3 * 24 * 60, 8*24*60 - 1, 8 * 24 * 60, 8*24*60 + 59, 20*24*60 + 30} {
+		w.AddBatch([]trace.Record{rec(2, minutes, 1)})
+		h := w.Horizon()
+		if want := t0.Add(max(time.Duration(minutes)*time.Minute-8*24*time.Hour+time.Hour, 0)).Truncate(time.Hour); !h.Equal(want) {
+			t.Fatalf("clock at +%d min: horizon %v, want %v", minutes, h, want)
+		}
+		if h.After(t0) && admits(h.Add(-time.Nanosecond)) {
+			t.Fatalf("clock at +%d min: a record a nanosecond before the horizon %v was admitted", minutes, h)
+		}
+		if !admits(h) {
+			t.Fatalf("clock at +%d min: a record at the horizon %v was dropped", minutes, h)
+		}
+	}
+	h := w.Horizon()
+	if admits(h.Add(30 * 24 * time.Hour)) {
+		t.Fatal("the skew guard admitted a record a month ahead")
+	}
+	if !w.Horizon().Equal(h) {
+		t.Fatalf("a record the skew guard dropped moved the horizon from %v to %v", h, w.Horizon())
+	}
+}
