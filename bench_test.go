@@ -207,7 +207,7 @@ func BenchmarkIngest_CityLogsSlice(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		records, err := city.GenerateLogs(series, synth.LogOptions{})
+		records, err := trace.Collect(city.LogSource(series, synth.LogOptions{}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -400,7 +400,7 @@ func BenchmarkClean(b *testing.B) {
 		shuffle   bool
 	}{{"tower-major", false, false}, {"time-major", true, false}, {"shuffled", false, true}} {
 		b.Run(c.name, func(b *testing.B) {
-			records, err := city.GenerateLogs(series, synth.LogOptions{TimeMajor: c.timeMajor})
+			records, err := trace.Collect(city.LogSource(series, synth.LogOptions{TimeMajor: c.timeMajor}))
 			if err != nil {
 				b.Fatal(err)
 			}

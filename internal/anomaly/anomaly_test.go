@@ -269,31 +269,56 @@ func TestDetectWithFiltersDisabledFlagsEverySlot(t *testing.T) {
 func TestDetectMinRelativeDeviationDisabledKeepsQuietHourHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	traffic := regularTraffic(rng, 0.05)
-	// A statistically extreme but absolutely tiny bump at 04:00: the
-	// default relative-deviation floor suppresses it, Disabled reports it.
+	// A statistically extreme but absolutely small bump at 04:00, sized
+	// from the data to land between the two filters: its score clears the
+	// default Threshold, its deviation stays under the default floor of
+	// MinRelativeDeviation × mean. The default suppresses it, Disabled
+	// reports it.
 	slot := 9*slotsPerDay + 4*6
-	traffic[slot] *= 3
-	find := func(r *Report) bool {
+	find := func(r *Report) (Anomaly, bool) {
 		for _, a := range r.Anomalies {
 			if a.Slot == slot {
-				return true
+				return a, true
 			}
 		}
-		return false
+		return Anomaly{}, false
 	}
+	// The model of the clean traffic, rebuilt from its report, gives the
+	// slot's expected value and the scale the score divides by.
+	clean, err := Detect(traffic, days, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expected := expectedOf(t, traffic, clean)[slot]
+	def := Options{}.withDefaults()
+	floor := def.MinRelativeDeviation * traffic.Mean()
+	// The deviation whose score is exactly Threshold; the bump sits midway
+	// between it and the floor.
+	least := def.Threshold * clean.Scale * expected
+	if least >= floor/2 {
+		t.Fatalf("no room between the filters: a score of %g needs a deviation of %.0f, the floor is %.0f", def.Threshold, least, floor)
+	}
+	traffic[slot] = expected + (least+floor)/2
+
 	defReport, err := Detect(traffic, days, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a, hit := find(defReport); hit {
+		t.Errorf("the default floor should suppress the quiet-hour bump, got %+v", a)
 	}
 	offReport, err := Detect(traffic, days, Options{MinRelativeDeviation: Disabled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if find(defReport) {
-		t.Skip("quiet-hour bump cleared the default filter; pick a smaller bump")
+	a, hit := find(offReport)
+	if !hit {
+		t.Fatal("MinRelativeDeviation: Disabled should report the quiet-hour deviation")
 	}
-	if !find(offReport) {
-		t.Error("MinRelativeDeviation: Disabled should report the quiet-hour deviation")
+	// It is reported for the reason under test: a score over the default
+	// Threshold with a deviation under the default floor.
+	if a.Score < def.Threshold || math.Abs(a.Observed-a.Expected) >= floor {
+		t.Errorf("bump %+v is not between the filters (threshold %g, floor %.0f)", a, def.Threshold, floor)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestEndToEndFromRawLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, err := city.GenerateLogs(series, synth.LogOptions{MaxRecordsPerSlot: 2})
+	records, err := trace.Collect(city.LogSource(series, synth.LogOptions{MaxRecordsPerSlot: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestAnalyzeSourceMatchesBatchPath(t *testing.T) {
 	opts := Options{ForceK: 5}
 
 	// Batch path.
-	records, err := city.GenerateLogs(series, synth.LogOptions{MaxRecordsPerSlot: 2})
+	records, err := trace.Collect(city.LogSource(series, synth.LogOptions{MaxRecordsPerSlot: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}

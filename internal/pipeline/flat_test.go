@@ -31,82 +31,115 @@ func assertDense(t *testing.T, name string, rows []linalg.Vector) {
 	}
 }
 
-// The vectorizer must lay the rows of Raw, and those of Normalized, out in
-// one contiguous buffer each — that is what lets the blocked distance
-// kernels skip packing.
-func TestVectorizeSeriesFlatBacking(t *testing.T) {
-	start := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
-	opts := VectorizerOptions{Start: start, Days: 7, SlotMinutes: 60}
-	slots := 7 * 24
-	series := make([]SeriesInput, 5)
-	for i := range series {
-		bytes := make([]float64, slots)
-		for j := range bytes {
-			bytes[j] = float64((i+1)*(j%24)) + 1
-		}
-		series[i] = SeriesInput{TowerID: 100 + i, Bytes: bytes}
+// matrixOf packs rows (all of one length) into the matrix VectorizeMatrix
+// adopts, with tower IDs 100, 101, … and a location per row.
+func matrixOf(rows [][]float64) ([]int, []geo.Point, *linalg.Matrix) {
+	cols := 0
+	if len(rows) > 0 {
+		cols = len(rows[0])
 	}
-	ds, err := VectorizeSeries(series, opts)
-	if err != nil {
-		t.Fatal(err)
+	ids := make([]int, len(rows))
+	locs := make([]geo.Point, len(rows))
+	raw := linalg.NewMatrix(len(rows), cols)
+	for i, row := range rows {
+		ids[i], locs[i] = 100+i, geo.Point{Lat: 31, Lon: 121 + float64(i)}
+		copy(raw.Row(i), row)
 	}
-	if ds.NumTowers() != 5 || ds.NumSlots() != slots {
-		t.Fatalf("dataset %dx%d, want 5x%d", ds.NumTowers(), ds.NumSlots(), slots)
-	}
-	assertDense(t, "Raw", ds.Raw)
-	assertDense(t, "Normalized", ds.Normalized)
-	// The series bytes were copied, not adopted.
-	ds.Raw[0][0] = -1
-	if series[0].Bytes[0] == -1 {
-		t.Error("VectorizeSeries must not alias the caller's series")
-	}
-	ds.Raw[0][0] = series[0].Bytes[0]
-	// Normalisation must match ZScoreNormalizeInto of the row bit for bit.
-	want := make(linalg.Vector, ds.NumSlots())
-	for i := 0; i < ds.NumTowers(); i++ {
-		if err := linalg.ZScoreNormalizeInto(want, ds.Raw[i]); err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if ds.Normalized[i][j] != want[j] {
-				t.Fatalf("row %d slot %d: normalized %g, want %g", i, j, ds.Normalized[i][j], want[j])
-			}
-		}
-	}
+	return ids, locs, raw
 }
 
-// MinActiveSlots filtering must keep the rows dense: dropped towers leave
-// no hole in either buffer.
-func TestVectorizeSeriesFilterKeepsBackingDense(t *testing.T) {
+// filled returns n slots of pattern(j).
+func filled(n int, pattern func(j int) float64) []float64 {
+	out := make([]float64, n)
+	for j := range out {
+		out[j] = pattern(j)
+	}
+	return out
+}
+
+// VectorizeMatrix keeps the whole weeks of opts.Days (every day of a
+// shorter trace), rejects a matrix of any other shape, drops rows under
+// MinActiveSlots, and lays the kept rows of Raw, and those of Normalized,
+// out in one contiguous buffer each — what lets the blocked distance
+// kernels skip packing — with Normalized the z-score of Raw bit for bit.
+func TestVectorizeMatrixCases(t *testing.T) {
 	start := time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
-	opts := VectorizerOptions{Start: start, Days: 7, SlotMinutes: 60, MinActiveSlots: 10}
-	slots := 7 * 24
-	series := make([]SeriesInput, 4)
-	for i := range series {
-		bytes := make([]float64, slots)
-		if i != 2 { // tower 2 stays silent and must be dropped
-			for j := 0; j < 20; j++ {
-				bytes[j] = float64(i + 1)
+	hourly := func(days, minActive int) VectorizerOptions {
+		return VectorizerOptions{Start: start, Days: days, SlotMinutes: 60, MinActiveSlots: minActive}
+	}
+	week := 7 * 24
+	ramp := func(i int) []float64 {
+		return filled(week, func(j int) float64 { return float64((i+1)*(j%24)) + 1 })
+	}
+	for _, tc := range []struct {
+		name     string
+		opts     VectorizerOptions
+		rows     [][]float64
+		wantErr  error
+		wantRows []int // input rows kept, in order
+		wantDays int
+	}{
+		{"five-towers", hourly(7, 0), [][]float64{ramp(0), ramp(1), ramp(2), ramp(3), ramp(4)}, nil, []int{0, 1, 2, 3, 4}, 7},
+		// 10 days trim to one week: the matrix holds that week only.
+		{"trim-to-whole-weeks", hourly(10, 0), [][]float64{filled(week, func(j int) float64 { return float64(j) })}, nil, []int{0}, 7},
+		{"31-days-trim-to-28", hourly(31, 0), [][]float64{filled(4*week, func(j int) float64 { return float64(j%7 + 1) })}, nil, []int{0}, 28},
+		// Fewer than seven days are kept as they are.
+		{"short-trace-kept", hourly(5, 0), [][]float64{filled(5*24, func(j int) float64 { return float64(j%24 + 1) })}, nil, []int{0}, 5},
+		{"untrimmed-width", hourly(10, 0), [][]float64{filled(10*24, func(j int) float64 { return float64(j) })}, ErrBadShape, nil, 0},
+		{"short-row", hourly(7, 0), [][]float64{{1, 2, 3}}, ErrBadShape, nil, 0},
+		{"no-towers", hourly(7, 0), nil, ErrEmptyDataset, nil, 0},
+		// Row 2 stays silent and is dropped; the kept rows stay dense.
+		{"filter-keeps-dense", hourly(7, 10), [][]float64{
+			filled(week, func(j int) float64 { return float64(min(j, 20) % 20) }),
+			filled(week, func(j int) float64 { return float64(2 * (j % 24)) }),
+			make([]float64, week),
+			filled(week, func(j int) float64 { return float64(4 * (j % 24)) }),
+		}, nil, []int{0, 1, 3}, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ids, locs, raw := matrixOf(tc.rows)
+			if len(tc.rows) == 0 {
+				raw = linalg.NewMatrix(0, tc.opts.EffectiveDays()*24)
 			}
-		}
-		series[i] = SeriesInput{TowerID: i, Bytes: bytes}
-	}
-	ds, err := VectorizeSeries(series, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.NumTowers() != 3 || len(ds.Raw) != 3 || len(ds.Normalized) != 3 {
-		t.Fatalf("kept %d towers (%d raw, %d normalized rows), want 3", ds.NumTowers(), len(ds.Raw), len(ds.Normalized))
-	}
-	assertDense(t, "Raw", ds.Raw)
-	assertDense(t, "Normalized", ds.Normalized)
-	for i, id := range ds.TowerIDs {
-		if id == 2 {
-			t.Error("silent tower should have been dropped")
-		}
-		if ds.Raw[i][0] != float64(id+1) {
-			t.Fatalf("row %d (tower %d) holds wrong data after compaction", i, id)
-		}
+			ds, err := VectorizeMatrix(ids, locs, raw, tc.opts)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err %v, want %v", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ds.Days != tc.wantDays || ds.NumSlots() != tc.wantDays*24 || ds.NumTowers() != len(tc.wantRows) {
+				t.Fatalf("%d towers × %d slots over %d days, want %d × %d over %d",
+					ds.NumTowers(), ds.NumSlots(), ds.Days, len(tc.wantRows), tc.wantDays*24, tc.wantDays)
+			}
+			if err := ds.Validate(); err != nil {
+				t.Errorf("Validate: %v", err)
+			}
+			assertDense(t, "Raw", ds.Raw)
+			assertDense(t, "Normalized", ds.Normalized)
+			want := make(linalg.Vector, ds.NumSlots())
+			for r, src := range tc.wantRows {
+				if ds.TowerIDs[r] != 100+src || ds.Locations[r] != (geo.Point{Lat: 31, Lon: 121 + float64(src)}) {
+					t.Errorf("row %d: tower %d at %v, want input row %d's", r, ds.TowerIDs[r], ds.Locations[r], src)
+				}
+				for j, v := range ds.Raw[r] {
+					if v != tc.rows[src][j] {
+						t.Fatalf("row %d slot %d: raw %g, want input row %d's %g", r, j, v, src, tc.rows[src][j])
+					}
+				}
+				if err := linalg.ZScoreNormalizeInto(want, ds.Raw[r]); err != nil {
+					t.Fatal(err)
+				}
+				for j := range want {
+					if ds.Normalized[r][j] != want[j] {
+						t.Fatalf("row %d slot %d: normalized %g, want %g", r, j, ds.Normalized[r][j], want[j])
+					}
+				}
+			}
+		})
 	}
 }
 

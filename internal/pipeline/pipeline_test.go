@@ -175,23 +175,13 @@ func TestVectorizeRecordsErrors(t *testing.T) {
 	}
 }
 
-func TestVectorizeSeries(t *testing.T) {
-	slots := 7 * 144
-	mk := func(id int, fill float64) SeriesInput {
-		b := make([]float64, slots)
-		for i := range b {
-			b[i] = fill * float64(1+i%3)
-		}
-		return SeriesInput{TowerID: id, Location: geo.Point{Lat: 31, Lon: 121}, Bytes: b}
+// Z-scored rows of proportional traffic are identical: the vectorizer
+// compares the shape of a tower's traffic, not its volume.
+func TestVectorizeMatrixNormalizesAwayVolume(t *testing.T) {
+	pattern := func(fill float64) []float64 {
+		return filled(7*144, func(j int) float64 { return fill * float64(1+j%3) })
 	}
-	ds, err := VectorizeSeries([]SeriesInput{mk(5, 10), mk(9, 3)}, defaultOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.NumTowers() != 2 || ds.NumSlots() != slots {
-		t.Fatalf("shape = %d towers × %d slots", ds.NumTowers(), ds.NumSlots())
-	}
-	// Z-scored rows of proportional series are identical.
+	ds := vectorizeRows(t, defaultOpts(), pattern(10), pattern(3))
 	d, err := linalg.Distance(ds.Normalized[0], ds.Normalized[1])
 	if err != nil {
 		t.Fatal(err)
@@ -199,52 +189,22 @@ func TestVectorizeSeries(t *testing.T) {
 	if d > 1e-9 {
 		t.Errorf("proportional series should normalise identically, distance = %g", d)
 	}
-	if err := ds.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
 }
 
-func TestVectorizeSeriesErrors(t *testing.T) {
-	if _, err := VectorizeSeries(nil, defaultOpts()); !errors.Is(err, ErrEmptyDataset) {
-		t.Errorf("empty series: got %v", err)
-	}
-	short := []SeriesInput{{TowerID: 1, Bytes: []float64{1, 2, 3}}}
-	if _, err := VectorizeSeries(short, defaultOpts()); err == nil {
-		t.Error("short series should fail")
-	}
-}
-
-func TestVectorizeSeriesTrimming(t *testing.T) {
-	opts := defaultOpts()
-	opts.Days = 10 // trims to 7
-	slots := 10 * 144
-	b := make([]float64, slots)
-	for i := range b {
-		b[i] = float64(i)
-	}
-	ds, err := VectorizeSeries([]SeriesInput{{TowerID: 1, Bytes: b}}, opts)
+// vectorizeRows is VectorizeMatrix over the given rows (tower IDs 100, 101,
+// …), failing the test on error.
+func vectorizeRows(t *testing.T, opts VectorizerOptions, rows ...[]float64) *Dataset {
+	t.Helper()
+	ids, locs, raw := matrixOf(rows)
+	ds, err := VectorizeMatrix(ids, locs, raw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Days != 7 || ds.NumSlots() != 7*144 {
-		t.Errorf("trimmed shape = %d days × %d slots", ds.Days, ds.NumSlots())
-	}
-	// The retained prefix must match the input.
-	for i := 0; i < ds.NumSlots(); i++ {
-		if ds.Raw[0][i] != float64(i) {
-			t.Fatalf("slot %d = %g, want %d", i, ds.Raw[0][i], i)
-		}
-	}
+	return ds
 }
 
 func TestDatasetAccessors(t *testing.T) {
-	ds, err := VectorizeSeries([]SeriesInput{
-		{TowerID: 3, Bytes: constSeries(7*144, 2)},
-		{TowerID: 8, Bytes: constSeries(7*144, 5)},
-	}, defaultOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := vectorizeRows(t, defaultOpts(), constSeries(7*144, 2), constSeries(7*144, 5))
 	if ds.SlotsPerDay() != 144 {
 		t.Errorf("SlotsPerDay = %d", ds.SlotsPerDay())
 	}
@@ -254,7 +214,7 @@ func TestDatasetAccessors(t *testing.T) {
 	if got := ds.SlotTime(144); !got.Equal(start.Add(24 * time.Hour)) {
 		t.Errorf("SlotTime(144) = %v", got)
 	}
-	if ds.RowByTowerID(8) != 1 || ds.RowByTowerID(99) != -1 {
+	if ds.RowByTowerID(101) != 1 || ds.RowByTowerID(99) != -1 {
 		t.Error("RowByTowerID wrong")
 	}
 	agg, err := ds.AggregateRaw(nil)
@@ -285,10 +245,7 @@ func TestDatasetValidate(t *testing.T) {
 	if err := empty.Validate(); !errors.Is(err, ErrEmptyDataset) {
 		t.Errorf("empty validate: %v", err)
 	}
-	good, err := VectorizeSeries([]SeriesInput{{TowerID: 1, Bytes: constSeries(7*144, 1)}}, defaultOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := vectorizeRows(t, defaultOpts(), constSeries(7*144, 1))
 	bad := *good
 	bad.Days = 6
 	if err := bad.Validate(); !errors.Is(err, ErrBadShape) {
@@ -308,24 +265,5 @@ func TestDatasetValidate(t *testing.T) {
 	bad.Normalized = []linalg.Vector{append(linalg.Vector{math.NaN()}, good.Normalized[0][1:]...)}
 	if err := bad.Validate(); err == nil {
 		t.Error("NaN row should fail validation")
-	}
-}
-
-func BenchmarkVectorizeSeries100Towers(b *testing.B) {
-	opts := VectorizerOptions{Start: start, Days: 28, SlotMinutes: 10}
-	series := make([]SeriesInput, 100)
-	for i := range series {
-		bytes := make([]float64, 28*144)
-		for j := range bytes {
-			bytes[j] = float64((i*j)%1000 + 1)
-		}
-		series[i] = SeriesInput{TowerID: i, Bytes: bytes}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := VectorizeSeries(series, opts); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -46,7 +46,7 @@ func VectorizeSourceContext(ctx context.Context, src trace.Source, towers []trac
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	days := opts.effectiveDays()
+	days := opts.EffectiveDays()
 	slots := days * (1440 / opts.SlotMinutes)
 	end := opts.Start.Add(time.Duration(days) * 24 * time.Hour)
 	slotDur := time.Duration(opts.SlotMinutes) * time.Minute

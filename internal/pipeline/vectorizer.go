@@ -14,8 +14,8 @@ type VectorizerOptions struct {
 	// it are dropped. Required.
 	Start time.Time
 	// Days is the number of days of data available from Start. The
-	// vectorizer trims this to whole weeks (TrimToWholeWeeks), mirroring
-	// the paper's removal of 3 days from a 31-day trace. Required.
+	// vectorizer trims this to whole weeks (EffectiveDays), mirroring the
+	// paper's removal of 3 days from a 31-day trace. Required.
 	Days int
 	// SlotMinutes is the aggregation granularity (default 10).
 	SlotMinutes int
@@ -48,49 +48,15 @@ func (o VectorizerOptions) validate() error {
 	return nil
 }
 
-// effectiveDays returns the number of days retained after whole-week
-// trimming; fewer than seven days are kept as they are.
-func (o VectorizerOptions) effectiveDays() int {
+// EffectiveDays is the vectorizer's trim rule: the number of days of
+// opts.Days retained, whole weeks, or every day when there are fewer than
+// seven. A vectorised matrix has EffectiveDays × slots-per-day columns.
+func (o VectorizerOptions) EffectiveDays() int {
 	weeks := o.Days / 7
 	if weeks == 0 {
 		return o.Days
 	}
 	return weeks * 7
-}
-
-// SeriesInput is a pre-aggregated per-tower traffic series, the fast path
-// used when the ground-truth series is already available (synthetic data)
-// or when aggregation happened upstream.
-type SeriesInput struct {
-	TowerID  int
-	Location geo.Point
-	Bytes    []float64
-}
-
-// VectorizeSeries builds a dataset directly from pre-aggregated series.
-// Each series must cover opts.Days days at opts.SlotMinutes granularity;
-// the vectorizer trims them to whole weeks and z-score normalises, sharing
-// the normalisation code path with VectorizeSourceContext. The series
-// bytes are copied exactly once — into the matrix VectorizeMatrix adopts.
-func VectorizeSeries(series []SeriesInput, opts VectorizerOptions) (*Dataset, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	slots := opts.effectiveDays() * (1440 / opts.SlotMinutes)
-	fullSlots := opts.Days * (1440 / opts.SlotMinutes)
-
-	towerIDs := make([]int, len(series))
-	locations := make([]geo.Point, len(series))
-	raw := linalg.NewMatrix(len(series), slots)
-	for i, s := range series {
-		if len(s.Bytes) != fullSlots {
-			return nil, fmt.Errorf("pipeline: series for tower %d has %d slots, want %d", s.TowerID, len(s.Bytes), fullSlots)
-		}
-		towerIDs[i], locations[i] = s.TowerID, s.Location
-		copy(raw.Row(i), s.Bytes[:slots])
-	}
-	return VectorizeMatrix(towerIDs, locations, raw, opts)
 }
 
 // VectorizeMatrix runs phase 2 (filtering and normalisation) on traffic
@@ -108,7 +74,7 @@ func VectorizeMatrix(towerIDs []int, locations []geo.Point, raw *linalg.Matrix, 
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	days := opts.effectiveDays()
+	days := opts.EffectiveDays()
 	slots := days * (1440 / opts.SlotMinutes)
 	if len(towerIDs) != raw.Rows || len(locations) != raw.Rows || raw.Cols != slots || len(raw.Data) != raw.Rows*slots {
 		return nil, fmt.Errorf("%w: %d tower IDs, %d locations, %dx%d matrix over %d values, want %d slots",

@@ -3,36 +3,38 @@ package synth
 import (
 	"fmt"
 
+	"repro/internal/geo"
+	"repro/internal/linalg"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 	"repro/internal/urban"
 )
 
-// BuildDataset generates the ground-truth traffic series of every tower in
-// the city and vectorises them into an analysis-ready dataset (trimmed to
-// whole weeks and z-score normalised). It is the fast path used by the
-// experiments and examples; the slow path — emitting CDR logs, cleaning
-// them and vectorising the records — exercises the same aggregation code
-// via pipeline.VectorizeSourceContext and is covered by the integration
-// tests.
+// BuildDataset generates the ground-truth traffic of every tower straight
+// into its row of the matrix pipeline.VectorizeMatrix adopts, keeping only
+// the days the vectorizer's trim rule retains (whole weeks, or every day
+// of a trace shorter than a week), and z-score normalises it: the
+// analysis-ready dataset, with no per-tower series in between. It is the
+// fast path used by the experiments and examples; the slow path — the CDR
+// log of LogSource, cleaned and vectorised by
+// pipeline.VectorizeSourceContext — yields the same dataset and is covered
+// by the integration tests.
 func (c *City) BuildDataset() (*pipeline.Dataset, error) {
-	series, err := c.GenerateSeries()
-	if err != nil {
-		return nil, err
-	}
-	inputs := make([]pipeline.SeriesInput, len(series))
-	for i, s := range series {
-		inputs[i] = pipeline.SeriesInput{
-			TowerID:  s.TowerID,
-			Location: c.Towers[i].Location,
-			Bytes:    s.Bytes,
-		}
-	}
-	return pipeline.VectorizeSeries(inputs, pipeline.VectorizerOptions{
+	opts := pipeline.VectorizerOptions{
 		Start:       c.Config.Start,
 		Days:        c.Config.Days,
 		SlotMinutes: c.Config.SlotMinutes,
-	})
+	}
+	towerIDs := make([]int, len(c.Towers))
+	locations := make([]geo.Point, len(c.Towers))
+	for i, t := range c.Towers {
+		towerIDs[i], locations[i] = t.ID, t.Location
+	}
+	raw := linalg.NewMatrix(len(c.Towers), opts.EffectiveDays()*c.Config.SlotsPerDay())
+	if err := c.generateAll(func(i int) []float64 { return raw.Row(i) }); err != nil {
+		return nil, err
+	}
+	return pipeline.VectorizeMatrix(towerIDs, locations, raw, opts)
 }
 
 // TowerInfos returns the tower metadata of the city in the form consumed by

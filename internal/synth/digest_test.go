@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
 	"math"
 	"runtime"
 	"strings"
@@ -64,7 +63,7 @@ var digestConfigs = []struct {
 
 // The series are bit-identical to the parent commit's, GenerateSeries is
 // the serial per-tower loop whatever the parallelism, and the CDR log
-// derived from the series keeps its length.
+// derived from the series is record for record the parent's.
 func TestGenerateSeriesMatchesParentDigest(t *testing.T) {
 	for _, tc := range digestConfigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,7 +81,7 @@ func TestGenerateSeriesMatchesParentDigest(t *testing.T) {
 		})
 	}
 	t.Run("serial-loop", testGenerateSeriesMatchesSerialLoop)
-	t.Run("log-counts", testGenerateLogsCountMatchesParent)
+	t.Run("log-digests", testLogsMatchParentDigest)
 }
 
 func testGenerateSeriesMatchesSerialLoop(t *testing.T) {
@@ -115,37 +114,66 @@ func testGenerateSeriesMatchesSerialLoop(t *testing.T) {
 	}
 }
 
-// testGenerateLogsCountMatchesParent counts both emission orders; the
-// counts were taken at the parent commit alongside the digests above.
-func testGenerateLogsCountMatchesParent(t *testing.T) {
-	city, err := GenerateCity(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
+// recordsDigest is the SHA-256 over every field of every record, in
+// stream order: UserID, the Start and End instants in Unix nanoseconds,
+// TowerID, the Address length and bytes, Bytes and the Tech string length
+// and bytes, all integers little-endian uint64s.
+func recordsDigest(recs []trace.Record) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
 	}
-	series, err := city.GenerateSeries()
-	if err != nil {
-		t.Fatal(err)
+	str := func(s string) {
+		put(uint64(len(s)))
+		h.Write([]byte(s))
 	}
-	logs, err := city.GenerateLogs(series, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range recs {
+		put(uint64(r.UserID))
+		put(uint64(r.Start.UnixNano()))
+		put(uint64(r.End.UnixNano()))
+		put(uint64(r.TowerID))
+		str(r.Address)
+		put(uint64(r.Bytes))
+		str(string(r.Tech))
 	}
-	src := city.LogSource(series, LogOptions{TimeMajor: true})
-	defer src.Close()
-	streamed := 0
-	buf := make([]trace.Record, 1024)
-	for {
-		n, err := src.NextBatch(buf)
-		streamed += n
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	const wantLogs, wantStreamed = 157545, 157545
-	if len(logs) != wantLogs || streamed != wantStreamed {
-		t.Errorf("records: GenerateLogs %d, LogSource %d; want %d, %d", len(logs), streamed, wantLogs, wantStreamed)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// testLogsMatchParentDigest pins the CDR stream of both emission orders,
+// a lower per-slot record cap and a 30-minute, Saturday-start city: record
+// counts and digests were taken at commit e7aed93, where the stream was a
+// push generator inside a coroutine, and are never regenerated.
+func testLogsMatchParentDigest(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		config func() Config
+		opts   LogOptions
+		count  int
+		want   string
+	}{
+		{"tower-major", tinyConfig, LogOptions{}, 157545, "ce2b4bfc59e46b9c522470934a47314b37afa5cc4e9cb3481855c0a3ea6fe2c0"},
+		{"time-major", tinyConfig, LogOptions{TimeMajor: true}, 157545, "4b795a56ff47e9bef9727691a7032e3776d07252987e69d8634b24b5951455d1"},
+		{"max-2-per-slot", tinyConfig, LogOptions{MaxRecordsPerSlot: 2}, 94237, "e9a8f84197ea5e69b8b0cc540fc07b6534c5b39a843a62a4bb542eb3a3d11a15"},
+		{"slot30-saturday", digestConfigs[1].config, LogOptions{}, 168899, "8a3495438913a424bbd21db4b21677dd51270cd2babdca0ce08b5bcd57e2e643"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			city, err := GenerateCity(tc.config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			series, err := city.GenerateSeries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := trace.Collect(city.LogSource(series, tc.opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := recordsDigest(recs); len(recs) != tc.count || got != tc.want {
+				t.Errorf("%d records, digest %s; want %d, %s", len(recs), got, tc.count, tc.want)
+			}
+		})
 	}
 }

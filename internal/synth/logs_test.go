@@ -1,7 +1,7 @@
 package synth
 
 import (
-	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -27,12 +27,19 @@ func logTestCity(t *testing.T) (*City, []TowerSeries) {
 	return city, series
 }
 
-func TestGenerateLogsRecordsAreValid(t *testing.T) {
-	city, series := logTestCity(t)
-	records, err := city.GenerateLogs(series, LogOptions{})
+// collectLogs drains the CDR log of the series.
+func collectLogs(t *testing.T, city *City, series []TowerSeries, opts LogOptions) []trace.Record {
+	t.Helper()
+	records, err := trace.Collect(city.LogSource(series, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return records
+}
+
+func TestGenerateLogsRecordsAreValid(t *testing.T) {
+	city, series := logTestCity(t)
+	records := collectLogs(t, city, series, LogOptions{})
 	if len(records) == 0 {
 		t.Fatal("no records emitted")
 	}
@@ -51,10 +58,7 @@ func TestGenerateLogsRecordsAreValid(t *testing.T) {
 
 func TestGenerateLogsCleanedAggregateMatchesSeries(t *testing.T) {
 	city, series := logTestCity(t)
-	records, err := city.GenerateLogs(series, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := collectLogs(t, city, series, LogOptions{})
 	cleaned, stats := trace.Clean(records)
 	if stats.Duplicates == 0 {
 		t.Error("expected some duplicate records to be injected")
@@ -80,37 +84,15 @@ func TestGenerateLogsCleanedAggregateMatchesSeries(t *testing.T) {
 	}
 }
 
-func TestGenerateLogsFuncStopsOnError(t *testing.T) {
-	city, series := logTestCity(t)
-	boom := errors.New("boom")
-	count := 0
-	err := city.GenerateLogsFunc(series, LogOptions{}, func(trace.Record) error {
-		count++
-		if count == 10 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("expected callback error to propagate, got %v", err)
-	}
-	if count != 10 {
-		t.Errorf("emission should stop at the error, emitted %d", count)
-	}
-}
-
 func TestGenerateLogsErrors(t *testing.T) {
 	city, series := logTestCity(t)
-	if err := city.GenerateLogsFunc(series, LogOptions{}, nil); err == nil {
-		t.Error("nil callback should fail")
+	bad := append(series[:1:1], TowerSeries{TowerID: 99999, Bytes: make([]float64, city.Config.TotalSlots())})
+	if _, err := trace.Collect(city.LogSource(bad, LogOptions{})); err == nil || !strings.Contains(err.Error(), "unknown tower 99999") {
+		t.Errorf("unknown tower id: err %v", err)
 	}
-	bad := []TowerSeries{{TowerID: 99999, Bytes: make([]float64, city.Config.TotalSlots())}}
-	if _, err := city.GenerateLogs(bad, LogOptions{}); err == nil {
-		t.Error("unknown tower id should fail")
-	}
-	short := []TowerSeries{{TowerID: city.Towers[0].ID, Bytes: []float64{1, 2}}}
-	if _, err := city.GenerateLogs(short, LogOptions{}); err == nil {
-		t.Error("wrong series length should fail")
+	short := append(series[:1:1], TowerSeries{TowerID: city.Towers[1].ID, Bytes: []float64{1, 2}})
+	if _, err := trace.Collect(city.LogSource(short, LogOptions{TimeMajor: true})); err == nil || !strings.Contains(err.Error(), "has 2 slots") {
+		t.Errorf("wrong series length: err %v", err)
 	}
 }
 
@@ -142,10 +124,7 @@ func TestTech3GOrLTE(t *testing.T) {
 
 func TestGenerateLogsTimeMajorOrderAndAggregate(t *testing.T) {
 	city, series := logTestCity(t)
-	records, err := city.GenerateLogs(series, LogOptions{TimeMajor: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := collectLogs(t, city, series, LogOptions{TimeMajor: true})
 	if len(records) == 0 {
 		t.Fatal("no records emitted")
 	}

@@ -31,32 +31,6 @@ func vectorizeSource(src trace.Source, towers []trace.TowerInfo, opts pipeline.V
 	return pipeline.VectorizeSourceContext(context.Background(), src, towers, opts)
 }
 
-func TestLogSourceMatchesGenerateLogs(t *testing.T) {
-	city, series := logTestCity(t)
-	want, err := city.GenerateLogs(series, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := city.LogSource(series, LogOptions{})
-	defer src.Close()
-	got, err := trace.Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d records, slice path emitted %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-	// The stream stays exhausted after EOF.
-	if _, err := next(src); !errors.Is(err, io.EOF) {
-		t.Errorf("exhausted stream: %v", err)
-	}
-}
-
 func TestLogSourceCloseEarly(t *testing.T) {
 	city, series := logTestCity(t)
 	src := city.LogSource(series, LogOptions{})
@@ -68,6 +42,41 @@ func TestLogSourceCloseEarly(t *testing.T) {
 		t.Errorf("closed stream should return io.EOF, got %v", err)
 	}
 	src.Close() // idempotent
+}
+
+// A cell goes straight into dst when dst has room for a whole one
+// (3 × MaxRecordsPerSlot records) and through the stream's buffer when it
+// has not; batch sizes around that bound mix the two paths in one pull,
+// and every size yields the same stream. Nearly every record here carries
+// a duplicate and a conflict, so full cells are common.
+func TestLogSourceBatchSizesAgree(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Towers, cfg.Days = 10, 2
+	cfg.DuplicateFraction, cfg.ConflictFraction = 0.99, 0.99
+	city, err := GenerateCity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := city.GenerateSeries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := collectLogs(t, city, series, LogOptions{TimeMajor: true})
+	for _, size := range []int{11, 12, 13, 25} {
+		src := city.LogSource(series, LogOptions{TimeMajor: true})
+		got, err := pullAll(t, src, size, false)
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("dst of %d: terminal error %v", size, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("dst of %d: %d records, want %d", size, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("dst of %d: record %d is %+v, want %+v", size, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 func TestLogSourcePropagatesGeneratorError(t *testing.T) {
@@ -88,7 +97,7 @@ func TestLogSourcePropagatesGeneratorError(t *testing.T) {
 // The headline equivalence property of streaming ingestion: streaming a
 // synthetic city's CDR log through CleanSource +
 // VectorizeSourceContext yields a Dataset identical to the batch path
-// (GenerateLogs → Clean → vectorize the slice) over the same logs.
+// (collect the log → Clean → vectorize the slice) over the same logs.
 func TestStreamingIngestionMatchesBatchOverCityLogs(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		cfg := tinyConfig()
@@ -112,10 +121,7 @@ func TestStreamingIngestionMatchesBatchOverCityLogs(t *testing.T) {
 		}
 		towers := city.TowerInfos()
 
-		records, err := city.GenerateLogs(series, LogOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		records := collectLogs(t, city, series, LogOptions{})
 		cleaned, batchStats := trace.Clean(records)
 		want, err := vectorizeSource(trace.SliceSource(cleaned), towers, opts)
 		if err != nil {

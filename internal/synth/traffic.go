@@ -35,10 +35,9 @@ type TowerSeries struct {
 // lowest failing tower.
 func (c *City) GenerateSeries() ([]TowerSeries, error) {
 	out := make([]TowerSeries, len(c.Towers))
-	err := panicsafe.ForEach(context.Background(), len(out), 0, func(_, i int) error {
-		var err error
-		out[i], err = c.GenerateTowerSeries(i)
-		return err
+	err := c.generateAll(func(i int) []float64 {
+		out[i] = TowerSeries{TowerID: c.Towers[i].ID, Bytes: make([]float64, c.Config.TotalSlots())}
+		return out[i].Bytes
 	})
 	if err != nil {
 		return nil, err
@@ -53,6 +52,25 @@ func (c *City) GenerateTowerSeries(towerIdx int) (TowerSeries, error) {
 	if towerIdx < 0 || towerIdx >= len(c.Towers) {
 		return TowerSeries{}, fmt.Errorf("synth: tower index %d out of range [0,%d)", towerIdx, len(c.Towers))
 	}
+	bytes := make([]float64, c.Config.TotalSlots())
+	if err := c.generateInto(towerIdx, bytes); err != nil {
+		return TowerSeries{}, err
+	}
+	return TowerSeries{TowerID: c.Towers[towerIdx].ID, Bytes: bytes}, nil
+}
+
+// generateAll generates every tower into the slice dst returns for it, on
+// all cores; a failure reports the lowest failing tower.
+func (c *City) generateAll(dst func(towerIdx int) []float64) error {
+	return panicsafe.ForEach(context.Background(), len(c.Towers), 0, func(_, i int) error {
+		return c.generateInto(i, dst(i))
+	})
+}
+
+// generateInto writes the first len(dst)/SlotsPerDay whole days of the
+// tower's series into dst. The tower's stream is drawn in slot order, so a
+// shorter dst holds exactly a prefix of the full series.
+func (c *City) generateInto(towerIdx int, dst []float64) error {
 	cfg := c.Config
 	t := c.Towers[towerIdx]
 	// Independent deterministic stream per tower.
@@ -71,19 +89,18 @@ func (c *City) GenerateTowerSeries(towerIdx int) (TowerSeries, error) {
 		hour := (float64(slotOfDay)+0.5)*float64(cfg.SlotMinutes)/60 - t.peakShiftHours
 		intensity, err := MixtureIntensity(t.Mix, hour, i >= perDay)
 		if err != nil {
-			return TowerSeries{}, fmt.Errorf("synth: tower %d: %w", t.ID, err)
+			return fmt.Errorf("synth: tower %d: %w", t.ID, err)
 		}
 		level[i] = intensity * scale
 	}
 	weekday, weekend := level[:perDay], level[perDay:]
 
-	bytes := make([]float64, cfg.TotalSlots())
-	for day := range cfg.Days {
+	for day := range len(dst) / perDay {
 		row := weekday
 		if isWeekend(cfg.Start.AddDate(0, 0, day)) {
 			row = weekend
 		}
-		out := bytes[day*perDay : (day+1)*perDay]
+		out := dst[day*perDay : (day+1)*perDay]
 		for i, base := range row {
 			noise := math.Exp(rng.NormFloat64()*cfg.NoiseSigma - cfg.NoiseSigma*cfg.NoiseSigma/2)
 			v := base * noise
@@ -93,7 +110,7 @@ func (c *City) GenerateTowerSeries(towerIdx int) (TowerSeries, error) {
 			out[i] = math.Round(v)
 		}
 	}
-	return TowerSeries{TowerID: t.ID, Bytes: bytes}, nil
+	return nil
 }
 
 // isWeekend reports whether the date falls on Saturday or Sunday.

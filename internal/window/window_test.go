@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/linalg"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
@@ -167,17 +168,16 @@ func TestWindowDatasetMatchesBatchVectorizer(t *testing.T) {
 		t.Fatalf("dataset start = %v, want %v", ds.Start, wantStart)
 	}
 
-	// Build the reference dataset through the batch vectorizer on the
-	// same suffix of the ground-truth series.
-	var inputs []pipeline.SeriesInput
-	for _, id := range []int{0, 2, 3, 4, 5} { // tower 3 falls to MinActiveSlots in the reference too
-		inputs = append(inputs, pipeline.SeriesInput{
-			TowerID:  id,
-			Location: map[int]geo.Point{0: {Lat: 31.2, Lon: 121.5}, 4: {Lat: 31.3, Lon: 121.4}}[id],
-			Bytes:    series[id][startSlot : startSlot+7*spd],
-		})
+	// Build the reference dataset by handing the same suffix of the
+	// ground-truth series to pipeline.VectorizeMatrix.
+	refIDs := []int{0, 2, 3, 4, 5} // tower 3 falls to MinActiveSlots in the reference too
+	refLocs := make([]geo.Point, len(refIDs))
+	ref := linalg.NewMatrix(len(refIDs), 7*spd)
+	for i, id := range refIDs {
+		refLocs[i] = map[int]geo.Point{0: {Lat: 31.2, Lon: 121.5}, 4: {Lat: 31.3, Lon: 121.4}}[id]
+		copy(ref.Row(i), series[id][startSlot:startSlot+7*spd])
 	}
-	want, err := pipeline.VectorizeSeries(inputs, pipeline.VectorizerOptions{
+	want, err := pipeline.VectorizeMatrix(refIDs, refLocs, ref, pipeline.VectorizerOptions{
 		Start:          wantStart,
 		Days:           7,
 		SlotMinutes:    60,
