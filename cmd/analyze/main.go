@@ -127,6 +127,9 @@ func main() {
 	default:
 		log.Fatalf("unknown -precision %q (want float64 or float32)", *precision)
 	}
+	if *clusters < 0 {
+		log.Fatalf("-k %d is negative (want 0 to let the Davies-Bouldin index choose, or a cluster count)", *clusters)
+	}
 
 	var cpuFile *os.File
 	if *cpuProf != "" {

@@ -162,7 +162,7 @@ func (d *detector) detect(traffic linalg.Vector, nDays int, opts Options) (*Repo
 	// summed by the serving API), so the report owns its copy.
 	bins := dsp.HarmonicBins(make([]int, 0, 1+3*harmonics), len(traffic), week, day, harmonics)
 	expected := d.expected
-	if _, err := d.plan.ReconstructInto(expected, traffic, bins...); err != nil {
+	if err := d.plan.ReconstructInto(expected, traffic, bins...); err != nil {
 		return nil, err
 	}
 	for i, v := range expected {

@@ -82,7 +82,8 @@ type Options struct {
 	// metric tuner (default 10); the lower bound is minClusters.
 	MaxClusters int
 	// ForceK skips the metric tuner and cuts the dendrogram into exactly
-	// ForceK clusters. Zero lets the Davies–Bouldin index choose.
+	// ForceK clusters. Zero lets the Davies–Bouldin index choose; a
+	// negative value, or one above the tower count, is an error.
 	ForceK int
 	// RepOptions tune the representative-tower search of the
 	// frequency-domain stage.
@@ -203,6 +204,13 @@ func AnalyzeContext(ctx context.Context, ds *pipeline.Dataset, pois []poi.POI, o
 	}
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid dataset: %w", err)
+	}
+	// A bad ForceK fails here, before the O(towers²) distance pass.
+	if opts.ForceK < 0 {
+		return nil, fmt.Errorf("core: ForceK=%d is negative", opts.ForceK)
+	}
+	if opts.ForceK > ds.NumTowers() {
+		return nil, fmt.Errorf("core: ForceK=%d exceeds %d towers", opts.ForceK, ds.NumTowers())
 	}
 	opts = opts.withDefaults()
 	if ds.Days%7 != 0 {
@@ -357,9 +365,6 @@ func model[F linalg.Float](ctx context.Context, norm, raw *linalg.Mat[F], opts O
 	minK := min(minClusters, maxK)
 	if opts.ForceK > 0 {
 		res.OptimalK = opts.ForceK
-		if opts.ForceK > towers {
-			return nil, fmt.Errorf("core: ForceK=%d exceeds %d towers", opts.ForceK, towers)
-		}
 		if minK >= 2 && maxK >= minK && towers > maxK {
 			// Still compute the curve for reporting when feasible.
 			res.DBICurve, err = cluster.DBICurveMatCtx(ctx, norm, dendro, minK, maxK, opts.Workers)

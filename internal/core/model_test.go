@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -210,6 +212,21 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 	if _, err := AnalyzeContext(context.Background(), &odd, city.POIs, Options{ForceK: 3}); err == nil {
 		t.Error("partial-week dataset should fail")
+	}
+}
+
+// TestAnalyzeRejectsForceKBeforeWork pins that ForceK is checked before
+// the O(towers²) stages: with a context cancelled up front, a stage that
+// ran first would return context.Canceled instead of the ForceK error.
+func TestAnalyzeRejectsForceKBeforeWork(t *testing.T) {
+	city, ds, _ := buildShared(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, k := range []int{ds.NumTowers() + 1, -1} {
+		_, err := AnalyzeContext(ctx, ds, city.POIs, Options{ForceK: k})
+		if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "ForceK") {
+			t.Errorf("ForceK=%d on a cancelled context: err = %v, want the ForceK error", k, err)
+		}
 	}
 }
 

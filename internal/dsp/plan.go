@@ -188,31 +188,27 @@ func (p *Plan) Spectrum(x []float64) (*Spectrum, error) {
 // energy loss |E(x) - E(xr)| / E(x) as defined in Section 5.1 of the paper.
 func (p *Plan) Reconstruct(x []float64, ks ...int) ([]float64, float64, error) {
 	out := make([]float64, p.n)
-	loss, err := p.ReconstructInto(out, x, ks...)
-	if err != nil {
+	if err := p.ReconstructInto(out, x, ks...); err != nil {
 		return nil, 0, err
-	}
-	return out, loss, nil
-}
-
-// ReconstructInto is Reconstruct writing the band-limited signal into dst.
-// Apart from error paths it performs no allocations: the spectrum is masked
-// in place in plan-owned scratch.
-func (p *Plan) ReconstructInto(dst []float64, x []float64, ks ...int) (float64, error) {
-	if err := p.Transform(p.sw, x); err != nil {
-		return 0, err
-	}
-	if err := applyMask(p.mask, p.sw, ks); err != nil {
-		return 0, err
-	}
-	if err := p.InverseReal(dst, p.sw); err != nil {
-		return 0, err
 	}
 	orig := Energy(x)
 	if orig == 0 {
-		return 0, nil
+		return out, 0, nil
 	}
-	return math.Abs(orig-Energy(dst)) / orig, nil
+	return out, math.Abs(orig-Energy(out)) / orig, nil
+}
+
+// ReconstructInto is Reconstruct writing the band-limited signal into dst,
+// without the energy loss. Apart from error paths it performs no
+// allocations: the spectrum is masked in place in plan-owned scratch.
+func (p *Plan) ReconstructInto(dst []float64, x []float64, ks ...int) error {
+	if err := p.Transform(p.sw, x); err != nil {
+		return err
+	}
+	if err := applyMask(p.mask, p.sw, ks); err != nil {
+		return err
+	}
+	return p.InverseReal(dst, p.sw)
 }
 
 // --- Complex transform kernels -------------------------------------------

@@ -133,7 +133,7 @@ func TestPlanReconstructMatchesWrapper(t *testing.T) {
 			t.Fatalf("reconstruct[%d]: plan %g vs pooled plan %g", i, got[i], want[i])
 		}
 	}
-	if _, err := p.ReconstructInto(make([]float64, p.N()), x, p.N()); err == nil {
+	if err := p.ReconstructInto(make([]float64, p.N()), x, p.N()); err == nil {
 		t.Error("out-of-range component should fail")
 	}
 }
@@ -168,7 +168,7 @@ func TestPlanZeroAllocs(t *testing.T) {
 			t.Errorf("n=%d InverseReal allocates %.1f times per run, want 0", n, allocs)
 		}
 		if allocs := testing.AllocsPerRun(10, func() {
-			if _, err := p.ReconstructInto(back, x, 4, 28); err != nil {
+			if err := p.ReconstructInto(back, x, 4, 28); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {

@@ -1,13 +1,4 @@
-// Traffic forecasting: the ISP use case from the paper's introduction. The
-// frequency-domain model of Section 5 says most of a tower's traffic lives
-// in a handful of spectral components, so a model that stores only those
-// components can forecast future weeks with a tiny fraction of the state a
-// replay-based model needs. This example backtests the forecasting models
-// of internal/forecast on every tower of a synthetic city: train on the
-// first three weeks, predict the fourth.
-//
-//	go run ./examples/forecast
-package main
+package forecast_test
 
 import (
 	"fmt"
@@ -19,9 +10,14 @@ import (
 	"repro/internal/urban"
 )
 
-func main() {
-	log.SetFlags(0)
-
+// Traffic forecasting: the ISP use case from the paper's introduction. The
+// frequency-domain model of Section 5 says most of a tower's traffic lives
+// in a handful of spectral components, so a model that stores only those
+// components can forecast future weeks with a tiny fraction of the state a
+// replay-based model needs. This example backtests the forecasting models
+// on every tower of a synthetic city: train on the first three weeks,
+// predict the fourth.
+func ExampleBacktest() {
 	cfg := synth.SmallConfig()
 	cfg.Towers = 200
 	cfg.Days = 28
@@ -43,14 +39,13 @@ func main() {
 		func() forecast.Model { return &forecast.SlotOfWeekMeanModel{} },
 	}
 
-	type cell struct{ mapes linalg.Vector }
-	results := make(map[string]map[urban.Region]*cell)
+	results := make(map[string]map[urban.Region]linalg.Vector) // per-tower MAPEs
 	states := make(map[string]int)
 	var names []string
 	for _, mk := range models {
 		name := mk().Name()
 		names = append(names, name)
-		results[name] = make(map[urban.Region]*cell)
+		results[name] = make(map[urban.Region]linalg.Vector)
 	}
 
 	for i, s := range series {
@@ -61,12 +56,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("backtesting tower %d with %s: %v", i, m.Name(), err)
 			}
-			c := results[m.Name()][region]
-			if c == nil {
-				c = &cell{}
-				results[m.Name()][region] = c
-			}
-			c.mapes = append(c.mapes, metrics.MAPE)
+			results[m.Name()][region] = append(results[m.Name()][region], metrics.MAPE)
 			states[m.Name()] = m.StateSize()
 		}
 	}
@@ -80,12 +70,12 @@ func main() {
 	for _, region := range urban.Regions {
 		fmt.Printf("  %-13s", region)
 		for _, name := range names {
-			c := results[name][region]
-			if c == nil {
+			mapes := results[name][region]
+			if mapes == nil {
 				fmt.Printf("  %24s", "-")
 				continue
 			}
-			fmt.Printf("  %23.1f%%", 100*linalg.Quantile(c.mapes, 0.5))
+			fmt.Printf("  %23.1f%%", 100*linalg.Quantile(mapes, 0.5))
 		}
 		fmt.Println()
 	}
@@ -100,4 +90,20 @@ func main() {
 	fmt.Println("adding the daily harmonics and their weekly sidebands recovers the sharp rush-hour humps and the")
 	fmt.Println("weekday/weekend modulation, approaching the 1,008-number replay baseline with ~26x less state —")
 	fmt.Println("the kind of compact per-tower model an ISP can afford when planning load balancing or pricing.")
+	// Output:
+	// Median per-tower MAPE on the held-out fourth week (200 towers):
+	//
+	//   region             spectral-principal-3  spectral-harmonics+sidebands          last-week-replay         slot-of-week-mean
+	//   resident                          17.8%                      8.7%                     11.3%                      9.3%
+	//   transport                         72.8%                     20.3%                     11.2%                      9.0%
+	//   office                            40.7%                     14.9%                     11.3%                      9.2%
+	//   entertainment                     38.2%                     15.9%                     11.4%                      9.3%
+	//   comprehensive                     17.5%                      9.8%                     11.3%                      9.2%
+	//
+	//   state/tower                           7                        39                      1008                      1008
+	//
+	// The paper's three principal components capture the broad shape with seven numbers per tower;
+	// adding the daily harmonics and their weekly sidebands recovers the sharp rush-hour humps and the
+	// weekday/weekend modulation, approaching the 1,008-number replay baseline with ~26x less state —
+	// the kind of compact per-tower model an ISP can afford when planning load balancing or pricing.
 }

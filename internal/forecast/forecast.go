@@ -174,7 +174,7 @@ func (m *SpectralModel) Fit(train linalg.Vector, trainDays, slotsPerDay int) err
 		m.reconstructed = make(linalg.Vector, len(train))
 	}
 	m.reconstructed = m.reconstructed[:len(train)]
-	_, err = plan.ReconstructInto(m.reconstructed, train, valid...)
+	err = plan.ReconstructInto(m.reconstructed, train, valid...)
 	plan.Release()
 	if err != nil {
 		return fmt.Errorf("forecast: %w", err)

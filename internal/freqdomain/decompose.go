@@ -107,7 +107,7 @@ func CombineTimeDomain(d *Decomposition, primarySeries []linalg.Vector, nDays in
 			return nil, fmt.Errorf("%w: series %d has %d samples, want %d", ErrBadShape, i, len(series), n)
 		}
 		comp := make(linalg.Vector, n)
-		if _, err := plan.ReconstructInto(comp, series, week, day, half); err != nil {
+		if err := plan.ReconstructInto(comp, series, week, day, half); err != nil {
 			return nil, err
 		}
 		comp.ScaleInPlace(d.Coefficients[i])

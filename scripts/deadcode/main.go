@@ -1,7 +1,7 @@
 // Command deadcode is the repository's dead-code gate: it fails when a
 // package under internal/ holds a function that no main package (cmd/*,
-// bench, examples/*, scripts/*) can reach — one kept alive by tests only,
-// which is how the duplicate Foo/FooCtx/FooWorkers ladders accreted. The
+// bench, scripts/*) can reach — one kept alive by tests only, which is
+// how the duplicate Foo/FooCtx/FooWorkers ladders accreted. The
 // test-support packages (internal/faultinject, internal/testutil) are
 // exempt by rule: tests are their only callers by design. It needs nothing
 // but the Go toolchain, so it runs the same offline and in CI:
