@@ -249,15 +249,16 @@ func BenchmarkIngest_CityLogsStream(b *testing.B) {
 
 var (
 	ingestCSVOnce sync.Once
-	ingestCSVData []byte
-	ingestCSVRecs int
+	ingestCSVData [2][]byte // tower-major, time-major
+	ingestCSVRecs [2]int
 	ingestCSVErr  error
 )
 
 // ingestTraceCSV renders a synthetic city's CDR log to CSV bytes once
-// per process: ~360k records at the default scale, ~2.9M with
-// REPRO_BENCH_SCALE=paper.
-func ingestTraceCSV(b *testing.B) ([]byte, int) {
+// per process, in both record orders (the same records, in per-tower
+// export order or in a live feed's slot order): ~315k records at the
+// default scale, ~2.9M with REPRO_BENCH_SCALE=paper.
+func ingestTraceCSV(b *testing.B, timeMajor bool) ([]byte, int) {
 	b.Helper()
 	ingestCSVOnce.Do(func() {
 		cfg := synth.SmallConfig()
@@ -278,32 +279,37 @@ func ingestTraceCSV(b *testing.B) ([]byte, int) {
 			ingestCSVErr = err
 			return
 		}
-		src := city.LogSource(series, synth.LogOptions{})
-		defer src.Close()
-		var buf bytes.Buffer
-		cw := trace.NewCSVWriter(&buf)
-		if err := trace.ForEachBatch(src, cw.WriteBatch); err != nil {
-			ingestCSVErr = err
-			return
+		for i, opts := range []synth.LogOptions{{}, {TimeMajor: true}} {
+			src := city.LogSource(series, opts)
+			var buf bytes.Buffer
+			cw := trace.NewCSVWriter(&buf)
+			err := trace.ForEachBatch(src, cw.WriteBatch)
+			src.Close()
+			if err == nil {
+				err = cw.Flush()
+			}
+			if err != nil {
+				ingestCSVErr = err
+				return
+			}
+			ingestCSVData[i] = buf.Bytes()
+			ingestCSVRecs[i] = cw.Count()
 		}
-		if err := cw.Flush(); err != nil {
-			ingestCSVErr = err
-			return
-		}
-		ingestCSVData = buf.Bytes()
-		ingestCSVRecs = cw.Count()
 	})
 	if ingestCSVErr != nil {
 		b.Fatalf("building ingestion benchmark trace: %v", ingestCSVErr)
 	}
-	return ingestCSVData, ingestCSVRecs
+	if timeMajor {
+		return ingestCSVData[1], ingestCSVRecs[1]
+	}
+	return ingestCSVData[0], ingestCSVRecs[0]
 }
 
-// benchIngest drives one parse path over the shared trace and reports
-// records/s and allocs/record alongside the standard ns/op, MB/s and
-// allocs/op columns.
-func benchIngest(b *testing.B, parse func(data []byte) (int, error)) {
-	data, recs := ingestTraceCSV(b)
+// benchIngest drives one parse path over the shared trace in the given
+// order and reports records/s and allocs/record alongside the standard
+// ns/op, MB/s and allocs/op columns.
+func benchIngest(b *testing.B, timeMajor bool, parse func(data []byte) (int, error)) {
+	data, recs := ingestTraceCSV(b, timeMajor)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	var ms0, ms1 runtime.MemStats
@@ -324,54 +330,54 @@ func benchIngest(b *testing.B, parse func(data []byte) (int, error)) {
 	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N)/float64(recs), "allocs/record")
 }
 
-// BenchmarkIngest_Batched is the zero-allocation byte-level Scanner
-// draining through NextBatch.
-func BenchmarkIngest_Batched(b *testing.B) {
+// drainCount pulls src to its end through one reused batch and returns
+// how many records it delivered.
+func drainCount(src trace.Source) (int, error) {
 	batch := make([]trace.Record, trace.DefaultBatchSize)
-	benchIngest(b, func(data []byte) (int, error) {
-		sc, err := trace.NewScanner(bytes.NewReader(data))
+	n := 0
+	for {
+		m, err := src.NextBatch(batch)
+		n += m
 		if err != nil {
-			return 0, err
-		}
-		n := 0
-		for {
-			m, err := sc.NextBatch(batch)
-			n += m
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return n, nil
-				}
-				return n, err
+			if errors.Is(err, io.EOF) {
+				return n, nil
 			}
+			return n, err
 		}
-	})
+	}
 }
 
-// BenchmarkIngest_Parallel is the order-preserving chunk-parallel parser
-// on all cores. On a single-core runner it degrades to roughly the
-// batched scanner plus chunk-handoff overhead; the speedup shows on
-// multi-core hardware.
-func BenchmarkIngest_Parallel(b *testing.B) {
-	batch := make([]trace.Record, trace.DefaultBatchSize)
-	benchIngest(b, func(data []byte) (int, error) {
-		p, err := trace.NewParallelCSVSource(bytes.NewReader(data), 0)
-		if err != nil {
-			return 0, err
-		}
-		defer p.Close()
-		n := 0
-		for {
-			m, err := p.NextBatch(batch)
-			n += m
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return n, nil
-				}
-				return n, err
-			}
-		}
-	})
+// scanBatched is the zero-allocation byte-level Scanner draining through
+// NextBatch.
+func scanBatched(data []byte) (int, error) {
+	sc, err := trace.NewScanner(bytes.NewReader(data))
+	if err != nil {
+		return 0, err
+	}
+	return drainCount(sc)
 }
+
+// scanParallel is the order-preserving chunk-parallel parser on all
+// cores. On a single-core runner it degrades to roughly the batched
+// scanner plus chunk-handoff overhead; the speedup shows on multi-core
+// hardware.
+func scanParallel(data []byte) (int, error) {
+	p, err := trace.NewParallelCSVSource(bytes.NewReader(data), 0)
+	if err != nil {
+		return 0, err
+	}
+	defer p.Close()
+	return drainCount(p)
+}
+
+// BenchmarkIngest_Batched and BenchmarkIngest_Parallel parse the
+// tower-major trace (a per-tower CDR export, batch-ingest's order); the
+// TimeMajor pair parses the same records in slot order (a live feed,
+// serve-mixed's order), where consecutive rows name different towers.
+func BenchmarkIngest_Batched(b *testing.B)           { benchIngest(b, false, scanBatched) }
+func BenchmarkIngest_BatchedTimeMajor(b *testing.B)  { benchIngest(b, true, scanBatched) }
+func BenchmarkIngest_Parallel(b *testing.B)          { benchIngest(b, false, scanParallel) }
+func BenchmarkIngest_ParallelTimeMajor(b *testing.B) { benchIngest(b, true, scanParallel) }
 
 // --- Cleaning stage: dedup state under three feed orders ------------------
 

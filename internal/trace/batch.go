@@ -22,13 +22,17 @@ const DefaultBatchSize = 2048
 // service's cold start (bench serve-mixed: 2.1 M records, 2 vCPU, prebuilt
 // binaries alternated with the parent's) to_model_s fell from a median of
 // 1.17 s with one goroutine to 0.94 s at two, and rotations of four,
-// eight and sixteen read the same as two within the spread; what is left
-// is the window guard's once-a-day baseline refresh, a ≈ 10 ms stall of
-// the consumer that only a rotation of tens of batches (sixty-four:
-// ≈ 0.1–0.2 s less, 13 MB more) would ride out. A deeper queue also
-// shifts the bench's ingest-lag reading: a batch is stamped when the feed
-// hands it to the producer, so whatever it then waits in the queue counts
-// as lag (see .claude/skills/verify/SKILL.md).
+// eight and sixteen read the same as two within the spread. The depth was
+// chosen while decoding was the slower stage; since the Scanner decodes
+// canonical rows in one fused pass, the producer is the side that waits
+// (for a free buffer, 0.27–0.49 s per cold start against 0.04–0.16 s the
+// consumer waits for a batch), and what keeps it waiting is the window
+// guard's once-a-day baseline refresh, a ≈ 10 ms stall of the consumer
+// that only a rotation of tens of batches (sixty-four, measured before
+// the fused pass: ≈ 0.1–0.2 s less, 13 MB more) would ride out. A deeper
+// queue also shifts the bench's ingest-lag reading: a batch is stamped
+// when the feed hands it to the producer, so whatever it then waits in
+// the queue counts as lag (see .claude/skills/verify/SKILL.md).
 const ReadAheadDepth = 2
 
 // SizeHinter is implemented by sources that can estimate how many

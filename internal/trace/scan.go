@@ -12,6 +12,14 @@ package trace
 // constants. In the steady state a warmed Scanner performs zero
 // allocations per record.
 //
+// Most rows never reach that machinery: a row in the canonical shape
+// CSVWriter writes, lying whole in the read buffer, is decoded in one
+// fused pass (scanCanonical) that takes the line, parses its fields and
+// validates the record without building field views. It declines
+// anything else with nothing consumed, so the general path below — and
+// every skip, budget and error position — handles all other rows
+// unchanged.
+//
 // Row classification is kept bit-compatible with the CSVReader oracle
 // (encoding/csv + parseRow): rows that leave the single-line fast path —
 // quoted fields spanning newlines — are restarted through a slow parser
@@ -172,6 +180,11 @@ func (s *Scanner) NextBatch(dst []Record) (int, error) {
 	}
 	n := 0
 	for n < len(dst) {
+		if s.scanCanonical(&dst[n]) {
+			s.rows++
+			n++
+			continue
+		}
 		if err := s.readRow(); err != nil {
 			if err == errRow {
 				if ferr := s.reject(skipMalformed); ferr != nil {
@@ -195,6 +208,116 @@ func (s *Scanner) NextBatch(dst []Record) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// scanCanonical decodes the next row straight into rec when it is a
+// complete line already in the buffer, in the shape CSVWriter writes
+// (digits,TS,TS,digits,address,digits,3G|LTE and a bare \n; the address
+// unquoted with no quote, or quoted with no "" escape; integers of at
+// most 18 digits; timestamps canonical) and valid as toRecord judges it.
+// It fuses readLine, parseRowFast and toRecord into one left-to-right
+// pass with no field views, and leaves the stream position exactly as
+// readLine would. Anything else — a row that straddles the buffer end,
+// CRLF, blank and multi-line rows, escapes, a last line with no newline,
+// every malformed or invalid row — it declines having consumed nothing,
+// and readRow takes the row as before. So it accepts only rows readRow
+// accepts, with identical records, and all skip accounting stays there.
+func (s *Scanner) scanCanonical(rec *Record) bool {
+	nl := bytes.IndexByte(s.buf[s.start:s.end], '\n')
+	if nl < 0 {
+		return false
+	}
+	line := s.buf[s.start : s.start+nl]
+	userID, i, ok := canonicalInt(line, 0)
+	// Both timestamps sit at fixed offsets, each followed by a comma.
+	if !ok || len(line) <= i+43 || line[i+21] != ',' || line[i+42] != ',' {
+		return false
+	}
+	start, ok := s.parseTimeCanonical(line[i+1 : i+21])
+	if !ok {
+		return false
+	}
+	end, ok := s.parseTimeCanonical(line[i+22 : i+42])
+	if !ok {
+		return false
+	}
+	towerID, i, ok := canonicalInt(line, i+43)
+	if !ok {
+		return false
+	}
+	var addr []byte
+	if a := i + 1; a < len(line) && line[a] == '"' {
+		// Quoted: the first quote closes it, and a comma must follow
+		// (anything else is an escape or junk).
+		q := bytes.IndexByte(line[a+1:], '"')
+		if q < 0 {
+			return false
+		}
+		addr = line[a+1 : a+1+q]
+		i = a + 2 + q
+		if i >= len(line) || line[i] != ',' {
+			return false
+		}
+	} else {
+		for i = a; i < len(line) && line[i] != ','; i++ {
+			if line[i] == '"' {
+				return false
+			}
+		}
+		if i == len(line) {
+			return false
+		}
+		addr = line[a:i]
+	}
+	byteCount, i, ok := canonicalInt(line, i+1)
+	if !ok {
+		return false
+	}
+	var technology Technology
+	switch tech := line[i+1:]; {
+	case len(tech) == 2 && tech[0] == '3' && tech[1] == 'G':
+		technology = Tech3G
+	case len(tech) == 3 && tech[0] == 'L' && tech[1] == 'T' && tech[2] == 'E':
+		technology = TechLTE
+	default:
+		return false
+	}
+	// toRecord's validity checks; the integers are non-negative.
+	if userID > math.MaxInt || towerID > math.MaxInt ||
+		start.IsZero() || end.IsZero() || end.Before(start) {
+		return false
+	}
+	s.start += nl + 1
+	s.lineStart = s.offset
+	s.offset += int64(nl + 1)
+	s.line++
+	s.rowLine, s.rowOffset = s.line, s.lineStart
+	rec.UserID = int(userID)
+	rec.Start = start
+	rec.End = end
+	rec.TowerID = int(towerID)
+	rec.Bytes = byteCount
+	rec.Address = s.internAddress(addr)
+	rec.Tech = technology
+	return true
+}
+
+// canonicalInt parses the 1 to 18 digits that start at line[i] and end
+// at a comma, returning their value and the comma's index. More digits,
+// a sign or any other byte report false: parseIntField decides those.
+func canonicalInt(line []byte, i int) (int64, int, bool) {
+	var v int64
+	for j := i; j < len(line); j++ {
+		c := line[j]
+		if c == ',' {
+			return v, j, j > i
+		}
+		if c < '0' || c > '9' || j-i == 18 {
+			return 0, 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return 0, 0, false
 }
 
 // reject accounts one dropped row and applies the error policy: a nil
@@ -641,25 +764,34 @@ func parseIntSlow(b []byte) (int64, bool) {
 // accepts and rejects rows exactly as parseRow does. The fast path's
 // result is bit-identical (==) to time.Parse's.
 func (s *Scanner) parseTime(b []byte) (time.Time, bool) {
+	if t, ok := s.parseTimeCanonical(b); ok {
+		return t, true
+	}
+	return parseTimeSlow(b)
+}
+
+// parseTimeCanonical is parseTime's fast path: it reports false for
+// anything but the canonical form with in-range components.
+func (s *Scanner) parseTimeCanonical(b []byte) (time.Time, bool) {
 	if len(b) != 20 || b[10] != 'T' || b[13] != ':' || b[16] != ':' || b[19] != 'Z' {
-		return parseTimeSlow(b)
+		return time.Time{}, false
 	}
 	hour, ok := twoDigits(b[11], b[12])
 	if !ok || hour > 23 {
-		return parseTimeSlow(b)
+		return time.Time{}, false
 	}
 	minute, ok := twoDigits(b[14], b[15])
 	if !ok || minute > 59 {
-		return parseTimeSlow(b)
+		return time.Time{}, false
 	}
 	sec, ok := twoDigits(b[17], b[18])
 	if !ok || sec > 59 {
-		return parseTimeSlow(b)
+		return time.Time{}, false
 	}
 	if !s.dateOK || string(s.dateKey[:]) != string(b[:10]) {
 		base, ok := parseDateUTC(b[:10])
 		if !ok {
-			return parseTimeSlow(b)
+			return time.Time{}, false
 		}
 		copy(s.dateKey[:], b[:10])
 		s.dateBase = base

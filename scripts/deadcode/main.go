@@ -23,12 +23,19 @@
 // call it, one reason each. An allowlisted function is a root of its own:
 // what only it calls needs no entry. An entry that is reachable without
 // the allowlist, or names no function, is an error.
+//
+//	go run ./scripts/deadcode -bench-only [module root]
+//
+// prints instead the functions under internal/ that only the benchmark
+// (bench/: its main, init and package-level initialisers) reaches — what
+// would turn dead if bench/ stopped calling it. It gates nothing.
 package main
 
 import (
 	"bytes"
 	_ "embed"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -49,6 +56,10 @@ import (
 // gate; the rest of the module (the main packages themselves) is reported
 // for information only.
 var gated = regexp.MustCompile(`/internal/`)
+
+// benchPkg selects the benchmark's main package, whose roots -bench-only
+// sets apart.
+var benchPkg = regexp.MustCompile(`/bench$`)
 
 // testSupport selects the packages that exist to be called from tests.
 var testSupport = regexp.MustCompile(`/internal/(faultinject|testutil)$`)
@@ -86,25 +97,35 @@ func (m moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 func main() {
+	benchOnly := flag.Bool("bench-only", false, "print the internal/ functions only bench/ reaches, and gate nothing")
+	flag.Parse()
 	root := "."
-	if len(os.Args) > 1 {
-		root = os.Args[1]
+	if flag.NArg() > 0 {
+		root = flag.Arg(0)
 	}
-	os.Exit(run(root, allowText, os.Stdout, os.Stderr))
+	os.Exit(run(root, allowText, *benchOnly, os.Stdout, os.Stderr))
 }
 
-// run applies the gate to the module at root and returns the exit code.
-func run(root, allowText string, stdout, stderr io.Writer) int {
+// run applies the gate to the module at root, or with benchOnly lists
+// what only bench/ reaches, and returns the exit code.
+func run(root, allowText string, benchOnly bool, stdout, stderr io.Writer) int {
 	var allow []string
 	for _, line := range strings.Split(allowText, "\n") {
 		if name, _, _ := strings.Cut(line, "#"); strings.TrimSpace(name) != "" {
 			allow = append(allow, strings.TrimSpace(name))
 		}
 	}
-	res, err := analyze(root, allow)
+	res, err := analyze(root, allow, benchOnly)
 	if err != nil {
 		fmt.Fprintln(stderr, "deadcode:", err)
 		return 2
+	}
+	if benchOnly {
+		fmt.Fprintf(stdout, "deadcode: %d functions under internal/ only bench/ reaches\n", len(res.benchOnly))
+		for _, name := range res.benchOnly {
+			fmt.Fprintf(stdout, "  %s\n", name)
+		}
+		return 0
 	}
 	fmt.Fprintf(stdout, "deadcode: %d functions kept by allow.txt, %d unreachable in gated packages, %d elsewhere\n",
 		len(allow)-len(res.stale), len(res.gated), len(res.info))
@@ -127,15 +148,18 @@ func run(root, allowText string, stdout, stderr io.Writer) int {
 // result is what analyze found: unreachable functions by class, each
 // sorted, named "import/path.Func" or "import/path.Type.Method".
 type result struct {
-	gated []string // unreachable in a gated package: fails the gate
-	info  []string // unreachable elsewhere (a main package): reported only
-	stale []string // allow entries reachable without the allowlist, or naming nothing
+	gated     []string // unreachable in a gated package: fails the gate
+	info      []string // unreachable elsewhere (a main package): reported only
+	stale     []string // allow entries reachable without the allowlist, or naming nothing
+	benchOnly []string // with benchOnly: gated functions only bench/'s roots reach
 }
 
 // analyze type-checks the module at root and walks its reference graph,
 // first from the main packages alone (which finds the stale allow entries)
-// and then from the allowlisted functions too.
-func analyze(root string, allow []string) (*result, error) {
+// and then from the allowlisted functions too. With benchOnly, bench/'s
+// roots are held back from both walks and walked last, and what that
+// last walk reaches is the benchOnly list.
+func analyze(root string, allow []string, benchOnly bool) (*result, error) {
 	cmd := exec.Command("go", "list", "-pgo=off", "-json", "-deps", "./...")
 	cmd.Dir = root
 	cmd.Stderr = os.Stderr
@@ -193,7 +217,10 @@ func analyze(root string, allow []string) (*result, error) {
 		}
 	}
 
-	var inits []ast.Node
+	var (
+		inits, benchInits []ast.Node
+		benchRoots        []*types.Func
+	)
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p listed
 		if err := dec.Decode(&p); err != nil {
@@ -215,11 +242,17 @@ func analyze(root string, allow []string) (*result, error) {
 			return nil, err
 		}
 		imp.checked[p.ImportPath] = pkg
+		held := benchOnly && p.Name == "main" && benchPkg.MatchString(p.ImportPath)
 		for _, file := range files {
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.GenDecl:
-					if d.Tok == token.VAR {
+					if d.Tok != token.VAR {
+						break
+					}
+					if held {
+						benchInits = append(benchInits, d)
+					} else {
 						inits = append(inits, d)
 					}
 				case *ast.FuncDecl:
@@ -233,7 +266,11 @@ func analyze(root string, allow []string) (*result, error) {
 						names[f] = p.ImportPath + "." + recv + "." + d.Name.Name
 						byName[d.Name.Name] = append(byName[d.Name.Name], f)
 					} else if p.Name == "main" && (d.Name.Name == "main" || d.Name.Name == "init") {
-						mark(f)
+						if held {
+							benchRoots = append(benchRoots, f)
+						} else {
+							mark(f)
+						}
 					}
 				}
 			}
@@ -265,6 +302,25 @@ func analyze(root string, allow []string) (*result, error) {
 		}
 	}
 	drain()
+	if benchOnly {
+		before := make(map[*types.Func]bool, len(reach))
+		for f := range reach {
+			before[f] = true
+		}
+		for _, f := range benchRoots {
+			mark(f)
+		}
+		for _, d := range benchInits {
+			refs(d)
+		}
+		drain()
+		for f, name := range names {
+			if reach[f] && !before[f] && gated.MatchString(pkgOf[f]) && !testSupport.MatchString(pkgOf[f]) {
+				res.benchOnly = append(res.benchOnly, name)
+			}
+		}
+		sort.Strings(res.benchOnly)
+	}
 
 	for f, name := range names {
 		switch {

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// The gate over the three-package fixture module (cmd/app, internal/lib,
-// internal/testutil): which functions fail it, what an allowlist entry
+// The gate over the four-package fixture module (cmd/app, bench,
+// internal/lib, internal/testutil): which functions fail it, what an allowlist entry
 // covers, and which entries are themselves errors.
 func TestGateOnFixture(t *testing.T) {
 	cases := []struct {
@@ -45,7 +45,7 @@ func TestGateOnFixture(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if exit := run("testdata/fixture", c.allow, &stdout, &stderr); exit != c.exit {
+			if exit := run("testdata/fixture", c.allow, false, &stdout, &stderr); exit != c.exit {
 				t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", exit, c.exit, &stdout, &stderr)
 			}
 			for _, want := range c.reported {
@@ -59,5 +59,24 @@ func TestGateOnFixture(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// -bench-only over the same fixture: it lists exactly what bench's main
+// and package-level initialiser alone reach under internal/, whatever
+// allow.txt says, and never fails.
+func TestBenchOnlyOnFixture(t *testing.T) {
+	for _, allow := range []string{"", "fixture/internal/lib.Kept # reason\nfixture/internal/lib.Used # stale\n"} {
+		var stdout, stderr bytes.Buffer
+		if exit := run("testdata/fixture", allow, true, &stdout, &stderr); exit != 0 {
+			t.Fatalf("allow %q: exit %d, want 0\nstdout: %s\nstderr: %s", allow, exit, &stdout, &stderr)
+		}
+		want := "deadcode: 3 functions under internal/ only bench/ reaches\n" +
+			"  fixture/internal/lib.BenchOnly\n" +
+			"  fixture/internal/lib.BenchSetup\n" +
+			"  fixture/internal/lib.benchHelper\n"
+		if stdout.String() != want || stderr.Len() != 0 {
+			t.Errorf("allow %q:\nstdout %q\nwant   %q\nstderr %q", allow, &stdout, want, &stderr)
+		}
 	}
 }

@@ -12,3 +12,11 @@ func Dead() {}
 func Kept() { keptHelper() }
 
 func keptHelper() {}
+
+// BenchOnly is reached from bench's main alone; so is benchHelper.
+func BenchOnly(int) { benchHelper() }
+
+func benchHelper() {}
+
+// BenchSetup is reached from bench's package-level initialiser alone.
+func BenchSetup() int { return 0 }
